@@ -3,19 +3,21 @@
 Sampling follows the reduction used by the limit theorems themselves: an
 event probability under the product belief measure equals an ordinary
 probability of the per-coordinate min-sums (lower events) and max-sums
-(upper events) under the mass law.  Each trial therefore draws focal
-elements i.i.d. from the categorical mass law and accumulates
+(upper events) under the mass law.  Only the law of the (focal minimum,
+focal maximum) hull matters (``MinMaxLaw``), so each trial draws hulls
+i.i.d. from it and accumulates
 
-    S_min = sum of focal minima,   S_max = sum of focal maxima.
+    S_min = sum of hull minima,   S_max = sum of hull maxima.
 
-Randomness is counter-based (Philox): a stream is a pure function of
-(seed, replication, coordinate), so any partition of work over any number
-of workers reproduces identical draws.  The estimator batches replications
-into fixed-size blocks, each with its own counter-derived stream, and
-merges integer tallies associatively; results are bit-reproducible for a
-given (seed, plan) at any worker count.  The per-block fast path draws the
-multinomial of focal counts, which carries the same joint law of
-(S_min, S_max) as coordinate-by-coordinate sampling.
+Randomness is counter-based (Philox).  ``derive_stream`` is a pure
+function of (seed, replication, coordinate); the estimator batches
+replications into fixed-size blocks whose streams are a pure function of
+(seed, index of n in the plan, block), so any partition of blocks over any
+number of workers reproduces identical draws.  Integer tallies merge
+associatively; results are bit-reproducible for a given (seed, plan) at
+any worker count.  A block draws the multinomial of counts over the
+distinct hulls, which carries the same joint law of (S_min, S_max) as
+coordinate-by-coordinate sampling.
 """
 
 from __future__ import annotations
@@ -191,45 +193,151 @@ def _block_stream(seed: int, n_index: int, block_index: int) -> np.random.Genera
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def _cumulative_masses(model: BeliefModel) -> np.ndarray:
-    masses = np.array([m for _, m in model.focal], dtype=float)
-    cum = np.cumsum(masses)
-    cum[-1] = 1.0
-    return cum
+@dataclass(frozen=True, eq=False)
+class MinMaxLaw:
+    """The discrete law of (focal minimum, focal maximum) under the masses.
+
+    Everything the limit theorems, and so the simulator, need from a model.
+    Focal elements sharing a (min, max) hull are merged: ``mins``/``maxs``
+    hold the distinct pairs in order of first occurrence in ``model.focal``,
+    ``masses`` their summed masses and ``cumulative`` the running sums,
+    ending in exactly 1.0.
+    """
+
+    mins: np.ndarray
+    maxs: np.ndarray
+    masses: np.ndarray
+    cumulative: np.ndarray
+
+    @classmethod
+    def from_model(cls, model: BeliefModel) -> "MinMaxLaw":
+        merged: dict[tuple[float, float], list[float]] = {}
+        for f, m in model.focal:
+            merged.setdefault((f.min, f.max), []).append(m)
+        hulls = np.array(list(merged), dtype=float).reshape(-1, 2)
+        masses = np.array([math.fsum(ms) for ms in merged.values()], dtype=float)
+        cumulative = np.cumsum(masses)
+        cumulative[-1] = 1.0
+        return cls(hulls[:, 0].copy(), hulls[:, 1].copy(), masses, cumulative)
 
 
 def sample_trial(model: BeliefModel, n: int, stream: np.random.Generator) -> tuple[float, float]:
-    """One trial: draw n focal elements i.i.d., return (S_min, S_max).
+    """One trial: draw n (min, max) hulls i.i.d. from the model's law,
+    return (S_min, S_max).
 
     The stream should be positioned deterministically for the trial, e.g.
     ``derive_stream(seed, replication_index, 0)``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    mins = np.array([f.min for f, _ in model.focal], dtype=float)
-    maxs = np.array([f.max for f, _ in model.focal], dtype=float)
-    cum = _cumulative_masses(model)
+    law = MinMaxLaw.from_model(model)
     u = stream.random(n)
-    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
-    return float(mins[idx].sum()), float(maxs[idx].sum())
+    idx = np.minimum(np.searchsorted(law.cumulative, u, side="right"), len(law.masses) - 1)
+    return float(law.mins[idx].sum()), float(law.maxs[idx].sum())
 
 
-def _simulate_block(args) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    (seed, n_index, n, block_index, block_len, mins, maxs, masses,
-     mu_low, sd_low, mu_up, sd_up, alphas, pairs) = args
+def _count_where(thresholds: np.ndarray, compare, t: np.ndarray) -> np.ndarray:
+    """Per element of ``t``, how many thresholds satisfy ``compare(a, t)``."""
+    acc = np.zeros(t.shape, dtype=np.min_scalar_type(len(thresholds)))
+    for a in thresholds:
+        acc += compare(a, t)
+    return acc
+
+
+@dataclass(frozen=True, eq=False)
+class _ThresholdBuckets:
+    """The events of one n, tallied through buckets of the statistics.
+
+    Every event is a comparison of T_low or T_up with a threshold, so it is
+    decided by how many thresholds of a sorted, distinct grid pass the same
+    comparison:
+
+    - ``low``: alphas and pair alpha1s, counted as ``a <= T_low``;
+      ``T_low >= a`` and ``a1 <= T_low`` mean exactly "a passes".
+    - ``up``: alphas, counted as ``a <= T_up``; ``T_up < a`` is "a fails".
+    - ``up2``: pair alpha2s, counted as ``a2 < T_up``; ``T_up <= a2`` is
+      "a2 fails".
+
+    A block reduces to a joint histogram of the (low, up2) bucket counts and
+    a histogram of the up bucket counts; histograms merge by addition and
+    prefix sums turn them into event counts.  NaN thresholds stay out of
+    the grids: every comparison with them is false, so their events count
+    zero.  The ``*_at`` arrays hold each event's prefix-sum position.
+    """
+
+    low: np.ndarray
+    up: np.ndarray
+    up2: np.ndarray
+    lower_at: np.ndarray
+    upper_at: np.ndarray
+    pair_rows: np.ndarray
+    pair_cols: np.ndarray
+
+    @classmethod
+    def build(cls, alphas: Sequence[float],
+              pairs: Sequence[tuple[float, float]]) -> "_ThresholdBuckets":
+        alphas = np.asarray(alphas, dtype=float).reshape(-1)
+        pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
+
+        def grid(values):
+            # sorted(set()) rather than np.unique, which imports numpy.ma
+            return np.array(sorted(set(values[~np.isnan(values)].tolist())), dtype=float)
+
+        def passing_at(grid, values):
+            # buckets above the threshold's index; NaN sorts past the grid,
+            # onto the all-zero row
+            return np.searchsorted(grid, values) + 1
+
+        def failing_at(grid, values):
+            # buckets up to the threshold's index; NaN onto the zero column
+            return np.where(np.isnan(values), 0, np.searchsorted(grid, values) + 1)
+
+        low = grid(np.concatenate([alphas, pairs[:, 0]]))
+        up, up2 = grid(alphas), grid(pairs[:, 1])
+        return cls(low, up, up2,
+                   lower_at=passing_at(low, alphas),
+                   upper_at=failing_at(up, alphas),
+                   pair_rows=passing_at(low, pairs[:, 0]),
+                   pair_cols=failing_at(up2, pairs[:, 1]))
+
+    def histograms(self, t_low: np.ndarray, t_up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(joint low x up2 histogram, flattened; up histogram) of one block."""
+        width = len(self.up2) + 1
+        cell = _count_where(self.low, np.less_equal, t_low).astype(np.intp) * width
+        cell += _count_where(self.up2, np.less, t_up)
+        joint = np.bincount(cell, minlength=(len(self.low) + 1) * width)
+        upper = np.bincount(_count_where(self.up, np.less_equal, t_up),
+                            minlength=len(self.up) + 1)
+        return joint, upper
+
+    def counts(self, joint: np.ndarray,
+               upper: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lower, upper, two-sided) event counts, in plan order."""
+        joint = joint.reshape(len(self.low) + 1, len(self.up2) + 1)
+        # tail[r, c] = #{low bucket >= r and up2 bucket < c}
+        tail = np.zeros((joint.shape[0] + 1, joint.shape[1] + 1), dtype=np.int64)
+        tail[:-1, 1:] = joint[::-1].cumsum(axis=0)[::-1].cumsum(axis=1)
+        head = np.concatenate([[0], np.cumsum(upper)])
+        return (tail[self.lower_at, -1], head[self.upper_at],
+                tail[self.pair_rows, self.pair_cols])
+
+
+def _simulate_block(args) -> tuple[int, np.ndarray, np.ndarray]:
+    (seed, n_index, n, block_index, block_len, law,
+     mu_low, sd_low, mu_up, sd_up, buckets) = args
     rng = _block_stream(seed, n_index, block_index)
-    counts = rng.multinomial(n, masses, size=block_len)
-    s_min = counts @ mins
-    s_max = counts @ maxs
+    counts = rng.multinomial(n, law.masses, size=block_len)
+    # multiply-accumulate over the few hulls; a matrix product would start
+    # BLAS threads in every pool worker
+    s_min = counts[:, 0] * law.mins[0]
+    s_max = counts[:, 0] * law.maxs[0]
+    for k in range(1, len(law.masses)):
+        s_min += counts[:, k] * law.mins[k]
+        s_max += counts[:, k] * law.maxs[k]
     root = math.sqrt(n)
     t_low = (s_min - n * mu_low) / (root * sd_low)
     t_up = (s_max - n * mu_up) / (root * sd_up)
-    lower = np.array([(t_low >= a).sum() for a in alphas], dtype=np.int64)
-    upper = np.array([(t_up < a).sum() for a in alphas], dtype=np.int64)
-    two = np.array(
-        [((a1 <= t_low) & (t_up <= a2)).sum() for a1, a2 in pairs], dtype=np.int64
-    )
-    return n_index, lower, upper, two
+    return (n_index, *buckets.histograms(t_low, t_up))
 
 
 def estimate_events(
@@ -246,29 +354,20 @@ def estimate_events(
             "cannot normalize sums"
         )
     workers = resolve_workers(workers)
-    mins = np.array([f.min for f, _ in plan.model.focal], dtype=float)
-    maxs = np.array([f.max for f, _ in plan.model.focal], dtype=float)
-    masses = np.array([m for _, m in plan.model.focal], dtype=float)
+    law = MinMaxLaw.from_model(plan.model)
+    buckets = [_ThresholdBuckets.build(plan.alphas_for(n), plan.pairs_for(n))
+               for n in plan.n_values]
 
     tasks = []
     for n_index, n in enumerate(plan.n_values):
-        alphas = plan.alphas_for(n)
-        pairs = plan.pairs_for(n)
         n_blocks = (plan.reps + BLOCK_SIZE - 1) // BLOCK_SIZE
         for b in range(n_blocks):
             block_len = min(BLOCK_SIZE, plan.reps - b * BLOCK_SIZE)
             tasks.append(
-                (plan.seed, n_index, n, b, block_len, mins, maxs, masses,
+                (plan.seed, n_index, n, b, block_len, law,
                  moments.lower_mean, moments.lower_sd, moments.upper_mean,
-                 moments.upper_sd, alphas, pairs)
+                 moments.upper_sd, buckets[n_index])
             )
-
-    lower_tally = {i: np.zeros(len(plan.alphas_for(n)), dtype=np.int64)
-                   for i, n in enumerate(plan.n_values)}
-    upper_tally = {i: np.zeros(len(plan.alphas_for(n)), dtype=np.int64)
-                   for i, n in enumerate(plan.n_values)}
-    two_tally = {i: np.zeros(len(plan.pairs_for(n)), dtype=np.int64)
-                 for i, n in enumerate(plan.n_values)}
 
     if workers == 1:
         partials = map(_simulate_block, tasks)
@@ -278,25 +377,24 @@ def estimate_events(
             partials = list(executor.map(_simulate_block, tasks, chunksize=8))
         finally:
             executor.shutdown()
-    for n_index, lower, upper, two in partials:
-        lower_tally[n_index] += lower
-        upper_tally[n_index] += upper
-        two_tally[n_index] += two
+    joint_tally: dict[int, np.ndarray] = {}
+    upper_tally: dict[int, np.ndarray] = {}
+    for n_index, joint, upper in partials:
+        joint_tally[n_index] = joint_tally.get(n_index, 0) + joint
+        upper_tally[n_index] = upper_tally.get(n_index, 0) + upper
 
     rows: list[EventResult] = []
     for n_index, n in enumerate(plan.n_values):
+        lower, upper, two = buckets[n_index].counts(joint_tally[n_index],
+                                                    upper_tally[n_index])
         alphas = plan.alphas_for(n)
-        pairs = plan.pairs_for(n)
-        for j, a in enumerate(alphas):
-            rows.append(EventResult(n, ONE_SIDED_LOWER, a, math.nan,
-                                    int(lower_tally[n_index][j]), plan.reps,
-                                    _DEFINITIONS[ONE_SIDED_LOWER]))
-        for j, a in enumerate(alphas):
-            rows.append(EventResult(n, ONE_SIDED_UPPER, a, math.nan,
-                                    int(upper_tally[n_index][j]), plan.reps,
-                                    _DEFINITIONS[ONE_SIDED_UPPER]))
-        for j, (a1, a2) in enumerate(pairs):
-            rows.append(EventResult(n, TWO_SIDED, a1, a2,
-                                    int(two_tally[n_index][j]), plan.reps,
-                                    _DEFINITIONS[TWO_SIDED]))
+        for a, count in zip(alphas, lower):
+            rows.append(EventResult(n, ONE_SIDED_LOWER, a, math.nan, int(count),
+                                    plan.reps, _DEFINITIONS[ONE_SIDED_LOWER]))
+        for a, count in zip(alphas, upper):
+            rows.append(EventResult(n, ONE_SIDED_UPPER, a, math.nan, int(count),
+                                    plan.reps, _DEFINITIONS[ONE_SIDED_UPPER]))
+        for (a1, a2), count in zip(plan.pairs_for(n), two):
+            rows.append(EventResult(n, TWO_SIDED, a1, a2, int(count),
+                                    plan.reps, _DEFINITIONS[TWO_SIDED]))
     return SimResult(plan.digest(), plan.seed, plan.reps, tuple(rows))

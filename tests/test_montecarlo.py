@@ -1,9 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefclt import (
+    MODEL_REGISTRY,
     BeliefModel,
     DegenerateVariance,
     FocalElement,
@@ -17,9 +21,13 @@ from beliefclt import (
     sample_trial,
 )
 from beliefclt.montecarlo import (
+    BLOCK_SIZE,
     ONE_SIDED_LOWER,
     ONE_SIDED_UPPER,
     TWO_SIDED,
+    MinMaxLaw,
+    _block_stream,
+    _ThresholdBuckets,
     default_alpha_pairs,
     resolve_workers,
 )
@@ -210,3 +218,167 @@ def test_resolve_workers_env(monkeypatch):
     monkeypatch.setenv("BELIEFCLT_WORKERS", "2")
     assert resolve_workers() == 2
     assert resolve_workers(1) == 1
+
+
+def _brute_counts(t_low, t_up, alphas, pairs):
+    """Event counts by one comparison pass per event, as the definitions read."""
+    return (
+        [int((t_low >= a).sum()) for a in alphas],
+        [int((t_up < a).sum()) for a in alphas],
+        [int(((a1 <= t_low) & (t_up <= a2)).sum()) for a1, a2 in pairs],
+    )
+
+
+LATTICE = tuple(0.25 * i for i in range(-10, 11))
+_thresholds = st.one_of(
+    st.sampled_from(LATTICE),
+    st.floats(-4.0, 4.0),
+    st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan)),
+)
+
+
+class TestThresholdBuckets:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, data):
+        # unsorted, duplicated, inverted and NaN thresholds, empty grids, and
+        # statistics drawn partly from the thresholds themselves (exact ties);
+        # the block is split in two to exercise the merge
+        alphas = data.draw(st.lists(_thresholds, max_size=10))
+        pairs = data.draw(st.lists(st.tuples(_thresholds, _thresholds), max_size=12))
+        ties = [a for a in alphas + [x for p in pairs for x in p] if not math.isnan(a)]
+        stat = st.floats(-5.0, 5.0)
+        if ties:
+            stat = stat | st.sampled_from(ties)
+        size = data.draw(st.integers(0, 40))
+        t_low = np.array(data.draw(st.lists(stat, min_size=size, max_size=size)), dtype=float)
+        t_up = np.array(data.draw(st.lists(stat, min_size=size, max_size=size)), dtype=float)
+        cut = data.draw(st.integers(0, size))
+
+        buckets = _ThresholdBuckets.build(alphas, pairs)
+        joint1, upper1 = buckets.histograms(t_low[:cut], t_up[:cut])
+        joint2, upper2 = buckets.histograms(t_low[cut:], t_up[cut:])
+        got = buckets.counts(joint1 + joint2, upper1 + upper2)
+        assert tuple(list(map(int, g)) for g in got) == _brute_counts(t_low, t_up, alphas, pairs)
+
+    def test_empty_grids(self):
+        buckets = _ThresholdBuckets.build((), ())
+        joint, upper = buckets.histograms(np.zeros(5), np.ones(5))
+        assert joint.tolist() == [5] and upper.tolist() == [5]
+        assert all(len(c) == 0 for c in buckets.counts(joint, upper))
+
+
+def _reference_estimate(plan, mom):
+    """Replays the estimator's block streams and tallies every event by brute
+    force; exact for models whose hull endpoints are small dyadic numbers."""
+    law = MinMaxLaw.from_model(plan.model)
+    counts = {}
+    for n_index, n in enumerate(plan.n_values):
+        t_low, t_up = [], []
+        for b, start in enumerate(range(0, plan.reps, BLOCK_SIZE)):
+            block_len = min(BLOCK_SIZE, plan.reps - start)
+            draws = _block_stream(plan.seed, n_index, b).multinomial(
+                n, law.masses, size=block_len)
+            root = math.sqrt(n)
+            t_low.append((draws @ law.mins - n * mom.lower_mean) / (root * mom.lower_sd))
+            t_up.append((draws @ law.maxs - n * mom.upper_mean) / (root * mom.upper_sd))
+        lower, upper, two = _brute_counts(np.concatenate(t_low), np.concatenate(t_up),
+                                          plan.alphas_for(n), plan.pairs_for(n))
+        counts[n] = lower + upper + two
+    return counts
+
+
+_grid_values = st.lists(st.sampled_from(LATTICE[::2]), max_size=6)
+_pair_values = st.lists(st.tuples(st.sampled_from(LATTICE[::2]),
+                                  st.sampled_from(LATTICE[::2])), max_size=6)
+
+
+@given(model_name=st.sampled_from(("coin", "bernoulli")),
+       per_n=st.booleans(),
+       alphas=st.lists(_grid_values, min_size=3, max_size=3),
+       pairs=st.lists(_pair_values, min_size=3, max_size=3),
+       reps=st.sampled_from((1, 37, 500)))
+@settings(max_examples=25, deadline=None)
+def test_estimator_matches_brute_force_reference(model_name, per_n, alphas, pairs, reps):
+    # coin puts T_low and T_up on a 0.5 lattice at n = 4 and 16, so ties
+    # with the 0.5-lattice thresholds are frequent
+    model = MODEL_REGISTRY[model_name]()
+    n_values = (1, 4, 16)
+    if per_n:
+        grids = dict(alpha_one_sided=dict(zip(n_values, alphas)),
+                     alpha_two_sided=dict(zip(n_values, pairs)))
+    else:
+        grids = dict(alpha_one_sided=alphas[0], alpha_two_sided=pairs[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # inverted pairs are allowed
+        plan = SimPlan(model, n_values=n_values, reps=reps, seed=8, **grids)
+    mom = moments_by_enumeration(model)
+    sim = estimate_events(plan, mom, workers=1)
+    reference = _reference_estimate(plan, mom)
+    for n in n_values:
+        assert [r.count for r in sim.rows_for(n)] == reference[n]
+
+
+def _repeated_hull_model():
+    # the first and third focal elements share the hull (0, 1)
+    return BeliefModel.make(
+        [(FocalElement.make([(0.0, 1.0)]), 0.3),
+         (FocalElement.make([(1.0, 1.0)]), 0.2),
+         (FocalElement.make([(0.0, 0.25), (0.75, 1.0)]), 0.25),
+         (FocalElement.make([(0.0, 0.0)]), 0.25)], 1.0)
+
+
+def _merged_hull_model():
+    return BeliefModel.make(
+        [(FocalElement.make([(0.0, 1.0)]), math.fsum((0.3, 0.25))),
+         (FocalElement.make([(1.0, 1.0)]), 0.2),
+         (FocalElement.make([(0.0, 0.0)]), 0.25)], 1.0)
+
+
+class TestRepeatedHull:
+    def test_law_merges_in_first_occurrence_order(self):
+        law = MinMaxLaw.from_model(_repeated_hull_model())
+        assert law.mins.tolist() == [0.0, 1.0, 0.0]
+        assert law.maxs.tolist() == [1.0, 1.0, 0.0]
+        assert law.masses.tolist() == [math.fsum((0.3, 0.25)), 0.2, 0.25]
+        assert law.cumulative[-1] == 1.0
+        assert law.cumulative[:-1].tolist() == np.cumsum(law.masses)[:-1].tolist()
+
+    def test_law_keeps_distinct_hulls(self, bernoulli):
+        law = MinMaxLaw.from_model(bernoulli)
+        assert law.masses.tolist() == [m for _, m in bernoulli.focal]
+        assert law.mins.tolist() == [f.min for f, _ in bernoulli.focal]
+
+    def test_estimator_sees_only_the_law(self):
+        plan = SimPlan(_repeated_hull_model(), n_values=(3, 40), reps=20_000, seed=4)
+        mom = moments_by_enumeration(plan.model)
+        sim = estimate_events(plan, mom, workers=1)
+        for workers in (2, 3):
+            assert estimate_events(plan, mom, workers=workers) == sim
+        merged = SimPlan(_merged_hull_model(), n_values=(3, 40), reps=20_000, seed=4)
+        again = estimate_events(merged, moments_by_enumeration(merged.model), workers=1)
+        assert [r.count for r in again.rows] == [r.count for r in sim.rows]
+
+    def test_n1_matches_exact_belief(self):
+        model = _repeated_hull_model()
+        mom = moments_by_enumeration(model)
+        plan = SimPlan(model, n_values=(1,), reps=120_000, seed=32,
+                       alpha_one_sided=(-1.0, 0.3, 1.2), alpha_two_sided=())
+        for row in estimate_events(plan, mom).rows:
+            if row.kind == ONE_SIDED_LOWER:
+                event = IntervalEvent.at_least(mom.lower_mean + row.alpha1 * mom.lower_sd)
+            else:
+                event = IntervalEvent.less_than(mom.upper_mean + row.alpha1 * mom.upper_sd)
+            exact = belief(model, event)
+            assert abs(row.frequency - exact) <= 4 * row.se + 1e-9, (
+                row.kind, row.alpha1, row.frequency, exact)
+
+    def test_sample_trial_draws_from_the_law(self):
+        repeated, merged = _repeated_hull_model(), _merged_hull_model()
+        for rep in range(20):
+            assert (sample_trial(repeated, 7, derive_stream(5, rep, 0))
+                    == sample_trial(merged, 7, derive_stream(5, rep, 0)))
+        reps = 4000
+        draws = [sample_trial(repeated, 1, derive_stream(6, rep, 0)) for rep in range(reps)]
+        wide = sum(d == (0.0, 1.0) for d in draws) / reps
+        assert abs(wide - 0.55) < 4 * math.sqrt(0.55 * 0.45 / reps)
