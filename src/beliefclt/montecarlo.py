@@ -218,7 +218,7 @@ class MinMaxLaw:
         masses = np.array([math.fsum(ms) for ms in merged.values()], dtype=float)
         cumulative = np.cumsum(masses)
         cumulative[-1] = 1.0
-        return cls(hulls[:, 0].copy(), hulls[:, 1].copy(), masses, cumulative)
+        return cls(hulls[:, 0], hulls[:, 1], masses, cumulative)
 
 
 def sample_trial(model: BeliefModel, n: int, stream: np.random.Generator) -> tuple[float, float]:
@@ -302,6 +302,8 @@ class _ThresholdBuckets:
 
     def histograms(self, t_low: np.ndarray, t_up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(joint low x up2 histogram, flattened; up histogram) of one block."""
+        if not (len(self.low) or len(self.up) or len(self.up2)):
+            return np.array([t_low.size]), np.array([t_up.size])  # no events to tally
         width = len(self.up2) + 1
         cell = _count_where(self.low, np.less_equal, t_low).astype(np.intp) * width
         cell += _count_where(self.up2, np.less, t_up)
