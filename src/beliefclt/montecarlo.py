@@ -302,8 +302,6 @@ class _ThresholdBuckets:
 
     def histograms(self, t_low: np.ndarray, t_up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(joint low x up2 histogram, flattened; up histogram) of one block."""
-        if not (len(self.low) or len(self.up) or len(self.up2)):
-            return np.array([t_low.size]), np.array([t_up.size])  # no events to tally
         width = len(self.up2) + 1
         cell = _count_where(self.low, np.less_equal, t_low).astype(np.intp) * width
         cell += _count_where(self.up2, np.less, t_up)
