@@ -12,12 +12,14 @@ i.i.d. from it and accumulates
 Randomness is counter-based (Philox).  ``derive_stream`` is a pure
 function of (seed, replication, coordinate); the estimator batches
 replications into fixed-size blocks whose streams are a pure function of
-(seed, index of n in the plan, block), so any partition of blocks over any
-number of workers reproduces identical draws.  Integer tallies merge
-associatively; results are bit-reproducible for a given (seed, plan) at
-any worker count.  A block draws the multinomial of counts over the
-distinct hulls, which carries the same joint law of (S_min, S_max) as
-coordinate-by-coordinate sampling.
+(seed, n, block), so any partition of blocks over any number of workers,
+and any plan that contains n, reproduces identical draws.  Integer
+tallies merge associatively; results are bit-reproducible for a given
+(seed, plan) at any worker count.  A block draws the hull counts of its
+trials, which carry the same joint law of (S_min, S_max) as
+coordinate-by-coordinate sampling: by inversion from a table of every
+count vector when there are at most ``TABLE_MAX_VECTORS`` of them, else
+by numpy's multinomial.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ _KEY_DOMAIN = np.uint64(0x9E3779B97F4A7C15)
 _CTR_TRIAL = np.uint64(0)
 _CTR_BLOCK = np.uint64(1)
 BLOCK_SIZE = 1 << 14
+TABLE_MAX_VECTORS = 1 << 16
 
 WORKERS_ENV = "BELIEFCLT_WORKERS"
 
@@ -184,11 +187,11 @@ def derive_stream(seed: int, replication_index: int, coordinate_index: int) -> n
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def _block_stream(seed: int, n_index: int, block_index: int) -> np.random.Generator:
+def _block_stream(seed: int, n: int, block_index: int) -> np.random.Generator:
     # same key space as derive_stream, disjoint counter tag
     key = np.array([np.uint64(seed), _KEY_DOMAIN], dtype=np.uint64)
     counter = np.array(
-        [0, np.uint64(block_index), np.uint64(n_index), _CTR_BLOCK], dtype=np.uint64
+        [0, np.uint64(block_index), np.uint64(n), _CTR_BLOCK], dtype=np.uint64
     )
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
@@ -234,6 +237,111 @@ def sample_trial(model: BeliefModel, n: int, stream: np.random.Generator) -> tup
     u = stream.random(n)
     idx = np.minimum(np.searchsorted(law.cumulative, u, side="right"), len(law.masses) - 1)
     return float(law.mins[idx].sum()), float(law.maxs[idx].sum())
+
+
+def _hull_sums(columns: Sequence[np.ndarray], law: MinMaxLaw) -> tuple[np.ndarray, np.ndarray]:
+    """(S_min, S_max) of count vectors given as one column per hull.
+
+    A multiply-accumulate in hull order; both sampling paths use it, so
+    equal counts give equal bits.  A matrix product would start BLAS
+    threads in every pool worker.
+    """
+    s_min = columns[0] * law.mins[0]
+    s_max = columns[0] * law.maxs[0]
+    for k in range(1, len(law.masses)):
+        s_min += columns[k] * law.mins[k]
+        s_max += columns[k] * law.maxs[k]
+    return s_min, s_max
+
+
+def _count_vectors(n: int, k: int) -> list[np.ndarray]:
+    """Every vector of k non-negative counts summing to n, in lexicographic
+    order, as k columns of the smallest unsigned type that holds n."""
+    dtype = np.min_scalar_type(n)
+    columns: list[np.ndarray] = []
+    rest = np.array([n], dtype=dtype)
+    for _ in range(k - 1):
+        # each partial vector spreads into rest + 1 rows, counting 0..rest
+        width = rest.astype(np.intp) + 1
+        count = np.arange(width.sum())
+        count -= np.repeat(np.cumsum(width) - width, width)
+        count = count.astype(dtype)
+        columns = [np.repeat(c, width) for c in columns] + [count]
+        rest = np.repeat(rest, width)
+        rest -= count
+    return columns + [rest]
+
+
+def _multinomial_pmf(columns: Sequence[np.ndarray], masses: np.ndarray, n: int) -> np.ndarray:
+    """Multinomial probability of each count vector, from log-factorials."""
+    log_factorial = np.array([math.lgamma(c + 1.0) for c in range(n + 1)])
+    log_p = np.full(len(columns[0]), log_factorial[n])
+    for column, mass in zip(columns, np.log(masses)):
+        log_p += column * mass
+        log_p -= log_factorial[column]
+    return np.exp(log_p, out=log_p)
+
+
+@dataclass(frozen=True, eq=False)
+class _CountTable:
+    """Every hull-count vector of one (law, n), for sampling by inversion.
+
+    ``cumulative`` holds the running multinomial probabilities of the count
+    vectors in lexicographic order, divided by their total so that they
+    end in exactly 1.0; ``s_min``/``s_max`` hold the vectors' hull sums.
+    """
+
+    cumulative: np.ndarray
+    s_min: np.ndarray
+    s_max: np.ndarray
+
+    @classmethod
+    def build(cls, law: MinMaxLaw, n: int) -> "_CountTable":
+        columns = _count_vectors(n, len(law.masses))
+        pmf = _multinomial_pmf(columns, law.masses, n)
+        cumulative = np.cumsum(pmf, out=pmf)
+        cumulative /= cumulative[-1]
+        return cls(cumulative, *_hull_sums(columns, law))
+
+    def draw(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """(S_min, S_max) of ``size`` trials, in table order.
+
+        Sorting the uniforms keeps the lookups local; the rows of a block
+        are exchangeable, since only their histogram is kept.
+        """
+        u = rng.random(size)
+        u.sort()
+        idx = np.searchsorted(self.cumulative, u, side="right")
+        return self.s_min[idx], self.s_max[idx]
+
+
+# (key, table) of the last tabled (law, n) drawn in this process; one at a
+# time, since tasks arrive in n order
+_last_table: tuple = (None, None)
+
+
+def _count_table(law: MinMaxLaw, n: int) -> _CountTable:
+    global _last_table
+    key = (n, law.mins.tobytes(), law.maxs.tobytes(), law.masses.tobytes())
+    if _last_table[0] != key:
+        _last_table = (None, None)  # release the old table before building
+        _last_table = (key, _CountTable.build(law, n))
+    return _last_table[1]
+
+
+def _draw_sums(seed: int, n: int, block_index: int, block_len: int,
+               law: MinMaxLaw) -> tuple[np.ndarray, np.ndarray]:
+    """(S_min, S_max) of the trials of one block, in no fixed row order.
+
+    By inversion from the count table where (law, n) has at most
+    ``TABLE_MAX_VECTORS`` count vectors, else by numpy's multinomial.
+    """
+    rng = _block_stream(seed, n, block_index)
+    k = len(law.masses)
+    if math.comb(n + k - 1, k - 1) <= TABLE_MAX_VECTORS:
+        return _count_table(law, n).draw(rng, block_len)
+    counts = rng.multinomial(n, law.masses, size=block_len)
+    return _hull_sums(counts.T, law)
 
 
 def _count_where(thresholds: np.ndarray, compare, t: np.ndarray) -> np.ndarray:
@@ -323,21 +431,13 @@ class _ThresholdBuckets:
 
 
 def _simulate_block(args) -> tuple[int, np.ndarray, np.ndarray]:
-    (seed, n_index, n, block_index, block_len, law,
+    (seed, n, block_index, block_len, law,
      mu_low, sd_low, mu_up, sd_up, buckets) = args
-    rng = _block_stream(seed, n_index, block_index)
-    counts = rng.multinomial(n, law.masses, size=block_len)
-    # multiply-accumulate over the few hulls; a matrix product would start
-    # BLAS threads in every pool worker
-    s_min = counts[:, 0] * law.mins[0]
-    s_max = counts[:, 0] * law.maxs[0]
-    for k in range(1, len(law.masses)):
-        s_min += counts[:, k] * law.mins[k]
-        s_max += counts[:, k] * law.maxs[k]
+    s_min, s_max = _draw_sums(seed, n, block_index, block_len, law)
     root = math.sqrt(n)
     t_low = (s_min - n * mu_low) / (root * sd_low)
     t_up = (s_max - n * mu_up) / (root * sd_up)
-    return (n_index, *buckets.histograms(t_low, t_up))
+    return (n, *buckets.histograms(t_low, t_up))
 
 
 def estimate_events(
@@ -355,18 +455,18 @@ def estimate_events(
         )
     workers = resolve_workers(workers)
     law = MinMaxLaw.from_model(plan.model)
-    buckets = [_ThresholdBuckets.build(plan.alphas_for(n), plan.pairs_for(n))
-               for n in plan.n_values]
+    buckets = {n: _ThresholdBuckets.build(plan.alphas_for(n), plan.pairs_for(n))
+               for n in plan.n_values}
 
     tasks = []
-    for n_index, n in enumerate(plan.n_values):
+    for n in plan.n_values:
         n_blocks = (plan.reps + BLOCK_SIZE - 1) // BLOCK_SIZE
         for b in range(n_blocks):
             block_len = min(BLOCK_SIZE, plan.reps - b * BLOCK_SIZE)
             tasks.append(
-                (plan.seed, n_index, n, b, block_len, law,
+                (plan.seed, n, b, block_len, law,
                  moments.lower_mean, moments.lower_sd, moments.upper_mean,
-                 moments.upper_sd, buckets[n_index])
+                 moments.upper_sd, buckets[n])
             )
 
     if workers == 1:
@@ -379,14 +479,13 @@ def estimate_events(
             executor.shutdown()
     joint_tally: dict[int, np.ndarray] = {}
     upper_tally: dict[int, np.ndarray] = {}
-    for n_index, joint, upper in partials:
-        joint_tally[n_index] = joint_tally.get(n_index, 0) + joint
-        upper_tally[n_index] = upper_tally.get(n_index, 0) + upper
+    for n, joint, upper in partials:
+        joint_tally[n] = joint_tally.get(n, 0) + joint
+        upper_tally[n] = upper_tally.get(n, 0) + upper
 
     rows: list[EventResult] = []
-    for n_index, n in enumerate(plan.n_values):
-        lower, upper, two = buckets[n_index].counts(joint_tally[n_index],
-                                                    upper_tally[n_index])
+    for n in plan.n_values:
+        lower, upper, two = buckets[n].counts(joint_tally[n], upper_tally[n])
         alphas = plan.alphas_for(n)
         for a, count in zip(alphas, lower):
             rows.append(EventResult(n, ONE_SIDED_LOWER, a, math.nan, int(count),

@@ -1,13 +1,17 @@
 """Pinned estimator counts for every registry model.
 
-The values were recorded before the estimator drew from the merged
-(min, max) law and tallied through threshold buckets.  No registry model
-has two focal elements sharing a hull, so both changes must leave these
-counts, and hence the report CSVs, exactly as they were.  The plan runs
-two blocks per n (the second one partial) on a dense 0.25 alpha grid;
-``coin`` and ``two_interval`` put T_low and T_up on a 0.5 lattice at
-n = 4 and 16, so many trials land exactly on a grid threshold and the
-``>=`` / ``<`` / ``<=`` operators decide them.
+The values were re-recorded when the estimator changed how it draws a
+block: streams are keyed by (seed, n, block) instead of the position of n
+in the plan, and where a (law, n) has at most ``TABLE_MAX_VECTORS`` hull
+count vectors the block draws them by inversion from a table of every
+vector (sorted uniforms, one ``searchsorted``) instead of numpy's
+multinomial.  Every n of this plan is tabled for every registry model.
+They were recorded only after the table's pmf, size rule and two-path law
+tests passed; the tally and the ``>=`` / ``<`` / ``<=`` operators did not
+change.  The plan runs two blocks per n (the second one partial) on a
+dense 0.25 alpha grid; ``coin`` and ``two_interval`` put T_low and T_up on
+a 0.5 lattice at n = 4 and 16, so many trials land exactly on a grid
+threshold and the operators decide them.
 """
 
 import hashlib
@@ -20,27 +24,27 @@ from beliefclt.montecarlo import ONE_SIDED_LOWER, ONE_SIDED_UPPER, default_alpha
 DENSE_GRID = tuple(-2.5 + 0.25 * i for i in range(21))
 
 GOLDEN_SHA256 = {
-    "bernoulli": "ababb63c69d2e9812c83ba266f771fdffb9c77668770f49184f56634bd936761",
-    "coin": "98a58dea7217178bee49d75f29d87b97b4008fe83a88143194a716504df6ff30",
-    "two_interval": "98a58dea7217178bee49d75f29d87b97b4008fe83a88143194a716504df6ff30",
-    "union_parts": "42268df8c573b9bdb5b3ee4488c4d2a2db8ac72d89bc3aafe4901462e1120cd7",
-    "mixed": "52f27990298f781a7d394dc2e482ded01ac73163afe941cda6b611a200a5560c",
+    "bernoulli": "d0120c1543f738dc6173128310b7391444fcc3d3fe82628f760bdd64527d9fa2",
+    "coin": "181316c2ab1351fa8a2e66f0d3c06f538fb40ba0c5db2a9b97fa18452b823898",
+    "two_interval": "181316c2ab1351fa8a2e66f0d3c06f538fb40ba0c5db2a9b97fa18452b823898",
+    "union_parts": "4741860ecf939dc97caf2b9b37f2d18ba918b144ca92c7d31b073dd133c564a6",
+    "mixed": "6a5b8fd79d6c0b2c405dd0ea1e422c93b5a26c5fa2ea600c03d15c0fcc12e299",
 }
 
 # n = 16 one-sided counts along DENSE_GRID, spelled out for readable diffs
 GOLDEN_N16 = {
     ("bernoulli", ONE_SIDED_LOWER): [
-        19926, 19926, 19455, 19455, 18000, 18000, 18000, 15043, 15043, 10957, 10957,
-        6763, 6763, 3449, 3449, 1432, 1432, 523, 523, 523, 144],
+        19947, 19947, 19486, 19486, 18031, 18031, 18031, 15098, 15098, 11012, 11012,
+        6837, 6837, 3526, 3526, 1459, 1459, 504, 504, 504, 153],
     ("bernoulli", ONE_SIDED_UPPER): [
-        133, 509, 509, 509, 1529, 1529, 3579, 3579, 6846, 6846, 10961, 10961,
-        15073, 15073, 17994, 17994, 17994, 19478, 19478, 19935, 19935],
+        146, 521, 521, 521, 1503, 1503, 3465, 3465, 6875, 6875, 11061, 11061,
+        15091, 15091, 18023, 18023, 18023, 19472, 19472, 19932, 19932],
     ("coin", ONE_SIDED_LOWER): [
-        19950, 19764, 19764, 19243, 19243, 17935, 17935, 15402, 15402, 11967, 11967,
-        8018, 8018, 4529, 4529, 2071, 2071, 775, 775, 210, 210],
+        19960, 19790, 19790, 19236, 19236, 17894, 17894, 15412, 15412, 11949, 11949,
+        8004, 8004, 4534, 4534, 2083, 2083, 755, 755, 184, 184],
     ("coin", ONE_SIDED_UPPER): [
-        50, 236, 236, 757, 757, 2065, 2065, 4598, 4598, 8033, 8033, 11982, 11982,
-        15471, 15471, 17929, 17929, 19225, 19225, 19790, 19790],
+        40, 210, 210, 764, 764, 2106, 2106, 4588, 4588, 8051, 8051, 11996, 11996,
+        15466, 15466, 17917, 17917, 19245, 19245, 19816, 19816],
 }
 
 

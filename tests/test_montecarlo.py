@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from beliefclt import (
     plausibility,
     sample_trial,
 )
+from beliefclt import montecarlo
 from beliefclt.montecarlo import (
     BLOCK_SIZE,
     ONE_SIDED_LOWER,
@@ -27,6 +29,11 @@ from beliefclt.montecarlo import (
     TWO_SIDED,
     MinMaxLaw,
     _block_stream,
+    _count_vectors,
+    _CountTable,
+    _draw_sums,
+    _hull_sums,
+    _multinomial_pmf,
     _ThresholdBuckets,
     default_alpha_pairs,
     resolve_workers,
@@ -269,19 +276,18 @@ class TestThresholdBuckets:
 
 
 def _reference_estimate(plan, mom):
-    """Replays the estimator's block streams and tallies every event by brute
-    force; exact for models whose hull endpoints are small dyadic numbers."""
+    """Replays the estimator's block draws and tallies every event by brute
+    force."""
     law = MinMaxLaw.from_model(plan.model)
     counts = {}
-    for n_index, n in enumerate(plan.n_values):
+    for n in plan.n_values:
         t_low, t_up = [], []
         for b, start in enumerate(range(0, plan.reps, BLOCK_SIZE)):
             block_len = min(BLOCK_SIZE, plan.reps - start)
-            draws = _block_stream(plan.seed, n_index, b).multinomial(
-                n, law.masses, size=block_len)
+            s_min, s_max = _draw_sums(plan.seed, n, b, block_len, law)
             root = math.sqrt(n)
-            t_low.append((draws @ law.mins - n * mom.lower_mean) / (root * mom.lower_sd))
-            t_up.append((draws @ law.maxs - n * mom.upper_mean) / (root * mom.upper_sd))
+            t_low.append((s_min - n * mom.lower_mean) / (root * mom.lower_sd))
+            t_up.append((s_max - n * mom.upper_mean) / (root * mom.upper_sd))
         lower, upper, two = _brute_counts(np.concatenate(t_low), np.concatenate(t_up),
                                           plan.alphas_for(n), plan.pairs_for(n))
         counts[n] = lower + upper + two
@@ -382,3 +388,132 @@ class TestRepeatedHull:
         draws = [sample_trial(repeated, 1, derive_stream(6, rep, 0)) for rep in range(reps)]
         wide = sum(d == (0.0, 1.0) for d in draws) / reps
         assert abs(wide - 0.55) < 4 * math.sqrt(0.55 * 0.45 / reps)
+
+
+def _compositions(n, k):
+    """Vectors of k non-negative integers summing to n, lexicographically."""
+    if k == 1:
+        return [(n,)]
+    return [(c, *rest) for c in range(n + 1) for rest in _compositions(n - c, k - 1)]
+
+
+def _non_dyadic_model():
+    # endpoints 0.1, 0.3, 0.7 and 0.2 are not exact in binary, so hull sums
+    # round and their bits depend on the order of the additions
+    return BeliefModel.make(
+        [(FocalElement.make([(0.1, 0.3)]), 0.25),
+         (FocalElement.make([(0.2, 0.7)]), 0.35),
+         (FocalElement.make([(0.3, 0.3)]), 0.1),
+         (FocalElement.make([(0.1, 0.2), (0.3, 0.7)]), 0.3)], 1.0)
+
+
+_MASSES = ((1.0,), (0.5, 0.5), (0.3, 0.3, 0.4), (0.1, 0.25, 0.3, 0.35))
+
+
+class TestCountTable:
+    @pytest.mark.parametrize("masses", _MASSES)
+    def test_vectors_are_every_composition_once(self, masses):
+        for n in range(1, 9):
+            columns = _count_vectors(n, len(masses))
+            assert list(zip(*(c.tolist() for c in columns))) == _compositions(n, len(masses))
+
+    @pytest.mark.parametrize("masses", _MASSES)
+    def test_pmf_matches_exact_fractions(self, masses):
+        exact_masses = [Fraction(m) for m in masses]
+        for n in range(1, 9):
+            columns = _count_vectors(n, len(masses))
+            pmf = _multinomial_pmf(columns, np.array(masses), n)
+            for vector, p in zip(_compositions(n, len(masses)), pmf):
+                exact = Fraction(math.factorial(n))
+                for c, m in zip(vector, exact_masses):
+                    exact *= m**c / math.factorial(c)
+                assert abs(Fraction(float(p)) - exact) <= Fraction(1, 10**12) * exact
+
+    @pytest.mark.parametrize("name, n", [("bernoulli", 1), ("bernoulli", 255),
+                                         ("mixed", 64), ("coin", 20000)])
+    def test_cumulative_ends_at_one(self, name, n):
+        law = MinMaxLaw.from_model(MODEL_REGISTRY[name]())
+        table = _CountTable.build(law, n)
+        k = len(law.masses)
+        assert len(table.cumulative) == math.comb(n + k - 1, k - 1)
+        assert table.cumulative[-1] == 1.0
+        assert np.all(np.diff(table.cumulative) >= 0.0)
+        pmf = _multinomial_pmf(_count_vectors(n, k), law.masses, n)
+        assert np.allclose(table.cumulative, np.cumsum(pmf), rtol=0.0, atol=1e-11)
+
+    @pytest.mark.parametrize("name, n", [("coin", 20000), ("union_parts", 65535)])
+    def test_two_hull_table_is_the_binomial_cdf(self, name, n):
+        # with two hulls the vectors are (c, n - c) for c = 0..n, so the
+        # cumulative table is the binomial cdf of the first hull's count;
+        # log-factorials near lgamma(65536) ~ 6.6e5 lose about 1e-10
+        # relative, which the normalisation keeps out of the cdf
+        from scipy.stats import binom
+
+        law = MinMaxLaw.from_model(MODEL_REGISTRY[name]())
+        table = _CountTable.build(law, n)
+        exact = binom.cdf(np.arange(n + 1), n, law.masses[0])
+        assert np.abs(table.cumulative - exact).max() < 1e-11
+
+    def test_size_limit_picks_the_path(self, monkeypatch):
+        # bernoulli has 3 hulls: comb(16 + 2, 2) = 153 count vectors at n = 16
+        law = MinMaxLaw.from_model(MODEL_REGISTRY["bernoulli"]())
+        n, size = 16, 153
+        monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", size)
+        tabled = _CountTable.build(law, n).draw(_block_stream(3, n, 0), 500)
+        assert all(np.array_equal(a, b) for a, b in zip(_draw_sums(3, n, 0, 500, law), tabled))
+        monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", size - 1)
+        counts = _block_stream(3, n, 0).multinomial(n, law.masses, size=500)
+        drawn = _draw_sums(3, n, 0, 500, law)
+        assert all(np.array_equal(a, b) for a, b in zip(drawn, _hull_sums(counts.T, law)))
+
+    def test_two_paths_agree_in_law(self, monkeypatch):
+        model = MODEL_REGISTRY["mixed"]()
+        mom = moments_by_enumeration(model)
+        plan = SimPlan(model, n_values=(64,), reps=100_000, seed=12)
+        tabled = estimate_events(plan, mom, workers=1)
+        monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", 0)
+        drawn = estimate_events(plan, mom, workers=1)
+        assert [r.count for r in drawn.rows] != [r.count for r in tabled.rows]
+        for a, b in zip(tabled.rows, drawn.rows):
+            se = math.sqrt(a.se**2 + b.se**2)
+            assert abs(a.frequency - b.frequency) <= 5 * se + 1e-12, (a, b)
+
+    def test_table_sums_match_multiply_accumulate_bits(self):
+        law = MinMaxLaw.from_model(_non_dyadic_model())
+        assert len(law.masses) == 4
+        for n in (1, 3, 10, 37):
+            table = _CountTable.build(law, n)
+            vectors = _compositions(n, 4)
+            for sums, ends in ((table.s_min, law.mins.tolist()),
+                               (table.s_max, law.maxs.tolist())):
+                expected = []
+                for vector in vectors:
+                    s = vector[0] * ends[0]
+                    for c, e in zip(vector[1:], ends[1:]):
+                        s += c * e
+                    expected.append(s)
+                assert np.array_equal(sums.view(np.uint64),
+                                      np.array(expected).view(np.uint64))
+            # the multinomial path gets int64 counts; same bits
+            int_counts = np.array(vectors, dtype=np.int64)
+            s_min, s_max = _hull_sums(int_counts.T, law)
+            assert np.array_equal(s_min.view(np.uint64), table.s_min.view(np.uint64))
+            assert np.array_equal(s_max.view(np.uint64), table.s_max.view(np.uint64))
+
+
+class TestBlockKeys:
+    def test_rows_of_n_do_not_depend_on_the_plan(self):
+        model = MODEL_REGISTRY["mixed"]()
+        mom = moments_by_enumeration(model)
+        alone = estimate_events(SimPlan(model, n_values=(64,), reps=20_000, seed=7), mom)
+        after = estimate_events(SimPlan(model, n_values=(16, 64), reps=20_000, seed=7), mom)
+        assert alone.rows_for(64) == after.rows_for(64)
+
+    def test_mixed_paths_identical_across_workers(self):
+        # bernoulli tables n = 16 and 256 (153 and 33153 vectors), not 1024
+        model = MODEL_REGISTRY["bernoulli"]()
+        mom = moments_by_enumeration(model)
+        plan = SimPlan(model, n_values=(16, 256, 1024), reps=40_000, seed=21)
+        sim = estimate_events(plan, mom, workers=1)
+        for workers in (2, 3):
+            assert estimate_events(plan, mom, workers=workers) == sim
