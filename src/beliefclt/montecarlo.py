@@ -316,15 +316,20 @@ class _CountTable:
 
 
 # (key, table) of the last tabled (law, n) drawn in this process; one at a
-# time, since tasks arrive in n order
+# time, since tasks arrive in n order, and none once the draws move on
 _last_table: tuple = (None, None)
+
+
+def _drop_count_table() -> None:
+    global _last_table
+    _last_table = (None, None)
 
 
 def _count_table(law: MinMaxLaw, n: int) -> _CountTable:
     global _last_table
     key = (n, law.mins.tobytes(), law.maxs.tobytes(), law.masses.tobytes())
     if _last_table[0] != key:
-        _last_table = (None, None)  # release the old table before building
+        _drop_count_table()  # release the old table before building
         _last_table = (key, _CountTable.build(law, n))
     return _last_table[1]
 
@@ -340,6 +345,7 @@ def _draw_sums(seed: int, n: int, block_index: int, block_len: int,
     k = len(law.masses)
     if math.comb(n + k - 1, k - 1) <= TABLE_MAX_VECTORS:
         return _count_table(law, n).draw(rng, block_len)
+    _drop_count_table()
     counts = rng.multinomial(n, law.masses, size=block_len)
     return _hull_sums(counts.T, law)
 
@@ -482,6 +488,7 @@ def estimate_events(
     for n, joint, upper in partials:
         joint_tally[n] = joint_tally.get(n, 0) + joint
         upper_tally[n] = upper_tally.get(n, 0) + upper
+    _drop_count_table()  # a serial run built its tables in this process
 
     rows: list[EventResult] = []
     for n in plan.n_values:

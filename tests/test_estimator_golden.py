@@ -5,20 +5,23 @@ block: streams are keyed by (seed, n, block) instead of the position of n
 in the plan, and where a (law, n) has at most ``TABLE_MAX_VECTORS`` hull
 count vectors the block draws them by inversion from a table of every
 vector (sorted uniforms, one ``searchsorted``) instead of numpy's
-multinomial.  Every n of this plan is tabled for every registry model.
-They were recorded only after the table's pmf, size rule and two-path law
-tests passed; the tally and the ``>=`` / ``<`` / ``<=`` operators did not
-change.  The plan runs two blocks per n (the second one partial) on a
+multinomial.  Every n of this plan is tabled for every registry model, so
+``MULTINOMIAL_SHA256`` pins two (model, n) whose laws are too large for a
+table and take numpy's multinomial.  All were recorded only after the
+table's pmf, size rule and two-path law tests passed; the tally and the
+``>=`` / ``<`` / ``<=`` operators did not change.  The plan runs two blocks per n (the second one partial) on a
 dense 0.25 alpha grid; ``coin`` and ``two_interval`` put T_low and T_up on
 a 0.5 lattice at n = 4 and 16, so many trials land exactly on a grid
 threshold and the operators decide them.
 """
 
 import hashlib
+import math
 
 import pytest
 
 from beliefclt import MODEL_REGISTRY, SimPlan, estimate_events, moments_by_enumeration
+from beliefclt import montecarlo
 from beliefclt.montecarlo import ONE_SIDED_LOWER, ONE_SIDED_UPPER, default_alpha_pairs
 
 DENSE_GRID = tuple(-2.5 + 0.25 * i for i in range(21))
@@ -29,6 +32,12 @@ GOLDEN_SHA256 = {
     "two_interval": "181316c2ab1351fa8a2e66f0d3c06f538fb40ba0c5db2a9b97fa18452b823898",
     "union_parts": "4741860ecf939dc97caf2b9b37f2d18ba918b144ca92c7d31b073dd133c564a6",
     "mixed": "6a5b8fd79d6c0b2c405dd0ea1e422c93b5a26c5fa2ea600c03d15c0fcc12e299",
+}
+
+# (model, n) drawn by numpy's multinomial: 525825 and 2862209 count vectors
+MULTINOMIAL_SHA256 = {
+    ("bernoulli", 1024): "c70c8a793cc96f84e02d2d49eff452513b91fbdd3695eeb13165994c9ad960c1",
+    ("mixed", 256): "6b4abd01dfacb1ed6dd0110207d0258014771846d00082e99ab53c61263cbcb8",
 }
 
 # n = 16 one-sided counts along DENSE_GRID, spelled out for readable diffs
@@ -48,12 +57,17 @@ GOLDEN_N16 = {
 }
 
 
-def _golden_run(name):
+def _golden_run(name, n_values=(1, 4, 16)):
     model = MODEL_REGISTRY[name]()
-    plan = SimPlan(model, n_values=(1, 4, 16), reps=20_000, seed=2026,
+    plan = SimPlan(model, n_values=n_values, reps=20_000, seed=2026,
                    alpha_one_sided=DENSE_GRID,
                    alpha_two_sided=default_alpha_pairs(DENSE_GRID))
     return estimate_events(plan, moments_by_enumeration(model), workers=1)
+
+
+def _digest(sim):
+    key = repr([(r.n, r.kind, r.alpha1, r.alpha2, r.count) for r in sim.rows])
+    return hashlib.sha256(key.encode()).hexdigest()
 
 
 def test_golden_table_covers_registry():
@@ -67,5 +81,11 @@ def test_counts_match_golden(name):
     for (model, kind), counts in GOLDEN_N16.items():
         if model == name:
             assert [r.count for r in sim.rows_for(16, kind)] == counts
-    key = repr([(r.n, r.kind, r.alpha1, r.alpha2, r.count) for r in sim.rows])
-    assert hashlib.sha256(key.encode()).hexdigest() == GOLDEN_SHA256[name]
+    assert _digest(sim) == GOLDEN_SHA256[name]
+
+
+@pytest.mark.parametrize("name, n", sorted(MULTINOMIAL_SHA256))
+def test_multinomial_path_counts_match_golden(name, n):
+    k = len(montecarlo.MinMaxLaw.from_model(MODEL_REGISTRY[name]()).masses)
+    assert math.comb(n + k - 1, k - 1) > montecarlo.TABLE_MAX_VECTORS
+    assert _digest(_golden_run(name, (n,))) == MULTINOMIAL_SHA256[name, n]

@@ -500,6 +500,17 @@ class TestCountTable:
             assert np.array_equal(s_min.view(np.uint64), table.s_min.view(np.uint64))
             assert np.array_equal(s_max.view(np.uint64), table.s_max.view(np.uint64))
 
+    def test_no_table_outlives_its_draws(self):
+        law = MinMaxLaw.from_model(MODEL_REGISTRY["bernoulli"]())
+        _draw_sums(5, 16, 0, 100, law)
+        assert montecarlo._last_table[1] is not None
+        _draw_sums(5, 1024, 0, 100, law)  # untabled
+        assert montecarlo._last_table == (None, None)
+        model = MODEL_REGISTRY["mixed"]()
+        plan = SimPlan(model, n_values=(16,), reps=1_000, seed=5)
+        estimate_events(plan, moments_by_enumeration(model), workers=1)
+        assert montecarlo._last_table == (None, None)
+
 
 class TestBlockKeys:
     def test_rows_of_n_do_not_depend_on_the_plan(self):
