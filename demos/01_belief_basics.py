@@ -11,7 +11,6 @@ from beliefclt import (
     IntervalEvent,
     belief,
     plausibility,
-    total_monotonicity_check,
     validate_model,
 )
 
@@ -40,12 +39,6 @@ at_most_half = IntervalEvent.less_than(0.5)
 print("\nbelief(X < 0.5)  =", belief(model, at_most_half))
 print("belief(X >= 0.5) =", belief(model, IntervalEvent.at_least(0.5)))
 print("the two beliefs need not sum to 1 under imprecision")
-
-# Total monotonicity: for events generated by a finite grid, the
-# inclusion-exclusion inequalities of order 2 and 3 hold.
-for order in (2, 3):
-    report = total_monotonicity_check(model, grid=[0.0, 0.5, 1.0], order=order)
-    print(f"\norder-{order} monotonicity over the grid: passed={report.passed}")
 
 # Focal elements may be unions with gaps; containment needs the whole set.
 split = BeliefModel.make(

@@ -3,10 +3,12 @@
 The normal limits of belief sums are driven by the moments of the focal
 minimum Z and maximum Z-bar: their means, standard deviations, the cross
 moment E[Z Z-bar], the auxiliary double integral rho', and the correlation
-rho.  Route one enumerates the discrete (min, max, mass) law; route two
-integrates survival functions and interval beliefs over the bounding box
-and never touches the discrete law directly.  Agreement to more than ten
-digits is one of the package's acceptance gates.
+rho.  Both routes read the same discrete (min, max, mass) law, in which
+focal elements sharing a hull are merged.  Route one sums its moments
+directly; route two integrates the survival functions and interval
+beliefs that the law induces over the bounding box [-M, M], where the
+bound M enters every formula.  Agreement to more than ten digits is one
+of the package's acceptance gates.
 """
 
 from beliefclt import (

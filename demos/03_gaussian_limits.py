@@ -9,11 +9,13 @@ rho = 1, and the target collapses to the classical Phi(a2) - Phi(a1).
 
 import math
 
-from beliefclt import bvn_cdf, normal_quantile, std_normal_cdf, two_sided_limit
+from scipy.special import ndtri
+
+from beliefclt import bvn_cdf, std_normal_cdf, two_sided_limit
 
 print("Phi(0)     =", std_normal_cdf(0.0))
 print("Phi(1.96)  =", std_normal_cdf(1.959963984540054))
-print("quantile(0.975) =", normal_quantile(0.975))
+print("quantile(0.975) =", ndtri(0.975), "(scipy.special.ndtri)")
 
 # Closed forms pin the bivariate CDF down at special correlations.
 print("\nbvn_cdf(0, 0, rho) against 1/4 + asin(rho)/(2 pi):")

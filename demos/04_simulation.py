@@ -2,33 +2,21 @@
 
 Event probabilities under the i.i.d. product measure reduce to ordinary
 probabilities of the per-coordinate min-sums and max-sums, so a trial just
-draws focal elements from the mass law.  Randomness is counter-based: the
-stream for a (seed, replication, coordinate) triple is a pure function of
-the triple, which makes results bit-identical at any worker count.
+draws the (min, max) hulls of n focal elements from the mass law.  The
+estimator splits the trials of each n into blocks whose random streams
+are a pure function of (seed, n, block), which makes results bit-identical
+at any worker count and whatever other n the plan holds.
 """
-
-import numpy as np
 
 from beliefclt import (
     MODEL_REGISTRY,
     SimPlan,
-    derive_stream,
     estimate_events,
     moments_by_enumeration,
-    sample_trial,
 )
 
 model = MODEL_REGISTRY["bernoulli"]()
 moments = moments_by_enumeration(model)
-
-# A single trial: n = 10 coordinates, stream pinned to (seed, rep, coord).
-s_min, s_max = sample_trial(model, 10, derive_stream(seed=1, replication_index=0,
-                                                     coordinate_index=0))
-print("one trial of length 10: S_min =", s_min, " S_max =", s_max)
-
-# The same triple always reproduces the same draws.
-again = sample_trial(model, 10, derive_stream(1, 0, 0))
-print("same (seed, rep, coord) reproduces the trial:", (s_min, s_max) == again)
 
 # A plan bundles the experiment grid; the estimator tallies three event
 # families per n: {T_low >= a}, {T_up < a}, and {a1 <= T_low, T_up <= a2}.
@@ -36,19 +24,28 @@ plan = SimPlan(model, n_values=(16, 256), reps=100_000, seed=7,
                alpha_one_sided=(-1.0, 0.0, 1.0),
                alpha_two_sided=((-1.0, 1.0),))
 sim = estimate_events(plan, moments)
-print(f"\nrun {sim.run_id}: {len(sim.rows)} event frequencies")
+print(f"run {sim.run_id}: {len(sim.rows)} event frequencies")
 for row in sim.rows_for(256):
     a = f"({row.alpha1:+.1f}, {row.alpha2:+.1f})" if row.kind == "two_sided" \
         else f"{row.alpha1:+.1f}"
     print(f"  n=256 {row.kind:>16} alpha={a:>12}: {row.frequency:.5f}"
           f"  (se {row.se:.1e})")
+print("definition of the two-sided rows:", sim.rows_for(256, "two_sided")[0].definition)
 
 # Worker count changes scheduling, never results.
 one = estimate_events(plan, moments, workers=1)
 three = estimate_events(plan, moments, workers=3)
 print("\nworkers=1 and workers=3 agree bit for bit:", one == three)
 
-# Streams for different coordinates are statistically independent.
-x = derive_stream(7, 0, 0).standard_normal(50_000)
-y = derive_stream(7, 0, 1).standard_normal(50_000)
-print("adjacent-coordinate correlation:", round(float(np.corrcoef(x, y)[0, 1]), 4))
+# The same (seed, n) draws the same trials whatever else the plan holds.
+alone = estimate_events(SimPlan(model, n_values=(256,), reps=100_000, seed=7,
+                                alpha_one_sided=(-1.0, 0.0, 1.0),
+                                alpha_two_sided=((-1.0, 1.0),)), moments)
+print("n=256 rows without n=16 in the plan are unchanged:",
+      alone.rows_for(256) == sim.rows_for(256))
+
+# A new seed draws new trials; frequencies move within Monte Carlo noise.
+other = estimate_events(SimPlan(model, n_values=(256,), reps=100_000, seed=8,
+                                alpha_one_sided=(0.0,), alpha_two_sided=()), moments)
+a, b = sim.rows_for(256, "one_sided_lower")[1], other.rows_for(256, "one_sided_lower")[0]
+print(f"P(T_low >= 0) at n=256, seed 7 vs 8: {a.frequency:.5f} vs {b.frequency:.5f}")

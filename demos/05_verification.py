@@ -25,7 +25,7 @@ moments = moments_by_enumeration(model)
 plan = SimPlan(model, n_values=(16, 64, 256, 1024, 4096), reps=200_000, seed=3)
 
 sim = estimate_events(plan, moments)
-one = one_sided_report(sim, moments, plan)
+one = one_sided_report(sim, plan)
 two = two_sided_report(sim, moments, plan)
 
 print(f"one-sided: {sum(r.passed for r in one.rows)}/{len(one.rows)} rows pass")

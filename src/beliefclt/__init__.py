@@ -17,31 +17,19 @@ the O(1/sqrt(n)) rate.
 from .belief import (
     BeliefModel,
     FocalElement,
-    MonotonicityReport,
     Violation,
     belief,
-    check_capacity_monotonicity,
-    grid_cells,
     plausibility,
-    total_monotonicity_check,
     validate_model,
 )
 from .errors import (
     BeliefCltError,
     DegenerateVariance,
-    GridTooLarge,
     InvalidProbabilities,
     ParseError,
     ValidationError,
 )
-from .gauss import (
-    BvnParams,
-    bvn_cdf,
-    bvn_cdf_params,
-    normal_quantile,
-    std_normal_cdf,
-    two_sided_limit,
-)
+from .gauss import bvn_cdf, std_normal_cdf, two_sided_limit
 from .harness import (
     MODEL_REGISTRY,
     ExperimentRow,
@@ -74,10 +62,8 @@ from .montecarlo import (
     EventResult,
     SimPlan,
     SimResult,
-    derive_stream,
     estimate_events,
     resolve_workers,
-    sample_trial,
 )
 
 __version__ = "0.1.0"
@@ -85,17 +71,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BeliefCltError",
     "BeliefModel",
-    "BvnParams",
     "ChoquetMoments",
     "DegenerateVariance",
     "EventResult",
     "ExperimentRow",
     "FocalElement",
-    "GridTooLarge",
     "IntervalEvent",
     "InvalidProbabilities",
     "MODEL_REGISTRY",
-    "MonotonicityReport",
     "ParseError",
     "RateFit",
     "SimPlan",
@@ -107,28 +90,21 @@ __all__ = [
     "bernoulli_model",
     "bernoulli_special_case",
     "bvn_cdf",
-    "bvn_cdf_params",
-    "check_capacity_monotonicity",
-    "derive_stream",
     "emit_csv",
     "estimate_events",
     "fit_rate",
-    "grid_cells",
     "load_model",
     "load_plan",
     "moments_by_enumeration",
     "moments_by_integration",
-    "normal_quantile",
     "one_sided_report",
     "plausibility",
     "resolve_workers",
     "rho_M_invariance",
-    "sample_trial",
     "save_model",
     "save_plan",
     "special_cases_report",
     "std_normal_cdf",
-    "total_monotonicity_check",
     "two_sided_limit",
     "two_sided_report",
     "validate_model",

@@ -217,7 +217,7 @@ def _cmd_verify(args: argparse.Namespace, two_sided: bool) -> int:
     if two_sided:
         report = two_sided_report(sim, moments, plan)
     else:
-        report = one_sided_report(sim, moments, plan)
+        report = one_sided_report(sim, plan)
     _write_or_print(args, report_rows(report), REPORT_SCHEMA,
                     f"report_{report.name}_{sim.run_id}.csv")
     print(_report_summary(report))

@@ -50,9 +50,5 @@ class DegenerateVariance(BeliefCltError):
         super().__init__(message)
 
 
-class GridTooLarge(BeliefCltError):
-    """The event algebra induced by a grid exceeds the enumeration budget."""
-
-
 class InvalidProbabilities(BeliefCltError):
     """Probability arguments violate their required ordering or range."""

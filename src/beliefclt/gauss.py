@@ -21,7 +21,6 @@ are ordinary IEEE infinities, never large finite sentinels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 _SQRT2 = math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
@@ -48,38 +47,9 @@ _GL20_X = (0.9931285991850949, 0.9639719272779138, 0.9122344282513259,
 _RHO_DEGENERATE = 1.0 - 1e-12
 
 
-@dataclass(frozen=True)
-class BvnParams:
-    """Upper limits and correlation for one bivariate normal CDF evaluation."""
-
-    a: float
-    b: float
-    rho: float
-
-    def __post_init__(self):
-        if math.isnan(self.rho) or abs(self.rho) > 1.0:
-            raise ValueError(f"correlation {self.rho} outside [-1, 1]")
-        if math.isnan(self.a) or math.isnan(self.b):
-            raise ValueError("upper limits must not be NaN")
-
-
 def std_normal_cdf(x: float) -> float:
     """Phi(x), absolute error below 1e-14; +/-inf map to 1/0."""
     return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def normal_quantile(p: float, tol: float = 1e-13) -> float:
-    """Inverse of Phi by bisection; harness plumbing, not a fast path."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile defined for p in (0, 1), got {p}")
-    lo, hi = -40.0, 40.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if std_normal_cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _gl_rule(r: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -162,10 +132,6 @@ def bvn_cdf(a: float, b: float, rho: float) -> float:
     if rho <= -_RHO_DEGENERATE:
         return max(0.0, std_normal_cdf(a) + std_normal_cdf(b) - 1.0)
     return _bvnu(-a, -b, rho)
-
-
-def bvn_cdf_params(p: BvnParams) -> float:
-    return bvn_cdf(p.a, p.b, p.rho)
 
 
 def two_sided_limit(alpha1: float, alpha2: float, rho: float) -> float:

@@ -124,9 +124,7 @@ def _simulated_rows(
     return tuple(rows)
 
 
-def one_sided_report(
-    sim: SimResult, moments: ChoquetMoments, plan: SimPlan
-) -> VerificationReport:
+def one_sided_report(sim: SimResult, plan: SimPlan) -> VerificationReport:
     """Compare lower-event frequencies to 1 - Phi(alpha), upper to Phi(alpha)."""
     rows = _simulated_rows(sim, plan, [
         (ONE_SIDED_LOWER, lambda a, _: 1.0 - std_normal_cdf(a)),
@@ -155,7 +153,7 @@ def verify_one_sided(
     if moments is None:
         moments = moments_by_enumeration(plan.model)
     sim = estimate_events(plan, moments, workers=workers)
-    return one_sided_report(sim, moments, plan)
+    return one_sided_report(sim, plan)
 
 
 def verify_two_sided(
@@ -290,7 +288,7 @@ def bernoulli_suite() -> list[ExperimentRow]:
 
 
 def additive_degeneration_suite(
-    alphas: tuple[float, ...] = (-2.0, -1.0, 0.0, 0.5, 1.5),
+    alphas: tuple[float, ...] = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0),
 ) -> list[ExperimentRow]:
     """Singleton-only models: both means and sds coincide, rho = 1, and the
     two-sided limit collapses to Phi(alpha2) - Phi(alpha1)."""

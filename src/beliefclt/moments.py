@@ -1,20 +1,22 @@
 """Limit parameters of the normalized-sum theorems, by two independent routes.
 
 The min-statistic Z (infimum of the sampled focal set) and max-statistic Zbar
-(supremum) are ordinary random variables under the mass law, so the limit
-parameters are their means, standard deviations, and correlation:
+(supremum) are ordinary random variables under the mass law, and the
+limit theorems depend on the model only through their joint law: the
+discrete law of (focal minimum, focal maximum), ``MinMaxLaw``.  The limit
+parameters are the means, standard deviations and correlation of Z and
+Zbar, computed from that law in two ways:
 
-  enumeration route   direct sums of mass * min / mass * max over focal
-                      elements, cross moment E[Z*Zbar] likewise;
+  enumeration route   direct sums of mass * min / mass * max over the
+                      law's hulls, cross moment E[Z*Zbar] likewise;
   integration route   survival-function integrals of the belief and
                       plausibility of half-lines, plus the double integral
                       rho' of the belief of closed intervals over the
                       triangle t1 <= t2, from which the cross moment is
                       recovered as M^2 - M*upper_mean + M*lower_mean - rho'.
 
-Both integrands are piecewise constant with breakpoints at focal endpoints,
-so the integration route sums cells exactly; a generic adaptive-quadrature
-fallback exists to validate the piecewise logic itself.
+Both integrands are piecewise constant with breakpoints at the hull
+endpoints, so the integration route sums cells exactly.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import BeliefModel, belief, plausibility
+from .belief import BeliefModel
 from .errors import DegenerateVariance
-from .intervals import IntervalEvent
 
 SIGMA_FLOOR = 1e-12
 
@@ -59,11 +60,30 @@ class ChoquetMoments:
         }
 
 
-def _model_arrays(model: BeliefModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    mins = np.array([f.min for f, _ in model.focal], dtype=float)
-    maxs = np.array([f.max for f, _ in model.focal], dtype=float)
-    masses = np.array([m for _, m in model.focal], dtype=float)
-    return mins, maxs, masses
+@dataclass(frozen=True, eq=False)
+class MinMaxLaw:
+    """The discrete law of (focal minimum, focal maximum) under the masses.
+
+    Everything the limit theorems, and so the moment routes and the
+    simulator, need from a model.  Focal elements sharing a (min, max) hull
+    are merged: ``mins``/``maxs`` hold the distinct pairs in order of first
+    occurrence in ``model.focal`` and ``masses`` their summed masses.
+    """
+
+    mins: np.ndarray
+    maxs: np.ndarray
+    masses: np.ndarray
+
+    @classmethod
+    def from_model(cls, model: BeliefModel) -> "MinMaxLaw":
+        if not model.focal:
+            raise ValueError("model has no focal elements")
+        merged: dict[tuple[float, float], list[float]] = {}
+        for f, m in model.focal:
+            merged.setdefault((f.min, f.max), []).append(m)
+        mins, maxs = zip(*merged)
+        masses = [math.fsum(ms) for ms in merged.values()]
+        return cls(*(np.array(v, dtype=float) for v in (mins, maxs, masses)))
 
 
 def _finalize(
@@ -89,20 +109,18 @@ def _finalize(
 
 
 def moments_by_enumeration(model: BeliefModel, allow_degenerate: bool = False) -> ChoquetMoments:
-    """Direct sums over focal elements: the canonical route.
+    """Compensated sums over the hulls of the (min, max) law: the canonical route.
 
     Raises :class:`DegenerateVariance` when a standard deviation falls below
     1e-12 unless ``allow_degenerate`` is set, in which case ``rho`` is NaN.
     """
-    if not model.focal:
-        raise ValueError("model has no focal elements")
-    terms_low = [m * f.min for f, m in model.focal]
-    terms_up = [m * f.max for f, m in model.focal]
-    lower_mean = math.fsum(terms_low)
-    upper_mean = math.fsum(terms_up)
-    var_low = math.fsum(m * f.min * f.min for f, m in model.focal) - lower_mean**2
-    var_up = math.fsum(m * f.max * f.max for f, m in model.focal) - upper_mean**2
-    cross = math.fsum(m * f.min * f.max for f, m in model.focal)
+    law = MinMaxLaw.from_model(model)
+    hulls = list(zip(law.masses.tolist(), law.mins.tolist(), law.maxs.tolist()))
+    lower_mean = math.fsum(m * lo for m, lo, _ in hulls)
+    upper_mean = math.fsum(m * hi for m, _, hi in hulls)
+    var_low = math.fsum(m * lo * lo for m, lo, _ in hulls) - lower_mean**2
+    var_up = math.fsum(m * hi * hi for m, _, hi in hulls) - upper_mean**2
+    cross = math.fsum(m * lo * hi for m, lo, hi in hulls)
     big_m = model.bound
     rho_prime = big_m**2 - big_m * upper_mean + big_m * lower_mean - cross
     return _finalize(lower_mean, upper_mean, var_low, var_up, cross, rho_prime, allow_degenerate)
@@ -125,7 +143,7 @@ def _survival_integrals(
 ) -> tuple[float, float]:
     """Mean and raw second moment of a statistic from its survival function.
 
-    ``stats`` holds the per-focal value of the statistic (min or max);
+    ``stats`` holds the per-hull value of the statistic (min or max);
     survival(t) = sum of masses with stat >= t is a step function with jumps
     at the stat values, so cell-midpoint evaluation integrates it exactly.
 
@@ -144,142 +162,57 @@ def _survival_integrals(
     return mean, raw2
 
 
-def _interval_belief_grid(
-    mins: np.ndarray, maxs: np.ndarray, masses: np.ndarray, t1: np.ndarray, t2: np.ndarray
-) -> np.ndarray:
+def _interval_belief_grid(law: MinMaxLaw, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     """belief([t1_i, t2_j]) on a grid: containment needs min >= t1 and max <= t2."""
-    low_ok = mins[None, :] >= t1[:, None]
-    up_ok = maxs[None, :] <= t2[:, None]
-    return (low_ok * masses) @ up_ok.T
+    low_ok = law.mins[None, :] >= t1[:, None]
+    up_ok = law.maxs[None, :] <= t2[:, None]
+    return (low_ok * law.masses) @ up_ok.T
 
 
-def _rho_prime_piecewise(
-    mins: np.ndarray, maxs: np.ndarray, masses: np.ndarray, big_m: float
-) -> float:
+def _rho_prime_piecewise(law: MinMaxLaw, big_m: float) -> float:
     """Double integral of belief([t1, t2]) over -M <= t1 <= t2 <= M.
 
     The integrand vanishes for t1 > t2, so integrating over the whole square
-    with cells split at the focal endpoints gives the triangle value exactly.
+    with cells split at the hull endpoints gives the triangle value exactly.
     """
-    e1, m1 = _cells(mins, -big_m, big_m)
-    e2, m2 = _cells(maxs, -big_m, big_m)
+    e1, m1 = _cells(law.mins, -big_m, big_m)
+    e2, m2 = _cells(law.maxs, -big_m, big_m)
     if m1.size == 0 or m2.size == 0:
         return 0.0
-    vals = _interval_belief_grid(mins, maxs, masses, m1, m2)
+    vals = _interval_belief_grid(law, m1, m2)
     w1 = e1[1:] - e1[:-1]
     w2 = e2[1:] - e2[:-1]
     return float(w1 @ vals @ w2)
 
 
-def moments_by_integration(
-    model: BeliefModel,
-    quad_tol: float = 1e-10,
-    method: str = "piecewise",
-    allow_degenerate: bool = False,
-) -> ChoquetMoments:
+def moments_by_integration(model: BeliefModel, allow_degenerate: bool = False) -> ChoquetMoments:
     """Survival-integral route; verification surface for the enumeration route.
 
-    ``method`` selects the exact breakpoint-wise summation (default) or the
-    generic adaptive-quadrature fallback (``"quadrature"``, absolute tolerance
-    ``quad_tol``) that validates the piecewise logic.
+    Sums the piecewise-constant integrands of the (min, max) law cell by
+    cell, exactly.
     """
-    if not model.focal:
-        raise ValueError("model has no focal elements")
-    if quad_tol <= 0:
-        raise ValueError("quad_tol must be positive")
-    if method == "piecewise":
-        mins, maxs, masses = _model_arrays(model)
-        big_m = model.bound
-        lower_mean, raw2_low = _survival_integrals(mins, masses, big_m)
-        upper_mean, raw2_up = _survival_integrals(maxs, masses, big_m)
-        rho_prime = _rho_prime_piecewise(mins, maxs, masses, big_m)
-    elif method == "quadrature":
-        lower_mean, raw2_low, upper_mean, raw2_up, rho_prime = _quadrature_route(model, quad_tol)
-        big_m = model.bound
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    law = MinMaxLaw.from_model(model)
+    big_m = model.bound
+    lower_mean, raw2_low = _survival_integrals(law.mins, law.masses, big_m)
+    upper_mean, raw2_up = _survival_integrals(law.maxs, law.masses, big_m)
+    rho_prime = _rho_prime_piecewise(law, big_m)
     var_low = raw2_low - lower_mean**2
     var_up = raw2_up - upper_mean**2
     cross = big_m**2 - big_m * upper_mean + big_m * lower_mean - rho_prime
     return _finalize(lower_mean, upper_mean, var_low, var_up, cross, rho_prime, allow_degenerate)
 
 
-def _quadrature_route(model: BeliefModel, quad_tol: float):
-    """Adaptive quadrature over the pointwise belief/plausibility functions.
-
-    Slow by design; evaluates the same integrals as the piecewise route with
-    scipy's QUADPACK, feeding it the breakpoints so the step discontinuities
-    are resolved.
-    """
-    from scipy import integrate
-
-    big_m = model.bound
-    mins = sorted({f.min for f, _ in model.focal})
-    maxs = sorted({f.max for f, _ in model.focal})
-
-    def nu_ge(t: float) -> float:
-        return belief(model, IntervalEvent.at_least(t))
-
-    def v_ge(t: float) -> float:
-        return plausibility(model, IntervalEvent.at_least(t))
-
-    def split_quad(fn, shift, pts):
-        inner = [p for p in pts if 0.0 < p < big_m]
-        pos_m, _ = integrate.quad(
-            lambda t: fn(t) - 0.0, 0.0, big_m, points=inner, limit=200, epsabs=quad_tol
-        )
-        pos_2, _ = integrate.quad(
-            lambda t: 2.0 * t * fn(t), 0.0, big_m, points=inner, limit=200, epsabs=quad_tol
-        )
-        inner_neg = [p for p in pts if -big_m < p < 0.0]
-        neg_m, _ = integrate.quad(
-            lambda t: fn(t) - shift, -big_m, 0.0, points=inner_neg, limit=200, epsabs=quad_tol
-        )
-        neg_2, _ = integrate.quad(
-            lambda t: 2.0 * t * (fn(t) - shift), -big_m, 0.0, points=inner_neg, limit=200,
-            epsabs=quad_tol,
-        )
-        return pos_m + neg_m, pos_2 + neg_2
-
-    lower_mean, raw2_low = split_quad(nu_ge, 1.0, mins)
-    upper_mean, raw2_up = split_quad(v_ge, 1.0, maxs)
-
-    def inner_integral(t2: float) -> float:
-        pts = [p for p in mins if -big_m < p < t2]
-        if t2 <= -big_m:
-            return 0.0
-        val, _ = integrate.quad(
-            lambda t1: belief(model, IntervalEvent.closed(t1, t2)),
-            -big_m, t2, points=pts, limit=200, epsabs=quad_tol,
-        )
-        return val
-
-    rho_prime, _ = integrate.quad(
-        inner_integral, -big_m, big_m, points=[p for p in maxs if -big_m < p < big_m],
-        limit=200, epsabs=quad_tol,
-    )
-    return lower_mean, raw2_low, upper_mean, raw2_up, rho_prime
-
-
-def rho_M_invariance(
-    model: BeliefModel, m2: float, route: str = "integration"
-) -> tuple[float, float]:
+def rho_M_invariance(model: BeliefModel, m2: float) -> tuple[float, float]:
     """Correlation recomputed with the declared bound enlarged to ``m2``.
 
     The correlation formula reads rho = (M^2 - M*upper_mean + M*lower_mean
     - rho' - lower_mean*upper_mean) / (sigma_low*sigma_up) with rho' a double
-    integral up to M, yet the value must not move when M grows.  The default
-    integration route recomputes rho' from scratch at both bounds, making the
-    check non-vacuous (the enumeration route cancels M algebraically).
+    integral up to M, yet the value must not move when M grows.  The
+    integration route recomputes rho' from scratch at both bounds, which
+    makes the check non-vacuous (the enumeration route cancels M
+    algebraically).
     """
     if not (m2 > model.bound):
         raise ValueError(f"enlarged bound {m2} must exceed the declared bound {model.bound}")
-    if route == "integration":
-        rho_at_m = moments_by_integration(model).rho
-        rho_at_m2 = moments_by_integration(model.with_bound(m2)).rho
-    elif route == "enumeration":
-        rho_at_m = moments_by_enumeration(model).rho
-        rho_at_m2 = moments_by_enumeration(model.with_bound(m2)).rho
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    return rho_at_m, rho_at_m2
+    return (moments_by_integration(model).rho,
+            moments_by_integration(model.with_bound(m2)).rho)

@@ -4,19 +4,18 @@ Sampling follows the reduction used by the limit theorems themselves: an
 event probability under the product belief measure equals an ordinary
 probability of the per-coordinate min-sums (lower events) and max-sums
 (upper events) under the mass law.  Only the law of the (focal minimum,
-focal maximum) hull matters (``MinMaxLaw``), so each trial draws hulls
-i.i.d. from it and accumulates
+focal maximum) hull matters (``moments.MinMaxLaw``), so each trial draws
+hulls i.i.d. from it and accumulates
 
     S_min = sum of hull minima,   S_max = sum of hull maxima.
 
-Randomness is counter-based (Philox).  ``derive_stream`` is a pure
-function of (seed, replication, coordinate); the estimator batches
-replications into fixed-size blocks whose streams are a pure function of
-(seed, n, block), so any partition of blocks over any number of workers,
-and any plan that contains n, reproduces identical draws.  Integer
-tallies merge associatively; results are bit-reproducible for a given
-(seed, plan) at any worker count.  A block draws the hull counts of its
-trials, which carry the same joint law of (S_min, S_max) as
+Randomness is counter-based (Philox).  The estimator batches the
+replications of each n into fixed-size blocks whose streams are a pure
+function of (seed, n, block), so any partition of blocks over any number
+of workers, and any plan that contains n, reproduces identical draws.
+Integer tallies merge associatively; results are bit-reproducible for a
+given (seed, plan) at any worker count.  A block draws the hull counts of
+its trials, which carry the same joint law of (S_min, S_max) as
 coordinate-by-coordinate sampling: by inversion from a table of every
 count vector when there are at most ``TABLE_MAX_VECTORS`` of them, else
 by numpy's multinomial.
@@ -36,10 +35,9 @@ import numpy as np
 
 from .belief import BeliefModel
 from .errors import DegenerateVariance
-from .moments import SIGMA_FLOOR, ChoquetMoments
+from .moments import SIGMA_FLOOR, ChoquetMoments, MinMaxLaw
 
 _KEY_DOMAIN = np.uint64(0x9E3779B97F4A7C15)
-_CTR_TRIAL = np.uint64(0)
 _CTR_BLOCK = np.uint64(1)
 BLOCK_SIZE = 1 << 14
 TABLE_MAX_VECTORS = 1 << 16
@@ -172,71 +170,18 @@ class SimResult:
         )
 
 
-def derive_stream(seed: int, replication_index: int, coordinate_index: int) -> np.random.Generator:
-    """Counter-based stream: a pure function of (seed, replication, coordinate).
-
-    The triple is placed in the Philox key/counter words, so streams for
-    distinct triples never overlap and are identical regardless of worker
-    count or scheduling order.
-    """
-    key = np.array([np.uint64(seed), _KEY_DOMAIN], dtype=np.uint64)
-    counter = np.array(
-        [0, np.uint64(coordinate_index), np.uint64(replication_index), _CTR_TRIAL],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
-
-
 def _block_stream(seed: int, n: int, block_index: int) -> np.random.Generator:
-    # same key space as derive_stream, disjoint counter tag
+    """Counter-based stream: a pure function of (seed, n, block).
+
+    The seed sits in the Philox key, n and the block index in the counter
+    words, so streams for distinct triples never overlap and are identical
+    regardless of worker count or scheduling order.
+    """
     key = np.array([np.uint64(seed), _KEY_DOMAIN], dtype=np.uint64)
     counter = np.array(
         [0, np.uint64(block_index), np.uint64(n), _CTR_BLOCK], dtype=np.uint64
     )
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
-
-
-@dataclass(frozen=True, eq=False)
-class MinMaxLaw:
-    """The discrete law of (focal minimum, focal maximum) under the masses.
-
-    Everything the limit theorems, and so the simulator, need from a model.
-    Focal elements sharing a (min, max) hull are merged: ``mins``/``maxs``
-    hold the distinct pairs in order of first occurrence in ``model.focal``,
-    ``masses`` their summed masses and ``cumulative`` the running sums,
-    ending in exactly 1.0.
-    """
-
-    mins: np.ndarray
-    maxs: np.ndarray
-    masses: np.ndarray
-    cumulative: np.ndarray
-
-    @classmethod
-    def from_model(cls, model: BeliefModel) -> "MinMaxLaw":
-        merged: dict[tuple[float, float], list[float]] = {}
-        for f, m in model.focal:
-            merged.setdefault((f.min, f.max), []).append(m)
-        hulls = np.array(list(merged), dtype=float).reshape(-1, 2)
-        masses = np.array([math.fsum(ms) for ms in merged.values()], dtype=float)
-        cumulative = np.cumsum(masses)
-        cumulative[-1] = 1.0
-        return cls(hulls[:, 0], hulls[:, 1], masses, cumulative)
-
-
-def sample_trial(model: BeliefModel, n: int, stream: np.random.Generator) -> tuple[float, float]:
-    """One trial: draw n (min, max) hulls i.i.d. from the model's law,
-    return (S_min, S_max).
-
-    The stream should be positioned deterministically for the trial, e.g.
-    ``derive_stream(seed, replication_index, 0)``.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    law = MinMaxLaw.from_model(model)
-    u = stream.random(n)
-    idx = np.minimum(np.searchsorted(law.cumulative, u, side="right"), len(law.masses) - 1)
-    return float(law.mins[idx].sum()), float(law.maxs[idx].sum())
 
 
 def _hull_sums(columns: Sequence[np.ndarray], law: MinMaxLaw) -> tuple[np.ndarray, np.ndarray]:

@@ -17,16 +17,13 @@ from beliefclt import (
     MODEL_REGISTRY,
     SimPlan,
     belief,
-    bernoulli_special_case,
     bvn_cdf,
     estimate_events,
     fit_rate,
     moments_by_enumeration,
     moments_by_integration,
     one_sided_report,
-    rho_M_invariance,
-    std_normal_cdf,
-    two_sided_limit,
+    special_cases_report,
     two_sided_report,
 )
 from beliefclt.harness import ExperimentRow, VerificationReport
@@ -81,47 +78,47 @@ def test_criterion_01_moment_route_equivalence():
           f"200 models, max field gap {worst:.2e}, {elapsed:.1f}s")
 
 
-def test_criterion_02_bernoulli_special_case():
-    m = bernoulli_special_case(0.3, 0.7)
-    gaps = {
-        "lower_mean": abs(m.lower_mean - 0.3),
-        "upper_mean": abs(m.upper_mean - 0.7),
-        "lower_var": abs(m.lower_sd**2 - 0.21),
-        "upper_var": abs(m.upper_sd**2 - 0.21),
-        "rho": abs(m.rho - 3.0 / 7.0),
-    }
-    worst = max(gaps.values())
-    _line(2, "Bernoulli special case", worst <= 1e-12,
-          f"max gap to exact rationals {worst:.2e}")
+@pytest.fixture(scope="module")
+def special_rows():
+    """The closed-form rows of ``beliefclt special-cases``, shared by 2, 3, 4."""
+    return special_cases_report().rows
 
 
-def test_criterion_03_m_invariance():
-    worst = 0.0
-    for name, factory in MODEL_REGISTRY.items():
-        model = factory()
-        r1, r2 = rho_M_invariance(model, model.bound + 1.0)
-        worst = max(worst, abs(r1 - r2))
-    _line(3, "bound invariance of rho", worst <= 1e-10,
-          f"{len(MODEL_REGISTRY)} models, max |rho(M) - rho(M+1)| = {worst:.2e}")
+def _rows(rows, prefix: str):
+    return [r for r in rows if r.experiment.startswith(prefix)]
 
 
-def test_criterion_04_additive_degeneration():
-    model = MODEL_REGISTRY["coin"]()
-    m = moments_by_enumeration(model)
-    moment_gap = max(abs(m.upper_mean - m.lower_mean),
-                     abs(m.upper_sd - m.lower_sd), abs(m.rho - 1.0))
-    target_gap = 0.0
-    grid = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
-    for a1 in grid:
-        for a2 in grid:
-            if a1 > a2:
-                continue
-            classical = std_normal_cdf(a2) - std_normal_cdf(a1)
-            target_gap = max(target_gap,
-                             abs(two_sided_limit(a1, a2, 1.0) - classical))
-    _line(4, "additive degeneration",
-          moment_gap <= 1e-12 and target_gap <= 1e-7,
-          f"moment gap {moment_gap:.2e}, two-sided target gap {target_gap:.2e}")
+def test_criterion_02_bernoulli_special_case(special_rows):
+    rows = _rows(special_rows, "bernoulli_")
+    worst = max(r.deviation for r in rows)
+    ok = len(rows) == 7 and all(r.passed for r in rows) and worst <= 1e-12
+    _line(2, "Bernoulli special case", ok,
+          f"{len(rows)} rows, max gap to exact rationals {worst:.2e}")
+
+
+def test_criterion_03_m_invariance(special_rows):
+    rows = _rows(special_rows, "m_invariance_")
+    worst = max(r.deviation for r in rows)
+    ok = (len(rows) == len(MODEL_REGISTRY) and all(r.passed for r in rows)
+          and worst <= 1e-10)
+    _line(3, "bound invariance of rho", ok,
+          f"{len(rows)} models, max |rho(M) - rho(M+1)| = {worst:.2e}")
+
+
+def test_criterion_04_additive_degeneration(special_rows):
+    moment_rows = _rows(special_rows, "additive_coin_")
+    target_rows = _rows(special_rows, "additive_two_sided_identity")
+    moment_gap = max(r.deviation for r in moment_rows)
+    target_gap = max(r.deviation for r in target_rows)
+    grid = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
+    pairs = {(a1, a2) for a1 in grid for a2 in grid if a1 <= a2}
+    ok = (len(moment_rows) == 3
+          and {(r.alpha1, r.alpha2) for r in target_rows} == pairs
+          and all(r.passed for r in moment_rows + target_rows)
+          and moment_gap <= 1e-12 and target_gap <= 1e-7)
+    _line(4, "additive degeneration", ok,
+          f"moment gap {moment_gap:.2e}, two-sided target gap {target_gap:.2e} "
+          f"over {len(target_rows)} pairs")
 
 
 def test_criterion_05_bvn_accuracy():
@@ -145,7 +142,7 @@ def test_criterion_06_one_sided_clt(clt_runs):
     detail = []
     for name in ("bernoulli", "two_interval"):
         plan, mom, sim = clt_runs[name]
-        report = one_sided_report(sim, mom, plan)
+        report = one_sided_report(sim, plan)
         margin = min(r.tolerance - r.deviation for r in report.rows)
         worst_margin = min(worst_margin, margin)
         detail.append(f"{name} {len(report.rows)} rows")

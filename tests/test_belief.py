@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 from beliefclt import (
     BeliefModel,
     FocalElement,
-    GridTooLarge,
     IntervalEvent,
     belief,
+    plausibility,
+    validate_model,
+)
+
+from _monotonicity import (
+    GridTooLarge,
     check_capacity_monotonicity,
     grid_cells,
-    plausibility,
     total_monotonicity_check,
-    validate_model,
 )
 
 

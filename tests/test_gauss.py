@@ -7,14 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from beliefclt import (
-    BvnParams,
-    bvn_cdf,
-    bvn_cdf_params,
-    normal_quantile,
-    std_normal_cdf,
-    two_sided_limit,
-)
+from beliefclt import bvn_cdf, std_normal_cdf, two_sided_limit
 
 
 def mp_phi(x: float) -> float:
@@ -50,17 +43,6 @@ class TestPhi:
         for x in (0.1, 0.7, 1.3, 4.2):
             assert std_normal_cdf(x) + std_normal_cdf(-x) == pytest.approx(1.0, abs=1e-15)
 
-    def test_quantile_inverts_cdf(self):
-        for p in (1e-10, 0.001, 0.025, 0.5, 0.8, 0.999, 1 - 1e-12):
-            assert std_normal_cdf(normal_quantile(p)) == pytest.approx(p, abs=1e-12)
-        assert normal_quantile(0.975) == pytest.approx(1.959963984540054, abs=1e-9)
-
-    def test_quantile_domain(self):
-        with pytest.raises(ValueError):
-            normal_quantile(0.0)
-        with pytest.raises(ValueError):
-            normal_quantile(1.0)
-
 
 class TestBvnClosedForms:
     def test_zero_correlation_is_product(self):
@@ -93,12 +75,6 @@ class TestBvnClosedForms:
             bvn_cdf(0, 0, 1.5)
         with pytest.raises(ValueError):
             bvn_cdf(0, 0, math.nan)
-
-    def test_params_wrapper(self):
-        p = BvnParams(0.3, -0.2, 0.5)
-        assert bvn_cdf_params(p) == bvn_cdf(0.3, -0.2, 0.5)
-        with pytest.raises(ValueError):
-            BvnParams(0, 0, -1.2)
 
 
 class TestBvnOracle:

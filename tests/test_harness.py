@@ -104,7 +104,7 @@ def coin_reports():
                    slack=0.8)
     mom = moments_by_enumeration(model)
     sim = estimate_events(plan, mom, workers=1)
-    return (one_sided_report(sim, mom, plan),
+    return (one_sided_report(sim, plan),
             two_sided_report(sim, mom, plan), sim, mom, plan)
 
 
@@ -125,7 +125,7 @@ class TestVerification:
 
     def test_report_is_pure_function_of_sim(self, coin_reports):
         one, two, sim, mom, plan = coin_reports
-        assert one_sided_report(sim, mom, plan).rows == one.rows
+        assert one_sided_report(sim, plan).rows == one.rows
         assert two_sided_report(sim, mom, plan).rows == two.rows
 
     def test_far_tail_alpha(self, bernoulli):

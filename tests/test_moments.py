@@ -2,23 +2,92 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from beliefclt import (
     BeliefModel,
+    ChoquetMoments,
     DegenerateVariance,
     FocalElement,
     IntervalEvent,
     belief,
     moments_by_enumeration,
     moments_by_integration,
+    plausibility,
     rho_M_invariance,
 )
-from beliefclt.moments import _interval_belief_grid, _model_arrays
+from beliefclt.moments import MinMaxLaw, _interval_belief_grid
 
 from _helpers import random_model
 
 FIELDS = ("lower_mean", "upper_mean", "lower_sd", "upper_sd",
           "cross_moment", "rho_prime", "rho")
+
+
+def quadrature_moments(model: BeliefModel, quad_tol: float = 1e-10) -> ChoquetMoments:
+    """The integration route by adaptive quadrature over the pointwise
+    belief and plausibility functions of the model itself.
+
+    Slow by design; evaluates the same integrals as the piecewise route with
+    scipy's QUADPACK, fed the focal endpoints as breakpoints so the step
+    discontinuities are resolved.  It never builds the (min, max) law, so a
+    wrong hull merge in the package cannot cancel out of the comparison.
+    """
+    big_m = model.bound
+    mins = sorted({f.min for f, _ in model.focal})
+    maxs = sorted({f.max for f, _ in model.focal})
+
+    def nu_ge(t: float) -> float:
+        return belief(model, IntervalEvent.at_least(t))
+
+    def v_ge(t: float) -> float:
+        return plausibility(model, IntervalEvent.at_least(t))
+
+    def split_quad(fn, pts):
+        inner = [p for p in pts if 0.0 < p < big_m]
+        pos_m, _ = integrate.quad(fn, 0.0, big_m, points=inner, limit=200, epsabs=quad_tol)
+        pos_2, _ = integrate.quad(lambda t: 2.0 * t * fn(t), 0.0, big_m, points=inner,
+                                  limit=200, epsabs=quad_tol)
+        inner_neg = [p for p in pts if -big_m < p < 0.0]
+        neg_m, _ = integrate.quad(lambda t: fn(t) - 1.0, -big_m, 0.0, points=inner_neg,
+                                  limit=200, epsabs=quad_tol)
+        neg_2, _ = integrate.quad(lambda t: 2.0 * t * (fn(t) - 1.0), -big_m, 0.0,
+                                  points=inner_neg, limit=200, epsabs=quad_tol)
+        return pos_m + neg_m, pos_2 + neg_2
+
+    lower_mean, raw2_low = split_quad(nu_ge, mins)
+    upper_mean, raw2_up = split_quad(v_ge, maxs)
+
+    def inner_integral(t2: float) -> float:
+        if t2 <= -big_m:
+            return 0.0
+        val, _ = integrate.quad(
+            lambda t1: belief(model, IntervalEvent.closed(t1, t2)),
+            -big_m, t2, points=[p for p in mins if -big_m < p < t2], limit=200,
+            epsabs=quad_tol,
+        )
+        return val
+
+    rho_prime, _ = integrate.quad(
+        inner_integral, -big_m, big_m, points=[p for p in maxs if -big_m < p < big_m],
+        limit=200, epsabs=quad_tol,
+    )
+    sd_low = math.sqrt(max(raw2_low - lower_mean**2, 0.0))
+    sd_up = math.sqrt(max(raw2_up - upper_mean**2, 0.0))
+    cross = big_m**2 - big_m * upper_mean + big_m * lower_mean - rho_prime
+    rho = (cross - lower_mean * upper_mean) / (sd_low * sd_up)
+    return ChoquetMoments(lower_mean, upper_mean, sd_low, sd_up, cross, rho_prime, rho)
+
+
+def _repeated_hull_model():
+    # the first, third and fifth focal elements share the hull (0.1, 0.7);
+    # the endpoints are not exact in binary
+    return BeliefModel.make(
+        [(FocalElement.make([(0.1, 0.7)]), 0.15),
+         (FocalElement.make([(0.3, 0.3)]), 0.2),
+         (FocalElement.make([(0.1, 0.2), (0.5, 0.7)]), 0.35),
+         (FocalElement.make([(0.2, 0.9)]), 0.1),
+         (FocalElement.make([(0.1, 0.3), (0.6, 0.7)]), 0.2)], 1.0)
 
 
 def _assert_close(m1, m2, tol):
@@ -107,17 +176,21 @@ class TestRouteAgreement:
                           1e-10)
 
     def test_quadrature_route_matches(self, bernoulli, rng):
-        _assert_close(moments_by_integration(bernoulli, method="piecewise"),
-                      moments_by_integration(bernoulli, method="quadrature"),
-                      1e-7)
-        model = random_model(rng, max_focal=4)
-        _assert_close(moments_by_integration(model, method="piecewise"),
-                      moments_by_integration(model, method="quadrature"),
-                      1e-7)
+        for model in (bernoulli, random_model(rng, max_focal=4), _repeated_hull_model()):
+            _assert_close(moments_by_integration(model), quadrature_moments(model), 1e-7)
 
-    def test_unknown_method_rejected(self, bernoulli):
-        with pytest.raises(ValueError):
-            moments_by_integration(bernoulli, method="simpson")
+    def test_repeated_hulls_equal_their_merged_twin(self):
+        # the twin has one focal element per hull, carrying the hull's summed
+        # mass; summing per focal element instead of per hull moves the
+        # non-dyadic sums here by an ulp on both routes
+        model = _repeated_hull_model()
+        law = MinMaxLaw.from_model(model)
+        assert len(law.masses) < len(model.focal)
+        twin = BeliefModel.make(
+            [(FocalElement.make([(lo, hi)]), m)
+             for lo, hi, m in zip(law.mins, law.maxs, law.masses)], model.bound)
+        for route in (moments_by_enumeration, moments_by_integration):
+            assert route(model) == route(twin), route.__name__
 
 
 class TestTransforms:
@@ -153,16 +226,15 @@ class TestRhoPrime:
             assert m.cross_moment == pytest.approx(want, abs=1e-10)
 
     def test_interval_belief_grid_matches_belief(self, rng):
-        # the vectorized grid the double integral uses must agree with the
-        # reference event computation
-        model = random_model(rng, max_focal=10)
-        mins, maxs, masses = _model_arrays(model)
-        for _ in range(25):
-            t1, t2 = np.sort(rng.uniform(-model.bound, model.bound, size=2))
-            got = _interval_belief_grid(mins, maxs, masses,
-                                        np.array([t1]), np.array([t2]))[0, 0]
-            want = belief(model, IntervalEvent.closed(t1, t2))
-            assert got == pytest.approx(want, abs=1e-12)
+        # the vectorized grid the double integral uses, on the merged law,
+        # must agree with the reference event computation on the model
+        for model in (random_model(rng, max_focal=10), _repeated_hull_model()):
+            law = MinMaxLaw.from_model(model)
+            for _ in range(25):
+                t1, t2 = np.sort(rng.uniform(-model.bound, model.bound, size=2))
+                got = _interval_belief_grid(law, np.array([t1]), np.array([t2]))[0, 0]
+                want = belief(model, IntervalEvent.closed(t1, t2))
+                assert got == pytest.approx(want, abs=1e-12)
 
     def test_rho_prime_nonnegative(self, rng):
         # integrand is a probability, so the double integral cannot be negative

@@ -15,19 +15,17 @@ from beliefclt import (
     IntervalEvent,
     SimPlan,
     belief,
-    derive_stream,
     estimate_events,
     moments_by_enumeration,
     plausibility,
-    sample_trial,
 )
 from beliefclt import montecarlo
+from beliefclt.moments import MinMaxLaw
 from beliefclt.montecarlo import (
     BLOCK_SIZE,
     ONE_SIDED_LOWER,
     ONE_SIDED_UPPER,
     TWO_SIDED,
-    MinMaxLaw,
     _block_stream,
     _count_vectors,
     _CountTable,
@@ -41,57 +39,60 @@ from beliefclt.montecarlo import (
 
 
 class TestDeriveStream:
+    """The estimator's block streams, keyed by (seed, n, block)."""
+
     def test_same_triple_is_deterministic(self):
-        a = derive_stream(123, 5, 7).random(100)
-        b = derive_stream(123, 5, 7).random(100)
+        a = _block_stream(123, 5, 7).random(100)
+        b = _block_stream(123, 5, 7).random(100)
         assert np.array_equal(a, b)
 
     def test_adjacent_coordinates_uncorrelated(self):
-        x = derive_stream(123, 5, 7).standard_normal(100_000)
-        y = derive_stream(123, 5, 8).standard_normal(100_000)
+        # adjacent blocks of one n
+        x = _block_stream(123, 5, 7).standard_normal(100_000)
+        y = _block_stream(123, 5, 8).standard_normal(100_000)
         r = np.corrcoef(x, y)[0, 1]
         assert abs(r) < 0.01
 
     def test_adjacent_replications_uncorrelated(self):
-        x = derive_stream(123, 5, 7).standard_normal(100_000)
-        y = derive_stream(123, 6, 7).standard_normal(100_000)
+        # the same block of adjacent n
+        x = _block_stream(123, 5, 7).standard_normal(100_000)
+        y = _block_stream(123, 6, 7).standard_normal(100_000)
         assert abs(np.corrcoef(x, y)[0, 1]) < 0.01
 
     def test_seed_collisions_absent(self):
-        draws = {derive_stream(s, 0, 0).random() for s in range(1000)}
+        draws = {_block_stream(s, 1, 0).random() for s in range(1000)}
         assert len(draws) == 1000
 
     def test_draws_change_with_any_index(self):
-        base = derive_stream(1, 2, 3).random(4)
-        for seed, rep, coord in [(2, 2, 3), (1, 3, 3), (1, 2, 4)]:
-            assert not np.array_equal(base, derive_stream(seed, rep, coord).random(4))
+        base = _block_stream(1, 2, 3).random(4)
+        for seed, n, block in [(2, 2, 3), (1, 3, 3), (1, 2, 4)]:
+            assert not np.array_equal(base, _block_stream(seed, n, block).random(4))
 
 
 class TestSampleTrial:
-    def test_min_never_exceeds_max(self, two_interval, rng):
-        for rep in range(50):
-            s_min, s_max = sample_trial(two_interval, 20, derive_stream(9, rep, 0))
-            assert s_min <= s_max
+    """Trials drawn block by block, as the estimator draws them."""
+
+    def test_min_never_exceeds_max(self, two_interval):
+        law = MinMaxLaw.from_model(two_interval)
+        for n in (20, 70_000):  # tabled and multinomial
+            s_min, s_max = _draw_sums(9, n, 0, 500, law)
+            assert np.all(s_min <= s_max)
 
     def test_additive_model_collapses(self, coin):
-        s_min, s_max = sample_trial(coin, 50, derive_stream(3, 0, 0))
-        assert s_min == s_max
+        s_min, s_max = _draw_sums(3, 50, 0, 500, MinMaxLaw.from_model(coin))
+        assert np.array_equal(s_min, s_max)
 
     def test_bernoulli_n1_frequencies(self, bernoulli):
         # P(S_min = 1) = m({1}) = 0.3 and P(S_max = 1) = 0.7
-        hits_min = hits_max = 0
         reps = 4000
-        for rep in range(reps):
-            s_min, s_max = sample_trial(bernoulli, 1, derive_stream(17, rep, 0))
-            hits_min += s_min == 1.0
-            hits_max += s_max == 1.0
+        s_min, s_max = _draw_sums(17, 1, 0, reps, MinMaxLaw.from_model(bernoulli))
         se3 = 3 * math.sqrt(0.25 / reps)
-        assert abs(hits_min / reps - 0.3) < se3
-        assert abs(hits_max / reps - 0.7) < se3
+        assert abs(np.mean(s_min == 1.0) - 0.3) < se3
+        assert abs(np.mean(s_max == 1.0) - 0.7) < se3
 
     def test_rejects_nonpositive_n(self, bernoulli):
         with pytest.raises(ValueError):
-            sample_trial(bernoulli, 0, derive_stream(0, 0, 0))
+            SimPlan(bernoulli, n_values=(0, 4))
 
 
 class TestPlanValidation:
@@ -347,8 +348,6 @@ class TestRepeatedHull:
         assert law.mins.tolist() == [0.0, 1.0, 0.0]
         assert law.maxs.tolist() == [1.0, 1.0, 0.0]
         assert law.masses.tolist() == [math.fsum((0.3, 0.25)), 0.2, 0.25]
-        assert law.cumulative[-1] == 1.0
-        assert law.cumulative[:-1].tolist() == np.cumsum(law.masses)[:-1].tolist()
 
     def test_law_keeps_distinct_hulls(self, bernoulli):
         law = MinMaxLaw.from_model(bernoulli)
@@ -380,13 +379,15 @@ class TestRepeatedHull:
                 row.kind, row.alpha1, row.frequency, exact)
 
     def test_sample_trial_draws_from_the_law(self):
-        repeated, merged = _repeated_hull_model(), _merged_hull_model()
-        for rep in range(20):
-            assert (sample_trial(repeated, 7, derive_stream(5, rep, 0))
-                    == sample_trial(merged, 7, derive_stream(5, rep, 0)))
+        repeated = MinMaxLaw.from_model(_repeated_hull_model())
+        merged = MinMaxLaw.from_model(_merged_hull_model())
+        for n in (7, 5000):  # tabled and multinomial
+            for a, b in zip(_draw_sums(5, n, 0, 200, repeated),
+                            _draw_sums(5, n, 0, 200, merged)):
+                assert np.array_equal(a, b)
         reps = 4000
-        draws = [sample_trial(repeated, 1, derive_stream(6, rep, 0)) for rep in range(reps)]
-        wide = sum(d == (0.0, 1.0) for d in draws) / reps
+        s_min, s_max = _draw_sums(6, 1, 0, reps, repeated)
+        wide = np.mean((s_min == 0.0) & (s_max == 1.0))
         assert abs(wide - 0.55) < 4 * math.sqrt(0.55 * 0.45 / reps)
 
 
