@@ -36,13 +36,10 @@ from .harness import (
     RateFit,
     VerificationReport,
     bernoulli_model,
-    bernoulli_special_case,
     fit_rate,
     one_sided_report,
     special_cases_report,
     two_sided_report,
-    verify_one_sided,
-    verify_two_sided,
 )
 from .intervals import IntervalEvent
 from .modelio import (
@@ -88,7 +85,6 @@ __all__ = [
     "Violation",
     "belief",
     "bernoulli_model",
-    "bernoulli_special_case",
     "bvn_cdf",
     "emit_csv",
     "estimate_events",
@@ -108,6 +104,4 @@ __all__ = [
     "two_sided_limit",
     "two_sided_report",
     "validate_model",
-    "verify_one_sided",
-    "verify_two_sided",
 ]

@@ -111,10 +111,6 @@ class BeliefModel:
     def mass_sum(self) -> float:
         return math.fsum(m for _, m in self.focal)
 
-    def is_additive(self) -> bool:
-        """All focal elements are singletons, i.e. an ordinary discrete law."""
-        return all(f.is_singleton() for f, _ in self.focal)
-
     def shifted(self, c: float) -> "BeliefModel":
         focal = tuple(
             (FocalElement(tuple((a + c, b + c) for a, b in f.parts)), m)

@@ -121,7 +121,7 @@ def _plan_summary(plan) -> dict:
     return {
         "n_values": list(plan.n_values), "reps": plan.reps, "seed": plan.seed,
         "alpha_one_sided": plan.alpha_one_sided,
-        "alpha_two_sided_pairs": len(plan.pairs_for(plan.n_values[0])),
+        "alpha_two_sided_pairs": len(plan.alpha_two_sided),
         "slack": plan.slack, "run_id": plan.digest(),
     }
 
@@ -243,7 +243,7 @@ def _cmd_rate_fit(args: argparse.Namespace) -> int:
                 float(rec["alpha2"]), float(rec["theory"]),
                 float(rec["empirical"]), float(rec["se"]), math.inf,
             ))
-    report = VerificationReport("rate_fit_input", tuple(rows), 0, 0, 0.0)
+    report = VerificationReport("rate_fit_input", tuple(rows))
     fit = fit_rate(report)
     for n, dev in fit.max_deviation:
         print(f"n={n:>7}  max deviation = {dev:.6e}")

@@ -35,7 +35,6 @@ from .montecarlo import (
     TWO_SIDED,
     SimPlan,
     SimResult,
-    estimate_events,
 )
 
 NOISE_FLOOR_MULTIPLE = 5.0
@@ -91,18 +90,11 @@ class RateFit:
 class VerificationReport:
     name: str
     rows: tuple[ExperimentRow, ...]
-    seed: int
-    reps: int
-    slack: float
-    run_id: str = ""
     rate: RateFit | None = None
 
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.rows)
-
-    def rows_for(self, n: int) -> tuple[ExperimentRow, ...]:
-        return tuple(r for r in self.rows if r.n == n)
 
 
 def _simulated_rows(
@@ -130,8 +122,7 @@ def one_sided_report(sim: SimResult, plan: SimPlan) -> VerificationReport:
         (ONE_SIDED_LOWER, lambda a, _: 1.0 - std_normal_cdf(a)),
         (ONE_SIDED_UPPER, lambda a, _: std_normal_cdf(a)),
     ])
-    return VerificationReport("one_sided", rows, sim.seed, sim.reps,
-                              plan.slack, sim.run_id)
+    return VerificationReport("one_sided", rows)
 
 
 def two_sided_report(
@@ -142,27 +133,8 @@ def two_sided_report(
     rows = _simulated_rows(sim, plan, [
         (TWO_SIDED, lambda a1, a2: two_sided_limit(a1, a2, rho)),
     ])
-    report = VerificationReport("two_sided", rows, sim.seed, sim.reps,
-                                plan.slack, sim.run_id)
+    report = VerificationReport("two_sided", rows)
     return replace(report, rate=fit_rate(report))
-
-
-def verify_one_sided(
-    plan: SimPlan, moments: ChoquetMoments | None = None, workers: int | None = None
-) -> VerificationReport:
-    if moments is None:
-        moments = moments_by_enumeration(plan.model)
-    sim = estimate_events(plan, moments, workers=workers)
-    return one_sided_report(sim, plan)
-
-
-def verify_two_sided(
-    plan: SimPlan, moments: ChoquetMoments | None = None, workers: int | None = None
-) -> VerificationReport:
-    if moments is None:
-        moments = moments_by_enumeration(plan.model)
-    sim = estimate_events(plan, moments, workers=workers)
-    return two_sided_report(sim, moments, plan)
 
 
 def fit_rate(report: VerificationReport) -> RateFit:
@@ -207,12 +179,6 @@ def bernoulli_model(p_low: float, p_high: float) -> BeliefModel:
     ]
     focal = [(f, m) for f, m in weighted if m > 0.0]
     return BeliefModel.make(focal, bound=1.0)
-
-
-def bernoulli_special_case(p_low: float, p_high: float) -> ChoquetMoments:
-    """Moments of the Bernoulli-type model: lower mean p_low, upper p_high,
-    variances p(1-p) on each side."""
-    return moments_by_enumeration(bernoulli_model(p_low, p_high))
 
 
 def _coin_model() -> BeliefModel:
@@ -266,8 +232,10 @@ def _row(experiment: str, theory: float, empirical: float, tol: float,
 
 
 def bernoulli_suite() -> list[ExperimentRow]:
+    """The Bernoulli-type model has lower mean p_low, upper mean p_high and
+    variances p(1-p) on each side."""
     rows = []
-    m = bernoulli_special_case(0.3, 0.7)
+    m = moments_by_enumeration(bernoulli_model(0.3, 0.7))
     for label, got, want in [
         ("lower_mean", m.lower_mean, 0.3),
         ("upper_mean", m.upper_mean, 0.7),
@@ -277,9 +245,9 @@ def bernoulli_suite() -> list[ExperimentRow]:
     ]:
         rows.append(_row(f"bernoulli_0.3_0.7_{label}", want, got, 1e-12))
     rows.append(_row("bernoulli_0.5_0.5_rho",
-                     1.0, bernoulli_special_case(0.5, 0.5).rho, 1e-12))
+                     1.0, moments_by_enumeration(bernoulli_model(0.5, 0.5)).rho, 1e-12))
     try:
-        bernoulli_special_case(0.0, 1.0)
+        moments_by_enumeration(bernoulli_model(0.0, 1.0))
         raised = 0.0
     except DegenerateVariance:
         raised = 1.0
@@ -333,7 +301,6 @@ def rate_fit_sanity_suite() -> list[ExperimentRow]:
                               0.5, 0.5 + 2.0 * float(n) ** power, 1e-9, 1.0)
                 for n in (16, 64, 256, 1024, 4096)
             ),
-            seed=0, reps=1, slack=0.0,
         )
         fit = fit_rate(synthetic)
         rows.append(_row(f"rate_fit_{label}_slope", want, fit.slope, 1e-12))
@@ -351,4 +318,4 @@ def special_cases_report() -> VerificationReport:
         + m_invariance_suite()
         + rate_fit_sanity_suite()
     )
-    return VerificationReport("special_cases", tuple(rows), 0, 0, 0.0)
+    return VerificationReport("special_cases", tuple(rows))

@@ -218,8 +218,6 @@ def load_plan(path: str | Path) -> SimPlan:
 
 
 def plan_text(plan: SimPlan, model_path: str) -> str:
-    if isinstance(plan.alpha_one_sided, dict) or isinstance(plan.alpha_two_sided, dict):
-        raise ValueError("per-n alpha grids have no file representation")
     lines = [
         f"model = {model_path}",
         f"n_values = [{', '.join(str(n) for n in plan.n_values)}]",

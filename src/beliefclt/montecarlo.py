@@ -27,9 +27,10 @@ import hashlib
 import math
 import os
 import warnings
+from collections.abc import Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from functools import partial
 
 import numpy as np
 
@@ -79,49 +80,50 @@ def resolve_workers(workers: int | None = None) -> int:
 class SimPlan:
     """Experiment grid: sequence lengths, replications, seed, alpha grids.
 
-    Alpha grids may be flat sequences (same events for all n) or mappings
-    from n to a sequence, which supports event thresholds that vary with n.
+    One flat grid of one-sided alphas and one list of two-sided pairs hold
+    for every n; both are stored as tuples of floats.
     """
 
     model: BeliefModel
     n_values: tuple[int, ...] = DEFAULT_N_VALUES
     reps: int = DEFAULT_REPS
     seed: int = 0
-    alpha_one_sided: Sequence[float] | Mapping[int, Sequence[float]] = DEFAULT_ALPHA_GRID
-    alpha_two_sided: Sequence[tuple[float, float]] | Mapping[int, Sequence[tuple[float, float]]] = field(
-        default_factory=default_alpha_pairs
-    )
+    alpha_one_sided: Sequence[float] = DEFAULT_ALPHA_GRID
+    alpha_two_sided: Sequence[tuple[float, float]] = field(default_factory=default_alpha_pairs)
     slack: float = 1.0
 
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if not self.n_values:
+            raise ValueError("n_values must not be empty")
         if any(n < 1 for n in self.n_values):
             raise ValueError("n values must be positive")
         if list(self.n_values) != sorted(set(self.n_values)):
             raise ValueError("n values must be strictly increasing")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        for n in self.n_values:
-            for a1, a2 in self.pairs_for(n):
-                if a1 > a2:
-                    warnings.warn(
-                        f"two-sided pair ({a1}, {a2}) has alpha1 > alpha2; "
-                        "the event is empty in the limit",
-                        stacklevel=2,
-                    )
+        if isinstance(self.alpha_one_sided, Mapping) or isinstance(self.alpha_two_sided, Mapping):
+            raise TypeError("alpha grids are sequences that hold for every n, not mappings")
+        object.__setattr__(self, "alpha_one_sided",
+                           tuple(float(a) for a in self.alpha_one_sided))
+        object.__setattr__(self, "alpha_two_sided",
+                           tuple((float(a1), float(a2)) for a1, a2 in self.alpha_two_sided))
+        for a1, a2 in self.alpha_two_sided:
+            if a1 > a2:
+                warnings.warn(
+                    f"two-sided pair ({a1}, {a2}) has alpha1 > alpha2; "
+                    "the event is empty in the limit",
+                    stacklevel=2,
+                )
 
     def alphas_for(self, n: int) -> tuple[float, ...]:
-        if isinstance(self.alpha_one_sided, Mapping):
-            return tuple(float(a) for a in self.alpha_one_sided.get(n, ()))
-        return tuple(float(a) for a in self.alpha_one_sided)
+        """The one-sided grid, the same for every n."""
+        return self.alpha_one_sided
 
     def pairs_for(self, n: int) -> tuple[tuple[float, float], ...]:
-        if isinstance(self.alpha_two_sided, Mapping):
-            pairs = self.alpha_two_sided.get(n, ())
-        else:
-            pairs = self.alpha_two_sided
-        return tuple((float(a1), float(a2)) for a1, a2 in pairs)
+        """The two-sided pairs, the same for every n."""
+        return self.alpha_two_sided
 
     def digest(self) -> str:
         """Deterministic id of the full plan, for run identification."""
@@ -260,37 +262,25 @@ class _CountTable:
         return self.s_min[idx], self.s_max[idx]
 
 
-# (key, table) of the last tabled (law, n) drawn in this process; one at a
-# time, since tasks arrive in n order, and none once the draws move on
-_last_table: tuple = (None, None)
-
-
-def _drop_count_table() -> None:
-    global _last_table
-    _last_table = (None, None)
-
-
-def _count_table(law: MinMaxLaw, n: int) -> _CountTable:
-    global _last_table
-    key = (n, law.mins.tobytes(), law.maxs.tobytes(), law.masses.tobytes())
-    if _last_table[0] != key:
-        _drop_count_table()  # release the old table before building
-        _last_table = (key, _CountTable.build(law, n))
-    return _last_table[1]
+def _table_for(law: MinMaxLaw, n: int) -> _CountTable | None:
+    """The count table of (law, n) where it has at most
+    ``TABLE_MAX_VECTORS`` count vectors, else None: draw by multinomial."""
+    k = len(law.masses)
+    if math.comb(n + k - 1, k - 1) <= TABLE_MAX_VECTORS:
+        return _CountTable.build(law, n)
+    return None
 
 
 def _draw_sums(seed: int, n: int, block_index: int, block_len: int,
-               law: MinMaxLaw) -> tuple[np.ndarray, np.ndarray]:
+               law: MinMaxLaw, table: _CountTable | None) -> tuple[np.ndarray, np.ndarray]:
     """(S_min, S_max) of the trials of one block, in no fixed row order.
 
-    By inversion from the count table where (law, n) has at most
-    ``TABLE_MAX_VECTORS`` count vectors, else by numpy's multinomial.
+    By inversion from ``table``, the one ``_table_for(law, n)`` gives, or by
+    numpy's multinomial where that is None.
     """
     rng = _block_stream(seed, n, block_index)
-    k = len(law.masses)
-    if math.comb(n + k - 1, k - 1) <= TABLE_MAX_VECTORS:
-        return _count_table(law, n).draw(rng, block_len)
-    _drop_count_table()
+    if table is not None:
+        return table.draw(rng, block_len)
     counts = rng.multinomial(n, law.masses, size=block_len)
     return _hull_sums(counts.T, law)
 
@@ -305,7 +295,7 @@ def _count_where(thresholds: np.ndarray, compare, t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _ThresholdBuckets:
-    """The events of one n, tallied through buckets of the statistics.
+    """The events of a plan, tallied through buckets of the statistics.
 
     Every event is a comparison of T_low or T_up with a threshold, so it is
     decided by how many thresholds of a sorted, distinct grid pass the same
@@ -381,14 +371,35 @@ class _ThresholdBuckets:
                 tail[self.pair_rows, self.pair_cols])
 
 
-def _simulate_block(args) -> tuple[int, np.ndarray, np.ndarray]:
-    (seed, n, block_index, block_len, law,
-     mu_low, sd_low, mu_up, sd_up, buckets) = args
-    s_min, s_max = _draw_sums(seed, n, block_index, block_len, law)
+def _tally_block(seed: int, reps: int, law: MinMaxLaw, moments: ChoquetMoments,
+                 buckets: _ThresholdBuckets, n: int, table: _CountTable | None,
+                 block_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bucket histograms of one block; its draws are freed on return."""
+    block_len = min(BLOCK_SIZE, reps - block_index * BLOCK_SIZE)
+    s_min, s_max = _draw_sums(seed, n, block_index, block_len, law, table)
     root = math.sqrt(n)
-    t_low = (s_min - n * mu_low) / (root * sd_low)
-    t_up = (s_max - n * mu_up) / (root * sd_up)
-    return (n, *buckets.histograms(t_low, t_up))
+    t_low = (s_min - n * moments.lower_mean) / (root * moments.lower_sd)
+    t_up = (s_max - n * moments.upper_mean) / (root * moments.upper_sd)
+    return buckets.histograms(t_low, t_up)
+
+
+def _tally_run(seed: int, reps: int, law: MinMaxLaw, moments: ChoquetMoments,
+               buckets: _ThresholdBuckets,
+               run: tuple[int, range]) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n, summed bucket histograms) of a run of consecutive blocks of one n.
+
+    The run builds the count table of (law, n), if any, and drops it on
+    return, so no table outlives the draws it serves.
+    """
+    n, blocks = run
+    table = _table_for(law, n)
+    joint = upper = 0
+    for b in blocks:
+        block_joint, block_upper = _tally_block(seed, reps, law, moments, buckets,
+                                                n, table, b)
+        joint += block_joint
+        upper += block_upper
+    return n, joint, upper
 
 
 def estimate_events(
@@ -405,27 +416,22 @@ def estimate_events(
             "cannot normalize sums"
         )
     workers = resolve_workers(workers)
-    law = MinMaxLaw.from_model(plan.model)
-    buckets = {n: _ThresholdBuckets.build(plan.alphas_for(n), plan.pairs_for(n))
-               for n in plan.n_values}
-
-    tasks = []
-    for n in plan.n_values:
-        n_blocks = (plan.reps + BLOCK_SIZE - 1) // BLOCK_SIZE
-        for b in range(n_blocks):
-            block_len = min(BLOCK_SIZE, plan.reps - b * BLOCK_SIZE)
-            tasks.append(
-                (plan.seed, n, b, block_len, law,
-                 moments.lower_mean, moments.lower_sd, moments.upper_mean,
-                 moments.upper_sd, buckets[n])
-            )
+    buckets = _ThresholdBuckets.build(plan.alpha_one_sided, plan.alpha_two_sided)
+    tally = partial(_tally_run, plan.seed, plan.reps, MinMaxLaw.from_model(plan.model),
+                    moments, buckets)
+    # each n's blocks cut into at most one run per worker; a run builds its
+    # count table once
+    n_blocks = -(-plan.reps // BLOCK_SIZE)
+    parts = min(workers, n_blocks)
+    cuts = [p * n_blocks // parts for p in range(parts + 1)]
+    runs = [(n, range(lo, hi)) for n in plan.n_values for lo, hi in zip(cuts, cuts[1:])]
 
     if workers == 1:
-        partials = map(_simulate_block, tasks)
+        partials = map(tally, runs)
     else:
         executor = ProcessPoolExecutor(max_workers=workers)
         try:
-            partials = list(executor.map(_simulate_block, tasks, chunksize=8))
+            partials = list(executor.map(tally, runs))
         finally:
             executor.shutdown()
     joint_tally: dict[int, np.ndarray] = {}
@@ -433,19 +439,17 @@ def estimate_events(
     for n, joint, upper in partials:
         joint_tally[n] = joint_tally.get(n, 0) + joint
         upper_tally[n] = upper_tally.get(n, 0) + upper
-    _drop_count_table()  # a serial run built its tables in this process
 
     rows: list[EventResult] = []
     for n in plan.n_values:
-        lower, upper, two = buckets[n].counts(joint_tally[n], upper_tally[n])
-        alphas = plan.alphas_for(n)
-        for a, count in zip(alphas, lower):
+        lower, upper, two = buckets.counts(joint_tally[n], upper_tally[n])
+        for a, count in zip(plan.alpha_one_sided, lower):
             rows.append(EventResult(n, ONE_SIDED_LOWER, a, math.nan, int(count),
                                     plan.reps, _DEFINITIONS[ONE_SIDED_LOWER]))
-        for a, count in zip(alphas, upper):
+        for a, count in zip(plan.alpha_one_sided, upper):
             rows.append(EventResult(n, ONE_SIDED_UPPER, a, math.nan, int(count),
                                     plan.reps, _DEFINITIONS[ONE_SIDED_UPPER]))
-        for (a1, a2), count in zip(plan.pairs_for(n), two):
+        for (a1, a2), count in zip(plan.alpha_two_sided, two):
             rows.append(EventResult(n, TWO_SIDED, a1, a2, int(count),
                                     plan.reps, _DEFINITIONS[TWO_SIDED]))
     return SimResult(plan.digest(), plan.seed, plan.reps, tuple(rows))

@@ -181,7 +181,7 @@ def test_criterion_08_convergence_rate(clt_runs):
     synthetic = VerificationReport("synthetic", tuple(
         ExperimentRow("synthetic", n, math.nan, math.nan, 0.5,
                       0.5 + 0.7 / math.sqrt(n), 1e-9, 1.0)
-        for n in (16, 64, 256, 1024, 4096, 16384)), 0, 1, 0.0)
+        for n in (16, 64, 256, 1024, 4096, 16384)))
     synth_gap = abs(fit_rate(synthetic).slope + 0.5)
 
     detail = ", ".join(f"{k} slope {fit.slope:.3f} ({n_pts} pts)"

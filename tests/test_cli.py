@@ -146,6 +146,13 @@ class TestVerify:
         assert code == 1
         assert "overall: FAIL" in out
 
+    def test_empty_n_values_exit_code(self, model_file, tmp_path, capsys):
+        plan = tmp_path / "empty.plan"
+        plan.write_text(f"model = {model_file.name}\nn_values = []\n")
+        assert main(["verify-two-sided", str(plan), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "n_values" in err[0]
+
 
 class TestSpecialCasesAndRateFit:
     def test_special_cases_pass(self, tmp_path, capsys):

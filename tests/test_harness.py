@@ -10,18 +10,15 @@ from beliefclt import (
     SimPlan,
     VerificationReport,
     bernoulli_model,
-    bernoulli_special_case,
     bvn_cdf,
+    estimate_events,
     fit_rate,
     moments_by_enumeration,
     one_sided_report,
     special_cases_report,
     std_normal_cdf,
     two_sided_report,
-    verify_one_sided,
-    verify_two_sided,
 )
-from beliefclt.montecarlo import estimate_events
 
 
 def synthetic_report(ns, deviation_fn, se=1e-9):
@@ -30,7 +27,7 @@ def synthetic_report(ns, deviation_fn, se=1e-9):
                       0.5, 0.5 + deviation_fn(n), se, 1.0)
         for n in ns
     )
-    return VerificationReport("synthetic", rows, 0, 1, 0.0)
+    return VerificationReport("synthetic", rows)
 
 
 class TestFitRate:
@@ -66,7 +63,7 @@ class TestFitRate:
 
 class TestBernoulliSpecialCase:
     def test_reference_values(self):
-        m = bernoulli_special_case(0.3, 0.7)
+        m = moments_by_enumeration(bernoulli_model(0.3, 0.7))
         assert m.lower_mean == pytest.approx(0.3, abs=1e-12)
         assert m.upper_mean == pytest.approx(0.7, abs=1e-12)
         assert m.lower_sd**2 == pytest.approx(0.21, abs=1e-12)
@@ -74,14 +71,14 @@ class TestBernoulliSpecialCase:
         assert m.rho == pytest.approx(3 / 7, abs=1e-12)
 
     def test_additive_coin_case(self):
-        m = bernoulli_special_case(0.5, 0.5)
+        m = moments_by_enumeration(bernoulli_model(0.5, 0.5))
         assert m.lower_mean == m.upper_mean == 0.5
         assert m.rho == pytest.approx(1.0, abs=1e-12)
         assert len(bernoulli_model(0.5, 0.5).focal) == 2
 
     def test_general_contract(self):
         for p_low, p_high in [(0.1, 0.9), (0.25, 0.4), (0.6, 0.6)]:
-            m = bernoulli_special_case(p_low, p_high)
+            m = moments_by_enumeration(bernoulli_model(p_low, p_high))
             assert m.lower_mean == pytest.approx(p_low, abs=1e-12)
             assert m.upper_mean == pytest.approx(p_high, abs=1e-12)
             assert m.lower_sd**2 == pytest.approx(p_low * (1 - p_low), abs=1e-12)
@@ -89,12 +86,12 @@ class TestBernoulliSpecialCase:
 
     def test_vacuous_degenerates(self):
         with pytest.raises(DegenerateVariance):
-            bernoulli_special_case(0.0, 1.0)
+            moments_by_enumeration(bernoulli_model(0.0, 1.0))
 
     def test_invalid_orderings(self):
         for bad in [(0.7, 0.3), (-0.1, 0.5), (0.5, 1.1)]:
             with pytest.raises(InvalidProbabilities):
-                bernoulli_special_case(*bad)
+                bernoulli_model(*bad)
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +103,13 @@ def coin_reports():
     sim = estimate_events(plan, mom, workers=1)
     return (one_sided_report(sim, plan),
             two_sided_report(sim, mom, plan), sim, mom, plan)
+
+
+def simulated_reports(plan):
+    """(one-sided, two-sided) reports of one simulation, as the CLI makes them."""
+    mom = moments_by_enumeration(plan.model)
+    sim = estimate_events(plan, mom)
+    return one_sided_report(sim, plan), two_sided_report(sim, mom, plan)
 
 
 class TestVerification:
@@ -131,12 +135,11 @@ class TestVerification:
     def test_far_tail_alpha(self, bernoulli):
         plan = SimPlan(bernoulli, n_values=(16, 64), reps=2000, seed=3,
                        alpha_one_sided=(8.0,), alpha_two_sided=((-8.0, 8.0),))
-        one = verify_one_sided(plan)
+        one, two = simulated_reports(plan)
         for r in one.rows:
             if r.experiment == "one_sided_lower":
                 assert r.theory == pytest.approx(0.0, abs=1e-14)
                 assert r.empirical == 0.0
-        two = verify_two_sided(plan)
         for r in two.rows:
             assert r.theory == pytest.approx(1.0, abs=1e-12)
             assert r.empirical == 1.0
@@ -144,14 +147,14 @@ class TestVerification:
     def test_two_sided_theory_uses_rho(self, bernoulli):
         plan = SimPlan(bernoulli, n_values=(16,), reps=100, seed=1,
                        alpha_two_sided=((-1.0, 1.0),))
-        rep = verify_two_sided(plan)
+        _, rep = simulated_reports(plan)
         row = [r for r in rep.rows if (r.alpha1, r.alpha2) == (-1.0, 1.0)][0]
         assert row.theory == pytest.approx(bvn_cdf(1.0, 1.0, -3 / 7), abs=1e-14)
 
     def test_two_sided_deviation_decreases_with_n(self, bernoulli):
         plan = SimPlan(bernoulli, n_values=(16, 1024), reps=150_000, seed=12,
                        alpha_one_sided=(), alpha_two_sided=((-1.0, 1.0),))
-        rep = verify_two_sided(plan)
+        _, rep = simulated_reports(plan)
         devs = {r.n: r.deviation for r in rep.rows}
         assert devs[1024] < devs[16]
 

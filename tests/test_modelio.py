@@ -163,6 +163,8 @@ class TestParsePlan:
             parse_plan("model = m.model\nn_values = [64, 16]\n", base_dir=tmp_path)
         with pytest.raises(ParseError):
             parse_plan("model = m.model\nn_values = [1.5]\n", base_dir=tmp_path)
+        with pytest.raises(ParseError):
+            parse_plan("model = m.model\nn_values = []\n", base_dir=tmp_path)
 
 
 class TestCsv:

@@ -32,6 +32,7 @@ from beliefclt.montecarlo import (
     _draw_sums,
     _hull_sums,
     _multinomial_pmf,
+    _table_for,
     _ThresholdBuckets,
     default_alpha_pairs,
     resolve_workers,
@@ -75,17 +76,19 @@ class TestSampleTrial:
     def test_min_never_exceeds_max(self, two_interval):
         law = MinMaxLaw.from_model(two_interval)
         for n in (20, 70_000):  # tabled and multinomial
-            s_min, s_max = _draw_sums(9, n, 0, 500, law)
+            s_min, s_max = _draw_sums(9, n, 0, 500, law, _table_for(law, n))
             assert np.all(s_min <= s_max)
 
     def test_additive_model_collapses(self, coin):
-        s_min, s_max = _draw_sums(3, 50, 0, 500, MinMaxLaw.from_model(coin))
+        law = MinMaxLaw.from_model(coin)
+        s_min, s_max = _draw_sums(3, 50, 0, 500, law, _table_for(law, 50))
         assert np.array_equal(s_min, s_max)
 
     def test_bernoulli_n1_frequencies(self, bernoulli):
         # P(S_min = 1) = m({1}) = 0.3 and P(S_max = 1) = 0.7
         reps = 4000
-        s_min, s_max = _draw_sums(17, 1, 0, reps, MinMaxLaw.from_model(bernoulli))
+        law = MinMaxLaw.from_model(bernoulli)
+        s_min, s_max = _draw_sums(17, 1, 0, reps, law, _table_for(law, 1))
         se3 = 3 * math.sqrt(0.25 / reps)
         assert abs(np.mean(s_min == 1.0) - 0.3) < se3
         assert abs(np.mean(s_max == 1.0) - 0.7) < se3
@@ -110,13 +113,12 @@ class TestPlanValidation:
         with pytest.warns(UserWarning):
             SimPlan(bernoulli, alpha_two_sided=((1.0, -1.0),))
 
-    def test_per_n_alpha_grids(self, bernoulli):
-        plan = SimPlan(bernoulli, n_values=(4, 16),
-                       alpha_one_sided={4: (0.0,), 16: (0.0, 1.0)},
-                       alpha_two_sided={4: ((-1.0, 1.0),), 16: ()})
-        assert plan.alphas_for(4) == (0.0,)
-        assert plan.alphas_for(16) == (0.0, 1.0)
-        assert plan.pairs_for(16) == ()
+    def test_rejects_mapping_grids(self, bernoulli):
+        # one grid holds for every n; a mapping is not read as its keys
+        with pytest.raises(TypeError):
+            SimPlan(bernoulli, n_values=(4, 16), alpha_one_sided={4: (0.0,), 16: (1.0,)})
+        with pytest.raises(TypeError):
+            SimPlan(bernoulli, n_values=(4,), alpha_two_sided={4: ((-1.0, 1.0),)})
 
     def test_default_pairs_ordered(self):
         assert all(a1 <= a2 for a1, a2 in default_alpha_pairs())
@@ -283,9 +285,10 @@ def _reference_estimate(plan, mom):
     counts = {}
     for n in plan.n_values:
         t_low, t_up = [], []
+        table = _table_for(law, n)
         for b, start in enumerate(range(0, plan.reps, BLOCK_SIZE)):
             block_len = min(BLOCK_SIZE, plan.reps - start)
-            s_min, s_max = _draw_sums(plan.seed, n, b, block_len, law)
+            s_min, s_max = _draw_sums(plan.seed, n, b, block_len, law, table)
             root = math.sqrt(n)
             t_low.append((s_min - n * mom.lower_mean) / (root * mom.lower_sd))
             t_up.append((s_max - n * mom.upper_mean) / (root * mom.upper_sd))
@@ -301,29 +304,39 @@ _pair_values = st.lists(st.tuples(st.sampled_from(LATTICE[::2]),
 
 
 @given(model_name=st.sampled_from(("coin", "bernoulli")),
-       per_n=st.booleans(),
-       alphas=st.lists(_grid_values, min_size=3, max_size=3),
-       pairs=st.lists(_pair_values, min_size=3, max_size=3),
+       alphas=_grid_values,
+       pairs=_pair_values,
        reps=st.sampled_from((1, 37, 500)))
 @settings(max_examples=25, deadline=None)
-def test_estimator_matches_brute_force_reference(model_name, per_n, alphas, pairs, reps):
+def test_estimator_matches_brute_force_reference(model_name, alphas, pairs, reps):
     # coin puts T_low and T_up on a 0.5 lattice at n = 4 and 16, so ties
     # with the 0.5-lattice thresholds are frequent
     model = MODEL_REGISTRY[model_name]()
     n_values = (1, 4, 16)
-    if per_n:
-        grids = dict(alpha_one_sided=dict(zip(n_values, alphas)),
-                     alpha_two_sided=dict(zip(n_values, pairs)))
-    else:
-        grids = dict(alpha_one_sided=alphas[0], alpha_two_sided=pairs[0])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # inverted pairs are allowed
-        plan = SimPlan(model, n_values=n_values, reps=reps, seed=8, **grids)
+        plan = SimPlan(model, n_values=n_values, reps=reps, seed=8,
+                       alpha_one_sided=alphas, alpha_two_sided=pairs)
     mom = moments_by_enumeration(model)
     sim = estimate_events(plan, mom, workers=1)
     reference = _reference_estimate(plan, mom)
     for n in n_values:
         assert [r.count for r in sim.rows_for(n)] == reference[n]
+
+
+def test_runs_of_blocks_match_brute_force_reference():
+    # nine blocks per n, the last one short: one run of nine at one worker,
+    # runs of four and five at two; n = 16 is tabled and n = 1024 is not
+    model = MODEL_REGISTRY["bernoulli"]()
+    mom = moments_by_enumeration(model)
+    plan = SimPlan(model, n_values=(16, 1024), reps=8 * BLOCK_SIZE + 37, seed=23)
+    assert _table_for(MinMaxLaw.from_model(model), 16) is not None
+    assert _table_for(MinMaxLaw.from_model(model), 1024) is None
+    reference = _reference_estimate(plan, mom)
+    for workers in (1, 2):
+        sim = estimate_events(plan, mom, workers=workers)
+        for n in plan.n_values:
+            assert [r.count for r in sim.rows_for(n)] == reference[n], (workers, n)
 
 
 def _repeated_hull_model():
@@ -382,11 +395,11 @@ class TestRepeatedHull:
         repeated = MinMaxLaw.from_model(_repeated_hull_model())
         merged = MinMaxLaw.from_model(_merged_hull_model())
         for n in (7, 5000):  # tabled and multinomial
-            for a, b in zip(_draw_sums(5, n, 0, 200, repeated),
-                            _draw_sums(5, n, 0, 200, merged)):
+            for a, b in zip(_draw_sums(5, n, 0, 200, repeated, _table_for(repeated, n)),
+                            _draw_sums(5, n, 0, 200, merged, _table_for(merged, n))):
                 assert np.array_equal(a, b)
         reps = 4000
-        s_min, s_max = _draw_sums(6, 1, 0, reps, repeated)
+        s_min, s_max = _draw_sums(6, 1, 0, reps, repeated, _table_for(repeated, 1))
         wide = np.mean((s_min == 0.0) & (s_max == 1.0))
         assert abs(wide - 0.55) < 4 * math.sqrt(0.55 * 0.45 / reps)
 
@@ -460,11 +473,15 @@ class TestCountTable:
         law = MinMaxLaw.from_model(MODEL_REGISTRY["bernoulli"]())
         n, size = 16, 153
         monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", size)
+        table = _table_for(law, n)
+        assert table is not None
         tabled = _CountTable.build(law, n).draw(_block_stream(3, n, 0), 500)
-        assert all(np.array_equal(a, b) for a, b in zip(_draw_sums(3, n, 0, 500, law), tabled))
+        drawn = _draw_sums(3, n, 0, 500, law, table)
+        assert all(np.array_equal(a, b) for a, b in zip(drawn, tabled))
         monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", size - 1)
+        assert _table_for(law, n) is None
         counts = _block_stream(3, n, 0).multinomial(n, law.masses, size=500)
-        drawn = _draw_sums(3, n, 0, 500, law)
+        drawn = _draw_sums(3, n, 0, 500, law, None)
         assert all(np.array_equal(a, b) for a, b in zip(drawn, _hull_sums(counts.T, law)))
 
     def test_two_paths_agree_in_law(self, monkeypatch):
@@ -500,17 +517,6 @@ class TestCountTable:
             s_min, s_max = _hull_sums(int_counts.T, law)
             assert np.array_equal(s_min.view(np.uint64), table.s_min.view(np.uint64))
             assert np.array_equal(s_max.view(np.uint64), table.s_max.view(np.uint64))
-
-    def test_no_table_outlives_its_draws(self):
-        law = MinMaxLaw.from_model(MODEL_REGISTRY["bernoulli"]())
-        _draw_sums(5, 16, 0, 100, law)
-        assert montecarlo._last_table[1] is not None
-        _draw_sums(5, 1024, 0, 100, law)  # untabled
-        assert montecarlo._last_table == (None, None)
-        model = MODEL_REGISTRY["mixed"]()
-        plan = SimPlan(model, n_values=(16,), reps=1_000, seed=5)
-        estimate_events(plan, moments_by_enumeration(model), workers=1)
-        assert montecarlo._last_table == (None, None)
 
 
 class TestBlockKeys:
