@@ -30,7 +30,6 @@ for row in sim.rows_for(256):
         else f"{row.alpha1:+.1f}"
     print(f"  n=256 {row.kind:>16} alpha={a:>12}: {row.frequency:.5f}"
           f"  (se {row.se:.1e})")
-print("definition of the two-sided rows:", sim.rows_for(256, "two_sided")[0].definition)
 
 # Worker count changes scheduling, never results.
 one = estimate_events(plan, moments, workers=1)

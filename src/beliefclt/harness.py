@@ -26,7 +26,6 @@ from .gauss import std_normal_cdf, two_sided_limit
 from .moments import (
     ChoquetMoments,
     moments_by_enumeration,
-    moments_by_integration,
     rho_M_invariance,
 )
 from .montecarlo import (

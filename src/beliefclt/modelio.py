@@ -37,13 +37,7 @@ from typing import Any, Iterable, Sequence
 
 from .belief import BeliefModel, FocalElement, validate_model
 from .errors import ParseError, ValidationError
-from .montecarlo import (
-    DEFAULT_ALPHA_GRID,
-    DEFAULT_N_VALUES,
-    DEFAULT_REPS,
-    SimPlan,
-    default_alpha_pairs,
-)
+from .montecarlo import SimPlan
 
 LOAD_MASS_TOL = 1e-6
 
@@ -179,34 +173,24 @@ def parse_plan(text: str, path: str = "<string>",
         model_path = Path(base_dir) / model_path
     model = load_model(model_path)
 
-    def _ints(key: str, default: Sequence[int]) -> tuple[int, ...]:
-        v = seen.get(key, default)
-        if not isinstance(v, (list, tuple)) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in v
-        ):
-            raise ParseError(f"{key} must be a list of integers", path, lines.get(key))
-        return tuple(v)
-
-    alphas = seen.get("alpha_one_sided", list(DEFAULT_ALPHA_GRID))
-    if not isinstance(alphas, (list, tuple)):
-        raise ParseError("alpha_one_sided must be a list of numbers",
-                         path, lines.get("alpha_one_sided"))
-    pairs_raw = seen.get("alpha_two_sided", default_alpha_pairs())
-    if not isinstance(pairs_raw, (list, tuple)) or not all(
-        isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs_raw
+    # keys the file leaves out take SimPlan's defaults; SimPlan turns the
+    # alpha grids into floats
+    fields = {key: value for key, value in seen.items() if key != "model"}
+    for key, is_item, what in (
+        ("n_values", lambda x: isinstance(x, int) and not isinstance(x, bool),
+         "a list of integers"),
+        ("alpha_one_sided", lambda a: True, "a list of numbers"),
+        ("alpha_two_sided", lambda p: isinstance(p, (list, tuple)) and len(p) == 2,
+         "a list of [a1, a2] pairs"),
     ):
-        raise ParseError("alpha_two_sided must be a list of [a1, a2] pairs",
-                         path, lines.get("alpha_two_sided"))
+        value = fields.get(key, ())
+        if not isinstance(value, (list, tuple)) or not all(map(is_item, value)):
+            raise ParseError(f"{key} must be {what}", path, lines.get(key))
+    for key, convert in (("n_values", tuple), ("reps", int), ("seed", int), ("slack", float)):
+        if key in fields:
+            fields[key] = convert(fields[key])
     try:
-        return SimPlan(
-            model=model,
-            n_values=_ints("n_values", DEFAULT_N_VALUES),
-            reps=int(seen.get("reps", DEFAULT_REPS)),
-            seed=int(seen.get("seed", 0)),
-            alpha_one_sided=tuple(float(a) for a in alphas),
-            alpha_two_sided=tuple((float(a), float(b)) for a, b in pairs_raw),
-            slack=float(seen.get("slack", 1.0)),
-        )
+        return SimPlan(model=model, **fields)
     except ValueError as exc:
         raise ParseError(str(exc), path) from exc
 

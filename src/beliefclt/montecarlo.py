@@ -18,7 +18,8 @@ given (seed, plan) at any worker count.  A block draws the hull counts of
 its trials, which carry the same joint law of (S_min, S_max) as
 coordinate-by-coordinate sampling: by inversion from a table of every
 count vector when there are at most ``TABLE_MAX_VECTORS`` of them, else
-by numpy's multinomial.
+by numpy's multinomial.  Each trial reduces to one event cell, and a
+block to one histogram of cells.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import hashlib
 import math
 import os
 import warnings
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -48,13 +49,6 @@ WORKERS_ENV = "BELIEFCLT_WORKERS"
 ONE_SIDED_LOWER = "one_sided_lower"
 ONE_SIDED_UPPER = "one_sided_upper"
 TWO_SIDED = "two_sided"
-
-_DEFINITIONS = {
-    ONE_SIDED_LOWER: "(S_min - n*lower_mean)/(sqrt(n)*lower_sd) >= alpha1",
-    ONE_SIDED_UPPER: "(S_max - n*upper_mean)/(sqrt(n)*upper_sd) < alpha1",
-    TWO_SIDED: "alpha1 <= (S_min - n*lower_mean)/(sqrt(n)*lower_sd) "
-               "and (S_max - n*upper_mean)/(sqrt(n)*upper_sd) <= alpha2",
-}
 
 DEFAULT_ALPHA_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 DEFAULT_N_VALUES = (16, 64, 256, 1024, 4096, 16384)
@@ -81,7 +75,7 @@ class SimPlan:
     """Experiment grid: sequence lengths, replications, seed, alpha grids.
 
     One flat grid of one-sided alphas and one list of two-sided pairs hold
-    for every n; both are stored as tuples of floats.
+    for every n; both are stored as tuples of floats, none of them NaN.
     """
 
     model: BeliefModel
@@ -109,6 +103,9 @@ class SimPlan:
                            tuple(float(a) for a in self.alpha_one_sided))
         object.__setattr__(self, "alpha_two_sided",
                            tuple((float(a1), float(a2)) for a1, a2 in self.alpha_two_sided))
+        thresholds = self.alpha_one_sided + tuple(a for pair in self.alpha_two_sided for a in pair)
+        if any(map(math.isnan, thresholds)):
+            raise ValueError("alpha thresholds must not be NaN")
         for a1, a2 in self.alpha_two_sided:
             if a1 > a2:
                 warnings.warn(
@@ -137,7 +134,7 @@ class SimPlan:
 
 @dataclass(frozen=True)
 class EventResult:
-    """Empirical frequency of one event at one n, with its exact definition."""
+    """Empirical frequency of one event at one n."""
 
     n: int
     kind: str
@@ -145,7 +142,6 @@ class EventResult:
     alpha2: float
     count: int
     reps: int
-    definition: str
 
     @property
     def frequency(self) -> float:
@@ -235,177 +231,160 @@ class _CountTable:
 
     ``cumulative`` holds the running multinomial probabilities of the count
     vectors in lexicographic order, divided by their total so that they
-    end in exactly 1.0; ``s_min``/``s_max`` hold the vectors' hull sums.
+    end in exactly 1.0; ``cell`` holds each vector's event cell.
     """
 
     cumulative: np.ndarray
-    s_min: np.ndarray
-    s_max: np.ndarray
+    cell: np.ndarray
 
     @classmethod
-    def build(cls, law: MinMaxLaw, n: int) -> "_CountTable":
+    def build(cls, law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray]) -> "_CountTable":
         columns = _count_vectors(n, len(law.masses))
         pmf = _multinomial_pmf(columns, law.masses, n)
         cumulative = np.cumsum(pmf, out=pmf)
         cumulative /= cumulative[-1]
-        return cls(cumulative, *_hull_sums(columns, law))
+        return cls(cumulative, cell_of(*_hull_sums(columns, law)))
 
-    def draw(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """(S_min, S_max) of ``size`` trials, in table order.
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Event cells of ``size`` trials, in table order.
 
         Sorting the uniforms keeps the lookups local; the rows of a block
         are exchangeable, since only their histogram is kept.
         """
         u = rng.random(size)
         u.sort()
-        idx = np.searchsorted(self.cumulative, u, side="right")
-        return self.s_min[idx], self.s_max[idx]
+        return self.cell[np.searchsorted(self.cumulative, u, side="right")]
 
 
-def _table_for(law: MinMaxLaw, n: int) -> _CountTable | None:
+def _table_for(law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray]) -> _CountTable | None:
     """The count table of (law, n) where it has at most
     ``TABLE_MAX_VECTORS`` count vectors, else None: draw by multinomial."""
     k = len(law.masses)
     if math.comb(n + k - 1, k - 1) <= TABLE_MAX_VECTORS:
-        return _CountTable.build(law, n)
+        return _CountTable.build(law, n, cell_of)
     return None
 
 
-def _draw_sums(seed: int, n: int, block_index: int, block_len: int,
-               law: MinMaxLaw, table: _CountTable | None) -> tuple[np.ndarray, np.ndarray]:
-    """(S_min, S_max) of the trials of one block, in no fixed row order.
+def _draw_cells(seed: int, n: int, block_index: int, block_len: int, law: MinMaxLaw,
+                table: _CountTable | None, cell_of: Callable[..., np.ndarray]) -> np.ndarray:
+    """Event cells of the trials of one block, in no fixed row order.
 
-    By inversion from ``table``, the one ``_table_for(law, n)`` gives, or by
-    numpy's multinomial where that is None.
+    A gather from ``table``, the one ``_table_for(law, n, cell_of)`` gives,
+    or ``cell_of`` of the hull sums of numpy's multinomial counts where
+    that is None.
     """
     rng = _block_stream(seed, n, block_index)
     if table is not None:
         return table.draw(rng, block_len)
     counts = rng.multinomial(n, law.masses, size=block_len)
-    return _hull_sums(counts.T, law)
-
-
-def _count_where(thresholds: np.ndarray, compare, t: np.ndarray) -> np.ndarray:
-    """Per element of ``t``, how many thresholds satisfy ``compare(a, t)``."""
-    acc = np.zeros(t.shape, dtype=np.min_scalar_type(len(thresholds)))
-    for a in thresholds:
-        acc += compare(a, t)
-    return acc
+    return cell_of(*_hull_sums(counts.T, law))
 
 
 @dataclass(frozen=True, eq=False)
-class _ThresholdBuckets:
-    """The events of a plan, tallied through buckets of the statistics.
+class _EventCells:
+    """The events of a plan, tallied through one joint histogram of ranks.
 
-    Every event is a comparison of T_low or T_up with a threshold, so it is
-    decided by how many thresholds of a sorted, distinct grid pass the same
-    comparison:
+    Every event compares T_low or T_up with a threshold, so it is decided
+    by the ranks of the statistics in two sorted, distinct grids:
 
-    - ``low``: alphas and pair alpha1s, counted as ``a <= T_low``;
-      ``T_low >= a`` and ``a1 <= T_low`` mean exactly "a passes".
-    - ``up``: alphas, counted as ``a <= T_up``; ``T_up < a`` is "a fails".
-    - ``up2``: pair alpha2s, counted as ``a2 < T_up``; ``T_up <= a2`` is
-      "a2 fails".
+    - ``low``, the alphas and pair alpha1s.  The low rank counts the a
+      with ``a <= T_low``, so ``T_low >= a_i`` and ``a_i <= T_low`` are
+      "low rank > i".
+    - ``up``, the alphas and pair alpha2s.  The up rank is
+      ``#(a < T_up) + #(a <= T_up)``, so ``T_up < a_j`` is "up rank <= 2j"
+      and ``T_up <= a_j`` is "up rank <= 2j + 1".
 
-    A block reduces to a joint histogram of the (low, up2) bucket counts and
-    a histogram of the up bucket counts; histograms merge by addition and
-    prefix sums turn them into event counts.  NaN thresholds stay out of
-    the grids: every comparison with them is false, so their events count
-    zero.  The ``*_at`` arrays hold each event's prefix-sum position.
+    A trial's cell is ``low rank * (2 * len(up) + 1) + up rank``.  A block
+    reduces to a histogram of cells; histograms merge by addition, and one
+    prefix-sum table turns them into event counts.  ``rows`` and ``cols``
+    hold each event's position in that table, in plan order.
     """
 
     low: np.ndarray
     up: np.ndarray
-    up2: np.ndarray
-    lower_at: np.ndarray
-    upper_at: np.ndarray
-    pair_rows: np.ndarray
-    pair_cols: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
 
     @classmethod
     def build(cls, alphas: Sequence[float],
-              pairs: Sequence[tuple[float, float]]) -> "_ThresholdBuckets":
+              pairs: Sequence[tuple[float, float]]) -> "_EventCells":
         alphas = np.asarray(alphas, dtype=float).reshape(-1)
-        pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
+        a1, a2 = np.asarray(pairs, dtype=float).reshape(-1, 2).T
+        # sorted(set()) rather than np.unique, which imports numpy.ma
+        low = np.array(sorted(set(alphas.tolist() + a1.tolist())), dtype=float)
+        up = np.array(sorted(set(alphas.tolist() + a2.tolist())), dtype=float)
+        rows = (np.searchsorted(low, alphas) + 1, np.zeros(len(alphas), dtype=np.intp),
+                np.searchsorted(low, a1) + 1)
+        cols = (np.full(len(alphas), 2 * len(up) + 1), 2 * np.searchsorted(up, alphas) + 1,
+                2 * np.searchsorted(up, a2) + 2)
+        return cls(low, up, np.concatenate(rows), np.concatenate(cols))
 
-        def grid(values):
-            # sorted(set()) rather than np.unique, which imports numpy.ma
-            return np.array(sorted(set(values[~np.isnan(values)].tolist())), dtype=float)
+    @property
+    def size(self) -> int:
+        """The number of cells."""
+        return (len(self.low) + 1) * (2 * len(self.up) + 1)
 
-        def passing_at(grid, values):
-            # buckets above the threshold's index; NaN sorts past the grid,
-            # onto the all-zero row
-            return np.searchsorted(grid, values) + 1
+    def cells(self, t_low: np.ndarray, t_up: np.ndarray) -> np.ndarray:
+        """Cell of each trial, in the smallest unsigned type that holds it."""
+        cell = np.zeros(t_low.shape, dtype=np.min_scalar_type(self.size - 1))
+        for a in self.low:
+            cell += a <= t_low
+        cell *= 2 * len(self.up) + 1
+        for a in self.up:
+            cell += a < t_up
+            cell += a <= t_up
+        return cell
 
-        def failing_at(grid, values):
-            # buckets up to the threshold's index; NaN onto the zero column
-            return np.where(np.isnan(values), 0, np.searchsorted(grid, values) + 1)
-
-        low = grid(np.concatenate([alphas, pairs[:, 0]]))
-        up, up2 = grid(alphas), grid(pairs[:, 1])
-        return cls(low, up, up2,
-                   lower_at=passing_at(low, alphas),
-                   upper_at=failing_at(up, alphas),
-                   pair_rows=passing_at(low, pairs[:, 0]),
-                   pair_cols=failing_at(up2, pairs[:, 1]))
-
-    def histograms(self, t_low: np.ndarray, t_up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(joint low x up2 histogram, flattened; up histogram) of one block."""
-        width = len(self.up2) + 1
-        cell = _count_where(self.low, np.less_equal, t_low).astype(np.intp) * width
-        cell += _count_where(self.up2, np.less, t_up)
-        joint = np.bincount(cell, minlength=(len(self.low) + 1) * width)
-        upper = np.bincount(_count_where(self.up, np.less_equal, t_up),
-                            minlength=len(self.up) + 1)
-        return joint, upper
-
-    def counts(self, joint: np.ndarray,
-               upper: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(lower, upper, two-sided) event counts, in plan order."""
-        joint = joint.reshape(len(self.low) + 1, len(self.up2) + 1)
-        # tail[r, c] = #{low bucket >= r and up2 bucket < c}
-        tail = np.zeros((joint.shape[0] + 1, joint.shape[1] + 1), dtype=np.int64)
-        tail[:-1, 1:] = joint[::-1].cumsum(axis=0)[::-1].cumsum(axis=1)
-        head = np.concatenate([[0], np.cumsum(upper)])
-        return (tail[self.lower_at, -1], head[self.upper_at],
-                tail[self.pair_rows, self.pair_cols])
+    def counts(self, histogram: np.ndarray) -> np.ndarray:
+        """Event counts in plan order: lower, upper, then two-sided."""
+        histogram = histogram.reshape(len(self.low) + 1, 2 * len(self.up) + 1)
+        # tail[r, c] = #{low rank >= r and up rank < c}
+        tail = np.zeros((histogram.shape[0] + 1, histogram.shape[1] + 1), dtype=np.int64)
+        tail[:-1, 1:] = histogram[::-1].cumsum(axis=0)[::-1].cumsum(axis=1)
+        return tail[self.rows, self.cols]
 
 
-def _tally_block(seed: int, reps: int, law: MinMaxLaw, moments: ChoquetMoments,
-                 buckets: _ThresholdBuckets, n: int, table: _CountTable | None,
-                 block_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bucket histograms of one block; its draws are freed on return."""
-    block_len = min(BLOCK_SIZE, reps - block_index * BLOCK_SIZE)
-    s_min, s_max = _draw_sums(seed, n, block_index, block_len, law, table)
+def _normalized_cells(events: _EventCells, moments: ChoquetMoments, n: int,
+                      s_min: np.ndarray, s_max: np.ndarray) -> np.ndarray:
+    """Cells of trials from their hull sums, which it normalizes in place to
+    T = (S - n*mean)/(sqrt(n)*sd)."""
     root = math.sqrt(n)
-    t_low = (s_min - n * moments.lower_mean) / (root * moments.lower_sd)
-    t_up = (s_max - n * moments.upper_mean) / (root * moments.upper_sd)
-    return buckets.histograms(t_low, t_up)
+    s_min -= n * moments.lower_mean
+    s_min /= root * moments.lower_sd
+    s_max -= n * moments.upper_mean
+    s_max /= root * moments.upper_sd
+    return events.cells(s_min, s_max)
 
 
 def _tally_run(seed: int, reps: int, law: MinMaxLaw, moments: ChoquetMoments,
-               buckets: _ThresholdBuckets,
-               run: tuple[int, range]) -> tuple[int, np.ndarray, np.ndarray]:
-    """(n, summed bucket histograms) of a run of consecutive blocks of one n.
+               events: _EventCells, run: tuple[int, range]) -> tuple[int, np.ndarray]:
+    """(n, cell histogram) of a run of consecutive blocks of one n.
 
     The run builds the count table of (law, n), if any, and drops it on
     return, so no table outlives the draws it serves.
     """
     n, blocks = run
-    table = _table_for(law, n)
-    joint = upper = 0
+    cell_of = partial(_normalized_cells, events, moments, n)
+    table = _table_for(law, n, cell_of)
+    histogram = np.zeros(events.size, dtype=np.intp)
     for b in blocks:
-        block_joint, block_upper = _tally_block(seed, reps, law, moments, buckets,
-                                                n, table, b)
-        joint += block_joint
-        upper += block_upper
-    return n, joint, upper
+        block_len = min(BLOCK_SIZE, reps - b * BLOCK_SIZE)
+        histogram += np.bincount(_draw_cells(seed, n, b, block_len, law, table, cell_of),
+                                 minlength=events.size)
+    return n, histogram
 
 
 def estimate_events(
     plan: SimPlan, moments: ChoquetMoments, workers: int | None = None
 ) -> SimResult:
     """Estimate all one- and two-sided event frequencies of the plan.
+
+    With T_low = (S_min - n*lower_mean)/(sqrt(n)*lower_sd) and T_up the
+    same for S_max with the upper mean and sd, the events are exactly
+
+    - ``one_sided_lower``: T_low >= alpha1,
+    - ``one_sided_upper``: T_up < alpha1,
+    - ``two_sided``: alpha1 <= T_low and T_up <= alpha2.
 
     Frequencies are counts over exactly ``plan.reps`` independent trials per
     n, bit-reproducible for a given (seed, plan) at any worker count.
@@ -416,9 +395,9 @@ def estimate_events(
             "cannot normalize sums"
         )
     workers = resolve_workers(workers)
-    buckets = _ThresholdBuckets.build(plan.alpha_one_sided, plan.alpha_two_sided)
+    events = _EventCells.build(plan.alpha_one_sided, plan.alpha_two_sided)
     tally = partial(_tally_run, plan.seed, plan.reps, MinMaxLaw.from_model(plan.model),
-                    moments, buckets)
+                    moments, events)
     # each n's blocks cut into at most one run per worker; a run builds its
     # count table once
     n_blocks = -(-plan.reps // BLOCK_SIZE)
@@ -434,22 +413,15 @@ def estimate_events(
             partials = list(executor.map(tally, runs))
         finally:
             executor.shutdown()
-    joint_tally: dict[int, np.ndarray] = {}
-    upper_tally: dict[int, np.ndarray] = {}
-    for n, joint, upper in partials:
-        joint_tally[n] = joint_tally.get(n, 0) + joint
-        upper_tally[n] = upper_tally.get(n, 0) + upper
+    histograms: dict[int, np.ndarray] = {}
+    for n, histogram in partials:
+        histograms[n] = histograms.get(n, 0) + histogram
 
-    rows: list[EventResult] = []
-    for n in plan.n_values:
-        lower, upper, two = buckets.counts(joint_tally[n], upper_tally[n])
-        for a, count in zip(plan.alpha_one_sided, lower):
-            rows.append(EventResult(n, ONE_SIDED_LOWER, a, math.nan, int(count),
-                                    plan.reps, _DEFINITIONS[ONE_SIDED_LOWER]))
-        for a, count in zip(plan.alpha_one_sided, upper):
-            rows.append(EventResult(n, ONE_SIDED_UPPER, a, math.nan, int(count),
-                                    plan.reps, _DEFINITIONS[ONE_SIDED_UPPER]))
-        for (a1, a2), count in zip(plan.alpha_two_sided, two):
-            rows.append(EventResult(n, TWO_SIDED, a1, a2, int(count),
-                                    plan.reps, _DEFINITIONS[TWO_SIDED]))
+    # (kind, alpha1, alpha2) of each event, in the order of events.counts
+    keys = ([(ONE_SIDED_LOWER, a, math.nan) for a in plan.alpha_one_sided]
+            + [(ONE_SIDED_UPPER, a, math.nan) for a in plan.alpha_one_sided]
+            + [(TWO_SIDED, a1, a2) for a1, a2 in plan.alpha_two_sided])
+    rows = [EventResult(n, kind, a1, a2, int(count), plan.reps)
+            for n in plan.n_values
+            for (kind, a1, a2), count in zip(keys, events.counts(histograms[n]))]
     return SimResult(plan.digest(), plan.seed, plan.reps, tuple(rows))

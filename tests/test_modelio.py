@@ -140,6 +140,7 @@ class TestParsePlan:
         assert plan.n_values == (16, 64, 256, 1024, 4096, 16384)
         assert len(plan.pairs_for(16)) == 28
         assert plan.slack == 1.0
+        assert plan.digest() == SimPlan(plan.model).digest()
 
     def test_unknown_key_rejected(self, tmp_path, bernoulli):
         save_model(bernoulli, tmp_path / "m.model")

@@ -1,6 +1,7 @@
 import math
 import warnings
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -29,14 +30,36 @@ from beliefclt.montecarlo import (
     _block_stream,
     _count_vectors,
     _CountTable,
-    _draw_sums,
+    _draw_cells,
+    _EventCells,
     _hull_sums,
     _multinomial_pmf,
+    _normalized_cells,
     _table_for,
-    _ThresholdBuckets,
     default_alpha_pairs,
     resolve_workers,
 )
+
+
+def _vector_index(s_min, s_max):
+    """A cell function whose cell is each count vector's table position."""
+    return np.arange(len(s_min))
+
+
+def _keep_sums(s_min, s_max):
+    """A cell function whose cell is the pair of hull sums itself."""
+    return np.stack([s_min, s_max])
+
+
+def _draw_sums(seed, n, block_index, size, law):
+    """(S_min, S_max) of one block's trials, drawn as the estimator draws
+    them but through cell functions that keep the hull sums."""
+    table = _table_for(law, n, _vector_index)
+    if table is None:
+        return tuple(_draw_cells(seed, n, block_index, size, law, None, _keep_sums))
+    s_min, s_max = _hull_sums(_count_vectors(n, len(law.masses)), law)
+    index = _draw_cells(seed, n, block_index, size, law, table, None)
+    return s_min[index], s_max[index]
 
 
 class TestDeriveStream:
@@ -76,19 +99,19 @@ class TestSampleTrial:
     def test_min_never_exceeds_max(self, two_interval):
         law = MinMaxLaw.from_model(two_interval)
         for n in (20, 70_000):  # tabled and multinomial
-            s_min, s_max = _draw_sums(9, n, 0, 500, law, _table_for(law, n))
+            s_min, s_max = _draw_sums(9, n, 0, 500, law)
             assert np.all(s_min <= s_max)
 
     def test_additive_model_collapses(self, coin):
         law = MinMaxLaw.from_model(coin)
-        s_min, s_max = _draw_sums(3, 50, 0, 500, law, _table_for(law, 50))
+        s_min, s_max = _draw_sums(3, 50, 0, 500, law)
         assert np.array_equal(s_min, s_max)
 
     def test_bernoulli_n1_frequencies(self, bernoulli):
         # P(S_min = 1) = m({1}) = 0.3 and P(S_max = 1) = 0.7
         reps = 4000
         law = MinMaxLaw.from_model(bernoulli)
-        s_min, s_max = _draw_sums(17, 1, 0, reps, law, _table_for(law, 1))
+        s_min, s_max = _draw_sums(17, 1, 0, reps, law)
         se3 = 3 * math.sqrt(0.25 / reps)
         assert abs(np.mean(s_min == 1.0) - 0.3) < se3
         assert abs(np.mean(s_max == 1.0) - 0.7) < se3
@@ -119,6 +142,13 @@ class TestPlanValidation:
             SimPlan(bernoulli, n_values=(4, 16), alpha_one_sided={4: (0.0,), 16: (1.0,)})
         with pytest.raises(TypeError):
             SimPlan(bernoulli, n_values=(4,), alpha_two_sided={4: ((-1.0, 1.0),)})
+
+    def test_rejects_nan_thresholds(self, bernoulli):
+        for grids in ({"alpha_one_sided": (0.0, math.nan)},
+                      {"alpha_two_sided": ((math.nan, 1.0),)},
+                      {"alpha_two_sided": ((0.0, math.nan),)}):
+            with pytest.raises(ValueError, match="NaN"):
+                SimPlan(bernoulli, **grids)
 
     def test_default_pairs_ordered(self):
         assert all(a1 <= a2 for a1, a2 in default_alpha_pairs())
@@ -243,20 +273,21 @@ LATTICE = tuple(0.25 * i for i in range(-10, 11))
 _thresholds = st.one_of(
     st.sampled_from(LATTICE),
     st.floats(-4.0, 4.0),
-    st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan)),
+    st.sampled_from((0.0, -0.0, math.inf, -math.inf)),
 )
 
 
-class TestThresholdBuckets:
+class TestEventCells:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_brute_force(self, data):
-        # unsorted, duplicated, inverted and NaN thresholds, empty grids, and
-        # statistics drawn partly from the thresholds themselves (exact ties);
-        # the block is split in two to exercise the merge
+        # unsorted, duplicated, inverted and infinite thresholds, signed
+        # zeros, empty grids, and statistics drawn partly from the thresholds
+        # themselves (exact ties); the block is split in two to exercise the
+        # merge
         alphas = data.draw(st.lists(_thresholds, max_size=10))
         pairs = data.draw(st.lists(st.tuples(_thresholds, _thresholds), max_size=12))
-        ties = [a for a in alphas + [x for p in pairs for x in p] if not math.isnan(a)]
+        ties = alphas + [x for p in pairs for x in p]
         stat = st.floats(-5.0, 5.0)
         if ties:
             stat = stat | st.sampled_from(ties)
@@ -265,30 +296,33 @@ class TestThresholdBuckets:
         t_up = np.array(data.draw(st.lists(stat, min_size=size, max_size=size)), dtype=float)
         cut = data.draw(st.integers(0, size))
 
-        buckets = _ThresholdBuckets.build(alphas, pairs)
-        joint1, upper1 = buckets.histograms(t_low[:cut], t_up[:cut])
-        joint2, upper2 = buckets.histograms(t_low[cut:], t_up[cut:])
-        got = buckets.counts(joint1 + joint2, upper1 + upper2)
-        assert tuple(list(map(int, g)) for g in got) == _brute_counts(t_low, t_up, alphas, pairs)
+        events = _EventCells.build(alphas, pairs)
+        cells = events.cells(t_low, t_up)
+        assert cells.dtype == np.min_scalar_type(events.size - 1)
+        assert np.all(cells < events.size)
+        histogram = (np.bincount(cells[:cut], minlength=events.size)
+                     + np.bincount(cells[cut:], minlength=events.size))
+        lower, upper, two = _brute_counts(t_low, t_up, alphas, pairs)
+        assert events.counts(histogram).tolist() == lower + upper + two
 
     def test_empty_grids(self):
-        buckets = _ThresholdBuckets.build((), ())
-        joint, upper = buckets.histograms(np.zeros(5), np.ones(5))
-        assert joint.tolist() == [5] and upper.tolist() == [5]
-        assert all(len(c) == 0 for c in buckets.counts(joint, upper))
+        events = _EventCells.build((), ())
+        assert events.size == 1
+        histogram = np.bincount(events.cells(np.zeros(5), np.ones(5)))
+        assert histogram.tolist() == [5]
+        assert len(events.counts(histogram)) == 0
 
 
 def _reference_estimate(plan, mom):
-    """Replays the estimator's block draws and tallies every event by brute
-    force."""
+    """Replays the estimator's block draws, without its cell function, and
+    tallies every event by brute force."""
     law = MinMaxLaw.from_model(plan.model)
     counts = {}
     for n in plan.n_values:
         t_low, t_up = [], []
-        table = _table_for(law, n)
         for b, start in enumerate(range(0, plan.reps, BLOCK_SIZE)):
             block_len = min(BLOCK_SIZE, plan.reps - start)
-            s_min, s_max = _draw_sums(plan.seed, n, b, block_len, law, table)
+            s_min, s_max = _draw_sums(plan.seed, n, b, block_len, law)
             root = math.sqrt(n)
             t_low.append((s_min - n * mom.lower_mean) / (root * mom.lower_sd))
             t_up.append((s_max - n * mom.upper_mean) / (root * mom.upper_sd))
@@ -330,8 +364,8 @@ def test_runs_of_blocks_match_brute_force_reference():
     model = MODEL_REGISTRY["bernoulli"]()
     mom = moments_by_enumeration(model)
     plan = SimPlan(model, n_values=(16, 1024), reps=8 * BLOCK_SIZE + 37, seed=23)
-    assert _table_for(MinMaxLaw.from_model(model), 16) is not None
-    assert _table_for(MinMaxLaw.from_model(model), 1024) is None
+    assert _table_for(MinMaxLaw.from_model(model), 16, _vector_index) is not None
+    assert _table_for(MinMaxLaw.from_model(model), 1024, _vector_index) is None
     reference = _reference_estimate(plan, mom)
     for workers in (1, 2):
         sim = estimate_events(plan, mom, workers=workers)
@@ -395,11 +429,11 @@ class TestRepeatedHull:
         repeated = MinMaxLaw.from_model(_repeated_hull_model())
         merged = MinMaxLaw.from_model(_merged_hull_model())
         for n in (7, 5000):  # tabled and multinomial
-            for a, b in zip(_draw_sums(5, n, 0, 200, repeated, _table_for(repeated, n)),
-                            _draw_sums(5, n, 0, 200, merged, _table_for(merged, n))):
+            for a, b in zip(_draw_sums(5, n, 0, 200, repeated),
+                            _draw_sums(5, n, 0, 200, merged)):
                 assert np.array_equal(a, b)
         reps = 4000
-        s_min, s_max = _draw_sums(6, 1, 0, reps, repeated, _table_for(repeated, 1))
+        s_min, s_max = _draw_sums(6, 1, 0, reps, repeated)
         wide = np.mean((s_min == 0.0) & (s_max == 1.0))
         assert abs(wide - 0.55) < 4 * math.sqrt(0.55 * 0.45 / reps)
 
@@ -447,7 +481,7 @@ class TestCountTable:
                                          ("mixed", 64), ("coin", 20000)])
     def test_cumulative_ends_at_one(self, name, n):
         law = MinMaxLaw.from_model(MODEL_REGISTRY[name]())
-        table = _CountTable.build(law, n)
+        table = _CountTable.build(law, n, _vector_index)
         k = len(law.masses)
         assert len(table.cumulative) == math.comb(n + k - 1, k - 1)
         assert table.cumulative[-1] == 1.0
@@ -464,7 +498,7 @@ class TestCountTable:
         from scipy.stats import binom
 
         law = MinMaxLaw.from_model(MODEL_REGISTRY[name]())
-        table = _CountTable.build(law, n)
+        table = _CountTable.build(law, n, _vector_index)
         exact = binom.cdf(np.arange(n + 1), n, law.masses[0])
         assert np.abs(table.cumulative - exact).max() < 1e-11
 
@@ -473,15 +507,15 @@ class TestCountTable:
         law = MinMaxLaw.from_model(MODEL_REGISTRY["bernoulli"]())
         n, size = 16, 153
         monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", size)
-        table = _table_for(law, n)
-        assert table is not None
-        tabled = _CountTable.build(law, n).draw(_block_stream(3, n, 0), 500)
-        drawn = _draw_sums(3, n, 0, 500, law, table)
+        assert _table_for(law, n, _vector_index) is not None
+        index = _CountTable.build(law, n, _vector_index).draw(_block_stream(3, n, 0), 500)
+        tabled = [s[index] for s in _hull_sums(_count_vectors(n, 3), law)]
+        drawn = _draw_sums(3, n, 0, 500, law)
         assert all(np.array_equal(a, b) for a, b in zip(drawn, tabled))
         monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", size - 1)
-        assert _table_for(law, n) is None
+        assert _table_for(law, n, _vector_index) is None
         counts = _block_stream(3, n, 0).multinomial(n, law.masses, size=500)
-        drawn = _draw_sums(3, n, 0, 500, law, None)
+        drawn = _draw_sums(3, n, 0, 500, law)
         assert all(np.array_equal(a, b) for a, b in zip(drawn, _hull_sums(counts.T, law)))
 
     def test_two_paths_agree_in_law(self, monkeypatch):
@@ -496,27 +530,38 @@ class TestCountTable:
             se = math.sqrt(a.se**2 + b.se**2)
             assert abs(a.frequency - b.frequency) <= 5 * se + 1e-12, (a, b)
 
-    def test_table_sums_match_multiply_accumulate_bits(self):
-        law = MinMaxLaw.from_model(_non_dyadic_model())
+    def test_table_cells_match_multiply_accumulate_sums(self):
+        # the table's cells are the cell function of the pure-Python
+        # multiply-accumulate sums, normalized out of place; thresholds
+        # taken from those normalized sums put many entries on exact ties,
+        # where one ulp in a sum or in the normalization moves the cell
+        model = _non_dyadic_model()
+        law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
         assert len(law.masses) == 4
         for n in (1, 3, 10, 37):
-            table = _CountTable.build(law, n)
             vectors = _compositions(n, 4)
-            for sums, ends in ((table.s_min, law.mins.tolist()),
-                               (table.s_max, law.maxs.tolist())):
+            sums = []
+            for ends in (law.mins.tolist(), law.maxs.tolist()):
                 expected = []
                 for vector in vectors:
                     s = vector[0] * ends[0]
                     for c, e in zip(vector[1:], ends[1:]):
                         s += c * e
                     expected.append(s)
-                assert np.array_equal(sums.view(np.uint64),
-                                      np.array(expected).view(np.uint64))
+                sums.append(np.array(expected))
+            root = math.sqrt(n)
+            t_low = (sums[0] - n * mom.lower_mean) / (root * mom.lower_sd)
+            t_up = (sums[1] - n * mom.upper_mean) / (root * mom.upper_sd)
+            step = max(1, len(vectors) // 12)
+            alphas = t_low[::step].tolist() + t_up[::step].tolist()
+            events = _EventCells.build(alphas, list(zip(alphas, alphas[::-1])))
+            table = _CountTable.build(law, n, partial(_normalized_cells, events, mom, n))
+            assert table.cell.dtype == np.min_scalar_type(events.size - 1)
+            assert np.array_equal(table.cell, events.cells(t_low, t_up))
             # the multinomial path gets int64 counts; same bits
-            int_counts = np.array(vectors, dtype=np.int64)
-            s_min, s_max = _hull_sums(int_counts.T, law)
-            assert np.array_equal(s_min.view(np.uint64), table.s_min.view(np.uint64))
-            assert np.array_equal(s_max.view(np.uint64), table.s_max.view(np.uint64))
+            int_sums = _hull_sums(np.array(vectors, dtype=np.int64).T, law)
+            for got, want in zip(int_sums, sums):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestBlockKeys:
