@@ -12,13 +12,32 @@ is always totally monotone because it comes from a mass function.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .intervals import IntervalEvent
 
 MASS_SUM_TOL = 1e-12
+
+
+def as_real(name: str, value) -> float:
+    """``value`` as a float; a bool, a string or NaN is not a real number."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and value == value:
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    raise ValueError(f"{name} must be a real number, not NaN, got {value!r}")
+
+
+def as_real_pair(name: str, value) -> tuple[float, float]:
+    """``value`` as a pair of floats, each checked by :func:`as_real`."""
+    try:
+        a, b = value
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a pair [a, b], got {value!r}") from None
+    return as_real(name, a), as_real(name, b)
 
 
 @dataclass(frozen=True)
@@ -49,7 +68,7 @@ class FocalElement:
     @staticmethod
     def make(parts: Iterable[Sequence[float]]) -> "FocalElement":
         """Build a focal element, sorting parts and merging touching ones."""
-        norm = sorted((float(a), float(b)) for a, b in parts)
+        norm = sorted(as_real_pair("focal part", part) for part in parts)
         merged: list[tuple[float, float]] = []
         for a, b in norm:
             if merged and a <= merged[-1][1]:

@@ -24,6 +24,8 @@ from . import __version__
 from .errors import BeliefCltError
 from .gauss import bvn_cdf
 from .harness import (
+    MIN_FIT_POINTS,
+    RATE_SLOPE_WINDOW,
     ExperimentRow,
     VerificationReport,
     fit_rate,
@@ -46,21 +48,6 @@ from .montecarlo import estimate_events, resolve_workers
 
 log = logging.getLogger("beliefclt")
 
-_MOMENT_FIELDS = ("lower_mean", "upper_mean", "lower_sd", "upper_sd",
-                  "cross_moment", "rho_prime", "rho")
-
-
-def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the plan seed")
-    parser.add_argument("--reps", type=int, default=None,
-                        help="override the plan replication count")
-    parser.add_argument("--out-dir", default=".",
-                        help="directory for output files (default: .)")
-    parser.add_argument("--format", choices=("csv", "text"), default="csv",
-                        help="write CSV files or print tables to stdout")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beliefclt",
@@ -69,61 +56,62 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("moments", help="Choquet moments of a model, both routes")
-    p.add_argument("model", help="model file")
-    _common(p)
+    # option groups, each given only to the subcommands whose handler reads it
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("csv", "text"), default="csv", help="CSV or plain text")
+    out = argparse.ArgumentParser(add_help=False, parents=[fmt])
+    out.add_argument("--out-dir", default=".",
+                     help="directory for CSV files (default: .); "
+                          "--format text prints to stdout instead")
+    overrides = argparse.ArgumentParser(add_help=False, parents=[out])
+    overrides.add_argument("--seed", type=int, help="override the plan seed")
+    overrides.add_argument("--reps", type=int, help="override the plan replication count")
 
-    p = sub.add_parser("bvn", help="standard bivariate normal CDF P(X<=a, Y<=b)")
+    p = sub.add_parser("moments", parents=[fmt],
+                       help="Choquet moments of a model, both routes")
+    p.add_argument("model", help="model file")
+
+    p = sub.add_parser("bvn", parents=[fmt],
+                       help="standard bivariate normal CDF P(X<=a, Y<=b)")
     p.add_argument("a", type=float)
     p.add_argument("b", type=float)
     p.add_argument("rho", type=float)
-    _common(p)
 
-    p = sub.add_parser("simulate", help="run a simulation plan, write frequencies")
+    p = sub.add_parser("simulate", parents=[overrides],
+                       help="run a simulation plan, write frequencies")
     p.add_argument("plan", help="plan file")
-    _common(p)
 
     for name in ("verify-one-sided", "verify-two-sided"):
-        p = sub.add_parser(name, help=f"{name.replace('-', ' ')} limit check")
+        p = sub.add_parser(name, parents=[overrides],
+                           help=f"{name.replace('-', ' ')} limit check")
         p.add_argument("plan", help="plan file")
-        _common(p)
 
-    p = sub.add_parser("special-cases",
-                       help="closed-form checks: Bernoulli, additive, bound invariance")
-    _common(p)
+    sub.add_parser("special-cases", parents=[out],
+                   help="closed-form checks: Bernoulli, additive, bound invariance")
 
     p = sub.add_parser("rate-fit", help="fit the convergence rate of a report CSV")
     p.add_argument("report", help="report CSV produced by a verify subcommand")
-    _common(p)
     return parser
 
 
-def _log_config(args: argparse.Namespace, **extra) -> None:
-    fields = {"command": args.command, "out_dir": getattr(args, "out_dir", "."),
-              "format": getattr(args, "format", "csv"),
-              "workers": resolve_workers(), **extra}
+def _log_config(args: argparse.Namespace, **resolved) -> None:
+    """Log the subcommand's arguments, then the values resolved from them."""
+    fields = {**vars(args), **resolved}
     log.info("config: %s", " ".join(f"{k}={v}" for k, v in fields.items()))
 
 
-def _plan_with_overrides(args: argparse.Namespace):
-    plan = load_plan(args.plan)
-    changes = {}
-    if args.seed is not None:
-        changes["seed"] = args.seed
-    if args.reps is not None:
-        changes["reps"] = args.reps
-    if changes:
-        plan = dataclasses.replace(plan, **changes)
-    return plan
-
-
-def _plan_summary(plan) -> dict:
-    return {
-        "n_values": list(plan.n_values), "reps": plan.reps, "seed": plan.seed,
-        "alpha_one_sided": plan.alpha_one_sided,
-        "alpha_two_sided_pairs": len(plan.alpha_two_sided),
-        "slack": plan.slack, "run_id": plan.digest(),
-    }
+def _simulate(args: argparse.Namespace):
+    """(plan, moments, simulation) of the plan file with --seed and --reps
+    applied; logs the resolved plan."""
+    overrides = {"seed": args.seed, "reps": args.reps}
+    plan = dataclasses.replace(load_plan(args.plan),
+                               **{k: v for k, v in overrides.items() if v is not None})
+    _log_config(args, n_values=list(plan.n_values), reps=plan.reps, seed=plan.seed,
+                alpha_one_sided=plan.alpha_one_sided,
+                alpha_two_sided_pairs=len(plan.alpha_two_sided), slack=plan.slack,
+                run_id=plan.digest(), workers=resolve_workers())
+    moments = moments_by_enumeration(plan.model)
+    return plan, moments, estimate_events(plan, moments)
 
 
 def _write_or_print(args: argparse.Namespace, rows, schema, filename: str) -> None:
@@ -157,7 +145,7 @@ def _report_summary(report: VerificationReport) -> str:
             lines.append(
                 f"  rate fit: slope={r.slope:.4f} K_hat={r.k_hat:.4f} "
                 f"points={list(r.used_n)} "
-                f"{'within' if r.slope_in_window else 'OUTSIDE'} [-0.75, -0.25]"
+                f"{'within' if r.slope_in_window else 'OUTSIDE'} {list(RATE_SLOPE_WINDOW)}"
             )
     lines.append(f"  overall: {'PASS' if report.passed else 'FAIL'}")
     return "\n".join(lines)
@@ -165,7 +153,7 @@ def _report_summary(report: VerificationReport) -> str:
 
 def _cmd_moments(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    _log_config(args, model=args.model, focal=len(model.focal), bound=model.bound)
+    _log_config(args, focal=len(model.focal), bound=model.bound)
     enum = moments_by_enumeration(model, allow_degenerate=True)
     integ = moments_by_integration(model, allow_degenerate=True)
     de, di = enum.as_dict(), integ.as_dict()
@@ -177,20 +165,20 @@ def _cmd_moments(args: argparse.Namespace) -> int:
         return abs(a - b)
 
     if args.format == "csv":
-        rows = [(f, de[f], di[f], _delta(f)) for f in _MOMENT_FIELDS]
+        rows = [(f, de[f], di[f], _delta(f)) for f in de]
         sys.stdout.write(csv_text(
             rows, ("field", "enumeration", "integration", "abs_delta")))
     else:
-        for f in _MOMENT_FIELDS:
+        for f in de:
             print(f"{f:>12} = {de[f]:.17g}   (integration {di[f]:.17g}, "
                   f"delta {_delta(f):.3e})")
-    print(f"max route delta: {max(_delta(f) for f in _MOMENT_FIELDS):.3e}",
+    print(f"max route delta: {max(map(_delta, de)):.3e}",
           file=sys.stderr)
     return 0
 
 
 def _cmd_bvn(args: argparse.Namespace) -> int:
-    _log_config(args, a=args.a, b=args.b, rho=args.rho)
+    _log_config(args)
     value = bvn_cdf(args.a, args.b, args.rho)
     if args.format == "csv":
         sys.stdout.write(csv_text([(args.a, args.b, args.rho, value)],
@@ -201,23 +189,14 @@ def _cmd_bvn(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    plan = _plan_with_overrides(args)
-    _log_config(args, plan=args.plan, **_plan_summary(plan))
-    moments = moments_by_enumeration(plan.model)
-    sim = estimate_events(plan, moments)
+    _, _, sim = _simulate(args)
     _write_or_print(args, sim_rows(sim), SIM_SCHEMA, f"simulate_{sim.run_id}.csv")
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace, two_sided: bool) -> int:
-    plan = _plan_with_overrides(args)
-    _log_config(args, plan=args.plan, **_plan_summary(plan))
-    moments = moments_by_enumeration(plan.model)
-    sim = estimate_events(plan, moments)
-    if two_sided:
-        report = two_sided_report(sim, moments, plan)
-    else:
-        report = one_sided_report(sim, plan)
+    plan, moments, sim = _simulate(args)
+    report = two_sided_report(sim, moments, plan) if two_sided else one_sided_report(sim, plan)
     _write_or_print(args, report_rows(report), REPORT_SCHEMA,
                     f"report_{report.name}_{sim.run_id}.csv")
     print(_report_summary(report))
@@ -234,7 +213,7 @@ def _cmd_special_cases(args: argparse.Namespace) -> int:
 
 
 def _cmd_rate_fit(args: argparse.Namespace) -> int:
-    _log_config(args, report=args.report)
+    _log_config(args)
     rows = []
     with open(args.report, newline="") as fh:
         for rec in csv.DictReader(fh):
@@ -249,11 +228,11 @@ def _cmd_rate_fit(args: argparse.Namespace) -> int:
         print(f"n={n:>7}  max deviation = {dev:.6e}")
     if fit.insufficient_signal:
         print(f"insufficient signal: {len(fit.used_n)} points above the "
-              "noise floor, need 3")
+              f"noise floor, need {MIN_FIT_POINTS}")
         return 0
     print(f"slope = {fit.slope:.6f}  intercept = {fit.intercept:.6f}  "
           f"K_hat = {fit.k_hat:.6f}  points = {list(fit.used_n)}")
-    print(f"slope within [-0.75, -0.25]: {fit.slope_in_window}")
+    print(f"slope within {list(RATE_SLOPE_WINDOW)}: {fit.slope_in_window}")
     return 0 if fit.slope_in_window else 1
 
 

@@ -23,19 +23,20 @@ Plan file::
     keys    : model (path, resolved relative to the plan file),
               n_values, reps, seed, alpha_one_sided, alpha_two_sided, slack.
 
-Unknown keys are rejected.
+Unknown keys are rejected; ``SimPlan`` checks the values.
 """
 
 from __future__ import annotations
 
 import ast
 import csv
+import dataclasses
 import io
 import re
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .belief import BeliefModel, FocalElement, validate_model
+from .belief import BeliefModel, FocalElement, as_real, validate_model
 from .errors import ParseError, ValidationError
 from .montecarlo import SimPlan
 
@@ -45,8 +46,7 @@ _FOCAL_RE = re.compile(
     r"^\{\s*parts\s*=\s*(?P<parts>\[.*\])\s*,\s*mass\s*=\s*(?P<mass>[^,\s}]+)\s*\}$"
 )
 
-PLAN_KEYS = ("model", "n_values", "reps", "seed",
-             "alpha_one_sided", "alpha_two_sided", "slack")
+PLAN_KEYS = tuple(f.name for f in dataclasses.fields(SimPlan))
 
 
 def _logical_lines(text: str) -> Iterable[tuple[int, str]]:
@@ -79,18 +79,10 @@ def _parse_focal(value: str, path: str, lineno: int) -> tuple[FocalElement, floa
         )
     parts = _literal(match.group("parts"), path, lineno)
     mass = _literal(match.group("mass"), path, lineno)
-    if not isinstance(parts, list) or not parts or not all(
-        isinstance(p, (list, tuple)) and len(p) == 2 for p in parts
-    ):
-        raise ParseError("parts must be a non-empty list of [a, b] pairs",
-                         path, lineno)
-    if not isinstance(mass, (int, float)) or isinstance(mass, bool):
-        raise ParseError("mass must be a number", path, lineno)
     try:
-        focal = FocalElement.make([(float(a), float(b)) for a, b in parts])
+        return FocalElement.make(parts), as_real("mass", mass)
     except ValueError as exc:
         raise ParseError(str(exc), path, lineno) from exc
-    return focal, float(mass)
 
 
 def parse_model(text: str, path: str = "<string>") -> BeliefModel:
@@ -162,37 +154,18 @@ def parse_plan(text: str, path: str = "<string>",
             raise ParseError(f"duplicate key {key!r} (first on line {lines[key]})",
                              path, lineno)
         lines[key] = lineno
-        if key == "model":
-            seen[key] = value
-        else:
-            seen[key] = _literal(value, path, lineno)
+        seen[key] = value if key == "model" else _literal(value, path, lineno)
     if "model" not in seen:
         raise ParseError("plan must name a model file via 'model = <path>'", path)
     model_path = Path(seen["model"])
     if not model_path.is_absolute() and base_dir is not None:
         model_path = Path(base_dir) / model_path
-    model = load_model(model_path)
-
-    # keys the file leaves out take SimPlan's defaults; SimPlan turns the
-    # alpha grids into floats
-    fields = {key: value for key, value in seen.items() if key != "model"}
-    for key, is_item, what in (
-        ("n_values", lambda x: isinstance(x, int) and not isinstance(x, bool),
-         "a list of integers"),
-        ("alpha_one_sided", lambda a: True, "a list of numbers"),
-        ("alpha_two_sided", lambda p: isinstance(p, (list, tuple)) and len(p) == 2,
-         "a list of [a1, a2] pairs"),
-    ):
-        value = fields.get(key, ())
-        if not isinstance(value, (list, tuple)) or not all(map(is_item, value)):
-            raise ParseError(f"{key} must be {what}", path, lines.get(key))
-    for key, convert in (("n_values", tuple), ("reps", int), ("seed", int), ("slack", float)):
-        if key in fields:
-            fields[key] = convert(fields[key])
+    seen["model"] = load_model(model_path)
     try:
-        return SimPlan(model=model, **fields)
-    except ValueError as exc:
-        raise ParseError(str(exc), path) from exc
+        return SimPlan(**seen)
+    except (ValueError, TypeError) as exc:
+        # SimPlan's message starts with the field it rejects
+        raise ParseError(str(exc), path, lines.get(str(exc).split()[0])) from exc
 
 
 def load_plan(path: str | Path) -> SimPlan:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import os
 import warnings
 from collections.abc import Callable, Mapping, Sequence
@@ -35,7 +36,7 @@ from functools import partial
 
 import numpy as np
 
-from .belief import BeliefModel
+from .belief import BeliefModel, as_real, as_real_pair
 from .errors import DegenerateVariance
 from .moments import SIGMA_FLOOR, ChoquetMoments, MinMaxLaw
 
@@ -70,12 +71,35 @@ def resolve_workers(workers: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool, float or string is not an integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _items(name: str, value) -> tuple:
+    """The items of a sequence field."""
+    if isinstance(value, Mapping):
+        # one grid holds for every n; a mapping is not read as its keys
+        raise TypeError(f"{name} must be a sequence, not a mapping")
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a list, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SimPlan:
     """Experiment grid: sequence lengths, replications, seed, alpha grids.
 
-    One flat grid of one-sided alphas and one list of two-sided pairs hold
-    for every n; both are stored as tuples of floats, none of them NaN.
+    The one checker of plan values, from a plan file, a CLI override or a
+    library caller; nothing is truncated or parsed from a string.
+    ``n_values`` are strictly increasing positive ints, ``reps`` >= 1,
+    ``seed`` in [0, 2**64), ``slack`` a finite float >= 0, and the alphas
+    floats, not NaN.  One flat grid and one list of pairs hold for every n.
+    A bad value raises ValueError, a mapping grid TypeError; the message
+    starts with the field's name.
     """
 
     model: BeliefModel
@@ -87,26 +111,27 @@ class SimPlan:
     slack: float = 1.0
 
     def __post_init__(self):
-        if self.reps < 1:
+        n_values = tuple(_integer("n_values", n) for n in _items("n_values", self.n_values))
+        if not n_values or n_values[0] < 1 or any(a >= b for a, b in zip(n_values, n_values[1:])):
+            raise ValueError("n_values must be a non-empty, strictly increasing list of "
+                             f"positive integers, got {list(n_values)}")
+        reps, seed = _integer("reps", self.reps), _integer("seed", self.seed)
+        if reps < 1:
             raise ValueError("reps must be >= 1")
-        if not self.n_values:
-            raise ValueError("n_values must not be empty")
-        if any(n < 1 for n in self.n_values):
-            raise ValueError("n values must be positive")
-        if list(self.n_values) != sorted(set(self.n_values)):
-            raise ValueError("n values must be strictly increasing")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if isinstance(self.alpha_one_sided, Mapping) or isinstance(self.alpha_two_sided, Mapping):
-            raise TypeError("alpha grids are sequences that hold for every n, not mappings")
-        object.__setattr__(self, "alpha_one_sided",
-                           tuple(float(a) for a in self.alpha_one_sided))
-        object.__setattr__(self, "alpha_two_sided",
-                           tuple((float(a1), float(a2)) for a1, a2 in self.alpha_two_sided))
-        thresholds = self.alpha_one_sided + tuple(a for pair in self.alpha_two_sided for a in pair)
-        if any(map(math.isnan, thresholds)):
-            raise ValueError("alpha thresholds must not be NaN")
-        for a1, a2 in self.alpha_two_sided:
+        slack = as_real("slack", self.slack)
+        if not 0 <= slack < math.inf:
+            raise ValueError(f"slack must be finite and >= 0, got {slack!r}")
+        alphas = tuple(as_real("alpha_one_sided", a)
+                       for a in _items("alpha_one_sided", self.alpha_one_sided))
+        pairs = tuple(as_real_pair("alpha_two_sided", pair)
+                      for pair in _items("alpha_two_sided", self.alpha_two_sided))
+        for name, value in (("n_values", n_values), ("reps", reps), ("seed", seed),
+                            ("slack", slack), ("alpha_one_sided", alphas),
+                            ("alpha_two_sided", pairs)):
+            object.__setattr__(self, name, value)
+        for a1, a2 in pairs:
             if a1 > a2:
                 warnings.warn(
                     f"two-sided pair ({a1}, {a2}) has alpha1 > alpha2; "
@@ -405,6 +430,8 @@ def estimate_events(
     cuts = [p * n_blocks // parts for p in range(parts + 1)]
     runs = [(n, range(lo, hi)) for n in plan.n_values for lo, hi in zip(cuts, cuts[1:])]
 
+    # a pool starts all its workers at once, so it gets no more than runs
+    workers = min(workers, len(runs))
     if workers == 1:
         partials = map(tally, runs)
     else:

@@ -38,6 +38,14 @@ class TestFocalElement:
             FocalElement.make([(1, 0)])
         with pytest.raises(ValueError):
             FocalElement.make([(0, math.inf)])
+        with pytest.raises(ValueError, match="real number"):
+            FocalElement.make([([0], 1)])
+        with pytest.raises(ValueError, match="pair"):
+            FocalElement.make([(0, 1, 2)])
+        with pytest.raises(ValueError, match="real number"):
+            FocalElement.make([("0", "1")])
+        with pytest.raises(ValueError, match="real number"):
+            FocalElement.make([(False, True)])
 
     def test_containment_needs_single_piece_cover(self):
         f = FocalElement.make([(0, 1), (2, 3)])

@@ -1,9 +1,12 @@
+import argparse
 import csv
+import math
 
 import pytest
 
-from beliefclt import save_model, save_plan, SimPlan, bernoulli_model
-from beliefclt.cli import main
+from beliefclt import cli, save_model, save_plan, SimPlan, bernoulli_model
+from beliefclt.cli import build_parser, main
+from beliefclt.modelio import REPORT_SCHEMA, emit_csv
 
 BERN = bernoulli_model(0.3, 0.7)
 
@@ -61,6 +64,12 @@ class TestBvn:
         assert main(["bvn", "1", "-1", "0.25"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "a,b,rho,value"
+
+    def test_option_it_does_not_read_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bvn", "0", "0", "0.5", "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
     def test_bad_correlation_exit_code(self, capsys):
         assert main(["bvn", "0", "0", "1.5"]) == 2
@@ -147,11 +156,16 @@ class TestVerify:
         assert "overall: FAIL" in out
 
     def test_empty_n_values_exit_code(self, model_file, tmp_path, capsys):
-        plan = tmp_path / "empty.plan"
-        plan.write_text(f"model = {model_file.name}\nn_values = []\n")
-        assert main(["verify-two-sided", str(plan), "--out-dir", str(tmp_path)]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and "n_values" in err[0]
+        # a bad plan value is one error line naming the key, not a traceback
+        for line in ("n_values = []", "reps = [1]"):
+            plan = tmp_path / "bad.plan"
+            plan.write_text(f"model = {model_file.name}\n{line}\n")
+            assert main(["verify-two-sided", str(plan), "--out-dir", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            err = err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("error:")
+            assert line.split()[0] in err[0]
 
 
 class TestSpecialCasesAndRateFit:
@@ -164,8 +178,6 @@ class TestSpecialCasesAndRateFit:
 
     def test_rate_fit_reads_report(self, tmp_path, capsys):
         # synthetic two-sided report with an exact 1/sqrt(n) deviation
-        import math
-        from beliefclt.modelio import REPORT_SCHEMA, emit_csv
         rows = [("two_sided", n, -1.0, 1.0, 0.5, 0.5 + 2.0 / math.sqrt(n),
                  2.0 / math.sqrt(n), 1e-9, True) for n in (16, 64, 256, 1024)]
         emit_csv(rows, REPORT_SCHEMA, tmp_path / "rep.csv")
@@ -176,10 +188,59 @@ class TestSpecialCasesAndRateFit:
         assert "K_hat = 2.0" in out
 
     def test_rate_fit_insufficient_signal(self, tmp_path, capsys):
-        from beliefclt.modelio import REPORT_SCHEMA, emit_csv
         rows = [("two_sided", n, -1.0, 1.0, 0.5, 0.5001, 0.0001, 0.01, True)
                 for n in (16, 64, 256)]
         emit_csv(rows, REPORT_SCHEMA, tmp_path / "rep.csv")
         code = main(["rate-fit", str(tmp_path / "rep.csv")])
         assert code == 0
         assert "insufficient signal" in capsys.readouterr().out
+
+
+def test_every_handler_reads_every_argument_it_defines(model_file, plan_file, tmp_path,
+                                                       monkeypatch):
+    """Each subcommand defines only what its handler reads: an option no one
+    reads would be accepted and then silently ignored."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    defined = {name: {a.dest for a in p._actions if a.dest != "help"}
+               for name, p in sub.choices.items()}
+    emit_csv([("two_sided", n, -1.0, 1.0, 0.5, 0.5 + 2.0 / math.sqrt(n),
+               2.0 / math.sqrt(n), 1e-9, True) for n in (16, 64, 256, 1024)],
+             REPORT_SCHEMA, tmp_path / "rep.csv")
+    argv = {
+        "moments": [str(model_file)],
+        "bvn": ["0", "0", "0.5"],
+        "simulate": [str(plan_file)],
+        "verify-one-sided": [str(plan_file)],
+        "verify-two-sided": [str(plan_file)],
+        "special-cases": [],
+        "rate-fit": [str(tmp_path / "rep.csv")],
+    }
+    assert set(argv) == set(defined)
+
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    parser = build_parser()
+    parse = parser.parse_args
+
+    def parse_recording(args):
+        namespace = parse(args, namespace=Recording())
+        reads.clear()  # argparse's own reads
+        return namespace
+
+    monkeypatch.setattr(parser, "parse_args", parse_recording)
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    # the config line logs every argument; that is not a use of it
+    monkeypatch.setattr(cli, "_log_config", lambda args, **resolved: None)
+    monkeypatch.chdir(tmp_path)
+    unread = {}
+    for command, rest in argv.items():
+        assert main([command, *rest]) in (0, 1), command
+        unread[command] = defined[command] - reads
+        reads.clear()
+    assert unread == {command: set() for command in argv}

@@ -73,6 +73,8 @@ class TestParseModel:
         ("M = 1.0\nfocal = { parts = [[0, 1]] }\n", 2),
         ("M = 1.0\nfocal = { parts = [], mass = 1.0 }\n", 2),
         ("M = 1.0\nfocal = { parts = [[0, 1, 2]], mass = 1.0 }\n", 2),
+        ("M = 1.0\nfocal = { parts = [[[0], 1]], mass = 1.0 }\n", 2),
+        ("M = 1.0\nfocal = { parts = [[\"0\", \"1\"]], mass = 1.0 }\n", 2),
         ("M = 1.0\nM = 2.0\n", 2),
         ("M = oops\n", 1),
         ("weight = 1\n", 1),
@@ -159,13 +161,25 @@ class TestParsePlan:
             parse_plan("reps = 10\n")
 
     def test_invalid_n_values_rejected(self, tmp_path, bernoulli):
+        # every plan value is checked by SimPlan; nothing is truncated or
+        # parsed from text, and the error names the key
         save_model(bernoulli, tmp_path / "m.model")
-        with pytest.raises(ParseError):
-            parse_plan("model = m.model\nn_values = [64, 16]\n", base_dir=tmp_path)
-        with pytest.raises(ParseError):
-            parse_plan("model = m.model\nn_values = [1.5]\n", base_dir=tmp_path)
-        with pytest.raises(ParseError):
-            parse_plan("model = m.model\nn_values = []\n", base_dir=tmp_path)
+        table = [
+            "n_values = [64, 16]", "n_values = [1.5]", "n_values = []",
+            "n_values = [16.0]", "reps = [1]", "reps = 2.5", "reps = True",
+            "seed = 1.9", 'seed = "7"', "slack = -1", "slack = 1e999",
+            "alpha_one_sided = [[1]]", 'alpha_one_sided = ["1"]',
+            "alpha_one_sided = {1: 2}", "alpha_two_sided = [[1, 2, 3]]",
+        ]
+
+        def rejected(line):
+            try:
+                parse_plan(f"model = m.model\n{line}\n", base_dir=tmp_path)
+            except ParseError as exc:
+                return line.split()[0] in str(exc) and exc.line == 2
+            return False
+
+        assert [line for line in table if not rejected(line)] == []
 
 
 class TestCsv:

@@ -150,6 +150,36 @@ class TestPlanValidation:
             with pytest.raises(ValueError, match="NaN"):
                 SimPlan(bernoulli, **grids)
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_values", (16.5,)), ("n_values", (16.0,)), ("n_values", (True, 2)),
+        ("n_values", ("16",)), ("n_values", ()), ("n_values", (0, 4)),
+        ("reps", 2.5), ("reps", True), ("reps", [1]), ("reps", "10"),
+        ("seed", 1.5), ("seed", "7"), ("seed", -1),
+        ("slack", math.nan), ("slack", -1.0), ("slack", math.inf), ("slack", "1"),
+        ("alpha_one_sided", ("1",)), ("alpha_one_sided", (True,)), ("alpha_one_sided", ([1],)),
+        ("alpha_one_sided", 5), ("alpha_two_sided", ((1.0, 2.0, 3.0),)),
+        ("alpha_two_sided", ((1.0,),)), ("alpha_two_sided", (1.0,)),
+        ("alpha_two_sided", (("0", 1.0),)),
+    ])
+    def test_rejects_bad_values_naming_the_field(self, bernoulli, field, value):
+        # nothing is truncated or parsed from a string
+        with pytest.raises(ValueError, match=f"^{field}"):
+            SimPlan(bernoulli, **{field: value})
+
+    def test_stores_plain_ints_and_floats(self, bernoulli):
+        plan = SimPlan(bernoulli, n_values=np.array([16, 64]), reps=np.int64(5),
+                       seed=np.uint64(2**64 - 1), slack=1, alpha_one_sided=[0, np.float32(0.5)],
+                       alpha_two_sided=[[-1, 1e999]])
+        assert plan.n_values == (16, 64) and plan.alpha_two_sided == ((-1.0, math.inf),)
+        assert {type(v) for v in (*plan.n_values, plan.reps, plan.seed)} == {int}
+        assert {type(v) for v in (plan.slack, *plan.alpha_one_sided)} == {float}
+
+    def test_digest_ignores_the_container_type(self, bernoulli):
+        digests = {SimPlan(bernoulli, n_values=n, alpha_one_sided=a).digest()
+                   for n in ([16, 64], (16, 64), np.array([16, 64]), (np.int32(16), np.int64(64)))
+                   for a in ([0, 1], (0.0, 1.0), np.array([0.0, 1.0]))}
+        assert len(digests) == 1
+
     def test_default_pairs_ordered(self):
         assert all(a1 <= a2 for a1, a2 in default_alpha_pairs())
         assert len(default_alpha_pairs()) == 28
@@ -250,6 +280,30 @@ class TestEstimateEvents:
                 row.kind, row.alpha1, row.frequency, exact)
             assert abs((1.0 - row.frequency)
                        - plausibility(bernoulli, event.complement())) <= tol
+
+
+def test_pool_is_sized_by_its_runs(monkeypatch, bern_plan):
+    """A pool starts all its workers at once, so it gets no more workers than
+    runs, and none at all for one run."""
+    created = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    mom = moments_by_enumeration(bern_plan.model)
+    two_n = SimPlan(bern_plan.model, n_values=(16, 64), reps=BLOCK_SIZE, seed=5)
+    assert estimate_events(two_n, mom, workers=8) == estimate_events(two_n, mom, workers=1)
+    assert created == [2]
+    estimate_events(SimPlan(bern_plan.model, n_values=(16,), reps=BLOCK_SIZE), mom, workers=8)
+    assert created == [2]
 
 
 def test_resolve_workers_env(monkeypatch):
