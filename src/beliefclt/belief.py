@@ -104,7 +104,9 @@ class BeliefModel:
 
     @staticmethod
     def make(focal: Iterable[tuple[FocalElement, float]], bound: float) -> "BeliefModel":
-        return BeliefModel(tuple((f, float(m)) for f, m in focal), float(bound))
+        """A model with each mass and the bound checked by :func:`as_real`."""
+        return BeliefModel(tuple((f, as_real("mass", m)) for f, m in focal),
+                           as_real("bound", bound))
 
     def normalized(self) -> "BeliefModel":
         """Rescale masses to sum to exactly one (done once at model load).

@@ -67,7 +67,8 @@ class MinMaxLaw:
     Everything the limit theorems, and so the moment routes and the
     simulator, need from a model.  Focal elements sharing a (min, max) hull
     are merged: ``mins``/``maxs`` hold the distinct pairs in order of first
-    occurrence in ``model.focal`` and ``masses`` their summed masses.
+    occurrence in ``model.focal`` and ``masses`` their summed masses.  A
+    focal element of mass zero carries no probability and gets no hull.
     """
 
     mins: np.ndarray
@@ -76,17 +77,19 @@ class MinMaxLaw:
 
     @classmethod
     def from_model(cls, model: BeliefModel) -> "MinMaxLaw":
-        if not model.focal:
-            raise ValueError("model has no focal elements")
         merged: dict[tuple[float, float], list[float]] = {}
         for f, m in model.focal:
-            merged.setdefault((f.min, f.max), []).append(m)
+            if m != 0.0:
+                merged.setdefault((f.min, f.max), []).append(m)
+        if not merged:
+            raise ValueError("model has no focal elements of nonzero mass")
         mins, maxs = zip(*merged)
         masses = [math.fsum(ms) for ms in merged.values()]
         return cls(*(np.array(v, dtype=float) for v in (mins, maxs, masses)))
 
 
 def _finalize(
+    law: MinMaxLaw,
     lower_mean: float,
     upper_mean: float,
     var_low: float,
@@ -95,10 +98,19 @@ def _finalize(
     rho_prime: float,
     allow_degenerate: bool,
 ) -> ChoquetMoments:
+    """The moments, with rho exactly +-1 where the law has two hulls: Z and
+    Zbar then take two values each, so one is an affine function of the
+    other, and the computed ratio can round past 1."""
     sd_low = math.sqrt(max(var_low, 0.0))
     sd_up = math.sqrt(max(var_up, 0.0))
     degenerate = sd_low < SIGMA_FLOOR or sd_up < SIGMA_FLOOR
-    rho = math.nan if degenerate else (cross - lower_mean * upper_mean) / (sd_low * sd_up)
+    cov = cross - lower_mean * upper_mean
+    if degenerate:
+        rho = math.nan
+    elif len(law.masses) == 2:
+        rho = math.copysign(1.0, cov)
+    else:
+        rho = cov / (sd_low * sd_up)
     moments = ChoquetMoments(lower_mean, upper_mean, sd_low, sd_up, cross, rho_prime, rho)
     if degenerate and not allow_degenerate:
         raise DegenerateVariance(
@@ -123,7 +135,8 @@ def moments_by_enumeration(model: BeliefModel, allow_degenerate: bool = False) -
     cross = math.fsum(m * lo * hi for m, lo, hi in hulls)
     big_m = model.bound
     rho_prime = big_m**2 - big_m * upper_mean + big_m * lower_mean - cross
-    return _finalize(lower_mean, upper_mean, var_low, var_up, cross, rho_prime, allow_degenerate)
+    return _finalize(law, lower_mean, upper_mean, var_low, var_up, cross, rho_prime,
+                     allow_degenerate)
 
 
 # -- integration route -------------------------------------------------------
@@ -199,7 +212,8 @@ def moments_by_integration(model: BeliefModel, allow_degenerate: bool = False) -
     var_low = raw2_low - lower_mean**2
     var_up = raw2_up - upper_mean**2
     cross = big_m**2 - big_m * upper_mean + big_m * lower_mean - rho_prime
-    return _finalize(lower_mean, upper_mean, var_low, var_up, cross, rho_prime, allow_degenerate)
+    return _finalize(law, lower_mean, upper_mean, var_low, var_up, cross, rho_prime,
+                     allow_degenerate)
 
 
 def rho_M_invariance(model: BeliefModel, m2: float) -> tuple[float, float]:

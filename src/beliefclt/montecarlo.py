@@ -18,8 +18,10 @@ given (seed, plan) at any worker count.  A block draws the hull counts of
 its trials, which carry the same joint law of (S_min, S_max) as
 coordinate-by-coordinate sampling: by inversion from a table of every
 count vector when there are at most ``TABLE_MAX_VECTORS`` of them, else
-by numpy's multinomial.  Each trial reduces to one event cell, and a
-block to one histogram of cells.
+by a binary tree of binomial splits over the hulls whose root split is
+drawn by inversion from a window of its binomial cdf (``_SplitTree``).
+Each trial reduces to one event cell, and a block to one histogram of
+cells.
 """
 
 from __future__ import annotations
@@ -62,13 +64,21 @@ def default_alpha_pairs(grid: Sequence[float] = DEFAULT_ALPHA_GRID) -> tuple[tup
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Explicit argument, else the BELIEFCLT_WORKERS variable, else cpu count."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """Explicit argument, else the BELIEFCLT_WORKERS variable, else cpu count.
+
+    Either must be a positive integer, or ValueError names it.
+    """
+    if workers is None:
+        env = os.environ.get(WORKERS_ENV)
+        if not env:
+            return os.cpu_count() or 1
+        if not (env.isascii() and env.isdecimal()) or int(env) < 1:
+            raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {env!r}")
+        return int(env)
+    workers = _integer("workers", workers)
+    if workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers}")
+    return workers
 
 
 def _integer(name: str, value) -> int:
@@ -250,6 +260,17 @@ def _multinomial_pmf(columns: Sequence[np.ndarray], masses: np.ndarray, n: int) 
     return np.exp(log_p, out=log_p)
 
 
+def _invert(rng: np.random.Generator, cumulative: np.ndarray, size: int) -> np.ndarray:
+    """Indices into ``cumulative`` of ``size`` draws by inversion, ascending.
+
+    Sorting the uniforms keeps the lookups local; the rows of a block are
+    exchangeable, since only their histogram is kept.
+    """
+    u = rng.random(size)
+    u.sort()
+    return np.searchsorted(cumulative, u, side="right")
+
+
 @dataclass(frozen=True, eq=False)
 class _CountTable:
     """Every hull-count vector of one (law, n), for sampling by inversion.
@@ -271,38 +292,102 @@ class _CountTable:
         return cls(cumulative, cell_of(*_hull_sums(columns, law)))
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Event cells of ``size`` trials, in table order.
-
-        Sorting the uniforms keeps the lookups local; the rows of a block
-        are exchangeable, since only their histogram is kept.
-        """
-        u = rng.random(size)
-        u.sort()
-        return self.cell[np.searchsorted(self.cumulative, u, side="right")]
+        """Event cells of ``size`` trials, in table order."""
+        return self.cell[_invert(rng, self.cumulative, size)]
 
 
-def _table_for(law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray]) -> _CountTable | None:
+def _binomial_window(n: int, p: float, q: float) -> tuple[int, np.ndarray] | None:
+    """(lo, cumulative): the Bin(n, p) cdf at lo, lo + 1, ..., hi, q = 1 - p;
+    None where that window has more than ``TABLE_MAX_VECTORS`` entries.
+
+    The window is the mode +- (10 sd + 32), cut to [0, n]; by Bernstein's
+    inequality each side of it holds less than exp(-46) of the mass.  The
+    pmf relative to the mode follows from the ratio recurrence
+    pmf(k + 1) / pmf(k) = (n - k) / (k + 1) * p / q, and the running sums
+    are divided by their total so that they end in exactly 1.0.
+    """
+    mode = min(n, math.floor((n + 1) * p))
+    half = math.ceil(10.0 * math.sqrt(n * p * q)) + 32
+    lo, hi = max(0, mode - half), min(n, mode + half)
+    if hi - lo >= TABLE_MAX_VECTORS:
+        return None
+    down = np.arange(mode, lo, -1, dtype=float)
+    up = np.arange(mode, hi, dtype=float)
+    pmf = np.concatenate([
+        np.cumprod(down / (n + 1 - down) * (q / p))[::-1] if lo < mode else [],
+        [1.0],
+        np.cumprod((n - up) / (up + 1) * (p / q)) if mode < hi else [],
+    ])
+    cumulative = np.cumsum(pmf, out=pmf)
+    cumulative /= cumulative[-1]
+    return lo, cumulative
+
+
+def _shares(masses: np.ndarray, lo: int, hi: int) -> tuple[float, float]:
+    """The shares of hulls [lo, mid) and [mid, hi) in the mass of [lo, hi),
+    mid = (lo + hi) // 2."""
+    mid = (lo + hi) // 2
+    left, right = math.fsum(masses[lo:mid]), math.fsum(masses[mid:hi])
+    return left / (left + right), right / (left + right)
+
+
+@dataclass(frozen=True, eq=False)
+class _SplitTree:
+    """Hull counts of one (law, n) by a binary tree of binomial splits.
+
+    A node splits its count of hulls [lo, hi) into [lo, mid) and [mid, hi),
+    mid = (lo + hi) // 2; the left count is binomial with the left share
+    of the node's mass (Devroye 1986, ch. XI), and the leaves give the
+    columns in hull order.  The root's left count is drawn by inversion of
+    ``root``, the (lo, cumulative) of ``_binomial_window``, and sorted with
+    the block's uniforms, so numpy reuses its binomial setup across equal
+    counts at the second level.  Every other split, and the root where
+    ``root`` is None, takes ``rng.binomial``, depth first and left before
+    right.
+    """
+
+    law: MinMaxLaw
+    n: int
+    root: tuple[int, np.ndarray] | None
+    cell_of: Callable[..., np.ndarray]
+
+    @classmethod
+    def build(cls, law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray]) -> "_SplitTree":
+        root = _binomial_window(n, *_shares(law.masses, 0, len(law.masses)))
+        return cls(law, n, root, cell_of)
+
+    def counts(self, rng: np.random.Generator, size: int) -> list[np.ndarray]:
+        """Hull counts of ``size`` trials, one int64 column per hull."""
+        k = len(self.law.masses)
+        columns: list[np.ndarray] = [None] * k
+        pending = [(0, k, np.full(size, self.n, dtype=np.int64))]
+        while pending:
+            lo, hi, count = pending.pop()
+            if hi - lo == 1:
+                columns[lo] = count
+                continue
+            if hi - lo == k and self.root is not None:
+                left = _invert(rng, self.root[1], size) + self.root[0]
+            else:
+                left = rng.binomial(count, _shares(self.law.masses, lo, hi)[0])
+            count -= left
+            mid = (lo + hi) // 2
+            pending += [(mid, hi, count), (lo, mid, left)]
+        return columns
+
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Event cells of ``size`` trials."""
+        return self.cell_of(*_hull_sums(self.counts(rng, size), self.law))
+
+
+def _table_for(law: MinMaxLaw, n: int,
+               cell_of: Callable[..., np.ndarray]) -> _CountTable | _SplitTree:
     """The count table of (law, n) where it has at most
-    ``TABLE_MAX_VECTORS`` count vectors, else None: draw by multinomial."""
+    ``TABLE_MAX_VECTORS`` count vectors, else the split tree."""
     k = len(law.masses)
     if math.comb(n + k - 1, k - 1) <= TABLE_MAX_VECTORS:
         return _CountTable.build(law, n, cell_of)
-    return None
-
-
-def _draw_cells(seed: int, n: int, block_index: int, block_len: int, law: MinMaxLaw,
-                table: _CountTable | None, cell_of: Callable[..., np.ndarray]) -> np.ndarray:
-    """Event cells of the trials of one block, in no fixed row order.
-
-    A gather from ``table``, the one ``_table_for(law, n, cell_of)`` gives,
-    or ``cell_of`` of the hull sums of numpy's multinomial counts where
-    that is None.
-    """
-    rng = _block_stream(seed, n, block_index)
-    if table is not None:
-        return table.draw(rng, block_len)
-    counts = rng.multinomial(n, law.masses, size=block_len)
-    return cell_of(*_hull_sums(counts.T, law))
+    return _SplitTree.build(law, n, cell_of)
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,8 +470,8 @@ def _tally_run(seed: int, reps: int, law: MinMaxLaw, moments: ChoquetMoments,
                events: _EventCells, run: tuple[int, range]) -> tuple[int, np.ndarray]:
     """(n, cell histogram) of a run of consecutive blocks of one n.
 
-    The run builds the count table of (law, n), if any, and drops it on
-    return, so no table outlives the draws it serves.
+    The run builds the count table or split tree of (law, n) and drops it
+    on return, so no table outlives the draws it serves.
     """
     n, blocks = run
     cell_of = partial(_normalized_cells, events, moments, n)
@@ -394,7 +479,7 @@ def _tally_run(seed: int, reps: int, law: MinMaxLaw, moments: ChoquetMoments,
     histogram = np.zeros(events.size, dtype=np.intp)
     for b in blocks:
         block_len = min(BLOCK_SIZE, reps - b * BLOCK_SIZE)
-        histogram += np.bincount(_draw_cells(seed, n, b, block_len, law, table, cell_of),
+        histogram += np.bincount(table.draw(_block_stream(seed, n, b), block_len),
                                  minlength=events.size)
     return n, histogram
 

@@ -84,6 +84,12 @@ class TestValidation:
         codes = [v.code for v in validate_model(m)]
         assert codes == ["BoundViolation"]
 
+    @pytest.mark.parametrize("mass, bound", [("1", 2.0), (1.0, "2"), (True, 2.0),
+                                             (math.nan, 2.0), (1.0, None)])
+    def test_make_rejects_non_real_mass_or_bound(self, mass, bound):
+        with pytest.raises(ValueError, match="mass|bound"):
+            BeliefModel.make([(FocalElement.make([(0, 1)]), mass)], bound)
+
     def test_empty_model(self):
         codes = [v.code for v in validate_model(BeliefModel((), 1.0))]
         assert codes == ["EmptyModel"]

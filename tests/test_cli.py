@@ -167,6 +167,16 @@ class TestVerify:
             assert len(err) == 1 and err[0].startswith("error:")
             assert line.split()[0] in err[0]
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-4", "2.5", " 2"])
+    def test_bad_workers_variable_exit_code(self, plan_file, tmp_path, capsys,
+                                            monkeypatch, value):
+        monkeypatch.setenv("BELIEFCLT_WORKERS", value)
+        assert main(["simulate", str(plan_file), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        err = err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: BELIEFCLT_WORKERS")
+
 
 class TestSpecialCasesAndRateFit:
     def test_special_cases_pass(self, tmp_path, capsys):

@@ -7,9 +7,12 @@ count vectors the block draws them by inversion from a table of every
 vector (sorted uniforms, one ``searchsorted``) instead of numpy's
 multinomial.  Every n of this plan is tabled for every registry model, so
 ``MULTINOMIAL_SHA256`` pins two (model, n) whose laws are too large for a
-table and take numpy's multinomial.  All were recorded only after the
-table's pmf, size rule and two-path law tests passed; the tally and the
-``>=`` / ``<`` / ``<=`` operators did not change.  The plan runs two blocks per n (the second one partial) on a
+table.  Those two were re-recorded once more when the untabled draw
+moved from numpy's multinomial to the binomial split tree, after the
+tree's root cdf, replay and law tests passed.  All were recorded only
+after the table's pmf, size rule and two-path law tests passed; the tally
+and the ``>=`` / ``<`` / ``<=`` operators did not change.  The plan runs
+two blocks per n (the second one partial) on a
 dense 0.25 alpha grid; ``coin`` and ``two_interval`` put T_low and T_up on
 a 0.5 lattice at n = 4 and 16, so many trials land exactly on a grid
 threshold and the operators decide them.
@@ -34,10 +37,10 @@ GOLDEN_SHA256 = {
     "mixed": "6a5b8fd79d6c0b2c405dd0ea1e422c93b5a26c5fa2ea600c03d15c0fcc12e299",
 }
 
-# (model, n) drawn by numpy's multinomial: 525825 and 2862209 count vectors
+# (model, n) drawn by the split tree: 525825 and 2862209 count vectors
 MULTINOMIAL_SHA256 = {
-    ("bernoulli", 1024): "c70c8a793cc96f84e02d2d49eff452513b91fbdd3695eeb13165994c9ad960c1",
-    ("mixed", 256): "6b4abd01dfacb1ed6dd0110207d0258014771846d00082e99ab53c61263cbcb8",
+    ("bernoulli", 1024): "d75cda6e2070297200d8df180aec5e1c4fc22f8168a82caa1aa98d86c0c7cf98",
+    ("mixed", 256): "c3138963c9dd00fba25657d653f5af0efd72f5819801807a2d8e30ac071b6d1a",
 }
 
 # n = 16 one-sided counts along DENSE_GRID, spelled out for readable diffs

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from beliefclt import (
@@ -11,10 +13,12 @@ from beliefclt import (
     FocalElement,
     IntervalEvent,
     belief,
+    bvn_cdf,
     moments_by_enumeration,
     moments_by_integration,
     plausibility,
     rho_M_invariance,
+    two_sided_limit,
 )
 from beliefclt.moments import MinMaxLaw, _interval_belief_grid
 
@@ -253,3 +257,42 @@ class TestMInvariance:
     def test_bad_bound_rejected(self, bernoulli):
         with pytest.raises(ValueError):
             rho_M_invariance(bernoulli, 0.5)
+
+
+# the two hulls as positions in four sorted endpoints: crossing, disjoint,
+# nested (rho = -1) and two points
+_HULL_SHAPES = (((0, 2), (1, 3)), ((0, 1), (2, 3)), ((0, 3), (1, 2)), ((0, 0), (1, 1)))
+
+
+@st.composite
+def two_hull_models(draw):
+    """Models whose focal elements share two (min, max) hulls with distinct
+    minima and distinct maxima; a hull's later focal elements cut a gap
+    out of it.  Endpoints are off the dyadic grid, so sums round."""
+    ends = sorted(i / 8 + 1 / 3 for i in draw(
+        st.lists(st.integers(-40, 40), min_size=4, max_size=4, unique=True)))
+    hulls = [(ends[a], ends[b]) for a, b in draw(st.sampled_from(_HULL_SHAPES))]
+    focal = []
+    for lo, hi in hulls:
+        focal.append(FocalElement.make([(lo, hi)]))
+        for cut in draw(st.lists(st.floats(0.05, 0.45), max_size=2)):
+            if hi > lo:
+                gap = (lo + cut * (hi - lo), hi - cut * (hi - lo))
+                focal.append(FocalElement.make([(lo, gap[0]), (gap[1], hi)]))
+    masses = draw(st.lists(st.floats(0.01, 1.0), min_size=len(focal), max_size=len(focal)))
+    bound = max(abs(x) for h in hulls for x in h) + draw(st.floats(0.0, 2.0))
+    return BeliefModel.make(zip(focal, masses), bound).normalized()
+
+
+@given(two_hull_models())
+@settings(max_examples=200, deadline=None)
+def test_two_hull_rho_is_exactly_plus_or_minus_one(model):
+    law = MinMaxLaw.from_model(model)
+    assert len(law.masses) == 2
+    sign = math.copysign(1.0, (law.mins[1] - law.mins[0]) * (law.maxs[1] - law.maxs[0]))
+    for route in (moments_by_enumeration, moments_by_integration):
+        rho = route(model).rho
+        assert rho == sign, route.__name__
+        for a1, a2 in ((-1.0, 1.0), (0.0, 0.0), (0.5, 2.0)):
+            assert 0.0 <= two_sided_limit(a1, a2, rho) <= 1.0
+            assert 0.0 <= bvn_cdf(a1, a2, rho) <= 1.0

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
@@ -29,12 +30,13 @@ from beliefclt.montecarlo import (
     TWO_SIDED,
     _block_stream,
     _count_vectors,
+    _binomial_window,
     _CountTable,
-    _draw_cells,
     _EventCells,
     _hull_sums,
     _multinomial_pmf,
     _normalized_cells,
+    _SplitTree,
     _table_for,
     default_alpha_pairs,
     resolve_workers,
@@ -55,11 +57,43 @@ def _draw_sums(seed, n, block_index, size, law):
     """(S_min, S_max) of one block's trials, drawn as the estimator draws
     them but through cell functions that keep the hull sums."""
     table = _table_for(law, n, _vector_index)
-    if table is None:
-        return tuple(_draw_cells(seed, n, block_index, size, law, None, _keep_sums))
+    rng = _block_stream(seed, n, block_index)
+    if isinstance(table, _SplitTree):
+        return tuple(replace(table, cell_of=_keep_sums).draw(rng, size))
     s_min, s_max = _hull_sums(_count_vectors(n, len(law.masses)), law)
-    index = _draw_cells(seed, n, block_index, size, law, table, None)
+    index = table.draw(rng, size)
     return s_min[index], s_max[index]
+
+
+def _replay_tree(seed, n, block_index, size, law, tabled_root):
+    """Hull counts of one block by the split tree, replayed from its
+    definition: node [lo, hi) splits at (lo + hi) // 2 with the left share
+    of its mass, depth first and left before right; the root's left count
+    is either the inverse of scipy's binomial cdf at the block's sorted
+    uniforms or one rng.binomial like every other split."""
+    from scipy.stats import binom
+
+    rng = _block_stream(seed, n, block_index)
+    masses = law.masses.tolist()
+    columns = {}
+
+    def split(lo, hi, count):
+        if hi - lo == 1:
+            columns[lo] = count
+            return
+        mid = (lo + hi) // 2
+        left, right = math.fsum(masses[lo:mid]), math.fsum(masses[mid:hi])
+        share = left / (left + right)
+        if tabled_root and hi - lo == len(masses):
+            u = np.sort(rng.random(size))
+            drawn = np.searchsorted(binom.cdf(np.arange(n + 1), n, share), u, side="right")
+        else:
+            drawn = rng.binomial(count, share)
+        split(lo, mid, drawn)
+        split(mid, hi, count - drawn)
+
+    split(0, len(masses), np.full(size, n))
+    return [columns[k] for k in range(len(masses))]
 
 
 class TestDeriveStream:
@@ -98,7 +132,7 @@ class TestSampleTrial:
 
     def test_min_never_exceeds_max(self, two_interval):
         law = MinMaxLaw.from_model(two_interval)
-        for n in (20, 70_000):  # tabled and multinomial
+        for n in (20, 70_000):  # count table and split tree
             s_min, s_max = _draw_sums(9, n, 0, 500, law)
             assert np.all(s_min <= s_max)
 
@@ -314,6 +348,20 @@ def test_resolve_workers_env(monkeypatch):
     assert resolve_workers(1) == 1
 
 
+def test_resolve_workers_rejects_all_but_positive_integers(monkeypatch):
+    for value in ("abc", "0", "-4", "2.5", "", "1e3", "\u0663"):
+        monkeypatch.setenv("BELIEFCLT_WORKERS", value)
+        if value:
+            with pytest.raises(ValueError, match="BELIEFCLT_WORKERS must be a positive"):
+                resolve_workers()
+        else:  # an empty variable is an unset one
+            assert resolve_workers() >= 1
+        assert resolve_workers(3) == 3
+    for workers in (0, -3, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="workers must be"):
+            resolve_workers(workers)
+
+
 def _brute_counts(t_low, t_up, alphas, pairs):
     """Event counts by one comparison pass per event, as the definitions read."""
     return (
@@ -418,8 +466,8 @@ def test_runs_of_blocks_match_brute_force_reference():
     model = MODEL_REGISTRY["bernoulli"]()
     mom = moments_by_enumeration(model)
     plan = SimPlan(model, n_values=(16, 1024), reps=8 * BLOCK_SIZE + 37, seed=23)
-    assert _table_for(MinMaxLaw.from_model(model), 16, _vector_index) is not None
-    assert _table_for(MinMaxLaw.from_model(model), 1024, _vector_index) is None
+    assert isinstance(_table_for(MinMaxLaw.from_model(model), 16, _vector_index), _CountTable)
+    assert isinstance(_table_for(MinMaxLaw.from_model(model), 1024, _vector_index), _SplitTree)
     reference = _reference_estimate(plan, mom)
     for workers in (1, 2):
         sim = estimate_events(plan, mom, workers=workers)
@@ -465,6 +513,20 @@ class TestRepeatedHull:
         again = estimate_events(merged, moments_by_enumeration(merged.model), workers=1)
         assert [r.count for r in again.rows] == [r.count for r in sim.rows]
 
+    def test_zero_mass_focal_elements_get_no_hull(self):
+        # a zero-mass hull put 0 * log(0) = NaN into the count table and a
+        # 0 / 0 share into the split tree
+        base = _merged_hull_model()
+        padded = BeliefModel.make(
+            list(base.focal) + [(FocalElement.make([(0.0, 0.5)]), 0.0),
+                                (FocalElement.make([(0.5, 0.5)]), 0.0)], base.bound)
+        assert len(MinMaxLaw.from_model(padded).masses) == len(base.focal)
+        runs = []
+        for model in (base, padded):
+            plan = SimPlan(model, n_values=(16, 4096), reps=3000, seed=9)
+            runs.append(estimate_events(plan, moments_by_enumeration(model), workers=1))
+        assert [r.count for r in runs[0].rows] == [r.count for r in runs[1].rows]
+
     def test_n1_matches_exact_belief(self):
         model = _repeated_hull_model()
         mom = moments_by_enumeration(model)
@@ -482,7 +544,7 @@ class TestRepeatedHull:
     def test_sample_trial_draws_from_the_law(self):
         repeated = MinMaxLaw.from_model(_repeated_hull_model())
         merged = MinMaxLaw.from_model(_merged_hull_model())
-        for n in (7, 5000):  # tabled and multinomial
+        for n in (7, 5000):  # count table and split tree
             for a, b in zip(_draw_sums(5, n, 0, 200, repeated),
                             _draw_sums(5, n, 0, 200, merged)):
                 assert np.array_equal(a, b)
@@ -561,16 +623,20 @@ class TestCountTable:
         law = MinMaxLaw.from_model(MODEL_REGISTRY["bernoulli"]())
         n, size = 16, 153
         monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", size)
-        assert _table_for(law, n, _vector_index) is not None
+        assert isinstance(_table_for(law, n, _vector_index), _CountTable)
         index = _CountTable.build(law, n, _vector_index).draw(_block_stream(3, n, 0), 500)
         tabled = [s[index] for s in _hull_sums(_count_vectors(n, 3), law)]
         drawn = _draw_sums(3, n, 0, 500, law)
         assert all(np.array_equal(a, b) for a, b in zip(drawn, tabled))
-        monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", size - 1)
-        assert _table_for(law, n, _vector_index) is None
-        counts = _block_stream(3, n, 0).multinomial(n, law.masses, size=500)
-        drawn = _draw_sums(3, n, 0, 500, law)
-        assert all(np.array_equal(a, b) for a, b in zip(drawn, _hull_sums(counts.T, law)))
+        # above the limit the split tree draws, its root tabled on the
+        # 17 counts 0..16, and below those 17 its root is a binomial too
+        for limit, tabled_root in ((size - 1, True), (16, False)):
+            monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", limit)
+            tree = _table_for(law, n, _vector_index)
+            assert isinstance(tree, _SplitTree) and (tree.root is not None) == tabled_root
+            counts = _replay_tree(3, n, 0, 500, law, tabled_root)
+            drawn = _draw_sums(3, n, 0, 500, law)
+            assert all(np.array_equal(a, b) for a, b in zip(drawn, _hull_sums(counts, law)))
 
     def test_two_paths_agree_in_law(self, monkeypatch):
         model = MODEL_REGISTRY["mixed"]()
@@ -612,10 +678,104 @@ class TestCountTable:
             table = _CountTable.build(law, n, partial(_normalized_cells, events, mom, n))
             assert table.cell.dtype == np.min_scalar_type(events.size - 1)
             assert np.array_equal(table.cell, events.cells(t_low, t_up))
-            # the multinomial path gets int64 counts; same bits
+            # the split tree gets int64 counts; same bits
             int_sums = _hull_sums(np.array(vectors, dtype=np.int64).T, law)
             for got, want in zip(int_sums, sums):
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# integer endpoints, so hull sums are exact; masses with no mirror
+# symmetry, so every split's share differs from its complement
+_TREE_LAWS = {
+    2: ([0, 1], [2, 1], [0.35, 0.65]),
+    3: ([0, 1, 3], [2, 1, 3], [0.2, 0.5, 0.3]),
+    4: ([0, 1, 3, 2], [2, 1, 3, 5], [0.1, 0.25, 0.3, 0.35]),
+    8: ([0, 1, 3, 2, 0, 2, 1, 3], [2, 1, 3, 5, 1, 2, 3, 4],
+        [0.05, 0.2, 0.1, 0.2, 0.12, 0.08, 0.13, 0.12]),
+}
+
+
+def _exact_sum_law(law, n):
+    """P(S_min = s, S_max = t) for every (s, t), summed in fractions over
+    the count vectors."""
+    masses = [Fraction(m) for m in law.masses.tolist()]
+    probs = {}
+    for vector in _compositions(n, len(masses)):
+        p = Fraction(math.factorial(n))
+        for c, m in zip(vector, masses):
+            p *= m**c / math.factorial(c)
+        key = (float(np.dot(vector, law.mins)), float(np.dot(vector, law.maxs)))
+        probs[key] = probs.get(key, 0) + p
+    return probs
+
+
+class TestSplitTree:
+    @pytest.mark.parametrize("n", [1, 7, 1024, 16384, 2**20])
+    @pytest.mark.parametrize("p", [1e-3, 0.3, 0.5, 0.999])
+    def test_root_cdf_is_the_binomial_cdf(self, n, p):
+        from scipy.stats import binom
+
+        lo, cumulative = _binomial_window(n, p, 1.0 - p)
+        hi = lo + len(cumulative) - 1
+        assert 0 <= lo <= hi <= n and cumulative[-1] == 1.0
+        full = np.ones(n + 1)
+        full[:lo] = 0.0
+        full[lo:hi + 1] = cumulative
+        assert np.abs(full - binom.cdf(np.arange(n + 1), n, p)).max() <= 1e-12
+        dropped = (binom.cdf(lo - 1, n, p) if lo > 0 else 0.0) + binom.sf(hi, n, p)
+        assert dropped < 2.0**-60
+
+    def test_window_wider_than_the_limit_is_not_built(self, monkeypatch):
+        lo, cumulative = _binomial_window(4096, 0.3, 0.7)
+        monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", len(cumulative))
+        assert _binomial_window(4096, 0.3, 0.7)[0] == lo
+        monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", len(cumulative) - 1)
+        assert _binomial_window(4096, 0.3, 0.7) is None
+
+    def test_root_beyond_any_window_is_a_binomial(self):
+        # n p (1 - p) = 2**38: the window would hold ~10**7 counts
+        law = MinMaxLaw.from_model(MODEL_REGISTRY["mixed"]())
+        n = 2**40
+        tree = _SplitTree.build(law, n, _keep_sums)
+        assert tree.root is None
+        counts = tree.counts(_block_stream(1, n, 0), 1000)
+        assert np.all(sum(counts) == n) and all(c.dtype == np.int64 for c in counts)
+
+    @pytest.mark.parametrize("k", sorted(_TREE_LAWS))
+    @pytest.mark.parametrize("root", ["tabled", "binomial"])
+    def test_sums_follow_the_count_vector_law(self, monkeypatch, k, root):
+        """Bonferroni z-test of the tree's (S_min, S_max) frequencies against
+        the exact law; (s, t) with fewer than 20 expected trials are pooled."""
+        from scipy.stats import norm
+
+        law = MinMaxLaw(*(np.array(v, dtype=float) for v in _TREE_LAWS[k]))
+        n = 6 if k == 8 else 9
+        if root == "binomial":
+            monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", 0)
+            tree = _table_for(law, n, _keep_sums)
+            assert isinstance(tree, _SplitTree) and tree.root is None
+        else:
+            tree = _SplitTree.build(law, n, _keep_sums)
+            assert tree.root is not None
+        blocks = 8
+        sums = np.concatenate([tree.draw(_block_stream(31, n, b), BLOCK_SIZE)
+                               for b in range(blocks)], axis=1)
+        keys, counts = np.unique(sums, axis=1, return_counts=True)
+        observed = dict(zip(map(tuple, keys.T.tolist()), counts.tolist()))
+        reps = blocks * BLOCK_SIZE
+        cells, pooled = [], [0.0, 0]
+        for key, p in _exact_sum_law(law, n).items():
+            if reps * p >= 20:
+                cells.append((float(p), observed.pop(key, 0)))
+            else:
+                pooled[0] += float(p)
+                pooled[1] += observed.pop(key, 0)
+        assert not observed  # no (s, t) outside the support
+        cells.append(tuple(pooled))
+        z_max = norm.isf(1e-6 / (2 * len(cells)))
+        for p, count in cells:
+            z = (count - reps * p) / math.sqrt(reps * p * (1 - p)) if 0 < p < 1 else 0.0
+            assert abs(z) <= z_max, (k, root, p, count, z)
 
 
 class TestBlockKeys:
