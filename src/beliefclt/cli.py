@@ -43,8 +43,9 @@ from .modelio import (
     report_rows,
     sim_rows,
 )
-from .moments import moments_by_enumeration, moments_by_integration
-from .montecarlo import estimate_events, resolve_workers
+from . import montecarlo
+from .moments import MinMaxLaw, moments_by_enumeration, moments_by_integration
+from .montecarlo import estimate_events, is_tabled, resolve_workers
 
 log = logging.getLogger("beliefclt")
 
@@ -106,10 +107,14 @@ def _simulate(args: argparse.Namespace):
     overrides = {"seed": args.seed, "reps": args.reps}
     plan = dataclasses.replace(load_plan(args.plan),
                                **{k: v for k, v in overrides.items() if v is not None})
+    law = MinMaxLaw.from_model(plan.model)
     _log_config(args, n_values=list(plan.n_values), reps=plan.reps, seed=plan.seed,
                 alpha_one_sided=plan.alpha_one_sided,
                 alpha_two_sided_pairs=len(plan.alpha_two_sided), slack=plan.slack,
-                run_id=plan.digest(), workers=resolve_workers())
+                run_id=plan.digest(), workers=resolve_workers(),
+                block_size=montecarlo.BLOCK_SIZE,
+                table_max_vectors=montecarlo.TABLE_MAX_VECTORS,
+                tabled_n=[n for n in plan.n_values if is_tabled(law, n)])
     moments = moments_by_enumeration(plan.model)
     return plan, moments, estimate_events(plan, moments)
 
@@ -216,7 +221,13 @@ def _cmd_rate_fit(args: argparse.Namespace) -> int:
     _log_config(args)
     rows = []
     with open(args.report, newline="") as fh:
-        for rec in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        needed = ("experiment", "n", "alpha1", "alpha2", "theory", "empirical", "se")
+        missing = [c for c in needed if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{args.report} is not a report CSV: "
+                             f"it lacks the columns {', '.join(missing)}")
+        for rec in reader:
             rows.append(ExperimentRow(
                 rec["experiment"], int(rec["n"]), float(rec["alpha1"]),
                 float(rec["alpha2"]), float(rec["theory"]),

@@ -16,12 +16,15 @@ of workers, and any plan that contains n, reproduces identical draws.
 Integer tallies merge associatively; results are bit-reproducible for a
 given (seed, plan) at any worker count.  A block draws the hull counts of
 its trials, which carry the same joint law of (S_min, S_max) as
-coordinate-by-coordinate sampling: by inversion from a table of every
-count vector when there are at most ``TABLE_MAX_VECTORS`` of them, else
-by a binary tree of binomial splits over the hulls whose root split is
-drawn by inversion from a window of its binomial cdf (``_SplitTree``).
-Each trial reduces to one event cell, and a block to one histogram of
-cells.
+coordinate-by-coordinate sampling.  Each trial reduces to one event cell,
+and a block to one histogram of cells.  Where there are at most
+``TABLE_MAX_VECTORS`` count vectors, the block inverts a table of every
+vector whose consecutive vectors of one cell are merged into runs
+(``_CountTable``): it counts its sorted uniforms per run and weights each
+run's cell by that count, so no row is handled on its own.  Else a binary
+tree of binomial splits over the hulls draws the counts, its root split
+by the same per-entry counts on a window of its binomial cdf
+(``_SplitTree``).
 """
 
 from __future__ import annotations
@@ -260,24 +263,41 @@ def _multinomial_pmf(columns: Sequence[np.ndarray], masses: np.ndarray, n: int) 
     return np.exp(log_p, out=log_p)
 
 
-def _invert(rng: np.random.Generator, cumulative: np.ndarray, size: int) -> np.ndarray:
-    """Indices into ``cumulative`` of ``size`` draws by inversion, ascending.
-
-    Sorting the uniforms keeps the lookups local; the rows of a block are
-    exchangeable, since only their histogram is kept.
-    """
+def _sorted_uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` uniforms of ``rng`` in ascending order; the rows of a block
+    are exchangeable, since only their histogram is kept."""
     u = rng.random(size)
     u.sort()
-    return np.searchsorted(cumulative, u, side="right")
+    return u
+
+
+def _entry_counts(u: np.ndarray, cumulative: np.ndarray) -> np.ndarray:
+    """How many of the sorted uniforms ``u`` fall on each entry of
+    ``cumulative``, a non-decreasing cdf that ends in 1.0.
+
+    Entry j holds the u with ``cumulative[j - 1] <= u < cumulative[j]``,
+    the rows that ``searchsorted(cumulative, u, side="right")`` puts at j.
+    The shorter array is searched in the longer one: with no more entries
+    than uniforms, the count of u below each entry, differenced; else each
+    row's entry, counted.
+    """
+    if len(cumulative) <= len(u):
+        below = np.searchsorted(u, cumulative, side="left")
+        return np.diff(below, prepend=0)
+    return np.bincount(np.searchsorted(cumulative, u, side="right"),
+                       minlength=len(cumulative))
 
 
 @dataclass(frozen=True, eq=False)
 class _CountTable:
     """Every hull-count vector of one (law, n), for sampling by inversion.
 
-    ``cumulative`` holds the running multinomial probabilities of the count
-    vectors in lexicographic order, divided by their total so that they
-    end in exactly 1.0; ``cell`` holds each vector's event cell.
+    The running multinomial probabilities of the count vectors in
+    lexicographic order, divided by their total so that they end in
+    exactly 1.0, are cut into runs of consecutive vectors that share an
+    event cell.  ``cumulative`` holds the running probability at the end
+    of each run and ``cell`` the run's cell: a uniform falls on a run
+    exactly when it falls on one of the run's vectors.
     """
 
     cumulative: np.ndarray
@@ -289,11 +309,14 @@ class _CountTable:
         pmf = _multinomial_pmf(columns, law.masses, n)
         cumulative = np.cumsum(pmf, out=pmf)
         cumulative /= cumulative[-1]
-        return cls(cumulative, cell_of(*_hull_sums(columns, law)))
+        cell = cell_of(*_hull_sums(columns, law))
+        last = np.append(cell[1:] != cell[:-1], True)
+        return cls(cumulative[last], cell[last])
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Event cells of ``size`` trials, in table order."""
-        return self.cell[_invert(rng, self.cumulative, size)]
+    def histogram(self, rng: np.random.Generator, size: int, length: int) -> np.ndarray:
+        """Cell histogram of ``size`` trials, ``length`` cells long."""
+        counts = _entry_counts(_sorted_uniforms(rng, size), self.cumulative)
+        return np.bincount(self.cell, weights=counts, minlength=length).astype(np.intp)
 
 
 def _binomial_window(n: int, p: float, q: float) -> tuple[int, np.ndarray] | None:
@@ -367,7 +390,9 @@ class _SplitTree:
                 columns[lo] = count
                 continue
             if hi - lo == k and self.root is not None:
-                left = _invert(rng, self.root[1], size) + self.root[0]
+                lo_count, cumulative = self.root
+                counts = _entry_counts(_sorted_uniforms(rng, size), cumulative)
+                left = np.repeat(np.arange(lo_count, lo_count + len(cumulative)), counts)
             else:
                 left = rng.binomial(count, _shares(self.law.masses, lo, hi)[0])
             count -= left
@@ -379,13 +404,21 @@ class _SplitTree:
         """Event cells of ``size`` trials."""
         return self.cell_of(*_hull_sums(self.counts(rng, size), self.law))
 
+    def histogram(self, rng: np.random.Generator, size: int, length: int) -> np.ndarray:
+        """Cell histogram of ``size`` trials, ``length`` cells long."""
+        return np.bincount(self.draw(rng, size), minlength=length)
+
+
+def is_tabled(law: MinMaxLaw, n: int) -> bool:
+    """Whether (law, n) has at most ``TABLE_MAX_VECTORS`` count vectors."""
+    k = len(law.masses)
+    return math.comb(n + k - 1, k - 1) <= TABLE_MAX_VECTORS
+
 
 def _table_for(law: MinMaxLaw, n: int,
                cell_of: Callable[..., np.ndarray]) -> _CountTable | _SplitTree:
-    """The count table of (law, n) where it has at most
-    ``TABLE_MAX_VECTORS`` count vectors, else the split tree."""
-    k = len(law.masses)
-    if math.comb(n + k - 1, k - 1) <= TABLE_MAX_VECTORS:
+    """The count table of (law, n) where ``is_tabled``, else the split tree."""
+    if is_tabled(law, n):
         return _CountTable.build(law, n, cell_of)
     return _SplitTree.build(law, n, cell_of)
 
@@ -479,8 +512,7 @@ def _tally_run(seed: int, reps: int, law: MinMaxLaw, moments: ChoquetMoments,
     histogram = np.zeros(events.size, dtype=np.intp)
     for b in blocks:
         block_len = min(BLOCK_SIZE, reps - b * BLOCK_SIZE)
-        histogram += np.bincount(table.draw(_block_stream(seed, n, b), block_len),
-                                 minlength=events.size)
+        histogram += table.histogram(_block_stream(seed, n, b), block_len, events.size)
     return n, histogram
 
 

@@ -4,9 +4,10 @@ import math
 
 import pytest
 
-from beliefclt import cli, save_model, save_plan, SimPlan, bernoulli_model
+from beliefclt import cli, montecarlo, save_model, save_plan, SimPlan, bernoulli_model
 from beliefclt.cli import build_parser, main
 from beliefclt.modelio import REPORT_SCHEMA, emit_csv
+from beliefclt.moments import MinMaxLaw
 
 BERN = bernoulli_model(0.3, 0.7)
 
@@ -118,6 +119,23 @@ class TestSimulate:
         joined = " ".join(rec.message for rec in caplog.records)
         assert "seed=11" in joined and "reps=5000" in joined
         assert "run_id=" in joined
+        # three hulls: comb(n + 2, 2) is 153 at n = 16 and 2145 at n = 64
+        assert "block_size=16384 table_max_vectors=65536 tabled_n=[16, 64]" in joined
+
+    def test_tabled_n_follows_the_table_size_rule(self, plan_file, tmp_path, caplog,
+                                                  monkeypatch):
+        law = MinMaxLaw.from_model(BERN)
+        for limit, tabled in ((153, "[16]"), (152, "[]")):
+            monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", limit)
+            caplog.clear()
+            with caplog.at_level("INFO", logger="beliefclt"):
+                main(["simulate", str(plan_file), "--out-dir", str(tmp_path / "x")])
+            joined = " ".join(rec.message for rec in caplog.records)
+            assert f"table_max_vectors={limit} tabled_n={tabled}" in joined
+            drawn = [n for n in (16, 64)
+                     if isinstance(montecarlo._table_for(law, n, lambda s_min, s_max: s_min),
+                                   montecarlo._CountTable)]
+            assert tabled == str(drawn)
 
 
 class TestVerify:
@@ -196,6 +214,21 @@ class TestSpecialCasesAndRateFit:
         assert code == 0
         assert "slope = -0.5" in out
         assert "K_hat = 2.0" in out
+
+    def test_rate_fit_on_a_simulate_csv_is_an_input_error(self, plan_file, tmp_path, capsys):
+        main(["simulate", str(plan_file), "--out-dir", str(tmp_path)])
+        (sim_csv,) = tmp_path.glob("simulate_*.csv")
+        capsys.readouterr()
+        assert main(["rate-fit", str(sim_csv)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        errors = [line for line in err if line.startswith("error:")]
+        assert len(errors) == 1 and "Traceback" not in "\n".join(err)
+        assert errors[0].endswith("lacks the columns experiment, theory, empirical")
+
+    def test_rate_fit_on_an_empty_file_is_an_input_error(self, tmp_path, capsys):
+        (tmp_path / "empty.csv").write_text("")
+        assert main(["rate-fit", str(tmp_path / "empty.csv")]) == 2
+        assert "lacks the columns experiment, n, alpha1" in capsys.readouterr().err
 
     def test_rate_fit_insufficient_signal(self, tmp_path, capsys):
         rows = [("two_sided", n, -1.0, 1.0, 0.5, 0.5001, 0.0001, 0.01, True)

@@ -4,8 +4,10 @@ The values were re-recorded when the estimator changed how it draws a
 block: streams are keyed by (seed, n, block) instead of the position of n
 in the plan, and where a (law, n) has at most ``TABLE_MAX_VECTORS`` hull
 count vectors the block draws them by inversion from a table of every
-vector (sorted uniforms, one ``searchsorted``) instead of numpy's
-multinomial.  Every n of this plan is tabled for every registry model, so
+vector (sorted uniforms counted per table entry) instead of numpy's
+multinomial.  Merging the table's consecutive vectors of one cell into
+runs, and counting the uniforms per run rather than per row, left every
+count unchanged.  Every n of this plan is tabled for every registry model, so
 ``MULTINOMIAL_SHA256`` pins two (model, n) whose laws are too large for a
 table.  Those two were re-recorded once more when the untabled draw
 moved from numpy's multinomial to the binomial split tree, after the

@@ -25,6 +25,8 @@ from beliefclt import montecarlo
 from beliefclt.moments import MinMaxLaw
 from beliefclt.montecarlo import (
     BLOCK_SIZE,
+    DEFAULT_ALPHA_GRID,
+    DEFAULT_N_VALUES,
     ONE_SIDED_LOWER,
     ONE_SIDED_UPPER,
     TWO_SIDED,
@@ -32,6 +34,7 @@ from beliefclt.montecarlo import (
     _count_vectors,
     _binomial_window,
     _CountTable,
+    _entry_counts,
     _EventCells,
     _hull_sums,
     _multinomial_pmf,
@@ -39,6 +42,7 @@ from beliefclt.montecarlo import (
     _SplitTree,
     _table_for,
     default_alpha_pairs,
+    is_tabled,
     resolve_workers,
 )
 
@@ -61,8 +65,16 @@ def _draw_sums(seed, n, block_index, size, law):
     if isinstance(table, _SplitTree):
         return tuple(replace(table, cell_of=_keep_sums).draw(rng, size))
     s_min, s_max = _hull_sums(_count_vectors(n, len(law.masses)), law)
-    index = table.draw(rng, size)
+    index = _table_rows(table, rng, size)
     return s_min[index], s_max[index]
+
+
+def _table_rows(table, rng, size):
+    """Table positions of one block's trials, ascending, from a table built
+    with ``_vector_index``: its cells are distinct, so no vectors merge and
+    the histogram of cells is the count per vector."""
+    assert np.array_equal(table.cell, np.arange(len(table.cell)))
+    return np.repeat(table.cell, table.histogram(rng, size, len(table.cell)))
 
 
 def _replay_tree(seed, n, block_index, size, law, tabled_root):
@@ -624,7 +636,7 @@ class TestCountTable:
         n, size = 16, 153
         monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", size)
         assert isinstance(_table_for(law, n, _vector_index), _CountTable)
-        index = _CountTable.build(law, n, _vector_index).draw(_block_stream(3, n, 0), 500)
+        index = _table_rows(_CountTable.build(law, n, _vector_index), _block_stream(3, n, 0), 500)
         tabled = [s[index] for s in _hull_sums(_count_vectors(n, 3), law)]
         drawn = _draw_sums(3, n, 0, 500, law)
         assert all(np.array_equal(a, b) for a, b in zip(drawn, tabled))
@@ -677,11 +689,98 @@ class TestCountTable:
             events = _EventCells.build(alphas, list(zip(alphas, alphas[::-1])))
             table = _CountTable.build(law, n, partial(_normalized_cells, events, mom, n))
             assert table.cell.dtype == np.min_scalar_type(events.size - 1)
-            assert np.array_equal(table.cell, events.cells(t_low, t_up))
+            # the table keeps the last vector of each run of equal cells
+            expected = events.cells(t_low, t_up).tolist()
+            last = [i for i, c in enumerate(expected)
+                    if i + 1 == len(expected) or expected[i + 1] != c]
+            assert table.cell.tolist() == [expected[i] for i in last]
+            unmerged = _CountTable.build(law, n, _vector_index).cumulative
+            assert np.array_equal(table.cumulative, unmerged[last])
             # the split tree gets int64 counts; same bits
             int_sums = _hull_sums(np.array(vectors, dtype=np.int64).T, law)
             for got, want in zip(int_sums, sums):
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _row_entry_counts(u, cumulative):
+    """Per-entry counts by one ``searchsorted`` per row, as a block
+    inverted its uniforms before it counted per entry."""
+    rows = np.searchsorted(cumulative, u, side="right")
+    return np.bincount(rows, minlength=len(cumulative))
+
+
+# ties: the cdf starts at 0.0, has zero-increment entries and ends in 1.0
+_TIED_CDF = np.array([0.0, 0.125, 0.125, 0.25, 0.5, 0.5, 0.5, 0.75, 1.0])
+
+# the 21-point alpha grid of the dense_grid benchmark workload
+_DENSE_GRID = tuple(-2.5 + 0.25 * i for i in range(21))
+
+
+class TestEntryCounts:
+    @pytest.mark.parametrize("size", [0, 1, 3, 8, 9, 10, 40, 1000])
+    def test_counts_equal_per_row_inversion(self, size):
+        # sizes below, at and above the table's 9 entries take both
+        # search directions; half the uniforms sit exactly on an entry
+        rng = np.random.default_rng(size)
+        u = np.where(rng.random(size) < 0.5, rng.choice(_TIED_CDF[:-1], size),
+                     rng.random(size))
+        u.sort()
+        counts = _entry_counts(u, _TIED_CDF)
+        assert counts.tolist() == _row_entry_counts(u, _TIED_CDF).tolist()
+        assert counts.sum() == size and counts[0] == counts[2] == counts[5] == 0
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_cdfs_with_ties(self, data):
+        steps = data.draw(st.lists(st.sampled_from([0.0, 0.0, 1e-300, 1.0, 3.0, 0.1]),
+                                   min_size=1, max_size=30))
+        cumulative = np.cumsum(np.array(steps + [1.0]))
+        cumulative /= cumulative[-1]
+        assert cumulative[-1] == 1.0
+        on_entry = st.sampled_from(cumulative[:-1].tolist() + [0.0])
+        anywhere = st.floats(0.0, 1.0, exclude_max=True)
+        u = np.sort(np.array(data.draw(st.lists(st.one_of(on_entry, anywhere),
+                                                max_size=2 * len(cumulative) + 2)),
+                             dtype=float))
+        assert _entry_counts(u, cumulative).tolist() == _row_entry_counts(u, cumulative).tolist()
+
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    @pytest.mark.parametrize("grid", ["default", "dense"])
+    def test_merged_table_gives_the_unmerged_histogram(self, name, grid):
+        """Every tabled n of the default plan: the merged table's block
+        histogram is the per-row histogram of the table of every vector,
+        for a full block and a 37-row block, so that both search
+        directions run."""
+        alphas = DEFAULT_ALPHA_GRID if grid == "default" else _DENSE_GRID
+        events = _EventCells.build(alphas, default_alpha_pairs(alphas))
+        model = MODEL_REGISTRY[name]()
+        law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
+        tabled = [n for n in DEFAULT_N_VALUES if is_tabled(law, n)]
+        assert tabled
+        for n in tabled:
+            cell_of = partial(_normalized_cells, events, mom, n)
+            merged = _CountTable.build(law, n, cell_of)
+            unmerged = _CountTable.build(law, n, _vector_index).cumulative
+            cells = cell_of(*_hull_sums(_count_vectors(n, len(law.masses)), law))
+            assert len(merged.cell) <= len(unmerged)
+            for b, size in ((0, BLOCK_SIZE), (1, 37)):
+                u = _block_stream(5, n, b).random(size)
+                u.sort()
+                want = np.bincount(cells[np.searchsorted(unmerged, u, side="right")],
+                                   minlength=events.size)
+                got = merged.histogram(_block_stream(5, n, b), size, events.size)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (n, b)
+
+    def test_bernoulli_runs(self):
+        # the 33153 count vectors of bernoulli at n = 256 merge into 1452
+        # runs on the default grid and 3973 on the 21-point grid
+        model = MODEL_REGISTRY["bernoulli"]()
+        law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
+        for alphas, runs in ((DEFAULT_ALPHA_GRID, 1452), (_DENSE_GRID, 3973)):
+            events = _EventCells.build(alphas, default_alpha_pairs(alphas))
+            table = _CountTable.build(law, 256, partial(_normalized_cells, events, mom, 256))
+            assert len(table.cell) == runs
+            assert table.cumulative[-1] == 1.0
 
 
 # integer endpoints, so hull sums are exact; masses with no mirror
