@@ -11,22 +11,28 @@ from beliefclt import (
     IntervalEvent,
     belief,
     plausibility,
-    validate_model,
 )
 
 # A coin whose probability of heads is only known to lie in [0.3, 0.7]:
 # mass 0.3 says "heads", mass 0.3 says "tails", and mass 0.4 stays
 # undecided on the whole outcome set {0, 1}.
-model = BeliefModel.make(
+model = BeliefModel(
     [(FocalElement.make([(1.0, 1.0)]), 0.3),
      (FocalElement.make([(0.0, 0.0)]), 0.3),
      (FocalElement.make([(0.0, 1.0)]), 0.4)],
     bound=1.0,
 )
-assert validate_model(model) == []
+
+# The constructor checks every value: masses must be positive and sum to
+# one, and focal elements must lie inside [-M, M].  A bad value raises a
+# ValueError that names the field.
+try:
+    BeliefModel([(FocalElement.make([(0.0, 2.0)]), 1.0)], bound=1.0)
+except ValueError as exc:
+    print("rejected:", exc)
 
 heads = IntervalEvent.point(1.0)
-print("belief(heads)       =", belief(model, heads))
+print("\nbelief(heads)       =", belief(model, heads))
 print("plausibility(heads) =", plausibility(model, heads))
 print("the gap is the undecided mass:", plausibility(model, heads) - belief(model, heads))
 
@@ -41,7 +47,7 @@ print("belief(X >= 0.5) =", belief(model, IntervalEvent.at_least(0.5)))
 print("the two beliefs need not sum to 1 under imprecision")
 
 # Focal elements may be unions with gaps; containment needs the whole set.
-split = BeliefModel.make(
+split = BeliefModel(
     [(FocalElement.make([(0.0, 1.0), (2.0, 3.0)]), 0.6),
      (FocalElement.make([(-2.0, -1.0)]), 0.4)],
     bound=3.0,

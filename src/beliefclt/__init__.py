@@ -17,17 +17,14 @@ the O(1/sqrt(n)) rate.
 from .belief import (
     BeliefModel,
     FocalElement,
-    Violation,
     belief,
     plausibility,
-    validate_model,
 )
 from .errors import (
     BeliefCltError,
     DegenerateVariance,
     InvalidProbabilities,
     ParseError,
-    ValidationError,
 )
 from .gauss import bvn_cdf, std_normal_cdf, two_sided_limit
 from .harness import (
@@ -80,9 +77,7 @@ __all__ = [
     "RateFit",
     "SimPlan",
     "SimResult",
-    "ValidationError",
     "VerificationReport",
-    "Violation",
     "belief",
     "bernoulli_model",
     "bvn_cdf",
@@ -103,5 +98,4 @@ __all__ = [
     "std_normal_cdf",
     "two_sided_limit",
     "two_sided_report",
-    "validate_model",
 ]

@@ -1,8 +1,9 @@
 """Finitely-supported belief measures over bounded interval-union focal sets.
 
 A model is a finite list of focal elements (disjoint unions of closed
-intervals inside [-M, M]) with positive masses summing to one.  The induced
-set function
+intervals inside [-M, M]) with positive masses summing to one; the
+``BeliefModel`` constructor checks exactly that, for model files and
+library callers alike.  The induced set function
 
     belief(A)       = sum of masses of focal elements contained in A
     plausibility(A) = sum of masses of focal elements meeting A
@@ -54,16 +55,14 @@ class FocalElement:
         if not self.parts:
             raise ValueError("focal element must be nonempty")
         prev_hi = -math.inf
-        first = True
         for a, b in self.parts:
-            if math.isnan(a) or math.isnan(b) or math.isinf(a) or math.isinf(b):
+            if not (math.isfinite(a) and math.isfinite(b)):
                 raise ValueError("focal parts must have finite endpoints")
             if a > b:
                 raise ValueError(f"focal part [{a}, {b}] has a > b")
-            if not first and a <= prev_hi:
+            if a <= prev_hi:
                 raise ValueError("focal parts must be disjoint and strictly increasing")
             prev_hi = b
-            first = False
 
     @staticmethod
     def make(parts: Iterable[Sequence[float]]) -> "FocalElement":
@@ -97,40 +96,42 @@ class FocalElement:
 
 @dataclass(frozen=True)
 class BeliefModel:
-    """Marginal law of one coordinate: focal elements, masses, and bound M."""
+    """Marginal law of one coordinate: focal elements, masses, and bound M.
+
+    The one checker of model values (rules in README, "Model values").
+    ``focal`` may be any iterable of (FocalElement, mass) pairs; it is
+    stored as a tuple of tuples with float masses.  A bad value raises
+    ``ValueError`` whose message starts with the field it rejects, then
+    ``#i`` when it belongs to the i-th focal element.
+    """
 
     focal: tuple[tuple[FocalElement, float], ...]
     bound: float
 
-    @staticmethod
-    def make(focal: Iterable[tuple[FocalElement, float]], bound: float) -> "BeliefModel":
-        """A model with each mass and the bound checked by :func:`as_real`."""
-        return BeliefModel(tuple((f, as_real("mass", m)) for f, m in focal),
-                           as_real("bound", bound))
-
-    def normalized(self) -> "BeliefModel":
-        """Rescale masses to sum to exactly one (done once at model load).
-
-        Idempotent: a residual of a few ulps after division is folded into
-        the largest mass so the sum is exactly 1.0 and a second call is a
-        no-op, which makes save/load round-trips bit-identical.
-        """
-        total = math.fsum(m for _, m in self.focal)
-        if total <= 0 or total == 1.0:
-            return self
-        masses = [m / total for _, m in self.focal]
-        top = max(range(len(masses)), key=masses.__getitem__)
-        for _ in range(5):
-            residual = 1.0 - math.fsum(masses)
-            if residual == 0.0:
-                break
-            masses[top] += residual
-        return BeliefModel(
-            tuple((f, m) for (f, _), m in zip(self.focal, masses)), self.bound
-        )
-
-    def mass_sum(self) -> float:
-        return math.fsum(m for _, m in self.focal)
+    def __post_init__(self):
+        bound = as_real("bound", self.bound)
+        if not (bound > 0 and math.isfinite(4 * bound * bound)):
+            raise ValueError(
+                f"bound must be > 0 with 4*M*M finite (M < 6.7e153), got {bound!r}")
+        focal = []
+        for i, entry in enumerate(self.focal):
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 2
+                    and isinstance(entry[0], FocalElement)):
+                raise ValueError(f"focal #{i} must be a (FocalElement, mass) pair, got {entry!r}")
+            f, m = entry[0], as_real(f"mass #{i}", entry[1])
+            if not m > 0:
+                raise ValueError(f"mass #{i} must be > 0, got {m!r}")
+            if f.min < -bound or f.max > bound:
+                raise ValueError(f"focal #{i} spans [{f.min!r}, {f.max!r}], "
+                                 f"outside [-M, M] = [{-bound!r}, {bound!r}]")
+            focal.append((f, m))
+        if not focal:
+            raise ValueError("focal must hold at least one focal element")
+        total = math.fsum(m for _, m in focal)
+        if abs(total - 1.0) > MASS_SUM_TOL:
+            raise ValueError(f"mass sum must be within {MASS_SUM_TOL} of 1, got {total!r}")
+        object.__setattr__(self, "focal", tuple(focal))
+        object.__setattr__(self, "bound", bound)
 
     def shifted(self, c: float) -> "BeliefModel":
         focal = tuple(
@@ -140,53 +141,11 @@ class BeliefModel:
         return BeliefModel(focal, self.bound + abs(c))
 
     def scaled(self, s: float) -> "BeliefModel":
-        if s <= 0:
-            raise ValueError("scale factor must be positive")
         focal = tuple(
             (FocalElement(tuple((a * s, b * s) for a, b in f.parts)), m)
             for f, m in self.focal
         )
         return BeliefModel(focal, self.bound * s)
-
-    def with_bound(self, bound: float) -> "BeliefModel":
-        return BeliefModel(self.focal, float(bound))
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One violated structural invariant, with a machine-readable code."""
-
-    code: str
-    detail: str
-
-
-def validate_model(model: BeliefModel) -> list[Violation]:
-    """Check every structural invariant; an empty list certifies the model.
-
-    Violations are data, not failures: all of them are collected and
-    returned.  A model passing this check induces a belief measure (mass
-    functions with nonnegative masses are always totally monotone).
-    """
-    out: list[Violation] = []
-    if not model.focal:
-        out.append(Violation("EmptyModel", "model has no focal elements"))
-        return out
-    if not (model.bound > 0) or math.isinf(model.bound):
-        out.append(Violation("BoundViolation", f"M = {model.bound} is not a positive real"))
-    for i, (f, m) in enumerate(model.focal):
-        if not (m > 0):
-            out.append(Violation("MassPositivity", f"focal #{i} has mass {m} <= 0"))
-        if f.min < -model.bound or f.max > model.bound:
-            out.append(
-                Violation(
-                    "BoundViolation",
-                    f"focal #{i} spans [{f.min}, {f.max}] outside [-{model.bound}, {model.bound}]",
-                )
-            )
-    total = model.mass_sum()
-    if abs(total - 1.0) > MASS_SUM_TOL:
-        out.append(Violation("MassSumViolation", f"masses sum to {total!r}"))
-    return out
 
 
 def belief(model: BeliefModel, event: IntervalEvent) -> float:

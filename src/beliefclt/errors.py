@@ -24,19 +24,6 @@ class ParseError(BeliefCltError):
         super().__init__(f"{where} {message}" if where else message)
 
 
-class ValidationError(BeliefCltError):
-    """A parsed model failed structural validation.
-
-    ``violations`` holds the full list of :class:`~beliefclt.belief.Violation`
-    records found by ``validate_model``.
-    """
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        codes = ", ".join(v.code for v in self.violations)
-        super().__init__(f"model validation failed: {codes}")
-
-
 class DegenerateVariance(BeliefCltError):
     """The min- or max-statistic has (numerically) zero variance.
 

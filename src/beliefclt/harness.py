@@ -177,11 +177,11 @@ def bernoulli_model(p_low: float, p_high: float) -> BeliefModel:
         (FocalElement.make([(0.0, 1.0)]), p_high - p_low),
     ]
     focal = [(f, m) for f, m in weighted if m > 0.0]
-    return BeliefModel.make(focal, bound=1.0)
+    return BeliefModel(focal, bound=1.0)
 
 
 def _coin_model() -> BeliefModel:
-    return BeliefModel.make(
+    return BeliefModel(
         [(FocalElement.make([(-1.0, -1.0)]), 0.5),
          (FocalElement.make([(1.0, 1.0)]), 0.5)],
         bound=1.0,
@@ -189,7 +189,7 @@ def _coin_model() -> BeliefModel:
 
 
 def _two_interval_model() -> BeliefModel:
-    return BeliefModel.make(
+    return BeliefModel(
         [(FocalElement.make([(0.0, 1.0)]), 0.5),
          (FocalElement.make([(1.0, 3.0)]), 0.5)],
         bound=3.0,
@@ -197,7 +197,7 @@ def _two_interval_model() -> BeliefModel:
 
 
 def _union_parts_model() -> BeliefModel:
-    return BeliefModel.make(
+    return BeliefModel(
         [(FocalElement.make([(0.0, 1.0), (2.0, 3.0)]), 0.6),
          (FocalElement.make([(-2.0, -1.0)]), 0.4)],
         bound=3.0,
@@ -207,7 +207,7 @@ def _union_parts_model() -> BeliefModel:
 def _mixed_model() -> BeliefModel:
     # four focal elements so the (min, max) pairs are not affinely dependent
     # and rho lands strictly inside (0, 1)
-    return BeliefModel.make(
+    return BeliefModel(
         [(FocalElement.make([(0.0, 1.0)]), 0.3),
          (FocalElement.make([(0.5, 2.5)]), 0.3),
          (FocalElement.make([(2.0, 2.0)]), 0.2),

@@ -13,9 +13,12 @@ Model file::
 
 ``parts`` is a list like ``[[0, 1], [2.5, 3]]``.  Touching or overlapping
 intervals inside one focal element are merged silently; distinct focal
-elements may overlap freely.  Masses are renormalized exactly once at load
-when their sum differs from 1 by at most LOAD_MASS_TOL; a larger gap is a
-modeling error and raises ValidationError.
+elements may overlap freely.  The parser owns only the grammar and the line
+numbers; ``BeliefModel`` checks the values, and a value it rejects becomes a
+ParseError at the M line or the focal element's line.  Masses whose fsum is
+within MASS_SUM_TOL of 1 load as written; a sum off by more, but by at most
+LOAD_MASS_TOL, is divided out once, so saving and loading a model gives it
+back exactly.
 
 Plan file::
 
@@ -32,12 +35,13 @@ import ast
 import csv
 import dataclasses
 import io
+import math
 import re
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .belief import BeliefModel, FocalElement, as_real, validate_model
-from .errors import ParseError, ValidationError
+from .belief import MASS_SUM_TOL, BeliefModel, FocalElement, as_real
+from .errors import ParseError
 from .montecarlo import SimPlan
 
 LOAD_MASS_TOL = 1e-6
@@ -80,46 +84,56 @@ def _parse_focal(value: str, path: str, lineno: int) -> tuple[FocalElement, floa
     parts = _literal(match.group("parts"), path, lineno)
     mass = _literal(match.group("mass"), path, lineno)
     try:
-        return FocalElement.make(parts), as_real("mass", mass)
+        return FocalElement.make(parts), mass
     except ValueError as exc:
         raise ParseError(str(exc), path, lineno) from exc
 
 
+def _load_masses(focal: list[tuple[FocalElement, Any]]) -> list[tuple[FocalElement, Any]]:
+    """The masses divided by their fsum when that is off 1 by more than
+    MASS_SUM_TOL but at most LOAD_MASS_TOL; otherwise as written."""
+    try:
+        total = math.fsum(as_real("mass", m) for _, m in focal)
+    except ValueError:
+        return focal  # BeliefModel names the bad mass
+    if MASS_SUM_TOL < abs(total - 1.0) <= LOAD_MASS_TOL:
+        return [(f, m / total) for f, m in focal]
+    return focal
+
+
 def parse_model(text: str, path: str = "<string>") -> BeliefModel:
-    bound: float | None = None
-    bound_line: int | None = None
-    focal: list[tuple[FocalElement, float]] = []
+    bound = bound_line = None
+    focal: list[tuple[FocalElement, Any]] = []
+    focal_lines: list[int] = []
     for lineno, line in _logical_lines(text):
         key, value = _split_assignment(line, path, lineno)
         if key == "M":
-            if bound is not None:
+            if bound_line is not None:
                 raise ParseError(f"duplicate M (first on line {bound_line})",
                                  path, lineno)
-            m = _literal(value, path, lineno)
-            if not isinstance(m, (int, float)) or isinstance(m, bool):
-                raise ParseError("M must be a number", path, lineno)
-            bound, bound_line = float(m), lineno
+            bound, bound_line = _literal(value, path, lineno), lineno
         elif key == "focal":
             focal.append(_parse_focal(value, path, lineno))
+            focal_lines.append(lineno)
         else:
             raise ParseError(f"unknown key {key!r} (expected M or focal)",
                              path, lineno)
-    if bound is None:
+    if bound_line is None:
         raise ParseError("missing 'M = <float>' line", path)
-    if not focal:
-        raise ParseError("model has no focal elements", path)
-    total = sum(m for _, m in focal)
-    model = BeliefModel.make(focal, bound)
-    if abs(total - 1.0) <= LOAD_MASS_TOL:
-        model = model.normalized()
-    violations = validate_model(model)
-    if violations:
-        raise ValidationError(violations)
-    return model
+    try:
+        return BeliefModel(_load_masses(focal), bound)
+    except ValueError as exc:
+        # BeliefModel's message starts with the field it rejects, then
+        # "#i" when the value belongs to the i-th focal element
+        field, _, rest = str(exc).partition(" ")
+        entry = re.match(r"#(\d+) ", rest)
+        line = (bound_line if field == "bound"
+                else focal_lines[int(entry[1])] if entry else None)
+        raise ParseError(str(exc), path, line) from exc
 
 
 def load_model(path: str | Path) -> BeliefModel:
-    """Parse and validate a model file; masses renormalized exactly once."""
+    """Parse a model file; ``BeliefModel`` checks its values."""
     p = Path(path)
     return parse_model(p.read_text(), str(p))
 

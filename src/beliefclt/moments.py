@@ -22,7 +22,7 @@ endpoints, so the integration route sums cells exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,8 +67,7 @@ class MinMaxLaw:
     Everything the limit theorems, and so the moment routes and the
     simulator, need from a model.  Focal elements sharing a (min, max) hull
     are merged: ``mins``/``maxs`` hold the distinct pairs in order of first
-    occurrence in ``model.focal`` and ``masses`` their summed masses.  A
-    focal element of mass zero carries no probability and gets no hull.
+    occurrence in ``model.focal`` and ``masses`` their summed masses.
     """
 
     mins: np.ndarray
@@ -79,10 +78,7 @@ class MinMaxLaw:
     def from_model(cls, model: BeliefModel) -> "MinMaxLaw":
         merged: dict[tuple[float, float], list[float]] = {}
         for f, m in model.focal:
-            if m != 0.0:
-                merged.setdefault((f.min, f.max), []).append(m)
-        if not merged:
-            raise ValueError("model has no focal elements of nonzero mass")
+            merged.setdefault((f.min, f.max), []).append(m)
         mins, maxs = zip(*merged)
         masses = [math.fsum(ms) for ms in merged.values()]
         return cls(*(np.array(v, dtype=float) for v in (mins, maxs, masses)))
@@ -229,4 +225,4 @@ def rho_M_invariance(model: BeliefModel, m2: float) -> tuple[float, float]:
     if not (m2 > model.bound):
         raise ValueError(f"enlarged bound {m2} must exceed the declared bound {model.bound}")
     return (moments_by_integration(model).rho,
-            moments_by_integration(model.with_bound(m2)).rho)
+            moments_by_integration(replace(model, bound=m2)).rho)

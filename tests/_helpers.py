@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from beliefclt import BeliefModel, FocalElement
@@ -23,4 +25,5 @@ def random_model(rng: np.random.Generator, max_focal: int = 50,
         focal.append(FocalElement.make(parts))
     masses = rng.dirichlet(np.ones(k))
     bound = span + float(rng.uniform(0.0, 3.0))
-    return BeliefModel.make(zip(focal, masses), bound).normalized()
+    total = math.fsum(masses)
+    return BeliefModel([(f, m / total) for f, m in zip(focal, masses)], bound)

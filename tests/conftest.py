@@ -11,7 +11,7 @@ def bernoulli():
 
 @pytest.fixture
 def two_interval():
-    return BeliefModel.make(
+    return BeliefModel(
         [(FocalElement.make([(0.0, 1.0)]), 0.5),
          (FocalElement.make([(1.0, 3.0)]), 0.5)],
         bound=3.0,
@@ -20,7 +20,7 @@ def two_interval():
 
 @pytest.fixture
 def coin():
-    return BeliefModel.make(
+    return BeliefModel(
         [(FocalElement.make([(-1.0, -1.0)]), 0.5),
          (FocalElement.make([(1.0, 1.0)]), 0.5)],
         bound=1.0,

@@ -1,5 +1,7 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,6 @@ from beliefclt import (
     IntervalEvent,
     belief,
     plausibility,
-    validate_model,
 )
 
 from _monotonicity import (
@@ -63,45 +64,61 @@ class TestFocalElement:
         assert f.intersects(IntervalEvent.at_least(3.0))
 
 
-class TestValidation:
-    def test_good_model(self, bernoulli):
-        assert validate_model(bernoulli) == []
+def _unit(mass, parts=((0, 1),)):
+    return (FocalElement.make(parts), mass)
 
-    def test_mass_sum_violation(self):
-        m = BeliefModel.make([(FocalElement.make([(0, 1)]), 0.9)], 1.0)
-        codes = [v.code for v in validate_model(m)]
-        assert codes == ["MassSumViolation"]
 
-    def test_mass_positivity(self):
-        m = BeliefModel.make(
-            [(FocalElement.make([(0, 1)]), 1.5),
-             (FocalElement.make([(0, 0)]), -0.5)], 1.0)
-        codes = [v.code for v in validate_model(m)]
-        assert "MassPositivity" in codes
+# one bad value per case: (focal, bound, the field the message starts with)
+BAD_MODELS = {
+    "mass sum 0.5": ([_unit(0.5)], 1.0, "mass"),
+    "mass 0": ([_unit(1.0), _unit(0.0)], 1.0, "mass"),
+    "mass -0.5": ([_unit(1.5), _unit(-0.5)], 1.0, "mass"),
+    "string mass": ([_unit("1")], 2.0, "mass"),
+    "bool mass": ([_unit(True)], 2.0, "mass"),
+    "nan mass": ([_unit(math.nan)], 2.0, "mass"),
+    "outside the bound": ([_unit(1.0, ((0, 2),))], 1.0, "focal"),
+    "no focal element": ([], 1.0, "focal"),
+    "entry not a pair": ([FocalElement.make([(0, 1)])], 1.0, "focal"),
+    "parts not a focal element": ([((0, 1), 1.0)], 1.0, "focal"),
+    "M 0": ([_unit(1.0, ((0, 0),))], 0.0, "bound"),
+    "M -1": ([_unit(1.0)], -1.0, "bound"),
+    "M inf": ([_unit(1.0)], math.inf, "bound"),
+    "M 1e200": ([_unit(1.0)], 1e200, "bound"),
+    "M True": ([_unit(1.0)], True, "bound"),
+    "M string": ([_unit(1.0)], "2", "bound"),
+    "M None": ([_unit(1.0)], None, "bound"),
+}
 
-    def test_bound_violation(self):
-        m = BeliefModel.make([(FocalElement.make([(0, 2)]), 1.0)], 1.0)
-        codes = [v.code for v in validate_model(m)]
-        assert codes == ["BoundViolation"]
 
-    @pytest.mark.parametrize("mass, bound", [("1", 2.0), (1.0, "2"), (True, 2.0),
-                                             (math.nan, 2.0), (1.0, None)])
-    def test_make_rejects_non_real_mass_or_bound(self, mass, bound):
-        with pytest.raises(ValueError, match="mass|bound"):
-            BeliefModel.make([(FocalElement.make([(0, 1)]), mass)], bound)
+class TestModelValues:
+    @pytest.mark.parametrize("case", BAD_MODELS)
+    def test_bad_value_raises_naming_its_field(self, case):
+        focal, bound, field = BAD_MODELS[case]
+        with pytest.raises(ValueError) as exc:
+            BeliefModel(focal, bound)
+        assert str(exc.value).startswith(field), str(exc.value)
 
-    def test_empty_model(self):
-        codes = [v.code for v in validate_model(BeliefModel((), 1.0))]
-        assert codes == ["EmptyModel"]
+    def test_stored_as_tuples_of_floats(self):
+        f = FocalElement.make([(0, 1)])
+        model = BeliefModel(iter([[f, np.float64(0.25)], (f, 3 / 4)]), 1)
+        assert model.focal == ((f, 0.25), (f, 0.75))
+        assert all(type(e) is tuple and type(e[1]) is float for e in model.focal)
+        assert type(model.bound) is float
+        assert repr(model) == repr(BeliefModel(model.focal, 1.0))
 
-    def test_normalized_is_idempotent_and_exact(self):
-        m = BeliefModel.make(
-            [(FocalElement.make([(0, 1)]), 0.3),
-             (FocalElement.make([(1, 2)]), 0.2),
-             (FocalElement.make([(0, 2)]), 0.1)], 2.0)
-        n1 = m.normalized()
-        assert n1.mass_sum() == 1.0
-        assert n1.normalized() == n1
+    def test_mass_sum_within_tolerance_is_kept_as_written(self):
+        f = FocalElement.make([(0, 1)])
+        model = BeliefModel([(f, 0.1), (f, 0.2), (f, 0.7)], 1.0)
+        assert [m for _, m in model.focal] == [0.1, 0.2, 0.7]
+
+    def test_derived_models_are_checked(self, two_interval):
+        assert replace(two_interval, bound=4.0).bound == 4.0
+        with pytest.raises(ValueError, match="^focal #1"):
+            replace(two_interval, bound=2.0)
+        with pytest.raises(ValueError, match="^bound"):
+            two_interval.scaled(1e154)
+        with pytest.raises(ValueError, match="^bound"):
+            two_interval.shifted(1e154)
 
 
 class TestBeliefValues:
@@ -155,9 +172,8 @@ def models(draw):
         focal.append(FocalElement.make([(a, b)]))
     masses = draw(st.lists(st.floats(min_value=0.01, max_value=1.0),
                            min_size=k, max_size=k))
-    total = sum(masses)
-    return BeliefModel.make(
-        [(f, m / total) for f, m in zip(focal, masses)], 4.0).normalized()
+    total = math.fsum(masses)
+    return BeliefModel([(f, m / total) for f, m in zip(focal, masses)], 4.0)
 
 
 @st.composite

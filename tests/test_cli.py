@@ -185,6 +185,23 @@ class TestVerify:
             assert len(err) == 1 and err[0].startswith("error:")
             assert line.split()[0] in err[0]
 
+    @pytest.mark.parametrize("command", ["moments", "verify-two-sided"])
+    def test_huge_bound_exit_code(self, tmp_path, capsys, command):
+        # 4*M*M overflows at M = 1e200, and with it the moment sums; the
+        # model is refused at load with one error line naming the bound
+        (tmp_path / "big.model").write_text(
+            "M = 1e200\nfocal = { parts = [[0, 0]], mass = 0.5 }\n"
+            "focal = { parts = [[0, 1]], mass = 0.5 }\n")
+        (tmp_path / "big.plan").write_text("model = big.model\nreps = 100\n")
+        argv = ([command, str(tmp_path / "big.model")] if command == "moments" else
+                [command, str(tmp_path / "big.plan"), "--out-dir", str(tmp_path)])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        err = err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "big.model:1: bound" in err[0]
+
     @pytest.mark.parametrize("value", ["abc", "0", "-4", "2.5", " 2"])
     def test_bad_workers_variable_exit_code(self, plan_file, tmp_path, capsys,
                                             monkeypatch, value):

@@ -170,6 +170,9 @@ def test_special_cases_report_all_pass():
 
 
 def test_registry_models_are_valid():
-    from beliefclt import validate_model
+    # BeliefModel checks every value at construction; a model file of each
+    # registry model passes the same check and loads back exactly
+    from beliefclt.modelio import model_text, parse_model
     for name, factory in MODEL_REGISTRY.items():
-        assert validate_model(factory()) == [], name
+        model = factory()
+        assert parse_model(model_text(model)) == model, name

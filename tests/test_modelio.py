@@ -1,11 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from beliefclt import (
     ParseError,
     SimPlan,
-    ValidationError,
     load_model,
     load_plan,
     save_model,
@@ -21,6 +21,8 @@ from beliefclt.modelio import (
     parse_plan,
 )
 
+from _helpers import random_model
+
 BERN = """\
 # three-focal Bernoulli-type model
 M = 1.0
@@ -34,8 +36,7 @@ class TestParseModel:
     def test_well_formed(self):
         model = parse_model(BERN)
         assert model.bound == 1.0
-        assert len(model.focal) == 3
-        assert model.mass_sum() == 1.0
+        assert [m for _, m in model.focal] == [0.3, 0.3, 0.4]
 
     def test_comments_and_blank_lines(self):
         text = "\n# leading comment\n\nM = 2.0   # trailing\n\nfocal = { parts = [[0, 1]], mass = 0.5 }\nfocal = { parts = [[1, 2]], mass = 0.5 }\n"
@@ -47,21 +48,52 @@ class TestParseModel:
                 "focal = { parts = [[0, 0]], mass = 0.59999999 }\n"
                 "focal = { parts = [[1, 1]], mass = 0.4 }\n")
         model = parse_model(text)
-        assert model.mass_sum() == 1.0
+        total = math.fsum((0.59999999, 0.4))
+        assert [m for _, m in model.focal] == [0.59999999 / total, 0.4 / total]
+        assert abs(math.fsum(m for _, m in model.focal) - 1.0) <= 1e-12
+        # the normalized model is kept as written from then on
+        assert parse_model(model_text(model)) == model
 
     def test_large_mass_gap_is_an_error(self):
         text = ("M = 1.0\n"
                 "focal = { parts = [[0, 0]], mass = 0.5 }\n"
                 "focal = { parts = [[1, 1]], mass = 0.4 }\n")
-        with pytest.raises(ValidationError) as exc:
-            parse_model(text)
-        assert any(v.code == "MassSumViolation" for v in exc.value.violations)
+        with pytest.raises(ParseError, match="mass sum") as exc:
+            parse_model(text, path="gap.model")
+        assert exc.value.path == "gap.model" and exc.value.line is None
 
     def test_bound_violation_reported(self):
         text = "M = 0.5\nfocal = { parts = [[0, 1]], mass = 1.0 }\n"
-        with pytest.raises(ValidationError) as exc:
+        with pytest.raises(ParseError, match="focal #0") as exc:
             parse_model(text)
-        assert [v.code for v in exc.value.violations] == ["BoundViolation"]
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("text, line, field", [
+        ("M = 1\nfocal = { parts = [[0, 1]], mass = 0.5 }\n", None, "mass sum"),
+        ("M = 1\nfocal = { parts = [[0, 1]], mass = 1 }\n"
+         "focal = { parts = [[0, 0]], mass = 0 }\n", 3, "mass #1"),
+        ("M = 1\nfocal = { parts = [[0, 1]], mass = 1.5 }\n"
+         "focal = { parts = [[0, 0]], mass = -0.5 }\n", 3, "mass #1"),
+        ('M = 1\nfocal = { parts = [[0, 1]], mass = "1" }\n', 2, "mass #0"),
+        ("M = 1\nfocal = { parts = [[0, 1]], mass = True }\n", 2, "mass #0"),
+        ("M = 1\nfocal = { parts = [[0, 1]], mass = 0.5 }\n"
+         "focal = { parts = [[0, 1]], mass = True }\n", 3, "mass #1"),
+        ("M = 1\nfocal = { parts = [[0, 1]], mass = 1e999 }\n", None, "mass sum"),
+        ("# a comment\n\nM = 1\nfocal = { parts = [[0, 1]], mass = 0.5 }\n"
+         "focal = { parts = [[-2, 1]], mass = 0.5 }\n", 5, "focal #1"),
+        ("M = 1.0\n", None, "focal"),
+        ("M = 0\nfocal = { parts = [[0, 0]], mass = 1 }\n", 1, "bound"),
+        ("focal = { parts = [[0, 1]], mass = 1 }\nM = -1\n", 2, "bound"),
+        ("M = 1e999\nfocal = { parts = [[0, 1]], mass = 1 }\n", 1, "bound"),
+        ("M = 1e200\nfocal = { parts = [[0, 1]], mass = 1 }\n", 1, "bound"),
+        ("M = True\nfocal = { parts = [[0, 1]], mass = 1 }\n", 1, "bound"),
+    ])
+    def test_bad_values_name_the_file_and_line(self, text, line, field):
+        with pytest.raises(ParseError) as exc:
+            parse_model(text, path="bad.model")
+        assert str(exc.value).startswith("bad.model:")
+        assert exc.value.line == line
+        assert str(exc.value).split(": ", 1)[1].startswith(field), str(exc.value)
 
     def test_touching_parts_merge_silently(self):
         text = "M = 2.0\nfocal = { parts = [[0, 1], [1, 2]], mass = 1.0 }\n"
@@ -91,7 +123,7 @@ class TestParseModel:
             parse_model("focal = { parts = [[0, 1]], mass = 1.0 }\n")
 
     def test_no_focal_elements(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="focal"):
             parse_model("M = 1.0\n")
 
 
@@ -122,6 +154,24 @@ class TestRoundTrip:
         save_plan(plan, tmp_path / "p.plan", tmp_path / "p.model")
         loaded = load_plan(tmp_path / "p.plan")
         assert loaded == plan
+
+    def test_seeded_models_round_trip_exactly(self, tmp_path):
+        rng = np.random.default_rng(206)
+        path = tmp_path / "r.model"
+        changed = []
+        for i in range(200):
+            model = random_model(rng)
+            save_model(model, path)
+            if load_model(path) != model:
+                changed.append(i)
+        assert changed == []
+
+    def test_plan_round_trip_keeps_the_digest(self, tmp_path):
+        rng = np.random.default_rng(97)
+        for i in range(20):
+            plan = SimPlan(random_model(rng), n_values=(4, 64), reps=100, seed=i)
+            save_plan(plan, tmp_path / "p.plan", tmp_path / "p.model")
+            assert load_plan(tmp_path / "p.plan").digest() == plan.digest()
 
     def test_plan_model_path_is_relative_to_plan(self, tmp_path, bernoulli):
         sub = tmp_path / "nested"

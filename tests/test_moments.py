@@ -86,7 +86,7 @@ def quadrature_moments(model: BeliefModel, quad_tol: float = 1e-10) -> ChoquetMo
 def _repeated_hull_model():
     # the first, third and fifth focal elements share the hull (0.1, 0.7);
     # the endpoints are not exact in binary
-    return BeliefModel.make(
+    return BeliefModel(
         [(FocalElement.make([(0.1, 0.7)]), 0.15),
          (FocalElement.make([(0.3, 0.3)]), 0.2),
          (FocalElement.make([(0.1, 0.2), (0.5, 0.7)]), 0.35),
@@ -139,7 +139,7 @@ class TestEnumeration:
 
 class TestDegenerate:
     def test_single_focal_raises(self):
-        vac = BeliefModel.make([(FocalElement.make([(-2, 2)]), 1.0)], 2.0)
+        vac = BeliefModel([(FocalElement.make([(-2, 2)]), 1.0)], 2.0)
         with pytest.raises(DegenerateVariance) as exc:
             moments_by_enumeration(vac)
         partial = exc.value.partial
@@ -148,7 +148,7 @@ class TestDegenerate:
         assert math.isnan(partial.rho)
 
     def test_allow_degenerate_returns_partial(self):
-        vac = BeliefModel.make([(FocalElement.make([(-2, 2)]), 1.0)], 2.0)
+        vac = BeliefModel([(FocalElement.make([(-2, 2)]), 1.0)], 2.0)
         for route in (moments_by_enumeration, moments_by_integration):
             m = route(vac, allow_degenerate=True)
             assert m.lower_sd == 0.0 and m.upper_sd == 0.0
@@ -157,7 +157,7 @@ class TestDegenerate:
 
     def test_one_sided_degeneracy(self):
         # all minima equal, maxima spread: only the lower side degenerates
-        model = BeliefModel.make(
+        model = BeliefModel(
             [(FocalElement.make([(0, 1)]), 0.5),
              (FocalElement.make([(0, 2)]), 0.5)], 2.0)
         with pytest.raises(DegenerateVariance):
@@ -190,7 +190,7 @@ class TestRouteAgreement:
         model = _repeated_hull_model()
         law = MinMaxLaw.from_model(model)
         assert len(law.masses) < len(model.focal)
-        twin = BeliefModel.make(
+        twin = BeliefModel(
             [(FocalElement.make([(lo, hi)]), m)
              for lo, hi, m in zip(law.mins, law.maxs, law.masses)], model.bound)
         for route in (moments_by_enumeration, moments_by_integration):
@@ -281,7 +281,8 @@ def two_hull_models(draw):
                 focal.append(FocalElement.make([(lo, gap[0]), (gap[1], hi)]))
     masses = draw(st.lists(st.floats(0.01, 1.0), min_size=len(focal), max_size=len(focal)))
     bound = max(abs(x) for h in hulls for x in h) + draw(st.floats(0.0, 2.0))
-    return BeliefModel.make(zip(focal, masses), bound).normalized()
+    total = math.fsum(masses)
+    return BeliefModel([(f, m / total) for f, m in zip(focal, masses)], bound)
 
 
 @given(two_hull_models())

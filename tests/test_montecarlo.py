@@ -17,6 +17,7 @@ from beliefclt import (
     IntervalEvent,
     SimPlan,
     belief,
+    bernoulli_model,
     estimate_events,
     moments_by_enumeration,
     plausibility,
@@ -239,7 +240,7 @@ class TestPlanValidation:
 
 @pytest.fixture(scope="module")
 def bern_plan():
-    model = BeliefModel.make(
+    model = BeliefModel(
         [(FocalElement.make([(1.0, 1.0)]), 0.3),
          (FocalElement.make([(0.0, 0.0)]), 0.3),
          (FocalElement.make([(0.0, 1.0)]), 0.4)], 1.0)
@@ -289,7 +290,7 @@ class TestEstimateEvents:
         assert estimate_events(bern_plan, mom, workers=1) == bern_sim
 
     def test_degenerate_variance_raises(self):
-        vac = BeliefModel.make([(FocalElement.make([(0.0, 1.0)]), 1.0)], 1.0)
+        vac = BeliefModel([(FocalElement.make([(0.0, 1.0)]), 1.0)], 1.0)
         plan = SimPlan(vac, n_values=(4,), reps=10)
         with pytest.raises(DegenerateVariance):
             mom = moments_by_enumeration(vac, allow_degenerate=True)
@@ -489,7 +490,7 @@ def test_runs_of_blocks_match_brute_force_reference():
 
 def _repeated_hull_model():
     # the first and third focal elements share the hull (0, 1)
-    return BeliefModel.make(
+    return BeliefModel(
         [(FocalElement.make([(0.0, 1.0)]), 0.3),
          (FocalElement.make([(1.0, 1.0)]), 0.2),
          (FocalElement.make([(0.0, 0.25), (0.75, 1.0)]), 0.25),
@@ -497,7 +498,7 @@ def _repeated_hull_model():
 
 
 def _merged_hull_model():
-    return BeliefModel.make(
+    return BeliefModel(
         [(FocalElement.make([(0.0, 1.0)]), math.fsum((0.3, 0.25))),
          (FocalElement.make([(1.0, 1.0)]), 0.2),
          (FocalElement.make([(0.0, 0.0)]), 0.25)], 1.0)
@@ -525,19 +526,16 @@ class TestRepeatedHull:
         again = estimate_events(merged, moments_by_enumeration(merged.model), workers=1)
         assert [r.count for r in again.rows] == [r.count for r in sim.rows]
 
-    def test_zero_mass_focal_elements_get_no_hull(self):
-        # a zero-mass hull put 0 * log(0) = NaN into the count table and a
-        # 0 / 0 share into the split tree
+    def test_zero_mass_focal_elements_are_rejected_at_construction(self):
+        # a zero-mass hull would put 0 * log(0) = NaN into the count table
+        # and a 0 / 0 share into the split tree, so no model holds one
         base = _merged_hull_model()
-        padded = BeliefModel.make(
-            list(base.focal) + [(FocalElement.make([(0.0, 0.5)]), 0.0),
-                                (FocalElement.make([(0.5, 0.5)]), 0.0)], base.bound)
-        assert len(MinMaxLaw.from_model(padded).masses) == len(base.focal)
-        runs = []
-        for model in (base, padded):
-            plan = SimPlan(model, n_values=(16, 4096), reps=3000, seed=9)
-            runs.append(estimate_events(plan, moments_by_enumeration(model), workers=1))
-        assert [r.count for r in runs[0].rows] == [r.count for r in runs[1].rows]
+        with pytest.raises(ValueError, match="^mass #3 must be > 0"):
+            BeliefModel(list(base.focal) + [(FocalElement.make([(0.0, 0.5)]), 0.0)],
+                        base.bound)
+        # bernoulli_model drops its own zero masses, so p_low = 0 still builds
+        model = bernoulli_model(0.0, 0.6)
+        assert MinMaxLaw.from_model(model).masses.tolist() == [0.4, 0.6]
 
     def test_n1_matches_exact_belief(self):
         model = _repeated_hull_model()
@@ -576,7 +574,7 @@ def _compositions(n, k):
 def _non_dyadic_model():
     # endpoints 0.1, 0.3, 0.7 and 0.2 are not exact in binary, so hull sums
     # round and their bits depend on the order of the additions
-    return BeliefModel.make(
+    return BeliefModel(
         [(FocalElement.make([(0.1, 0.3)]), 0.25),
          (FocalElement.make([(0.2, 0.7)]), 0.35),
          (FocalElement.make([(0.3, 0.3)]), 0.1),
