@@ -45,17 +45,20 @@ def as_real_pair(name: str, value) -> tuple[float, float]:
 class FocalElement:
     """A nonempty finite union of closed intervals, sorted and disjoint.
 
-    ``parts`` is a tuple of (a, b) pairs with a <= b; consecutive parts must
-    satisfy b_i < a_{i+1} (touching parts are merged by :meth:`make`).
+    ``parts`` is a tuple of (a, b) pairs with a <= b, stored as floats
+    (:func:`as_real_pair`); consecutive parts must satisfy b_i < a_{i+1}
+    (touching parts are merged by :meth:`make`).
     """
 
     parts: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if not self.parts:
+        parts = tuple(as_real_pair("focal part", part) for part in self.parts)
+        object.__setattr__(self, "parts", parts)
+        if not parts:
             raise ValueError("focal element must be nonempty")
         prev_hi = -math.inf
-        for a, b in self.parts:
+        for a, b in parts:
             if not (math.isfinite(a) and math.isfinite(b)):
                 raise ValueError("focal parts must have finite endpoints")
             if a > b:

@@ -18,13 +18,12 @@ given (seed, plan) at any worker count.  A block draws the hull counts of
 its trials, which carry the same joint law of (S_min, S_max) as
 coordinate-by-coordinate sampling.  Each trial reduces to one event cell,
 and a block to one histogram of cells.  Where there are at most
-``TABLE_MAX_VECTORS`` count vectors, the block inverts a table of every
-vector whose consecutive vectors of one cell are merged into runs
-(``_CountTable``): it counts its sorted uniforms per run and weights each
-run's cell by that count, so no row is handled on its own.  Else a binary
-tree of binomial splits over the hulls draws the counts, its root split
-by the same per-entry counts on a window of its binomial cdf
-(``_SplitTree``).
+``TABLE_MAX_VECTORS`` count vectors, the multinomial probabilities of
+every vector, summed per cell, give the exact law of one trial's cell
+(``_CountTable``), and a block's histogram is one multinomial draw over
+it, so no row is handled on its own.  Else a binary tree of binomial
+splits over the hulls draws the counts, its root split by one multinomial
+over a window of its binomial pmf (``_SplitTree``).
 """
 
 from __future__ import annotations
@@ -263,71 +262,39 @@ def _multinomial_pmf(columns: Sequence[np.ndarray], masses: np.ndarray, n: int) 
     return np.exp(log_p, out=log_p)
 
 
-def _sorted_uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
-    """``size`` uniforms of ``rng`` in ascending order; the rows of a block
-    are exchangeable, since only their histogram is kept."""
-    u = rng.random(size)
-    u.sort()
-    return u
-
-
-def _entry_counts(u: np.ndarray, cumulative: np.ndarray) -> np.ndarray:
-    """How many of the sorted uniforms ``u`` fall on each entry of
-    ``cumulative``, a non-decreasing cdf that ends in 1.0.
-
-    Entry j holds the u with ``cumulative[j - 1] <= u < cumulative[j]``,
-    the rows that ``searchsorted(cumulative, u, side="right")`` puts at j.
-    The shorter array is searched in the longer one: with no more entries
-    than uniforms, the count of u below each entry, differenced; else each
-    row's entry, counted.
-    """
-    if len(cumulative) <= len(u):
-        below = np.searchsorted(u, cumulative, side="left")
-        return np.diff(below, prepend=0)
-    return np.bincount(np.searchsorted(cumulative, u, side="right"),
-                       minlength=len(cumulative))
-
-
 @dataclass(frozen=True, eq=False)
 class _CountTable:
-    """Every hull-count vector of one (law, n), for sampling by inversion.
+    """The exact law of one trial's event cell at one (law, n).
 
-    The running multinomial probabilities of the count vectors in
-    lexicographic order, divided by their total so that they end in
-    exactly 1.0, are cut into runs of consecutive vectors that share an
-    event cell.  ``cumulative`` holds the running probability at the end
-    of each run and ``cell`` the run's cell: a uniform falls on a run
-    exactly when it falls on one of the run's vectors.
+    ``p_cell[c]`` is the multinomial probability of every hull-count vector
+    whose cell is c, summed per cell and divided by the total, so a block's
+    cell histogram is exactly Multinomial(block_len, p_cell).
     """
 
-    cumulative: np.ndarray
-    cell: np.ndarray
+    p_cell: np.ndarray
 
     @classmethod
-    def build(cls, law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray]) -> "_CountTable":
+    def build(cls, law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray],
+              length: int) -> "_CountTable":
         columns = _count_vectors(n, len(law.masses))
         pmf = _multinomial_pmf(columns, law.masses, n)
-        cumulative = np.cumsum(pmf, out=pmf)
-        cumulative /= cumulative[-1]
-        cell = cell_of(*_hull_sums(columns, law))
-        last = np.append(cell[1:] != cell[:-1], True)
-        return cls(cumulative[last], cell[last])
+        p_cell = np.bincount(cell_of(*_hull_sums(columns, law)), weights=pmf, minlength=length)
+        return cls(p_cell / p_cell.sum())
 
-    def histogram(self, rng: np.random.Generator, size: int, length: int) -> np.ndarray:
-        """Cell histogram of ``size`` trials, ``length`` cells long."""
-        counts = _entry_counts(_sorted_uniforms(rng, size), self.cumulative)
-        return np.bincount(self.cell, weights=counts, minlength=length).astype(np.intp)
+    def histogram(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Cell histogram of ``size`` trials."""
+        return rng.multinomial(size, self.p_cell)
 
 
 def _binomial_window(n: int, p: float, q: float) -> tuple[int, np.ndarray] | None:
-    """(lo, cumulative): the Bin(n, p) cdf at lo, lo + 1, ..., hi, q = 1 - p;
-    None where that window has more than ``TABLE_MAX_VECTORS`` entries.
+    """(lo, pmf): the Bin(n, p) pmf at lo, lo + 1, ..., hi, q = 1 - p,
+    divided by its total; None where that window has more than
+    ``TABLE_MAX_VECTORS`` entries.
 
     The window is the mode +- (10 sd + 32), cut to [0, n]; by Bernstein's
     inequality each side of it holds less than exp(-46) of the mass.  The
     pmf relative to the mode follows from the ratio recurrence
-    pmf(k + 1) / pmf(k) = (n - k) / (k + 1) * p / q, and the running sums
-    are divided by their total so that they end in exactly 1.0.
+    pmf(k + 1) / pmf(k) = (n - k) / (k + 1) * p / q.
     """
     mode = min(n, math.floor((n + 1) * p))
     half = math.ceil(10.0 * math.sqrt(n * p * q)) + 32
@@ -341,9 +308,7 @@ def _binomial_window(n: int, p: float, q: float) -> tuple[int, np.ndarray] | Non
         [1.0],
         np.cumprod((n - up) / (up + 1) * (p / q)) if mode < hi else [],
     ])
-    cumulative = np.cumsum(pmf, out=pmf)
-    cumulative /= cumulative[-1]
-    return lo, cumulative
+    return lo, pmf / pmf.sum()
 
 
 def _shares(masses: np.ndarray, lo: int, hi: int) -> tuple[float, float]:
@@ -361,23 +326,26 @@ class _SplitTree:
     A node splits its count of hulls [lo, hi) into [lo, mid) and [mid, hi),
     mid = (lo + hi) // 2; the left count is binomial with the left share
     of the node's mass (Devroye 1986, ch. XI), and the leaves give the
-    columns in hull order.  The root's left count is drawn by inversion of
-    ``root``, the (lo, cumulative) of ``_binomial_window``, and sorted with
-    the block's uniforms, so numpy reuses its binomial setup across equal
-    counts at the second level.  Every other split, and the root where
-    ``root`` is None, takes ``rng.binomial``, depth first and left before
-    right.
+    columns in hull order.  The root's left counts are one multinomial
+    over ``root``, the (lo, pmf) of ``_binomial_window``: each count value
+    repeated as often as it is drawn, so the column comes out sorted and
+    numpy reuses its binomial setup across equal counts at the second
+    level.  Every other split, and the root where ``root`` is None, takes
+    ``rng.binomial``, depth first and left before right.  ``length`` is
+    the number of cells.
     """
 
     law: MinMaxLaw
     n: int
     root: tuple[int, np.ndarray] | None
     cell_of: Callable[..., np.ndarray]
+    length: int
 
     @classmethod
-    def build(cls, law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray]) -> "_SplitTree":
+    def build(cls, law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray],
+              length: int) -> "_SplitTree":
         root = _binomial_window(n, *_shares(law.masses, 0, len(law.masses)))
-        return cls(law, n, root, cell_of)
+        return cls(law, n, root, cell_of, length)
 
     def counts(self, rng: np.random.Generator, size: int) -> list[np.ndarray]:
         """Hull counts of ``size`` trials, one int64 column per hull."""
@@ -390,9 +358,9 @@ class _SplitTree:
                 columns[lo] = count
                 continue
             if hi - lo == k and self.root is not None:
-                lo_count, cumulative = self.root
-                counts = _entry_counts(_sorted_uniforms(rng, size), cumulative)
-                left = np.repeat(np.arange(lo_count, lo_count + len(cumulative)), counts)
+                lo_count, pmf = self.root
+                left = np.repeat(np.arange(lo_count, lo_count + len(pmf)),
+                                 rng.multinomial(size, pmf))
             else:
                 left = rng.binomial(count, _shares(self.law.masses, lo, hi)[0])
             count -= left
@@ -404,9 +372,9 @@ class _SplitTree:
         """Event cells of ``size`` trials."""
         return self.cell_of(*_hull_sums(self.counts(rng, size), self.law))
 
-    def histogram(self, rng: np.random.Generator, size: int, length: int) -> np.ndarray:
-        """Cell histogram of ``size`` trials, ``length`` cells long."""
-        return np.bincount(self.draw(rng, size), minlength=length)
+    def histogram(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Cell histogram of ``size`` trials."""
+        return np.bincount(self.draw(rng, size), minlength=self.length)
 
 
 def is_tabled(law: MinMaxLaw, n: int) -> bool:
@@ -415,12 +383,13 @@ def is_tabled(law: MinMaxLaw, n: int) -> bool:
     return math.comb(n + k - 1, k - 1) <= TABLE_MAX_VECTORS
 
 
-def _table_for(law: MinMaxLaw, n: int,
-               cell_of: Callable[..., np.ndarray]) -> _CountTable | _SplitTree:
-    """The count table of (law, n) where ``is_tabled``, else the split tree."""
+def _table_for(law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray],
+               length: int) -> _CountTable | _SplitTree:
+    """The cell law of (law, n) where ``is_tabled``, else the split tree;
+    ``cell_of`` maps hull sums to cells, of which there are ``length``."""
     if is_tabled(law, n):
-        return _CountTable.build(law, n, cell_of)
-    return _SplitTree.build(law, n, cell_of)
+        return _CountTable.build(law, n, cell_of, length)
+    return _SplitTree.build(law, n, cell_of, length)
 
 
 @dataclass(frozen=True, eq=False)
@@ -479,10 +448,12 @@ class _EventCells:
         return cell
 
     def counts(self, histogram: np.ndarray) -> np.ndarray:
-        """Event counts in plan order: lower, upper, then two-sided."""
+        """Event counts in plan order: lower, upper, then two-sided; of a
+        cell law, the event probabilities."""
         histogram = histogram.reshape(len(self.low) + 1, 2 * len(self.up) + 1)
         # tail[r, c] = #{low rank >= r and up rank < c}
-        tail = np.zeros((histogram.shape[0] + 1, histogram.shape[1] + 1), dtype=np.int64)
+        tail = np.zeros((histogram.shape[0] + 1, histogram.shape[1] + 1),
+                        dtype=np.result_type(histogram, np.int64))
         tail[:-1, 1:] = histogram[::-1].cumsum(axis=0)[::-1].cumsum(axis=1)
         return tail[self.rows, self.cols]
 
@@ -503,16 +474,16 @@ def _tally_run(seed: int, reps: int, law: MinMaxLaw, moments: ChoquetMoments,
                events: _EventCells, run: tuple[int, range]) -> tuple[int, np.ndarray]:
     """(n, cell histogram) of a run of consecutive blocks of one n.
 
-    The run builds the count table or split tree of (law, n) and drops it
-    on return, so no table outlives the draws it serves.
+    The run builds the cell law or split tree of (law, n) and drops it on
+    return, so no table outlives the draws it serves.
     """
     n, blocks = run
     cell_of = partial(_normalized_cells, events, moments, n)
-    table = _table_for(law, n, cell_of)
+    table = _table_for(law, n, cell_of, events.size)
     histogram = np.zeros(events.size, dtype=np.intp)
     for b in blocks:
         block_len = min(BLOCK_SIZE, reps - b * BLOCK_SIZE)
-        histogram += table.histogram(_block_stream(seed, n, b), block_len, events.size)
+        histogram += table.histogram(_block_stream(seed, n, b), block_len)
     return n, histogram
 
 

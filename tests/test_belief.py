@@ -10,6 +10,7 @@ from beliefclt import (
     BeliefModel,
     FocalElement,
     IntervalEvent,
+    SimPlan,
     belief,
     plausibility,
 )
@@ -47,6 +48,17 @@ class TestFocalElement:
             FocalElement.make([("0", "1")])
         with pytest.raises(ValueError, match="real number"):
             FocalElement.make([(False, True)])
+
+    def test_direct_construction_stores_floats(self):
+        # equal models hash to one run_id, however their endpoints were spelled
+        direct = BeliefModel([(FocalElement(((0, 1),)), 0.5), (FocalElement(((1, 1),)), 0.5)], 1)
+        made = BeliefModel([(FocalElement.make([(0, 1)]), 0.5),
+                            (FocalElement.make([(1, 1)]), 0.5)], 1)
+        assert direct == made and repr(direct) == repr(made)
+        assert {type(v) for f, _ in direct.focal for part in f.parts for v in part} == {float}
+        assert SimPlan(direct).digest() == SimPlan(made).digest() == "69146e3b99e2"
+        with pytest.raises(ValueError, match="real number"):
+            FocalElement((("0", 1),))
 
     def test_containment_needs_single_piece_cover(self):
         f = FocalElement.make([(0, 1), (2, 3)])

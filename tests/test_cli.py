@@ -2,6 +2,7 @@ import argparse
 import csv
 import math
 
+import numpy as np
 import pytest
 
 from beliefclt import cli, montecarlo, save_model, save_plan, SimPlan, bernoulli_model
@@ -10,6 +11,11 @@ from beliefclt.modelio import REPORT_SCHEMA, emit_csv
 from beliefclt.moments import MinMaxLaw
 
 BERN = bernoulli_model(0.3, 0.7)
+
+
+def _first_cell(s_min, s_max):
+    """A cell function that puts every trial in cell 0."""
+    return np.zeros(len(s_min), dtype=np.intp)
 
 
 @pytest.fixture
@@ -133,7 +139,7 @@ class TestSimulate:
             joined = " ".join(rec.message for rec in caplog.records)
             assert f"table_max_vectors={limit} tabled_n={tabled}" in joined
             drawn = [n for n in (16, 64)
-                     if isinstance(montecarlo._table_for(law, n, lambda s_min, s_max: s_min),
+                     if isinstance(montecarlo._table_for(law, n, _first_cell, 1),
                                    montecarlo._CountTable)]
             assert tabled == str(drawn)
 

@@ -1,23 +1,20 @@
 """Pinned estimator counts for every registry model.
 
-The values were re-recorded when the estimator changed how it draws a
-block: streams are keyed by (seed, n, block) instead of the position of n
-in the plan, and where a (law, n) has at most ``TABLE_MAX_VECTORS`` hull
-count vectors the block draws them by inversion from a table of every
-vector (sorted uniforms counted per table entry) instead of numpy's
-multinomial.  Merging the table's consecutive vectors of one cell into
-runs, and counting the uniforms per run rather than per row, left every
-count unchanged.  Every n of this plan is tabled for every registry model, so
-``MULTINOMIAL_SHA256`` pins two (model, n) whose laws are too large for a
-table.  Those two were re-recorded once more when the untabled draw
-moved from numpy's multinomial to the binomial split tree, after the
-tree's root cdf, replay and law tests passed.  All were recorded only
-after the table's pmf, size rule and two-path law tests passed; the tally
-and the ``>=`` / ``<`` / ``<=`` operators did not change.  The plan runs
-two blocks per n (the second one partial) on a
-dense 0.25 alpha grid; ``coin`` and ``two_interval`` put T_low and T_up on
-a 0.5 lattice at n = 4 and 16, so many trials land exactly on a grid
-threshold and the operators decide them.
+Streams are keyed by (seed, n, block).  Where a (law, n) has at most
+``TABLE_MAX_VECTORS`` hull count vectors, a block is one multinomial draw
+over the exact law of one trial's event cell: the multinomial
+probabilities of every count vector, summed per cell.  Every n of this
+plan is tabled for every registry model, so ``MULTINOMIAL_SHA256`` pins
+two (model, n) whose laws are too large for a table; those draw their
+hull counts by the binomial split tree, whose root is one multinomial
+over a window of its binomial pmf.  All values were last re-recorded when
+blocks and the tree's root became multinomial draws, after the cell law's
+fractions test, its block-histogram z-test, the root replay and the
+two-path law test passed; the tally and the ``>=`` / ``<`` / ``<=``
+operators did not change.  The plan runs two blocks per n (the second
+one partial) on a dense 0.25 alpha grid; ``coin`` and ``two_interval``
+put T_low and T_up on a 0.5 lattice at n = 4 and 16, so many trials land
+exactly on a grid threshold and the operators decide them.
 """
 
 import hashlib
@@ -32,33 +29,33 @@ from beliefclt.montecarlo import ONE_SIDED_LOWER, ONE_SIDED_UPPER, default_alpha
 DENSE_GRID = tuple(-2.5 + 0.25 * i for i in range(21))
 
 GOLDEN_SHA256 = {
-    "bernoulli": "d0120c1543f738dc6173128310b7391444fcc3d3fe82628f760bdd64527d9fa2",
-    "coin": "181316c2ab1351fa8a2e66f0d3c06f538fb40ba0c5db2a9b97fa18452b823898",
-    "two_interval": "181316c2ab1351fa8a2e66f0d3c06f538fb40ba0c5db2a9b97fa18452b823898",
-    "union_parts": "4741860ecf939dc97caf2b9b37f2d18ba918b144ca92c7d31b073dd133c564a6",
-    "mixed": "6a5b8fd79d6c0b2c405dd0ea1e422c93b5a26c5fa2ea600c03d15c0fcc12e299",
+    "bernoulli": "d17450dec57be068ee0295f12e6e02120d5a4f8cff630a08e29d01902880ff5d",
+    "coin": "d5921b2657bda17b8d2ce15568f58fbc8d454c9aee794bd67abc80313daffa82",
+    "two_interval": "d5921b2657bda17b8d2ce15568f58fbc8d454c9aee794bd67abc80313daffa82",
+    "union_parts": "f8ce50f5d791b5524531f0754a2af142c86fd0785ffb45a4b4f9e73f0ae18d2a",
+    "mixed": "124af4270a3052b0d07fca98543ec5e328c8276ccdbb4c3e0846b6bf61013160",
 }
 
 # (model, n) drawn by the split tree: 525825 and 2862209 count vectors
 MULTINOMIAL_SHA256 = {
-    ("bernoulli", 1024): "d75cda6e2070297200d8df180aec5e1c4fc22f8168a82caa1aa98d86c0c7cf98",
-    ("mixed", 256): "c3138963c9dd00fba25657d653f5af0efd72f5819801807a2d8e30ac071b6d1a",
+    ("bernoulli", 1024): "598053da798202447c54f2aedfc57ede22a8ce8b2ad404ddc4903e389f8d7179",
+    ("mixed", 256): "b80279ca4b1f2b08d9a26dfd769197930dcf57cc3ff5911ccc8312764507c0e4",
 }
 
 # n = 16 one-sided counts along DENSE_GRID, spelled out for readable diffs
 GOLDEN_N16 = {
     ("bernoulli", ONE_SIDED_LOWER): [
-        19947, 19947, 19486, 19486, 18031, 18031, 18031, 15098, 15098, 11012, 11012,
-        6837, 6837, 3526, 3526, 1459, 1459, 504, 504, 504, 153],
+        19930, 19930, 19466, 19466, 17981, 17981, 17981, 15007, 15007, 11018, 11018,
+        6832, 6832, 3518, 3518, 1478, 1478, 513, 513, 513, 157],
     ("bernoulli", ONE_SIDED_UPPER): [
-        146, 521, 521, 521, 1503, 1503, 3465, 3465, 6875, 6875, 11061, 11061,
-        15091, 15091, 18023, 18023, 18023, 19472, 19472, 19932, 19932],
+        145, 543, 543, 543, 1519, 1519, 3537, 3537, 6872, 6872, 11071, 11071,
+        15121, 15121, 18017, 18017, 18017, 19499, 19499, 19946, 19946],
     ("coin", ONE_SIDED_LOWER): [
-        19960, 19790, 19790, 19236, 19236, 17894, 17894, 15412, 15412, 11949, 11949,
-        8004, 8004, 4534, 4534, 2083, 2083, 755, 755, 184, 184],
+        19963, 19776, 19776, 19235, 19235, 17901, 17901, 15470, 15470, 11971, 11971,
+        8121, 8121, 4582, 4582, 2090, 2090, 748, 748, 212, 212],
     ("coin", ONE_SIDED_UPPER): [
-        40, 210, 210, 764, 764, 2106, 2106, 4588, 4588, 8051, 8051, 11996, 11996,
-        15466, 15466, 17917, 17917, 19245, 19245, 19816, 19816],
+        37, 224, 224, 765, 765, 2099, 2099, 4530, 4530, 8029, 8029, 11879, 11879,
+        15418, 15418, 17910, 17910, 19252, 19252, 19788, 19788],
 }
 
 

@@ -35,7 +35,6 @@ from beliefclt.montecarlo import (
     _count_vectors,
     _binomial_window,
     _CountTable,
-    _entry_counts,
     _EventCells,
     _hull_sums,
     _multinomial_pmf,
@@ -58,34 +57,43 @@ def _keep_sums(s_min, s_max):
     return np.stack([s_min, s_max])
 
 
+def _vector_table(law, n):
+    """The table or split tree of (law, n), built with ``_vector_index``:
+    a tabled (law, n) then has one cell per count vector."""
+    k = len(law.masses)
+    return _table_for(law, n, _vector_index, math.comb(n + k - 1, k - 1))
+
+
 def _draw_sums(seed, n, block_index, size, law):
     """(S_min, S_max) of one block's trials, drawn as the estimator draws
-    them but through cell functions that keep the hull sums."""
-    table = _table_for(law, n, _vector_index)
+    them but through cell functions that keep the count vector or the hull
+    sums."""
+    table = _vector_table(law, n)
     rng = _block_stream(seed, n, block_index)
     if isinstance(table, _SplitTree):
         return tuple(replace(table, cell_of=_keep_sums).draw(rng, size))
     s_min, s_max = _hull_sums(_count_vectors(n, len(law.masses)), law)
-    index = _table_rows(table, rng, size)
+    index = np.repeat(np.arange(len(table.p_cell)), table.histogram(rng, size))
     return s_min[index], s_max[index]
 
 
-def _table_rows(table, rng, size):
-    """Table positions of one block's trials, ascending, from a table built
-    with ``_vector_index``: its cells are distinct, so no vectors merge and
-    the histogram of cells is the count per vector."""
-    assert np.array_equal(table.cell, np.arange(len(table.cell)))
-    return np.repeat(table.cell, table.histogram(rng, size, len(table.cell)))
+def _replay_root(rng, n, p, q, size):
+    """The root's left counts of one block, replayed from their definition:
+    one multinomial over scipy's Bin(n, p) pmf on the window of
+    ``_binomial_window``, each count value repeated as often as drawn."""
+    from scipy.stats import binom
+
+    lo, pmf = _binomial_window(n, p, q)
+    values = np.arange(lo, lo + len(pmf))
+    exact = binom.pmf(values, n, p)
+    return np.repeat(values, rng.multinomial(size, exact / exact.sum()))
 
 
 def _replay_tree(seed, n, block_index, size, law, tabled_root):
     """Hull counts of one block by the split tree, replayed from its
     definition: node [lo, hi) splits at (lo + hi) // 2 with the left share
     of its mass, depth first and left before right; the root's left count
-    is either the inverse of scipy's binomial cdf at the block's sorted
-    uniforms or one rng.binomial like every other split."""
-    from scipy.stats import binom
-
+    is either ``_replay_root`` or one rng.binomial like every other split."""
     rng = _block_stream(seed, n, block_index)
     masses = law.masses.tolist()
     columns = {}
@@ -98,8 +106,7 @@ def _replay_tree(seed, n, block_index, size, law, tabled_root):
         left, right = math.fsum(masses[lo:mid]), math.fsum(masses[mid:hi])
         share = left / (left + right)
         if tabled_root and hi - lo == len(masses):
-            u = np.sort(rng.random(size))
-            drawn = np.searchsorted(binom.cdf(np.arange(n + 1), n, share), u, side="right")
+            drawn = _replay_root(rng, n, share, right / (left + right), size)
         else:
             drawn = rng.binomial(count, share)
         split(lo, mid, drawn)
@@ -375,13 +382,19 @@ def test_resolve_workers_rejects_all_but_positive_integers(monkeypatch):
             resolve_workers(workers)
 
 
+def _brute_events(t_low, t_up, alphas, pairs):
+    """Whether each trial is in each event, one row per event in plan order
+    (lower, upper, two-sided), by one comparison pass per event as the
+    definitions read."""
+    rows = ([t_low >= a for a in alphas] + [t_up < a for a in alphas]
+            + [(a1 <= t_low) & (t_up <= a2) for a1, a2 in pairs])
+    return np.array(rows, dtype=bool).reshape(len(rows), len(t_low))
+
+
 def _brute_counts(t_low, t_up, alphas, pairs):
-    """Event counts by one comparison pass per event, as the definitions read."""
-    return (
-        [int((t_low >= a).sum()) for a in alphas],
-        [int((t_up < a).sum()) for a in alphas],
-        [int(((a1 <= t_low) & (t_up <= a2)).sum()) for a1, a2 in pairs],
-    )
+    """Event counts, lower, upper and two-sided, from ``_brute_events``."""
+    counts = _brute_events(t_low, t_up, alphas, pairs).sum(axis=1).tolist()
+    return counts[:len(alphas)], counts[len(alphas):2 * len(alphas)], counts[2 * len(alphas):]
 
 
 LATTICE = tuple(0.25 * i for i in range(-10, 11))
@@ -429,21 +442,44 @@ class TestEventCells:
 
 
 def _reference_estimate(plan, mom):
-    """Replays the estimator's block draws, without its cell function, and
-    tallies every event by brute force."""
+    """Replays the estimator's block draws, without its tally, and counts
+    every event by brute force.
+
+    An untabled n replays its trials' hull sums.  A tabled n replays each
+    block as one multinomial over the cell law; every count vector is tested
+    against every event, the vectors of one cell must agree, and each draw
+    of a cell counts towards the events of its vectors.
+    """
     law = MinMaxLaw.from_model(plan.model)
+    events = _EventCells.build(plan.alpha_one_sided, plan.alpha_two_sided)
     counts = {}
     for n in plan.n_values:
-        t_low, t_up = [], []
-        for b, start in enumerate(range(0, plan.reps, BLOCK_SIZE)):
-            block_len = min(BLOCK_SIZE, plan.reps - start)
-            s_min, s_max = _draw_sums(plan.seed, n, b, block_len, law)
-            root = math.sqrt(n)
-            t_low.append((s_min - n * mom.lower_mean) / (root * mom.lower_sd))
-            t_up.append((s_max - n * mom.upper_mean) / (root * mom.upper_sd))
-        lower, upper, two = _brute_counts(np.concatenate(t_low), np.concatenate(t_up),
-                                          plan.alphas_for(n), plan.pairs_for(n))
-        counts[n] = lower + upper + two
+        root = math.sqrt(n)
+
+        def normalized(s_min, s_max):
+            return ((s_min - n * mom.lower_mean) / (root * mom.lower_sd),
+                    (s_max - n * mom.upper_mean) / (root * mom.upper_sd))
+
+        blocks = [(b, min(BLOCK_SIZE, plan.reps - start))
+                  for b, start in enumerate(range(0, plan.reps, BLOCK_SIZE))]
+        cell_of = partial(_normalized_cells, events, mom, n)
+        table = _table_for(law, n, cell_of, events.size)
+        if isinstance(table, _SplitTree):
+            sums = [normalized(*_draw_sums(plan.seed, n, b, size, law)) for b, size in blocks]
+            t_low, t_up = (np.concatenate(t) for t in zip(*sums))
+            in_event = _brute_events(t_low, t_up, plan.alpha_one_sided, plan.alpha_two_sided)
+            counts[n] = in_event.sum(axis=1).tolist()
+            continue
+        vectors = _count_vectors(n, len(law.masses))
+        in_event = _brute_events(*normalized(*_hull_sums(vectors, law)),
+                                 plan.alpha_one_sided, plan.alpha_two_sided)
+        cells = cell_of(*_hull_sums(vectors, law))
+        member = np.zeros((len(in_event), events.size), dtype=np.int64)
+        member[:, cells] = in_event
+        assert np.array_equal(member[:, cells], in_event)  # one cell, one set of events
+        histogram = sum(_block_stream(plan.seed, n, b).multinomial(size, table.p_cell)
+                        for b, size in blocks)
+        counts[n] = (member @ histogram).tolist()
     return counts
 
 
@@ -479,8 +515,8 @@ def test_runs_of_blocks_match_brute_force_reference():
     model = MODEL_REGISTRY["bernoulli"]()
     mom = moments_by_enumeration(model)
     plan = SimPlan(model, n_values=(16, 1024), reps=8 * BLOCK_SIZE + 37, seed=23)
-    assert isinstance(_table_for(MinMaxLaw.from_model(model), 16, _vector_index), _CountTable)
-    assert isinstance(_table_for(MinMaxLaw.from_model(model), 1024, _vector_index), _SplitTree)
+    assert isinstance(_vector_table(MinMaxLaw.from_model(model), 16), _CountTable)
+    assert isinstance(_vector_table(MinMaxLaw.from_model(model), 1024), _SplitTree)
     reference = _reference_estimate(plan, mom)
     for workers in (1, 2):
         sim = estimate_events(plan, mom, workers=workers)
@@ -584,6 +620,59 @@ def _non_dyadic_model():
 _MASSES = ((1.0,), (0.5, 0.5), (0.3, 0.3, 0.4), (0.1, 0.25, 0.3, 0.35))
 
 
+def _z_test(cells, reps, context):
+    """Bonferroni z-test of observed counts against their probabilities,
+    ``cells`` a list of (p, count) over ``reps`` trials; a p of 0 or 1
+    must be met exactly."""
+    from scipy.stats import norm
+
+    z_max = norm.isf(1e-6 / (2 * len(cells)))
+    for p, count in cells:
+        if 0 < p < 1:
+            z = (count - reps * p) / math.sqrt(reps * p * (1 - p))
+            assert abs(z) <= z_max, (context, p, count, z)
+        else:
+            assert count == reps * p, (context, p, count)
+
+
+def _pooled(p, counts, reps):
+    """(p, count) pairs of the entries with at least 20 expected trials,
+    then one pooled pair for the rest."""
+    big = reps * p >= 20
+    return list(zip(p[big].tolist(), counts[big].tolist())) + [
+        (float(p[~big].sum()), int(counts[~big].sum()))]
+
+
+def _exact_cell_law(law, n, cell_of, length):
+    """P(cell = c) for every cell c: the multinomial probabilities of the
+    count vectors in fractions, summed per cell, divided by their total."""
+    masses = [Fraction(m) for m in law.masses.tolist()]
+    vectors = _compositions(n, len(masses))
+    cells = cell_of(*_hull_sums(np.array(vectors, dtype=np.int64).T, law))
+    probs = [Fraction(0)] * length
+    for vector, cell in zip(vectors, cells.tolist()):
+        p = Fraction(math.factorial(n))
+        for c, m in zip(vector, masses):
+            p *= m**c / math.factorial(c)
+        probs[cell] += p
+    total = sum(probs)
+    return [p / total for p in probs]
+
+
+# the 21-point alpha grid of the dense_grid benchmark workload
+_DENSE_GRID = tuple(-2.5 + 0.25 * i for i in range(21))
+
+_LAW_MODELS = {**MODEL_REGISTRY, "non_dyadic": _non_dyadic_model}
+
+
+def _cell_table(model, n, alphas=DEFAULT_ALPHA_GRID):
+    """(events, table) of ``model`` at n on the grid and its pairs, with the
+    estimator's cell function."""
+    law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
+    events = _EventCells.build(alphas, default_alpha_pairs(alphas))
+    return events, _table_for(law, n, partial(_normalized_cells, events, mom, n), events.size)
+
+
 class TestCountTable:
     @pytest.mark.parametrize("masses", _MASSES)
     def test_vectors_are_every_composition_once(self, masses):
@@ -603,67 +692,144 @@ class TestCountTable:
                     exact *= m**c / math.factorial(c)
                 assert abs(Fraction(float(p)) - exact) <= Fraction(1, 10**12) * exact
 
+    @pytest.mark.parametrize("name", sorted(_LAW_MODELS))
+    def test_cell_law_matches_exact_fractions(self, name):
+        model = _LAW_MODELS[name]()
+        law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
+        for n in range(1, 9):
+            events, table = _cell_table(model, n)
+            assert isinstance(table, _CountTable) and len(table.p_cell) == events.size
+            exact = _exact_cell_law(law, n, partial(_normalized_cells, events, mom, n),
+                                    events.size)
+            for p, want in zip(table.p_cell.tolist(), exact):
+                assert abs(Fraction(p) - want) <= Fraction(1, 10**12) * want, (n, p, want)
+
     @pytest.mark.parametrize("name, n", [("bernoulli", 1), ("bernoulli", 255),
                                          ("mixed", 64), ("coin", 20000)])
-    def test_cumulative_ends_at_one(self, name, n):
+    def test_vector_law_is_the_normalized_pmf(self, name, n):
+        # with one cell per count vector, the cell law is the pmf itself
         law = MinMaxLaw.from_model(MODEL_REGISTRY[name]())
-        table = _CountTable.build(law, n, _vector_index)
         k = len(law.masses)
-        assert len(table.cumulative) == math.comb(n + k - 1, k - 1)
-        assert table.cumulative[-1] == 1.0
-        assert np.all(np.diff(table.cumulative) >= 0.0)
+        table = _vector_table(law, n)
+        assert len(table.p_cell) == math.comb(n + k - 1, k - 1)
         pmf = _multinomial_pmf(_count_vectors(n, k), law.masses, n)
-        assert np.allclose(table.cumulative, np.cumsum(pmf), rtol=0.0, atol=1e-11)
+        assert np.array_equal(table.p_cell, pmf / pmf.sum())
+        assert abs(table.p_cell.sum() - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    def test_n1_cell_law_is_the_exact_belief(self, name):
+        # at n = 1, {S_min >= t} and {S_max < t} are containments of one
+        # coordinate's focal element, so the one-sided probabilities of the
+        # cell law are beliefs
+        model = MODEL_REGISTRY[name]()
+        mom = moments_by_enumeration(model)
+        events, table = _cell_table(model, 1)
+        exact = events.counts(table.p_cell).tolist()
+        k = len(DEFAULT_ALPHA_GRID)
+        for i, a in enumerate(DEFAULT_ALPHA_GRID):
+            lower = IntervalEvent.at_least(mom.lower_mean + a * mom.lower_sd)
+            upper = IntervalEvent.less_than(mom.upper_mean + a * mom.upper_sd)
+            assert exact[i] == pytest.approx(belief(model, lower), rel=0, abs=1e-15), a
+            assert exact[k + i] == pytest.approx(belief(model, upper), rel=0, abs=1e-15), a
+
+    @pytest.mark.parametrize("name, n", [("mixed", 16), ("mixed", 64), ("bernoulli", 16),
+                                         ("bernoulli", 64), ("bernoulli", 256)])
+    def test_block_histograms_follow_the_cell_law(self, name, n):
+        """Bonferroni z-test of eight summed block histograms on the
+        21-point grid against the cell law, at every tabled (law, n) of the
+        benchmark's plans; cells with fewer than 20 expected trials are
+        pooled."""
+        events, table = _cell_table(MODEL_REGISTRY[name](), n, _DENSE_GRID)
+        assert isinstance(table, _CountTable)
+        blocks = 8
+        histogram = sum(table.histogram(_block_stream(37, n, b), BLOCK_SIZE)
+                        for b in range(blocks))
+        reps = blocks * BLOCK_SIZE
+        assert histogram.sum() == reps and not histogram[table.p_cell == 0].any()
+        _z_test(_pooled(table.p_cell, histogram, reps), reps, (name, n))
 
     @pytest.mark.parametrize("name, n", [("coin", 20000), ("union_parts", 65535)])
-    def test_two_hull_table_is_the_binomial_cdf(self, name, n):
-        # with two hulls the vectors are (c, n - c) for c = 0..n, so the
-        # cumulative table is the binomial cdf of the first hull's count;
-        # log-factorials near lgamma(65536) ~ 6.6e5 lose about 1e-10
-        # relative, which the normalisation keeps out of the cdf
+    def test_two_hull_events_are_binomial_tails(self, name, n):
+        """Exact P_n of each one-sided event, read from the cell law through
+        the tally's prefix sums.  With two hulls the count vectors are
+        (c, n - c), so each event is the c on one side of the lattice
+        threshold where the float statistic crosses alpha: a tail of
+        Bin(n, m_0).  Log-factorials near lgamma(65536) ~ 6.6e5 keep about
+        1e-10 relative per entry, which the normalization keeps out of the
+        probabilities."""
         from scipy.stats import binom
 
-        law = MinMaxLaw.from_model(MODEL_REGISTRY[name]())
-        table = _CountTable.build(law, n, _vector_index)
-        exact = binom.cdf(np.arange(n + 1), n, law.masses[0])
-        assert np.abs(table.cumulative - exact).max() < 1e-11
+        model = MODEL_REGISTRY[name]()
+        law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
+        events, table = _cell_table(model, n)
+        assert isinstance(table, _CountTable)
+        exact = events.counts(table.p_cell)
+        c = np.arange(n + 1, dtype=float)
+        root = math.sqrt(n)
+        t_low = (c * law.mins[0] + (n - c) * law.mins[1] - n * mom.lower_mean) / (
+            root * mom.lower_sd)
+        t_up = (c * law.maxs[0] + (n - c) * law.maxs[1] - n * mom.upper_mean) / (
+            root * mom.upper_sd)
+        alphas = DEFAULT_ALPHA_GRID
+        for i, a in enumerate(alphas):
+            for got, inside in ((exact[i], t_low >= a), (exact[len(alphas) + i], t_up < a)):
+                (where,) = np.nonzero(inside)
+                if not where.size:
+                    want = 0.0
+                else:
+                    lo, hi = int(where[0]), int(where[-1])
+                    assert where.size == hi - lo + 1 and (lo == 0 or hi == n), (a, lo, hi)
+                    want = binom.cdf(hi, n, law.masses[0]) if lo == 0 else binom.sf(
+                        lo - 1, n, law.masses[0])
+                assert abs(got - want) <= 1e-11, (a, got, want)
 
     def test_size_limit_picks_the_path(self, monkeypatch):
         # bernoulli has 3 hulls: comb(16 + 2, 2) = 153 count vectors at n = 16
         law = MinMaxLaw.from_model(MODEL_REGISTRY["bernoulli"]())
         n, size = 16, 153
         monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", size)
-        assert isinstance(_table_for(law, n, _vector_index), _CountTable)
-        index = _table_rows(_CountTable.build(law, n, _vector_index), _block_stream(3, n, 0), 500)
-        tabled = [s[index] for s in _hull_sums(_count_vectors(n, 3), law)]
+        assert isinstance(_vector_table(law, n), _CountTable)
+        # at the limit a block is one multinomial over the vectors' pmf
+        columns = _count_vectors(n, 3)
+        pmf = _multinomial_pmf(columns, law.masses, n)
+        drawn = _block_stream(3, n, 0).multinomial(500, pmf / pmf.sum())
+        index = np.repeat(np.arange(size), drawn)
+        tabled = [s[index] for s in _hull_sums(columns, law)]
         drawn = _draw_sums(3, n, 0, 500, law)
         assert all(np.array_equal(a, b) for a, b in zip(drawn, tabled))
         # above the limit the split tree draws, its root tabled on the
         # 17 counts 0..16, and below those 17 its root is a binomial too
         for limit, tabled_root in ((size - 1, True), (16, False)):
             monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", limit)
-            tree = _table_for(law, n, _vector_index)
+            tree = _vector_table(law, n)
             assert isinstance(tree, _SplitTree) and (tree.root is not None) == tabled_root
             counts = _replay_tree(3, n, 0, 500, law, tabled_root)
             drawn = _draw_sums(3, n, 0, 500, law)
             assert all(np.array_equal(a, b) for a, b in zip(drawn, _hull_sums(counts, law)))
 
     def test_two_paths_agree_in_law(self, monkeypatch):
+        """mixed, n = 64: the cell law and the split tree, with a tabled and
+        with a binomial root, each match the exact event probabilities of
+        the cell law (one Bonferroni z over all three draws)."""
         model = MODEL_REGISTRY["mixed"]()
         mom = moments_by_enumeration(model)
         plan = SimPlan(model, n_values=(64,), reps=100_000, seed=12)
-        tabled = estimate_events(plan, mom, workers=1)
-        monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", 0)
-        drawn = estimate_events(plan, mom, workers=1)
-        assert [r.count for r in drawn.rows] != [r.count for r in tabled.rows]
-        for a, b in zip(tabled.rows, drawn.rows):
-            se = math.sqrt(a.se**2 + b.se**2)
-            assert abs(a.frequency - b.frequency) <= 5 * se + 1e-12, (a, b)
+        events, table = _cell_table(model, 64)
+        exact = events.counts(table.p_cell).tolist()
+        sims = [estimate_events(plan, mom, workers=1)]
+        for limit, tabled_root in ((100, True), (0, False)):
+            monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", limit)
+            tree = _table_for(MinMaxLaw.from_model(model), 64, _keep_sums, events.size)
+            assert isinstance(tree, _SplitTree) and (tree.root is not None) == tabled_root
+            sims.append(estimate_events(plan, mom, workers=1))
+        counts = [[r.count for r in sim.rows] for sim in sims]
+        assert counts[0] != counts[1] != counts[2] != counts[0]
+        _z_test([(p, c) for row in counts for p, c in zip(exact, row)], plan.reps, "mixed")
 
     def test_table_cells_match_multiply_accumulate_sums(self):
-        # the table's cells are the cell function of the pure-Python
+        # the cell law sums the pmf over the cells of the pure-Python
         # multiply-accumulate sums, normalized out of place; thresholds
-        # taken from those normalized sums put many entries on exact ties,
+        # taken from those normalized sums put many vectors on exact ties,
         # where one ulp in a sum or in the normalization moves the cell
         model = _non_dyadic_model()
         law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
@@ -685,100 +851,17 @@ class TestCountTable:
             step = max(1, len(vectors) // 12)
             alphas = t_low[::step].tolist() + t_up[::step].tolist()
             events = _EventCells.build(alphas, list(zip(alphas, alphas[::-1])))
-            table = _CountTable.build(law, n, partial(_normalized_cells, events, mom, n))
-            assert table.cell.dtype == np.min_scalar_type(events.size - 1)
-            # the table keeps the last vector of each run of equal cells
-            expected = events.cells(t_low, t_up).tolist()
-            last = [i for i, c in enumerate(expected)
-                    if i + 1 == len(expected) or expected[i + 1] != c]
-            assert table.cell.tolist() == [expected[i] for i in last]
-            unmerged = _CountTable.build(law, n, _vector_index).cumulative
-            assert np.array_equal(table.cumulative, unmerged[last])
+            table = _CountTable.build(law, n, partial(_normalized_cells, events, mom, n),
+                                      events.size)
+            expected = events.cells(t_low, t_up)
+            pmf = _multinomial_pmf(_count_vectors(n, 4), law.masses, n)
+            want = np.bincount(expected, weights=pmf, minlength=events.size)
+            assert np.array_equal(table.p_cell, want / want.sum())
+            assert np.flatnonzero(table.p_cell).tolist() == sorted(set(expected.tolist()))
             # the split tree gets int64 counts; same bits
             int_sums = _hull_sums(np.array(vectors, dtype=np.int64).T, law)
             for got, want in zip(int_sums, sums):
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-def _row_entry_counts(u, cumulative):
-    """Per-entry counts by one ``searchsorted`` per row, as a block
-    inverted its uniforms before it counted per entry."""
-    rows = np.searchsorted(cumulative, u, side="right")
-    return np.bincount(rows, minlength=len(cumulative))
-
-
-# ties: the cdf starts at 0.0, has zero-increment entries and ends in 1.0
-_TIED_CDF = np.array([0.0, 0.125, 0.125, 0.25, 0.5, 0.5, 0.5, 0.75, 1.0])
-
-# the 21-point alpha grid of the dense_grid benchmark workload
-_DENSE_GRID = tuple(-2.5 + 0.25 * i for i in range(21))
-
-
-class TestEntryCounts:
-    @pytest.mark.parametrize("size", [0, 1, 3, 8, 9, 10, 40, 1000])
-    def test_counts_equal_per_row_inversion(self, size):
-        # sizes below, at and above the table's 9 entries take both
-        # search directions; half the uniforms sit exactly on an entry
-        rng = np.random.default_rng(size)
-        u = np.where(rng.random(size) < 0.5, rng.choice(_TIED_CDF[:-1], size),
-                     rng.random(size))
-        u.sort()
-        counts = _entry_counts(u, _TIED_CDF)
-        assert counts.tolist() == _row_entry_counts(u, _TIED_CDF).tolist()
-        assert counts.sum() == size and counts[0] == counts[2] == counts[5] == 0
-
-    @given(data=st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_random_cdfs_with_ties(self, data):
-        steps = data.draw(st.lists(st.sampled_from([0.0, 0.0, 1e-300, 1.0, 3.0, 0.1]),
-                                   min_size=1, max_size=30))
-        cumulative = np.cumsum(np.array(steps + [1.0]))
-        cumulative /= cumulative[-1]
-        assert cumulative[-1] == 1.0
-        on_entry = st.sampled_from(cumulative[:-1].tolist() + [0.0])
-        anywhere = st.floats(0.0, 1.0, exclude_max=True)
-        u = np.sort(np.array(data.draw(st.lists(st.one_of(on_entry, anywhere),
-                                                max_size=2 * len(cumulative) + 2)),
-                             dtype=float))
-        assert _entry_counts(u, cumulative).tolist() == _row_entry_counts(u, cumulative).tolist()
-
-    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
-    @pytest.mark.parametrize("grid", ["default", "dense"])
-    def test_merged_table_gives_the_unmerged_histogram(self, name, grid):
-        """Every tabled n of the default plan: the merged table's block
-        histogram is the per-row histogram of the table of every vector,
-        for a full block and a 37-row block, so that both search
-        directions run."""
-        alphas = DEFAULT_ALPHA_GRID if grid == "default" else _DENSE_GRID
-        events = _EventCells.build(alphas, default_alpha_pairs(alphas))
-        model = MODEL_REGISTRY[name]()
-        law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
-        tabled = [n for n in DEFAULT_N_VALUES if is_tabled(law, n)]
-        assert tabled
-        for n in tabled:
-            cell_of = partial(_normalized_cells, events, mom, n)
-            merged = _CountTable.build(law, n, cell_of)
-            unmerged = _CountTable.build(law, n, _vector_index).cumulative
-            cells = cell_of(*_hull_sums(_count_vectors(n, len(law.masses)), law))
-            assert len(merged.cell) <= len(unmerged)
-            for b, size in ((0, BLOCK_SIZE), (1, 37)):
-                u = _block_stream(5, n, b).random(size)
-                u.sort()
-                want = np.bincount(cells[np.searchsorted(unmerged, u, side="right")],
-                                   minlength=events.size)
-                got = merged.histogram(_block_stream(5, n, b), size, events.size)
-                assert got.dtype == want.dtype and np.array_equal(got, want), (n, b)
-
-    def test_bernoulli_runs(self):
-        # the 33153 count vectors of bernoulli at n = 256 merge into 1452
-        # runs on the default grid and 3973 on the 21-point grid
-        model = MODEL_REGISTRY["bernoulli"]()
-        law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
-        for alphas, runs in ((DEFAULT_ALPHA_GRID, 1452), (_DENSE_GRID, 3973)):
-            events = _EventCells.build(alphas, default_alpha_pairs(alphas))
-            table = _CountTable.build(law, 256, partial(_normalized_cells, events, mom, 256))
-            assert len(table.cell) == runs
-            assert table.cumulative[-1] == 1.0
 
 
 # integer endpoints, so hull sums are exact; masses with no mirror
@@ -809,31 +892,44 @@ def _exact_sum_law(law, n):
 class TestSplitTree:
     @pytest.mark.parametrize("n", [1, 7, 1024, 16384, 2**20])
     @pytest.mark.parametrize("p", [1e-3, 0.3, 0.5, 0.999])
-    def test_root_cdf_is_the_binomial_cdf(self, n, p):
+    def test_root_pmf_is_the_binomial_pmf(self, n, p):
         from scipy.stats import binom
 
-        lo, cumulative = _binomial_window(n, p, 1.0 - p)
-        hi = lo + len(cumulative) - 1
-        assert 0 <= lo <= hi <= n and cumulative[-1] == 1.0
-        full = np.ones(n + 1)
-        full[:lo] = 0.0
-        full[lo:hi + 1] = cumulative
-        assert np.abs(full - binom.cdf(np.arange(n + 1), n, p)).max() <= 1e-12
+        lo, pmf = _binomial_window(n, p, 1.0 - p)
+        hi = lo + len(pmf) - 1
+        assert 0 <= lo <= hi <= n and abs(pmf.sum() - 1.0) <= 1e-13
+        full = np.zeros(n + 1)
+        full[lo:hi + 1] = pmf
+        assert np.abs(full - binom.pmf(np.arange(n + 1), n, p)).max() <= 1e-12
+        assert np.abs(np.cumsum(full) - binom.cdf(np.arange(n + 1), n, p)).max() <= 1e-12
         dropped = (binom.cdf(lo - 1, n, p) if lo > 0 else 0.0) + binom.sf(hi, n, p)
         assert dropped < 2.0**-60
 
     def test_window_wider_than_the_limit_is_not_built(self, monkeypatch):
-        lo, cumulative = _binomial_window(4096, 0.3, 0.7)
-        monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", len(cumulative))
+        lo, pmf = _binomial_window(4096, 0.3, 0.7)
+        monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", len(pmf))
         assert _binomial_window(4096, 0.3, 0.7)[0] == lo
-        monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", len(cumulative) - 1)
+        monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", len(pmf) - 1)
         assert _binomial_window(4096, 0.3, 0.7) is None
+
+    @pytest.mark.parametrize("n", [256, 1024, 4096, 16384])
+    def test_root_column_replays_the_binomial_multinomial(self, n):
+        # mixed's root splits hulls {0, 1} from {2, 3}: their count per trial
+        law = MinMaxLaw.from_model(MODEL_REGISTRY["mixed"]())
+        tree = _SplitTree.build(law, n, _keep_sums, 1)
+        assert tree.root is not None
+        counts = tree.counts(_block_stream(41, n, 0), BLOCK_SIZE)
+        left, right = math.fsum(law.masses[:2]), math.fsum(law.masses[2:])
+        replay = _replay_root(_block_stream(41, n, 0), n, left / (left + right),
+                              right / (left + right), BLOCK_SIZE)
+        assert np.array_equal(counts[0] + counts[1], replay)
+        assert np.all(np.diff(replay) >= 0)  # sorted, as the second level needs
 
     def test_root_beyond_any_window_is_a_binomial(self):
         # n p (1 - p) = 2**38: the window would hold ~10**7 counts
         law = MinMaxLaw.from_model(MODEL_REGISTRY["mixed"]())
         n = 2**40
-        tree = _SplitTree.build(law, n, _keep_sums)
+        tree = _SplitTree.build(law, n, _keep_sums, 1)
         assert tree.root is None
         counts = tree.counts(_block_stream(1, n, 0), 1000)
         assert np.all(sum(counts) == n) and all(c.dtype == np.int64 for c in counts)
@@ -843,16 +939,14 @@ class TestSplitTree:
     def test_sums_follow_the_count_vector_law(self, monkeypatch, k, root):
         """Bonferroni z-test of the tree's (S_min, S_max) frequencies against
         the exact law; (s, t) with fewer than 20 expected trials are pooled."""
-        from scipy.stats import norm
-
         law = MinMaxLaw(*(np.array(v, dtype=float) for v in _TREE_LAWS[k]))
         n = 6 if k == 8 else 9
         if root == "binomial":
             monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", 0)
-            tree = _table_for(law, n, _keep_sums)
+            tree = _table_for(law, n, _keep_sums, 1)
             assert isinstance(tree, _SplitTree) and tree.root is None
         else:
-            tree = _SplitTree.build(law, n, _keep_sums)
+            tree = _SplitTree.build(law, n, _keep_sums, 1)
             assert tree.root is not None
         blocks = 8
         sums = np.concatenate([tree.draw(_block_stream(31, n, b), BLOCK_SIZE)
@@ -860,19 +954,11 @@ class TestSplitTree:
         keys, counts = np.unique(sums, axis=1, return_counts=True)
         observed = dict(zip(map(tuple, keys.T.tolist()), counts.tolist()))
         reps = blocks * BLOCK_SIZE
-        cells, pooled = [], [0.0, 0]
-        for key, p in _exact_sum_law(law, n).items():
-            if reps * p >= 20:
-                cells.append((float(p), observed.pop(key, 0)))
-            else:
-                pooled[0] += float(p)
-                pooled[1] += observed.pop(key, 0)
+        exact = _exact_sum_law(law, n)
+        p = np.array([float(v) for v in exact.values()])
+        drawn = np.array([observed.pop(key, 0) for key in exact])
         assert not observed  # no (s, t) outside the support
-        cells.append(tuple(pooled))
-        z_max = norm.isf(1e-6 / (2 * len(cells)))
-        for p, count in cells:
-            z = (count - reps * p) / math.sqrt(reps * p * (1 - p)) if 0 < p < 1 else 0.0
-            assert abs(z) <= z_max, (k, root, p, count, z)
+        _z_test(_pooled(p, drawn, reps), reps, (k, root))
 
 
 class TestBlockKeys:
