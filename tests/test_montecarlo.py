@@ -27,7 +27,6 @@ from beliefclt.moments import MinMaxLaw
 from beliefclt.montecarlo import (
     BLOCK_SIZE,
     DEFAULT_ALPHA_GRID,
-    DEFAULT_N_VALUES,
     ONE_SIDED_LOWER,
     ONE_SIDED_UPPER,
     TWO_SIDED,
@@ -42,7 +41,6 @@ from beliefclt.montecarlo import (
     _SplitTree,
     _table_for,
     default_alpha_pairs,
-    is_tabled,
     resolve_workers,
 )
 
@@ -607,6 +605,14 @@ def _compositions(n, k):
     return [(c, *rest) for c in range(n + 1) for rest in _compositions(n - c, k - 1)]
 
 
+def _exact_pmf(vector, masses):
+    """Multinomial probability of one count vector, in fractions."""
+    p = Fraction(math.factorial(sum(vector)))
+    for c, m in zip(vector, masses):
+        p *= Fraction(m)**c / math.factorial(c)
+    return p
+
+
 def _non_dyadic_model():
     # endpoints 0.1, 0.3, 0.7 and 0.2 are not exact in binary, so hull sums
     # round and their bits depend on the order of the additions
@@ -646,15 +652,12 @@ def _pooled(p, counts, reps):
 def _exact_cell_law(law, n, cell_of, length):
     """P(cell = c) for every cell c: the multinomial probabilities of the
     count vectors in fractions, summed per cell, divided by their total."""
-    masses = [Fraction(m) for m in law.masses.tolist()]
+    masses = law.masses.tolist()
     vectors = _compositions(n, len(masses))
     cells = cell_of(*_hull_sums(np.array(vectors, dtype=np.int64).T, law))
     probs = [Fraction(0)] * length
     for vector, cell in zip(vectors, cells.tolist()):
-        p = Fraction(math.factorial(n))
-        for c, m in zip(vector, masses):
-            p *= m**c / math.factorial(c)
-        probs[cell] += p
+        probs[cell] += _exact_pmf(vector, masses)
     total = sum(probs)
     return [p / total for p in probs]
 
@@ -682,14 +685,11 @@ class TestCountTable:
 
     @pytest.mark.parametrize("masses", _MASSES)
     def test_pmf_matches_exact_fractions(self, masses):
-        exact_masses = [Fraction(m) for m in masses]
         for n in range(1, 9):
             columns = _count_vectors(n, len(masses))
             pmf = _multinomial_pmf(columns, np.array(masses), n)
             for vector, p in zip(_compositions(n, len(masses)), pmf):
-                exact = Fraction(math.factorial(n))
-                for c, m in zip(vector, exact_masses):
-                    exact *= m**c / math.factorial(c)
+                exact = _exact_pmf(vector, masses)
                 assert abs(Fraction(float(p)) - exact) <= Fraction(1, 10**12) * exact
 
     @pytest.mark.parametrize("name", sorted(_LAW_MODELS))
@@ -878,14 +878,11 @@ _TREE_LAWS = {
 def _exact_sum_law(law, n):
     """P(S_min = s, S_max = t) for every (s, t), summed in fractions over
     the count vectors."""
-    masses = [Fraction(m) for m in law.masses.tolist()]
+    masses = law.masses.tolist()
     probs = {}
     for vector in _compositions(n, len(masses)):
-        p = Fraction(math.factorial(n))
-        for c, m in zip(vector, masses):
-            p *= m**c / math.factorial(c)
         key = (float(np.dot(vector, law.mins)), float(np.dot(vector, law.maxs)))
-        probs[key] = probs.get(key, 0) + p
+        probs[key] = probs.get(key, 0) + _exact_pmf(vector, masses)
     return probs
 
 
