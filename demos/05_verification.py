@@ -44,8 +44,7 @@ else:
 # Closed-form checks that need no simulation at all.
 special = special_cases_report()
 print(f"\nspecial cases: {sum(r.passed for r in special.rows)}/{len(special.rows)}"
-      " pass (Bernoulli moments, additive degeneration, bound invariance,"
-      " rate-fitter sanity)")
+      " pass (Bernoulli moments, additive degeneration, bound invariance)")
 
 # The same experiment is scriptable through files and the CLI:
 with tempfile.TemporaryDirectory() as tmp:

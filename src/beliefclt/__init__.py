@@ -23,7 +23,6 @@ from .belief import (
 from .errors import (
     BeliefCltError,
     DegenerateVariance,
-    InvalidProbabilities,
     ParseError,
 )
 from .gauss import bvn_cdf, std_normal_cdf, two_sided_limit
@@ -71,7 +70,6 @@ __all__ = [
     "ExperimentRow",
     "FocalElement",
     "IntervalEvent",
-    "InvalidProbabilities",
     "MODEL_REGISTRY",
     "ParseError",
     "RateFit",

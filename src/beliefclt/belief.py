@@ -1,9 +1,10 @@
 """Finitely-supported belief measures over bounded interval-union focal sets.
 
 A model is a finite list of focal elements (disjoint unions of closed
-intervals inside [-M, M]) with positive masses summing to one; the
-``BeliefModel`` constructor checks exactly that, for model files and
-library callers alike.  The induced set function
+intervals inside [-M, M]) with positive masses summing to one.  The
+``FocalElement`` constructor sorts and merges the parts of each focal
+element, and the ``BeliefModel`` constructor checks the rest, for model
+files and library callers alike.  The induced set function
 
     belief(A)       = sum of masses of focal elements contained in A
     plausibility(A) = sum of masses of focal elements meeting A
@@ -17,7 +18,6 @@ import contextlib
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .intervals import IntervalEvent
 
@@ -45,39 +45,28 @@ def as_real_pair(name: str, value) -> tuple[float, float]:
 class FocalElement:
     """A nonempty finite union of closed intervals, sorted and disjoint.
 
-    ``parts`` is a tuple of (a, b) pairs with a <= b, stored as floats
-    (:func:`as_real_pair`); consecutive parts must satisfy b_i < a_{i+1}
-    (touching parts are merged by :meth:`make`).
+    ``parts`` may be any iterable of (a, b) pairs with a <= b, each
+    converted to floats by :func:`as_real_pair`.  The constructor sorts
+    them and merges parts that overlap or touch, so ``parts`` is stored as
+    a tuple of pairs with b_i < a_{i+1}.
     """
 
     parts: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        parts = tuple(as_real_pair("focal part", part) for part in self.parts)
-        object.__setattr__(self, "parts", parts)
-        if not parts:
-            raise ValueError("focal element must be nonempty")
-        prev_hi = -math.inf
-        for a, b in parts:
+        merged: list[tuple[float, float]] = []
+        for a, b in sorted(as_real_pair("focal part", part) for part in self.parts):
             if not (math.isfinite(a) and math.isfinite(b)):
                 raise ValueError("focal parts must have finite endpoints")
             if a > b:
                 raise ValueError(f"focal part [{a}, {b}] has a > b")
-            if a <= prev_hi:
-                raise ValueError("focal parts must be disjoint and strictly increasing")
-            prev_hi = b
-
-    @staticmethod
-    def make(parts: Iterable[Sequence[float]]) -> "FocalElement":
-        """Build a focal element, sorting parts and merging touching ones."""
-        norm = sorted(as_real_pair("focal part", part) for part in parts)
-        merged: list[tuple[float, float]] = []
-        for a, b in norm:
             if merged and a <= merged[-1][1]:
                 merged[-1] = (merged[-1][0], max(merged[-1][1], b))
             else:
                 merged.append((a, b))
-        return FocalElement(tuple(merged))
+        if not merged:
+            raise ValueError("focal element must be nonempty")
+        object.__setattr__(self, "parts", tuple(merged))
 
     @property
     def min(self) -> float:
@@ -138,15 +127,13 @@ class BeliefModel:
 
     def shifted(self, c: float) -> "BeliefModel":
         focal = tuple(
-            (FocalElement(tuple((a + c, b + c) for a, b in f.parts)), m)
-            for f, m in self.focal
+            (FocalElement((a + c, b + c) for a, b in f.parts), m) for f, m in self.focal
         )
         return BeliefModel(focal, self.bound + abs(c))
 
     def scaled(self, s: float) -> "BeliefModel":
         focal = tuple(
-            (FocalElement(tuple((a * s, b * s) for a, b in f.parts)), m)
-            for f, m in self.focal
+            (FocalElement((a * s, b * s) for a, b in f.parts), m) for f, m in self.focal
         )
         return BeliefModel(focal, self.bound * s)
 

@@ -36,6 +36,3 @@ class DegenerateVariance(BeliefCltError):
         self.partial = partial
         super().__init__(message)
 
-
-class InvalidProbabilities(BeliefCltError):
-    """Probability arguments violate their required ordering or range."""

@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .belief import BeliefModel, FocalElement
-from .errors import DegenerateVariance, InvalidProbabilities
+from .belief import BeliefModel, FocalElement, as_real
+from .errors import DegenerateVariance
 from .gauss import std_normal_cdf, two_sided_limit
 from .moments import (
     ChoquetMoments,
@@ -167,14 +167,14 @@ def bernoulli_model(p_low: float, p_high: float) -> BeliefModel:
     Zero-mass focal elements are dropped, so (p, p) gives the additive coin
     and (0, 1) the single focal {0, 1}.
     """
+    p_low, p_high = as_real("p_low", p_low), as_real("p_high", p_high)
     if not (0.0 <= p_low <= p_high <= 1.0):
-        raise InvalidProbabilities(
-            f"need 0 <= p_low <= p_high <= 1, got ({p_low!r}, {p_high!r})"
-        )
+        raise ValueError(
+            f"p_low, p_high need 0 <= p_low <= p_high <= 1, got ({p_low!r}, {p_high!r})")
     weighted = [
-        (FocalElement.make([(1.0, 1.0)]), p_low),
-        (FocalElement.make([(0.0, 0.0)]), 1.0 - p_high),
-        (FocalElement.make([(0.0, 1.0)]), p_high - p_low),
+        (FocalElement([(1.0, 1.0)]), p_low),
+        (FocalElement([(0.0, 0.0)]), 1.0 - p_high),
+        (FocalElement([(0.0, 1.0)]), p_high - p_low),
     ]
     focal = [(f, m) for f, m in weighted if m > 0.0]
     return BeliefModel(focal, bound=1.0)
@@ -182,24 +182,24 @@ def bernoulli_model(p_low: float, p_high: float) -> BeliefModel:
 
 def _coin_model() -> BeliefModel:
     return BeliefModel(
-        [(FocalElement.make([(-1.0, -1.0)]), 0.5),
-         (FocalElement.make([(1.0, 1.0)]), 0.5)],
+        [(FocalElement([(-1.0, -1.0)]), 0.5),
+         (FocalElement([(1.0, 1.0)]), 0.5)],
         bound=1.0,
     )
 
 
 def _two_interval_model() -> BeliefModel:
     return BeliefModel(
-        [(FocalElement.make([(0.0, 1.0)]), 0.5),
-         (FocalElement.make([(1.0, 3.0)]), 0.5)],
+        [(FocalElement([(0.0, 1.0)]), 0.5),
+         (FocalElement([(1.0, 3.0)]), 0.5)],
         bound=3.0,
     )
 
 
 def _union_parts_model() -> BeliefModel:
     return BeliefModel(
-        [(FocalElement.make([(0.0, 1.0), (2.0, 3.0)]), 0.6),
-         (FocalElement.make([(-2.0, -1.0)]), 0.4)],
+        [(FocalElement([(0.0, 1.0), (2.0, 3.0)]), 0.6),
+         (FocalElement([(-2.0, -1.0)]), 0.4)],
         bound=3.0,
     )
 
@@ -208,10 +208,10 @@ def _mixed_model() -> BeliefModel:
     # four focal elements so the (min, max) pairs are not affinely dependent
     # and rho lands strictly inside (0, 1)
     return BeliefModel(
-        [(FocalElement.make([(0.0, 1.0)]), 0.3),
-         (FocalElement.make([(0.5, 2.5)]), 0.3),
-         (FocalElement.make([(2.0, 2.0)]), 0.2),
-         (FocalElement.make([(-2.0, -1.0), (1.0, 2.0)]), 0.2)],
+        [(FocalElement([(0.0, 1.0)]), 0.3),
+         (FocalElement([(0.5, 2.5)]), 0.3),
+         (FocalElement([(2.0, 2.0)]), 0.2),
+         (FocalElement([(-2.0, -1.0), (1.0, 2.0)]), 0.2)],
         bound=3.0,
     )
 
@@ -290,31 +290,8 @@ def m_invariance_suite() -> list[ExperimentRow]:
     return rows
 
 
-def rate_fit_sanity_suite() -> list[ExperimentRow]:
-    rows = []
-    for label, power, want in [("sqrt", -0.5, -0.5), ("linear", -1.0, -1.0)]:
-        synthetic = VerificationReport(
-            name=f"synthetic_{label}",
-            rows=tuple(
-                ExperimentRow("synthetic", n, math.nan, math.nan,
-                              0.5, 0.5 + 2.0 * float(n) ** power, 1e-9, 1.0)
-                for n in (16, 64, 256, 1024, 4096)
-            ),
-        )
-        fit = fit_rate(synthetic)
-        rows.append(_row(f"rate_fit_{label}_slope", want, fit.slope, 1e-12))
-        if label == "sqrt":
-            rows.append(_row("rate_fit_sqrt_k_hat", 2.0, fit.k_hat, 1e-9))
-    return rows
-
-
 def special_cases_report() -> VerificationReport:
-    """All closed-form checks: Bernoulli moments, additive degeneration,
-    bound invariance of rho, and rate-fitter sanity on synthetic data."""
-    rows = (
-        bernoulli_suite()
-        + additive_degeneration_suite()
-        + m_invariance_suite()
-        + rate_fit_sanity_suite()
-    )
+    """All closed-form checks: Bernoulli moments, additive degeneration and
+    bound invariance of rho."""
+    rows = bernoulli_suite() + additive_degeneration_suite() + m_invariance_suite()
     return VerificationReport("special_cases", tuple(rows))

@@ -43,11 +43,6 @@ class Piece:
         below = self.hi > x or (self.hi == x and self.hi_closed)
         return above and below
 
-    def __str__(self) -> str:
-        lb = "[" if self.lo_closed else "("
-        rb = "]" if self.hi_closed else ")"
-        return f"{lb}{self.lo}, {self.hi}{rb}"
-
 
 def _merges_with(cur: Piece, nxt: Piece) -> bool:
     # pieces are pre-sorted; merge on overlap or closed touch
@@ -62,23 +57,19 @@ def _hi_key(p: Piece):
     return (p.hi, p.hi_closed)
 
 
+@dataclass(frozen=True)
 class IntervalEvent:
-    """A finite union of real intervals in canonical form."""
+    """A finite union of real intervals.
 
-    __slots__ = ("pieces",)
+    ``pieces`` may be any iterable of :class:`Piece`; the constructor drops
+    the empty ones, sorts the rest and merges those that overlap or touch
+    at a closed end.
+    """
 
-    def __init__(self, pieces: Iterable[Piece] = ()):
-        self.pieces: tuple[Piece, ...] = _canonicalize(pieces)
+    pieces: tuple[Piece, ...] = ()
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def empty() -> "IntervalEvent":
-        return IntervalEvent(())
-
-    @staticmethod
-    def real_line() -> "IntervalEvent":
-        return IntervalEvent((Piece(-math.inf, math.inf, False, False),))
+    def __post_init__(self):
+        object.__setattr__(self, "pieces", _canonicalize(self.pieces))
 
     @staticmethod
     def closed(lo: float, hi: float) -> "IntervalEvent":
@@ -102,18 +93,6 @@ class IntervalEvent:
         """The open half-line (-inf, t)."""
         return IntervalEvent((Piece(-math.inf, t, False, False),))
 
-    @staticmethod
-    def interval(lo: float, hi: float, lo_closed: bool = True, hi_closed: bool = True) -> "IntervalEvent":
-        return IntervalEvent((Piece(lo, hi, lo_closed, hi_closed),))
-
-    # -- predicates --------------------------------------------------------
-
-    def is_empty(self) -> bool:
-        return not self.pieces
-
-    def contains_point(self, x: float) -> bool:
-        return any(p.contains_point(x) for p in self.pieces)
-
     def contains_closed_interval(self, a: float, b: float) -> bool:
         """Whether [a, b] (a <= b, both finite) lies inside the event.
 
@@ -133,66 +112,6 @@ class IntervalEvent:
             if lo_ok and hi_ok:
                 return True
         return False
-
-    # -- algebra -----------------------------------------------------------
-
-    def complement(self) -> "IntervalEvent":
-        """The complement within the whole real line."""
-        if not self.pieces:
-            return IntervalEvent.real_line()
-        out: list[Piece] = []
-        cursor = -math.inf
-        cursor_closed = False  # openness of the *lower* end of the gap
-        for p in self.pieces:
-            gap = Piece(cursor, p.lo, cursor_closed, not p.lo_closed)
-            if not gap.is_empty():
-                out.append(gap)
-            cursor = p.hi
-            cursor_closed = not p.hi_closed
-        tail = Piece(cursor, math.inf, cursor_closed, False)
-        if not tail.is_empty():
-            out.append(tail)
-        return IntervalEvent(out)
-
-    def union(self, other: "IntervalEvent") -> "IntervalEvent":
-        return IntervalEvent(self.pieces + other.pieces)
-
-    def intersect(self, other: "IntervalEvent") -> "IntervalEvent":
-        out: list[Piece] = []
-        for p in self.pieces:
-            for q in other.pieces:
-                # tighter bound wins; on tie, open beats closed
-                if p.lo > q.lo:
-                    lo, lo_c = p.lo, p.lo_closed
-                elif q.lo > p.lo:
-                    lo, lo_c = q.lo, q.lo_closed
-                else:
-                    lo, lo_c = p.lo, p.lo_closed and q.lo_closed
-                if p.hi < q.hi:
-                    hi, hi_c = p.hi, p.hi_closed
-                elif q.hi < p.hi:
-                    hi, hi_c = q.hi, q.hi_closed
-                else:
-                    hi, hi_c = p.hi, p.hi_closed and q.hi_closed
-                cand = Piece(lo, hi, lo_c, hi_c)
-                if not cand.is_empty():
-                    out.append(cand)
-        return IntervalEvent(out)
-
-    # -- dunder ------------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntervalEvent):
-            return NotImplemented
-        return self.pieces == other.pieces
-
-    def __hash__(self) -> int:
-        return hash(self.pieces)
-
-    def __repr__(self) -> str:
-        if not self.pieces:
-            return "IntervalEvent(<empty>)"
-        return "IntervalEvent(" + " u ".join(str(p) for p in self.pieces) + ")"
 
 
 def _canonicalize(pieces: Iterable[Piece]) -> tuple[Piece, ...]:

@@ -11,11 +11,12 @@ Model file::
     focal   = "focal" "=" "{" "parts" "=" list-of-pairs ","
                            "mass" "=" float "}" ;
 
-``parts`` is a list like ``[[0, 1], [2.5, 3]]``.  Touching or overlapping
-intervals inside one focal element are merged silently; distinct focal
-elements may overlap freely.  The parser owns only the grammar and the line
-numbers; ``BeliefModel`` checks the values, and a value it rejects becomes a
-ParseError at the M line or the focal element's line.  Masses whose fsum is
+``parts`` is a list like ``[[0, 1], [2.5, 3]]``.  ``FocalElement`` merges
+touching or overlapping intervals inside one focal element silently;
+distinct focal elements may overlap freely.  The parser owns only the
+grammar and the line numbers; ``FocalElement`` and ``BeliefModel`` check
+the values, and a value they reject becomes a ParseError at the M line or
+the focal element's line.  Masses whose fsum is
 within MASS_SUM_TOL of 1 load as written; a sum off by more, but by at most
 LOAD_MASS_TOL, is divided out once, so saving and loading a model gives it
 back exactly.
@@ -84,7 +85,7 @@ def _parse_focal(value: str, path: str, lineno: int) -> tuple[FocalElement, floa
     parts = _literal(match.group("parts"), path, lineno)
     mass = _literal(match.group("mass"), path, lineno)
     try:
-        return FocalElement.make(parts), mass
+        return FocalElement(parts), mass
     except ValueError as exc:
         raise ParseError(str(exc), path, lineno) from exc
 

@@ -22,7 +22,7 @@ def random_model(rng: np.random.Generator, max_focal: int = 50,
         p = int(rng.integers(1, max_parts + 1))
         pts = np.sort(rng.uniform(-span, span, size=2 * p))
         parts = [(pts[2 * j], pts[2 * j + 1]) for j in range(p)]
-        focal.append(FocalElement.make(parts))
+        focal.append(FocalElement(parts))
     masses = rng.dirichlet(np.ones(k))
     bound = span + float(rng.uniform(0.0, 3.0))
     total = math.fsum(masses)

@@ -15,6 +15,8 @@ from typing import Callable, Sequence
 
 from beliefclt import BeliefModel, IntervalEvent, belief
 
+from _intervals import empty, interval, real_line, union
+
 
 class GridTooLarge(Exception):
     """The event algebra induced by a grid exceeds the enumeration budget."""
@@ -43,10 +45,10 @@ def grid_cells(grid: Sequence[float]) -> list[IntervalEvent]:
     """
     pts = sorted(set(float(g) for g in grid))
     if not pts:
-        return [IntervalEvent.real_line()]
+        return [real_line()]
     cells = [IntervalEvent.less_than(pts[0])]
     for a, b in zip(pts, pts[1:]):
-        cells.append(IntervalEvent.interval(a, b, lo_closed=True, hi_closed=False))
+        cells.append(interval(a, b, lo_closed=True, hi_closed=False))
     cells.append(IntervalEvent.at_least(pts[-1]))
     return cells
 
@@ -85,10 +87,10 @@ def check_capacity_monotonicity(
 
     for k in range(2, order + 1):
         for family in combinations(masks, k):
-            union = 0
+            joined = 0
             for m in family:
-                union |= m
-            lhs = values[union]
+                joined |= m
+            lhs = values[joined]
             rhs = 0.0
             for j in range(1, k + 1):
                 sign = 1.0 if j % 2 == 1 else -1.0
@@ -118,11 +120,7 @@ def total_monotonicity_check(
 
     def capacity(mask: int) -> float:
         if mask not in cache:
-            ev = IntervalEvent.empty()
-            for i, cell in enumerate(cells):
-                if mask & (1 << i):
-                    ev = ev.union(cell)
-            cache[mask] = belief(model, ev)
+            cache[mask] = belief(model, _mask_to_event(mask, cells))
         return cache[mask]
 
     report = check_capacity_monotonicity(capacity, len(cells), order, max_families)
@@ -136,8 +134,8 @@ def total_monotonicity_check(
 
 
 def _mask_to_event(mask: int, cells: Sequence[IntervalEvent]) -> IntervalEvent:
-    ev = IntervalEvent.empty()
+    ev = empty()
     for i, cell in enumerate(cells):
         if mask & (1 << i):
-            ev = ev.union(cell)
+            ev = union(ev, cell)
     return ev

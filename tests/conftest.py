@@ -12,8 +12,8 @@ def bernoulli():
 @pytest.fixture
 def two_interval():
     return BeliefModel(
-        [(FocalElement.make([(0.0, 1.0)]), 0.5),
-         (FocalElement.make([(1.0, 3.0)]), 0.5)],
+        [(FocalElement([(0.0, 1.0)]), 0.5),
+         (FocalElement([(1.0, 3.0)]), 0.5)],
         bound=3.0,
     )
 
@@ -21,8 +21,8 @@ def two_interval():
 @pytest.fixture
 def coin():
     return BeliefModel(
-        [(FocalElement.make([(-1.0, -1.0)]), 0.5),
-         (FocalElement.make([(1.0, 1.0)]), 0.5)],
+        [(FocalElement([(-1.0, -1.0)]), 0.5),
+         (FocalElement([(1.0, 1.0)]), 0.5)],
         bound=1.0,
     )
 

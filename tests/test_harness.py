@@ -5,7 +5,6 @@ import pytest
 from beliefclt import (
     DegenerateVariance,
     ExperimentRow,
-    InvalidProbabilities,
     MODEL_REGISTRY,
     SimPlan,
     VerificationReport,
@@ -90,7 +89,13 @@ class TestBernoulliSpecialCase:
 
     def test_invalid_orderings(self):
         for bad in [(0.7, 0.3), (-0.1, 0.5), (0.5, 1.1)]:
-            with pytest.raises(InvalidProbabilities):
+            with pytest.raises(ValueError, match="^p_low, p_high need"):
+                bernoulli_model(*bad)
+
+    def test_non_real_probability_names_its_field(self):
+        for bad, field in [(("0.3", 0.7), "p_low"), ((0.3, math.nan), "p_high"),
+                           ((math.nan, 0.7), "p_low"), ((0.3, True), "p_high")]:
+            with pytest.raises(ValueError, match=f"^{field} must be a real number"):
                 bernoulli_model(*bad)
 
 
@@ -166,7 +171,6 @@ def test_special_cases_report_all_pass():
     assert any(n.startswith("bernoulli") for n in names)
     assert any(n.startswith("additive") for n in names)
     assert any(n.startswith("m_invariance") for n in names)
-    assert any(n.startswith("rate_fit") for n in names)
 
 
 def test_registry_models_are_valid():

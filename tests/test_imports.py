@@ -1,12 +1,19 @@
-"""Every module-level import in the package's modules is used there."""
+"""Every module-level import in the package's modules, the tests and the
+demos is used there."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "beliefclt"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "beliefclt"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+
+
+def _module_id(path: Path) -> str:
+    return path.name if path.parent == SRC else f"{path.parent.name}/{path.name}"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -27,7 +34,7 @@ def test_modules_found():
     assert len(MODULES) >= 9
 
 
-@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("module", MODULES + SCRIPTS, ids=_module_id)
 def test_every_import_is_used(module):
     assert _unused_imports(module.read_text()) == []
 

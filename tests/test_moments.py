@@ -87,11 +87,11 @@ def _repeated_hull_model():
     # the first, third and fifth focal elements share the hull (0.1, 0.7);
     # the endpoints are not exact in binary
     return BeliefModel(
-        [(FocalElement.make([(0.1, 0.7)]), 0.15),
-         (FocalElement.make([(0.3, 0.3)]), 0.2),
-         (FocalElement.make([(0.1, 0.2), (0.5, 0.7)]), 0.35),
-         (FocalElement.make([(0.2, 0.9)]), 0.1),
-         (FocalElement.make([(0.1, 0.3), (0.6, 0.7)]), 0.2)], 1.0)
+        [(FocalElement([(0.1, 0.7)]), 0.15),
+         (FocalElement([(0.3, 0.3)]), 0.2),
+         (FocalElement([(0.1, 0.2), (0.5, 0.7)]), 0.35),
+         (FocalElement([(0.2, 0.9)]), 0.1),
+         (FocalElement([(0.1, 0.3), (0.6, 0.7)]), 0.2)], 1.0)
 
 
 def _assert_close(m1, m2, tol):
@@ -139,7 +139,7 @@ class TestEnumeration:
 
 class TestDegenerate:
     def test_single_focal_raises(self):
-        vac = BeliefModel([(FocalElement.make([(-2, 2)]), 1.0)], 2.0)
+        vac = BeliefModel([(FocalElement([(-2, 2)]), 1.0)], 2.0)
         with pytest.raises(DegenerateVariance) as exc:
             moments_by_enumeration(vac)
         partial = exc.value.partial
@@ -148,7 +148,7 @@ class TestDegenerate:
         assert math.isnan(partial.rho)
 
     def test_allow_degenerate_returns_partial(self):
-        vac = BeliefModel([(FocalElement.make([(-2, 2)]), 1.0)], 2.0)
+        vac = BeliefModel([(FocalElement([(-2, 2)]), 1.0)], 2.0)
         for route in (moments_by_enumeration, moments_by_integration):
             m = route(vac, allow_degenerate=True)
             assert m.lower_sd == 0.0 and m.upper_sd == 0.0
@@ -158,8 +158,8 @@ class TestDegenerate:
     def test_one_sided_degeneracy(self):
         # all minima equal, maxima spread: only the lower side degenerates
         model = BeliefModel(
-            [(FocalElement.make([(0, 1)]), 0.5),
-             (FocalElement.make([(0, 2)]), 0.5)], 2.0)
+            [(FocalElement([(0, 1)]), 0.5),
+             (FocalElement([(0, 2)]), 0.5)], 2.0)
         with pytest.raises(DegenerateVariance):
             moments_by_enumeration(model)
         m = moments_by_enumeration(model, allow_degenerate=True)
@@ -191,7 +191,7 @@ class TestRouteAgreement:
         law = MinMaxLaw.from_model(model)
         assert len(law.masses) < len(model.focal)
         twin = BeliefModel(
-            [(FocalElement.make([(lo, hi)]), m)
+            [(FocalElement([(lo, hi)]), m)
              for lo, hi, m in zip(law.mins, law.maxs, law.masses)], model.bound)
         for route in (moments_by_enumeration, moments_by_integration):
             assert route(model) == route(twin), route.__name__
@@ -274,11 +274,11 @@ def two_hull_models(draw):
     hulls = [(ends[a], ends[b]) for a, b in draw(st.sampled_from(_HULL_SHAPES))]
     focal = []
     for lo, hi in hulls:
-        focal.append(FocalElement.make([(lo, hi)]))
+        focal.append(FocalElement([(lo, hi)]))
         for cut in draw(st.lists(st.floats(0.05, 0.45), max_size=2)):
             if hi > lo:
                 gap = (lo + cut * (hi - lo), hi - cut * (hi - lo))
-                focal.append(FocalElement.make([(lo, gap[0]), (gap[1], hi)]))
+                focal.append(FocalElement([(lo, gap[0]), (gap[1], hi)]))
     masses = draw(st.lists(st.floats(0.01, 1.0), min_size=len(focal), max_size=len(focal)))
     bound = max(abs(x) for h in hulls for x in h) + draw(st.floats(0.0, 2.0))
     total = math.fsum(masses)

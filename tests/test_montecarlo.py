@@ -44,6 +44,8 @@ from beliefclt.montecarlo import (
     resolve_workers,
 )
 
+from _intervals import complement
+
 
 def _vector_index(s_min, s_max):
     """A cell function whose cell is each count vector's table position."""
@@ -246,9 +248,9 @@ class TestPlanValidation:
 @pytest.fixture(scope="module")
 def bern_plan():
     model = BeliefModel(
-        [(FocalElement.make([(1.0, 1.0)]), 0.3),
-         (FocalElement.make([(0.0, 0.0)]), 0.3),
-         (FocalElement.make([(0.0, 1.0)]), 0.4)], 1.0)
+        [(FocalElement([(1.0, 1.0)]), 0.3),
+         (FocalElement([(0.0, 0.0)]), 0.3),
+         (FocalElement([(0.0, 1.0)]), 0.4)], 1.0)
     return SimPlan(model, n_values=(16, 64), reps=40_000, seed=99)
 
 
@@ -295,7 +297,7 @@ class TestEstimateEvents:
         assert estimate_events(bern_plan, mom, workers=1) == bern_sim
 
     def test_degenerate_variance_raises(self):
-        vac = BeliefModel([(FocalElement.make([(0.0, 1.0)]), 1.0)], 1.0)
+        vac = BeliefModel([(FocalElement([(0.0, 1.0)]), 1.0)], 1.0)
         plan = SimPlan(vac, n_values=(4,), reps=10)
         with pytest.raises(DegenerateVariance):
             mom = moments_by_enumeration(vac, allow_degenerate=True)
@@ -331,7 +333,7 @@ class TestEstimateEvents:
             assert abs(row.frequency - exact) <= tol, (
                 row.kind, row.alpha1, row.frequency, exact)
             assert abs((1.0 - row.frequency)
-                       - plausibility(bernoulli, event.complement())) <= tol
+                       - plausibility(bernoulli, complement(event))) <= tol
 
 
 def test_pool_is_sized_by_its_runs(monkeypatch, bern_plan):
@@ -525,17 +527,17 @@ def test_runs_of_blocks_match_brute_force_reference():
 def _repeated_hull_model():
     # the first and third focal elements share the hull (0, 1)
     return BeliefModel(
-        [(FocalElement.make([(0.0, 1.0)]), 0.3),
-         (FocalElement.make([(1.0, 1.0)]), 0.2),
-         (FocalElement.make([(0.0, 0.25), (0.75, 1.0)]), 0.25),
-         (FocalElement.make([(0.0, 0.0)]), 0.25)], 1.0)
+        [(FocalElement([(0.0, 1.0)]), 0.3),
+         (FocalElement([(1.0, 1.0)]), 0.2),
+         (FocalElement([(0.0, 0.25), (0.75, 1.0)]), 0.25),
+         (FocalElement([(0.0, 0.0)]), 0.25)], 1.0)
 
 
 def _merged_hull_model():
     return BeliefModel(
-        [(FocalElement.make([(0.0, 1.0)]), math.fsum((0.3, 0.25))),
-         (FocalElement.make([(1.0, 1.0)]), 0.2),
-         (FocalElement.make([(0.0, 0.0)]), 0.25)], 1.0)
+        [(FocalElement([(0.0, 1.0)]), math.fsum((0.3, 0.25))),
+         (FocalElement([(1.0, 1.0)]), 0.2),
+         (FocalElement([(0.0, 0.0)]), 0.25)], 1.0)
 
 
 class TestRepeatedHull:
@@ -565,7 +567,7 @@ class TestRepeatedHull:
         # and a 0 / 0 share into the split tree, so no model holds one
         base = _merged_hull_model()
         with pytest.raises(ValueError, match="^mass #3 must be > 0"):
-            BeliefModel(list(base.focal) + [(FocalElement.make([(0.0, 0.5)]), 0.0)],
+            BeliefModel(list(base.focal) + [(FocalElement([(0.0, 0.5)]), 0.0)],
                         base.bound)
         # bernoulli_model drops its own zero masses, so p_low = 0 still builds
         model = bernoulli_model(0.0, 0.6)
@@ -617,10 +619,10 @@ def _non_dyadic_model():
     # endpoints 0.1, 0.3, 0.7 and 0.2 are not exact in binary, so hull sums
     # round and their bits depend on the order of the additions
     return BeliefModel(
-        [(FocalElement.make([(0.1, 0.3)]), 0.25),
-         (FocalElement.make([(0.2, 0.7)]), 0.35),
-         (FocalElement.make([(0.3, 0.3)]), 0.1),
-         (FocalElement.make([(0.1, 0.2), (0.3, 0.7)]), 0.3)], 1.0)
+        [(FocalElement([(0.1, 0.3)]), 0.25),
+         (FocalElement([(0.2, 0.7)]), 0.35),
+         (FocalElement([(0.3, 0.3)]), 0.1),
+         (FocalElement([(0.1, 0.2), (0.3, 0.7)]), 0.3)], 1.0)
 
 
 _MASSES = ((1.0,), (0.5, 0.5), (0.3, 0.3, 0.4), (0.1, 0.25, 0.3, 0.35))
