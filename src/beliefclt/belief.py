@@ -14,31 +14,13 @@ is always totally monotone because it comes from a mass function.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import numbers
 from dataclasses import dataclass
 
+from .errors import as_real, as_real_pair
 from .intervals import IntervalEvent
 
 MASS_SUM_TOL = 1e-12
-
-
-def as_real(name: str, value) -> float:
-    """``value`` as a float; a bool, a string or NaN is not a real number."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and value == value:
-        with contextlib.suppress(OverflowError):
-            return float(value)
-    raise ValueError(f"{name} must be a real number, not NaN, got {value!r}")
-
-
-def as_real_pair(name: str, value) -> tuple[float, float]:
-    """``value`` as a pair of floats, each checked by :func:`as_real`."""
-    try:
-        a, b = value
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a pair [a, b], got {value!r}") from None
-    return as_real(name, a), as_real(name, b)
 
 
 @dataclass(frozen=True)
@@ -75,9 +57,6 @@ class FocalElement:
     @property
     def max(self) -> float:
         return self.parts[-1][1]
-
-    def is_singleton(self) -> bool:
-        return len(self.parts) == 1 and self.parts[0][0] == self.parts[0][1]
 
     def contained_in(self, event: IntervalEvent) -> bool:
         return all(event.contains_closed_interval(a, b) for a, b in self.parts)

@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .belief import BeliefModel, FocalElement, as_real
-from .errors import DegenerateVariance
+from .belief import BeliefModel, FocalElement
+from .errors import DegenerateVariance, as_real
 from .gauss import std_normal_cdf, two_sided_limit
 from .moments import (
     ChoquetMoments,

@@ -13,10 +13,16 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+from .errors import as_real
+
 
 @dataclass(frozen=True)
 class Piece:
-    """One interval of an event: lo/hi bounds plus closedness flags."""
+    """One interval of an event: lo/hi bounds plus closedness flags.
+
+    ``lo`` and ``hi`` are converted by :func:`as_real`, which rejects a
+    bool, a string or NaN with a ValueError naming the endpoint.
+    """
 
     lo: float
     hi: float
@@ -24,8 +30,8 @@ class Piece:
     hi_closed: bool
 
     def __post_init__(self):
-        if math.isnan(self.lo) or math.isnan(self.hi):
-            raise ValueError("interval endpoints must not be NaN")
+        object.__setattr__(self, "lo", as_real("lo", self.lo))
+        object.__setattr__(self, "hi", as_real("hi", self.hi))
         if math.isinf(self.lo) and self.lo_closed:
             object.__setattr__(self, "lo_closed", False)
         if math.isinf(self.hi) and self.hi_closed:

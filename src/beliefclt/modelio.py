@@ -41,8 +41,8 @@ import re
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .belief import MASS_SUM_TOL, BeliefModel, FocalElement, as_real
-from .errors import ParseError
+from .belief import MASS_SUM_TOL, BeliefModel, FocalElement
+from .errors import ParseError, as_real
 from .montecarlo import SimPlan
 
 LOAD_MASS_TOL = 1e-6

@@ -107,13 +107,10 @@ def _finalize(
         rho = math.copysign(1.0, cov)
     else:
         rho = cov / (sd_low * sd_up)
-    moments = ChoquetMoments(lower_mean, upper_mean, sd_low, sd_up, cross, rho_prime, rho)
     if degenerate and not allow_degenerate:
         raise DegenerateVariance(
-            f"sigma_low={sd_low!r}, sigma_up={sd_up!r}: normalized statistics undefined",
-            partial=moments,
-        )
-    return moments
+            f"sigma_low={sd_low!r}, sigma_up={sd_up!r}: normalized statistics undefined")
+    return ChoquetMoments(lower_mean, upper_mean, sd_low, sd_up, cross, rho_prime, rho)
 
 
 def moments_by_enumeration(model: BeliefModel, allow_degenerate: bool = False) -> ChoquetMoments:

@@ -18,12 +18,12 @@ given (seed, plan) at any worker count.  A block draws the hull counts of
 its trials, which carry the same joint law of (S_min, S_max) as
 coordinate-by-coordinate sampling.  Each trial reduces to one event cell,
 and a block to one histogram of cells.  Where there are at most
-``TABLE_MAX_VECTORS`` count vectors, the multinomial probabilities of
-every vector, summed per cell, give the exact law of one trial's cell
-(``_CountTable``), and a block's histogram is one multinomial draw over
-it, so no row is handled on its own.  Else a binary tree of binomial
-splits over the hulls draws the counts, its root split by one multinomial
-over a window of its binomial pmf (``_SplitTree``).
+``TABLE_MAX_VECTORS`` count vectors (``is_tabled``), the multinomial
+probabilities of every vector, summed per cell, give the exact law of one
+trial's cell (``_cell_law``), and a block's histogram is one multinomial
+draw over it, so no row is handled on its own.  Else a binary tree of
+binomial splits over the hulls draws the counts (``_split_counts``), its
+root split by one multinomial over a window of its binomial pmf.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from functools import partial
 
 import numpy as np
 
-from .belief import BeliefModel, as_real, as_real_pair
-from .errors import DegenerateVariance
+from .belief import BeliefModel
+from .errors import DegenerateVariance, as_real, as_real_pair
 from .moments import SIGMA_FLOOR, ChoquetMoments, MinMaxLaw
 
 _KEY_DOMAIN = np.uint64(0x9E3779B97F4A7C15)
@@ -262,28 +262,17 @@ def _multinomial_pmf(columns: Sequence[np.ndarray], masses: np.ndarray, n: int) 
     return np.exp(log_p, out=log_p)
 
 
-@dataclass(frozen=True, eq=False)
-class _CountTable:
-    """The exact law of one trial's event cell at one (law, n).
-
-    ``p_cell[c]`` is the multinomial probability of every hull-count vector
-    whose cell is c, summed per cell and divided by the total, so a block's
-    cell histogram is exactly Multinomial(block_len, p_cell).
-    """
-
-    p_cell: np.ndarray
-
-    @classmethod
-    def build(cls, law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray],
-              length: int) -> "_CountTable":
-        columns = _count_vectors(n, len(law.masses))
-        pmf = _multinomial_pmf(columns, law.masses, n)
-        p_cell = np.bincount(cell_of(*_hull_sums(columns, law)), weights=pmf, minlength=length)
-        return cls(p_cell / p_cell.sum())
-
-    def histogram(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Cell histogram of ``size`` trials."""
-        return rng.multinomial(size, self.p_cell)
+def _cell_law(law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray],
+              length: int) -> np.ndarray:
+    """The exact law of one trial's event cell at one (law, n): entry c is
+    the multinomial probability of every hull-count vector whose cell is c,
+    summed per cell and divided by the total, so a block's cell histogram
+    is exactly Multinomial(block_len, cell law).  ``cell_of`` maps hull
+    sums to cells, of which there are ``length``."""
+    columns = _count_vectors(n, len(law.masses))
+    pmf = _multinomial_pmf(columns, law.masses, n)
+    p_cell = np.bincount(cell_of(*_hull_sums(columns, law)), weights=pmf, minlength=length)
+    return p_cell / p_cell.sum()
 
 
 def _binomial_window(n: int, p: float, q: float) -> tuple[int, np.ndarray] | None:
@@ -319,9 +308,10 @@ def _shares(masses: np.ndarray, lo: int, hi: int) -> tuple[float, float]:
     return left / (left + right), right / (left + right)
 
 
-@dataclass(frozen=True, eq=False)
-class _SplitTree:
-    """Hull counts of one (law, n) by a binary tree of binomial splits.
+def _split_counts(law: MinMaxLaw, n: int, root: tuple[int, np.ndarray] | None,
+                  rng: np.random.Generator, size: int) -> list[np.ndarray]:
+    """Hull counts of ``size`` trials of (law, n), one int64 column per
+    hull, by a binary tree of binomial splits.
 
     A node splits its count of hulls [lo, hi) into [lo, mid) and [mid, hi),
     mid = (lo + hi) // 2; the left count is binomial with the left share
@@ -331,65 +321,32 @@ class _SplitTree:
     repeated as often as it is drawn, so the column comes out sorted and
     numpy reuses its binomial setup across equal counts at the second
     level.  Every other split, and the root where ``root`` is None, takes
-    ``rng.binomial``, depth first and left before right.  ``length`` is
-    the number of cells.
+    ``rng.binomial``, depth first and left before right.
     """
-
-    law: MinMaxLaw
-    n: int
-    root: tuple[int, np.ndarray] | None
-    cell_of: Callable[..., np.ndarray]
-    length: int
-
-    @classmethod
-    def build(cls, law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray],
-              length: int) -> "_SplitTree":
-        root = _binomial_window(n, *_shares(law.masses, 0, len(law.masses)))
-        return cls(law, n, root, cell_of, length)
-
-    def counts(self, rng: np.random.Generator, size: int) -> list[np.ndarray]:
-        """Hull counts of ``size`` trials, one int64 column per hull."""
-        k = len(self.law.masses)
-        columns: list[np.ndarray] = [None] * k
-        pending = [(0, k, np.full(size, self.n, dtype=np.int64))]
-        while pending:
-            lo, hi, count = pending.pop()
-            if hi - lo == 1:
-                columns[lo] = count
-                continue
-            if hi - lo == k and self.root is not None:
-                lo_count, pmf = self.root
-                left = np.repeat(np.arange(lo_count, lo_count + len(pmf)),
-                                 rng.multinomial(size, pmf))
-            else:
-                left = rng.binomial(count, _shares(self.law.masses, lo, hi)[0])
-            count -= left
-            mid = (lo + hi) // 2
-            pending += [(mid, hi, count), (lo, mid, left)]
-        return columns
-
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Event cells of ``size`` trials."""
-        return self.cell_of(*_hull_sums(self.counts(rng, size), self.law))
-
-    def histogram(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Cell histogram of ``size`` trials."""
-        return np.bincount(self.draw(rng, size), minlength=self.length)
+    k = len(law.masses)
+    columns: list[np.ndarray] = [None] * k
+    pending = [(0, k, np.full(size, n, dtype=np.int64))]
+    while pending:
+        lo, hi, count = pending.pop()
+        if hi - lo == 1:
+            columns[lo] = count
+            continue
+        if hi - lo == k and root is not None:
+            lo_count, pmf = root
+            left = np.repeat(np.arange(lo_count, lo_count + len(pmf)),
+                             rng.multinomial(size, pmf))
+        else:
+            left = rng.binomial(count, _shares(law.masses, lo, hi)[0])
+        count -= left
+        mid = (lo + hi) // 2
+        pending += [(mid, hi, count), (lo, mid, left)]
+    return columns
 
 
 def is_tabled(law: MinMaxLaw, n: int) -> bool:
     """Whether (law, n) has at most ``TABLE_MAX_VECTORS`` count vectors."""
     k = len(law.masses)
     return math.comb(n + k - 1, k - 1) <= TABLE_MAX_VECTORS
-
-
-def _table_for(law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray],
-               length: int) -> _CountTable | _SplitTree:
-    """The cell law of (law, n) where ``is_tabled``, else the split tree;
-    ``cell_of`` maps hull sums to cells, of which there are ``length``."""
-    if is_tabled(law, n):
-        return _CountTable.build(law, n, cell_of, length)
-    return _SplitTree.build(law, n, cell_of, length)
 
 
 @dataclass(frozen=True, eq=False)
@@ -474,17 +431,23 @@ def _tally_run(seed: int, reps: int, law: MinMaxLaw, moments: ChoquetMoments,
                events: _EventCells, run: tuple[int, range]) -> tuple[int, np.ndarray]:
     """(n, cell histogram) of a run of consecutive blocks of one n.
 
-    The run builds the cell law or split tree of (law, n) and drops it on
-    return, so no table outlives the draws it serves.
+    A tabled n draws each block as one multinomial over its cell law, any
+    other n through the split tree.  The run drops the cell law on return,
+    so no table outlives the draws it serves.
     """
     n, blocks = run
     cell_of = partial(_normalized_cells, events, moments, n)
-    table = _table_for(law, n, cell_of, events.size)
-    histogram = np.zeros(events.size, dtype=np.intp)
-    for b in blocks:
-        block_len = min(BLOCK_SIZE, reps - b * BLOCK_SIZE)
-        histogram += table.histogram(_block_stream(seed, n, b), block_len)
-    return n, histogram
+    streams = ((_block_stream(seed, n, b), min(BLOCK_SIZE, reps - b * BLOCK_SIZE))
+               for b in blocks)
+    if is_tabled(law, n):
+        p_cell = _cell_law(law, n, cell_of, events.size)
+        histograms = (rng.multinomial(size, p_cell) for rng, size in streams)
+    else:
+        root = _binomial_window(n, *_shares(law.masses, 0, len(law.masses)))
+        sums = (_hull_sums(_split_counts(law, n, root, rng, size), law) for rng, size in streams)
+        histograms = (np.bincount(cell_of(s_min, s_max), minlength=events.size)
+                      for s_min, s_max in sums)
+    return n, sum(histograms, np.zeros(events.size, dtype=np.intp))
 
 
 def estimate_events(
@@ -512,7 +475,7 @@ def estimate_events(
     tally = partial(_tally_run, plan.seed, plan.reps, MinMaxLaw.from_model(plan.model),
                     moments, events)
     # each n's blocks cut into at most one run per worker; a run builds its
-    # count table once
+    # cell law or root window once
     n_blocks = -(-plan.reps // BLOCK_SIZE)
     parts = min(workers, n_blocks)
     cuts = [p * n_blocks // parts for p in range(parts + 1)]

@@ -14,6 +14,7 @@ from beliefclt import (
     belief,
     plausibility,
 )
+from beliefclt.modelio import model_text
 
 from _intervals import complement, empty, interval, intersect, is_empty, real_line, union
 from _monotonicity import (
@@ -29,10 +30,6 @@ class TestFocalElement:
         f = FocalElement([(2, 3), (0, 1), (1, 1.5)])
         assert f.parts == ((0.0, 1.5), (2.0, 3.0))
         assert f.min == 0.0 and f.max == 3.0
-
-    def test_singleton(self):
-        assert FocalElement([(1, 1)]).is_singleton()
-        assert not FocalElement([(0, 1)]).is_singleton()
 
     def test_rejects_bad_parts(self):
         with pytest.raises(ValueError):
@@ -64,6 +61,13 @@ class TestFocalElement:
         with pytest.raises(ValueError, match="real number"):
             FocalElement((("0", 1),))
 
+    def test_signed_zero_is_stored_as_zero(self):
+        # -0.0 == 0.0, but repr tells them apart; the digest hashes repr
+        neg, pos = (BeliefModel([(FocalElement([(z, 1)]), 1.0)], 1) for z in (-0.0, 0.0))
+        assert neg == pos
+        assert SimPlan(neg).digest() == SimPlan(pos).digest()
+        assert model_text(neg) == model_text(pos)
+        assert math.copysign(1.0, neg.focal[0][0].min) == 1.0
     def test_containment_needs_single_piece_cover(self):
         f = FocalElement([(0, 1), (2, 3)])
         assert f.contained_in(IntervalEvent.closed(0, 3))

@@ -2,20 +2,13 @@ import argparse
 import csv
 import math
 
-import numpy as np
 import pytest
 
 from beliefclt import cli, montecarlo, save_model, save_plan, SimPlan, bernoulli_model
 from beliefclt.cli import build_parser, main
 from beliefclt.modelio import REPORT_SCHEMA, emit_csv
-from beliefclt.moments import MinMaxLaw
 
 BERN = bernoulli_model(0.3, 0.7)
-
-
-def _first_cell(s_min, s_max):
-    """A cell function that puts every trial in cell 0."""
-    return np.zeros(len(s_min), dtype=np.intp)
 
 
 @pytest.fixture
@@ -130,17 +123,24 @@ class TestSimulate:
 
     def test_tabled_n_follows_the_table_size_rule(self, plan_file, tmp_path, caplog,
                                                   monkeypatch):
-        law = MinMaxLaw.from_model(BERN)
+        # one worker runs each n in this process, so the run's own cell
+        # law builds show which n it drew from a table
+        monkeypatch.setenv("BELIEFCLT_WORKERS", "1")
+        cell_law, drawn = montecarlo._cell_law, []
+
+        def recording_cell_law(law, n, *args):
+            drawn.append(n)
+            return cell_law(law, n, *args)
+
+        monkeypatch.setattr(montecarlo, "_cell_law", recording_cell_law)
         for limit, tabled in ((153, "[16]"), (152, "[]")):
             monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", limit)
             caplog.clear()
+            drawn.clear()
             with caplog.at_level("INFO", logger="beliefclt"):
                 main(["simulate", str(plan_file), "--out-dir", str(tmp_path / "x")])
             joined = " ".join(rec.message for rec in caplog.records)
             assert f"table_max_vectors={limit} tabled_n={tabled}" in joined
-            drawn = [n for n in (16, 64)
-                     if isinstance(montecarlo._table_for(law, n, _first_cell, 1),
-                                   montecarlo._CountTable)]
             assert tabled == str(drawn)
 
 

@@ -101,6 +101,13 @@ def test_piece_validation():
     assert IntervalEvent([Piece(2.0, 1.0, True, True)]) == empty()
     with pytest.raises(ValueError):
         Piece(0.0, math.nan, True, True)
+    # endpoints are checked as model values are: a bool or a string is no number
+    with pytest.raises(ValueError, match="^lo must be a real number"):
+        IntervalEvent.closed(True, 2)
+    with pytest.raises(ValueError, match="^lo must be a real number"):
+        IntervalEvent.closed("0", 1)
+    with pytest.raises(ValueError, match="^hi must be a real number"):
+        IntervalEvent.closed(0, math.nan)
     # infinite endpoints are forced open
     p = Piece(-math.inf, 0.0, True, True)
     assert not p.lo_closed

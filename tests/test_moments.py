@@ -140,17 +140,14 @@ class TestEnumeration:
 class TestDegenerate:
     def test_single_focal_raises(self):
         vac = BeliefModel([(FocalElement([(-2, 2)]), 1.0)], 2.0)
-        with pytest.raises(DegenerateVariance) as exc:
+        with pytest.raises(DegenerateVariance):
             moments_by_enumeration(vac)
-        partial = exc.value.partial
-        assert partial is not None
-        assert partial.lower_mean == -2.0 and partial.upper_mean == 2.0
-        assert math.isnan(partial.rho)
 
     def test_allow_degenerate_returns_partial(self):
         vac = BeliefModel([(FocalElement([(-2, 2)]), 1.0)], 2.0)
         for route in (moments_by_enumeration, moments_by_integration):
             m = route(vac, allow_degenerate=True)
+            assert m.lower_mean == -2.0 and m.upper_mean == 2.0
             assert m.lower_sd == 0.0 and m.upper_sd == 0.0
             assert math.isnan(m.rho)
             assert m.cross_moment == pytest.approx(-4.0, abs=1e-12)

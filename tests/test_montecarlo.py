@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
@@ -33,14 +32,15 @@ from beliefclt.montecarlo import (
     _block_stream,
     _count_vectors,
     _binomial_window,
-    _CountTable,
+    _cell_law,
     _EventCells,
     _hull_sums,
     _multinomial_pmf,
     _normalized_cells,
-    _SplitTree,
-    _table_for,
+    _shares,
+    _split_counts,
     default_alpha_pairs,
+    is_tabled,
     resolve_workers,
 )
 
@@ -52,28 +52,28 @@ def _vector_index(s_min, s_max):
     return np.arange(len(s_min))
 
 
-def _keep_sums(s_min, s_max):
-    """A cell function whose cell is the pair of hull sums itself."""
-    return np.stack([s_min, s_max])
-
-
-def _vector_table(law, n):
-    """The table or split tree of (law, n), built with ``_vector_index``:
-    a tabled (law, n) then has one cell per count vector."""
+def _vector_law(law, n):
+    """The cell law of (law, n) with one cell per count vector."""
     k = len(law.masses)
-    return _table_for(law, n, _vector_index, math.comb(n + k - 1, k - 1))
+    return _cell_law(law, n, _vector_index, math.comb(n + k - 1, k - 1))
+
+
+def _tree_root(law, n):
+    """The root window of the split tree of (law, n), as the estimator
+    builds it."""
+    return _binomial_window(n, *_shares(law.masses, 0, len(law.masses)))
 
 
 def _draw_sums(seed, n, block_index, size, law):
     """(S_min, S_max) of one block's trials, drawn as the estimator draws
-    them but through cell functions that keep the count vector or the hull
-    sums."""
-    table = _vector_table(law, n)
+    them: a tabled n draws one multinomial over the cell law of its count
+    vectors, any other n takes the split tree's counts."""
     rng = _block_stream(seed, n, block_index)
-    if isinstance(table, _SplitTree):
-        return tuple(replace(table, cell_of=_keep_sums).draw(rng, size))
+    if not is_tabled(law, n):
+        return _hull_sums(_split_counts(law, n, _tree_root(law, n), rng, size), law)
+    p_cell = _vector_law(law, n)
     s_min, s_max = _hull_sums(_count_vectors(n, len(law.masses)), law)
-    index = np.repeat(np.arange(len(table.p_cell)), table.histogram(rng, size))
+    index = np.repeat(np.arange(len(p_cell)), rng.multinomial(size, p_cell))
     return s_min[index], s_max[index]
 
 
@@ -152,7 +152,7 @@ class TestSampleTrial:
 
     def test_min_never_exceeds_max(self, two_interval):
         law = MinMaxLaw.from_model(two_interval)
-        for n in (20, 70_000):  # count table and split tree
+        for n in (20, 70_000):  # cell law and split tree
             s_min, s_max = _draw_sums(9, n, 0, 500, law)
             assert np.all(s_min <= s_max)
 
@@ -463,8 +463,7 @@ def _reference_estimate(plan, mom):
         blocks = [(b, min(BLOCK_SIZE, plan.reps - start))
                   for b, start in enumerate(range(0, plan.reps, BLOCK_SIZE))]
         cell_of = partial(_normalized_cells, events, mom, n)
-        table = _table_for(law, n, cell_of, events.size)
-        if isinstance(table, _SplitTree):
+        if not is_tabled(law, n):
             sums = [normalized(*_draw_sums(plan.seed, n, b, size, law)) for b, size in blocks]
             t_low, t_up = (np.concatenate(t) for t in zip(*sums))
             in_event = _brute_events(t_low, t_up, plan.alpha_one_sided, plan.alpha_two_sided)
@@ -477,7 +476,8 @@ def _reference_estimate(plan, mom):
         member = np.zeros((len(in_event), events.size), dtype=np.int64)
         member[:, cells] = in_event
         assert np.array_equal(member[:, cells], in_event)  # one cell, one set of events
-        histogram = sum(_block_stream(plan.seed, n, b).multinomial(size, table.p_cell)
+        p_cell = _cell_law(law, n, cell_of, events.size)
+        histogram = sum(_block_stream(plan.seed, n, b).multinomial(size, p_cell)
                         for b, size in blocks)
         counts[n] = (member @ histogram).tolist()
     return counts
@@ -515,8 +515,8 @@ def test_runs_of_blocks_match_brute_force_reference():
     model = MODEL_REGISTRY["bernoulli"]()
     mom = moments_by_enumeration(model)
     plan = SimPlan(model, n_values=(16, 1024), reps=8 * BLOCK_SIZE + 37, seed=23)
-    assert isinstance(_vector_table(MinMaxLaw.from_model(model), 16), _CountTable)
-    assert isinstance(_vector_table(MinMaxLaw.from_model(model), 1024), _SplitTree)
+    assert is_tabled(MinMaxLaw.from_model(model), 16)
+    assert not is_tabled(MinMaxLaw.from_model(model), 1024)
     reference = _reference_estimate(plan, mom)
     for workers in (1, 2):
         sim = estimate_events(plan, mom, workers=workers)
@@ -563,7 +563,7 @@ class TestRepeatedHull:
         assert [r.count for r in again.rows] == [r.count for r in sim.rows]
 
     def test_zero_mass_focal_elements_are_rejected_at_construction(self):
-        # a zero-mass hull would put 0 * log(0) = NaN into the count table
+        # a zero-mass hull would put 0 * log(0) = NaN into the cell law
         # and a 0 / 0 share into the split tree, so no model holds one
         base = _merged_hull_model()
         with pytest.raises(ValueError, match="^mass #3 must be > 0"):
@@ -590,7 +590,7 @@ class TestRepeatedHull:
     def test_sample_trial_draws_from_the_law(self):
         repeated = MinMaxLaw.from_model(_repeated_hull_model())
         merged = MinMaxLaw.from_model(_merged_hull_model())
-        for n in (7, 5000):  # count table and split tree
+        for n in (7, 5000):  # cell law and split tree
             for a, b in zip(_draw_sums(5, n, 0, 200, repeated),
                             _draw_sums(5, n, 0, 200, merged)):
                 assert np.array_equal(a, b)
@@ -670,15 +670,15 @@ _DENSE_GRID = tuple(-2.5 + 0.25 * i for i in range(21))
 _LAW_MODELS = {**MODEL_REGISTRY, "non_dyadic": _non_dyadic_model}
 
 
-def _cell_table(model, n, alphas=DEFAULT_ALPHA_GRID):
-    """(events, table) of ``model`` at n on the grid and its pairs, with the
-    estimator's cell function."""
+def _model_cell_law(model, n, alphas=DEFAULT_ALPHA_GRID):
+    """(events, cell law) of ``model`` at n on the grid and its pairs, with
+    the estimator's cell function."""
     law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
     events = _EventCells.build(alphas, default_alpha_pairs(alphas))
-    return events, _table_for(law, n, partial(_normalized_cells, events, mom, n), events.size)
+    return events, _cell_law(law, n, partial(_normalized_cells, events, mom, n), events.size)
 
 
-class TestCountTable:
+class TestCellLaw:
     @pytest.mark.parametrize("masses", _MASSES)
     def test_vectors_are_every_composition_once(self, masses):
         for n in range(1, 9):
@@ -699,11 +699,11 @@ class TestCountTable:
         model = _LAW_MODELS[name]()
         law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
         for n in range(1, 9):
-            events, table = _cell_table(model, n)
-            assert isinstance(table, _CountTable) and len(table.p_cell) == events.size
+            events, p_cell = _model_cell_law(model, n)
+            assert is_tabled(law, n) and len(p_cell) == events.size
             exact = _exact_cell_law(law, n, partial(_normalized_cells, events, mom, n),
                                     events.size)
-            for p, want in zip(table.p_cell.tolist(), exact):
+            for p, want in zip(p_cell.tolist(), exact):
                 assert abs(Fraction(p) - want) <= Fraction(1, 10**12) * want, (n, p, want)
 
     @pytest.mark.parametrize("name, n", [("bernoulli", 1), ("bernoulli", 255),
@@ -712,11 +712,11 @@ class TestCountTable:
         # with one cell per count vector, the cell law is the pmf itself
         law = MinMaxLaw.from_model(MODEL_REGISTRY[name]())
         k = len(law.masses)
-        table = _vector_table(law, n)
-        assert len(table.p_cell) == math.comb(n + k - 1, k - 1)
+        p_cell = _vector_law(law, n)
+        assert len(p_cell) == math.comb(n + k - 1, k - 1)
         pmf = _multinomial_pmf(_count_vectors(n, k), law.masses, n)
-        assert np.array_equal(table.p_cell, pmf / pmf.sum())
-        assert abs(table.p_cell.sum() - 1.0) <= 1e-13
+        assert np.array_equal(p_cell, pmf / pmf.sum())
+        assert abs(p_cell.sum() - 1.0) <= 1e-13
 
     @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
     def test_n1_cell_law_is_the_exact_belief(self, name):
@@ -725,8 +725,8 @@ class TestCountTable:
         # cell law are beliefs
         model = MODEL_REGISTRY[name]()
         mom = moments_by_enumeration(model)
-        events, table = _cell_table(model, 1)
-        exact = events.counts(table.p_cell).tolist()
+        events, p_cell = _model_cell_law(model, 1)
+        exact = events.counts(p_cell).tolist()
         k = len(DEFAULT_ALPHA_GRID)
         for i, a in enumerate(DEFAULT_ALPHA_GRID):
             lower = IntervalEvent.at_least(mom.lower_mean + a * mom.lower_sd)
@@ -741,14 +741,15 @@ class TestCountTable:
         21-point grid against the cell law, at every tabled (law, n) of the
         benchmark's plans; cells with fewer than 20 expected trials are
         pooled."""
-        events, table = _cell_table(MODEL_REGISTRY[name](), n, _DENSE_GRID)
-        assert isinstance(table, _CountTable)
+        model = MODEL_REGISTRY[name]()
+        events, p_cell = _model_cell_law(model, n, _DENSE_GRID)
+        assert is_tabled(MinMaxLaw.from_model(model), n)
         blocks = 8
-        histogram = sum(table.histogram(_block_stream(37, n, b), BLOCK_SIZE)
+        histogram = sum(_block_stream(37, n, b).multinomial(BLOCK_SIZE, p_cell)
                         for b in range(blocks))
         reps = blocks * BLOCK_SIZE
-        assert histogram.sum() == reps and not histogram[table.p_cell == 0].any()
-        _z_test(_pooled(table.p_cell, histogram, reps), reps, (name, n))
+        assert histogram.sum() == reps and not histogram[p_cell == 0].any()
+        _z_test(_pooled(p_cell, histogram, reps), reps, (name, n))
 
     @pytest.mark.parametrize("name, n", [("coin", 20000), ("union_parts", 65535)])
     def test_two_hull_events_are_binomial_tails(self, name, n):
@@ -763,9 +764,9 @@ class TestCountTable:
 
         model = MODEL_REGISTRY[name]()
         law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
-        events, table = _cell_table(model, n)
-        assert isinstance(table, _CountTable)
-        exact = events.counts(table.p_cell)
+        events, p_cell = _model_cell_law(model, n)
+        assert is_tabled(law, n)
+        exact = events.counts(p_cell)
         c = np.arange(n + 1, dtype=float)
         root = math.sqrt(n)
         t_low = (c * law.mins[0] + (n - c) * law.mins[1] - n * mom.lower_mean) / (
@@ -790,7 +791,7 @@ class TestCountTable:
         law = MinMaxLaw.from_model(MODEL_REGISTRY["bernoulli"]())
         n, size = 16, 153
         monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", size)
-        assert isinstance(_vector_table(law, n), _CountTable)
+        assert is_tabled(law, n)
         # at the limit a block is one multinomial over the vectors' pmf
         columns = _count_vectors(n, 3)
         pmf = _multinomial_pmf(columns, law.masses, n)
@@ -803,8 +804,7 @@ class TestCountTable:
         # 17 counts 0..16, and below those 17 its root is a binomial too
         for limit, tabled_root in ((size - 1, True), (16, False)):
             monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", limit)
-            tree = _vector_table(law, n)
-            assert isinstance(tree, _SplitTree) and (tree.root is not None) == tabled_root
+            assert not is_tabled(law, n) and (_tree_root(law, n) is not None) == tabled_root
             counts = _replay_tree(3, n, 0, 500, law, tabled_root)
             drawn = _draw_sums(3, n, 0, 500, law)
             assert all(np.array_equal(a, b) for a, b in zip(drawn, _hull_sums(counts, law)))
@@ -816,13 +816,13 @@ class TestCountTable:
         model = MODEL_REGISTRY["mixed"]()
         mom = moments_by_enumeration(model)
         plan = SimPlan(model, n_values=(64,), reps=100_000, seed=12)
-        events, table = _cell_table(model, 64)
-        exact = events.counts(table.p_cell).tolist()
+        law = MinMaxLaw.from_model(model)
+        events, p_cell = _model_cell_law(model, 64)
+        exact = events.counts(p_cell).tolist()
         sims = [estimate_events(plan, mom, workers=1)]
         for limit, tabled_root in ((100, True), (0, False)):
             monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", limit)
-            tree = _table_for(MinMaxLaw.from_model(model), 64, _keep_sums, events.size)
-            assert isinstance(tree, _SplitTree) and (tree.root is not None) == tabled_root
+            assert not is_tabled(law, 64) and (_tree_root(law, 64) is not None) == tabled_root
             sims.append(estimate_events(plan, mom, workers=1))
         counts = [[r.count for r in sim.rows] for sim in sims]
         assert counts[0] != counts[1] != counts[2] != counts[0]
@@ -853,13 +853,13 @@ class TestCountTable:
             step = max(1, len(vectors) // 12)
             alphas = t_low[::step].tolist() + t_up[::step].tolist()
             events = _EventCells.build(alphas, list(zip(alphas, alphas[::-1])))
-            table = _CountTable.build(law, n, partial(_normalized_cells, events, mom, n),
-                                      events.size)
+            p_cell = _cell_law(law, n, partial(_normalized_cells, events, mom, n),
+                               events.size)
             expected = events.cells(t_low, t_up)
             pmf = _multinomial_pmf(_count_vectors(n, 4), law.masses, n)
             want = np.bincount(expected, weights=pmf, minlength=events.size)
-            assert np.array_equal(table.p_cell, want / want.sum())
-            assert np.flatnonzero(table.p_cell).tolist() == sorted(set(expected.tolist()))
+            assert np.array_equal(p_cell, want / want.sum())
+            assert np.flatnonzero(p_cell).tolist() == sorted(set(expected.tolist()))
             # the split tree gets int64 counts; same bits
             int_sums = _hull_sums(np.array(vectors, dtype=np.int64).T, law)
             for got, want in zip(int_sums, sums):
@@ -888,7 +888,7 @@ def _exact_sum_law(law, n):
     return probs
 
 
-class TestSplitTree:
+class TestSplitCounts:
     @pytest.mark.parametrize("n", [1, 7, 1024, 16384, 2**20])
     @pytest.mark.parametrize("p", [1e-3, 0.3, 0.5, 0.999])
     def test_root_pmf_is_the_binomial_pmf(self, n, p):
@@ -915,9 +915,9 @@ class TestSplitTree:
     def test_root_column_replays_the_binomial_multinomial(self, n):
         # mixed's root splits hulls {0, 1} from {2, 3}: their count per trial
         law = MinMaxLaw.from_model(MODEL_REGISTRY["mixed"]())
-        tree = _SplitTree.build(law, n, _keep_sums, 1)
-        assert tree.root is not None
-        counts = tree.counts(_block_stream(41, n, 0), BLOCK_SIZE)
+        root = _tree_root(law, n)
+        assert root is not None
+        counts = _split_counts(law, n, root, _block_stream(41, n, 0), BLOCK_SIZE)
         left, right = math.fsum(law.masses[:2]), math.fsum(law.masses[2:])
         replay = _replay_root(_block_stream(41, n, 0), n, left / (left + right),
                               right / (left + right), BLOCK_SIZE)
@@ -928,9 +928,9 @@ class TestSplitTree:
         # n p (1 - p) = 2**38: the window would hold ~10**7 counts
         law = MinMaxLaw.from_model(MODEL_REGISTRY["mixed"]())
         n = 2**40
-        tree = _SplitTree.build(law, n, _keep_sums, 1)
-        assert tree.root is None
-        counts = tree.counts(_block_stream(1, n, 0), 1000)
+        root = _tree_root(law, n)
+        assert root is None
+        counts = _split_counts(law, n, root, _block_stream(1, n, 0), 1000)
         assert np.all(sum(counts) == n) and all(c.dtype == np.int64 for c in counts)
 
     @pytest.mark.parametrize("k", sorted(_TREE_LAWS))
@@ -942,14 +942,14 @@ class TestSplitTree:
         n = 6 if k == 8 else 9
         if root == "binomial":
             monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", 0)
-            tree = _table_for(law, n, _keep_sums, 1)
-            assert isinstance(tree, _SplitTree) and tree.root is None
-        else:
-            tree = _SplitTree.build(law, n, _keep_sums, 1)
-            assert tree.root is not None
+            assert not is_tabled(law, n)
+        window = _tree_root(law, n)
+        assert (window is None) == (root == "binomial")
         blocks = 8
-        sums = np.concatenate([tree.draw(_block_stream(31, n, b), BLOCK_SIZE)
-                               for b in range(blocks)], axis=1)
+        sums = np.concatenate([
+            np.stack(_hull_sums(_split_counts(law, n, window, _block_stream(31, n, b),
+                                              BLOCK_SIZE), law))
+            for b in range(blocks)], axis=1)
         keys, counts = np.unique(sums, axis=1, return_counts=True)
         observed = dict(zip(map(tuple, keys.T.tolist()), counts.tolist()))
         reps = blocks * BLOCK_SIZE
