@@ -11,6 +11,8 @@ bound M enters every formula.  Agreement to more than ten digits is one
 of the package's acceptance gates.
 """
 
+from dataclasses import asdict
+
 from beliefclt import (
     MODEL_REGISTRY,
     moments_by_enumeration,
@@ -19,9 +21,9 @@ from beliefclt import (
 )
 
 for name in ("bernoulli", "two_interval", "mixed"):
-    model = MODEL_REGISTRY[name]()
-    enum = moments_by_enumeration(model).as_dict()
-    integ = moments_by_integration(model).as_dict()
+    model = MODEL_REGISTRY[name]
+    enum = asdict(moments_by_enumeration(model))
+    integ = asdict(moments_by_integration(model))
     print(f"\n{name} (M = {model.bound}):")
     for field, e in enum.items():
         print(f"  {field:>12}  enum {e: .15f}   integration gap {abs(e - integ[field]):.1e}")
@@ -29,7 +31,7 @@ for name in ("bernoulli", "two_interval", "mixed"):
 # The declared bound M appears inside the integration route's formulas,
 # yet rho cannot depend on it: enlarging the box shifts both integrals in
 # ways that cancel.
-model = MODEL_REGISTRY["mixed"]()
+model = MODEL_REGISTRY["mixed"]
 r_m, r_m2 = rho_M_invariance(model, model.bound + 1.0)
 print(f"\nrho at M={model.bound}: {r_m:.15f}")
 print(f"rho at M={model.bound + 1.0}: {r_m2:.15f}")

@@ -15,7 +15,7 @@ from beliefclt import (
     moments_by_enumeration,
 )
 
-model = MODEL_REGISTRY["bernoulli"]()
+model = MODEL_REGISTRY["bernoulli"]
 moments = moments_by_enumeration(model)
 
 # A plan bundles the experiment grid; the estimator tallies three event

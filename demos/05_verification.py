@@ -20,7 +20,7 @@ from beliefclt import (
     two_sided_report,
 )
 
-model = MODEL_REGISTRY["bernoulli"]()
+model = MODEL_REGISTRY["bernoulli"]
 moments = moments_by_enumeration(model)
 plan = SimPlan(model, n_values=(16, 64, 256, 1024, 4096), reps=200_000, seed=3)
 

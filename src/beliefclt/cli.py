@@ -161,7 +161,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     _log_config(args, focal=len(model.focal), bound=model.bound)
     enum = moments_by_enumeration(model, allow_degenerate=True)
     integ = moments_by_integration(model, allow_degenerate=True)
-    de, di = enum.as_dict(), integ.as_dict()
+    de, di = dataclasses.asdict(enum), dataclasses.asdict(integ)
 
     def _delta(f):
         a, b = de[f], di[f]

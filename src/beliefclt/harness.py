@@ -34,6 +34,7 @@ from .montecarlo import (
     TWO_SIDED,
     SimPlan,
     SimResult,
+    default_alpha_pairs,
 )
 
 NOISE_FLOOR_MULTIPLE = 5.0
@@ -99,17 +100,15 @@ class VerificationReport:
 def _simulated_rows(
     sim: SimResult,
     plan: SimPlan,
-    kinds_and_limits: list[tuple[str, Callable[[float, float], float]]],
+    limits: dict[str, Callable[[float, float], float]],
 ) -> tuple[ExperimentRow, ...]:
     rows = []
     for ev in sim.rows:
-        for kind, limit in kinds_and_limits:
-            if ev.kind != kind:
-                continue
-            theory = limit(ev.alpha1, ev.alpha2)
+        if ev.kind in limits:
+            theory = limits[ev.kind](ev.alpha1, ev.alpha2)
             tol = 3.0 * ev.se + plan.slack / math.sqrt(ev.n)
             rows.append(
-                ExperimentRow(kind, ev.n, ev.alpha1, ev.alpha2, theory,
+                ExperimentRow(ev.kind, ev.n, ev.alpha1, ev.alpha2, theory,
                               ev.frequency, ev.se, tol)
             )
     return tuple(rows)
@@ -117,10 +116,10 @@ def _simulated_rows(
 
 def one_sided_report(sim: SimResult, plan: SimPlan) -> VerificationReport:
     """Compare lower-event frequencies to 1 - Phi(alpha), upper to Phi(alpha)."""
-    rows = _simulated_rows(sim, plan, [
-        (ONE_SIDED_LOWER, lambda a, _: 1.0 - std_normal_cdf(a)),
-        (ONE_SIDED_UPPER, lambda a, _: std_normal_cdf(a)),
-    ])
+    rows = _simulated_rows(sim, plan, {
+        ONE_SIDED_LOWER: lambda a, _: 1.0 - std_normal_cdf(a),
+        ONE_SIDED_UPPER: lambda a, _: std_normal_cdf(a),
+    })
     return VerificationReport("one_sided", rows)
 
 
@@ -129,9 +128,9 @@ def two_sided_report(
 ) -> VerificationReport:
     """Compare joint-event frequencies to the bivariate normal limit."""
     rho = moments.rho
-    rows = _simulated_rows(sim, plan, [
-        (TWO_SIDED, lambda a1, a2: two_sided_limit(a1, a2, rho)),
-    ])
+    rows = _simulated_rows(sim, plan, {
+        TWO_SIDED: lambda a1, a2: two_sided_limit(a1, a2, rho),
+    })
     report = VerificationReport("two_sided", rows)
     return replace(report, rate=fit_rate(report))
 
@@ -180,48 +179,20 @@ def bernoulli_model(p_low: float, p_high: float) -> BeliefModel:
     return BeliefModel(focal, bound=1.0)
 
 
-def _coin_model() -> BeliefModel:
-    return BeliefModel(
-        [(FocalElement([(-1.0, -1.0)]), 0.5),
-         (FocalElement([(1.0, 1.0)]), 0.5)],
-        bound=1.0,
-    )
-
-
-def _two_interval_model() -> BeliefModel:
-    return BeliefModel(
-        [(FocalElement([(0.0, 1.0)]), 0.5),
-         (FocalElement([(1.0, 3.0)]), 0.5)],
-        bound=3.0,
-    )
-
-
-def _union_parts_model() -> BeliefModel:
-    return BeliefModel(
-        [(FocalElement([(0.0, 1.0), (2.0, 3.0)]), 0.6),
-         (FocalElement([(-2.0, -1.0)]), 0.4)],
-        bound=3.0,
-    )
-
-
-def _mixed_model() -> BeliefModel:
+MODEL_REGISTRY: dict[str, BeliefModel] = {
+    "bernoulli": bernoulli_model(0.3, 0.7),
+    "coin": BeliefModel([(FocalElement([(-1.0, -1.0)]), 0.5),
+                         (FocalElement([(1.0, 1.0)]), 0.5)], bound=1.0),
+    "two_interval": BeliefModel([(FocalElement([(0.0, 1.0)]), 0.5),
+                                 (FocalElement([(1.0, 3.0)]), 0.5)], bound=3.0),
+    "union_parts": BeliefModel([(FocalElement([(0.0, 1.0), (2.0, 3.0)]), 0.6),
+                                (FocalElement([(-2.0, -1.0)]), 0.4)], bound=3.0),
     # four focal elements so the (min, max) pairs are not affinely dependent
     # and rho lands strictly inside (0, 1)
-    return BeliefModel(
-        [(FocalElement([(0.0, 1.0)]), 0.3),
-         (FocalElement([(0.5, 2.5)]), 0.3),
-         (FocalElement([(2.0, 2.0)]), 0.2),
-         (FocalElement([(-2.0, -1.0), (1.0, 2.0)]), 0.2)],
-        bound=3.0,
-    )
-
-
-MODEL_REGISTRY: dict[str, Callable[[], BeliefModel]] = {
-    "bernoulli": lambda: bernoulli_model(0.3, 0.7),
-    "coin": _coin_model,
-    "two_interval": _two_interval_model,
-    "union_parts": _union_parts_model,
-    "mixed": _mixed_model,
+    "mixed": BeliefModel([(FocalElement([(0.0, 1.0)]), 0.3),
+                          (FocalElement([(0.5, 2.5)]), 0.3),
+                          (FocalElement([(2.0, 2.0)]), 0.2),
+                          (FocalElement([(-2.0, -1.0), (1.0, 2.0)]), 0.2)], bound=3.0),
 }
 
 
@@ -254,27 +225,19 @@ def bernoulli_suite() -> list[ExperimentRow]:
     return rows
 
 
-def additive_degeneration_suite(
-    alphas: tuple[float, ...] = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0),
-) -> list[ExperimentRow]:
-    """Singleton-only models: both means and sds coincide, rho = 1, and the
+def additive_degeneration_suite() -> list[ExperimentRow]:
+    """The singleton-only coin: both means and sds coincide, rho = 1, and the
     two-sided limit collapses to Phi(alpha2) - Phi(alpha1)."""
-    rows = []
-    for name, model in [("coin", _coin_model())]:
-        m = moments_by_enumeration(model)
-        rows.append(_row(f"additive_{name}_mean_gap", 0.0,
-                         abs(m.upper_mean - m.lower_mean), 1e-12))
-        rows.append(_row(f"additive_{name}_sd_gap", 0.0,
-                         abs(m.upper_sd - m.lower_sd), 1e-12))
-        rows.append(_row(f"additive_{name}_rho", 1.0, m.rho, 1e-12))
-        for a1 in alphas:
-            for a2 in alphas:
-                if a1 > a2:
-                    continue
-                classical = std_normal_cdf(a2) - std_normal_cdf(a1)
-                rows.append(_row("additive_two_sided_identity", classical,
-                                 two_sided_limit(a1, a2, 1.0), 1e-7,
-                                 alpha1=a1, alpha2=a2))
+    m = moments_by_enumeration(MODEL_REGISTRY["coin"])
+    rows = [
+        _row("additive_coin_mean_gap", 0.0, abs(m.upper_mean - m.lower_mean), 1e-12),
+        _row("additive_coin_sd_gap", 0.0, abs(m.upper_sd - m.lower_sd), 1e-12),
+        _row("additive_coin_rho", 1.0, m.rho, 1e-12),
+    ]
+    for a1, a2 in default_alpha_pairs((-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0)):
+        classical = std_normal_cdf(a2) - std_normal_cdf(a1)
+        rows.append(_row("additive_two_sided_identity", classical,
+                         two_sided_limit(a1, a2, 1.0), 1e-7, alpha1=a1, alpha2=a2))
     return rows
 
 
@@ -283,8 +246,7 @@ def m_invariance_suite() -> list[ExperimentRow]:
     shifts cancel); checked on the integration route, where M enters the
     integrals explicitly."""
     rows = []
-    for name, factory in MODEL_REGISTRY.items():
-        model = factory()
+    for name, model in MODEL_REGISTRY.items():
         rho_m, rho_m1 = rho_M_invariance(model, model.bound + 1.0)
         rows.append(_row(f"m_invariance_{name}", rho_m, rho_m1, 1e-10))
     return rows

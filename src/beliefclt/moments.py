@@ -48,17 +48,6 @@ class ChoquetMoments:
     rho_prime: float
     rho: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "lower_mean": self.lower_mean,
-            "upper_mean": self.upper_mean,
-            "lower_sd": self.lower_sd,
-            "upper_sd": self.upper_sd,
-            "cross_moment": self.cross_moment,
-            "rho_prime": self.rho_prime,
-            "rho": self.rho,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class MinMaxLaw:
@@ -137,9 +126,7 @@ def moments_by_enumeration(model: BeliefModel, allow_degenerate: bool = False) -
 
 def _cells(breaks: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Cell edges and midpoints of [lo, hi] split at the given breakpoints."""
-    pts = np.unique(np.concatenate([np.clip(breaks, lo, hi), [lo, hi]]))
-    keep = (pts >= lo) & (pts <= hi)
-    edges = pts[keep]
+    edges = np.unique(np.concatenate([np.clip(breaks, lo, hi), [lo, hi]]))
     mids = 0.5 * (edges[:-1] + edges[1:])
     return edges, mids
 
@@ -160,8 +147,6 @@ def _survival_integrals(
     raw2 = 0.0
     for lo, hi, shift in ((0.0, big_m, 0.0), (-big_m, 0.0, 1.0)):
         edges, mids = _cells(stats, lo, hi)
-        if mids.size == 0:
-            continue
         surv = (stats[None, :] >= mids[:, None]) @ masses - shift
         mean += float(surv @ (edges[1:] - edges[:-1]))
         raw2 += float(surv @ (edges[1:] ** 2 - edges[:-1] ** 2))
@@ -183,8 +168,6 @@ def _rho_prime_piecewise(law: MinMaxLaw, big_m: float) -> float:
     """
     e1, m1 = _cells(law.mins, -big_m, big_m)
     e2, m2 = _cells(law.maxs, -big_m, big_m)
-    if m1.size == 0 or m2.size == 0:
-        return 0.0
     vals = _interval_belief_grid(law, m1, m2)
     w1 = e1[1:] - e1[:-1]
     w2 = e2[1:] - e2[:-1]

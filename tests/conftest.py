@@ -1,30 +1,22 @@
 import numpy as np
 import pytest
 
-from beliefclt import BeliefModel, FocalElement, bernoulli_model
+from beliefclt import MODEL_REGISTRY
 
 
 @pytest.fixture
 def bernoulli():
-    return bernoulli_model(0.3, 0.7)
+    return MODEL_REGISTRY["bernoulli"]
 
 
 @pytest.fixture
 def two_interval():
-    return BeliefModel(
-        [(FocalElement([(0.0, 1.0)]), 0.5),
-         (FocalElement([(1.0, 3.0)]), 0.5)],
-        bound=3.0,
-    )
+    return MODEL_REGISTRY["two_interval"]
 
 
 @pytest.fixture
 def coin():
-    return BeliefModel(
-        [(FocalElement([(-1.0, -1.0)]), 0.5),
-         (FocalElement([(1.0, 1.0)]), 0.5)],
-        bound=1.0,
-    )
+    return MODEL_REGISTRY["coin"]
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ module-scoped fixture and are shared by the one-sided, two-sided, and rate
 criteria.
 """
 
+import dataclasses
 import math
 import time
 
@@ -50,7 +51,7 @@ def clt_runs():
     runs = {}
     t0 = time.time()
     for name in ("bernoulli", "two_interval"):
-        model = MODEL_REGISTRY[name]()
+        model = MODEL_REGISTRY[name]
         mom = moments_by_enumeration(model)
         plan = SimPlan(model, reps=1_000_000, seed=SEED)
         sim = estimate_events(plan, mom)
@@ -65,8 +66,8 @@ def test_criterion_01_moment_route_equivalence():
     worst = 0.0
     for _ in range(200):
         model = random_model(rng, max_focal=50)
-        enum = moments_by_enumeration(model, allow_degenerate=True).as_dict()
-        integ = moments_by_integration(model, allow_degenerate=True).as_dict()
+        enum = dataclasses.asdict(moments_by_enumeration(model, allow_degenerate=True))
+        integ = dataclasses.asdict(moments_by_integration(model, allow_degenerate=True))
         for f in MOMENT_FIELDS:
             a, b = enum[f], integ[f]
             if math.isnan(a) and math.isnan(b):
@@ -192,7 +193,7 @@ def test_criterion_08_convergence_rate(clt_runs):
 
 
 def test_criterion_09_reproducibility():
-    model = MODEL_REGISTRY["bernoulli"]()
+    model = MODEL_REGISTRY["bernoulli"]
     mom = moments_by_enumeration(model)
     plan = SimPlan(model, n_values=(16, 64), reps=50_000, seed=SEED)
     csvs = []
@@ -209,7 +210,7 @@ def test_criterion_10_n1_consistency():
     worst_ratio = 0.0
     checked = 0
     for name in ("bernoulli", "two_interval"):
-        model = MODEL_REGISTRY[name]()
+        model = MODEL_REGISTRY[name]
         mom = moments_by_enumeration(model)
         plan = SimPlan(model, n_values=(1,), reps=1_000_000, seed=SEED,
                        alpha_two_sided=())

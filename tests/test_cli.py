@@ -219,6 +219,19 @@ class TestVerify:
         assert len(err) == 1 and err[0].startswith("error: BELIEFCLT_WORKERS")
 
 
+class TestTextFormat:
+    @pytest.mark.parametrize("command", ["simulate", "verify-one-sided", "special-cases"])
+    def test_prints_the_csv_rows_tab_separated(self, command, plan_file, tmp_path, capsys):
+        args = [command] + ([str(plan_file)] if command != "special-cases" else [])
+        main(args + ["--out-dir", str(tmp_path / "csv")])
+        (written,) = (tmp_path / "csv").glob("*.csv")
+        capsys.readouterr()
+        main(args + ["--format", "text", "--out-dir", str(tmp_path / "text")])
+        out = capsys.readouterr().out
+        assert out.startswith(written.read_text().replace(",", "\t"))
+        assert not list((tmp_path / "text").glob("*"))
+
+
 class TestSpecialCasesAndRateFit:
     def test_special_cases_pass(self, tmp_path, capsys):
         code = main(["special-cases", "--out-dir", str(tmp_path)])

@@ -60,7 +60,7 @@ GOLDEN_N16 = {
 
 
 def _golden_run(name, n_values=(1, 4, 16)):
-    model = MODEL_REGISTRY[name]()
+    model = MODEL_REGISTRY[name]
     plan = SimPlan(model, n_values=n_values, reps=20_000, seed=2026,
                    alpha_one_sided=DENSE_GRID,
                    alpha_two_sided=default_alpha_pairs(DENSE_GRID))
@@ -88,6 +88,6 @@ def test_counts_match_golden(name):
 
 @pytest.mark.parametrize("name, n", sorted(MULTINOMIAL_SHA256))
 def test_multinomial_path_counts_match_golden(name, n):
-    k = len(montecarlo.MinMaxLaw.from_model(MODEL_REGISTRY[name]()).masses)
+    k = len(montecarlo.MinMaxLaw.from_model(MODEL_REGISTRY[name]).masses)
     assert math.comb(n + k - 1, k - 1) > montecarlo.TABLE_MAX_VECTORS
     assert _digest(_golden_run(name, (n,))) == MULTINOMIAL_SHA256[name, n]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -101,7 +102,7 @@ class TestBernoulliSpecialCase:
 
 @pytest.fixture(scope="module")
 def coin_reports():
-    model = MODEL_REGISTRY["coin"]()
+    model = MODEL_REGISTRY["coin"]
     plan = SimPlan(model, n_values=(64, 256, 1024), reps=60_000, seed=7,
                    slack=0.8)
     mom = moments_by_enumeration(model)
@@ -173,10 +174,16 @@ def test_special_cases_report_all_pass():
     assert any(n.startswith("m_invariance") for n in names)
 
 
+def test_special_cases_row_keys_are_pinned():
+    # the names, alphas and order of the rows of report_special_cases.csv
+    keys = [(r.experiment, r.alpha1, r.alpha2) for r in special_cases_report().rows]
+    assert len(keys) == 51
+    assert hashlib.sha256(repr(keys).encode()).hexdigest()[:16] == "2b7e27d269533fe6"
+
+
 def test_registry_models_are_valid():
     # BeliefModel checks every value at construction; a model file of each
     # registry model passes the same check and loads back exactly
     from beliefclt.modelio import model_text, parse_model
-    for name, factory in MODEL_REGISTRY.items():
-        model = factory()
+    for name, model in MODEL_REGISTRY.items():
         assert parse_model(model_text(model)) == model, name

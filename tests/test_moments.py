@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -95,7 +96,7 @@ def _repeated_hull_model():
 
 
 def _assert_close(m1, m2, tol):
-    d1, d2 = m1.as_dict(), m2.as_dict()
+    d1, d2 = dataclasses.asdict(m1), dataclasses.asdict(m2)
     for f in FIELDS:
         a, b = d1[f], d2[f]
         if math.isnan(a) and math.isnan(b):

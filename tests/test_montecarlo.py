@@ -496,7 +496,7 @@ _pair_values = st.lists(st.tuples(st.sampled_from(LATTICE[::2]),
 def test_estimator_matches_brute_force_reference(model_name, alphas, pairs, reps):
     # coin puts T_low and T_up on a 0.5 lattice at n = 4 and 16, so ties
     # with the 0.5-lattice thresholds are frequent
-    model = MODEL_REGISTRY[model_name]()
+    model = MODEL_REGISTRY[model_name]
     n_values = (1, 4, 16)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # inverted pairs are allowed
@@ -512,7 +512,7 @@ def test_estimator_matches_brute_force_reference(model_name, alphas, pairs, reps
 def test_runs_of_blocks_match_brute_force_reference():
     # nine blocks per n, the last one short: one run of nine at one worker,
     # runs of four and five at two; n = 16 is tabled and n = 1024 is not
-    model = MODEL_REGISTRY["bernoulli"]()
+    model = MODEL_REGISTRY["bernoulli"]
     mom = moments_by_enumeration(model)
     plan = SimPlan(model, n_values=(16, 1024), reps=8 * BLOCK_SIZE + 37, seed=23)
     assert is_tabled(MinMaxLaw.from_model(model), 16)
@@ -667,7 +667,7 @@ def _exact_cell_law(law, n, cell_of, length):
 # the 21-point alpha grid of the dense_grid benchmark workload
 _DENSE_GRID = tuple(-2.5 + 0.25 * i for i in range(21))
 
-_LAW_MODELS = {**MODEL_REGISTRY, "non_dyadic": _non_dyadic_model}
+_LAW_MODELS = {**MODEL_REGISTRY, "non_dyadic": _non_dyadic_model()}
 
 
 def _model_cell_law(model, n, alphas=DEFAULT_ALPHA_GRID):
@@ -696,7 +696,7 @@ class TestCellLaw:
 
     @pytest.mark.parametrize("name", sorted(_LAW_MODELS))
     def test_cell_law_matches_exact_fractions(self, name):
-        model = _LAW_MODELS[name]()
+        model = _LAW_MODELS[name]
         law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
         for n in range(1, 9):
             events, p_cell = _model_cell_law(model, n)
@@ -710,7 +710,7 @@ class TestCellLaw:
                                          ("mixed", 64), ("coin", 20000)])
     def test_vector_law_is_the_normalized_pmf(self, name, n):
         # with one cell per count vector, the cell law is the pmf itself
-        law = MinMaxLaw.from_model(MODEL_REGISTRY[name]())
+        law = MinMaxLaw.from_model(MODEL_REGISTRY[name])
         k = len(law.masses)
         p_cell = _vector_law(law, n)
         assert len(p_cell) == math.comb(n + k - 1, k - 1)
@@ -723,7 +723,7 @@ class TestCellLaw:
         # at n = 1, {S_min >= t} and {S_max < t} are containments of one
         # coordinate's focal element, so the one-sided probabilities of the
         # cell law are beliefs
-        model = MODEL_REGISTRY[name]()
+        model = MODEL_REGISTRY[name]
         mom = moments_by_enumeration(model)
         events, p_cell = _model_cell_law(model, 1)
         exact = events.counts(p_cell).tolist()
@@ -741,7 +741,7 @@ class TestCellLaw:
         21-point grid against the cell law, at every tabled (law, n) of the
         benchmark's plans; cells with fewer than 20 expected trials are
         pooled."""
-        model = MODEL_REGISTRY[name]()
+        model = MODEL_REGISTRY[name]
         events, p_cell = _model_cell_law(model, n, _DENSE_GRID)
         assert is_tabled(MinMaxLaw.from_model(model), n)
         blocks = 8
@@ -762,7 +762,7 @@ class TestCellLaw:
         probabilities."""
         from scipy.stats import binom
 
-        model = MODEL_REGISTRY[name]()
+        model = MODEL_REGISTRY[name]
         law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
         events, p_cell = _model_cell_law(model, n)
         assert is_tabled(law, n)
@@ -788,7 +788,7 @@ class TestCellLaw:
 
     def test_size_limit_picks_the_path(self, monkeypatch):
         # bernoulli has 3 hulls: comb(16 + 2, 2) = 153 count vectors at n = 16
-        law = MinMaxLaw.from_model(MODEL_REGISTRY["bernoulli"]())
+        law = MinMaxLaw.from_model(MODEL_REGISTRY["bernoulli"])
         n, size = 16, 153
         monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", size)
         assert is_tabled(law, n)
@@ -813,7 +813,7 @@ class TestCellLaw:
         """mixed, n = 64: the cell law and the split tree, with a tabled and
         with a binomial root, each match the exact event probabilities of
         the cell law (one Bonferroni z over all three draws)."""
-        model = MODEL_REGISTRY["mixed"]()
+        model = MODEL_REGISTRY["mixed"]
         mom = moments_by_enumeration(model)
         plan = SimPlan(model, n_values=(64,), reps=100_000, seed=12)
         law = MinMaxLaw.from_model(model)
@@ -914,7 +914,7 @@ class TestSplitCounts:
     @pytest.mark.parametrize("n", [256, 1024, 4096, 16384])
     def test_root_column_replays_the_binomial_multinomial(self, n):
         # mixed's root splits hulls {0, 1} from {2, 3}: their count per trial
-        law = MinMaxLaw.from_model(MODEL_REGISTRY["mixed"]())
+        law = MinMaxLaw.from_model(MODEL_REGISTRY["mixed"])
         root = _tree_root(law, n)
         assert root is not None
         counts = _split_counts(law, n, root, _block_stream(41, n, 0), BLOCK_SIZE)
@@ -926,7 +926,7 @@ class TestSplitCounts:
 
     def test_root_beyond_any_window_is_a_binomial(self):
         # n p (1 - p) = 2**38: the window would hold ~10**7 counts
-        law = MinMaxLaw.from_model(MODEL_REGISTRY["mixed"]())
+        law = MinMaxLaw.from_model(MODEL_REGISTRY["mixed"])
         n = 2**40
         root = _tree_root(law, n)
         assert root is None
@@ -962,7 +962,7 @@ class TestSplitCounts:
 
 class TestBlockKeys:
     def test_rows_of_n_do_not_depend_on_the_plan(self):
-        model = MODEL_REGISTRY["mixed"]()
+        model = MODEL_REGISTRY["mixed"]
         mom = moments_by_enumeration(model)
         alone = estimate_events(SimPlan(model, n_values=(64,), reps=20_000, seed=7), mom)
         after = estimate_events(SimPlan(model, n_values=(16, 64), reps=20_000, seed=7), mom)
@@ -970,7 +970,7 @@ class TestBlockKeys:
 
     def test_mixed_paths_identical_across_workers(self):
         # bernoulli tables n = 16 and 256 (153 and 33153 vectors), not 1024
-        model = MODEL_REGISTRY["bernoulli"]()
+        model = MODEL_REGISTRY["bernoulli"]
         mom = moments_by_enumeration(model)
         plan = SimPlan(model, n_values=(16, 256, 1024), reps=40_000, seed=21)
         sim = estimate_events(plan, mom, workers=1)
