@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import logging
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -59,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # option groups, each given only to the subcommands whose handler reads it
     fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("csv", "text"), default="csv", help="CSV or plain text")
+    fmt.add_argument("--format", choices=("csv", "text"), default="csv",
+                     help="csv, or text: the CSV on stdout with tabs for commas")
     out = argparse.ArgumentParser(add_help=False, parents=[fmt])
     out.add_argument("--out-dir", default=".",
                      help="directory for CSV files (default: .); "
@@ -77,6 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", type=float)
     p.add_argument("b", type=float)
     p.add_argument("rho", type=float)
+    # Python 3.11's argparse takes only tokens like -1 and -1.5 for negative
+    # numbers, so -1e-3, -1e3 and -inf would read as unknown options.  bvn has
+    # no option that starts with -<digit>, -.<digit>, -inf or -nan, so every
+    # such token is a positional.  This sets a private attribute: argparse
+    # has no public hook for it.
+    p._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
     p = sub.add_parser("simulate", parents=[overrides],
                        help="run a simulation plan, write frequencies")
@@ -119,13 +127,16 @@ def _simulate(args: argparse.Namespace):
     return plan, moments, estimate_events(plan, moments)
 
 
-def _write_or_print(args: argparse.Namespace, rows, schema, filename: str) -> None:
-    if args.format == "text":
-        sys.stdout.write(csv_text(rows, schema).replace(",", "\t"))
+def _write_or_print(args: argparse.Namespace, rows, schema, filename: str | None = None) -> None:
+    """The one table printer: CSV to ``--out-dir/filename``, or to stdout
+    without a file name; ``--format text`` prints it with tabs for commas."""
+    text = args.format == "text"
+    if text or filename is None:
+        table = csv_text(rows, schema)
+        sys.stdout.write(table.replace(",", "\t") if text else table)
         return
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / filename
+    path = Path(args.out_dir) / filename
+    path.parent.mkdir(parents=True, exist_ok=True)
     emit_csv(rows, schema, path)
     print(f"wrote {path}")
 
@@ -156,40 +167,29 @@ def _report_summary(report: VerificationReport) -> str:
     return "\n".join(lines)
 
 
+def _write_report(args: argparse.Namespace, report: VerificationReport, filename: str) -> int:
+    """Write the report table, print its summary; 1 when a check fails."""
+    _write_or_print(args, report_rows(report), REPORT_SCHEMA, filename)
+    print(_report_summary(report))
+    return 0 if report.passed else 1
+
+
 def _cmd_moments(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     _log_config(args, focal=len(model.focal), bound=model.bound)
-    enum = moments_by_enumeration(model, allow_degenerate=True)
-    integ = moments_by_integration(model, allow_degenerate=True)
-    de, di = dataclasses.asdict(enum), dataclasses.asdict(integ)
-
-    def _delta(f):
-        a, b = de[f], di[f]
-        if math.isnan(a) and math.isnan(b):
-            return 0.0
-        return abs(a - b)
-
-    if args.format == "csv":
-        rows = [(f, de[f], di[f], _delta(f)) for f in de]
-        sys.stdout.write(csv_text(
-            rows, ("field", "enumeration", "integration", "abs_delta")))
-    else:
-        for f in de:
-            print(f"{f:>12} = {de[f]:.17g}   (integration {di[f]:.17g}, "
-                  f"delta {_delta(f):.3e})")
-    print(f"max route delta: {max(map(_delta, de)):.3e}",
-          file=sys.stderr)
+    de = dataclasses.asdict(moments_by_enumeration(model, allow_degenerate=True))
+    di = dataclasses.asdict(moments_by_integration(model, allow_degenerate=True))
+    rows = [(f, a, b, 0.0 if math.isnan(a) and math.isnan(b) else abs(a - b))
+            for (f, a), b in zip(de.items(), di.values())]
+    _write_or_print(args, rows, ("field", "enumeration", "integration", "abs_delta"))
+    print(f"max route delta: {max(row[3] for row in rows):.3e}", file=sys.stderr)
     return 0
 
 
 def _cmd_bvn(args: argparse.Namespace) -> int:
     _log_config(args)
     value = bvn_cdf(args.a, args.b, args.rho)
-    if args.format == "csv":
-        sys.stdout.write(csv_text([(args.a, args.b, args.rho, value)],
-                                  ("a", "b", "rho", "value")))
-    else:
-        print(f"{value:.17g}")
+    _write_or_print(args, [(args.a, args.b, args.rho, value)], ("a", "b", "rho", "value"))
     return 0
 
 
@@ -202,19 +202,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace, two_sided: bool) -> int:
     plan, moments, sim = _simulate(args)
     report = two_sided_report(sim, moments, plan) if two_sided else one_sided_report(sim, plan)
-    _write_or_print(args, report_rows(report), REPORT_SCHEMA,
-                    f"report_{report.name}_{sim.run_id}.csv")
-    print(_report_summary(report))
-    return 0 if report.passed else 1
+    return _write_report(args, report, f"report_{report.name}_{sim.run_id}.csv")
 
 
 def _cmd_special_cases(args: argparse.Namespace) -> int:
     _log_config(args)
-    report = special_cases_report()
-    _write_or_print(args, report_rows(report), REPORT_SCHEMA,
-                    "report_special_cases.csv")
-    print(_report_summary(report))
-    return 0 if report.passed else 1
+    return _write_report(args, special_cases_report(), "report_special_cases.csv")
 
 
 def _cmd_rate_fit(args: argparse.Namespace) -> int:

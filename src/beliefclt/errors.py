@@ -31,18 +31,13 @@ class BeliefCltError(Exception):
 class ParseError(BeliefCltError):
     """A model or plan file violates the documented grammar.
 
-    Carries the offending file path and 1-based line number.
+    Carries the file path and, when one line is at fault, its 1-based number.
     """
 
-    def __init__(self, message: str, path: str | None = None, line: int | None = None):
-        self.path = path
-        self.line = line
-        where = ""
-        if path is not None:
-            where = f"{path}:"
-        if line is not None:
-            where += f"{line}:"
-        super().__init__(f"{where} {message}" if where else message)
+    def __init__(self, message: str, path: str, line: int | None = None):
+        self.path, self.line = path, line
+        where = path if line is None else f"{path}:{line}"
+        super().__init__(f"{where}: {message}")
 
 
 class DegenerateVariance(BeliefCltError):

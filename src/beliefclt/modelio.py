@@ -1,9 +1,9 @@
 """Model and plan file parsing, serialization, and CSV emission.
 
-Both file kinds use a line-based key-value grammar chosen for diff-friendly
-test fixtures.  Comments start with ``#`` and run to end of line; blank
-lines are ignored.  Floats are serialized with 17 significant digits, which
-round-trips IEEE doubles exactly.
+Both file kinds use one line-based ``key = value`` grammar chosen for
+diff-friendly test fixtures; ``#`` starts a comment and blank lines are
+ignored.  Values are written with 17 significant digits, which round-trips
+IEEE doubles exactly, and an infinite alpha as ``1e999`` or ``-1e999``.
 
 Model file::
 
@@ -27,7 +27,8 @@ Plan file::
     keys    : model (path, resolved relative to the plan file),
               n_values, reps, seed, alpha_one_sided, alpha_two_sided, slack.
 
-Unknown keys are rejected; ``SimPlan`` checks the values.
+A line without ``=``, an unknown key or a second line for a key other than
+``focal`` is a ParseError at that line; ``SimPlan`` checks the values.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import io
 import math
 import re
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .belief import MASS_SUM_TOL, BeliefModel, FocalElement
 from .errors import ParseError, as_real
@@ -54,18 +55,24 @@ _FOCAL_RE = re.compile(
 PLAN_KEYS = tuple(f.name for f in dataclasses.fields(SimPlan))
 
 
-def _logical_lines(text: str) -> Iterable[tuple[int, str]]:
+def _assignments(text: str, path: str, keys: Sequence[str],
+                 repeated: str | None = None) -> Iterator[tuple[int, str, str]]:
+    """``(line, key, value)`` of each ``key = value`` line, in file order;
+    an unknown key or a second line for a key but ``repeated`` is an error."""
+    first: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
-
-
-def _split_assignment(line: str, path: str, lineno: int) -> tuple[str, str]:
-    if "=" not in line:
-        raise ParseError(f"expected 'key = value', got {line!r}", path, lineno)
-    key, value = line.split("=", 1)
-    return key.strip(), value.strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"expected 'key = value', got {line!r}", path, lineno)
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key not in keys:
+            raise ParseError(f"unknown key {key!r} (known: {', '.join(keys)})", path, lineno)
+        if key in first and key != repeated:
+            raise ParseError(f"duplicate key {key!r} (first on line {first[key]})", path, lineno)
+        first.setdefault(key, lineno)
+        yield lineno, key, value
 
 
 def _literal(text: str, path: str, lineno: int) -> Any:
@@ -106,19 +113,12 @@ def parse_model(text: str, path: str = "<string>") -> BeliefModel:
     bound = bound_line = None
     focal: list[tuple[FocalElement, Any]] = []
     focal_lines: list[int] = []
-    for lineno, line in _logical_lines(text):
-        key, value = _split_assignment(line, path, lineno)
+    for lineno, key, value in _assignments(text, path, ("M", "focal"), repeated="focal"):
         if key == "M":
-            if bound_line is not None:
-                raise ParseError(f"duplicate M (first on line {bound_line})",
-                                 path, lineno)
             bound, bound_line = _literal(value, path, lineno), lineno
-        elif key == "focal":
+        else:
             focal.append(_parse_focal(value, path, lineno))
             focal_lines.append(lineno)
-        else:
-            raise ParseError(f"unknown key {key!r} (expected M or focal)",
-                             path, lineno)
     if bound_line is None:
         raise ParseError("missing 'M = <float>' line", path)
     try:
@@ -143,15 +143,24 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _text(value: Any) -> str:
+    """A model or plan value as a file spells it: a tuple as ``[a, b, ...]``,
+    a float with 17 digits and +-inf as +-1e999, anything else by ``str``."""
+    if isinstance(value, tuple):
+        return f"[{', '.join(map(_text, value))}]"
+    if isinstance(value, float):
+        return ("-1e999" if value < 0 else "1e999") if math.isinf(value) else _fmt(value)
+    return str(value)
+
+
 def save_model(model: BeliefModel, path: str | Path) -> None:
     Path(path).write_text(model_text(model))
 
 
 def model_text(model: BeliefModel) -> str:
-    lines = [f"M = {_fmt(model.bound)}"]
+    lines = [f"M = {_text(model.bound)}"]
     for f, m in model.focal:
-        parts = ", ".join(f"[{_fmt(a)}, {_fmt(b)}]" for a, b in f.parts)
-        lines.append(f"focal = {{ parts = [{parts}], mass = {_fmt(m)} }}")
+        lines.append(f"focal = {{ parts = {_text(f.parts)}, mass = {_text(m)} }}")
     return "\n".join(lines) + "\n"
 
 
@@ -159,15 +168,7 @@ def parse_plan(text: str, path: str = "<string>",
                base_dir: str | Path | None = None) -> SimPlan:
     seen: dict[str, Any] = {}
     lines: dict[str, int] = {}
-    for lineno, line in _logical_lines(text):
-        key, value = _split_assignment(line, path, lineno)
-        if key not in PLAN_KEYS:
-            raise ParseError(
-                f"unknown key {key!r} (known: {', '.join(PLAN_KEYS)})",
-                path, lineno)
-        if key in seen:
-            raise ParseError(f"duplicate key {key!r} (first on line {lines[key]})",
-                             path, lineno)
+    for lineno, key, value in _assignments(text, path, PLAN_KEYS):
         lines[key] = lineno
         seen[key] = value if key == "model" else _literal(value, path, lineno)
     if "model" not in seen:
@@ -190,17 +191,8 @@ def load_plan(path: str | Path) -> SimPlan:
 
 
 def plan_text(plan: SimPlan, model_path: str) -> str:
-    lines = [
-        f"model = {model_path}",
-        f"n_values = [{', '.join(str(n) for n in plan.n_values)}]",
-        f"reps = {plan.reps}",
-        f"seed = {plan.seed}",
-        f"alpha_one_sided = [{', '.join(_fmt(a) for a in plan.alpha_one_sided)}]",
-        "alpha_two_sided = ["
-        + ", ".join(f"[{_fmt(a)}, {_fmt(b)}]" for a, b in plan.alpha_two_sided)
-        + "]",
-        f"slack = {_fmt(plan.slack)}",
-    ]
+    lines = [f"model = {model_path}"]
+    lines += [f"{key} = {_text(getattr(plan, key))}" for key in PLAN_KEYS if key != "model"]
     return "\n".join(lines) + "\n"
 
 

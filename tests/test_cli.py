@@ -1,10 +1,11 @@
 import argparse
 import csv
+import hashlib
 import math
 
 import pytest
 
-from beliefclt import cli, montecarlo, save_model, save_plan, SimPlan, bernoulli_model
+from beliefclt import bvn_cdf, cli, montecarlo, save_model, save_plan, SimPlan, bernoulli_model
 from beliefclt.cli import build_parser, main
 from beliefclt.modelio import REPORT_SCHEMA, emit_csv
 
@@ -43,9 +44,13 @@ class TestMoments:
         assert all(float(r[3]) < 1e-10 for r in rows.values())
 
     def test_text_output(self, model_file, capsys):
+        assert main(["moments", str(model_file)]) == 0
+        csv_out = capsys.readouterr().out
         assert main(["moments", str(model_file), "--format", "text"]) == 0
-        out = capsys.readouterr().out
-        assert "lower_mean" in out and "rho" in out
+        out, err = capsys.readouterr()
+        assert out == csv_out.replace(",", "\t")
+        assert "lower_mean\t0.29999999999999999\t" in out
+        assert "max route delta: " in err
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.model"
@@ -57,8 +62,20 @@ class TestMoments:
 class TestBvn:
     def test_value(self, capsys):
         assert main(["bvn", "0", "0", "0.5", "--format", "text"]) == 0
-        got = float(capsys.readouterr().out.strip())
+        header, row = capsys.readouterr().out.splitlines()
+        assert header == "a\tb\trho\tvalue"
+        got = float(row.split("\t")[3])
         assert got == pytest.approx(1 / 3, abs=1e-14)
+
+    @pytest.mark.parametrize("a, b, rho", [
+        ("0", "-inf", "0.5"), ("-1e-3", "0", "0.5"), ("-1e3", "0", "0.5"),
+        ("-Infinity", "-.5", "-1E-1"), ("-1_000", "-0.", "-0.25"),
+    ])
+    def test_every_float_spelling_is_a_number(self, a, b, rho, capsys):
+        assert main(["bvn", a, b, rho]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert [float(v) for v in row[:3]] == [float(a), float(b), float(rho)]
+        assert float(row[3]) == bvn_cdf(float(a), float(b), float(rho))
 
     def test_csv(self, capsys):
         assert main(["bvn", "1", "-1", "0.25"]) == 0
@@ -66,10 +83,12 @@ class TestBvn:
         assert lines[0] == "a,b,rho,value"
 
     def test_option_it_does_not_read_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bvn", "0", "0", "0.5", "--seed", "3"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        # -x stays an option, though bvn reads -1e3 and -inf as numbers
+        for extra in (["--seed", "3"], ["-x"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["bvn", "0", "0", "0.5", *extra])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
 
     def test_bad_correlation_exit_code(self, capsys):
         assert main(["bvn", "0", "0", "1.5"]) == 2
@@ -230,6 +249,42 @@ class TestTextFormat:
         out = capsys.readouterr().out
         assert out.startswith(written.read_text().replace(",", "\t"))
         assert not list((tmp_path / "text").glob("*"))
+
+    def test_stdout_table_too(self, capsys):
+        args = ["bvn", "1", "-1", "0.25"]
+        main(args)
+        csv_out = capsys.readouterr().out
+        main(args + ["--format", "text"])
+        assert capsys.readouterr().out == csv_out.replace(",", "\t")
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+_PLAN_FILE_DIGESTS = {
+    "simulate": "b583c786710eed0032604587c8c2574b6791ab82fd2c9a063ccf06501f16bdea",
+    "verify-one-sided": "3bde56c754ebbde721eee9fc07ffec79a036d583629c8036d36fe189612bfca2",
+    "verify-two-sided": "d408a49184f0e3b8e7590e8a7a5bbea89c369d41a8aa0ee186c405345bfcea81",
+}
+
+
+class TestOutputBytes:
+    """The CSV files are pinned byte for byte, at one and two workers: a
+    change to a value or to how it is spelled fails here."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("command", sorted(_PLAN_FILE_DIGESTS))
+    def test_plan_file_outputs(self, command, workers, plan_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("BELIEFCLT_WORKERS", workers)
+        main([command, str(plan_file), "--out-dir", str(tmp_path / "out")])
+        (written,) = (tmp_path / "out").glob("*.csv")
+        assert _sha256(written) == _PLAN_FILE_DIGESTS[command]
+
+    def test_special_cases_report(self, tmp_path):
+        main(["special-cases", "--out-dir", str(tmp_path)])
+        assert _sha256(tmp_path / "report_special_cases.csv") == (
+            "d275ed118483f81c261d644d0a36fefa10e44847358ae8eb97993fee21263e3d")
 
 
 class TestSpecialCasesAndRateFit:

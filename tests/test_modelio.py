@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from beliefclt import (
+    MODEL_REGISTRY,
     ParseError,
     SimPlan,
     load_model,
@@ -19,6 +21,7 @@ from beliefclt.modelio import (
     model_text,
     parse_model,
     parse_plan,
+    plan_text,
 )
 
 from _helpers import random_model
@@ -118,6 +121,19 @@ class TestParseModel:
         assert exc.value.path == "bad.model"
         assert "bad.model" in str(exc.value)
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("M = 1\nweight = 2\n", 2, "unknown key 'weight' (known: M, focal)"),
+        ("M = 1\nM = 2\n", 2, "duplicate key 'M' (first on line 1)"),
+        ("# c\n\nM = 1\nfocal\n", 4, "expected 'key = value', got 'focal'"),
+        # the first bad line is the one reported
+        ("M = 1\nbogus\nM = 2\nweight = 3\n", 2, "expected 'key = value'"),
+        ("M = 1\nM = 2\nweight = 3\n", 2, "duplicate key 'M'"),
+    ])
+    def test_grammar_errors_are_worded_like_the_plan_parser(self, text, line, message):
+        with pytest.raises(ParseError) as exc:
+            parse_model(text, path="bad.model")
+        assert str(exc.value).startswith(f"bad.model:{line}: {message}")
+
     def test_missing_bound(self):
         with pytest.raises(ParseError):
             parse_model("focal = { parts = [[0, 1]], mass = 1.0 }\n")
@@ -166,6 +182,16 @@ class TestRoundTrip:
                 changed.append(i)
         assert changed == []
 
+    def test_infinite_alphas_round_trip(self, tmp_path, bernoulli):
+        inf = math.inf
+        plan = SimPlan(bernoulli, n_values=(8,), reps=10,
+                       alpha_one_sided=(-inf, 0.0, inf),
+                       alpha_two_sided=((-inf, 0.5), (-1.0, inf), (-inf, inf)))
+        save_plan(plan, tmp_path / "p.plan", tmp_path / "p.model")
+        text = (tmp_path / "p.plan").read_text()
+        assert "alpha_one_sided = [-1e999, 0, 1e999]\n" in text
+        assert load_plan(tmp_path / "p.plan") == plan
+
     def test_plan_round_trip_keeps_the_digest(self, tmp_path):
         rng = np.random.default_rng(97)
         for i in range(20):
@@ -199,12 +225,16 @@ class TestParsePlan:
         with pytest.raises(ParseError) as exc:
             parse_plan("model = m.model\nworkers = 4\n", path="p.plan",
                        base_dir=tmp_path)
-        assert exc.value.line == 2
+        assert str(exc.value) == (
+            "p.plan:2: unknown key 'workers' (known: model, n_values, reps, seed, "
+            "alpha_one_sided, alpha_two_sided, slack)")
 
     def test_duplicate_key_rejected(self, tmp_path, bernoulli):
         save_model(bernoulli, tmp_path / "m.model")
-        with pytest.raises(ParseError):
-            parse_plan("model = m.model\nreps = 1\nreps = 2\n", base_dir=tmp_path)
+        with pytest.raises(ParseError) as exc:
+            parse_plan("model = m.model\nreps = 1\nreps = 2\n", path="p.plan",
+                       base_dir=tmp_path)
+        assert str(exc.value) == "p.plan:3: duplicate key 'reps' (first on line 2)"
 
     def test_missing_model_key(self):
         with pytest.raises(ParseError):
@@ -264,3 +294,33 @@ class TestCsv:
     def test_model_text_uses_17_digits(self, two_interval):
         text = model_text(two_interval.scaled(1 / 3))
         assert "0.33333333333333331" in text
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestSavedBytes:
+    """Saved files are pinned byte for byte: a change to how a value is
+    spelled fails here, not only in a recorded checksum."""
+
+    def test_registry_model_files(self):
+        assert {name: _sha256(model_text(m)) for name, m in MODEL_REGISTRY.items()} == {
+            "bernoulli": "0e15d07b88af3694ed868b4eb43d963f41aae7bd85c38f96fe7a4b38309ed317",
+            "coin": "04975f7f7abfce596937b06bbe5b6fe51b1cd696451261704318b7d670f089e3",
+            "two_interval": "8046989b9b12b6b82d07f8987f8cbfbd6482b6d6407b05537f6afa6153b5585d",
+            "union_parts": "310ac9245b38c96ae6f1b4452a77fbb774b85ed46c537186906818f876797907",
+            "mixed": "7b2bf9da670fe0924b249db4fa807c48e7c63a7e6161a886139aaa6fad90b042",
+        }
+
+    def test_default_plan_file(self):
+        text = plan_text(SimPlan(MODEL_REGISTRY["mixed"]), "mixed.model")
+        assert _sha256(text) == "b91724579d8fd8b240aed4463d3546e1e1693d26344f4bb55c1611ae0e1b43c1"
+
+    def test_custom_plan_file(self):
+        plan = SimPlan(MODEL_REGISTRY["union_parts"], n_values=(8, 32, 1000), reps=1234,
+                       seed=2**64 - 1, alpha_one_sided=(-1.5, 0.1, 1 / 3),
+                       alpha_two_sided=((-1.0, 0.5), (0.2, 2.25)), slack=0.75)
+        text = plan_text(plan, "custom.model")
+        assert "alpha_one_sided = [-1.5, 0.10000000000000001, 0.33333333333333331]\n" in text
+        assert _sha256(text) == "11fc315f290d8a50d582d093d91422c00b684be1286cdd6b0a740143ac11dce7"
