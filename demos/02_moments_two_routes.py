@@ -7,8 +7,8 @@ rho.  Both routes read the same discrete (min, max, mass) law, in which
 focal elements sharing a hull are merged.  Route one sums its moments
 directly; route two integrates the survival functions and interval
 beliefs that the law induces over the bounding box [-M, M], where the
-bound M enters every formula.  Agreement to more than ten digits is one
-of the package's acceptance gates.
+bound M enters every formula.  Both sum in exact rationals and round at
+the end, so they agree to the bit: every gap below prints as 0.
 """
 
 from dataclasses import asdict

@@ -1,9 +1,9 @@
 """Model and plan file parsing, serialization, and CSV emission.
 
 Both file kinds use one line-based ``key = value`` grammar chosen for
-diff-friendly test fixtures; ``#`` starts a comment and blank lines are
-ignored.  Values are written with 17 significant digits, which round-trips
-IEEE doubles exactly, and an infinite alpha as ``1e999`` or ``-1e999``.
+diff-friendly test fixtures; ``#`` outside quotes starts a comment and blank
+lines are ignored.  Values are written with 17 significant digits, which
+round-trips IEEE doubles exactly, and an infinite alpha as ``1e999`` or ``-1e999``.
 
 Model file::
 
@@ -24,7 +24,7 @@ back exactly.
 Plan file::
 
     plan    = { assignment } ;
-    keys    : model (path, resolved relative to the plan file),
+    keys    : model (path, resolved relative to the plan file, quoted where needed),
               n_values, reps, seed, alpha_one_sided, alpha_two_sided, slack.
 
 A line without ``=``, an unknown key or a second line for a key other than
@@ -48,6 +48,9 @@ from .montecarlo import SimPlan
 
 LOAD_MASS_TOL = 1e-6
 
+# the text before a comment; "#" inside a quoted string is text
+_CODE_RE = re.compile(r"""(?:[^#"']+|"(?:[^"\\\n]|\\.)*"|'(?:[^'\\\n]|\\.)*'|["'])*""")
+
 _FOCAL_RE = re.compile(
     r"^\{\s*parts\s*=\s*(?P<parts>\[.*\])\s*,\s*mass\s*=\s*(?P<mass>[^,\s}]+)\s*\}$"
 )
@@ -61,7 +64,7 @@ def _assignments(text: str, path: str, keys: Sequence[str],
     an unknown key or a second line for a key but ``repeated`` is an error."""
     first: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _CODE_RE.match(raw)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -145,7 +148,11 @@ def _fmt(x: float) -> str:
 
 def _text(value: Any) -> str:
     """A model or plan value as a file spells it: a tuple as ``[a, b, ...]``,
-    a float with 17 digits and +-inf as +-1e999, anything else by ``str``."""
+    a float with 17 digits and +-inf as +-1e999, a string by ``repr`` where
+    the reader would cut, strip or unquote it, anything else by ``str``."""
+    if isinstance(value, str):
+        plain = value.isprintable() and value == value.strip() and not value.startswith(("'", '"'))
+        return value if plain and "#" not in value else repr(value)
     if isinstance(value, tuple):
         return f"[{', '.join(map(_text, value))}]"
     if isinstance(value, float):
@@ -170,9 +177,12 @@ def parse_plan(text: str, path: str = "<string>",
     lines: dict[str, int] = {}
     for lineno, key, value in _assignments(text, path, PLAN_KEYS):
         lines[key] = lineno
-        seen[key] = value if key == "model" else _literal(value, path, lineno)
+        quoted = value.startswith(("'", '"'))
+        seen[key] = value if key == "model" and not quoted else _literal(value, path, lineno)
     if "model" not in seen:
         raise ParseError("plan must name a model file via 'model = <path>'", path)
+    if not isinstance(seen["model"], str):
+        raise ParseError(f"model must be a path, got {seen['model']!r}", path, lines["model"])
     model_path = Path(seen["model"])
     if not model_path.is_absolute() and base_dir is not None:
         model_path = Path(base_dir) / model_path
@@ -191,7 +201,7 @@ def load_plan(path: str | Path) -> SimPlan:
 
 
 def plan_text(plan: SimPlan, model_path: str) -> str:
-    lines = [f"model = {model_path}"]
+    lines = [f"model = {_text(model_path)}"]
     lines += [f"{key} = {_text(getattr(plan, key))}" for key in PLAN_KEYS if key != "model"]
     return "\n".join(lines) + "\n"
 

@@ -7,36 +7,41 @@ discrete law of (focal minimum, focal maximum), ``MinMaxLaw``.  The limit
 parameters are the means, standard deviations and correlation of Z and
 Zbar, computed from that law in two ways:
 
-  enumeration route   direct sums of mass * min / mass * max over the
-                      law's hulls, cross moment E[Z*Zbar] likewise;
+  enumeration route   sums of mass * min / mass * max over the law's hulls,
+                      centered for the variances, cross moment E[Z*Zbar]
+                      likewise;
   integration route   survival-function integrals of the belief and
                       plausibility of half-lines, plus the double integral
                       rho' of the belief of closed intervals over the
                       triangle t1 <= t2, from which the cross moment is
-                      recovered as M^2 - M*upper_mean + M*lower_mean - rho'.
+                      recovered as M^2 - M*upper_mean + M*lower_mean - rho';
+                      the integrands are piecewise constant, so it sums cells.
 
-Both integrands are piecewise constant with breakpoints at the hull
-endpoints, so the integration route sums cells exactly.
+Both read each float of the law as the rational its shortest round-trip
+decimal spells (as a model file does), sum exactly in ``Fraction`` and round
+to float at the end.  So the routes agree to the bit, rho is unchanged under
+shift, positive scale and a larger M, and a law is degenerate exactly when a
+variance is 0.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
 from .belief import BeliefModel
 from .errors import DegenerateVariance
 
-SIGMA_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class ChoquetMoments:
     """Limit parameters computed from one marginal belief model.
 
-    ``rho`` is NaN when either standard deviation vanishes (degenerate case,
+    ``rho`` is NaN when either variance is exactly 0 (degenerate case,
     normalization impossible).
     """
 
@@ -73,105 +78,91 @@ class MinMaxLaw:
         return cls(*(np.array(v, dtype=float) for v in (mins, maxs, masses)))
 
 
-def _finalize(
-    law: MinMaxLaw,
-    lower_mean: float,
-    upper_mean: float,
-    var_low: float,
-    var_up: float,
-    cross: float,
-    rho_prime: float,
-    allow_degenerate: bool,
-) -> ChoquetMoments:
-    """The moments, with rho exactly +-1 where the law has two hulls: Z and
-    Zbar then take two values each, so one is an affine function of the
-    other, and the computed ratio can round past 1."""
-    sd_low = math.sqrt(max(var_low, 0.0))
-    sd_up = math.sqrt(max(var_up, 0.0))
-    degenerate = sd_low < SIGMA_FLOOR or sd_up < SIGMA_FLOOR
-    cov = cross - lower_mean * upper_mean
-    if degenerate:
+def _exact(law: MinMaxLaw, bound: float) -> tuple[list[tuple[Fraction, ...]], Fraction]:
+    """The law's (min, max, mass) hulls and the bound as rationals, each float
+    read as its shortest round-trip decimal, the way a model file spells it.
+    The masses are left unnormalized; each route divides by their sum."""
+    def read(values: np.ndarray) -> list[Fraction]:
+        return [Fraction(repr(x)) for x in values.tolist()]
+
+    return list(zip(read(law.mins), read(law.maxs), read(law.masses))), Fraction(repr(bound))
+
+
+def _finalize(lower_mean: Fraction, upper_mean: Fraction, var_low: Fraction, var_up: Fraction,
+              cross: Fraction, rho_prime: Fraction, allow_degenerate: bool) -> ChoquetMoments:
+    """The exact moments rounded to float at the end; an sd or rho is the root
+    of its rounded variance or squared ratio.  On a two-hull law
+    cov^2 = var_low*var_up exactly, so rho is exactly +-1."""
+    sd_low, sd_up = math.sqrt(var_low), math.sqrt(var_up)
+    if var_low == 0 or var_up == 0:
+        if not allow_degenerate:
+            raise DegenerateVariance(
+                f"sigma_low={sd_low!r}, sigma_up={sd_up!r}: normalized statistics undefined")
         rho = math.nan
-    elif len(law.masses) == 2:
-        rho = math.copysign(1.0, cov)
     else:
-        rho = cov / (sd_low * sd_up)
-    if degenerate and not allow_degenerate:
-        raise DegenerateVariance(
-            f"sigma_low={sd_low!r}, sigma_up={sd_up!r}: normalized statistics undefined")
-    return ChoquetMoments(lower_mean, upper_mean, sd_low, sd_up, cross, rho_prime, rho)
+        cov = cross - lower_mean * upper_mean
+        rho = math.copysign(math.sqrt(cov * cov / (var_low * var_up)), cov)
+    return ChoquetMoments(float(lower_mean), float(upper_mean), sd_low, sd_up,
+                          float(cross), float(rho_prime), rho)
 
 
 def moments_by_enumeration(model: BeliefModel, allow_degenerate: bool = False) -> ChoquetMoments:
-    """Compensated sums over the hulls of the (min, max) law: the canonical route.
+    """Centered sums over the hulls of the (min, max) law: the canonical route.
 
-    Raises :class:`DegenerateVariance` when a standard deviation falls below
-    1e-12 unless ``allow_degenerate`` is set, in which case ``rho`` is NaN.
+    Raises :class:`DegenerateVariance` when a variance is exactly 0 unless
+    ``allow_degenerate`` is set, in which case ``rho`` is NaN.
     """
-    law = MinMaxLaw.from_model(model)
-    hulls = list(zip(law.masses.tolist(), law.mins.tolist(), law.maxs.tolist()))
-    lower_mean = math.fsum(m * lo for m, lo, _ in hulls)
-    upper_mean = math.fsum(m * hi for m, _, hi in hulls)
-    var_low = math.fsum(m * lo * lo for m, lo, _ in hulls) - lower_mean**2
-    var_up = math.fsum(m * hi * hi for m, _, hi in hulls) - upper_mean**2
-    cross = math.fsum(m * lo * hi for m, lo, hi in hulls)
-    big_m = model.bound
+    hulls, big_m = _exact(MinMaxLaw.from_model(model), model.bound)
+    total = sum(m for _, _, m in hulls)
+    lower_mean = sum(m * lo for lo, _, m in hulls) / total
+    upper_mean = sum(m * hi for _, hi, m in hulls) / total
+    var_low = sum(m * (lo - lower_mean) ** 2 for lo, _, m in hulls) / total
+    var_up = sum(m * (hi - upper_mean) ** 2 for _, hi, m in hulls) / total
+    cross = sum(m * lo * hi for lo, hi, m in hulls) / total
     rho_prime = big_m**2 - big_m * upper_mean + big_m * lower_mean - cross
-    return _finalize(law, lower_mean, upper_mean, var_low, var_up, cross, rho_prime,
+    return _finalize(lower_mean, upper_mean, var_low, var_up, cross, rho_prime,
                      allow_degenerate)
 
 
 # -- integration route -------------------------------------------------------
 
 
-def _cells(breaks: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cell edges and midpoints of [lo, hi] split at the given breakpoints."""
-    edges = np.unique(np.concatenate([np.clip(breaks, lo, hi), [lo, hi]]))
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    return edges, mids
+def _tail_integrals(stats: Sequence[Fraction], weights: Sequence[Fraction],
+                    big_m: Fraction) -> tuple[Fraction, Fraction]:
+    """int_{-M}^M s(t) dt and int_{-M}^M 2 t s(t) dt, s(t) the sum of the
+    weights with stat >= t: on each cell between the stat values s takes its
+    value at the right edge, a running tail sum from the right."""
+    at: dict[Fraction, Fraction] = {}
+    for v, w in zip(stats, weights):
+        at[v] = at.get(v, 0) + w
+    edges = sorted(at.keys() | {-big_m, big_m})
+    tail = area = moment = Fraction(0)
+    for a, b in zip(edges[-2::-1], edges[:0:-1]):
+        tail += at.get(b, 0)
+        area += tail * (b - a)
+        moment += tail * (b * b - a * a)
+    return area, moment
 
 
-def _survival_integrals(
-    stats: np.ndarray, masses: np.ndarray, big_m: float
-) -> tuple[float, float]:
-    """Mean and raw second moment of a statistic from its survival function.
-
-    ``stats`` holds the per-hull value of the statistic (min or max);
-    survival(t) = sum of masses with stat >= t is a step function with jumps
-    at the stat values, so cell-midpoint evaluation integrates it exactly.
-
-      mean  = int_0^M s(t) dt + int_{-M}^0 (s(t) - 1) dt
-      raw2  = int_0^M 2 t s(t) dt + int_{-M}^0 2 t (s(t) - 1) dt
-    """
-    mean = 0.0
-    raw2 = 0.0
-    for lo, hi, shift in ((0.0, big_m, 0.0), (-big_m, 0.0, 1.0)):
-        edges, mids = _cells(stats, lo, hi)
-        surv = (stats[None, :] >= mids[:, None]) @ masses - shift
-        mean += float(surv @ (edges[1:] - edges[:-1]))
-        raw2 += float(surv @ (edges[1:] ** 2 - edges[:-1] ** 2))
-    return mean, raw2
+def _survival_integrals(stats: Sequence[Fraction], masses: Sequence[Fraction],
+                        big_m: Fraction) -> tuple[Fraction, Fraction]:
+    """Mean and raw second moment of a statistic (min or max per hull) from
+    its survival function s(t), the share of mass with stat >= t:
+    mean = int_0^M s dt + int_{-M}^0 (s - 1) dt = int_{-M}^M s dt - M and
+    raw2 = int_0^M 2ts dt + int_{-M}^0 2t(s - 1) dt = int_{-M}^M 2ts dt + M^2."""
+    area, moment = _tail_integrals(stats, masses, big_m)
+    total = sum(masses)
+    return area / total - big_m, moment / total + big_m**2
 
 
-def _interval_belief_grid(law: MinMaxLaw, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    """belief([t1_i, t2_j]) on a grid: containment needs min >= t1 and max <= t2."""
-    low_ok = law.mins[None, :] >= t1[:, None]
-    up_ok = law.maxs[None, :] <= t2[:, None]
-    return (low_ok * law.masses) @ up_ok.T
-
-
-def _rho_prime_piecewise(law: MinMaxLaw, big_m: float) -> float:
-    """Double integral of belief([t1, t2]) over -M <= t1 <= t2 <= M.
-
-    The integrand vanishes for t1 > t2, so integrating over the whole square
-    with cells split at the hull endpoints gives the triangle value exactly.
-    """
-    e1, m1 = _cells(law.mins, -big_m, big_m)
-    e2, m2 = _cells(law.maxs, -big_m, big_m)
-    vals = _interval_belief_grid(law, m1, m2)
-    w1 = e1[1:] - e1[:-1]
-    w2 = e2[1:] - e2[:-1]
-    return float(w1 @ vals @ w2)
+def _rho_prime_piecewise(hulls: list[tuple[Fraction, ...]], big_m: Fraction) -> Fraction:
+    """Double integral of belief([t1, t2]) over -M <= t1 <= t2 <= M.  For t1
+    on a cell (a, b) between hull minima, [t1, t2] holds the hulls with
+    min >= b and max <= t2, so the inner integral is the tail sum of
+    mass * (M - max) over min >= b, and the outer one a survival integral."""
+    area, _ = _tail_integrals([lo for lo, _, _ in hulls],
+                              [m * (big_m - hi) for _, hi, m in hulls], big_m)
+    return area / sum(m for _, _, m in hulls)
 
 
 def moments_by_integration(model: BeliefModel, allow_degenerate: bool = False) -> ChoquetMoments:
@@ -180,16 +171,14 @@ def moments_by_integration(model: BeliefModel, allow_degenerate: bool = False) -
     Sums the piecewise-constant integrands of the (min, max) law cell by
     cell, exactly.
     """
-    law = MinMaxLaw.from_model(model)
-    big_m = model.bound
-    lower_mean, raw2_low = _survival_integrals(law.mins, law.masses, big_m)
-    upper_mean, raw2_up = _survival_integrals(law.maxs, law.masses, big_m)
-    rho_prime = _rho_prime_piecewise(law, big_m)
-    var_low = raw2_low - lower_mean**2
-    var_up = raw2_up - upper_mean**2
+    hulls, big_m = _exact(MinMaxLaw.from_model(model), model.bound)
+    mins, maxs, masses = zip(*hulls)
+    lower_mean, raw2_low = _survival_integrals(mins, masses, big_m)
+    upper_mean, raw2_up = _survival_integrals(maxs, masses, big_m)
+    rho_prime = _rho_prime_piecewise(hulls, big_m)
     cross = big_m**2 - big_m * upper_mean + big_m * lower_mean - rho_prime
-    return _finalize(law, lower_mean, upper_mean, var_low, var_up, cross, rho_prime,
-                     allow_degenerate)
+    return _finalize(lower_mean, upper_mean, raw2_low - lower_mean**2,
+                     raw2_up - upper_mean**2, cross, rho_prime, allow_degenerate)
 
 
 def rho_M_invariance(model: BeliefModel, m2: float) -> tuple[float, float]:

@@ -42,7 +42,7 @@ import numpy as np
 
 from .belief import BeliefModel
 from .errors import DegenerateVariance, as_real, as_real_pair
-from .moments import SIGMA_FLOOR, ChoquetMoments, MinMaxLaw
+from .moments import ChoquetMoments, MinMaxLaw
 
 _KEY_DOMAIN = np.uint64(0x9E3779B97F4A7C15)
 _CTR_BLOCK = np.uint64(1)
@@ -465,7 +465,7 @@ def estimate_events(
     Frequencies are counts over exactly ``plan.reps`` independent trials per
     n, bit-reproducible for a given (seed, plan) at any worker count.
     """
-    if moments.lower_sd < SIGMA_FLOOR or moments.upper_sd < SIGMA_FLOOR:
+    if moments.lower_sd == 0.0 or moments.upper_sd == 0.0:
         raise DegenerateVariance(
             f"sigma_low={moments.lower_sd!r}, sigma_up={moments.upper_sd!r}: "
             "cannot normalize sums"

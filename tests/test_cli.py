@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from beliefclt import bvn_cdf, cli, montecarlo, save_model, save_plan, SimPlan, bernoulli_model
+from beliefclt import (MODEL_REGISTRY, bvn_cdf, cli, montecarlo, save_model, save_plan, SimPlan,
+                       bernoulli_model)
 from beliefclt.cli import build_parser, main
 from beliefclt.modelio import REPORT_SCHEMA, emit_csv
 
@@ -40,8 +41,8 @@ class TestMoments:
         rows = {r.split(",")[0]: r.split(",") for r in out.strip().splitlines()[1:]}
         assert float(rows["lower_mean"][1]) == 0.3
         assert float(rows["rho"][1]) == pytest.approx(3 / 7, abs=1e-12)
-        # both routes within the documented agreement
-        assert all(float(r[3]) < 1e-10 for r in rows.values())
+        # both routes are exact, so they agree to the bit
+        assert all(float(r[3]) == 0.0 for r in rows.values())
 
     def test_text_output(self, model_file, capsys):
         assert main(["moments", str(model_file)]) == 0
@@ -284,7 +285,13 @@ class TestOutputBytes:
     def test_special_cases_report(self, tmp_path):
         main(["special-cases", "--out-dir", str(tmp_path)])
         assert _sha256(tmp_path / "report_special_cases.csv") == (
-            "d275ed118483f81c261d644d0a36fefa10e44847358ae8eb97993fee21263e3d")
+            "275030021561ed95b6801f6a9859233344b299b6fa2935436b7f7473d41facaf")
+
+    def test_moments_of_mixed(self, tmp_path, capsys):
+        save_model(MODEL_REGISTRY["mixed"], tmp_path / "mixed.model")
+        main(["moments", str(tmp_path / "mixed.model")])
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "8743be5ba7b0c134a28d0913b1b571297cb3bed24104a59af4c2551a61bf7c91")
 
 
 class TestSpecialCasesAndRateFit:

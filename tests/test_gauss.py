@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -76,6 +77,7 @@ class TestBvnClosedForms:
             bvn_cdf(0, 0, math.nan)
 
 
+@functools.cache
 def bvn_mp_oracle(a: float, b: float, rho: float) -> float:
     # N2(a, b; rho) = int_{-inf}^{a} phi(x) Phi((b - rho x) / sqrt(1 - rho^2)) dx
     # at 30 digits; the Phi factor steps from 1 to 0 around x = b / rho over a
@@ -92,14 +94,26 @@ def bvn_mp_oracle(a: float, b: float, rho: float) -> float:
             lambda x: mpmath.npdf(x) * mpmath.ncdf((b - rho * x) / s), points))
 
 
+# rho from each region Genz gives its own rule (6 nodes below 0.3, 12
+# below 0.75, 20 below 0.925) and from the Taylor branch above
+_MP_RHOS = (-0.25, 0.128, -0.6, 3 / 7, 0.8, -0.9, 0.93, -0.95, 0.999)
+_MP_POINTS = ((-1.0, 1.5), (0.5, -0.3))
+
+
 class TestBvnMpmathOracle:
-    # rho from each region Genz gives its own rule (6 nodes below 0.3, 12
-    # below 0.75, 20 below 0.925) and from the Taylor branch above
-    @pytest.mark.parametrize("rho", [-0.25, 0.128, -0.6, 3 / 7, 0.8, -0.9,
-                                     0.93, -0.95, 0.999])
-    @pytest.mark.parametrize("a,b", [(-1.0, 1.5), (0.5, -0.3)])
+    @pytest.mark.parametrize("rho", _MP_RHOS)
+    @pytest.mark.parametrize("a,b", _MP_POINTS)
     def test_documented_accuracy(self, a, b, rho):
         assert abs(bvn_cdf(a, b, rho) - bvn_mp_oracle(a, b, rho)) <= 5e-16
+
+
+def test_mpmath_oracle_catches_a_shift_of_1e_15(monkeypatch):
+    real = bvn_cdf
+    monkeypatch.setitem(globals(), "bvn_cdf", lambda a, b, rho: real(a, b, rho) + 1e-15)
+    for a, b in _MP_POINTS:
+        for rho in _MP_RHOS:
+            with pytest.raises(AssertionError):
+                TestBvnMpmathOracle().test_documented_accuracy(a, b, rho)
 
 
 class TestBvnOracle:

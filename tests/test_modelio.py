@@ -171,6 +171,18 @@ class TestRoundTrip:
         loaded = load_plan(tmp_path / "p.plan")
         assert loaded == plan
 
+    @pytest.mark.parametrize("name", ["run#1.model", "'q.model", " it's #2.model"])
+    def test_model_names_the_reader_would_misread_round_trip(self, tmp_path, bernoulli, name):
+        plan = SimPlan(bernoulli, n_values=(8,), reps=10)
+        save_plan(plan, tmp_path / "p.plan", tmp_path / name)
+        assert f"model = {name!r}\n" in (tmp_path / "p.plan").read_text()
+        assert load_plan(tmp_path / "p.plan") == plan
+
+    def test_quoted_model_name_takes_a_trailing_comment(self, tmp_path, bernoulli):
+        save_model(bernoulli, tmp_path / "run#1.model")
+        (tmp_path / "p.plan").write_text('model = "run#1.model"  # the "first" run\n')
+        assert load_plan(tmp_path / "p.plan").model == bernoulli
+
     def test_seeded_models_round_trip_exactly(self, tmp_path):
         rng = np.random.default_rng(206)
         path = tmp_path / "r.model"
@@ -235,6 +247,11 @@ class TestParsePlan:
             parse_plan("model = m.model\nreps = 1\nreps = 2\n", path="p.plan",
                        base_dir=tmp_path)
         assert str(exc.value) == "p.plan:3: duplicate key 'reps' (first on line 2)"
+
+    def test_quoted_model_must_be_one_string(self):
+        with pytest.raises(ParseError) as exc:
+            parse_plan("reps = 10\nmodel = 'a', 'b'\n", path="p.plan")
+        assert str(exc.value) == "p.plan:2: model must be a path, got ('a', 'b')"
 
     def test_missing_model_key(self):
         with pytest.raises(ParseError):

@@ -1,13 +1,14 @@
 import dataclasses
 import math
+from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
 from beliefclt import (
+    MODEL_REGISTRY,
     BeliefModel,
     ChoquetMoments,
     DegenerateVariance,
@@ -21,7 +22,9 @@ from beliefclt import (
     rho_M_invariance,
     two_sided_limit,
 )
-from beliefclt.moments import MinMaxLaw, _interval_belief_grid
+import beliefclt.moments as moments_module
+from beliefclt.harness import m_invariance_suite
+from beliefclt.moments import MinMaxLaw, _rho_prime_piecewise
 
 from _helpers import random_model
 
@@ -164,18 +167,21 @@ class TestDegenerate:
         assert m.lower_sd == 0.0 and m.upper_sd > 0.0
 
 
+def _routes_agree(model) -> bool:
+    """The route gate: both routes sum the law exactly, so every field is
+    equal (NaN rho is the one ``math.nan`` object on both)."""
+    return (moments_by_enumeration(model, allow_degenerate=True)
+            == moments_by_integration(model, allow_degenerate=True))
+
+
 class TestRouteAgreement:
     def test_frozen_models(self, bernoulli, two_interval, coin):
         for model in (bernoulli, two_interval, coin):
-            _assert_close(moments_by_enumeration(model),
-                          moments_by_integration(model), 1e-12)
+            assert _routes_agree(model)
 
     def test_random_models(self, rng):
         for _ in range(40):
-            model = random_model(rng)
-            _assert_close(moments_by_enumeration(model, allow_degenerate=True),
-                          moments_by_integration(model, allow_degenerate=True),
-                          1e-10)
+            assert _routes_agree(random_model(rng))
 
     def test_quadrature_route_matches(self, bernoulli, rng):
         for model in (bernoulli, random_model(rng, max_focal=4), _repeated_hull_model()):
@@ -217,6 +223,70 @@ class TestTransforms:
         assert scaled.rho == pytest.approx(base.rho, abs=1e-10)
 
 
+def _same(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@st.composite
+def dyadic_models(draw):
+    """Models with endpoints in eighths and masses in 64ths: every moment is
+    a short dyadic, so a dyadic shift or scale of it is exact in float.  The
+    routes read each float as its shortest round-trip decimal, which is the
+    exact value while that has at most 15 significant digits; the shifts and
+    scales below keep the endpoints and the bound inside that."""
+    k = draw(st.integers(2, 6))
+    focal = []
+    for _ in range(k):
+        ends = sorted(draw(st.lists(st.integers(-40, 40), min_size=2, max_size=4)
+                           .filter(lambda e: len(e) % 2 == 0)))
+        focal.append(FocalElement([(ends[i] / 8, ends[i + 1] / 8)
+                                   for i in range(0, len(ends), 2)]))
+    weights = draw(st.lists(st.integers(1, 8), min_size=k - 1, max_size=k - 1))
+    masses = [w / 64 for w in weights] + [(64 - sum(weights)) / 64]
+    reach = max(abs(x) for f in focal for x in (f.min, f.max))
+    bound = reach + draw(st.integers(1, 16)) / 8
+    return BeliefModel(list(zip(focal, masses)), bound)
+
+
+_ROUTES = (moments_by_enumeration, moments_by_integration)
+
+
+@given(dyadic_models(), st.integers(-2**36, 2**36))
+@settings(max_examples=100, deadline=None)
+def test_shift_moves_the_means_and_nothing_else(model, sixteenths):
+    c = sixteenths / 16
+    for route in _ROUTES:
+        base = route(model, allow_degenerate=True)
+        moved = route(model.shifted(c), allow_degenerate=True)
+        assert moved.lower_mean == base.lower_mean + c, route.__name__
+        assert moved.upper_mean == base.upper_mean + c, route.__name__
+        assert (moved.lower_sd, moved.upper_sd) == (base.lower_sd, base.upper_sd)
+        assert _same(moved.rho, base.rho), route.__name__
+
+
+@given(dyadic_models(), st.integers(-12, 30), st.sampled_from((1, 3, 5, 7)))
+@settings(max_examples=100, deadline=None)
+def test_positive_scale_scales_the_means_and_sds_and_keeps_rho(model, exponent, odd):
+    s = math.ldexp(odd, exponent)
+    for route in _ROUTES:
+        base = route(model, allow_degenerate=True)
+        scaled = route(model.scaled(s), allow_degenerate=True)
+        assert scaled.lower_mean == s * base.lower_mean, route.__name__
+        assert scaled.upper_mean == s * base.upper_mean, route.__name__
+        assert _same(scaled.rho, base.rho), route.__name__
+        if odd == 1:
+            # sqrt(4^e * x) = 2^e * sqrt(x) in float; an odd factor rounds
+            assert (scaled.lower_sd, scaled.upper_sd) == (s * base.lower_sd, s * base.upper_sd)
+
+
+def test_far_shift_and_tiny_scale_are_not_degenerate():
+    model = MODEL_REGISTRY["mixed"]
+    for route in _ROUTES:
+        rho = route(model).rho
+        assert route(model.shifted(1e8)).rho == rho, route.__name__
+        assert route(model.scaled(1e-13)).rho == rho, route.__name__
+
+
 class TestRhoPrime:
     def test_identity_links_cross_moment(self, rng):
         # cross = M^2 - M*upper_mean + M*lower_mean - rho_prime
@@ -227,16 +297,29 @@ class TestRhoPrime:
             want = big_m**2 - big_m * m.upper_mean + big_m * m.lower_mean - m.rho_prime
             assert m.cross_moment == pytest.approx(want, abs=1e-10)
 
-    def test_interval_belief_grid_matches_belief(self, rng):
-        # the vectorized grid the double integral uses, on the merged law,
-        # must agree with the reference event computation on the model
+    def test_rho_prime_matches_the_cell_grid(self, rng):
+        # rho' summed over the full 2-D grid of cells split at the hull minima
+        # (t1) and maxima (t2), in rationals; each cell's belief, on the
+        # merged law at the cell's midpoint, must agree with the reference
+        # event computation on the model
         for model in (random_model(rng, max_focal=10), _repeated_hull_model()):
             law = MinMaxLaw.from_model(model)
-            for _ in range(25):
-                t1, t2 = np.sort(rng.uniform(-model.bound, model.bound, size=2))
-                got = _interval_belief_grid(law, np.array([t1]), np.array([t2]))[0, 0]
-                want = belief(model, IntervalEvent.closed(t1, t2))
-                assert got == pytest.approx(want, abs=1e-12)
+            hulls = [tuple(Fraction(repr(x)) for x in h)
+                     for h in zip(law.mins.tolist(), law.maxs.tolist(), law.masses.tolist())]
+            big_m = Fraction(repr(model.bound))
+            e1 = sorted({lo for lo, _, _ in hulls} | {-big_m, big_m})
+            e2 = sorted({hi for _, hi, _ in hulls} | {-big_m, big_m})
+            total = Fraction(0)
+            for a1, b1 in zip(e1, e1[1:]):
+                for a2, b2 in zip(e2, e2[1:]):
+                    t1, t2 = (a1 + b1) / 2, (a2 + b2) / 2
+                    cell = sum((m for lo, hi, m in hulls if t1 <= lo and hi <= t2), Fraction(0))
+                    want = belief(model, IntervalEvent.closed(float(t1), float(t2)))
+                    assert float(cell) == pytest.approx(want, abs=1e-12)
+                    total += cell * (b1 - a1) * (b2 - a2)
+            rho_prime = total / sum(m for _, _, m in hulls)
+            assert _rho_prime_piecewise(hulls, big_m) == rho_prime
+            assert moments_by_integration(model).rho_prime == float(rho_prime)
 
     def test_rho_prime_nonnegative(self, rng):
         # integrand is a probability, so the double integral cannot be negative
@@ -255,6 +338,20 @@ class TestMInvariance:
     def test_bad_bound_rejected(self, bernoulli):
         with pytest.raises(ValueError):
             rho_M_invariance(bernoulli, 0.5)
+
+
+def test_m_invariance_and_route_gate_catch_a_rho_prime_fault(monkeypatch):
+    # rho' off by 1e-9 * M: rho moves with M on every registry model and the
+    # two routes no longer agree; without the fault every row holds
+    assert all(r.passed for r in m_invariance_suite())
+    real = moments_module._rho_prime_piecewise
+    monkeypatch.setattr(moments_module, "_rho_prime_piecewise",
+                        lambda hulls, big_m: real(hulls, big_m) + Fraction(1e-9) * big_m)
+    rows = m_invariance_suite()
+    assert len(rows) == len(MODEL_REGISTRY)
+    assert [r.experiment for r in rows if r.passed] == []
+    for name in ("coin", "two_interval", "bernoulli"):
+        assert not _routes_agree(MODEL_REGISTRY[name]), name
 
 
 # the two hulls as positions in four sorted endpoints: crossing, disjoint,

@@ -494,6 +494,10 @@ _pair_values = st.lists(st.tuples(st.sampled_from(LATTICE[::2]),
        reps=st.sampled_from((1, 37, 500)))
 @settings(max_examples=25, deadline=None)
 def test_estimator_matches_brute_force_reference(model_name, alphas, pairs, reps):
+    _check_against_reference(model_name, alphas, pairs, reps)
+
+
+def _check_against_reference(model_name, alphas, pairs, reps):
     # coin puts T_low and T_up on a 0.5 lattice at n = 4 and 16, so ties
     # with the 0.5-lattice thresholds are frequent
     model = MODEL_REGISTRY[model_name]
@@ -507,6 +511,29 @@ def test_estimator_matches_brute_force_reference(model_name, alphas, pairs, reps
     reference = _reference_estimate(plan, mom)
     for n in n_values:
         assert [r.count for r in sim.rows_for(n)] == reference[n]
+
+
+@pytest.mark.parametrize("flipped", [None, "low", "up"])
+def test_brute_force_reference_catches_a_flipped_operator(monkeypatch, flipped):
+    """``<=`` read as ``<`` on one side of ``_EventCells.cells`` drops the
+    ties at coin's lattice points; a copy with no flip passes."""
+    def cells(self, t_low, t_up):
+        cell = np.zeros(t_low.shape, dtype=np.min_scalar_type(self.size - 1))
+        for a in self.low:
+            cell += (a < t_low) if flipped == "low" else (a <= t_low)
+        cell *= 2 * len(self.up) + 1
+        for a in self.up:
+            cell += a < t_up
+            cell += (a < t_up) if flipped == "up" else (a <= t_up)
+        return cell
+
+    monkeypatch.setattr(_EventCells, "cells", cells)
+    check = partial(_check_against_reference, "coin", [0.0, 0.5], [(0.0, 0.0), (-0.5, 0.5)], 500)
+    if flipped is None:
+        check()
+    else:
+        with pytest.raises(AssertionError):
+            check()
 
 
 def test_runs_of_blocks_match_brute_force_reference():
@@ -960,6 +987,67 @@ class TestSplitCounts:
         _z_test(_pooled(p, drawn, reps), reps, (k, root))
 
 
+def _bernoulli_exact_events(law, mom, n, alphas, pairs):
+    """Exact P_n of every plan event of ``bernoulli_model(p_low, p_high)``,
+    thresholds by the estimator's float expression.
+
+    Its hulls are {1}, {0} and [0, 1], so with (c1, c0) the counts of the
+    first two, S_min = c1 ~ Bin(n, p_low) and S_max = n - c0 with
+    c0 ~ Bin(n, q), q = 1 - p_high.  T_low and T_up increase with the sums,
+    so a one-sided event is one binomial tail; a two-sided event sums over
+    c1 >= k1 the tail of c0 given c1, Bin(n - c1, q / (1 - p_low)).
+    """
+    from scipy.stats import binom
+
+    p_low, q, _ = (law.masses / law.masses.sum()).tolist()
+    s = np.arange(n + 1, dtype=float)
+    root = math.sqrt(n)
+    t_low = (s - n * mom.lower_mean) / (root * mom.lower_sd)
+    t_up = (s - n * mom.upper_mean) / (root * mom.upper_sd)
+    c1 = np.arange(n + 1)
+    pmf_c1 = binom.pmf(c1, n, p_low)
+    lower = [binom.sf(np.count_nonzero(t_low < a) - 1, n, p_low) for a in alphas]
+    upper = [binom.sf(n - np.count_nonzero(t_up < a), n, q) for a in alphas]
+    two = []
+    for a1, a2 in pairs:
+        k1 = np.count_nonzero(t_low < a1)
+        tail = binom.sf(n - np.count_nonzero(t_up <= a2), n - c1[k1:], q / (1 - p_low))
+        two.append(float(pmf_c1[k1:] @ tail))
+    return lower + upper + two
+
+
+class TestBernoulliOracle:
+    """The untabled sampler against the paper's base case at the n where it
+    runs: numpy's binomial takes its BTPE branch (n p > 30) at the tree's
+    second level, which no exact-law test at small n reaches."""
+
+    @staticmethod
+    def _check(p_low, p_high, n_values=(1024, 4096, 16384), workers=None):
+        model = bernoulli_model(p_low, p_high)
+        law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
+        assert law.mins.tolist() == [1.0, 0.0, 0.0] and law.maxs.tolist() == [1.0, 0.0, 1.0]
+        plan = SimPlan(model, n_values=n_values, reps=1 << 18, seed=113)
+        sim = estimate_events(plan, mom, workers=workers)
+        pairs = plan.alpha_two_sided
+        for n in plan.n_values:
+            assert not is_tabled(law, n)
+            exact = _bernoulli_exact_events(law, mom, n, plan.alpha_one_sided, pairs)
+            counts = [r.count for r in sim.rows_for(n)]
+            assert len(counts) == len(exact) == 2 * len(plan.alpha_one_sided) + len(pairs)
+            _z_test(list(zip(exact, counts)), plan.reps, (p_low, p_high, n))
+
+    @pytest.mark.parametrize("p_low, p_high", [(0.3, 0.7), (0.1, 0.7)])
+    def test_default_grid_matches_the_exact_law(self, p_low, p_high):
+        self._check(p_low, p_high)
+
+    def test_catches_a_swapped_split_share(self, monkeypatch):
+        # every split, the root's window included, takes the right share
+        real = montecarlo._shares
+        monkeypatch.setattr(montecarlo, "_shares", lambda *args: real(*args)[::-1])
+        with pytest.raises(AssertionError, match=r"\(0\.3, 0\.7, 1024\)"):
+            self._check(0.3, 0.7, n_values=(1024,), workers=1)
+
+
 class TestBlockKeys:
     def test_rows_of_n_do_not_depend_on_the_plan(self):
         model = MODEL_REGISTRY["mixed"]
@@ -976,3 +1064,20 @@ class TestBlockKeys:
         sim = estimate_events(plan, mom, workers=1)
         for workers in (2, 3):
             assert estimate_events(plan, mom, workers=workers) == sim
+
+    def test_tabled_rows_depend_on_the_alpha_grid(self):
+        # an untabled n draws hull counts, which no grid changes; a tabled n
+        # draws one multinomial over the grid's event cells, so another grid
+        # gives other counts of the same event (README, Reproducibility)
+        model = MODEL_REGISTRY["mixed"]
+        law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
+        assert is_tabled(law, 16) and not is_tabled(law, 256)
+        counts = {16: [], 256: []}
+        for grid in ((0.0,), (0.0, 1.0), (-2.0, -1.0, 0.0, 0.5, 2.0)):
+            plan = SimPlan(model, n_values=(16, 256), reps=50_000, seed=5,
+                           alpha_one_sided=grid, alpha_two_sided=())
+            sim = estimate_events(plan, mom)
+            for n, seen in counts.items():
+                seen += [r.count for r in sim.rows_for(n)
+                         if r.kind == ONE_SIDED_LOWER and r.alpha1 == 0.0]
+        assert counts == {16: [26023, 25972, 25755], 256: [25292] * 3}
