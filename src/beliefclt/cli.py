@@ -46,7 +46,7 @@ from .modelio import (
 )
 from . import montecarlo
 from .moments import MinMaxLaw, moments_by_enumeration, moments_by_integration
-from .montecarlo import estimate_events, is_tabled, resolve_workers
+from .montecarlo import estimate_events, is_tabled, on_lattice, resolve_workers
 
 log = logging.getLogger("beliefclt")
 
@@ -116,13 +116,16 @@ def _simulate(args: argparse.Namespace):
     plan = dataclasses.replace(load_plan(args.plan),
                                **{k: v for k, v in overrides.items() if v is not None})
     law = MinMaxLaw.from_model(plan.model)
+    lattice = law.lattice()
     _log_config(args, n_values=list(plan.n_values), reps=plan.reps, seed=plan.seed,
                 alpha_one_sided=plan.alpha_one_sided,
                 alpha_two_sided_pairs=len(plan.alpha_two_sided), slack=plan.slack,
                 run_id=plan.digest(), workers=resolve_workers(),
                 block_size=montecarlo.BLOCK_SIZE,
                 table_max_vectors=montecarlo.TABLE_MAX_VECTORS,
-                tabled_n=[n for n in plan.n_values if is_tabled(law, n)])
+                tabled_n=[n for n in plan.n_values if is_tabled(law, n)],
+                lattice_h=lattice[0],
+                lattice_n=[n for n in plan.n_values if on_lattice(lattice, n)])
     moments = moments_by_enumeration(plan.model)
     return plan, moments, estimate_events(plan, moments)
 

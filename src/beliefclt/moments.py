@@ -77,15 +77,37 @@ class MinMaxLaw:
         masses = [math.fsum(ms) for ms in merged.values()]
         return cls(*(np.array(v, dtype=float) for v in (mins, maxs, masses)))
 
+    def exact(self) -> list[tuple[Fraction, Fraction, Fraction]]:
+        """The (min, max, mass) of each hull as rationals, each float read as
+        its shortest round-trip decimal, the way a model file spells it.  The
+        masses are left unnormalized."""
+        def read(values: np.ndarray) -> list[Fraction]:
+            return [Fraction(repr(x)) for x in values.tolist()]
 
-def _exact(law: MinMaxLaw, bound: float) -> tuple[list[tuple[Fraction, ...]], Fraction]:
-    """The law's (min, max, mass) hulls and the bound as rationals, each float
-    read as its shortest round-trip decimal, the way a model file spells it.
-    The masses are left unnormalized; each route divides by their sum."""
-    def read(values: np.ndarray) -> list[Fraction]:
-        return [Fraction(repr(x)) for x in values.tolist()]
+        return list(zip(read(self.mins), read(self.maxs), read(self.masses)))
 
-    return list(zip(read(law.mins), read(law.maxs), read(law.masses))), Fraction(repr(bound))
+    def lattice(self) -> tuple[Fraction, list[int], list[int]]:
+        """(h, mins / h, maxs / h): the step h is the gcd of the exact
+        endpoints, the largest rational of which each is an integer multiple
+        (1 where all are 0), so every hull sum is an integer multiple of h."""
+        ends = [v for lo, hi, _ in self.exact() for v in (lo, hi)]
+        den = math.lcm(*(v.denominator for v in ends))
+        ints = [v.numerator * (den // v.denominator) for v in ends]
+        g = math.gcd(*ints) or den
+        return Fraction(g, den), [v // g for v in ints[0::2]], [v // g for v in ints[1::2]]
+
+
+def side_moments(hulls: Sequence[tuple[Fraction, Fraction, Fraction]]
+                 ) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+    """(mean, variance) of the focal minimum and of the focal maximum,
+    exactly: centered sums over the (min, max, mass) hulls, the masses divided
+    by their sum."""
+    total = sum(m for _, _, m in hulls)
+    sides = []
+    for side in (0, 1):
+        mean = sum(hull[2] * hull[side] for hull in hulls) / total
+        sides.append((mean, sum(hull[2] * (hull[side] - mean) ** 2 for hull in hulls) / total))
+    return sides[0], sides[1]
 
 
 def _finalize(lower_mean: Fraction, upper_mean: Fraction, var_low: Fraction, var_up: Fraction,
@@ -112,13 +134,9 @@ def moments_by_enumeration(model: BeliefModel, allow_degenerate: bool = False) -
     Raises :class:`DegenerateVariance` when a variance is exactly 0 unless
     ``allow_degenerate`` is set, in which case ``rho`` is NaN.
     """
-    hulls, big_m = _exact(MinMaxLaw.from_model(model), model.bound)
-    total = sum(m for _, _, m in hulls)
-    lower_mean = sum(m * lo for lo, _, m in hulls) / total
-    upper_mean = sum(m * hi for _, hi, m in hulls) / total
-    var_low = sum(m * (lo - lower_mean) ** 2 for lo, _, m in hulls) / total
-    var_up = sum(m * (hi - upper_mean) ** 2 for _, hi, m in hulls) / total
-    cross = sum(m * lo * hi for lo, hi, m in hulls) / total
+    hulls, big_m = MinMaxLaw.from_model(model).exact(), Fraction(repr(model.bound))
+    (lower_mean, var_low), (upper_mean, var_up) = side_moments(hulls)
+    cross = sum(m * lo * hi for lo, hi, m in hulls) / sum(m for _, _, m in hulls)
     rho_prime = big_m**2 - big_m * upper_mean + big_m * lower_mean - cross
     return _finalize(lower_mean, upper_mean, var_low, var_up, cross, rho_prime,
                      allow_degenerate)
@@ -171,7 +189,7 @@ def moments_by_integration(model: BeliefModel, allow_degenerate: bool = False) -
     Sums the piecewise-constant integrands of the (min, max) law cell by
     cell, exactly.
     """
-    hulls, big_m = _exact(MinMaxLaw.from_model(model), model.bound)
+    hulls, big_m = MinMaxLaw.from_model(model).exact(), Fraction(repr(model.bound))
     mins, maxs, masses = zip(*hulls)
     lower_mean, raw2_low = _survival_integrals(mins, masses, big_m)
     upper_mean, raw2_up = _survival_integrals(maxs, masses, big_m)

@@ -17,7 +17,10 @@ Integer tallies merge associatively; results are bit-reproducible for a
 given (seed, plan) at any worker count.  A block draws the hull counts of
 its trials, which carry the same joint law of (S_min, S_max) as
 coordinate-by-coordinate sampling.  Each trial reduces to one event cell,
-and a block to one histogram of cells.  Where there are at most
+and a block to one histogram of cells.  On the law's lattice (every
+endpoint an integer multiple of a step h) a cell is two table lookups on
+the integer hull sums S/h, whose thresholds decide each event exactly,
+wherever those sums fit in int64 (``on_lattice``).  Where there are at most
 ``TABLE_MAX_VECTORS`` count vectors (``is_tabled``), the multinomial
 probabilities of every vector, summed per cell, give the exact law of one
 trial's cell (``_cell_law``), and a block's histogram is one multinomial
@@ -36,13 +39,14 @@ import warnings
 from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
 
 from .belief import BeliefModel
 from .errors import DegenerateVariance, as_real, as_real_pair
-from .moments import ChoquetMoments, MinMaxLaw
+from .moments import ChoquetMoments, MinMaxLaw, side_moments
 
 _KEY_DOMAIN = np.uint64(0x9E3779B97F4A7C15)
 _CTR_BLOCK = np.uint64(1)
@@ -223,8 +227,9 @@ def _hull_sums(columns: Sequence[np.ndarray], law: MinMaxLaw) -> tuple[np.ndarra
     """(S_min, S_max) of count vectors given as one column per hull.
 
     A multiply-accumulate in hull order; both sampling paths use it, so
-    equal counts give equal bits.  A matrix product would start BLAS
-    threads in every pool worker.
+    equal counts give equal bits: exact int64 sums on a lattice law of
+    integer endpoints, float sums on a float law.  A matrix product would
+    start BLAS threads in every pool worker.
     """
     s_min = columns[0] * law.mins[0]
     s_max = columns[0] * law.maxs[0]
@@ -349,6 +354,115 @@ def is_tabled(law: MinMaxLaw, n: int) -> bool:
     return math.comb(n + k - 1, k - 1) <= TABLE_MAX_VECTORS
 
 
+def _exact_bounds(a: Fraction, center: Fraction, spread: Fraction) -> tuple[int, int]:
+    """(ceil(t), floor(t) + 1) for t = center + a*sqrt(spread), spread > 0,
+    in exact integer arithmetic."""
+    p, q = a.as_integer_ratio()
+    cn, cd = center.as_integer_ratio()
+    sn, sd = spread.as_integer_ratio()
+    s = (p > 0) - (p < 0)
+    # with d = m - center = dn/cd: d**2 - a**2*spread has the sign of
+    # dn**2*q**2*sd - p**2*sn*cd**2
+    scale, offset = q * q * sd, p * p * sn * cd * cd
+
+    def side(m: int) -> int:
+        """The sign of m - t."""
+        dn = m * cd - cn
+        if s * dn <= 0:
+            return -s if s else (dn > 0) - (dn < 0)
+        return s * ((dn * dn * scale > offset) - (dn * dn * scale < offset))
+
+    # integer roots put t in (m - 1, m + 2), so in (m' - 1, m' + 1) for
+    # m' = m if t < m + 1, else m + 1
+    m = cn // cd + s * math.isqrt(p * p * sn // (q * q * sd))
+    if side(m + 1) <= 0:
+        m += 1
+    c = side(m)
+    return m + (c < 0), m + (c <= 0)
+
+
+def _lattice_bounds(alphas: np.ndarray, mean: Fraction, var: Fraction, step: Fraction,
+                    n: int, reach: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """(ge, gt) on the lattice of one statistic at n, as int64 arrays: per
+    alpha, read as the decimal it spells, the least integer L = S/h with
+    a <= T and with a < T, T = (L*h - n*mean)/sqrt(n*var), in exact integer
+    arithmetic (``_exact_bounds``), clipped to [lo, hi + 1] for the
+    reachable L in ``reach`` = [lo, hi]."""
+    center, spread = n * mean / step, n * var / step**2
+    lo, hi = reach
+    ge, gt = [], []
+    for a in alphas.tolist():
+        if math.isinf(a):
+            bounds = (hi + 1, hi + 1) if a > 0 else (lo, lo)
+        else:
+            bounds = _exact_bounds(Fraction(repr(a)), center, spread)
+        ge.append(min(max(bounds[0], lo), hi + 1))
+        gt.append(min(max(bounds[1], lo), hi + 1))
+    return np.array(ge, dtype=np.int64), np.array(gt, dtype=np.int64)
+
+
+def _float_bounds(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ge, gt) of the float statistics T themselves: a <= T is a <= T, and
+    a < T is nextafter(a, inf) <= T, or NaN <= T (never) for a = inf."""
+    return alphas, np.where(alphas < math.inf, np.nextafter(alphas, math.inf), math.nan)
+
+
+def _rank_function(bounds: np.ndarray, weight: int,
+                   dtype: np.dtype) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> weight * #(b <= x for b in ``bounds``), in ``dtype``.
+
+    Integer bounds (the lattice's, for int64 x) read it from a table of its
+    values over [min(bounds) - 1, max(bounds)], to which x is clipped in
+    place, wherever that span has at most ``TABLE_MAX_VECTORS`` entries.
+    """
+    def ranks(x: np.ndarray) -> np.ndarray:
+        rank = np.zeros(x.shape, dtype=dtype)
+        for b in bounds:
+            rank += b <= x
+        rank *= weight
+        return rank
+
+    if bounds.dtype.kind != "i":
+        return ranks
+    lo, hi = min(bounds.tolist(), default=1) - 1, max(bounds.tolist(), default=0)
+    if hi - lo >= TABLE_MAX_VECTORS:
+        return ranks
+    table = ranks(np.arange(lo, hi + 1, dtype=np.int64))
+
+    def lookup(x: np.ndarray) -> np.ndarray:
+        np.clip(x, lo, hi, out=x)
+        x -= lo
+        return table.take(x)
+    return lookup
+
+
+def on_lattice(lattice: tuple[Fraction, Sequence[int], Sequence[int]], n: int) -> bool:
+    """Whether the hull sums at n are exact int64 integers S/h on the
+    lattice (h, mins/h, maxs/h) of ``MinMaxLaw.lattice``: n * max|v/h|, with
+    one to spare for the bounds past the reachable sums, fits in int64.
+    Endpoints of many significant digits, or of very different magnitudes,
+    miss it beyond a small n."""
+    _, mins, maxs = lattice
+    return n * max(map(abs, [*mins, *maxs])) < 2**63 - 1
+
+
+@dataclass(frozen=True, eq=False)
+class _Statistics:
+    """What the cells read of a law, once per estimate: the law, its
+    lattice (``MinMaxLaw.lattice``), the exact (mean, variance) of its
+    focal minimum and maximum (``side_moments``), and the float moments
+    that normalize the sums off the lattice."""
+
+    law: MinMaxLaw
+    lattice: tuple[Fraction, list[int], list[int]]
+    sides: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
+    moments: ChoquetMoments
+
+    @classmethod
+    def of(cls, law: MinMaxLaw, moments: ChoquetMoments) -> "_Statistics":
+        return cls(law, law.lattice(), side_moments(law.exact()), moments)
+
+
 @dataclass(frozen=True, eq=False)
 class _EventCells:
     """The events of a plan, tallied through one joint histogram of ranks.
@@ -393,16 +507,56 @@ class _EventCells:
         """The number of cells."""
         return (len(self.low) + 1) * (2 * len(self.up) + 1)
 
-    def cells(self, t_low: np.ndarray, t_up: np.ndarray) -> np.ndarray:
-        """Cell of each trial, in the smallest unsigned type that holds it."""
-        cell = np.zeros(t_low.shape, dtype=np.min_scalar_type(self.size - 1))
-        for a in self.low:
-            cell += a <= t_low
-        cell *= 2 * len(self.up) + 1
-        for a in self.up:
-            cell += a < t_up
-            cell += a <= t_up
-        return cell
+    def cell_function(self, low: tuple[np.ndarray, np.ndarray],
+                      up: tuple[np.ndarray, np.ndarray]
+                      ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """(x_low, x_up) -> cell of each trial, in the smallest unsigned type
+        that holds it; x_low and x_up may be changed in place.  ``low`` and
+        ``up`` hold (ge, gt) of the grids ``low`` and ``up``: per alpha, the
+        least statistic x with a <= T and with a < T.  The low rank counts
+        the a <= T_low, the up rank the a < T_up and the a <= T_up."""
+        dtype = np.min_scalar_type(self.size - 1)
+        low_rank = _rank_function(low[0], 2 * len(self.up) + 1, dtype)
+        up_rank = _rank_function(np.concatenate(up[::-1]), 1, dtype)
+
+        def cells(x_low: np.ndarray, x_up: np.ndarray) -> np.ndarray:
+            cell = low_rank(x_low)
+            cell += up_rank(x_up)
+            return cell
+        return cells
+
+    def at(self, stats: _Statistics,
+           n: int) -> tuple[MinMaxLaw, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
+        """(sums law, cell of each trial from its hull sums over it) at n.
+
+        On the lattice at n (``on_lattice``) the sums law holds the
+        endpoints as the integers v/h, so its hull sums are the exact
+        integers S/h, and the cells compare them with integer thresholds
+        from the law's exact means and variances (``_lattice_bounds``).
+        Else the sums are float and normalized in place to
+        T = (S - n*mean)/(sqrt(n)*sd) with the float moments, which rounds:
+        a trial within an ulp or so of a threshold may fall on either side
+        of it.
+        """
+        step, mins, maxs = stats.lattice
+        if on_lattice(stats.lattice, n):
+            low, up = (_lattice_bounds(alphas, mean, var, step, n, (n * min(ends), n * max(ends)))
+                       for alphas, ends, (mean, var)
+                       in zip((self.low, self.up), (mins, maxs), stats.sides))
+            lattice = MinMaxLaw(np.array(mins, dtype=np.int64), np.array(maxs, dtype=np.int64),
+                                stats.law.masses)
+            return lattice, self.cell_function(low, up)
+
+        cells = self.cell_function(_float_bounds(self.low), _float_bounds(self.up))
+        moments, root = stats.moments, math.sqrt(n)
+
+        def normalized_cells(s_min: np.ndarray, s_max: np.ndarray) -> np.ndarray:
+            s_min -= n * moments.lower_mean
+            s_min /= root * moments.lower_sd
+            s_max -= n * moments.upper_mean
+            s_max /= root * moments.upper_sd
+            return cells(s_min, s_max)
+        return stats.law, normalized_cells
 
     def counts(self, histogram: np.ndarray) -> np.ndarray:
         """Event counts in plan order: lower, upper, then two-sided; of a
@@ -415,20 +569,8 @@ class _EventCells:
         return tail[self.rows, self.cols]
 
 
-def _normalized_cells(events: _EventCells, moments: ChoquetMoments, n: int,
-                      s_min: np.ndarray, s_max: np.ndarray) -> np.ndarray:
-    """Cells of trials from their hull sums, which it normalizes in place to
-    T = (S - n*mean)/(sqrt(n)*sd)."""
-    root = math.sqrt(n)
-    s_min -= n * moments.lower_mean
-    s_min /= root * moments.lower_sd
-    s_max -= n * moments.upper_mean
-    s_max /= root * moments.upper_sd
-    return events.cells(s_min, s_max)
-
-
-def _tally_run(seed: int, reps: int, law: MinMaxLaw, moments: ChoquetMoments,
-               events: _EventCells, run: tuple[int, range]) -> tuple[int, np.ndarray]:
+def _tally_run(seed: int, reps: int, stats: _Statistics, events: _EventCells,
+               run: tuple[int, range]) -> tuple[int, np.ndarray]:
     """(n, cell histogram) of a run of consecutive blocks of one n.
 
     A tabled n draws each block as one multinomial over its cell law, any
@@ -436,7 +578,7 @@ def _tally_run(seed: int, reps: int, law: MinMaxLaw, moments: ChoquetMoments,
     so no table outlives the draws it serves.
     """
     n, blocks = run
-    cell_of = partial(_normalized_cells, events, moments, n)
+    law, cell_of = events.at(stats, n)
     streams = ((_block_stream(seed, n, b), min(BLOCK_SIZE, reps - b * BLOCK_SIZE))
                for b in blocks)
     if is_tabled(law, n):
@@ -460,7 +602,17 @@ def estimate_events(
 
     - ``one_sided_lower``: T_low >= alpha1,
     - ``one_sided_upper``: T_up < alpha1,
-    - ``two_sided``: alpha1 <= T_low and T_up <= alpha2.
+    - ``two_sided``: alpha1 <= T_low and T_up <= alpha2,
+
+    decided in exact arithmetic at every n on the law's lattice
+    (``on_lattice``): the law, its means and variances and each alpha read
+    as the decimals their floats spell, the sums as the integers S/h.  At
+    any n where n * max|v/h| >= 2**63 - 1, typical for endpoints with many
+    significant digits, the sums are float and normalized with ``moments``,
+    whose rounding may put a trial within an ulp or so of a threshold on
+    either side of it.
+    ``moments`` must be ``moments_by_enumeration(plan.model)``; a variance
+    of 0 raises DegenerateVariance.
 
     Frequencies are counts over exactly ``plan.reps`` independent trials per
     n, bit-reproducible for a given (seed, plan) at any worker count.
@@ -472,8 +624,8 @@ def estimate_events(
         )
     workers = resolve_workers(workers)
     events = _EventCells.build(plan.alpha_one_sided, plan.alpha_two_sided)
-    tally = partial(_tally_run, plan.seed, plan.reps, MinMaxLaw.from_model(plan.model),
-                    moments, events)
+    tally = partial(_tally_run, plan.seed, plan.reps,
+                    _Statistics.of(MinMaxLaw.from_model(plan.model), moments), events)
     # each n's blocks cut into at most one run per worker; a run builds its
     # cell law or root window once
     n_blocks = -(-plan.reps // BLOCK_SIZE)

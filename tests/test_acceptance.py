@@ -75,7 +75,7 @@ def test_criterion_01_moment_route_equivalence():
             worst = max(worst, abs(a - b))
     elapsed = time.time() - t0
     _line(1, "moment route equivalence",
-          worst <= 1e-10 and elapsed < 10.0,
+          worst == 0 and elapsed < 10.0,
           f"200 models, max field gap {worst:.2e}, {elapsed:.1f}s")
 
 
@@ -101,7 +101,7 @@ def test_criterion_03_m_invariance(special_rows):
     rows = _rows(special_rows, "m_invariance_")
     worst = max(r.deviation for r in rows)
     ok = (len(rows) == len(MODEL_REGISTRY) and all(r.passed for r in rows)
-          and worst <= 1e-10)
+          and worst == 0)
     _line(3, "bound invariance of rho", ok,
           f"{len(rows)} models, max |rho(M) - rho(M+1)| = {worst:.2e}")
 

@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from beliefclt import (MODEL_REGISTRY, bvn_cdf, cli, montecarlo, save_model, save_plan, SimPlan,
-                       bernoulli_model)
+from beliefclt import (MODEL_REGISTRY, BeliefModel, FocalElement, bvn_cdf, cli, montecarlo,
+                       save_model, save_plan, SimPlan, bernoulli_model)
 from beliefclt.cli import build_parser, main
 from beliefclt.modelio import REPORT_SCHEMA, emit_csv
 
@@ -140,6 +140,31 @@ class TestSimulate:
         assert "run_id=" in joined
         # three hulls: comb(n + 2, 2) is 153 at n = 16 and 2145 at n = 64
         assert "block_size=16384 table_max_vectors=65536 tabled_n=[16, 64]" in joined
+        # the endpoints 0 and 1 put every hull sum on the integers
+        assert "tabled_n=[16, 64] lattice_h=1 lattice_n=[16, 64]" in joined
+
+    def test_lattice_n_names_the_n_of_exact_sums(self, tmp_path, caplog, monkeypatch):
+        # the step 1e-18 makes the endpoint 1 the integer 10**18: n * 10**18
+        # fits in int64 at n = 8, not at n = 16, where the sums stay float
+        model = BeliefModel([(FocalElement([(0.0, 1.0)]), 0.5),
+                             (FocalElement([(1e-18, 1e-18)]), 0.2),
+                             (FocalElement([(0.0, 0.0)]), 0.3)], 1.0)
+        plan = SimPlan(model, n_values=(8, 16), reps=100, seed=3,
+                       alpha_one_sided=(0.0,), alpha_two_sided=())
+        save_plan(plan, tmp_path / "p.plan", tmp_path / "p.model")
+        monkeypatch.setenv("BELIEFCLT_WORKERS", "1")
+        bounds, exact = montecarlo._lattice_bounds, []
+
+        def recording_bounds(alphas, mean, var, step, n, reach):
+            exact.append(n)
+            return bounds(alphas, mean, var, step, n, reach)
+
+        monkeypatch.setattr(montecarlo, "_lattice_bounds", recording_bounds)
+        with caplog.at_level("INFO", logger="beliefclt"):
+            main(["simulate", str(tmp_path / "p.plan"), "--out-dir", str(tmp_path / "x")])
+        joined = " ".join(rec.message for rec in caplog.records)
+        assert "lattice_h=1/1000000000000000000 lattice_n=[8]" in joined
+        assert exact == [8, 8]  # one call per side, at n = 8 only
 
     def test_tabled_n_follows_the_table_size_rule(self, plan_file, tmp_path, caplog,
                                                   monkeypatch):

@@ -165,6 +165,25 @@ class TestVerification:
         assert devs[1024] < devs[16]
 
 
+def test_each_limit_is_computed_once_per_event(monkeypatch, coin_reports):
+    """One limit per distinct (kind, alpha1, alpha2), shared by every n of
+    the plan; the rows are those of one limit per row."""
+    from beliefclt import harness
+
+    _, two, sim, mom, plan = coin_reports
+    calls = []
+    real = harness.two_sided_limit
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "two_sided_limit", counted)
+    assert two_sided_report(sim, mom, plan).rows == two.rows
+    assert len(calls) == len(set(calls)) == len(plan.alpha_two_sided)
+    assert len(two.rows) == len(plan.n_values) * len(plan.alpha_two_sided)
+
+
 def test_special_cases_report_all_pass():
     rep = special_cases_report()
     assert rep.passed

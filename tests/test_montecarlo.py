@@ -22,6 +22,7 @@ from beliefclt import (
     plausibility,
 )
 from beliefclt import montecarlo
+from beliefclt.modelio import parse_model
 from beliefclt.moments import MinMaxLaw
 from beliefclt.montecarlo import (
     BLOCK_SIZE,
@@ -34,11 +35,13 @@ from beliefclt.montecarlo import (
     _binomial_window,
     _cell_law,
     _EventCells,
+    _float_bounds,
     _hull_sums,
+    _lattice_bounds,
     _multinomial_pmf,
-    _normalized_cells,
     _shares,
     _split_counts,
+    _Statistics,
     default_alpha_pairs,
     is_tabled,
     resolve_workers,
@@ -64,17 +67,21 @@ def _tree_root(law, n):
     return _binomial_window(n, *_shares(law.masses, 0, len(law.masses)))
 
 
-def _draw_sums(seed, n, block_index, size, law):
-    """(S_min, S_max) of one block's trials, drawn as the estimator draws
-    them: a tabled n draws one multinomial over the cell law of its count
-    vectors, any other n takes the split tree's counts."""
+def _draw_counts(seed, n, block_index, size, law):
+    """Hull counts of one block's trials, one column per hull, drawn as the
+    estimator draws them: a tabled n draws one multinomial over the cell law
+    of its count vectors, any other n takes the split tree's counts."""
     rng = _block_stream(seed, n, block_index)
     if not is_tabled(law, n):
-        return _hull_sums(_split_counts(law, n, _tree_root(law, n), rng, size), law)
+        return _split_counts(law, n, _tree_root(law, n), rng, size)
     p_cell = _vector_law(law, n)
-    s_min, s_max = _hull_sums(_count_vectors(n, len(law.masses)), law)
     index = np.repeat(np.arange(len(p_cell)), rng.multinomial(size, p_cell))
-    return s_min[index], s_max[index]
+    return [c[index] for c in _count_vectors(n, len(law.masses))]
+
+
+def _draw_sums(seed, n, block_index, size, law):
+    """(S_min, S_max) of one block's trials, from ``_draw_counts``."""
+    return _hull_sums(_draw_counts(seed, n, block_index, size, law), law)
 
 
 def _replay_root(rng, n, p, q, size):
@@ -397,12 +404,84 @@ def _brute_counts(t_low, t_up, alphas, pairs):
     return counts[:len(alphas)], counts[len(alphas):2 * len(alphas)], counts[2 * len(alphas):]
 
 
+def _float_cells(events, t_low, t_up):
+    """Cells of float statistics T, compared with the alphas themselves."""
+    cells = events.cell_function(_float_bounds(events.low), _float_bounds(events.up))
+    return cells(t_low, t_up)
+
+
+def _cells_at(events, law, mom, n):
+    """(sums law, cell function) of the estimator at (law, n)."""
+    return events.at(_Statistics.of(law, mom), n)
+
+
+def _exact_sides(law):
+    """(endpoints, mean, variance) of the focal minimum and of the focal
+    maximum, every float of the law read as the decimal it spells."""
+    def read(values):
+        return [Fraction(repr(x)) for x in values.tolist()]
+
+    masses = read(law.masses)
+    total = sum(masses)
+    sides = []
+    for ends in (read(law.mins), read(law.maxs)):
+        mean = sum(m * e for m, e in zip(masses, ends)) / total
+        sides.append((ends, mean, sum(m * (e - mean) ** 2 for m, e in zip(masses, ends)) / total))
+    return sides
+
+
+def _at_least(x, a, nv):
+    """Whether x >= a * sqrt(nv), exactly, for rationals x, a and nv > 0."""
+    if (x >= 0) != (a > 0):
+        return x >= 0
+    return x * x >= a * a * nv if x >= 0 else x * x <= a * a * nv
+
+
+def _alpha_le(a, x, nv):
+    """Whether a <= T for T = x / sqrt(nv)."""
+    return a < 0 if math.isinf(a) else _at_least(x, Fraction(repr(a)), nv)
+
+
+def _le_alpha(a, x, nv):
+    """Whether T <= a for T = x / sqrt(nv)."""
+    return a > 0 if math.isinf(a) else _at_least(-x, -Fraction(repr(a)), nv)
+
+
+def _exact_events(columns, law, n, alphas, pairs):
+    """Whether each trial, given by its hull counts, is in each event, one
+    row per event in plan order, decided in rationals: T = (S - n*mean) /
+    sqrt(n*var) from the exact sum S and the exact mean and variance, each
+    distinct sum once."""
+    verdicts = []
+    for ends, mean, var in _exact_sides(law):
+        scale = math.lcm(*(e.denominator for e in ends))
+        sums = sum(np.asarray(c, dtype=np.int64) * int(e * scale) for c, e in zip(columns, ends))
+        values, inverse = np.unique(sums, return_inverse=True)
+        x = [Fraction(v, scale) - n * mean for v in values.tolist()]
+
+        def verdict(test, a, x=x, nv=n * var, inverse=inverse):
+            return np.array([test(a, v, nv) for v in x], dtype=bool)[inverse]
+        verdicts.append(verdict)
+    low, up = verdicts
+    rows = ([low(_alpha_le, a) for a in alphas] + [~up(_alpha_le, a) for a in alphas]
+            + [low(_alpha_le, a1) & up(_le_alpha, a2) for a1, a2 in pairs])
+    return np.array(rows, dtype=bool).reshape(len(rows), len(columns[0]))
+
+
 LATTICE = tuple(0.25 * i for i in range(-10, 11))
 _thresholds = st.one_of(
     st.sampled_from(LATTICE),
     st.floats(-4.0, 4.0),
     st.sampled_from((0.0, -0.0, math.inf, -math.inf)),
 )
+
+
+def _looped(events, low, up):
+    """The cell function of integer bounds by one comparison per bound,
+    never tabled: the bounds and the statistics as floats."""
+    cells = events.cell_function(*(tuple(np.asarray(b, dtype=float) for b in side)
+                                   for side in (low, up)))
+    return lambda x_low, x_up: cells(x_low.astype(float), x_up.astype(float))
 
 
 class TestEventCells:
@@ -425,7 +504,7 @@ class TestEventCells:
         cut = data.draw(st.integers(0, size))
 
         events = _EventCells.build(alphas, pairs)
-        cells = events.cells(t_low, t_up)
+        cells = _float_cells(events, t_low, t_up)
         assert cells.dtype == np.min_scalar_type(events.size - 1)
         assert np.all(cells < events.size)
         histogram = (np.bincount(cells[:cut], minlength=events.size)
@@ -433,50 +512,106 @@ class TestEventCells:
         lower, upper, two = _brute_counts(t_low, t_up, alphas, pairs)
         assert events.counts(histogram).tolist() == lower + upper + two
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rank_tables_are_the_comparison_loop(self, data):
+        # integer bounds, duplicated or out of order, and integer sums on
+        # both sides of their span: the tables give the loop's cells
+        bound = st.integers(-20, 20)
+        events = _EventCells.build(data.draw(st.lists(st.floats(-3, 3), max_size=6)),
+                                   data.draw(st.lists(st.tuples(st.floats(-3, 3),
+                                                                st.floats(-3, 3)), max_size=6)))
+        low, up = ([np.array(data.draw(st.lists(bound, min_size=len(grid), max_size=len(grid))),
+                             dtype=np.int64) for _ in range(2)]
+                   for grid in (events.low, events.up))
+        size = data.draw(st.integers(0, 30))
+        sums = [np.array(data.draw(st.lists(st.integers(-30, 30), min_size=size,
+                                            max_size=size)), dtype=np.int64)
+                for _ in range(2)]
+        loop = _looped(events, low, up)(*sums)
+        tabled = events.cell_function(low, up)(*(s.copy() for s in sums))
+        assert tabled.dtype == loop.dtype and np.array_equal(tabled, loop)
+
+    def test_span_beyond_the_limit_is_not_tabled(self, monkeypatch):
+        # a span of max - min + 2 = 6 entries: tabled at a limit of 6, and
+        # compared bound by bound, leaving the sums as they are, at 5
+        events = _EventCells.build([0.0, 1.0], [])
+        low = np.array([3, 7], dtype=np.int64), np.array([4, 7], dtype=np.int64)
+        up = np.array([2, 5], dtype=np.int64), np.array([3, 6], dtype=np.int64)
+        sums = np.arange(-2, 12, dtype=np.int64)
+        want = _looped(events, low, up)(sums, sums)
+        for limit, clipped in ((6, True), (5, False)):
+            monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", limit)
+            x_low, x_up = sums.copy(), sums.copy()
+            assert np.array_equal(events.cell_function(low, up)(x_low, x_up), want)
+            assert np.array_equal(x_low, sums) != clipped
+
     def test_empty_grids(self):
         events = _EventCells.build((), ())
         assert events.size == 1
-        histogram = np.bincount(events.cells(np.zeros(5), np.ones(5)))
+        histogram = np.bincount(_float_cells(events, np.zeros(5), np.ones(5)))
         assert histogram.tolist() == [5]
         assert len(events.counts(histogram)) == 0
+        none = np.array([], dtype=np.int64)
+        lattice = events.cell_function((none, none), (none, none))
+        assert lattice(np.arange(5), np.arange(5)).tolist() == [0] * 5
+
+
+@given(a=st.one_of(_thresholds, st.floats(-1e3, 1e3)),
+       mean=st.fractions(-3, 3, max_denominator=20),
+       var=st.one_of(st.fractions(Fraction(1, 20), 4, max_denominator=20),
+                     st.sampled_from((Fraction(1, 4), Fraction(1), Fraction(9, 4)))),
+       step=st.sampled_from((Fraction(1), Fraction(1, 2), Fraction(1, 10), Fraction(1, 10**6))),
+       n=st.one_of(st.integers(1, 100), st.sampled_from((16, 64, 10**6, 2**40))))
+@settings(max_examples=300, deadline=None)
+def test_lattice_bounds_are_the_least_sums(a, mean, var, step, n):
+    # many (n, var, a) put n * mean / h or a * sqrt(n * var) / h on an
+    # integer, and n = 2**40 at the step 1e-6 puts the bounds past 2**53
+    reach = (-4 * 10**18, 4 * 10**18)
+
+    def least(test):
+        lo, hi = reach[0] - 1, reach[1] + 1  # test(hi) holds, test(lo) does not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if test(mid * step - n * mean) else (mid, hi)
+        return hi
+
+    want = ([least(lambda x: _alpha_le(a, x, n * var))],
+            [least(lambda x: not _le_alpha(a, x, n * var))])
+    got = _lattice_bounds(np.array([a]), mean, var, step, n, reach)
+    assert all(b.dtype == np.int64 for b in got)
+    assert tuple(b.tolist() for b in got) == want
 
 
 def _reference_estimate(plan, mom):
     """Replays the estimator's block draws, without its tally, and counts
-    every event by brute force.
+    every event in exact rationals.
 
-    An untabled n replays its trials' hull sums.  A tabled n replays each
+    An untabled n replays its trials' hull counts.  A tabled n replays each
     block as one multinomial over the cell law; every count vector is tested
     against every event, the vectors of one cell must agree, and each draw
     of a cell counts towards the events of its vectors.
     """
     law = MinMaxLaw.from_model(plan.model)
     events = _EventCells.build(plan.alpha_one_sided, plan.alpha_two_sided)
+    exact = partial(_exact_events, alphas=plan.alpha_one_sided, pairs=plan.alpha_two_sided)
     counts = {}
     for n in plan.n_values:
-        root = math.sqrt(n)
-
-        def normalized(s_min, s_max):
-            return ((s_min - n * mom.lower_mean) / (root * mom.lower_sd),
-                    (s_max - n * mom.upper_mean) / (root * mom.upper_sd))
-
         blocks = [(b, min(BLOCK_SIZE, plan.reps - start))
                   for b, start in enumerate(range(0, plan.reps, BLOCK_SIZE))]
-        cell_of = partial(_normalized_cells, events, mom, n)
         if not is_tabled(law, n):
-            sums = [normalized(*_draw_sums(plan.seed, n, b, size, law)) for b, size in blocks]
-            t_low, t_up = (np.concatenate(t) for t in zip(*sums))
-            in_event = _brute_events(t_low, t_up, plan.alpha_one_sided, plan.alpha_two_sided)
-            counts[n] = in_event.sum(axis=1).tolist()
+            drawn = [_draw_counts(plan.seed, n, b, size, law) for b, size in blocks]
+            columns = [np.concatenate(c) for c in zip(*drawn)]
+            counts[n] = exact(columns, law, n).sum(axis=1).tolist()
             continue
         vectors = _count_vectors(n, len(law.masses))
-        in_event = _brute_events(*normalized(*_hull_sums(vectors, law)),
-                                 plan.alpha_one_sided, plan.alpha_two_sided)
-        cells = cell_of(*_hull_sums(vectors, law))
+        in_event = exact(vectors, law, n)
+        sums_law, cell_of = _cells_at(events, law, mom, n)
+        cells = cell_of(*_hull_sums(vectors, sums_law))
         member = np.zeros((len(in_event), events.size), dtype=np.int64)
         member[:, cells] = in_event
         assert np.array_equal(member[:, cells], in_event)  # one cell, one set of events
-        p_cell = _cell_law(law, n, cell_of, events.size)
+        p_cell = _cell_law(sums_law, n, cell_of, events.size)
         histogram = sum(_block_stream(plan.seed, n, b).multinomial(size, p_cell)
                         for b, size in blocks)
         counts[n] = (member @ histogram).tolist()
@@ -515,19 +650,18 @@ def _check_against_reference(model_name, alphas, pairs, reps):
 
 @pytest.mark.parametrize("flipped", [None, "low", "up"])
 def test_brute_force_reference_catches_a_flipped_operator(monkeypatch, flipped):
-    """``<=`` read as ``<`` on one side of ``_EventCells.cells`` drops the
+    """``<=`` read as ``<`` on one side of ``_EventCells.cell_function``
+    (the least sum with a < T where the operator asks for a <= T) drops the
     ties at coin's lattice points; a copy with no flip passes."""
-    def cells(self, t_low, t_up):
-        cell = np.zeros(t_low.shape, dtype=np.min_scalar_type(self.size - 1))
-        for a in self.low:
-            cell += (a < t_low) if flipped == "low" else (a <= t_low)
-        cell *= 2 * len(self.up) + 1
-        for a in self.up:
-            cell += a < t_up
-            cell += (a < t_up) if flipped == "up" else (a <= t_up)
-        return cell
+    def cell_function(self, low, up):
+        dtype = np.min_scalar_type(self.size - 1)
+        low_rank = montecarlo._rank_function(low[1] if flipped == "low" else low[0],
+                                             2 * len(self.up) + 1, dtype)
+        up_rank = montecarlo._rank_function(
+            np.concatenate((up[1], up[1] if flipped == "up" else up[0])), 1, dtype)
+        return lambda x_low, x_up: low_rank(x_low) + up_rank(x_up)
 
-    monkeypatch.setattr(_EventCells, "cells", cells)
+    monkeypatch.setattr(_EventCells, "cell_function", cell_function)
     check = partial(_check_against_reference, "coin", [0.0, 0.5], [(0.0, 0.0), (-0.5, 0.5)], 500)
     if flipped is None:
         check()
@@ -691,6 +825,18 @@ def _exact_cell_law(law, n, cell_of, length):
     return [p / total for p in probs]
 
 
+def _true_run(inside, n):
+    """(lo, hi): the c in [0, n] where ``inside``, monotone in c, holds,
+    by bisection; lo > hi where it holds nowhere."""
+    if inside(0) == inside(n):
+        return (0, n) if inside(0) else (1, 0)
+    lo, hi = 0, n  # inside(lo) != inside(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if inside(mid) == inside(0) else (lo, mid)
+    return (0, lo) if inside(0) else (hi, n)
+
+
 # the 21-point alpha grid of the dense_grid benchmark workload
 _DENSE_GRID = tuple(-2.5 + 0.25 * i for i in range(21))
 
@@ -702,7 +848,25 @@ def _model_cell_law(model, n, alphas=DEFAULT_ALPHA_GRID):
     the estimator's cell function."""
     law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
     events = _EventCells.build(alphas, default_alpha_pairs(alphas))
-    return events, _cell_law(law, n, partial(_normalized_cells, events, mom, n), events.size)
+    sums_law, cell_of = _cells_at(events, law, mom, n)
+    return events, _cell_law(sums_law, n, cell_of, events.size)
+
+
+def _check_block_histograms(name, n):
+    """Bonferroni z-test of the histogram of eight blocks, as the estimator
+    tallies them on the 21-point grid, against the cell law of this
+    module's own ``_cell_law`` import; cells with fewer than 20 expected
+    trials are pooled."""
+    model = MODEL_REGISTRY[name]
+    law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
+    events, p_cell = _model_cell_law(model, n, _DENSE_GRID)
+    assert is_tabled(law, n)
+    blocks = 8
+    reps = blocks * BLOCK_SIZE
+    _, histogram = montecarlo._tally_run(37, reps, _Statistics.of(law, mom), events,
+                                        (n, range(blocks)))
+    assert histogram.sum() == reps and not histogram[p_cell == 0].any()
+    _z_test(_pooled(p_cell, histogram, reps), reps, (name, n))
 
 
 class TestCellLaw:
@@ -728,8 +892,8 @@ class TestCellLaw:
         for n in range(1, 9):
             events, p_cell = _model_cell_law(model, n)
             assert is_tabled(law, n) and len(p_cell) == events.size
-            exact = _exact_cell_law(law, n, partial(_normalized_cells, events, mom, n),
-                                    events.size)
+            sums_law, cell_of = _cells_at(events, law, mom, n)
+            exact = _exact_cell_law(sums_law, n, cell_of, events.size)
             for p, want in zip(p_cell.tolist(), exact):
                 assert abs(Fraction(p) - want) <= Fraction(1, 10**12) * want, (n, p, want)
 
@@ -764,54 +928,49 @@ class TestCellLaw:
     @pytest.mark.parametrize("name, n", [("mixed", 16), ("mixed", 64), ("bernoulli", 16),
                                          ("bernoulli", 64), ("bernoulli", 256)])
     def test_block_histograms_follow_the_cell_law(self, name, n):
-        """Bonferroni z-test of eight summed block histograms on the
-        21-point grid against the cell law, at every tabled (law, n) of the
-        benchmark's plans; cells with fewer than 20 expected trials are
-        pooled."""
-        model = MODEL_REGISTRY[name]
-        events, p_cell = _model_cell_law(model, n, _DENSE_GRID)
-        assert is_tabled(MinMaxLaw.from_model(model), n)
-        blocks = 8
-        histogram = sum(_block_stream(37, n, b).multinomial(BLOCK_SIZE, p_cell)
-                        for b in range(blocks))
-        reps = blocks * BLOCK_SIZE
-        assert histogram.sum() == reps and not histogram[p_cell == 0].any()
-        _z_test(_pooled(p_cell, histogram, reps), reps, (name, n))
+        _check_block_histograms(name, n)
+
+    def test_block_histogram_test_catches_a_fault_in_the_sampled_law(self, monkeypatch):
+        # the sampler's copy of the cell law is off by +-10% per cell,
+        # renormalized; the oracle's copy is not
+        real = montecarlo._cell_law
+
+        def faulty(*args):
+            p_cell = real(*args) * np.where(np.arange(args[-1]) % 2, 0.9, 1.1)
+            return p_cell / p_cell.sum()
+
+        monkeypatch.setattr(montecarlo, "_cell_law", faulty)
+        for name, n in (("mixed", 16), ("bernoulli", 64)):
+            with pytest.raises(AssertionError):
+                _check_block_histograms(name, n)
 
     @pytest.mark.parametrize("name, n", [("coin", 20000), ("union_parts", 65535)])
     def test_two_hull_events_are_binomial_tails(self, name, n):
         """Exact P_n of each one-sided event, read from the cell law through
         the tally's prefix sums.  With two hulls the count vectors are
-        (c, n - c), so each event is the c on one side of the lattice
-        threshold where the float statistic crosses alpha: a tail of
-        Bin(n, m_0).  Log-factorials near lgamma(65536) ~ 6.6e5 keep about
+        (c, n - c), so each event is the c on one side of the lattice point
+        where the exact statistic crosses alpha (found by bisection): a tail
+        of Bin(n, m_0).  Log-factorials near lgamma(65536) ~ 6.6e5 keep about
         1e-10 relative per entry, which the normalization keeps out of the
         probabilities."""
         from scipy.stats import binom
 
         model = MODEL_REGISTRY[name]
-        law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
+        law = MinMaxLaw.from_model(model)
         events, p_cell = _model_cell_law(model, n)
         assert is_tabled(law, n)
         exact = events.counts(p_cell)
-        c = np.arange(n + 1, dtype=float)
-        root = math.sqrt(n)
-        t_low = (c * law.mins[0] + (n - c) * law.mins[1] - n * mom.lower_mean) / (
-            root * mom.lower_sd)
-        t_up = (c * law.maxs[0] + (n - c) * law.maxs[1] - n * mom.upper_mean) / (
-            root * mom.upper_sd)
         alphas = DEFAULT_ALPHA_GRID
-        for i, a in enumerate(alphas):
-            for got, inside in ((exact[i], t_low >= a), (exact[len(alphas) + i], t_up < a)):
-                (where,) = np.nonzero(inside)
-                if not where.size:
-                    want = 0.0
-                else:
-                    lo, hi = int(where[0]), int(where[-1])
-                    assert where.size == hi - lo + 1 and (lo == 0 or hi == n), (a, lo, hi)
-                    want = binom.cdf(hi, n, law.masses[0]) if lo == 0 else binom.sf(
-                        lo - 1, n, law.masses[0])
-                assert abs(got - want) <= 1e-11, (a, got, want)
+        for (ends, mean, var), offset, tests in zip(
+                _exact_sides(law), (0, len(alphas)),
+                (_alpha_le, lambda a, x, nv: not _alpha_le(a, x, nv))):
+            for i, a in enumerate(alphas):
+                def inside(c):
+                    return tests(a, c * ends[0] + (n - c) * ends[1] - n * mean, n * var)
+                lo, hi = _true_run(inside, n)
+                want = (0.0 if lo > hi else binom.cdf(hi, n, law.masses[0]) if lo == 0
+                        else binom.sf(lo - 1, n, law.masses[0]))
+                assert abs(exact[offset + i] - want) <= 1e-11, (a, exact[offset + i], want)
 
     def test_size_limit_picks_the_path(self, monkeypatch):
         # bernoulli has 3 hulls: comb(16 + 2, 2) = 153 count vectors at n = 16
@@ -855,12 +1014,42 @@ class TestCellLaw:
         assert counts[0] != counts[1] != counts[2] != counts[0]
         _z_test([(p, c) for row in counts for p, c in zip(exact, row)], plan.reps, "mixed")
 
-    def test_table_cells_match_multiply_accumulate_sums(self):
-        # the cell law sums the pmf over the cells of the pure-Python
-        # multiply-accumulate sums, normalized out of place; thresholds
-        # taken from those normalized sums put many vectors on exact ties,
-        # where one ulp in a sum or in the normalization moves the cell
+    def test_cells_settle_near_ties_exactly(self):
+        # thresholds taken from the float statistics of the count vectors
+        # put each of those vectors within an ulp or so of a threshold, and
+        # alpha = 0 at n = 20 exactly on one (20 * 0.155 = 3.1 is a lattice
+        # point of the step 1/10): the cells must hold the exact decisions
         model = _non_dyadic_model()
+        law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
+        assert law.lattice()[0] == Fraction(1, 10)
+        for n in (1, 3, 10, 20, 37):
+            columns = np.array(_compositions(n, 4), dtype=np.int64).T
+            s_min, s_max = _hull_sums(columns, law)
+            root = math.sqrt(n)
+            t_low = (s_min - n * mom.lower_mean) / (root * mom.lower_sd)
+            t_up = (s_max - n * mom.upper_mean) / (root * mom.upper_sd)
+            step = max(1, len(s_min) // 12)
+            alphas = t_low[::step].tolist() + t_up[::step].tolist() + [0.0]
+            pairs = list(zip(alphas, alphas[::-1]))
+            events = _EventCells.build(alphas, pairs)
+            sums_law, cell_of = _cells_at(events, law, mom, n)
+            assert sums_law.mins.dtype == np.int64
+            cells = cell_of(*_hull_sums(columns, sums_law))
+            member = np.array([events.counts(np.eye(events.size, dtype=np.int64)[c])
+                               for c in range(events.size)]).T
+            assert np.array_equal(member[:, cells], _exact_events(columns, law, n, alphas, pairs))
+            # the cell law sums the pmf over those cells
+            pmf = _multinomial_pmf(_count_vectors(n, 4), law.masses, n)
+            want = np.bincount(cells, weights=pmf, minlength=events.size)
+            assert np.array_equal(_cell_law(sums_law, n, cell_of, events.size), want / want.sum())
+
+    def test_table_cells_match_multiply_accumulate_sums(self):
+        # off the lattice the cell law sums the pmf over the cells of the
+        # pure-Python multiply-accumulate sums, normalized out of place;
+        # thresholds taken from those normalized sums put many vectors on
+        # exact ties, where one ulp in a sum or in the normalization moves
+        # the cell
+        model = _non_dyadic_float_model()
         law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
         assert len(law.masses) == 4
         for n in (1, 3, 10, 37):
@@ -880,9 +1069,10 @@ class TestCellLaw:
             step = max(1, len(vectors) // 12)
             alphas = t_low[::step].tolist() + t_up[::step].tolist()
             events = _EventCells.build(alphas, list(zip(alphas, alphas[::-1])))
-            p_cell = _cell_law(law, n, partial(_normalized_cells, events, mom, n),
-                               events.size)
-            expected = events.cells(t_low, t_up)
+            sums_law, cell_of = _cells_at(events, law, mom, n)
+            assert sums_law is law and is_tabled(law, n)
+            p_cell = _cell_law(law, n, cell_of, events.size)
+            expected = _float_cells(events, t_low, t_up)
             pmf = _multinomial_pmf(_count_vectors(n, 4), law.masses, n)
             want = np.bincount(expected, weights=pmf, minlength=events.size)
             assert np.array_equal(p_cell, want / want.sum())
@@ -891,6 +1081,48 @@ class TestCellLaw:
             int_sums = _hull_sums(np.array(vectors, dtype=np.int64).T, law)
             for got, want in zip(int_sums, sums):
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _non_dyadic_float_model():
+    # ``_non_dyadic_model`` with the endpoint 0.1 of its first hull moved to
+    # 1e-20: the step 1e-20 makes 0.7 the integer 7e19, past int64 at every
+    # n, so the hull sums stay float and round
+    return BeliefModel(
+        [(FocalElement([(1e-20, 0.3)]), 0.25),
+         (FocalElement([(0.2, 0.7)]), 0.35),
+         (FocalElement([(0.3, 0.3)]), 0.1),
+         (FocalElement([(0.1, 0.2), (0.3, 0.7)]), 0.3)], 1.0)
+
+
+def _overflow_model():
+    # the step 1e-18 makes the endpoint 1 the integer 10**18, so n * 10**18
+    # fits in int64 up to n = 9 only
+    return BeliefModel(
+        [(FocalElement([(0.0, 1.0)]), 0.5),
+         (FocalElement([(1e-18, 1e-18)]), 0.2),
+         (FocalElement([(0.0, 0.0)]), 0.3)], 1.0)
+
+
+def test_float_path_where_the_lattice_overflows_int64():
+    """Beyond int64 the sums stay float and are normalized by the float
+    moments, as the brute-force float comparisons read them."""
+    model = _overflow_model()
+    law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
+    alphas, pairs = (-1.0, 0.0, 0.5), ((-1.0, 1.0), (0.0, 0.5))
+    events = _EventCells.build(alphas, pairs)
+    assert _cells_at(events, law, mom, 9)[0].maxs.tolist() == [10**18, 1, 0]
+    assert _cells_at(events, law, mom, 10)[0] is law
+    plan = SimPlan(model, n_values=(400,), reps=BLOCK_SIZE + 99, seed=2,
+                   alpha_one_sided=alphas, alpha_two_sided=pairs)
+    assert not is_tabled(law, 400)
+    sim = estimate_events(plan, mom, workers=1)
+    sums = [_draw_sums(plan.seed, 400, b, size, law)
+            for b, size in ((0, BLOCK_SIZE), (1, 99))]
+    s_min, s_max = (np.concatenate(s) for s in zip(*sums))
+    t_low = (s_min - 400 * mom.lower_mean) / (20.0 * mom.lower_sd)
+    t_up = (s_max - 400 * mom.upper_mean) / (20.0 * mom.upper_sd)
+    lower, upper, two = _brute_counts(t_low, t_up, alphas, pairs)
+    assert [r.count for r in sim.rows] == lower + upper + two
 
 
 # integer endpoints, so hull sums are exact; masses with no mirror
@@ -987,31 +1219,47 @@ class TestSplitCounts:
         _z_test(_pooled(p, drawn, reps), reps, (k, root))
 
 
-def _bernoulli_exact_events(law, mom, n, alphas, pairs):
+def _least_sum(inside, n):
+    """The least s in [0, n] where ``inside``, false then true, holds, by
+    bisection; n + 1 where it holds nowhere."""
+    lo, hi = -1, n + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if inside(mid) else (mid, hi)
+    return hi
+
+
+def _bernoulli_exact_events(law, n, alphas, pairs):
     """Exact P_n of every plan event of ``bernoulli_model(p_low, p_high)``,
-    thresholds by the estimator's float expression.
+    with the exact lattice thresholds of the estimator's operators.
 
     Its hulls are {1}, {0} and [0, 1], so with (c1, c0) the counts of the
     first two, S_min = c1 ~ Bin(n, p_low) and S_max = n - c0 with
     c0 ~ Bin(n, q), q = 1 - p_high.  T_low and T_up increase with the sums,
     so a one-sided event is one binomial tail; a two-sided event sums over
-    c1 >= k1 the tail of c0 given c1, Bin(n - c1, q / (1 - p_low)).
+    c1 >= k1 the tail of c0 given c1, Bin(n - c1, q / (1 - p_low)).  The
+    thresholds are the least sums with a <= T or a < T, each found by
+    bisection on the exact statistic.
     """
     from scipy.stats import binom
 
     p_low, q, _ = (law.masses / law.masses.sum()).tolist()
-    s = np.arange(n + 1, dtype=float)
-    root = math.sqrt(n)
-    t_low = (s - n * mom.lower_mean) / (root * mom.lower_sd)
-    t_up = (s - n * mom.upper_mean) / (root * mom.upper_sd)
+    (_, mean_low, var_low), (_, mean_up, var_up) = _exact_sides(law)
+
+    def least(a, mean, var, strict=False):
+        test = (lambda s: not _le_alpha(a, s - n * mean, n * var)) if strict else (
+            lambda s: _alpha_le(a, s - n * mean, n * var))
+        return _least_sum(test, n)
+
     c1 = np.arange(n + 1)
     pmf_c1 = binom.pmf(c1, n, p_low)
-    lower = [binom.sf(np.count_nonzero(t_low < a) - 1, n, p_low) for a in alphas]
-    upper = [binom.sf(n - np.count_nonzero(t_up < a), n, q) for a in alphas]
+    lower = [binom.sf(least(a, mean_low, var_low) - 1, n, p_low) for a in alphas]
+    upper = [binom.sf(n - least(a, mean_up, var_up), n, q) for a in alphas]
     two = []
     for a1, a2 in pairs:
-        k1 = np.count_nonzero(t_low < a1)
-        tail = binom.sf(n - np.count_nonzero(t_up <= a2), n - c1[k1:], q / (1 - p_low))
+        k1 = least(a1, mean_low, var_low)
+        tail = binom.sf(n - least(a2, mean_up, var_up, strict=True), n - c1[k1:],
+                        q / (1 - p_low))
         two.append(float(pmf_c1[k1:] @ tail))
     return lower + upper + two
 
@@ -1031,7 +1279,7 @@ class TestBernoulliOracle:
         pairs = plan.alpha_two_sided
         for n in plan.n_values:
             assert not is_tabled(law, n)
-            exact = _bernoulli_exact_events(law, mom, n, plan.alpha_one_sided, pairs)
+            exact = _bernoulli_exact_events(law, n, plan.alpha_one_sided, pairs)
             counts = [r.count for r in sim.rows_for(n)]
             assert len(counts) == len(exact) == 2 * len(plan.alpha_one_sided) + len(pairs)
             _z_test(list(zip(exact, counts)), plan.reps, (p_low, p_high, n))
@@ -1039,6 +1287,32 @@ class TestBernoulliOracle:
     @pytest.mark.parametrize("p_low, p_high", [(0.3, 0.7), (0.1, 0.7)])
     def test_default_grid_matches_the_exact_law(self, p_low, p_high):
         self._check(p_low, p_high)
+
+    @pytest.mark.parametrize("n", [90, 1000])
+    def test_lattice_ties_keep_their_operators(self, n):
+        """belief 0.1 and plausibility 0.7 of {1}, spelled as a model file
+        spells them: the masses 0.1, 0.3 and 0.6 sum to 1 exactly, so
+        n * lower_mean = n/10 and n * upper_mean = 7n/10 are reachable sums,
+        atoms of about 0.13 and 0.09 at n = 90 (tabled) and of 0.04 and 0.03
+        at n = 1000 (untabled).  ``T_low >= 0`` holds them, ``T_up < 0`` does
+        not and ``T_up <= 0`` does.  (``bernoulli_model(0.1, 0.7)`` has no
+        such tie: its masses 0.1, 0.30000000000000004 and 0.6 sum to
+        1 + 4e-17.)  A float route that rounds 90 * 0.7 to 62.99999999999999
+        loses the upper atom from the two-sided row."""
+        from scipy.stats import binom
+
+        model = parse_model("M = 1\n"
+                            "focal = { parts = [[1, 1]], mass = 0.1 }\n"
+                            "focal = { parts = [[0, 0]], mass = 0.3 }\n"
+                            "focal = { parts = [[0, 1]], mass = 0.6 }\n")
+        plan = SimPlan(model, n_values=(n,), reps=200_000, seed=3,
+                       alpha_one_sided=(0.0,), alpha_two_sided=((-math.inf, 0.0),))
+        assert is_tabled(MinMaxLaw.from_model(model), n) == (n == 90)
+        counts = [r.count for r in estimate_events(plan, moments_by_enumeration(model)).rows]
+        # S_min = c1 ~ Bin(n, 0.1); S_max = n - c0 with c0 ~ Bin(n, 0.3)
+        exact = [binom.sf(n // 10 - 1, n, 0.1), binom.sf(3 * n // 10, n, 0.3),
+                 binom.sf(3 * n // 10 - 1, n, 0.3)]
+        _z_test(list(zip(exact, counts)), plan.reps, n)
 
     def test_catches_a_swapped_split_share(self, monkeypatch):
         # every split, the root's window included, takes the right share
