@@ -14,19 +14,22 @@ replications of each n into fixed-size blocks whose streams are a pure
 function of (seed, n, block), so any partition of blocks over any number
 of workers, and any plan that contains n, reproduces identical draws.
 Integer tallies merge associatively; results are bit-reproducible for a
-given (seed, plan) at any worker count.  A block draws the hull counts of
-its trials, which carry the same joint law of (S_min, S_max) as
-coordinate-by-coordinate sampling.  Each trial reduces to one event cell,
-and a block to one histogram of cells.  On the law's lattice (every
-endpoint an integer multiple of a step h) a cell is two table lookups on
-the integer hull sums S/h, whose thresholds decide each event exactly,
-wherever those sums fit in int64 (``on_lattice``).  Where there are at most
-``TABLE_MAX_VECTORS`` count vectors (``is_tabled``), the multinomial
-probabilities of every vector, summed per cell, give the exact law of one
-trial's cell (``_cell_law``), and a block's histogram is one multinomial
-draw over it, so no row is handled on its own.  Else a binary tree of
-binomial splits over the hulls draws the counts (``_split_counts``), its
-root split by one multinomial over a window of its binomial pmf.
+given (seed, plan) at any worker count.  The workers are threads of one
+process: numpy's binomial and multinomial draws release the GIL, so the
+draws of different runs overlap with no fork and nothing pickled.  A
+block draws the hull counts of its trials, which carry the same joint law
+of (S_min, S_max) as coordinate-by-coordinate sampling.  Each trial
+reduces to one event cell, and a block to one histogram of cells.  On
+the law's lattice (every endpoint an integer multiple of a step h) a
+cell is two table lookups on the integer hull sums S/h, whose thresholds
+decide each event exactly, wherever those sums fit in int64
+(``on_lattice``).  Where there are at most ``TABLE_MAX_VECTORS`` count
+vectors (``is_tabled``), the multinomial probabilities of every vector,
+summed per cell, give the exact law of one trial's cell (``_cell_law``),
+and a block's histogram is one multinomial draw over it, so no row is
+handled on its own.  Else a binary tree of binomial splits over the hulls
+draws the counts (``_split_counts``), its root split by one multinomial
+over a window of its binomial pmf.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numbers
 import os
 import warnings
 from collections.abc import Callable, Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -229,7 +232,8 @@ def _hull_sums(columns: Sequence[np.ndarray], law: MinMaxLaw) -> tuple[np.ndarra
     A multiply-accumulate in hull order; both sampling paths use it, so
     equal counts give equal bits: exact int64 sums on a lattice law of
     integer endpoints, float sums on a float law.  A matrix product would
-    start BLAS threads in every pool worker.
+    hand float sums to BLAS, whose own threads would compete with the
+    pool's threads for the cores.
     """
     s_min = columns[0] * law.mins[0]
     s_max = columns[0] * law.maxs[0]
@@ -460,7 +464,15 @@ class _Statistics:
 
     @classmethod
     def of(cls, law: MinMaxLaw, moments: ChoquetMoments) -> "_Statistics":
-        return cls(law, law.lattice(), side_moments(law.exact()), moments)
+        """ValueError where the means and sds of ``moments`` are not the
+        law's exact ones, rounded as ``moments`` rounds them."""
+        sides = side_moments(law.exact())
+        exact = tuple(float(mean) for mean, _ in sides) + tuple(math.sqrt(var) for _, var in sides)
+        given = (moments.lower_mean, moments.upper_mean, moments.lower_sd, moments.upper_sd)
+        if given != exact:
+            raise ValueError(f"moments with (means, sds) {given} are not those of the "
+                             f"plan's model, {exact}")
+        return cls(law, law.lattice(), sides, moments)
 
 
 @dataclass(frozen=True, eq=False)
@@ -612,10 +624,12 @@ def estimate_events(
     whose rounding may put a trial within an ulp or so of a threshold on
     either side of it.
     ``moments`` must be ``moments_by_enumeration(plan.model)``; a variance
-    of 0 raises DegenerateVariance.
+    of 0 raises DegenerateVariance, and means or sds of another model raise
+    ValueError.
 
     Frequencies are counts over exactly ``plan.reps`` independent trials per
-    n, bit-reproducible for a given (seed, plan) at any worker count.
+    n, bit-reproducible for a given (seed, plan) at any worker count.  The
+    runs of blocks go to a pool of up to ``workers`` threads.
     """
     if moments.lower_sd == 0.0 or moments.upper_sd == 0.0:
         raise DegenerateVariance(
@@ -633,16 +647,10 @@ def estimate_events(
     cuts = [p * n_blocks // parts for p in range(parts + 1)]
     runs = [(n, range(lo, hi)) for n in plan.n_values for lo, hi in zip(cuts, cuts[1:])]
 
-    # a pool starts all its workers at once, so it gets no more than runs
-    workers = min(workers, len(runs))
-    if workers == 1:
-        partials = map(tally, runs)
-    else:
-        executor = ProcessPoolExecutor(max_workers=workers)
-        try:
-            partials = list(executor.map(tally, runs))
-        finally:
-            executor.shutdown()
+    # a thread pool starts a thread per run only while none is idle, up to
+    # ``workers``; the draws release the GIL
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        partials = list(pool.map(tally, runs))
     histograms: dict[int, np.ndarray] = {}
     for n, histogram in partials:
         histograms[n] = histograms.get(n, 0) + histogram

@@ -1,8 +1,11 @@
-"""Shared generators for randomized model tests."""
+"""Shared generators for randomized model tests, and the environment of a
+subprocess that imports the package."""
 
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -27,3 +30,12 @@ def random_model(rng: np.random.Generator, max_focal: int = 50,
     bound = span + float(rng.uniform(0.0, 3.0))
     total = math.fsum(masses)
     return BeliefModel([(f, m / total) for f, m in zip(focal, masses)], bound)
+
+
+def package_env(**variables: str) -> dict[str, str]:
+    """This process's environment plus ``variables``, with the package's
+    ``src`` directory first on PYTHONPATH."""
+    env = {**os.environ, **variables}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env

@@ -2,6 +2,8 @@ import argparse
 import csv
 import hashlib
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +11,8 @@ from beliefclt import (MODEL_REGISTRY, BeliefModel, FocalElement, bvn_cdf, cli, 
                        save_model, save_plan, SimPlan, bernoulli_model)
 from beliefclt.cli import build_parser, main
 from beliefclt.modelio import REPORT_SCHEMA, emit_csv
+
+from _helpers import package_env
 
 BERN = bernoulli_model(0.3, 0.7)
 
@@ -262,6 +266,17 @@ class TestVerify:
         assert "Traceback" not in err
         err = err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: BELIEFCLT_WORKERS")
+
+    def test_runs_clean_in_dev_mode_with_warnings_as_errors(self, tmp_path):
+        # -X dev shows the DeprecationWarning that Python 3.12+ raises on a
+        # fork of a process with threads; -W error makes any warning fail
+        plan = SimPlan(MODEL_REGISTRY["mixed"], n_values=(16, 256), reps=40_000, seed=3)
+        save_plan(plan, tmp_path / "mixed.plan", tmp_path / "mixed.model")
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "beliefclt.cli",
+             "verify-two-sided", str(tmp_path / "mixed.plan"), "--out-dir", str(tmp_path)],
+            env=package_env(BELIEFCLT_WORKERS="2"), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestTextFormat:

@@ -1,6 +1,5 @@
 """Every demo script, and README's library quick start, runs to completion."""
 
-import os
 import re
 import subprocess
 import sys
@@ -8,15 +7,14 @@ from pathlib import Path
 
 import pytest
 
+from _helpers import package_env
+
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _run(args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=package_env(),
                           capture_output=True, text=True, timeout=120)
 
 

@@ -1,11 +1,15 @@
 """Every module-level import in the package's modules, the tests and the
-demos is used there, and every function, class and method of the package
-is named outside the tests."""
+demos is used there, every function, class and method of the package is
+named outside the tests, and importing the CLI starts no process machinery."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from _helpers import package_env
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "beliefclt"
@@ -82,3 +86,12 @@ def test_detects_an_unnamed_definition():
               "    def __init__(self): pass\n    def m(self): pass\n    def k(self): pass\n")
     users = "from a import f\nC().m()\n"
     assert _unnamed_definitions(source, _names(users)) == ["line 2: g", "line 6: k"]
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # the estimator's pool is threads, so nothing the CLI imports can fork
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, beliefclt.cli; print('multiprocessing' in sys.modules)"],
+        env=package_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

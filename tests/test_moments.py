@@ -350,8 +350,8 @@ def test_m_invariance_and_route_gate_catch_a_rho_prime_fault(monkeypatch):
     rows = m_invariance_suite()
     assert len(rows) == len(MODEL_REGISTRY)
     assert [r.experiment for r in rows if r.passed] == []
-    for name in ("coin", "two_interval", "bernoulli"):
-        assert not _routes_agree(MODEL_REGISTRY[name]), name
+    for name, model in MODEL_REGISTRY.items():
+        assert not _routes_agree(model), name
 
 
 # the two hulls as positions in four sorted endpoints: crossing, disjoint,

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 from fractions import Fraction
 from functools import partial
@@ -344,27 +346,59 @@ class TestEstimateEvents:
 
 
 def test_pool_is_sized_by_its_runs(monkeypatch, bern_plan):
-    """A pool starts all its workers at once, so it gets no more workers than
-    runs, and none at all for one run."""
-    created = []
+    """A thread pool starts a thread for a task only while none is idle, so
+    an estimate starts no more threads than it has runs: at most two for two
+    n of one block each, and one for one."""
+    started = []
+    start = threading.Thread.start
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            created.append(max_workers)
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
 
-        def map(self, fn, items):
-            return map(fn, items)
-
-        def shutdown(self):
-            pass
-
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
     mom = moments_by_enumeration(bern_plan.model)
     two_n = SimPlan(bern_plan.model, n_values=(16, 64), reps=BLOCK_SIZE, seed=5)
-    assert estimate_events(two_n, mom, workers=8) == estimate_events(two_n, mom, workers=1)
-    assert created == [2]
+    serial = estimate_events(two_n, mom, workers=1)
+    assert len(started) == 1
+    started.clear()
+    assert estimate_events(two_n, mom, workers=8) == serial
+    assert 1 <= len(started) <= 2
+    started.clear()
     estimate_events(SimPlan(bern_plan.model, n_values=(16,), reps=BLOCK_SIZE), mom, workers=8)
-    assert created == [2]
+    assert len(started) == 1
+
+
+def test_threads_share_no_state_under_stress():
+    """Eight threads on fewer cores, switching every microsecond, give the
+    one-thread result: eight runs per n, n = 16 tabled and n = 1024 not."""
+    model = MODEL_REGISTRY["mixed"]
+    mom = moments_by_enumeration(model)
+    plan = SimPlan(model, n_values=(16, 1024), reps=8 * BLOCK_SIZE - 5, seed=71)
+    law = MinMaxLaw.from_model(model)
+    assert is_tabled(law, 16) and not is_tabled(law, 1024)
+    serial = estimate_events(plan, mom, workers=1)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        thread = threading.Thread(
+            target=lambda: results.append(estimate_events(plan, mom, workers=8)))
+        thread.start()
+        thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    assert results == [serial]
+
+
+def test_moments_of_another_model_raise(coin):
+    # on the lattice the estimator reads the law's own exact moments, so
+    # moments that differ from them would be silently ignored
+    plan = SimPlan(coin, n_values=(16,), reps=1000, seed=1)
+    with pytest.raises(ValueError, match="not those of the plan's model"):
+        estimate_events(plan, moments_by_enumeration(MODEL_REGISTRY["mixed"]), workers=1)
+    assert estimate_events(plan, moments_by_enumeration(coin), workers=1).reps == 1000
 
 
 def test_resolve_workers_env(monkeypatch):
