@@ -23,13 +23,14 @@ reduces to one event cell, and a block to one histogram of cells.  On
 the law's lattice (every endpoint an integer multiple of a step h) a
 cell is two table lookups on the integer hull sums S/h, whose thresholds
 decide each event exactly, wherever those sums fit in int64
-(``on_lattice``).  Where there are at most ``TABLE_MAX_VECTORS`` count
-vectors (``is_tabled``), the multinomial probabilities of every vector,
-summed per cell, give the exact law of one trial's cell (``_cell_law``),
-and a block's histogram is one multinomial draw over it, so no row is
-handled on its own.  Else a binary tree of binomial splits over the hulls
-draws the counts (``_split_counts``), its root split by one multinomial
-over a window of its binomial pmf.
+(``on_lattice``).  Where at most ``TABLE_MAX_VECTORS`` count vectors keep
+every split of the tree below inside its binomial window (``is_tabled``),
+their probabilities, products of the splits' windowed binomial pmfs,
+summed per cell give the law of one trial's cell (``_cell_law``), built
+once per estimate, and a block's histogram is one multinomial draw over
+it, so no row is handled on its own.  Else a binary tree of binomial
+splits over the hulls draws the counts (``_split_counts``), its root
+split by one multinomial over a window of its binomial pmf.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numbers
 import os
 import warnings
 from collections.abc import Callable, Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -54,7 +55,7 @@ from .moments import ChoquetMoments, MinMaxLaw, side_moments
 _KEY_DOMAIN = np.uint64(0x9E3779B97F4A7C15)
 _CTR_BLOCK = np.uint64(1)
 BLOCK_SIZE = 1 << 14
-TABLE_MAX_VECTORS = 1 << 16
+TABLE_MAX_VECTORS = 1 << 17
 
 WORKERS_ENV = "BELIEFCLT_WORKERS"
 
@@ -212,18 +213,24 @@ class SimResult:
         )
 
 
-def _block_stream(seed: int, n: int, block_index: int) -> np.random.Generator:
+def _block_stream(seed: int, n: int, block_index: int,
+                  rng: np.random.Generator | None = None) -> np.random.Generator:
     """Counter-based stream: a pure function of (seed, n, block).
 
     The seed sits in the Philox key, n and the block index in the counter
     words, so streams for distinct triples never overlap and are identical
-    regardless of worker count or scheduling order.
+    regardless of worker count or scheduling order.  ``rng``, a Philox
+    generator (a new one if None), is set to the stream (key, counter and
+    an empty buffer) and returned: a run reuses one generator, since a new
+    ``Philox(key=..., counter=...)`` first seeds itself from OS entropy.
     """
+    rng = np.random.Generator(np.random.Philox()) if rng is None else rng
     key = np.array([np.uint64(seed), _KEY_DOMAIN], dtype=np.uint64)
-    counter = np.array(
-        [0, np.uint64(block_index), np.uint64(n), _CTR_BLOCK], dtype=np.uint64
-    )
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    counter = np.array([0, np.uint64(block_index), np.uint64(n), _CTR_BLOCK], dtype=np.uint64)
+    rng.bit_generator.state = {"bit_generator": "Philox", "state": {"key": key, "counter": counter},
+                               "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                               "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def _hull_sums(columns: Sequence[np.ndarray], law: MinMaxLaw) -> tuple[np.ndarray, np.ndarray]:
@@ -243,70 +250,43 @@ def _hull_sums(columns: Sequence[np.ndarray], law: MinMaxLaw) -> tuple[np.ndarra
     return s_min, s_max
 
 
-def _count_vectors(n: int, k: int) -> list[np.ndarray]:
-    """Every vector of k non-negative counts summing to n, in lexicographic
-    order, as k columns of the smallest unsigned type that holds n."""
-    dtype = np.min_scalar_type(n)
-    columns: list[np.ndarray] = []
-    rest = np.array([n], dtype=dtype)
-    for _ in range(k - 1):
-        # each partial vector spreads into rest + 1 rows, counting 0..rest
-        width = rest.astype(np.intp) + 1
-        count = np.arange(width.sum())
-        count -= np.repeat(np.cumsum(width) - width, width)
-        count = count.astype(dtype)
-        columns = [np.repeat(c, width) for c in columns] + [count]
-        rest = np.repeat(rest, width)
-        rest -= count
-    return columns + [rest]
+def _window(n, p: float, q: float):
+    """(lo, mode, hi) of the Bin(n, p) window, q = 1 - p, for an int or an
+    int64 array n: the mode +- (10 sd + 32), cut to [0, n]; by Bernstein's
+    inequality each side of it holds less than exp(-46) of the mass."""
+    mode = np.minimum(n, np.floor((n + 1) * p).astype(np.int64))
+    half = np.ceil(10.0 * np.sqrt(n * p * q)).astype(np.int64) + 32
+    return np.maximum(0, mode - half), mode, np.minimum(n, mode + half)
 
 
-def _multinomial_pmf(columns: Sequence[np.ndarray], masses: np.ndarray, n: int) -> np.ndarray:
-    """Multinomial probability of each count vector, from log-factorials."""
-    log_factorial = np.array([math.lgamma(c + 1.0) for c in range(n + 1)])
-    log_p = np.full(len(columns[0]), log_factorial[n])
-    for column, mass in zip(columns, np.log(masses)):
-        log_p += column * mass
-        log_p -= log_factorial[column]
-    return np.exp(log_p, out=log_p)
-
-
-def _cell_law(law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray],
-              length: int) -> np.ndarray:
-    """The exact law of one trial's event cell at one (law, n): entry c is
-    the multinomial probability of every hull-count vector whose cell is c,
-    summed per cell and divided by the total, so a block's cell histogram
-    is exactly Multinomial(block_len, cell law).  ``cell_of`` maps hull
-    sums to cells, of which there are ``length``."""
-    columns = _count_vectors(n, len(law.masses))
-    pmf = _multinomial_pmf(columns, law.masses, n)
-    p_cell = np.bincount(cell_of(*_hull_sums(columns, law)), weights=pmf, minlength=length)
-    return p_cell / p_cell.sum()
+def _window_pmfs(n: np.ndarray, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """(first, pmf): row r holds the Bin(n_r, p) pmf at first_r, first_r + 1,
+    ..., zero off its window, by the ratio recurrence out of the mode,
+    pmf(k + 1) / pmf(k) = (n - k) / (k + 1) * p / q, and normalized."""
+    lo, mode, hi, n = (column[:, None] for column in (*_window(n, p, q), n))
+    below, above = int((mode - lo).max()), int((hi - mode).max())
+    down, up = mode - np.arange(below, dtype=float), mode + np.arange(above, dtype=float)
+    pmf = np.concatenate([
+        np.cumprod(np.where(down > lo, down / (n + 1 - down) * (q / p), 1.0), axis=1)[:, ::-1],
+        np.ones((len(n), 1)),
+        np.cumprod(np.where(up < hi, (n - up) / (up + 1) * (p / q), 1.0), axis=1),
+    ], axis=1)
+    values = mode - below + np.arange(pmf.shape[1])
+    pmf = np.where((lo <= values) & (values <= hi), pmf, 0.0)
+    return values[:, 0], pmf / pmf.sum(axis=1, keepdims=True)
 
 
 def _binomial_window(n: int, p: float, q: float) -> tuple[int, np.ndarray] | None:
-    """(lo, pmf): the Bin(n, p) pmf at lo, lo + 1, ..., hi, q = 1 - p,
-    divided by its total; None where that window has more than
-    ``TABLE_MAX_VECTORS`` entries.
+    """(lo, pmf) of the Bin(n, p) window, or None past ``TABLE_MAX_VECTORS``."""
+    lo, _, hi = _window(n, p, q)
+    fits = hi - lo < TABLE_MAX_VECTORS
+    return (int(lo), _window_pmfs(np.array([n]), p, q)[1][0]) if fits else None
 
-    The window is the mode +- (10 sd + 32), cut to [0, n]; by Bernstein's
-    inequality each side of it holds less than exp(-46) of the mass.  The
-    pmf relative to the mode follows from the ratio recurrence
-    pmf(k + 1) / pmf(k) = (n - k) / (k + 1) * p / q.
-    """
-    mode = min(n, math.floor((n + 1) * p))
-    half = math.ceil(10.0 * math.sqrt(n * p * q)) + 32
-    lo, hi = max(0, mode - half), min(n, mode + half)
-    if hi - lo >= TABLE_MAX_VECTORS:
-        return None
-    down = np.arange(mode, lo, -1, dtype=float)
-    up = np.arange(mode, hi, dtype=float)
-    pmf = np.concatenate([
-        np.cumprod(down / (n + 1 - down) * (q / p))[::-1] if lo < mode else [],
-        [1.0],
-        np.cumprod((n - up) / (up + 1) * (p / q)) if mode < hi else [],
-    ])
-    return lo, pmf / pmf.sum()
+
+def _spread(start: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, value): each row r width_r times, with start_r, start_r + 1, ..."""
+    row = np.repeat(np.arange(len(width)), width)
+    return row, np.arange(len(row)) + np.repeat(start + width - np.cumsum(width), width)
 
 
 def _shares(masses: np.ndarray, lo: int, hi: int) -> tuple[float, float]:
@@ -352,10 +332,70 @@ def _split_counts(law: MinMaxLaw, n: int, root: tuple[int, np.ndarray] | None,
     return columns
 
 
+def _windowed_count(law: MinMaxLaw, n: int, limit: int) -> int:
+    """The number of count vectors of (law, n) whose every split of the tree
+    (``_split_counts``) lies in its ``_window``, counted from the window
+    bounds alone, or ``limit + 1`` where it is larger: a node counts the
+    vectors below its totals a quarter block of window entries at a time,
+    and stops at ``limit + 1`` per total once its count passes the limit."""
+    def count(lo: int, hi: int, totals: np.ndarray) -> np.ndarray:
+        if hi - lo == 1:
+            return np.ones(len(totals), dtype=np.int64)
+        start, _, stop = _window(totals, *_shares(law.masses, lo, hi))
+        vectors, mid = stop - start + 1, (lo + hi) // 2
+        rows = max(1, len(totals) * (BLOCK_SIZE // 4) // int(vectors.sum()))
+        for first in range(0, len(totals) if hi - lo > 2 else 0, rows):
+            if vectors.sum() > limit:
+                break
+            part = slice(first, first + rows)
+            row, left = _spread(start[part], vectors[part])
+            vectors[part] = np.bincount(row, count(lo, mid, left)
+                                        * count(mid, hi, totals[part][row] - left))
+        return np.full(len(totals), limit + 1) if vectors.sum() > limit else vectors
+    return min(int(count(0, len(law.masses), np.array([n]))[0]), limit + 1)
+
+
 def is_tabled(law: MinMaxLaw, n: int) -> bool:
-    """Whether (law, n) has at most ``TABLE_MAX_VECTORS`` count vectors."""
+    """Whether (law, n) has at most ``TABLE_MAX_VECTORS`` windowed vectors."""
+    return _windowed_count(law, n, TABLE_MAX_VECTORS) <= TABLE_MAX_VECTORS
+
+
+def _windowed_vectors(law: MinMaxLaw, n: int):
+    """(columns, pmf) slices of the vectors ``_windowed_count`` counts, each
+    probability the product of its splits' windowed pmfs.  A node splits a
+    slice at once, after cutting it where it would pass a quarter block."""
+    def expand(counts: dict, pmf: np.ndarray, todo: list):
+        if not todo:
+            yield [counts[h, h + 1] for h in range(len(law.masses))], pmf
+            return
+        (lo, hi), rest = todo[-1], todo[:-1]
+        mid, totals, (p, q) = (lo + hi) // 2, counts[lo, hi], _shares(law.masses, lo, hi)
+        start, _, stop = _window(totals, p, q)
+        if len(totals) > 1 and (stop - start + 1).sum() > BLOCK_SIZE // 4:
+            for part in (slice(0, len(totals) // 2), slice(len(totals) // 2, None)):
+                yield from expand({node: c[part] for node, c in counts.items()}, pmf[part], todo)
+            return
+        row, left = _spread(start, stop - start + 1)
+        first, window = _window_pmfs(totals, p, q)
+        counts = {node: c[row] for node, c in counts.items() if node != (lo, hi)}
+        counts[lo, mid], counts[mid, hi] = left, totals[row] - left
+        rest += [node for node in ((lo, mid), (mid, hi)) if node[1] - node[0] > 1]
+        yield from expand(counts, pmf[row] * window[row, left - first[row]], rest)
+
     k = len(law.masses)
-    return math.comb(n + k - 1, k - 1) <= TABLE_MAX_VECTORS
+    return expand({(0, k): np.array([n])}, np.ones(1), [(0, k)] if k > 1 else [])
+
+
+def _cell_law(law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray],
+              length: int) -> np.ndarray:
+    """The law of one trial's event cell at a tabled (law, n): the
+    probabilities of the windowed count vectors (``_windowed_vectors``)
+    summed per cell, slice by slice, and divided by their total.
+    ``cell_of`` maps hull sums to cells, of which there are ``length``."""
+    p_cell = np.zeros(length)
+    for columns, pmf in _windowed_vectors(law, n):
+        p_cell += np.bincount(cell_of(*_hull_sums(columns, law)), weights=pmf, minlength=length)
+    return p_cell / p_cell.sum()
 
 
 def _exact_bounds(a: Fraction, center: Fraction, spread: Fraction) -> tuple[int, int]:
@@ -581,23 +621,30 @@ class _EventCells:
         return tail[self.rows, self.cols]
 
 
-def _tally_run(seed: int, reps: int, stats: _Statistics, events: _EventCells,
-               run: tuple[int, range]) -> tuple[int, np.ndarray]:
-    """(n, cell histogram) of a run of consecutive blocks of one n.
+def _sampler(stats: _Statistics, events: _EventCells, n: int) -> tuple:
+    """(sums law, cell function, cell law, root window) of n, built once per
+    estimate: a tabled n has its cell law and no root window, any other n
+    its split tree's root window and no cell law."""
+    law, cell_of = events.at(stats, n)
+    if is_tabled(law, n):
+        return law, cell_of, _cell_law(law, n, cell_of, events.size), None
+    return law, cell_of, None, _binomial_window(n, *_shares(law.masses, 0, len(law.masses)))
 
-    A tabled n draws each block as one multinomial over its cell law, any
-    other n through the split tree.  The run drops the cell law on return,
-    so no table outlives the draws it serves.
+
+def _tally_run(seed: int, reps: int, events: _EventCells, samplers: Mapping[int, Future],
+               run: tuple[int, range]) -> tuple[int, np.ndarray]:
+    """(n, cell histogram) of a run of consecutive blocks of one n, from one
+    generator set to each block's stream: a tabled n draws each block as
+    one multinomial over its cell law, any other n through the split tree.
     """
     n, blocks = run
-    law, cell_of = events.at(stats, n)
-    streams = ((_block_stream(seed, n, b), min(BLOCK_SIZE, reps - b * BLOCK_SIZE))
+    law, cell_of, p_cell, root = samplers[n].result()
+    generator = np.random.Generator(np.random.Philox())
+    streams = ((_block_stream(seed, n, b, generator), min(BLOCK_SIZE, reps - b * BLOCK_SIZE))
                for b in blocks)
-    if is_tabled(law, n):
-        p_cell = _cell_law(law, n, cell_of, events.size)
+    if p_cell is not None:
         histograms = (rng.multinomial(size, p_cell) for rng, size in streams)
     else:
-        root = _binomial_window(n, *_shares(law.masses, 0, len(law.masses)))
         sums = (_hull_sums(_split_counts(law, n, root, rng, size), law) for rng, size in streams)
         histograms = (np.bincount(cell_of(s_min, s_max), minlength=events.size)
                       for s_min, s_max in sums)
@@ -638,19 +685,18 @@ def estimate_events(
         )
     workers = resolve_workers(workers)
     events = _EventCells.build(plan.alpha_one_sided, plan.alpha_two_sided)
-    tally = partial(_tally_run, plan.seed, plan.reps,
-                    _Statistics.of(MinMaxLaw.from_model(plan.model), moments), events)
-    # each n's blocks cut into at most one run per worker; a run builds its
-    # cell law or root window once
+    stats = _Statistics.of(MinMaxLaw.from_model(plan.model), moments)
+    # each n's blocks cut into at most one run per worker
     n_blocks = -(-plan.reps // BLOCK_SIZE)
     parts = min(workers, n_blocks)
     cuts = [p * n_blocks // parts for p in range(parts + 1)]
     runs = [(n, range(lo, hi)) for n in plan.n_values for lo, hi in zip(cuts, cuts[1:])]
 
-    # a thread pool starts a thread per run only while none is idle, up to
-    # ``workers``; the draws release the GIL
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        partials = list(pool.map(tally, runs))
+    # no more threads than runs; each n's sampler is built once, queued
+    # before every run, which waits for its own; the draws release the GIL
+    with ThreadPoolExecutor(max_workers=min(workers, len(runs))) as pool:
+        samplers = {n: pool.submit(_sampler, stats, events, n) for n in plan.n_values}
+        partials = list(pool.map(partial(_tally_run, plan.seed, plan.reps, events, samplers), runs))
     histograms: dict[int, np.ndarray] = {}
     for n, histogram in partials:
         histograms[n] = histograms.get(n, 0) + histogram

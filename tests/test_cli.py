@@ -142,8 +142,9 @@ class TestSimulate:
         joined = " ".join(rec.message for rec in caplog.records)
         assert "seed=11" in joined and "reps=5000" in joined
         assert "run_id=" in joined
-        # three hulls: comb(n + 2, 2) is 153 at n = 16 and 2145 at n = 64
-        assert "block_size=16384 table_max_vectors=65536 tabled_n=[16, 64]" in joined
+        # three hulls: the windows hold every vector up to n = 32 and more,
+        # comb(n + 2, 2), 153 at n = 16 and 2145 at n = 64
+        assert "block_size=16384 table_max_vectors=131072 tabled_n=[16, 64]" in joined
         # the endpoints 0 and 1 put every hull sum on the integers
         assert "tabled_n=[16, 64] lattice_h=1 lattice_n=[16, 64]" in joined
 
@@ -172,8 +173,8 @@ class TestSimulate:
 
     def test_tabled_n_follows_the_table_size_rule(self, plan_file, tmp_path, caplog,
                                                   monkeypatch):
-        # one worker runs each n in this process, so the run's own cell
-        # law builds show which n it drew from a table
+        # the estimate builds one cell law per tabled n, in this process,
+        # so the builds show which n it drew from a table
         monkeypatch.setenv("BELIEFCLT_WORKERS", "1")
         cell_law, drawn = montecarlo._cell_law, []
 

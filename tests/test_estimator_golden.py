@@ -1,24 +1,28 @@
 """Pinned estimator counts for every registry model.
 
 Streams are keyed by (seed, n, block).  Where a (law, n) has at most
-``TABLE_MAX_VECTORS`` hull count vectors, a block is one multinomial draw
-over the exact law of one trial's event cell: the multinomial
-probabilities of every count vector, summed per cell.  Every n of this
-plan is tabled for every registry model, so ``MULTINOMIAL_SHA256`` pins
-two (model, n) whose laws are too large for a table; those draw their
-hull counts by the binomial split tree, whose root is one multinomial
-over a window of its binomial pmf.  All values were last re-recorded when
-blocks and the tree's root became multinomial draws, after the cell law's
-fractions test, its block-histogram z-test, the root replay and the
-two-path law test passed; the tally and the ``>=`` / ``<`` / ``<=``
-operators did not change.  The plan runs two blocks per n (the second
-one partial) on a dense 0.25 alpha grid; ``coin`` and ``two_interval``
-put T_low and T_up on a 0.5 lattice at n = 4 and 16, so many trials land
-exactly on a grid threshold and the operators decide them.
+``TABLE_MAX_VECTORS`` hull count vectors inside the binomial windows of
+the split tree, a block is one multinomial draw over the law of one
+trial's event cell: the probabilities of those vectors, each a product of
+windowed binomial pmfs, summed per cell.  Every n of this plan is tabled
+for every registry model.  ``MULTINOMIAL_SHA256`` pins three (model, n)
+past it: ``bernoulli`` at n = 1024, drawn from its table since the table
+kept to the windows, and two whose laws are too large for a table, which
+draw their hull counts by the binomial split tree, its root one
+multinomial over a window of its binomial pmf.  The ``coin`` and
+``two_interval`` pins were last re-recorded when the tables kept to the
+windows (only n = 4 moved, by one trial in some cells), after the cell
+law's fractions test, its block-histogram z-test, its binomial-tail tests
+and the windowed count test passed; the others last when blocks and the
+tree's root became multinomial draws.  The tally and the ``>=`` / ``<``
+/ ``<=`` operators did not change.  The plan runs two blocks per n (the
+second one partial) on a dense 0.25 alpha grid; ``coin`` and
+``two_interval`` put T_low and T_up on a 0.5 lattice at n = 4 and 16, so
+many trials land exactly on a grid threshold and the operators decide
+them.
 """
 
 import hashlib
-import math
 
 import pytest
 
@@ -30,15 +34,17 @@ DENSE_GRID = tuple(-2.5 + 0.25 * i for i in range(21))
 
 GOLDEN_SHA256 = {
     "bernoulli": "d17450dec57be068ee0295f12e6e02120d5a4f8cff630a08e29d01902880ff5d",
-    "coin": "d5921b2657bda17b8d2ce15568f58fbc8d454c9aee794bd67abc80313daffa82",
-    "two_interval": "d5921b2657bda17b8d2ce15568f58fbc8d454c9aee794bd67abc80313daffa82",
+    "coin": "26e28ea14c66cf8a74707fb408c9cd9d06218190ccd63e35de123397cbd626df",
+    "two_interval": "26e28ea14c66cf8a74707fb408c9cd9d06218190ccd63e35de123397cbd626df",
     "union_parts": "f8ce50f5d791b5524531f0754a2af142c86fd0785ffb45a4b4f9e73f0ae18d2a",
     "mixed": "124af4270a3052b0d07fca98543ec5e328c8276ccdbb4c3e0846b6bf61013160",
 }
 
-# (model, n) drawn by the split tree: 525825 and 2862209 count vectors
+# (model, n) past the plan's: bernoulli at 1024 drawn from its table (118583
+# windowed count vectors), the others by the split tree (388965 and 2633569)
 MULTINOMIAL_SHA256 = {
-    ("bernoulli", 1024): "598053da798202447c54f2aedfc57ede22a8ce8b2ad404ddc4903e389f8d7179",
+    ("bernoulli", 1024): "58ee6e82461c8cc2f0c28d68c277dfdcc594aa96782606428529d80dad0ab2c5",
+    ("bernoulli", 4096): "9cc7981900b9d4a4ffc55220c8e8e678304a5e47ff0520ba262e145739bf58f1",
     ("mixed", 256): "b80279ca4b1f2b08d9a26dfd769197930dcf57cc3ff5911ccc8312764507c0e4",
 }
 
@@ -88,6 +94,6 @@ def test_counts_match_golden(name):
 
 @pytest.mark.parametrize("name, n", sorted(MULTINOMIAL_SHA256))
 def test_multinomial_path_counts_match_golden(name, n):
-    k = len(montecarlo.MinMaxLaw.from_model(MODEL_REGISTRY[name]).masses)
-    assert math.comb(n + k - 1, k - 1) > montecarlo.TABLE_MAX_VECTORS
+    law = montecarlo.MinMaxLaw.from_model(MODEL_REGISTRY[name])
+    assert montecarlo.is_tabled(law, n) == (n == 1024)
     assert _digest(_golden_run(name, (n,))) == MULTINOMIAL_SHA256[name, n]

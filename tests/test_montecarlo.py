@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import warnings
+from concurrent.futures import Future
 from fractions import Fraction
 from functools import partial
 
@@ -33,17 +34,17 @@ from beliefclt.montecarlo import (
     ONE_SIDED_UPPER,
     TWO_SIDED,
     _block_stream,
-    _count_vectors,
     _binomial_window,
     _cell_law,
     _EventCells,
     _float_bounds,
     _hull_sums,
     _lattice_bounds,
-    _multinomial_pmf,
     _shares,
     _split_counts,
     _Statistics,
+    _windowed_count,
+    _windowed_vectors,
     default_alpha_pairs,
     is_tabled,
     resolve_workers,
@@ -52,15 +53,36 @@ from beliefclt.montecarlo import (
 from _intervals import complement
 
 
-def _vector_index(s_min, s_max):
-    """A cell function whose cell is each count vector's table position."""
-    return np.arange(len(s_min))
+def _multinomial_pmf(columns, masses, n):
+    """Multinomial probability of each count vector, from log-factorials: a
+    reference independent of the windowed binomial pmfs, to about 1e-10
+    relative near n = 65535."""
+    log_factorial = np.array([math.lgamma(c + 1.0) for c in range(n + 1)])
+    log_p = np.full(len(columns[0]), log_factorial[n])
+    for column, mass in zip(columns, np.log(masses)):
+        log_p += column * mass
+        log_p -= log_factorial[column]
+    return np.exp(log_p, out=log_p)
+
+
+def _windowed(law, n):
+    """(columns, pmf) of every windowed count vector of (law, n), the
+    build's slices joined in the build's order."""
+    slices = list(_windowed_vectors(law, n))
+    return ([np.concatenate(c) for c in zip(*(columns for columns, _ in slices))],
+            np.concatenate([pmf for _, pmf in slices]))
 
 
 def _vector_law(law, n):
-    """The cell law of (law, n) with one cell per count vector."""
-    k = len(law.masses)
-    return _cell_law(law, n, _vector_index, math.comb(n + k - 1, k - 1))
+    """The cell law of (law, n) with one cell per windowed count vector:
+    the cell function numbers the vectors of each slice after those of the
+    slices before it."""
+    seen = [0]
+
+    def vector_index(s_min, s_max):
+        seen[0] += len(s_min)
+        return np.arange(seen[0] - len(s_min), seen[0])
+    return _cell_law(law, n, vector_index, _windowed_count(law, n, 2**40))
 
 
 def _tree_root(law, n):
@@ -70,15 +92,15 @@ def _tree_root(law, n):
 
 
 def _draw_counts(seed, n, block_index, size, law):
-    """Hull counts of one block's trials, one column per hull, drawn as the
-    estimator draws them: a tabled n draws one multinomial over the cell law
-    of its count vectors, any other n takes the split tree's counts."""
+    """Hull counts of one block's trials, one column per hull: a tabled n
+    draws one multinomial over the law of its windowed count vectors, any
+    other n takes the split tree's counts, as the estimator draws them."""
     rng = _block_stream(seed, n, block_index)
     if not is_tabled(law, n):
         return _split_counts(law, n, _tree_root(law, n), rng, size)
     p_cell = _vector_law(law, n)
     index = np.repeat(np.arange(len(p_cell)), rng.multinomial(size, p_cell))
-    return [c[index] for c in _count_vectors(n, len(law.masses))]
+    return [c[index] for c in _windowed(law, n)[0]]
 
 
 def _draw_sums(seed, n, block_index, size, law):
@@ -154,6 +176,29 @@ class TestDeriveStream:
         base = _block_stream(1, 2, 3).random(4)
         for seed, n, block in [(2, 2, 3), (1, 3, 3), (1, 2, 4)]:
             assert not np.array_equal(base, _block_stream(seed, n, block).random(4))
+
+    @pytest.mark.parametrize("seed, n, block", [(0, 1, 0), (123, 5, 7), (2**64 - 1, 1024, 3),
+                                                (2**63 + 5, 2**40, 2**33)])
+    def test_reset_generator_draws_the_fresh_stream(self, seed, n, block):
+        # a generator set to a block's stream draws what a new Philox keyed
+        # and counted by (seed, n, block) draws, also after an earlier block
+        # left a buffer, a spare 32-bit half and a binomial setup behind
+        def fresh():
+            key = np.array([seed, 0x9E3779B97F4A7C15], dtype=np.uint64)
+            counter = np.array([0, block, n, 1], dtype=np.uint64)
+            return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+        def draws(rng):
+            return [rng.random(3), rng.integers(0, 10, size=5, dtype=np.uint32),
+                    rng.binomial(np.array([100, 100, 7]), 0.3),
+                    rng.multinomial(50, [0.2, 0.3, 0.5]), rng.standard_normal(4)]
+
+        used = _block_stream(9, 16, 4)
+        used.binomial(np.array([100, 100]), 0.3)
+        used.integers(0, 10, size=3, dtype=np.uint32)
+        for rng in (_block_stream(seed, n, block), _block_stream(seed, n, block, used)):
+            assert all(np.array_equal(a, b) for a, b in zip(draws(rng), draws(fresh())))
+        assert rng is used
 
 
 class TestSampleTrial:
@@ -367,6 +412,27 @@ def test_pool_is_sized_by_its_runs(monkeypatch, bern_plan):
     started.clear()
     estimate_events(SimPlan(bern_plan.model, n_values=(16,), reps=BLOCK_SIZE), mom, workers=8)
     assert len(started) == 1
+
+
+def test_each_cell_law_is_built_once(monkeypatch):
+    """One cell law build per tabled n at any worker count: the runs of an n
+    share it, and the result does not depend on which thread built it."""
+    model = MODEL_REGISTRY["bernoulli"]
+    mom = moments_by_enumeration(model)
+    plan = SimPlan(model, n_values=(16, 64, 2048), reps=4 * BLOCK_SIZE + 3, seed=17)
+    real, built = montecarlo._cell_law, []
+
+    def recording_cell_law(law, n, *args):
+        built.append(n)
+        return real(law, n, *args)
+
+    monkeypatch.setattr(montecarlo, "_cell_law", recording_cell_law)
+    results = []
+    for workers in (1, 2, 8):
+        built.clear()
+        results.append(estimate_events(plan, mom, workers=workers))
+        assert sorted(built) == [16, 64], workers
+    assert results[0] == results[1] == results[2]
 
 
 def test_threads_share_no_state_under_stress():
@@ -622,7 +688,8 @@ def _reference_estimate(plan, mom):
     every event in exact rationals.
 
     An untabled n replays its trials' hull counts.  A tabled n replays each
-    block as one multinomial over the cell law; every count vector is tested
+    block as one multinomial over the cell law; every windowed count vector
+    (the full simplex at these n) is tested
     against every event, the vectors of one cell must agree, and each draw
     of a cell counts towards the events of its vectors.
     """
@@ -638,7 +705,7 @@ def _reference_estimate(plan, mom):
             columns = [np.concatenate(c) for c in zip(*drawn)]
             counts[n] = exact(columns, law, n).sum(axis=1).tolist()
             continue
-        vectors = _count_vectors(n, len(law.masses))
+        vectors = _windowed(law, n)[0]
         in_event = exact(vectors, law, n)
         sums_law, cell_of = _cells_at(events, law, mom, n)
         cells = cell_of(*_hull_sums(vectors, sums_law))
@@ -706,12 +773,12 @@ def test_brute_force_reference_catches_a_flipped_operator(monkeypatch, flipped):
 
 def test_runs_of_blocks_match_brute_force_reference():
     # nine blocks per n, the last one short: one run of nine at one worker,
-    # runs of four and five at two; n = 16 is tabled and n = 1024 is not
+    # runs of four and five at two; n = 16 is tabled and n = 2048 is not
     model = MODEL_REGISTRY["bernoulli"]
     mom = moments_by_enumeration(model)
-    plan = SimPlan(model, n_values=(16, 1024), reps=8 * BLOCK_SIZE + 37, seed=23)
+    plan = SimPlan(model, n_values=(16, 2048), reps=8 * BLOCK_SIZE + 37, seed=23)
     assert is_tabled(MinMaxLaw.from_model(model), 16)
-    assert not is_tabled(MinMaxLaw.from_model(model), 1024)
+    assert not is_tabled(MinMaxLaw.from_model(model), 2048)
     reference = _reference_estimate(plan, mom)
     for workers in (1, 2):
         sim = estimate_events(plan, mom, workers=workers)
@@ -897,8 +964,9 @@ def _check_block_histograms(name, n):
     assert is_tabled(law, n)
     blocks = 8
     reps = blocks * BLOCK_SIZE
-    _, histogram = montecarlo._tally_run(37, reps, _Statistics.of(law, mom), events,
-                                        (n, range(blocks)))
+    sampler = Future()
+    sampler.set_result(montecarlo._sampler(_Statistics.of(law, mom), events, n))
+    _, histogram = montecarlo._tally_run(37, reps, events, {n: sampler}, (n, range(blocks)))
     assert histogram.sum() == reps and not histogram[p_cell == 0].any()
     _z_test(_pooled(p_cell, histogram, reps), reps, (name, n))
 
@@ -906,18 +974,23 @@ def _check_block_histograms(name, n):
 class TestCellLaw:
     @pytest.mark.parametrize("masses", _MASSES)
     def test_vectors_are_every_composition_once(self, masses):
-        for n in range(1, 9):
-            columns = _count_vectors(n, len(masses))
-            assert list(zip(*(c.tolist() for c in columns))) == _compositions(n, len(masses))
+        # up to n = 32 every window spans [0, n], so the windowed vectors are
+        # the full simplex
+        law = MinMaxLaw(np.zeros(len(masses)), np.zeros(len(masses)), np.array(masses))
+        for n in (*range(1, 9), 32):
+            columns, _ = _windowed(law, n)
+            vectors = list(zip(*(c.tolist() for c in columns)))
+            assert sorted(vectors) == _compositions(n, len(masses))
+            assert all(c.dtype == np.int64 for c in columns)
 
     @pytest.mark.parametrize("masses", _MASSES)
     def test_pmf_matches_exact_fractions(self, masses):
+        law = MinMaxLaw(np.zeros(len(masses)), np.zeros(len(masses)), np.array(masses))
         for n in range(1, 9):
-            columns = _count_vectors(n, len(masses))
-            pmf = _multinomial_pmf(columns, np.array(masses), n)
-            for vector, p in zip(_compositions(n, len(masses)), pmf):
+            columns, pmf = _windowed(law, n)
+            for vector, p in zip(zip(*(c.tolist() for c in columns)), pmf.tolist()):
                 exact = _exact_pmf(vector, masses)
-                assert abs(Fraction(float(p)) - exact) <= Fraction(1, 10**12) * exact
+                assert abs(Fraction(p) - exact) <= Fraction(1, 10**12) * exact
 
     @pytest.mark.parametrize("name", sorted(_LAW_MODELS))
     def test_cell_law_matches_exact_fractions(self, name):
@@ -934,14 +1007,21 @@ class TestCellLaw:
     @pytest.mark.parametrize("name, n", [("bernoulli", 1), ("bernoulli", 255),
                                          ("mixed", 64), ("coin", 20000)])
     def test_vector_law_is_the_normalized_pmf(self, name, n):
-        # with one cell per count vector, the cell law is the pmf itself
+        # with one cell per windowed count vector, the cell law is the pmf
+        # itself; it matches the multinomial pmf of those vectors (scipy's
+        # binomial with two hulls, log-factorials at the small n of more),
+        # and the vectors outside the windows hold no mass to speak of
+        from scipy.stats import binom
+
         law = MinMaxLaw.from_model(MODEL_REGISTRY[name])
-        k = len(law.masses)
+        columns, pmf = _windowed(law, n)
         p_cell = _vector_law(law, n)
-        assert len(p_cell) == math.comb(n + k - 1, k - 1)
-        pmf = _multinomial_pmf(_count_vectors(n, k), law.masses, n)
         assert np.array_equal(p_cell, pmf / pmf.sum())
         assert abs(p_cell.sum() - 1.0) <= 1e-13
+        reference = (binom.pmf(columns[0], n, law.masses[0]) if len(columns) == 2
+                     else _multinomial_pmf(columns, law.masses, n))
+        assert np.abs(p_cell / reference - 1.0).max() <= 1e-12
+        assert abs(reference.sum() - 1.0) <= 1e-13
 
     @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
     def test_n1_cell_law_is_the_exact_belief(self, name):
@@ -960,7 +1040,8 @@ class TestCellLaw:
             assert exact[k + i] == pytest.approx(belief(model, upper), rel=0, abs=1e-15), a
 
     @pytest.mark.parametrize("name, n", [("mixed", 16), ("mixed", 64), ("bernoulli", 16),
-                                         ("bernoulli", 64), ("bernoulli", 256)])
+                                         ("bernoulli", 64), ("bernoulli", 256),
+                                         ("bernoulli", 1024)])
     def test_block_histograms_follow_the_cell_law(self, name, n):
         _check_block_histograms(name, n)
 
@@ -984,9 +1065,8 @@ class TestCellLaw:
         the tally's prefix sums.  With two hulls the count vectors are
         (c, n - c), so each event is the c on one side of the lattice point
         where the exact statistic crosses alpha (found by bisection): a tail
-        of Bin(n, m_0).  Log-factorials near lgamma(65536) ~ 6.6e5 keep about
-        1e-10 relative per entry, which the normalization keeps out of the
-        probabilities."""
+        of Bin(n, m_0).  The root's window pmf, from the ratio recurrence,
+        is one slice; its tails were 4.4e-15 off scipy's at n = 65535."""
         from scipy.stats import binom
 
         model = MODEL_REGISTRY[name]
@@ -1004,22 +1084,29 @@ class TestCellLaw:
                 lo, hi = _true_run(inside, n)
                 want = (0.0 if lo > hi else binom.cdf(hi, n, law.masses[0]) if lo == 0
                         else binom.sf(lo - 1, n, law.masses[0]))
-                assert abs(exact[offset + i] - want) <= 1e-11, (a, exact[offset + i], want)
+                assert abs(exact[offset + i] - want) <= 1e-14, (a, exact[offset + i], want)
+
+    @pytest.mark.parametrize("p_low, p_high", [(0.3, 0.7), (0.1, 0.7)])
+    def test_bernoulli_events_at_n1024_are_binomial_tails(self, p_low, p_high):
+        """The tabled law of ``bernoulli_model`` at n = 1024 on the 21-point
+        grid, read through the tally's prefix sums, against scipy: S_min/h =
+        c0 ~ Bin(n, p_low), so each one-sided event is a binomial tail and
+        each two-sided one a sum of tails (``_bernoulli_exact_events``)."""
+        model = bernoulli_model(p_low, p_high)
+        law = MinMaxLaw.from_model(model)
+        assert is_tabled(law, 1024)
+        events, p_cell = _model_cell_law(model, 1024, _DENSE_GRID)
+        want = _bernoulli_exact_events(law, 1024, _DENSE_GRID, default_alpha_pairs(_DENSE_GRID))
+        assert np.abs(events.counts(p_cell) - want).max() <= 1e-14
 
     def test_size_limit_picks_the_path(self, monkeypatch):
-        # bernoulli has 3 hulls: comb(16 + 2, 2) = 153 count vectors at n = 16
+        # bernoulli has 3 hulls: comb(16 + 2, 2) = 153 count vectors at
+        # n = 16, every one inside the windows
         law = MinMaxLaw.from_model(MODEL_REGISTRY["bernoulli"])
         n, size = 16, 153
+        assert _windowed_count(law, n, 2**40) == size
         monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", size)
         assert is_tabled(law, n)
-        # at the limit a block is one multinomial over the vectors' pmf
-        columns = _count_vectors(n, 3)
-        pmf = _multinomial_pmf(columns, law.masses, n)
-        drawn = _block_stream(3, n, 0).multinomial(500, pmf / pmf.sum())
-        index = np.repeat(np.arange(size), drawn)
-        tabled = [s[index] for s in _hull_sums(columns, law)]
-        drawn = _draw_sums(3, n, 0, 500, law)
-        assert all(np.array_equal(a, b) for a, b in zip(drawn, tabled))
         # above the limit the split tree draws, its root tabled on the
         # 17 counts 0..16, and below those 17 its root is a binomial too
         for limit, tabled_root in ((size - 1, True), (16, False)):
@@ -1072,9 +1159,12 @@ class TestCellLaw:
             member = np.array([events.counts(np.eye(events.size, dtype=np.int64)[c])
                                for c in range(events.size)]).T
             assert np.array_equal(member[:, cells], _exact_events(columns, law, n, alphas, pairs))
-            # the cell law sums the pmf over those cells
-            pmf = _multinomial_pmf(_count_vectors(n, 4), law.masses, n)
-            want = np.bincount(cells, weights=pmf, minlength=events.size)
+            # the cell law sums the windowed pmf over those cells, slice by
+            # slice, with each vector in the cell of its exact events
+            want, position = np.zeros(events.size), {v: i for i, v in enumerate(_compositions(n, 4))}
+            for vectors, pmf in _windowed_vectors(law, n):
+                index = [position[v] for v in zip(*(c.tolist() for c in vectors))]
+                want += np.bincount(cells[index], weights=pmf, minlength=events.size)
             assert np.array_equal(_cell_law(sums_law, n, cell_of, events.size), want / want.sum())
 
     def test_table_cells_match_multiply_accumulate_sums(self):
@@ -1107,8 +1197,11 @@ class TestCellLaw:
             assert sums_law is law and is_tabled(law, n)
             p_cell = _cell_law(law, n, cell_of, events.size)
             expected = _float_cells(events, t_low, t_up)
-            pmf = _multinomial_pmf(_count_vectors(n, 4), law.masses, n)
-            want = np.bincount(expected, weights=pmf, minlength=events.size)
+            # the windows hold every vector; the build sums them slice by slice
+            want, position = np.zeros(events.size), {v: i for i, v in enumerate(vectors)}
+            for columns, pmf in _windowed_vectors(law, n):
+                order = [position[v] for v in zip(*(c.tolist() for c in columns))]
+                want += np.bincount(expected[order], weights=pmf, minlength=events.size)
             assert np.array_equal(p_cell, want / want.sum())
             assert np.flatnonzero(p_cell).tolist() == sorted(set(expected.tolist()))
             # the split tree gets int64 counts; same bits
@@ -1146,15 +1239,15 @@ def test_float_path_where_the_lattice_overflows_int64():
     events = _EventCells.build(alphas, pairs)
     assert _cells_at(events, law, mom, 9)[0].maxs.tolist() == [10**18, 1, 0]
     assert _cells_at(events, law, mom, 10)[0] is law
-    plan = SimPlan(model, n_values=(400,), reps=BLOCK_SIZE + 99, seed=2,
+    plan = SimPlan(model, n_values=(1600,), reps=BLOCK_SIZE + 99, seed=2,
                    alpha_one_sided=alphas, alpha_two_sided=pairs)
-    assert not is_tabled(law, 400)
+    assert not is_tabled(law, 1600)
     sim = estimate_events(plan, mom, workers=1)
-    sums = [_draw_sums(plan.seed, 400, b, size, law)
+    sums = [_draw_sums(plan.seed, 1600, b, size, law)
             for b, size in ((0, BLOCK_SIZE), (1, 99))]
     s_min, s_max = (np.concatenate(s) for s in zip(*sums))
-    t_low = (s_min - 400 * mom.lower_mean) / (20.0 * mom.lower_sd)
-    t_up = (s_max - 400 * mom.upper_mean) / (20.0 * mom.upper_sd)
+    t_low = (s_min - 1600 * mom.lower_mean) / (40.0 * mom.lower_sd)
+    t_up = (s_max - 1600 * mom.upper_mean) / (40.0 * mom.upper_sd)
     lower, upper, two = _brute_counts(t_low, t_up, alphas, pairs)
     assert [r.count for r in sim.rows] == lower + upper + two
 
@@ -1179,6 +1272,39 @@ def _exact_sum_law(law, n):
         key = (float(np.dot(vector, law.mins)), float(np.dot(vector, law.maxs)))
         probs[key] = probs.get(key, 0) + _exact_pmf(vector, masses)
     return probs
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_windowed_count_is_the_number_built(data):
+    # k = 2..5 hulls, n where the windows cut the simplex for k = 2 and 3,
+    # and the limit one below, at and one above the number of vectors built
+    k = data.draw(st.integers(2, 5))
+    masses = data.draw(st.lists(st.floats(0.02, 1.0), min_size=k, max_size=k))
+    n = data.draw(st.integers(1, {2: 5000, 3: 800, 4: 60, 5: 24}[k]))
+    law = MinMaxLaw(np.zeros(k), np.zeros(k), np.array(masses))
+    slices = [len(pmf) for _, pmf in _windowed_vectors(law, n)]
+    built = sum(slices)
+    assert max(slices) <= BLOCK_SIZE // 4 or len(slices) == 1
+    for limit in (built - 1, built, built + 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "TABLE_MAX_VECTORS", limit)
+            assert is_tabled(law, n) == (built <= limit)
+        count = _windowed_count(law, n, limit)
+        assert count == built if built <= limit else count > limit
+
+
+@pytest.mark.parametrize("name, n", [("bernoulli", 1158), ("mixed", 90)])
+def test_largest_tabled_n(name, n):
+    # the count compared with TABLE_MAX_VECTORS is the number of vectors
+    # built, at the largest tabled n and on both sides of it; no slice
+    # holds more than a quarter block of vectors
+    law = MinMaxLaw.from_model(MODEL_REGISTRY[name])
+    for m in (n - 1, n, n + 1):
+        slices = [len(pmf) for _, pmf in _windowed_vectors(law, m)]
+        assert max(slices) <= BLOCK_SIZE // 4
+        assert _windowed_count(law, m, 2**40) == sum(slices)
+        assert is_tabled(law, m) == (m <= n) == (sum(slices) <= montecarlo.TABLE_MAX_VECTORS)
 
 
 class TestSplitCounts:
@@ -1299,9 +1425,10 @@ def _bernoulli_exact_events(law, n, alphas, pairs):
 
 
 class TestBernoulliOracle:
-    """The untabled sampler against the paper's base case at the n where it
-    runs: numpy's binomial takes its BTPE branch (n p > 30) at the tree's
-    second level, which no exact-law test at small n reaches."""
+    """The sampler against the paper's base case: at n = 1024 it draws from
+    the tabled cell law, at 4096 and 16384 by the split tree, where numpy's
+    binomial takes its BTPE branch (n p > 30) at the second level, which no
+    exact-law test at small n reaches."""
 
     @staticmethod
     def _check(p_low, p_high, n_values=(1024, 4096, 16384), workers=None):
@@ -1312,7 +1439,7 @@ class TestBernoulliOracle:
         sim = estimate_events(plan, mom, workers=workers)
         pairs = plan.alpha_two_sided
         for n in plan.n_values:
-            assert not is_tabled(law, n)
+            assert is_tabled(law, n) == (n == 1024)
             exact = _bernoulli_exact_events(law, n, plan.alpha_one_sided, pairs)
             counts = [r.count for r in sim.rows_for(n)]
             assert len(counts) == len(exact) == 2 * len(plan.alpha_one_sided) + len(pairs)
@@ -1322,13 +1449,13 @@ class TestBernoulliOracle:
     def test_default_grid_matches_the_exact_law(self, p_low, p_high):
         self._check(p_low, p_high)
 
-    @pytest.mark.parametrize("n", [90, 1000])
+    @pytest.mark.parametrize("n", [90, 2000])
     def test_lattice_ties_keep_their_operators(self, n):
         """belief 0.1 and plausibility 0.7 of {1}, spelled as a model file
         spells them: the masses 0.1, 0.3 and 0.6 sum to 1 exactly, so
         n * lower_mean = n/10 and n * upper_mean = 7n/10 are reachable sums,
-        atoms of about 0.13 and 0.09 at n = 90 (tabled) and of 0.04 and 0.03
-        at n = 1000 (untabled).  ``T_low >= 0`` holds them, ``T_up < 0`` does
+        atoms of about 0.13 and 0.09 at n = 90 (tabled) and of 0.03 and 0.02
+        at n = 2000 (untabled).  ``T_low >= 0`` holds them, ``T_up < 0`` does
         not and ``T_up <= 0`` does.  (``bernoulli_model(0.1, 0.7)`` has no
         such tie: its masses 0.1, 0.30000000000000004 and 0.6 sum to
         1 + 4e-17.)  A float route that rounds 90 * 0.7 to 62.99999999999999
@@ -1348,12 +1475,14 @@ class TestBernoulliOracle:
                  binom.sf(3 * n // 10 - 1, n, 0.3)]
         _z_test(list(zip(exact, counts)), plan.reps, n)
 
-    def test_catches_a_swapped_split_share(self, monkeypatch):
-        # every split, the root's window included, takes the right share
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_catches_a_swapped_split_share(self, monkeypatch, n):
+        # every split takes the right share: the tree's root window and
+        # its binomials at 4096, the table's windows at 1024
         real = montecarlo._shares
         monkeypatch.setattr(montecarlo, "_shares", lambda *args: real(*args)[::-1])
-        with pytest.raises(AssertionError, match=r"\(0\.3, 0\.7, 1024\)"):
-            self._check(0.3, 0.7, n_values=(1024,), workers=1)
+        with pytest.raises(AssertionError, match=rf"\(0\.3, 0\.7, {n}\)"):
+            self._check(0.3, 0.7, n_values=(n,), workers=1)
 
 
 class TestBlockKeys:
@@ -1365,10 +1494,11 @@ class TestBlockKeys:
         assert alone.rows_for(64) == after.rows_for(64)
 
     def test_mixed_paths_identical_across_workers(self):
-        # bernoulli tables n = 16 and 256 (153 and 33153 vectors), not 1024
+        # bernoulli tables n = 16 and 256 (153 and 28964 windowed vectors),
+        # not 2048
         model = MODEL_REGISTRY["bernoulli"]
         mom = moments_by_enumeration(model)
-        plan = SimPlan(model, n_values=(16, 256, 1024), reps=40_000, seed=21)
+        plan = SimPlan(model, n_values=(16, 256, 2048), reps=40_000, seed=21)
         sim = estimate_events(plan, mom, workers=1)
         for workers in (2, 3):
             assert estimate_events(plan, mom, workers=workers) == sim
