@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -174,10 +175,13 @@ def bernoulli_model(p_low: float, p_high: float) -> BeliefModel:
     if not (0.0 <= p_low <= p_high <= 1.0):
         raise ValueError(
             f"p_low, p_high need 0 <= p_low <= p_high <= 1, got ({p_low!r}, {p_high!r})")
+    # each mass the exact difference of the decimals given, as a model
+    # file would spell it
+    low, high = Fraction(repr(p_low)), Fraction(repr(p_high))
     weighted = [
         (FocalElement([(1.0, 1.0)]), p_low),
-        (FocalElement([(0.0, 0.0)]), 1.0 - p_high),
-        (FocalElement([(0.0, 1.0)]), p_high - p_low),
+        (FocalElement([(0.0, 0.0)]), float(1 - high)),
+        (FocalElement([(0.0, 1.0)]), float(high - low)),
     ]
     focal = [(f, m) for f, m in weighted if m > 0.0]
     return BeliefModel(focal, bound=1.0)

@@ -23,14 +23,17 @@ reduces to one event cell, and a block to one histogram of cells.  On
 the law's lattice (every endpoint an integer multiple of a step h) a
 cell is two table lookups on the integer hull sums S/h, whose thresholds
 decide each event exactly, wherever those sums fit in int64
-(``on_lattice``).  Where at most ``TABLE_MAX_VECTORS`` count vectors keep
-every split of the tree below inside its binomial window (``is_tabled``),
-their probabilities, products of the splits' windowed binomial pmfs,
-summed per cell give the law of one trial's cell (``_cell_law``), built
-once per estimate, and a block's histogram is one multinomial draw over
-it, so no row is handled on its own.  Else a binary tree of binomial
-splits over the hulls draws the counts (``_split_counts``), its root
-split by one multinomial over a window of its binomial pmf.
+(``on_lattice``).  There, where at most ``TABLE_MAX_VECTORS`` count
+vectors keep every split of the tree below but the last inside its
+binomial window, and the totals of the last split have at most as many
+window entries (``is_tabled``), the law of one trial's cell is built
+once per estimate (``splittree._cell_law``): each vector's probability, a
+product of windowed binomial pmfs, times the mass of each run of the last
+split's count between the thresholds it crosses, summed per cell.  A block's
+histogram is then one multinomial draw over it, so no row is handled on
+its own.  Else a binary tree of binomial splits over the hulls draws the
+counts (``splittree._split_counts``), its root split by one multinomial
+over a window of its binomial pmf.
 """
 
 from __future__ import annotations
@@ -44,17 +47,18 @@ from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
 from .belief import BeliefModel
 from .errors import DegenerateVariance, as_real, as_real_pair
 from .moments import ChoquetMoments, MinMaxLaw, side_moments
+from .splittree import (BLOCK_SIZE, _cell_law, _hull_sums, _shares, _split_counts, _table_sizes,
+                        _window, _window_pmfs)
 
 _KEY_DOMAIN = np.uint64(0x9E3779B97F4A7C15)
 _CTR_BLOCK = np.uint64(1)
-BLOCK_SIZE = 1 << 14
 TABLE_MAX_VECTORS = 1 << 17
 
 WORKERS_ENV = "BELIEFCLT_WORKERS"
@@ -169,6 +173,10 @@ class SimPlan:
 
     def digest(self) -> str:
         """Deterministic id of the full plan, for run identification."""
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
         h = hashlib.sha256()
         h.update(repr(self.model).encode())
         h.update(repr((self.n_values, self.reps, self.seed, self.slack)).encode())
@@ -233,49 +241,6 @@ def _block_stream(seed: int, n: int, block_index: int,
     return rng
 
 
-def _hull_sums(columns: Sequence[np.ndarray], law: MinMaxLaw) -> tuple[np.ndarray, np.ndarray]:
-    """(S_min, S_max) of count vectors given as one column per hull.
-
-    A multiply-accumulate in hull order; both sampling paths use it, so
-    equal counts give equal bits: exact int64 sums on a lattice law of
-    integer endpoints, float sums on a float law.  A matrix product would
-    hand float sums to BLAS, whose own threads would compete with the
-    pool's threads for the cores.
-    """
-    s_min = columns[0] * law.mins[0]
-    s_max = columns[0] * law.maxs[0]
-    for k in range(1, len(law.masses)):
-        s_min += columns[k] * law.mins[k]
-        s_max += columns[k] * law.maxs[k]
-    return s_min, s_max
-
-
-def _window(n, p: float, q: float):
-    """(lo, mode, hi) of the Bin(n, p) window, q = 1 - p, for an int or an
-    int64 array n: the mode +- (10 sd + 32), cut to [0, n]; by Bernstein's
-    inequality each side of it holds less than exp(-46) of the mass."""
-    mode = np.minimum(n, np.floor((n + 1) * p).astype(np.int64))
-    half = np.ceil(10.0 * np.sqrt(n * p * q)).astype(np.int64) + 32
-    return np.maximum(0, mode - half), mode, np.minimum(n, mode + half)
-
-
-def _window_pmfs(n: np.ndarray, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """(first, pmf): row r holds the Bin(n_r, p) pmf at first_r, first_r + 1,
-    ..., zero off its window, by the ratio recurrence out of the mode,
-    pmf(k + 1) / pmf(k) = (n - k) / (k + 1) * p / q, and normalized."""
-    lo, mode, hi, n = (column[:, None] for column in (*_window(n, p, q), n))
-    below, above = int((mode - lo).max()), int((hi - mode).max())
-    down, up = mode - np.arange(below, dtype=float), mode + np.arange(above, dtype=float)
-    pmf = np.concatenate([
-        np.cumprod(np.where(down > lo, down / (n + 1 - down) * (q / p), 1.0), axis=1)[:, ::-1],
-        np.ones((len(n), 1)),
-        np.cumprod(np.where(up < hi, (n - up) / (up + 1) * (p / q), 1.0), axis=1),
-    ], axis=1)
-    values = mode - below + np.arange(pmf.shape[1])
-    pmf = np.where((lo <= values) & (values <= hi), pmf, 0.0)
-    return values[:, 0], pmf / pmf.sum(axis=1, keepdims=True)
-
-
 def _binomial_window(n: int, p: float, q: float) -> tuple[int, np.ndarray] | None:
     """(lo, pmf) of the Bin(n, p) window, or None past ``TABLE_MAX_VECTORS``."""
     lo, _, hi = _window(n, p, q)
@@ -283,119 +248,19 @@ def _binomial_window(n: int, p: float, q: float) -> tuple[int, np.ndarray] | Non
     return (int(lo), _window_pmfs(np.array([n]), p, q)[1][0]) if fits else None
 
 
-def _spread(start: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row, value): each row r width_r times, with start_r, start_r + 1, ..."""
-    row = np.repeat(np.arange(len(width)), width)
-    return row, np.arange(len(row)) + np.repeat(start + width - np.cumsum(width), width)
-
-
-def _shares(masses: np.ndarray, lo: int, hi: int) -> tuple[float, float]:
-    """The shares of hulls [lo, mid) and [mid, hi) in the mass of [lo, hi),
-    mid = (lo + hi) // 2."""
-    mid = (lo + hi) // 2
-    left, right = math.fsum(masses[lo:mid]), math.fsum(masses[mid:hi])
-    return left / (left + right), right / (left + right)
-
-
-def _split_counts(law: MinMaxLaw, n: int, root: tuple[int, np.ndarray] | None,
-                  rng: np.random.Generator, size: int) -> list[np.ndarray]:
-    """Hull counts of ``size`` trials of (law, n), one int64 column per
-    hull, by a binary tree of binomial splits.
-
-    A node splits its count of hulls [lo, hi) into [lo, mid) and [mid, hi),
-    mid = (lo + hi) // 2; the left count is binomial with the left share
-    of the node's mass (Devroye 1986, ch. XI), and the leaves give the
-    columns in hull order.  The root's left counts are one multinomial
-    over ``root``, the (lo, pmf) of ``_binomial_window``: each count value
-    repeated as often as it is drawn, so the column comes out sorted and
-    numpy reuses its binomial setup across equal counts at the second
-    level.  Every other split, and the root where ``root`` is None, takes
-    ``rng.binomial``, depth first and left before right.
-    """
-    k = len(law.masses)
-    columns: list[np.ndarray] = [None] * k
-    pending = [(0, k, np.full(size, n, dtype=np.int64))]
-    while pending:
-        lo, hi, count = pending.pop()
-        if hi - lo == 1:
-            columns[lo] = count
-            continue
-        if hi - lo == k and root is not None:
-            lo_count, pmf = root
-            left = np.repeat(np.arange(lo_count, lo_count + len(pmf)),
-                             rng.multinomial(size, pmf))
-        else:
-            left = rng.binomial(count, _shares(law.masses, lo, hi)[0])
-        count -= left
-        mid = (lo + hi) // 2
-        pending += [(mid, hi, count), (lo, mid, left)]
-    return columns
-
-
-def _windowed_count(law: MinMaxLaw, n: int, limit: int) -> int:
-    """The number of count vectors of (law, n) whose every split of the tree
-    (``_split_counts``) lies in its ``_window``, counted from the window
-    bounds alone, or ``limit + 1`` where it is larger: a node counts the
-    vectors below its totals a quarter block of window entries at a time,
-    and stops at ``limit + 1`` per total once its count passes the limit."""
-    def count(lo: int, hi: int, totals: np.ndarray) -> np.ndarray:
-        if hi - lo == 1:
-            return np.ones(len(totals), dtype=np.int64)
-        start, _, stop = _window(totals, *_shares(law.masses, lo, hi))
-        vectors, mid = stop - start + 1, (lo + hi) // 2
-        rows = max(1, len(totals) * (BLOCK_SIZE // 4) // int(vectors.sum()))
-        for first in range(0, len(totals) if hi - lo > 2 else 0, rows):
-            if vectors.sum() > limit:
-                break
-            part = slice(first, first + rows)
-            row, left = _spread(start[part], vectors[part])
-            vectors[part] = np.bincount(row, count(lo, mid, left)
-                                        * count(mid, hi, totals[part][row] - left))
-        return np.full(len(totals), limit + 1) if vectors.sum() > limit else vectors
-    return min(int(count(0, len(law.masses), np.array([n]))[0]), limit + 1)
-
-
 def is_tabled(law: MinMaxLaw, n: int) -> bool:
-    """Whether (law, n) has at most ``TABLE_MAX_VECTORS`` windowed vectors."""
-    return _windowed_count(law, n, TABLE_MAX_VECTORS) <= TABLE_MAX_VECTORS
+    """Whether (law, n) draws each block from its cell law (``_cell_law``):
+    n on the law's lattice (``on_lattice``), and at most
+    ``TABLE_MAX_VECTORS`` prefixes and window entries (``_table_sizes``).
+    Decided once per law, n and limit."""
+    return _tabled(*(tuple(v.tolist()) for v in (law.mins, law.maxs, law.masses)), n,
+                   TABLE_MAX_VECTORS)
 
 
-def _windowed_vectors(law: MinMaxLaw, n: int):
-    """(columns, pmf) slices of the vectors ``_windowed_count`` counts, each
-    probability the product of its splits' windowed pmfs.  A node splits a
-    slice at once, after cutting it where it would pass a quarter block."""
-    def expand(counts: dict, pmf: np.ndarray, todo: list):
-        if not todo:
-            yield [counts[h, h + 1] for h in range(len(law.masses))], pmf
-            return
-        (lo, hi), rest = todo[-1], todo[:-1]
-        mid, totals, (p, q) = (lo + hi) // 2, counts[lo, hi], _shares(law.masses, lo, hi)
-        start, _, stop = _window(totals, p, q)
-        if len(totals) > 1 and (stop - start + 1).sum() > BLOCK_SIZE // 4:
-            for part in (slice(0, len(totals) // 2), slice(len(totals) // 2, None)):
-                yield from expand({node: c[part] for node, c in counts.items()}, pmf[part], todo)
-            return
-        row, left = _spread(start, stop - start + 1)
-        first, window = _window_pmfs(totals, p, q)
-        counts = {node: c[row] for node, c in counts.items() if node != (lo, hi)}
-        counts[lo, mid], counts[mid, hi] = left, totals[row] - left
-        rest += [node for node in ((lo, mid), (mid, hi)) if node[1] - node[0] > 1]
-        yield from expand(counts, pmf[row] * window[row, left - first[row]], rest)
-
-    k = len(law.masses)
-    return expand({(0, k): np.array([n])}, np.ones(1), [(0, k)] if k > 1 else [])
-
-
-def _cell_law(law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray],
-              length: int) -> np.ndarray:
-    """The law of one trial's event cell at a tabled (law, n): the
-    probabilities of the windowed count vectors (``_windowed_vectors``)
-    summed per cell, slice by slice, and divided by their total.
-    ``cell_of`` maps hull sums to cells, of which there are ``length``."""
-    p_cell = np.zeros(length)
-    for columns, pmf in _windowed_vectors(law, n):
-        p_cell += np.bincount(cell_of(*_hull_sums(columns, law)), weights=pmf, minlength=length)
-    return p_cell / p_cell.sum()
+@lru_cache(maxsize=64)
+def _tabled(mins: tuple, maxs: tuple, masses: tuple, n: int, limit: int) -> bool:
+    law = MinMaxLaw(*map(np.array, (mins, maxs, masses)))
+    return on_lattice(law.lattice(), n) and max(_table_sizes(law, n, limit)) <= limit
 
 
 def _exact_bounds(a: Fraction, center: Fraction, spread: Fraction) -> tuple[int, int]:
@@ -577,15 +442,15 @@ class _EventCells:
             return cell
         return cells
 
-    def at(self, stats: _Statistics,
-           n: int) -> tuple[MinMaxLaw, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
-        """(sums law, cell of each trial from its hull sums over it) at n.
+    def at(self, stats: _Statistics, n: int) -> tuple:
+        """(sums law, cell of each trial from its hull sums over it,
+        thresholds) at n.
 
         On the lattice at n (``on_lattice``) the sums law holds the
         endpoints as the integers v/h, so its hull sums are the exact
         integers S/h, and the cells compare them with integer thresholds
-        from the law's exact means and variances (``_lattice_bounds``).
-        Else the sums are float and normalized in place to
+        from the law's exact means and variances (``_lattice_bounds``):
+        those of S_min/h, then those of S_max/h.  Else there are none; the sums are float and normalized in place to
         T = (S - n*mean)/(sqrt(n)*sd) with the float moments, which rounds:
         a trial within an ulp or so of a threshold may fall on either side
         of it.
@@ -597,7 +462,7 @@ class _EventCells:
                        in zip((self.low, self.up), (mins, maxs), stats.sides))
             lattice = MinMaxLaw(np.array(mins, dtype=np.int64), np.array(maxs, dtype=np.int64),
                                 stats.law.masses)
-            return lattice, self.cell_function(low, up)
+            return lattice, self.cell_function(low, up), (low[0], np.concatenate(up))
 
         cells = self.cell_function(_float_bounds(self.low), _float_bounds(self.up))
         moments, root = stats.moments, math.sqrt(n)
@@ -608,7 +473,7 @@ class _EventCells:
             s_max -= n * moments.upper_mean
             s_max /= root * moments.upper_sd
             return cells(s_min, s_max)
-        return stats.law, normalized_cells
+        return stats.law, normalized_cells, None
 
     def counts(self, histogram: np.ndarray) -> np.ndarray:
         """Event counts in plan order: lower, upper, then two-sided; of a
@@ -625,9 +490,9 @@ def _sampler(stats: _Statistics, events: _EventCells, n: int) -> tuple:
     """(sums law, cell function, cell law, root window) of n, built once per
     estimate: a tabled n has its cell law and no root window, any other n
     its split tree's root window and no cell law."""
-    law, cell_of = events.at(stats, n)
-    if is_tabled(law, n):
-        return law, cell_of, _cell_law(law, n, cell_of, events.size), None
+    law, cell_of, bounds = events.at(stats, n)
+    if is_tabled(stats.law, n):
+        return law, cell_of, _cell_law(law, n, cell_of, bounds, events.size), None
     return law, cell_of, None, _binomial_window(n, *_shares(law.masses, 0, len(law.masses)))
 
 

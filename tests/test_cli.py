@@ -305,7 +305,7 @@ def _sha256(path) -> str:
 
 
 _PLAN_FILE_DIGESTS = {
-    "simulate": "b583c786710eed0032604587c8c2574b6791ab82fd2c9a063ccf06501f16bdea",
+    "simulate": "ff2e14d5955e61a44d15f964c1a648270151fbbe5f4148589b4b50cf193524bf",
     "verify-one-sided": "3bde56c754ebbde721eee9fc07ffec79a036d583629c8036d36fe189612bfca2",
     "verify-two-sided": "d408a49184f0e3b8e7590e8a7a5bbea89c369d41a8aa0ee186c405345bfcea81",
 }
@@ -326,7 +326,7 @@ class TestOutputBytes:
     def test_special_cases_report(self, tmp_path):
         main(["special-cases", "--out-dir", str(tmp_path)])
         assert _sha256(tmp_path / "report_special_cases.csv") == (
-            "275030021561ed95b6801f6a9859233344b299b6fa2935436b7f7473d41facaf")
+            "55add963f976b5da2ef1a88ef24eb989e43516b506cfb0a8fe641d049fff10fc")
 
     def test_moments_of_mixed(self, tmp_path, capsys):
         save_model(MODEL_REGISTRY["mixed"], tmp_path / "mixed.model")

@@ -1,25 +1,27 @@
 """Pinned estimator counts for every registry model.
 
-Streams are keyed by (seed, n, block).  Where a (law, n) has at most
-``TABLE_MAX_VECTORS`` hull count vectors inside the binomial windows of
-the split tree, a block is one multinomial draw over the law of one
-trial's event cell: the probabilities of those vectors, each a product of
-windowed binomial pmfs, summed per cell.  Every n of this plan is tabled
-for every registry model.  ``MULTINOMIAL_SHA256`` pins three (model, n)
-past it: ``bernoulli`` at n = 1024, drawn from its table since the table
-kept to the windows, and two whose laws are too large for a table, which
-draw their hull counts by the binomial split tree, its root one
-multinomial over a window of its binomial pmf.  The ``coin`` and
-``two_interval`` pins were last re-recorded when the tables kept to the
-windows (only n = 4 moved, by one trial in some cells), after the cell
-law's fractions test, its block-histogram z-test, its binomial-tail tests
-and the windowed count test passed; the others last when blocks and the
-tree's root became multinomial draws.  The tally and the ``>=`` / ``<``
-/ ``<=`` operators did not change.  The plan runs two blocks per n (the
-second one partial) on a dense 0.25 alpha grid; ``coin`` and
-``two_interval`` put T_low and T_up on a 0.5 lattice at n = 4 and 16, so
-many trials land exactly on a grid threshold and the operators decide
-them.
+Streams are keyed by (seed, n, block).  Where a (law, n) is tabled
+(``is_tabled``: on the law's lattice, with at most ``TABLE_MAX_VECTORS``
+prefixes and window entries), a block is one multinomial draw over the law
+of one trial's event cell: the windowed count vectors of every split of
+the binomial tree but the last, each a product of windowed binomial pmfs,
+with the last split summed in closed form between the thresholds it
+crosses.  Every n of this plan is tabled for every registry model.
+``MULTINOMIAL_SHA256`` pins four (model, n) past it: ``bernoulli`` at
+n = 1024 and ``mixed`` at n = 256, drawn from their tables, and two whose
+tables would be too large, which draw their hull counts by the binomial
+split tree, its root one multinomial over a window of its binomial pmf.
+``mixed`` at n = 256 was re-recorded and ``mixed`` at n = 4096 added when
+the last split was summed in closed form, after the closed form matched
+the full windowed enumeration, the fractions test and the binomial-tail
+tests; no other pin moved then.  The ``coin`` and ``two_interval`` pins
+were last re-recorded when the tables kept to the windows (only n = 4
+moved, by one trial in some cells); the others when blocks and the tree's
+root became multinomial draws.  The tally and the ``>=`` / ``<`` / ``<=``
+operators did not change.  The plan runs two blocks per n (the second one
+partial) on a dense 0.25 alpha grid; ``coin`` and ``two_interval`` put
+T_low and T_up on a 0.5 lattice at n = 4 and 16, so many trials land
+exactly on a grid threshold and the operators decide them.
 """
 
 import hashlib
@@ -40,12 +42,16 @@ GOLDEN_SHA256 = {
     "mixed": "124af4270a3052b0d07fca98543ec5e328c8276ccdbb4c3e0846b6bf61013160",
 }
 
-# (model, n) past the plan's: bernoulli at 1024 drawn from its table (118583
-# windowed count vectors), the others by the split tree (388965 and 2633569)
+# (model, n) past the plan's, as (prefixes, window entries): drawn from their
+# tables, bernoulli at 1024 (359, 118583) and mixed at 256 (31476, 22999);
+# by the split tree, bernoulli at 4096 (653, 388965) and mixed
+# at 4096 (389025, 325677)
+TABLED = {("bernoulli", 1024), ("mixed", 256)}
 MULTINOMIAL_SHA256 = {
     ("bernoulli", 1024): "58ee6e82461c8cc2f0c28d68c277dfdcc594aa96782606428529d80dad0ab2c5",
     ("bernoulli", 4096): "9cc7981900b9d4a4ffc55220c8e8e678304a5e47ff0520ba262e145739bf58f1",
-    ("mixed", 256): "b80279ca4b1f2b08d9a26dfd769197930dcf57cc3ff5911ccc8312764507c0e4",
+    ("mixed", 256): "1b40b0039a7167cbd1c833d31cc1c3ca0f5f3dcae8b63b63f7f3dea5d8b6c37e",
+    ("mixed", 4096): "1b1bb45be510e45b7bfff2b1d3c35dab5fe0c40bf73d9f83fa719a975a4226a9",
 }
 
 # n = 16 one-sided counts along DENSE_GRID, spelled out for readable diffs
@@ -95,5 +101,5 @@ def test_counts_match_golden(name):
 @pytest.mark.parametrize("name, n", sorted(MULTINOMIAL_SHA256))
 def test_multinomial_path_counts_match_golden(name, n):
     law = montecarlo.MinMaxLaw.from_model(MODEL_REGISTRY[name])
-    assert montecarlo.is_tabled(law, n) == (n == 1024)
+    assert montecarlo.is_tabled(law, n) == ((name, n) in TABLED)
     assert _digest(_golden_run(name, (n,))) == MULTINOMIAL_SHA256[name, n]

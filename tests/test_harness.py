@@ -206,3 +206,12 @@ def test_registry_models_are_valid():
     from beliefclt.modelio import model_text, parse_model
     for name, model in MODEL_REGISTRY.items():
         assert parse_model(model_text(model)) == model, name
+
+
+def test_bernoulli_model_masses_are_the_decimals_given():
+    # each mass is the exact difference of the decimals given, as a model
+    # file spells it, so both sides of bernoulli have the variance 0.21
+    assert [m for _, m in bernoulli_model(0.3, 0.7).focal] == [0.3, 0.3, 0.4]
+    assert [m for _, m in bernoulli_model(0.1, 0.7).focal] == [0.1, 0.3, 0.6]
+    mom = moments_by_enumeration(MODEL_REGISTRY["bernoulli"])
+    assert mom.lower_sd == mom.upper_sd == math.sqrt(0.21) and mom.rho_prime == 0.3

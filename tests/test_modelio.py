@@ -323,7 +323,7 @@ class TestSavedBytes:
 
     def test_registry_model_files(self):
         assert {name: _sha256(model_text(m)) for name, m in MODEL_REGISTRY.items()} == {
-            "bernoulli": "0e15d07b88af3694ed868b4eb43d963f41aae7bd85c38f96fe7a4b38309ed317",
+            "bernoulli": "4abd9a3d3f778284c4e5513f51c70ec93b62e8350a06ab7ea1db64f05cc12741",
             "coin": "04975f7f7abfce596937b06bbe5b6fe51b1cd696451261704318b7d670f089e3",
             "two_interval": "8046989b9b12b6b82d07f8987f8cbfbd6482b6d6407b05537f6afa6153b5585d",
             "union_parts": "310ac9245b38c96ae6f1b4452a77fbb774b85ed46c537186906818f876797907",

@@ -8,7 +8,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from beliefclt import (
@@ -24,30 +24,36 @@ from beliefclt import (
     moments_by_enumeration,
     plausibility,
 )
-from beliefclt import montecarlo
+from beliefclt import montecarlo, splittree
 from beliefclt.modelio import parse_model
-from beliefclt.moments import MinMaxLaw
+from beliefclt.moments import MinMaxLaw, side_moments
 from beliefclt.montecarlo import (
-    BLOCK_SIZE,
     DEFAULT_ALPHA_GRID,
     ONE_SIDED_LOWER,
     ONE_SIDED_UPPER,
     TWO_SIDED,
     _block_stream,
     _binomial_window,
-    _cell_law,
     _EventCells,
     _float_bounds,
-    _hull_sums,
     _lattice_bounds,
-    _shares,
-    _split_counts,
     _Statistics,
-    _windowed_count,
-    _windowed_vectors,
     default_alpha_pairs,
     is_tabled,
     resolve_workers,
+)
+from beliefclt.splittree import (
+    BLOCK_SIZE,
+    _cell_law,
+    _hull_sums,
+    _last_totals,
+    _prefixes,
+    _shares,
+    _split_counts,
+    _spread,
+    _table_sizes,
+    _window,
+    _window_pmfs,
 )
 
 from _intervals import complement
@@ -65,24 +71,59 @@ def _multinomial_pmf(columns, masses, n):
     return np.exp(log_p, out=log_p)
 
 
+def _windowed_vectors(law, n):
+    """(columns, pmf) slices of every count vector of (law, n) whose every
+    split of the tree (``_split_counts``) lies in its ``_window``, each
+    probability the product of its splits' windowed pmfs: the full
+    enumeration, through the last split too, that the closed-form cell law
+    is checked against.  A node splits a slice at once, after cutting it
+    where it would pass a quarter block."""
+    def expand(counts, pmf, todo):
+        if not todo:
+            yield [counts[h, h + 1] for h in range(len(law.masses))], pmf
+            return
+        (lo, hi), rest = todo[-1], todo[:-1]
+        mid, totals, (p, q) = (lo + hi) // 2, counts[lo, hi], _shares(law.masses, lo, hi)
+        start, _, stop = _window(totals, p, q)
+        if len(totals) > 1 and (stop - start + 1).sum() > BLOCK_SIZE // 4:
+            for part in (slice(0, len(totals) // 2), slice(len(totals) // 2, None)):
+                yield from expand({node: c[part] for node, c in counts.items()}, pmf[part], todo)
+            return
+        row, left = _spread(start, stop - start + 1)
+        first, window = _window_pmfs(totals, p, q)
+        counts = {node: c[row] for node, c in counts.items() if node != (lo, hi)}
+        counts[lo, mid], counts[mid, hi] = left, totals[row] - left
+        rest += [node for node in ((lo, mid), (mid, hi)) if node[1] - node[0] > 1]
+        yield from expand(counts, pmf[row] * window[row, left - first[row]], rest)
+
+    k = len(law.masses)
+    return expand({(0, k): np.array([n])}, np.ones(1), [(0, k)] if k > 1 else [])
+
+
 def _windowed(law, n):
     """(columns, pmf) of every windowed count vector of (law, n), the
-    build's slices joined in the build's order."""
+    reference enumeration's slices joined in its order."""
     slices = list(_windowed_vectors(law, n))
     return ([np.concatenate(c) for c in zip(*(columns for columns, _ in slices))],
             np.concatenate([pmf for _, pmf in slices]))
 
 
 def _vector_law(law, n):
-    """The cell law of (law, n) with one cell per windowed count vector:
-    the cell function numbers the vectors of each slice after those of the
-    slices before it."""
-    seen = [0]
+    """The law of the windowed count vectors of (law, n), in the order of
+    ``_windowed``: their pmf divided by its total."""
+    pmf = _windowed(law, n)[1]
+    return pmf / pmf.sum()
 
-    def vector_index(s_min, s_max):
-        seen[0] += len(s_min)
-        return np.arange(seen[0] - len(s_min), seen[0])
-    return _cell_law(law, n, vector_index, _windowed_count(law, n, 2**40))
+
+def _reference_cell_law(law, n, cell_of, length):
+    """The cell law of (law, n) by the full windowed enumeration: every
+    vector's pmf in the cell of its hull sums, summed slice by slice and
+    divided by the total, as the estimator built it before the last split
+    was summed in closed form."""
+    p_cell = np.zeros(length)
+    for columns, pmf in _windowed_vectors(law, n):
+        p_cell += np.bincount(cell_of(*_hull_sums(columns, law)), weights=pmf, minlength=length)
+    return p_cell / p_cell.sum()
 
 
 def _tree_root(law, n):
@@ -437,12 +478,12 @@ def test_each_cell_law_is_built_once(monkeypatch):
 
 def test_threads_share_no_state_under_stress():
     """Eight threads on fewer cores, switching every microsecond, give the
-    one-thread result: eight runs per n, n = 16 tabled and n = 1024 not."""
+    one-thread result: eight runs per n, n = 16 tabled and n = 4096 not."""
     model = MODEL_REGISTRY["mixed"]
     mom = moments_by_enumeration(model)
-    plan = SimPlan(model, n_values=(16, 1024), reps=8 * BLOCK_SIZE - 5, seed=71)
+    plan = SimPlan(model, n_values=(16, 4096), reps=8 * BLOCK_SIZE - 5, seed=71)
     law = MinMaxLaw.from_model(model)
-    assert is_tabled(law, 16) and not is_tabled(law, 1024)
+    assert is_tabled(law, 16) and not is_tabled(law, 4096)
     serial = estimate_events(plan, mom, workers=1)
     results = []
     interval = sys.getswitchinterval()
@@ -512,7 +553,14 @@ def _float_cells(events, t_low, t_up):
 
 def _cells_at(events, law, mom, n):
     """(sums law, cell function) of the estimator at (law, n)."""
-    return events.at(_Statistics.of(law, mom), n)
+    return events.at(_Statistics.of(law, mom), n)[:2]
+
+
+def _closed_form(events, law, mom, n):
+    """The estimator's cell law of (law, n), summed in closed form over the
+    last split of the tree."""
+    sums_law, cell_of, bounds = events.at(_Statistics.of(law, mom), n)
+    return _cell_law(sums_law, n, cell_of, bounds, events.size)
 
 
 def _exact_sides(law):
@@ -712,7 +760,7 @@ def _reference_estimate(plan, mom):
         member = np.zeros((len(in_event), events.size), dtype=np.int64)
         member[:, cells] = in_event
         assert np.array_equal(member[:, cells], in_event)  # one cell, one set of events
-        p_cell = _cell_law(sums_law, n, cell_of, events.size)
+        p_cell = _closed_form(events, law, mom, n)
         histogram = sum(_block_stream(plan.seed, n, b).multinomial(size, p_cell)
                         for b, size in blocks)
         counts[n] = (member @ histogram).tolist()
@@ -949,8 +997,7 @@ def _model_cell_law(model, n, alphas=DEFAULT_ALPHA_GRID):
     the estimator's cell function."""
     law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
     events = _EventCells.build(alphas, default_alpha_pairs(alphas))
-    sums_law, cell_of = _cells_at(events, law, mom, n)
-    return events, _cell_law(sums_law, n, cell_of, events.size)
+    return events, _closed_form(events, law, mom, n)
 
 
 def _check_block_histograms(name, n):
@@ -1004,19 +1051,54 @@ class TestCellLaw:
             for p, want in zip(p_cell.tolist(), exact):
                 assert abs(Fraction(p) - want) <= Fraction(1, 10**12) * want, (n, p, want)
 
+    @pytest.mark.parametrize("name", sorted(_LAW_MODELS))
+    def test_closed_form_matches_the_full_enumeration(self, name):
+        # at every tabled n <= 90, summing the last split in closed form
+        # gives the full windowed enumeration's cell law to 1e-15
+        # absolute, on the same support
+        model = _LAW_MODELS[name]
+        law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
+        events = _EventCells.build(DEFAULT_ALPHA_GRID, default_alpha_pairs())
+        for n in range(1, 91):
+            assert is_tabled(law, n)
+            sums_law, cell_of = _cells_at(events, law, mom, n)
+            want = _reference_cell_law(sums_law, n, cell_of, events.size)
+            got = _closed_form(events, law, mom, n)
+            assert np.abs(got - want).max() <= 1e-15, n
+            assert np.array_equal(got > 0, want > 0), n
+
+    def test_closed_form_matches_the_full_enumeration_of_mixed_at_256(self):
+        # 31476 prefixes against 2633569 windowed vectors, on the 21-point
+        # grid and its pairs
+        model = MODEL_REGISTRY["mixed"]
+        law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
+        assert is_tabled(law, 256)
+        events = _EventCells.build(_DENSE_GRID, default_alpha_pairs(_DENSE_GRID))
+        sums_law, cell_of = _cells_at(events, law, mom, 256)
+        want = _reference_cell_law(sums_law, 256, cell_of, events.size)
+        got = _closed_form(events, law, mom, 256)
+        assert np.abs(got - want).max() <= 1e-15
+        assert np.array_equal(got > 0, want > 0)
+
     @pytest.mark.parametrize("name, n", [("bernoulli", 1), ("bernoulli", 255),
                                          ("mixed", 64), ("coin", 20000)])
     def test_vector_law_is_the_normalized_pmf(self, name, n):
-        # with one cell per windowed count vector, the cell law is the pmf
-        # itself; it matches the multinomial pmf of those vectors (scipy's
-        # binomial with two hulls, log-factorials at the small n of more),
-        # and the vectors outside the windows hold no mass to speak of
+        # the law of the windowed count vectors is their normalized pmf;
+        # it matches the multinomial pmf of those vectors (scipy's binomial
+        # with two hulls, log-factorials at the small n of more), and the
+        # vectors outside the windows hold no mass to speak of.  Summed per
+        # cell, it is the closed form's cell law to 1e-15.
         from scipy.stats import binom
 
-        law = MinMaxLaw.from_model(MODEL_REGISTRY[name])
+        model = MODEL_REGISTRY[name]
+        law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
         columns, pmf = _windowed(law, n)
         p_cell = _vector_law(law, n)
         assert np.array_equal(p_cell, pmf / pmf.sum())
+        events, closed = _model_cell_law(model, n)
+        sums_law, cell_of = _cells_at(events, law, mom, n)
+        cells = cell_of(*_hull_sums([c.copy() for c in columns], sums_law))
+        assert np.abs(closed - np.bincount(cells, p_cell, minlength=events.size)).max() <= 1e-15
         assert abs(p_cell.sum() - 1.0) <= 1e-13
         reference = (binom.pmf(columns[0], n, law.masses[0]) if len(columns) == 2
                      else _multinomial_pmf(columns, law.masses, n))
@@ -1104,7 +1186,7 @@ class TestCellLaw:
         # n = 16, every one inside the windows
         law = MinMaxLaw.from_model(MODEL_REGISTRY["bernoulli"])
         n, size = 16, 153
-        assert _windowed_count(law, n, 2**40) == size
+        assert _table_sizes(law, n, 2**40) == (17, size)
         monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", size)
         assert is_tabled(law, n)
         # above the limit the split tree draws, its root tabled on the
@@ -1159,20 +1241,28 @@ class TestCellLaw:
             member = np.array([events.counts(np.eye(events.size, dtype=np.int64)[c])
                                for c in range(events.size)]).T
             assert np.array_equal(member[:, cells], _exact_events(columns, law, n, alphas, pairs))
-            # the cell law sums the windowed pmf over those cells, slice by
-            # slice, with each vector in the cell of its exact events
+            # the closed form puts the windowed pmf of each vector in the
+            # cell of its exact events: it matches the full windowed
+            # enumeration over those cells to 1e-15, and the exact cell law
+            # in fractions to 1e-12 relative, on the same support
             want, position = np.zeros(events.size), {v: i for i, v in enumerate(_compositions(n, 4))}
             for vectors, pmf in _windowed_vectors(law, n):
                 index = [position[v] for v in zip(*(c.tolist() for c in vectors))]
                 want += np.bincount(cells[index], weights=pmf, minlength=events.size)
-            assert np.array_equal(_cell_law(sums_law, n, cell_of, events.size), want / want.sum())
+            p_cell = _closed_form(events, law, mom, n)
+            assert np.abs(p_cell - want / want.sum()).max() <= 1e-15
+            exact = _exact_cell_law(sums_law, n, cell_of, events.size)
+            assert np.flatnonzero(p_cell).tolist() == [c for c, e in enumerate(exact) if e]
+            for p, e in zip(p_cell.tolist(), exact):
+                assert abs(Fraction(p) - e) <= Fraction(1, 10**12) * e, (n, p, e)
 
     def test_table_cells_match_multiply_accumulate_sums(self):
-        # off the lattice the cell law sums the pmf over the cells of the
-        # pure-Python multiply-accumulate sums, normalized out of place;
-        # thresholds taken from those normalized sums put many vectors on
-        # exact ties, where one ulp in a sum or in the normalization moves
-        # the cell
+        # off the lattice no n is tabled, since float sums do not move by
+        # a fixed step per count; the split tree's hull sums take the cells
+        # of the pure-Python multiply-accumulate sums, normalized out of
+        # place; thresholds taken from those normalized sums put many
+        # vectors on exact ties, where one ulp in a sum or in the
+        # normalization moves the cell
         model = _non_dyadic_float_model()
         law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
         assert len(law.masses) == 4
@@ -1194,18 +1284,13 @@ class TestCellLaw:
             alphas = t_low[::step].tolist() + t_up[::step].tolist()
             events = _EventCells.build(alphas, list(zip(alphas, alphas[::-1])))
             sums_law, cell_of = _cells_at(events, law, mom, n)
-            assert sums_law is law and is_tabled(law, n)
-            p_cell = _cell_law(law, n, cell_of, events.size)
+            assert sums_law is law and not is_tabled(law, n)
+            sampler = montecarlo._sampler(_Statistics.of(law, mom), events, n)
+            assert sampler[2] is None and sampler[3] is not None
             expected = _float_cells(events, t_low, t_up)
-            # the windows hold every vector; the build sums them slice by slice
-            want, position = np.zeros(events.size), {v: i for i, v in enumerate(vectors)}
-            for columns, pmf in _windowed_vectors(law, n):
-                order = [position[v] for v in zip(*(c.tolist() for c in columns))]
-                want += np.bincount(expected[order], weights=pmf, minlength=events.size)
-            assert np.array_equal(p_cell, want / want.sum())
-            assert np.flatnonzero(p_cell).tolist() == sorted(set(expected.tolist()))
-            # the split tree gets int64 counts; same bits
+            # the split tree gets int64 counts; same bits, same cells
             int_sums = _hull_sums(np.array(vectors, dtype=np.int64).T, law)
+            assert np.array_equal(cell_of(*(s.copy() for s in int_sums)), expected)
             for got, want in zip(int_sums, sums):
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -1278,33 +1363,102 @@ def _exact_sum_law(law, n):
 @settings(max_examples=60, deadline=None)
 def test_windowed_count_is_the_number_built(data):
     # k = 2..5 hulls, n where the windows cut the simplex for k = 2 and 3,
-    # and the limit one below, at and one above the number of vectors built
+    # and the limit one below, at and one above the number of prefixes
+    # built: the count vectors of every split but the last, in its windows
     k = data.draw(st.integers(2, 5))
     masses = data.draw(st.lists(st.floats(0.02, 1.0), min_size=k, max_size=k))
     n = data.draw(st.integers(1, {2: 5000, 3: 800, 4: 60, 5: 24}[k]))
     law = MinMaxLaw(np.zeros(k), np.zeros(k), np.array(masses))
-    slices = [len(pmf) for _, pmf in _windowed_vectors(law, n)]
+    slices = [len(pmf) for _, pmf in _prefixes(law, n, _last_totals(law, n, 2**40))]
     built = sum(slices)
     assert max(slices) <= BLOCK_SIZE // 4 or len(slices) == 1
     for limit in (built - 1, built, built + 1):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(montecarlo, "TABLE_MAX_VECTORS", limit)
-            assert is_tabled(law, n) == (built <= limit)
-        count = _windowed_count(law, n, limit)
+        count = _table_sizes(law, n, limit)[0]
         assert count == built if built <= limit else count > limit
 
 
-@pytest.mark.parametrize("name, n", [("bernoulli", 1158), ("mixed", 90)])
+def _side_law(data, k):
+    """A law of k hulls with integer endpoints, distinct minima and not
+    all maxima equal, so both sides vary."""
+    mins = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k, unique=True))
+    widths = data.draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+    maxs = [a + w for a, w in zip(mins, widths)]
+    assume(len(set(maxs)) > 1)
+    masses = data.draw(st.lists(st.floats(0.02, 1.0), min_size=k, max_size=k))
+    return MinMaxLaw(*(np.array(v, dtype=float) for v in (mins, maxs, masses)))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_table_sizes_are_the_sizes_built(data):
+    """The two sizes ``is_tabled`` compares are what ``_cell_law`` walks:
+    the prefixes it enumerates, and the window entries of the last split's
+    totals, each total's window pmf built once.  ``is_tabled`` holds at a
+    limit of the larger size and one above, not one below, and no chunk of
+    the build holds more than a block of elements: no window pmf, prefix
+    slice or array of runs."""
+    k = data.draw(st.integers(2, 5))
+    law = _side_law(data, k)
+    n = data.draw(st.integers(1, {2: 5000, 3: 800, 4: 60, 5: 24}[k]))
+    grid = data.draw(st.lists(st.sampled_from(LATTICE), max_size=8))
+    events = _EventCells.build(grid, default_alpha_pairs(grid))
+    stats = _Statistics(law, law.lattice(), side_moments(law.exact()), None)
+    sums_law, cell_of, bounds = events.at(stats, n)
+    windows, prefixes, runs = [], [], []
+
+    def window_pmfs(totals, p, q):
+        first, pmf = real_pmfs(totals, p, q)
+        windows.append((sys._getframe(1).f_code.co_name, totals.copy(), p, q, pmf.size))
+        return first, pmf
+
+    def recording_prefixes(*args):
+        for counts, pmf in real_prefixes(*args):
+            prefixes.append(len(pmf))
+            yield counts, pmf
+
+    def recording_cells(x_low, x_up):
+        runs.append(x_low.size)
+        return cell_of(x_low, x_up)
+
+    real_pmfs, real_prefixes = splittree._window_pmfs, splittree._prefixes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(splittree, "_window_pmfs", window_pmfs)
+        patch.setattr(splittree, "_prefixes", recording_prefixes)
+        p_cell = _cell_law(sums_law, n, recording_cells, bounds, events.size)
+    assert abs(p_cell.sum() - 1.0) <= 1e-12
+    tables = [(totals, p, q) for caller, totals, p, q, _ in windows if caller == "_cell_law"]
+    totals = np.concatenate([t for t, _, _ in tables])
+    assert totals.tolist() == _last_totals(law, n, 2**40).tolist()  # each total once
+    entries = sum(int((stop - start + 1).sum())
+                  for start, _, stop in (_window(t, p, q) for t, p, q in tables))
+    built = (sum(prefixes), entries)
+    assert max(size for *_, size in windows) <= BLOCK_SIZE
+    assert max(prefixes) <= BLOCK_SIZE and max(runs) <= BLOCK_SIZE
+    size = max(built)
+    for limit in (size - 1, size, size + 1):
+        sizes = _table_sizes(law, n, limit)
+        assert all(s == b if b <= limit else s > limit for s, b in zip(sizes, built))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "TABLE_MAX_VECTORS", limit)
+            assert is_tabled(law, n) == (size <= limit)
+
+
+@pytest.mark.parametrize("name, n", [("bernoulli", 1158), ("mixed", 1155)])
 def test_largest_tabled_n(name, n):
-    # the count compared with TABLE_MAX_VECTORS is the number of vectors
-    # built, at the largest tabled n and on both sides of it; no slice
-    # holds more than a quarter block of vectors
+    # the sizes compared with TABLE_MAX_VECTORS are the prefixes and the
+    # window entries of the last split's totals that the build walks, at
+    # the largest tabled n and on both sides of it; no slice holds more
+    # than a quarter block of prefixes
     law = MinMaxLaw.from_model(MODEL_REGISTRY[name])
+    k = len(law.masses)
     for m in (n - 1, n, n + 1):
-        slices = [len(pmf) for _, pmf in _windowed_vectors(law, m)]
+        totals = _last_totals(law, m, 2**40)
+        slices = [len(pmf) for _, pmf in _prefixes(law, m, totals)]
+        start, _, stop = _window(totals, *_shares(law.masses, k - 2, k))
+        sizes = (sum(slices), int((stop - start + 1).sum()))
         assert max(slices) <= BLOCK_SIZE // 4
-        assert _windowed_count(law, m, 2**40) == sum(slices)
-        assert is_tabled(law, m) == (m <= n) == (sum(slices) <= montecarlo.TABLE_MAX_VECTORS)
+        assert _table_sizes(law, m, 2**40) == sizes
+        assert is_tabled(law, m) == (m <= n) == (max(sizes) <= montecarlo.TABLE_MAX_VECTORS)
 
 
 class TestSplitCounts:
@@ -1456,9 +1610,9 @@ class TestBernoulliOracle:
         n * lower_mean = n/10 and n * upper_mean = 7n/10 are reachable sums,
         atoms of about 0.13 and 0.09 at n = 90 (tabled) and of 0.03 and 0.02
         at n = 2000 (untabled).  ``T_low >= 0`` holds them, ``T_up < 0`` does
-        not and ``T_up <= 0`` does.  (``bernoulli_model(0.1, 0.7)`` has no
-        such tie: its masses 0.1, 0.30000000000000004 and 0.6 sum to
-        1 + 4e-17.)  A float route that rounds 90 * 0.7 to 62.99999999999999
+        not and ``T_up <= 0`` does.  (``bernoulli_model(0.1, 0.7)`` builds
+        the same masses, each the exact difference of the decimals given.)
+        A float route that rounds 90 * 0.7 to 62.99999999999999
         loses the upper atom from the two-sided row."""
         from scipy.stats import binom
 
@@ -1479,8 +1633,9 @@ class TestBernoulliOracle:
     def test_catches_a_swapped_split_share(self, monkeypatch, n):
         # every split takes the right share: the tree's root window and
         # its binomials at 4096, the table's windows at 1024
-        real = montecarlo._shares
-        monkeypatch.setattr(montecarlo, "_shares", lambda *args: real(*args)[::-1])
+        real = splittree._shares
+        for module in (montecarlo, splittree):
+            monkeypatch.setattr(module, "_shares", lambda *args: real(*args)[::-1])
         with pytest.raises(AssertionError, match=rf"\(0\.3, 0\.7, {n}\)"):
             self._check(0.3, 0.7, n_values=(n,), workers=1)
 
@@ -1509,13 +1664,13 @@ class TestBlockKeys:
         # gives other counts of the same event (README, Reproducibility)
         model = MODEL_REGISTRY["mixed"]
         law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
-        assert is_tabled(law, 16) and not is_tabled(law, 256)
-        counts = {16: [], 256: []}
+        assert is_tabled(law, 16) and not is_tabled(law, 4096)
+        counts = {16: [], 4096: []}
         for grid in ((0.0,), (0.0, 1.0), (-2.0, -1.0, 0.0, 0.5, 2.0)):
-            plan = SimPlan(model, n_values=(16, 256), reps=50_000, seed=5,
+            plan = SimPlan(model, n_values=(16, 4096), reps=50_000, seed=5,
                            alpha_one_sided=grid, alpha_two_sided=())
             sim = estimate_events(plan, mom)
             for n, seen in counts.items():
                 seen += [r.count for r in sim.rows_for(n)
                          if r.kind == ONE_SIDED_LOWER and r.alpha1 == 0.0]
-        assert counts == {16: [26023, 25972, 25755], 256: [25292] * 3}
+        assert counts == {16: [26023, 25972, 25755], 4096: [25255] * 3}
