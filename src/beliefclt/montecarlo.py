@@ -450,7 +450,8 @@ class _EventCells:
         endpoints as the integers v/h, so its hull sums are the exact
         integers S/h, and the cells compare them with integer thresholds
         from the law's exact means and variances (``_lattice_bounds``):
-        those of S_min/h, then those of S_max/h.  Else there are none; the sums are float and normalized in place to
+        the thresholds are those of S_min/h, then those of S_max/h.  Else
+        there are none, and the sums are float and normalized in place to
         T = (S - n*mean)/(sqrt(n)*sd) with the float moments, which rounds:
         a trial within an ulp or so of a threshold may fall on either side
         of it.

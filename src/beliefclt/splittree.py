@@ -226,7 +226,8 @@ def _cell_law(law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray],
         m, zero = mode[c] - first[0], np.zeros((len(sums), 1))
         for side in (sums[:, :m], sums[:, m:][:, ::-1]):
             side.cumsum(1, out=side)
-        # a row: the mass below first, ..., mode, then at and above mode, ...
+        # row r: 0, then the pmf's mass below first_r + 1, ..., mode_r, then
+        # its mass at and above mode_r, ..., the window's last count, then 0
         sums = np.hstack([zero, sums, zero])
         width, sums = sums.shape[1], sums.ravel()
         for counts, weight in _prefixes(law, n, totals[c:c + chunk]):

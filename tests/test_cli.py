@@ -1,5 +1,6 @@
 import argparse
 import csv
+import functools
 import hashlib
 import math
 import subprocess
@@ -192,6 +193,28 @@ class TestSimulate:
             joined = " ".join(rec.message for rec in caplog.records)
             assert f"table_max_vectors={limit} tabled_n={tabled}" in joined
             assert tabled == str(drawn)
+
+    def test_run_id_and_tabled_decisions_are_computed_once(self, plan_file, tmp_path,
+                                                           monkeypatch):
+        # the config line and the estimate share one digest of the plan and
+        # one count of each n's table sizes
+        digest, sizes, calls = SimPlan.__dict__["_digest"].func, montecarlo._table_sizes, []
+
+        def counted_digest(plan):
+            calls.append("digest")
+            return digest(plan)
+
+        def counted_sizes(law, n, limit):
+            calls.append(n)
+            return sizes(law, n, limit)
+
+        prop = functools.cached_property(counted_digest)
+        prop.__set_name__(SimPlan, "_digest")
+        monkeypatch.setattr(SimPlan, "_digest", prop)
+        monkeypatch.setattr(montecarlo, "_table_sizes", counted_sizes)
+        montecarlo._tabled.cache_clear()
+        main(["simulate", str(plan_file), "--out-dir", str(tmp_path / "x")])
+        assert calls == ["digest", 16, 64]
 
 
 class TestVerify:
