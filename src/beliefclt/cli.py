@@ -46,7 +46,7 @@ from .modelio import (
 )
 from . import montecarlo
 from .moments import MinMaxLaw, moments_by_enumeration, moments_by_integration
-from .montecarlo import estimate_events, is_tabled, on_lattice, resolve_workers
+from .montecarlo import estimate_events, on_lattice, resolve_workers
 
 log = logging.getLogger("beliefclt")
 
@@ -123,7 +123,7 @@ def _simulate(args: argparse.Namespace):
                 run_id=plan.digest(), workers=resolve_workers(),
                 block_size=montecarlo.BLOCK_SIZE,
                 table_max_vectors=montecarlo.TABLE_MAX_VECTORS,
-                tabled_n=[n for n in plan.n_values if is_tabled(law, n)],
+                tabled_n=list(plan.tabled_n),
                 lattice_h=lattice[0],
                 lattice_n=[n for n in plan.n_values if on_lattice(lattice, n)])
     moments = moments_by_enumeration(plan.model)

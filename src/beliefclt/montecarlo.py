@@ -23,17 +23,18 @@ reduces to one event cell, and a block to one histogram of cells.  On
 the law's lattice (every endpoint an integer multiple of a step h) a
 cell is two table lookups on the integer hull sums S/h, whose thresholds
 decide each event exactly, wherever those sums fit in int64
-(``on_lattice``).  There, where at most ``TABLE_MAX_VECTORS`` count
-vectors keep every split of the tree below but the last inside its
-binomial window, and the totals of the last split have at most as many
-window entries (``is_tabled``), the law of one trial's cell is built
-once per estimate (``splittree._cell_law``): each vector's probability, a
-product of windowed binomial pmfs, times the mass of each run of the last
-split's count between the thresholds it crosses, summed per cell.  A block's
-histogram is then one multinomial draw over it, so no row is handled on
-its own.  Else a binary tree of binomial splits over the hulls draws the
-counts (``splittree._split_counts``), its root split by one multinomial
-over a window of its binomial pmf.
+(``on_lattice``).  There, where twice those sums fit too, at most
+``TABLE_MAX_VECTORS`` count vectors keep every split of the tree below
+but the last inside its binomial window, and the totals of the last
+split have at most as many window entries (``is_tabled``), the law of
+one trial's cell is built once per estimate (``splittree._cell_law``):
+each vector's probability, a product of windowed binomial pmfs, times
+the mass of each run of the last split's count between the thresholds
+it crosses, summed per cell.  A block's histogram is then one
+multinomial draw over it, so no row is handled on its own.  Else a
+binary tree of binomial splits over the hulls draws the counts
+(``splittree._split_counts``), its root split by one multinomial over a
+window of its binomial pmf.
 """
 
 from __future__ import annotations
@@ -47,15 +48,14 @@ from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 
 import numpy as np
 
 from .belief import BeliefModel
 from .errors import DegenerateVariance, as_real, as_real_pair
 from .moments import ChoquetMoments, MinMaxLaw, side_moments
-from .splittree import (BLOCK_SIZE, _cell_law, _hull_sums, _shares, _split_counts, _table_sizes,
-                        _window, _window_pmfs)
+from .splittree import BLOCK_SIZE, _cell_law, _hull_sums, _root_window, _split_counts, _table_sizes
 
 _KEY_DOMAIN = np.uint64(0x9E3779B97F4A7C15)
 _CTR_BLOCK = np.uint64(1)
@@ -184,6 +184,13 @@ class SimPlan:
             h.update(repr((n, self.alphas_for(n), self.pairs_for(n))).encode())
         return h.hexdigest()[:12]
 
+    @cached_property
+    def tabled_n(self) -> tuple[int, ...]:
+        """The n drawn from their cell laws (``is_tabled``), decided on the
+        first read under the ``TABLE_MAX_VECTORS`` then in force."""
+        law = MinMaxLaw.from_model(self.model)
+        return tuple(n for n in self.n_values if is_tabled(law, n))
+
 
 @dataclass(frozen=True)
 class EventResult:
@@ -241,26 +248,14 @@ def _block_stream(seed: int, n: int, block_index: int,
     return rng
 
 
-def _binomial_window(n: int, p: float, q: float) -> tuple[int, np.ndarray] | None:
-    """(lo, pmf) of the Bin(n, p) window, or None past ``TABLE_MAX_VECTORS``."""
-    lo, _, hi = _window(n, p, q)
-    fits = hi - lo < TABLE_MAX_VECTORS
-    return (int(lo), _window_pmfs(np.array([n]), p, q)[1][0]) if fits else None
-
-
 def is_tabled(law: MinMaxLaw, n: int) -> bool:
     """Whether (law, n) draws each block from its cell law (``_cell_law``):
-    n on the law's lattice (``on_lattice``), and at most
-    ``TABLE_MAX_VECTORS`` prefixes and window entries (``_table_sizes``).
-    Decided once per law, n and limit."""
-    return _tabled(*(tuple(v.tolist()) for v in (law.mins, law.maxs, law.masses)), n,
-                   TABLE_MAX_VECTORS)
-
-
-@lru_cache(maxsize=64)
-def _tabled(mins: tuple, maxs: tuple, masses: tuple, n: int, limit: int) -> bool:
-    law = MinMaxLaw(*map(np.array, (mins, maxs, masses)))
-    return on_lattice(law.lattice(), n) and max(_table_sizes(law, n, limit)) <= limit
+    at most ``TABLE_MAX_VECTORS`` prefixes and window entries
+    (``_table_sizes``), and n on the law's lattice with room for twice its
+    sums (``on_lattice`` at 2n + 2), since the build subtracts a sum from a
+    threshold and adds a step of two endpoints."""
+    return (on_lattice(law.lattice(), 2 * n + 2)
+            and max(_table_sizes(law, n, TABLE_MAX_VECTORS)) <= TABLE_MAX_VECTORS)
 
 
 def _exact_bounds(a: Fraction, center: Fraction, spread: Fraction) -> tuple[int, int]:
@@ -487,14 +482,14 @@ class _EventCells:
         return tail[self.rows, self.cols]
 
 
-def _sampler(stats: _Statistics, events: _EventCells, n: int) -> tuple:
+def _sampler(stats: _Statistics, events: _EventCells, n: int, tabled: bool) -> tuple:
     """(sums law, cell function, cell law, root window) of n, built once per
-    estimate: a tabled n has its cell law and no root window, any other n
-    its split tree's root window and no cell law."""
+    estimate: a ``tabled`` n has its cell law and no root window, any other
+    n its split tree's root window and no cell law."""
     law, cell_of, bounds = events.at(stats, n)
-    if is_tabled(stats.law, n):
+    if tabled:
         return law, cell_of, _cell_law(law, n, cell_of, bounds, events.size), None
-    return law, cell_of, None, _binomial_window(n, *_shares(law.masses, 0, len(law.masses)))
+    return law, cell_of, None, _root_window(law, n, TABLE_MAX_VECTORS)
 
 
 def _tally_run(seed: int, reps: int, events: _EventCells, samplers: Mapping[int, Future],
@@ -561,7 +556,8 @@ def estimate_events(
     # no more threads than runs; each n's sampler is built once, queued
     # before every run, which waits for its own; the draws release the GIL
     with ThreadPoolExecutor(max_workers=min(workers, len(runs))) as pool:
-        samplers = {n: pool.submit(_sampler, stats, events, n) for n in plan.n_values}
+        samplers = {n: pool.submit(_sampler, stats, events, n, n in plan.tabled_n)
+                    for n in plan.n_values}
         partials = list(pool.map(partial(_tally_run, plan.seed, plan.reps, events, samplers), runs))
     histograms: dict[int, np.ndarray] = {}
     for n, histogram in partials:

@@ -7,8 +7,9 @@ block's trials (``_split_counts``), and its windowed binomial pmfs
 (``_window``, ``_window_pmfs``) give the exact law of one trial's event
 cell (``_cell_law``): the count vectors of every split but the last, each
 a product of windowed pmfs, with the last split summed in closed form
-between the thresholds it crosses.  ``_table_sizes`` counts what that
-build walks from the window bounds alone.
+between the thresholds it crosses (``_runs``).  ``_table_sizes`` counts
+what that build walks from the window bounds alone, and ``_root_window``
+is the root's window, over which the tree draws its first split.
 """
 
 from __future__ import annotations
@@ -93,10 +94,10 @@ def _split_counts(law: MinMaxLaw, n: int, root: tuple[int, np.ndarray] | None,
     mid = (lo + hi) // 2; the left count is binomial with the left share
     of the node's mass (Devroye 1986, ch. XI), and the leaves give the
     columns in hull order.  The root's left counts are one multinomial
-    over ``root``, the (lo, pmf) of ``montecarlo._binomial_window``: each
-    count value repeated as often as it is drawn, so the column comes out
-    sorted and numpy reuses its binomial setup across equal counts at the
-    second level.  Every other split, and the root where ``root`` is None, takes
+    over ``root``, the (lo, pmf) of ``_root_window``: each count value
+    repeated as often as it is drawn, so the column comes out sorted and
+    numpy reuses its binomial setup across equal counts at the second
+    level.  Every other split, and the root where ``root`` is None, takes
     ``rng.binomial``, depth first and left before right.
     """
     k = len(law.masses)
@@ -117,6 +118,17 @@ def _split_counts(law: MinMaxLaw, n: int, root: tuple[int, np.ndarray] | None,
         mid = (lo + hi) // 2
         pending += [(mid, hi, count), (lo, mid, left)]
     return columns
+
+
+def _binomial_window(n: int, p: float, q: float, limit: int) -> tuple[int, np.ndarray] | None:
+    """(lo, pmf) of the Bin(n, p) window, or None past ``limit`` entries."""
+    lo, _, hi = _window(n, p, q)
+    return (int(lo), _window_pmfs(np.array([n]), p, q)[1][0]) if hi - lo < limit else None
+
+
+def _root_window(law: MinMaxLaw, n: int, limit: int) -> tuple[int, np.ndarray] | None:
+    """The ``_binomial_window`` of the root split's left count."""
+    return _binomial_window(n, *_shares(law.masses, 0, len(law.masses)), limit)
 
 
 def _last_totals(law: MinMaxLaw, n: int, limit: int) -> np.ndarray | None:
@@ -194,12 +206,26 @@ def _prefixes(law: MinMaxLaw, n: int, span: np.ndarray):
     return expand({(0, k): np.array([n])}, np.ones(1), [(0, k)] if k > 2 else [])
 
 
+def _runs(x: Sequence[np.ndarray], steps: Sequence[int], bounds: Sequence[np.ndarray],
+          start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Per row, the edges of the runs of b in [start, stop] on which the
+    sums x + b * step of both statistics cross none of their thresholds
+    ``bounds``: sorted, start first and stop + 1 last, with the b where
+    g <= x + b * step starts (step > 0) or stops (step < 0) to hold."""
+    edges = np.hstack([start, stop + 1] + [
+        (g - x0 + step - (step > 0)) // step for x0, step, g in zip(x, steps, bounds) if step])
+    np.clip(edges, start, stop + 1, out=edges)
+    edges.sort(axis=1)
+    return edges
+
+
 def _cell_law(law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray],
               bounds: tuple[np.ndarray, np.ndarray], length: int) -> np.ndarray:
     """The law of one trial's event cell at a tabled (law, n), ``law`` on
-    its lattice: ``cell_of`` maps the integer hull sums S/h to cells, of
-    which there are ``length``, by the thresholds ``bounds`` of S_min/h and
-    S_max/h (``montecarlo._EventCells.at``).
+    its lattice with twice its sums in int64 (``montecarlo.is_tabled``):
+    ``cell_of`` maps the integer hull sums S/h to cells, of which there are
+    ``length``, by the thresholds ``bounds`` of S_min/h and S_max/h
+    (``montecarlo._EventCells.at``).
 
     The last split of the tree gives b of its total t to hull k - 2 and
     t - b to hull k - 1, so on each prefix (``_prefixes``) S/h moves by
@@ -237,13 +263,7 @@ def _cell_law(law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray],
                 x = [side[part:part + rows, None] for side in sides]
                 total = t[part:part + rows, None]
                 start, _, stop = _window(total, p, q)
-                # the b where g <= x + b * step starts (step > 0) or stops
-                # (step < 0) to hold
-                edges = np.hstack([start, stop + 1] + [
-                    (g - x0 + step - (step > 0)) // step
-                    for x0, step, g in zip(x, steps, bounds) if step])
-                np.clip(edges, start, stop + 1, out=edges)
-                edges.sort(axis=1)
+                edges = _runs(x, steps, bounds, start, stop)
                 cells = cell_of(*(x0 + edges[:, :-1] * step for x0, step in zip(x, steps)))
                 r = total - totals[c]
                 edges -= first[r]

@@ -212,7 +212,6 @@ class TestSimulate:
         prop.__set_name__(SimPlan, "_digest")
         monkeypatch.setattr(SimPlan, "_digest", prop)
         monkeypatch.setattr(montecarlo, "_table_sizes", counted_sizes)
-        montecarlo._tabled.cache_clear()
         main(["simulate", str(plan_file), "--out-dir", str(tmp_path / "x")])
         assert calls == ["digest", 16, 64]
 

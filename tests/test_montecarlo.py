@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -33,7 +34,6 @@ from beliefclt.montecarlo import (
     ONE_SIDED_UPPER,
     TWO_SIDED,
     _block_stream,
-    _binomial_window,
     _EventCells,
     _float_bounds,
     _lattice_bounds,
@@ -44,10 +44,12 @@ from beliefclt.montecarlo import (
 )
 from beliefclt.splittree import (
     BLOCK_SIZE,
+    _binomial_window,
     _cell_law,
     _hull_sums,
     _last_totals,
     _prefixes,
+    _root_window,
     _shares,
     _split_counts,
     _spread,
@@ -129,7 +131,7 @@ def _reference_cell_law(law, n, cell_of, length):
 def _tree_root(law, n):
     """The root window of the split tree of (law, n), as the estimator
     builds it."""
-    return _binomial_window(n, *_shares(law.masses, 0, len(law.masses)))
+    return _root_window(law, n, montecarlo.TABLE_MAX_VECTORS)
 
 
 def _draw_counts(seed, n, block_index, size, law):
@@ -155,7 +157,7 @@ def _replay_root(rng, n, p, q, size):
     ``_binomial_window``, each count value repeated as often as drawn."""
     from scipy.stats import binom
 
-    lo, pmf = _binomial_window(n, p, q)
+    lo, pmf = _binomial_window(n, p, q, montecarlo.TABLE_MAX_VECTORS)
     values = np.arange(lo, lo + len(pmf))
     exact = binom.pmf(values, n, p)
     return np.repeat(values, rng.multinomial(size, exact / exact.sum()))
@@ -1012,7 +1014,7 @@ def _check_block_histograms(name, n):
     blocks = 8
     reps = blocks * BLOCK_SIZE
     sampler = Future()
-    sampler.set_result(montecarlo._sampler(_Statistics.of(law, mom), events, n))
+    sampler.set_result(montecarlo._sampler(_Statistics.of(law, mom), events, n, True))
     _, histogram = montecarlo._tally_run(37, reps, events, {n: sampler}, (n, range(blocks)))
     assert histogram.sum() == reps and not histogram[p_cell == 0].any()
     _z_test(_pooled(p_cell, histogram, reps), reps, (name, n))
@@ -1212,12 +1214,13 @@ class TestCellLaw:
         for limit, tabled_root in ((100, True), (0, False)):
             monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", limit)
             assert not is_tabled(law, 64) and (_tree_root(law, 64) is not None) == tabled_root
-            sims.append(estimate_events(plan, mom, workers=1))
+            # a plan decides its tabled n once, so each limit takes a new one
+            sims.append(estimate_events(dataclasses.replace(plan), mom, workers=1))
         counts = [[r.count for r in sim.rows] for sim in sims]
         assert counts[0] != counts[1] != counts[2] != counts[0]
         _z_test([(p, c) for row in counts for p, c in zip(exact, row)], plan.reps, "mixed")
 
-    def test_cells_settle_near_ties_exactly(self):
+    def test_cells_settle_near_ties_exactly(self, monkeypatch):
         # thresholds taken from the float statistics of the count vectors
         # put each of those vectors within an ulp or so of a threshold, and
         # alpha = 0 at n = 20 exactly on one (20 * 0.155 = 3.1 is a lattice
@@ -1225,6 +1228,15 @@ class TestCellLaw:
         model = _non_dyadic_model()
         law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
         assert law.lattice()[0] == Fraction(1, 10)
+        real_runs, runs = splittree._runs, []
+
+        def recording_runs(x, steps, bounds, start, stop):
+            edges = real_runs(x, steps, bounds, start, stop)
+            runs.append(([side[:, 0].tolist() for side in x], [int(v) for v in steps],
+                         start[:, 0].tolist(), stop[:, 0].tolist(), edges.tolist()))
+            return edges
+
+        monkeypatch.setattr(splittree, "_runs", recording_runs)
         for n in (1, 3, 10, 20, 37):
             columns = np.array(_compositions(n, 4), dtype=np.int64).T
             s_min, s_max = _hull_sums(columns, law)
@@ -1241,15 +1253,30 @@ class TestCellLaw:
             member = np.array([events.counts(np.eye(events.size, dtype=np.int64)[c])
                                for c in range(events.size)]).T
             assert np.array_equal(member[:, cells], _exact_events(columns, law, n, alphas, pairs))
-            # the closed form puts the windowed pmf of each vector in the
-            # cell of its exact events: it matches the full windowed
+            # the closed form reads the cell of each run of the last split's
+            # count at its first count, so every count of a run must have
+            # that one exact cell: integer comparisons, whatever order the
+            # masses are summed in
+            sums = zip(*(s.tolist() for s in _hull_sums(columns, sums_law)))
+            exact_cell = dict(zip(sums, cells.tolist()))
+            runs.clear()
+            p_cell = _closed_form(events, law, mom, n)
+            assert runs
+            for (x_low, x_up), (step_low, step_up), start, stop, edges in runs:
+                for row, (low, up, first, last) in zip(edges, zip(x_low, x_up, start, stop)):
+                    assert row[0] == first and row[-1] == last + 1 and row == sorted(row)
+                    for a, b in zip(row, row[1:]):
+                        run = {exact_cell[low + c * step_low, up + c * step_up]
+                               for c in range(a, b)}
+                        assert len(run) <= 1, (n, low, up, a, b)
+            # and the masses: the closed form matches the full windowed
             # enumeration over those cells to 1e-15, and the exact cell law
             # in fractions to 1e-12 relative, on the same support
-            want, position = np.zeros(events.size), {v: i for i, v in enumerate(_compositions(n, 4))}
+            want = np.zeros(events.size)
+            position = {v: i for i, v in enumerate(_compositions(n, 4))}
             for vectors, pmf in _windowed_vectors(law, n):
                 index = [position[v] for v in zip(*(c.tolist() for c in vectors))]
                 want += np.bincount(cells[index], weights=pmf, minlength=events.size)
-            p_cell = _closed_form(events, law, mom, n)
             assert np.abs(p_cell - want / want.sum()).max() <= 1e-15
             exact = _exact_cell_law(sums_law, n, cell_of, events.size)
             assert np.flatnonzero(p_cell).tolist() == [c for c, e in enumerate(exact) if e]
@@ -1285,7 +1312,7 @@ class TestCellLaw:
             events = _EventCells.build(alphas, list(zip(alphas, alphas[::-1])))
             sums_law, cell_of = _cells_at(events, law, mom, n)
             assert sums_law is law and not is_tabled(law, n)
-            sampler = montecarlo._sampler(_Statistics.of(law, mom), events, n)
+            sampler = montecarlo._sampler(_Statistics.of(law, mom), events, n, is_tabled(law, n))
             assert sampler[2] is None and sampler[3] is not None
             expected = _float_cells(events, t_low, t_up)
             # the split tree gets int64 counts; same bits, same cells
@@ -1462,13 +1489,46 @@ def test_largest_tabled_n(name, n):
         assert is_tabled(law, m) == (m <= n) == (max(sizes) <= montecarlo.TABLE_MAX_VECTORS)
 
 
+
+def test_tabled_n_leave_room_for_the_differences_of_sums():
+    """Two hulls of many-digit endpoints of both signs, on the step 2e-16:
+    the hull sums fit in int64 up to n = 370, twice them up to n = 184.
+    The build subtracts a sum from a threshold at the other end of the
+    range, which past 184 may wrap (a cell law built at 370 is off by 0.17),
+    so only n <= 184 are tabled, each matching the full enumeration."""
+    law = MinMaxLaw(np.array([-4.917253349036841, 3.1415926535897936]),
+                    np.array([4.72109836542891, 4.982375112340981]), np.array([0.9, 0.1]))
+    lattice = law.lattice()
+    assert (2**63 - 2) // max(map(abs, [*lattice[1], *lattice[2]])) == 370
+    # T_low and T_up are one statistic of the left count here, so only
+    # grids that differ on the two sides cross different thresholds
+    events = _EventCells.build((), [(-1.0, 0.5)])
+    stats = _Statistics(law, lattice, side_moments(law.exact()), None)
+    for n in (183, 184, 185, 370):
+        assert montecarlo.on_lattice(lattice, n) and is_tabled(law, n) == (n <= 184)
+        sums_law, cell_of, bounds = events.at(stats, n)
+        if n <= 184:
+            want = _reference_cell_law(sums_law, n, cell_of, events.size)
+            got = _cell_law(sums_law, n, cell_of, bounds, events.size)
+            assert np.abs(got - want).max() <= 1e-15
+
+
+def test_plan_decides_its_tabled_n_once(monkeypatch):
+    model = MODEL_REGISTRY["mixed"]
+    plan, law = SimPlan(model), MinMaxLaw.from_model(model)
+    assert plan.tabled_n == (16, 64, 256, 1024)
+    assert plan.tabled_n == tuple(n for n in plan.n_values if is_tabled(law, n))
+    monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", 0)
+    assert plan.tabled_n == (16, 64, 256, 1024) and dataclasses.replace(plan).tabled_n == ()
+
+
 class TestSplitCounts:
     @pytest.mark.parametrize("n", [1, 7, 1024, 16384, 2**20])
     @pytest.mark.parametrize("p", [1e-3, 0.3, 0.5, 0.999])
     def test_root_pmf_is_the_binomial_pmf(self, n, p):
         from scipy.stats import binom
 
-        lo, pmf = _binomial_window(n, p, 1.0 - p)
+        lo, pmf = _binomial_window(n, p, 1.0 - p, montecarlo.TABLE_MAX_VECTORS)
         hi = lo + len(pmf) - 1
         assert 0 <= lo <= hi <= n and abs(pmf.sum() - 1.0) <= 1e-13
         full = np.zeros(n + 1)
@@ -1478,12 +1538,10 @@ class TestSplitCounts:
         dropped = (binom.cdf(lo - 1, n, p) if lo > 0 else 0.0) + binom.sf(hi, n, p)
         assert dropped < 2.0**-60
 
-    def test_window_wider_than_the_limit_is_not_built(self, monkeypatch):
-        lo, pmf = _binomial_window(4096, 0.3, 0.7)
-        monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", len(pmf))
-        assert _binomial_window(4096, 0.3, 0.7)[0] == lo
-        monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", len(pmf) - 1)
-        assert _binomial_window(4096, 0.3, 0.7) is None
+    def test_window_wider_than_the_limit_is_not_built(self):
+        lo, pmf = _binomial_window(4096, 0.3, 0.7, montecarlo.TABLE_MAX_VECTORS)
+        assert _binomial_window(4096, 0.3, 0.7, len(pmf))[0] == lo
+        assert _binomial_window(4096, 0.3, 0.7, len(pmf) - 1) is None
 
     @pytest.mark.parametrize("n", [256, 1024, 4096, 16384])
     def test_root_column_replays_the_binomial_multinomial(self, n):
@@ -1635,8 +1693,7 @@ class TestBernoulliOracle:
         # every split takes the right share: the tree's root window and
         # its binomials at 4096, the table's windows at 1024
         real = splittree._shares
-        for module in (montecarlo, splittree):
-            monkeypatch.setattr(module, "_shares", lambda *args: real(*args)[::-1])
+        monkeypatch.setattr(splittree, "_shares", lambda *args: real(*args)[::-1])
         with pytest.raises(AssertionError, match=rf"\(0\.3, 0\.7, {n}\)"):
             self._check(0.3, 0.7, n_values=(n,), workers=1)
 
