@@ -116,7 +116,7 @@ def _simulate(args: argparse.Namespace):
     plan = dataclasses.replace(load_plan(args.plan),
                                **{k: v for k, v in overrides.items() if v is not None})
     law = MinMaxLaw.from_model(plan.model)
-    lattice = law.lattice()
+    lattice = law.lattice
     _log_config(args, n_values=list(plan.n_values), reps=plan.reps, seed=plan.seed,
                 alpha_one_sided=plan.alpha_one_sided,
                 alpha_two_sided_pairs=len(plan.alpha_two_sided), slack=plan.slack,

@@ -30,6 +30,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +87,7 @@ class MinMaxLaw:
 
         return list(zip(read(self.mins), read(self.maxs), read(self.masses)))
 
+    @cached_property
     def lattice(self) -> tuple[Fraction, list[int], list[int]]:
         """(h, mins / h, maxs / h): the step h is the gcd of the exact
         endpoints, the largest rational of which each is an integer multiple
@@ -95,6 +97,12 @@ class MinMaxLaw:
         ints = [v.numerator * (den // v.denominator) for v in ends]
         g = math.gcd(*ints) or den
         return Fraction(g, den), [v // g for v in ints[0::2]], [v // g for v in ints[1::2]]
+
+    @cached_property
+    def sides(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+        """The exact (mean, variance) of the focal minimum and of the focal
+        maximum (``side_moments``)."""
+        return side_moments(self.exact())
 
 
 def side_moments(hulls: Sequence[tuple[Fraction, Fraction, Fraction]]
@@ -110,12 +118,24 @@ def side_moments(hulls: Sequence[tuple[Fraction, Fraction, Fraction]]
     return sides[0], sides[1]
 
 
+def _sqrt(q: Fraction) -> float:
+    """The float nearest sqrt(q), q >= 0 rational, rounded once: the integer
+    root r of q * 4**k, k chosen so that r has at least 55 bits, with its
+    last bit set where the root is inexact, so that it rounds as the exact
+    root does."""
+    a, b = q.as_integer_ratio()
+    k = (112 - a.bit_length() + b.bit_length()) // 2
+    root, rest = divmod(a << 2 * k, b) if k >= 0 else divmod(a, b << -2 * k)
+    r = math.isqrt(root)
+    return math.ldexp(r | (rest != 0 or r * r != root), -k)
+
+
 def _finalize(lower_mean: Fraction, upper_mean: Fraction, var_low: Fraction, var_up: Fraction,
               cross: Fraction, rho_prime: Fraction, allow_degenerate: bool) -> ChoquetMoments:
-    """The exact moments rounded to float at the end; an sd or rho is the root
-    of its rounded variance or squared ratio.  On a two-hull law
-    cov^2 = var_low*var_up exactly, so rho is exactly +-1."""
-    sd_low, sd_up = math.sqrt(var_low), math.sqrt(var_up)
+    """The exact moments rounded to float at the end, each once; an sd or rho
+    is the exact root of its variance or squared ratio (``_sqrt``).  On a
+    two-hull law cov^2 = var_low*var_up exactly, so rho is exactly +-1."""
+    sd_low, sd_up = _sqrt(var_low), _sqrt(var_up)
     if var_low == 0 or var_up == 0:
         if not allow_degenerate:
             raise DegenerateVariance(
@@ -123,7 +143,7 @@ def _finalize(lower_mean: Fraction, upper_mean: Fraction, var_low: Fraction, var
         rho = math.nan
     else:
         cov = cross - lower_mean * upper_mean
-        rho = math.copysign(math.sqrt(cov * cov / (var_low * var_up)), cov)
+        rho = math.copysign(_sqrt(cov * cov / (var_low * var_up)), cov)
     return ChoquetMoments(float(lower_mean), float(upper_mean), sd_low, sd_up,
                           float(cross), float(rho_prime), rho)
 

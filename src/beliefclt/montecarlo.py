@@ -19,22 +19,16 @@ process: numpy's binomial and multinomial draws release the GIL, so the
 draws of different runs overlap with no fork and nothing pickled.  A
 block draws the hull counts of its trials, which carry the same joint law
 of (S_min, S_max) as coordinate-by-coordinate sampling.  Each trial
-reduces to one event cell, and a block to one histogram of cells.  On
-the law's lattice (every endpoint an integer multiple of a step h) a
-cell is two table lookups on the integer hull sums S/h, whose thresholds
-decide each event exactly, wherever those sums fit in int64
-(``on_lattice``).  There, where twice those sums fit too, at most
-``TABLE_MAX_VECTORS`` count vectors keep every split of the tree below
-but the last inside its binomial window, and the totals of the last
-split have at most as many window entries (``is_tabled``), the law of
-one trial's cell is built once per estimate (``splittree._cell_law``):
-each vector's probability, a product of windowed binomial pmfs, times
-the mass of each run of the last split's count between the thresholds
-it crosses, summed per cell.  A block's histogram is then one
-multinomial draw over it, so no row is handled on its own.  Else a
-binary tree of binomial splits over the hulls draws the counts
-(``splittree._split_counts``), its root split by one multinomial over a
-window of its binomial pmf.
+reduces to one event cell, and a block to one histogram of cells.  Every
+endpoint of the law is an integer multiple of its step h, so a cell is
+decided exactly on the integer hull sums S/h by integer thresholds, at
+every n: in one int64 limb or, past it, two (``on_lattice``).  Where the
+sums fit one limb twice over and the split tree's windows are small
+(``is_tabled``), the law of one trial's cell is built once per estimate
+(``splittree._cell_law``) and a block's histogram is one multinomial draw
+over it.  Else a binary tree of binomial splits over the hulls draws the
+counts (``splittree._split_counts``), its root split by one multinomial
+over a window of its binomial pmf.
 """
 
 from __future__ import annotations
@@ -54,12 +48,14 @@ import numpy as np
 
 from .belief import BeliefModel
 from .errors import DegenerateVariance, as_real, as_real_pair
-from .moments import ChoquetMoments, MinMaxLaw, side_moments
+from .moments import ChoquetMoments, MinMaxLaw, _sqrt
 from .splittree import BLOCK_SIZE, _cell_law, _hull_sums, _root_window, _split_counts, _table_sizes
 
 _KEY_DOMAIN = np.uint64(0x9E3779B97F4A7C15)
 _CTR_BLOCK = np.uint64(1)
 TABLE_MAX_VECTORS = 1 << 17
+_LIMB_BITS = 31
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
 
 WORKERS_ENV = "BELIEFCLT_WORKERS"
 
@@ -185,11 +181,14 @@ class SimPlan:
         return h.hexdigest()[:12]
 
     @cached_property
+    def _law(self) -> MinMaxLaw:
+        return MinMaxLaw.from_model(self.model)
+
+    @cached_property
     def tabled_n(self) -> tuple[int, ...]:
         """The n drawn from their cell laws (``is_tabled``), decided on the
         first read under the ``TABLE_MAX_VECTORS`` then in force."""
-        law = MinMaxLaw.from_model(self.model)
-        return tuple(n for n in self.n_values if is_tabled(law, n))
+        return tuple(n for n in self.n_values if is_tabled(self._law, n))
 
 
 @dataclass(frozen=True)
@@ -251,10 +250,10 @@ def _block_stream(seed: int, n: int, block_index: int,
 def is_tabled(law: MinMaxLaw, n: int) -> bool:
     """Whether (law, n) draws each block from its cell law (``_cell_law``):
     at most ``TABLE_MAX_VECTORS`` prefixes and window entries
-    (``_table_sizes``), and n on the law's lattice with room for twice its
-    sums (``on_lattice`` at 2n + 2), since the build subtracts a sum from a
-    threshold and adds a step of two endpoints."""
-    return (on_lattice(law.lattice(), 2 * n + 2)
+    (``_table_sizes``), and its sums on one limb twice over (``on_lattice``
+    at n and 2n + 2), as the build subtracts a sum from a threshold and
+    adds a step of two endpoints."""
+    return (on_lattice(law.lattice, n) and on_lattice(law.lattice, 2 * n + 2)
             and max(_table_sizes(law, n, TABLE_MAX_VECTORS)) <= TABLE_MAX_VECTORS)
 
 
@@ -286,12 +285,12 @@ def _exact_bounds(a: Fraction, center: Fraction, spread: Fraction) -> tuple[int,
 
 
 def _lattice_bounds(alphas: np.ndarray, mean: Fraction, var: Fraction, step: Fraction,
-                    n: int, reach: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """(ge, gt) on the lattice of one statistic at n, as int64 arrays: per
-    alpha, read as the decimal it spells, the least integer L = S/h with
-    a <= T and with a < T, T = (L*h - n*mean)/sqrt(n*var), in exact integer
-    arithmetic (``_exact_bounds``), clipped to [lo, hi + 1] for the
-    reachable L in ``reach`` = [lo, hi]."""
+                    n: int, reach: tuple[int, int]) -> tuple[list[int], list[int]]:
+    """(ge, gt) on the lattice of one statistic at n: per alpha, read as the
+    decimal it spells, the least integer L = S/h with a <= T and with a < T,
+    T = (L*h - n*mean)/sqrt(n*var), in exact integer arithmetic
+    (``_exact_bounds``), clipped to [lo, hi + 1] for the reachable L in
+    ``reach`` = [lo, hi]."""
     center, spread = n * mean / step, n * var / step**2
     lo, hi = reach
     ge, gt = [], []
@@ -302,22 +301,34 @@ def _lattice_bounds(alphas: np.ndarray, mean: Fraction, var: Fraction, step: Fra
             bounds = _exact_bounds(Fraction(repr(a)), center, spread)
         ge.append(min(max(bounds[0], lo), hi + 1))
         gt.append(min(max(bounds[1], lo), hi + 1))
-    return np.array(ge, dtype=np.int64), np.array(gt, dtype=np.int64)
+    return ge, gt
 
 
-def _float_bounds(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ge, gt) of the float statistics T themselves: a <= T is a <= T, and
-    a < T is nextafter(a, inf) <= T, or NaN <= T (never) for a = inf."""
-    return alphas, np.where(alphas < math.inf, np.nextafter(alphas, math.inf), math.nan)
+def _limbs(values: Sequence[int], limbs: int) -> np.ndarray:
+    """The integers ``values`` as int64: as they are on one limb, else each
+    as v = hi * 2**31 + lo with 0 <= lo < 2**31, in the rows hi and lo."""
+    values = np.array(values, dtype=object)
+    if limbs == 2:
+        values = np.array([values >> _LIMB_BITS, values & _LIMB_MASK])
+    return values.astype(np.int64)
+
+
+def _carry(x: np.ndarray) -> np.ndarray:
+    """Two-limb sums x = (hi, lo) with 0 <= lo < 2**31, carried in place."""
+    x[0] += x[1] >> _LIMB_BITS
+    x[1] &= _LIMB_MASK
+    return x
 
 
 def _rank_function(bounds: np.ndarray, weight: int,
                    dtype: np.dtype) -> Callable[[np.ndarray], np.ndarray]:
     """x -> weight * #(b <= x for b in ``bounds``), in ``dtype``.
 
-    Integer bounds (the lattice's, for int64 x) read it from a table of its
-    values over [min(bounds) - 1, max(bounds)], to which x is clipped in
-    place, wherever that span has at most ``TABLE_MAX_VECTORS`` entries.
+    One-limb bounds read it from a table of its values over
+    [min(bounds) - 1, max(bounds)], to which x is clipped in place, wherever
+    that span has at most ``TABLE_MAX_VECTORS`` entries.  Two-limb bounds,
+    the rows (hi, lo) of ``_limbs``, are compared lexicographically with
+    the carried sums (``_carry``).
     """
     def ranks(x: np.ndarray) -> np.ndarray:
         rank = np.zeros(x.shape, dtype=dtype)
@@ -326,8 +337,15 @@ def _rank_function(bounds: np.ndarray, weight: int,
         rank *= weight
         return rank
 
-    if bounds.dtype.kind != "i":
-        return ranks
+    if bounds.ndim == 2:
+        def two_limb_ranks(x: np.ndarray) -> np.ndarray:
+            high, low = _carry(x)
+            rank = np.zeros(high.shape, dtype=dtype)
+            for b_high, b_low in bounds.T.tolist():
+                rank += (b_high < high) | ((b_high == high) & (b_low <= low))
+            rank *= weight
+            return rank
+        return two_limb_ranks
     lo, hi = min(bounds.tolist(), default=1) - 1, max(bounds.tolist(), default=0)
     if hi - lo >= TABLE_MAX_VECTORS:
         return ranks
@@ -341,38 +359,19 @@ def _rank_function(bounds: np.ndarray, weight: int,
 
 
 def on_lattice(lattice: tuple[Fraction, Sequence[int], Sequence[int]], n: int) -> bool:
-    """Whether the hull sums at n are exact int64 integers S/h on the
+    """Whether the exact hull sums S/h at n fit in one int64 limb on the
     lattice (h, mins/h, maxs/h) of ``MinMaxLaw.lattice``: n * max|v/h|, with
-    one to spare for the bounds past the reachable sums, fits in int64.
-    Endpoints of many significant digits, or of very different magnitudes,
-    miss it beyond a small n."""
+    one to spare for the bounds past the reachable sums, below 2**63 - 1.
+    Else they take two (``_limbs``), which hold n * max|v/h| < 2**93 at
+    n < 2**32; past that a ValueError names the limit."""
     _, mins, maxs = lattice
-    return n * max(map(abs, [*mins, *maxs])) < 2**63 - 1
-
-
-@dataclass(frozen=True, eq=False)
-class _Statistics:
-    """What the cells read of a law, once per estimate: the law, its
-    lattice (``MinMaxLaw.lattice``), the exact (mean, variance) of its
-    focal minimum and maximum (``side_moments``), and the float moments
-    that normalize the sums off the lattice."""
-
-    law: MinMaxLaw
-    lattice: tuple[Fraction, list[int], list[int]]
-    sides: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
-    moments: ChoquetMoments
-
-    @classmethod
-    def of(cls, law: MinMaxLaw, moments: ChoquetMoments) -> "_Statistics":
-        """ValueError where the means and sds of ``moments`` are not the
-        law's exact ones, rounded as ``moments`` rounds them."""
-        sides = side_moments(law.exact())
-        exact = tuple(float(mean) for mean, _ in sides) + tuple(math.sqrt(var) for _, var in sides)
-        given = (moments.lower_mean, moments.upper_mean, moments.lower_sd, moments.upper_sd)
-        if given != exact:
-            raise ValueError(f"moments with (means, sds) {given} are not those of the "
-                             f"plan's model, {exact}")
-        return cls(law, law.lattice(), sides, moments)
+    reach = n * max(map(abs, [*mins, *maxs]))
+    if reach < 2**63 - 1:
+        return True
+    if reach < 2**93 and n < 2**32:
+        return False
+    raise ValueError(f"n * max|v/h| = {reach} at n = {n} is past two int64 limbs, "
+                     "which hold n * max|v/h| < 2**93 at n < 2**32")
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,7 +428,7 @@ class _EventCells:
         the a <= T_low, the up rank the a < T_up and the a <= T_up."""
         dtype = np.min_scalar_type(self.size - 1)
         low_rank = _rank_function(low[0], 2 * len(self.up) + 1, dtype)
-        up_rank = _rank_function(np.concatenate(up[::-1]), 1, dtype)
+        up_rank = _rank_function(np.concatenate(up[::-1], axis=-1), 1, dtype)
 
         def cells(x_low: np.ndarray, x_up: np.ndarray) -> np.ndarray:
             cell = low_rank(x_low)
@@ -437,39 +436,27 @@ class _EventCells:
             return cell
         return cells
 
-    def at(self, stats: _Statistics, n: int) -> tuple:
+    def at(self, law: MinMaxLaw, n: int) -> tuple:
         """(sums law, cell of each trial from its hull sums over it,
         thresholds) at n.
 
-        On the lattice at n (``on_lattice``) the sums law holds the
-        endpoints as the integers v/h, so its hull sums are the exact
-        integers S/h, and the cells compare them with integer thresholds
-        from the law's exact means and variances (``_lattice_bounds``):
-        the thresholds are those of S_min/h, then those of S_max/h.  Else
-        there are none, and the sums are float and normalized in place to
-        T = (S - n*mean)/(sqrt(n)*sd) with the float moments, which rounds:
-        a trial within an ulp or so of a threshold may fall on either side
-        of it.
-        """
-        step, mins, maxs = stats.lattice
-        if on_lattice(stats.lattice, n):
-            low, up = (_lattice_bounds(alphas, mean, var, step, n, (n * min(ends), n * max(ends)))
-                       for alphas, ends, (mean, var)
-                       in zip((self.low, self.up), (mins, maxs), stats.sides))
-            lattice = MinMaxLaw(np.array(mins, dtype=np.int64), np.array(maxs, dtype=np.int64),
-                                stats.law.masses)
-            return lattice, self.cell_function(low, up), (low[0], np.concatenate(up))
-
-        cells = self.cell_function(_float_bounds(self.low), _float_bounds(self.up))
-        moments, root = stats.moments, math.sqrt(n)
-
-        def normalized_cells(s_min: np.ndarray, s_max: np.ndarray) -> np.ndarray:
-            s_min -= n * moments.lower_mean
-            s_min /= root * moments.lower_sd
-            s_max -= n * moments.upper_mean
-            s_max /= root * moments.upper_sd
-            return cells(s_min, s_max)
-        return stats.law, normalized_cells, None
+        The sums law holds the endpoints as the integers v/h of the law's
+        lattice, so its hull sums are the exact integers S/h, and the cells
+        compare them with the integer thresholds of S_min/h, then S_max/h,
+        from the law's exact means and variances (``_lattice_bounds``).  On
+        one limb (``on_lattice``) each is an int64.  Past it each is two
+        (``_limbs``): a threshold a column (hi, lo), and an endpoint one of
+        shape (2, 1), so that a hull sum is the rows hi and lo, which the
+        cells carry before they compare."""
+        step, mins, maxs = law.lattice
+        limbs = 1 if on_lattice(law.lattice, n) else 2
+        low, up = ([_limbs(b, limbs) for b in _lattice_bounds(
+                        alphas, mean, var, step, n, (n * min(ends), n * max(ends)))]
+                   for alphas, ends, (mean, var) in zip((self.low, self.up), (mins, maxs), law.sides))
+        shape = (-1,) if limbs == 1 else (-1, 2, 1)
+        sums_law = MinMaxLaw(*(_limbs(ends, limbs).T.reshape(shape) for ends in (mins, maxs)),
+                             law.masses)
+        return sums_law, self.cell_function(low, up), (low[0], np.concatenate(up, axis=-1))
 
     def counts(self, histogram: np.ndarray) -> np.ndarray:
         """Event counts in plan order: lower, upper, then two-sided; of a
@@ -482,14 +469,14 @@ class _EventCells:
         return tail[self.rows, self.cols]
 
 
-def _sampler(stats: _Statistics, events: _EventCells, n: int, tabled: bool) -> tuple:
+def _sampler(law: MinMaxLaw, events: _EventCells, n: int, tabled: bool) -> tuple:
     """(sums law, cell function, cell law, root window) of n, built once per
     estimate: a ``tabled`` n has its cell law and no root window, any other
     n its split tree's root window and no cell law."""
-    law, cell_of, bounds = events.at(stats, n)
+    sums_law, cell_of, bounds = events.at(law, n)
     if tabled:
-        return law, cell_of, _cell_law(law, n, cell_of, bounds, events.size), None
-    return law, cell_of, None, _root_window(law, n, TABLE_MAX_VECTORS)
+        return sums_law, cell_of, _cell_law(sums_law, n, cell_of, bounds, events.size), None
+    return sums_law, cell_of, None, _root_window(sums_law, n, TABLE_MAX_VECTORS)
 
 
 def _tally_run(seed: int, reps: int, events: _EventCells, samplers: Mapping[int, Future],
@@ -524,16 +511,13 @@ def estimate_events(
     - ``one_sided_upper``: T_up < alpha1,
     - ``two_sided``: alpha1 <= T_low and T_up <= alpha2,
 
-    decided in exact arithmetic at every n on the law's lattice
-    (``on_lattice``): the law, its means and variances and each alpha read
-    as the decimals their floats spell, the sums as the integers S/h.  At
-    any n where n * max|v/h| >= 2**63 - 1, typical for endpoints with many
-    significant digits, the sums are float and normalized with ``moments``,
-    whose rounding may put a trial within an ulp or so of a threshold on
-    either side of it.
-    ``moments`` must be ``moments_by_enumeration(plan.model)``; a variance
-    of 0 raises DegenerateVariance, and means or sds of another model raise
-    ValueError.
+    decided in exact arithmetic at every n: the law, its means and
+    variances and each alpha read as the decimals their floats spell, the
+    sums as the integers S/h on the law's lattice, in one int64 limb or two
+    (``on_lattice``).  An n past two limbs raises ValueError naming the
+    limit.  ``moments`` must be ``moments_by_enumeration(plan.model)``; a
+    variance of 0 raises DegenerateVariance, and means or sds of another
+    model raise ValueError.
 
     Frequencies are counts over exactly ``plan.reps`` independent trials per
     n, bit-reproducible for a given (seed, plan) at any worker count.  The
@@ -544,9 +528,15 @@ def estimate_events(
             f"sigma_low={moments.lower_sd!r}, sigma_up={moments.upper_sd!r}: "
             "cannot normalize sums"
         )
+    law = plan._law  # its lattice and sides cached here, then only read by the threads
+    exact = (*(float(mean) for mean, _ in law.sides), *(_sqrt(var) for _, var in law.sides))
+    given = (moments.lower_mean, moments.upper_mean, moments.lower_sd, moments.upper_sd)
+    if given != exact:
+        raise ValueError(f"moments with (means, sds) {given} are not those of the "
+                         f"plan's model, {exact}")
     workers = resolve_workers(workers)
     events = _EventCells.build(plan.alpha_one_sided, plan.alpha_two_sided)
-    stats = _Statistics.of(MinMaxLaw.from_model(plan.model), moments)
+    tabled = plan.tabled_n  # a ValueError past two limbs comes before any thread
     # each n's blocks cut into at most one run per worker
     n_blocks = -(-plan.reps // BLOCK_SIZE)
     parts = min(workers, n_blocks)
@@ -556,7 +546,7 @@ def estimate_events(
     # no more threads than runs; each n's sampler is built once, queued
     # before every run, which waits for its own; the draws release the GIL
     with ThreadPoolExecutor(max_workers=min(workers, len(runs))) as pool:
-        samplers = {n: pool.submit(_sampler, stats, events, n, n in plan.tabled_n)
+        samplers = {n: pool.submit(_sampler, law, events, n, n in tabled)
                     for n in plan.n_values}
         partials = list(pool.map(partial(_tally_run, plan.seed, plan.reps, events, samplers), runs))
     histograms: dict[int, np.ndarray] = {}

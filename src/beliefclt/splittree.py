@@ -29,9 +29,9 @@ def _hull_sums(columns: Sequence[np.ndarray], law: MinMaxLaw) -> tuple[np.ndarra
 
     A multiply-accumulate in hull order; both sampling paths use it, so
     equal counts give equal bits: exact int64 sums on a lattice law of
-    integer endpoints, float sums on a float law.  A matrix product would
-    hand float sums to BLAS, whose own threads would compete with the
-    pool's threads for the cores.
+    integer endpoints, as two rows of limbs where its endpoints have the
+    shape (2, 1).  A matrix product would hand float sums to BLAS,
+    whose own threads would compete with the pool's threads for the cores.
     """
     s_min = columns[0] * law.mins[0]
     s_max = columns[0] * law.maxs[0]

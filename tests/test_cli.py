@@ -151,7 +151,8 @@ class TestSimulate:
 
     def test_lattice_n_names_the_n_of_exact_sums(self, tmp_path, caplog, monkeypatch):
         # the step 1e-18 makes the endpoint 1 the integer 10**18: n * 10**18
-        # fits in int64 at n = 8, not at n = 16, where the sums stay float
+        # fits in one int64 limb at n = 8, not at n = 16; both n take exact
+        # thresholds, and lattice_n names the n on one limb
         model = BeliefModel([(FocalElement([(0.0, 1.0)]), 0.5),
                              (FocalElement([(1e-18, 1e-18)]), 0.2),
                              (FocalElement([(0.0, 0.0)]), 0.3)], 1.0)
@@ -159,18 +160,27 @@ class TestSimulate:
                        alpha_one_sided=(0.0,), alpha_two_sided=())
         save_plan(plan, tmp_path / "p.plan", tmp_path / "p.model")
         monkeypatch.setenv("BELIEFCLT_WORKERS", "1")
-        bounds, exact = montecarlo._lattice_bounds, []
+        at, limbs = montecarlo._EventCells.at, {}
 
-        def recording_bounds(alphas, mean, var, step, n, reach):
-            exact.append(n)
-            return bounds(alphas, mean, var, step, n, reach)
+        def recording_at(self, law, n):
+            sums_law, *rest = at(self, law, n)
+            limbs[n] = sums_law.maxs.shape[1:]
+            return (sums_law, *rest)
 
-        monkeypatch.setattr(montecarlo, "_lattice_bounds", recording_bounds)
+        monkeypatch.setattr(montecarlo._EventCells, "at", recording_at)
         with caplog.at_level("INFO", logger="beliefclt"):
             main(["simulate", str(tmp_path / "p.plan"), "--out-dir", str(tmp_path / "x")])
         joined = " ".join(rec.message for rec in caplog.records)
         assert "lattice_h=1/1000000000000000000 lattice_n=[8]" in joined
-        assert exact == [8, 8]  # one call per side, at n = 8 only
+        assert limbs == {8: (), 16: (2, 1)}  # an endpoint (hi, lo) on two limbs
+
+    def test_past_two_limbs_is_an_input_error(self, tmp_path, capsys):
+        model = BeliefModel([(FocalElement([(1e-150, 1e-150)]), 0.5),
+                             (FocalElement([(1e150, 1e150)]), 0.5)], 1e150)
+        save_plan(SimPlan(model, n_values=(4,), reps=10), tmp_path / "p.plan",
+                  tmp_path / "p.model")
+        assert main(["simulate", str(tmp_path / "p.plan"), "--out-dir", str(tmp_path)]) == 2
+        assert "past two int64 limbs" in capsys.readouterr().err
 
     def test_tabled_n_follows_the_table_size_rule(self, plan_file, tmp_path, caplog,
                                                   monkeypatch):
@@ -348,7 +358,7 @@ class TestOutputBytes:
     def test_special_cases_report(self, tmp_path):
         main(["special-cases", "--out-dir", str(tmp_path)])
         assert _sha256(tmp_path / "report_special_cases.csv") == (
-            "55add963f976b5da2ef1a88ef24eb989e43516b506cfb0a8fe641d049fff10fc")
+            "c471dbb5a061ccbd8948dddae15710ede25c6eece1319fe5381b4ce1b6f88b2b")
 
     def test_moments_of_mixed(self, tmp_path, capsys):
         save_model(MODEL_REGISTRY["mixed"], tmp_path / "mixed.model")

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from beliefclt import (
 )
 import beliefclt.moments as moments_module
 from beliefclt.harness import m_invariance_suite
-from beliefclt.moments import MinMaxLaw, _rho_prime_piecewise
+from beliefclt.moments import MinMaxLaw, _rho_prime_piecewise, _sqrt, side_moments
 
 from _helpers import random_model
 
@@ -392,3 +393,41 @@ def test_two_hull_rho_is_exactly_plus_or_minus_one(model):
         for a1, a2 in ((-1.0, 1.0), (0.0, 0.0), (0.5, 2.0)):
             assert 0.0 <= two_sided_limit(a1, a2, rho) <= 1.0
             assert 0.0 <= bvn_cdf(a1, a2, rho) <= 1.0
+
+
+def _decimal_root(q: Fraction) -> float:
+    """sqrt(q) to 50 significant digits, then rounded to float."""
+    with decimal.localcontext() as context:
+        context.prec = 50
+        return float((decimal.Decimal(q.numerator) / decimal.Decimal(q.denominator)).sqrt())
+
+
+@given(st.fractions(min_value=0, max_denominator=10**30) | st.fractions(0, 10**-200)
+       | st.integers(0, 10**300).map(Fraction))
+@settings(max_examples=300, deadline=None)
+def test_exact_root_is_the_rounded_decimal_root(q):
+    assert _sqrt(q) == _decimal_root(q)
+
+
+def test_exact_root_rounds_ties_to_even():
+    # 1 + 2**-53 and 1 + 3 * 2**-53 lie halfway between two floats, so
+    # their squares have roots that round to the even neighbour
+    for root, want in ((1 + Fraction(1, 2**53), 1.0), (1 + Fraction(3, 2**53), 1 + 2**-51),
+                       (Fraction(3, 7), 3 / 7), (Fraction(0), 0.0)):
+        assert _sqrt(root * root) == want
+
+
+def test_sds_and_rho_are_the_correctly_rounded_roots(rng):
+    # each sd and rho is the exact root of its rational, rounded once:
+    # bernoulli's rho is float(3/7), not the root of a rounded square
+    models = [*MODEL_REGISTRY.values(), *(random_model(rng) for _ in range(40))]
+    for model in models:
+        hulls = MinMaxLaw.from_model(model).exact()
+        (mean_low, var_low), (mean_up, var_up) = side_moments(hulls)
+        cov = sum(m * lo * hi for lo, hi, m in hulls) / sum(m for *_, m in hulls) - mean_low * mean_up
+        want = (_decimal_root(var_low), _decimal_root(var_up),
+                math.copysign(_decimal_root(cov * cov / (var_low * var_up)), cov))
+        for route in (moments_by_enumeration, moments_by_integration):
+            got = route(model)
+            assert (got.lower_sd, got.upper_sd, got.rho) == want, route.__name__
+    assert moments_by_enumeration(MODEL_REGISTRY["bernoulli"]).rho == 3 / 7

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import sys
@@ -27,7 +28,7 @@ from beliefclt import (
 )
 from beliefclt import montecarlo, splittree
 from beliefclt.modelio import parse_model
-from beliefclt.moments import MinMaxLaw, side_moments
+from beliefclt.moments import MinMaxLaw
 from beliefclt.montecarlo import (
     DEFAULT_ALPHA_GRID,
     ONE_SIDED_LOWER,
@@ -35,9 +36,7 @@ from beliefclt.montecarlo import (
     TWO_SIDED,
     _block_stream,
     _EventCells,
-    _float_bounds,
     _lattice_bounds,
-    _Statistics,
     default_alpha_pairs,
     is_tabled,
     resolve_workers,
@@ -58,6 +57,7 @@ from beliefclt.splittree import (
     _window_pmfs,
 )
 
+from _helpers import random_model
 from _intervals import complement
 
 
@@ -547,21 +547,56 @@ def _brute_counts(t_low, t_up, alphas, pairs):
     return counts[:len(alphas)], counts[len(alphas):2 * len(alphas)], counts[2 * len(alphas):]
 
 
-def _float_cells(events, t_low, t_up):
-    """Cells of float statistics T, compared with the alphas themselves."""
-    cells = events.cell_function(_float_bounds(events.low), _float_bounds(events.up))
-    return cells(t_low, t_up)
+def _least(a, strict):
+    """The least integer x with a <= x / 4, or with a < x / 4 where
+    ``strict``; +-100 for an infinite a, past every x drawn here."""
+    if math.isinf(a):
+        return int(math.copysign(100, a))
+    return math.floor(4 * a) + 1 if strict else math.ceil(4 * a)
 
 
-def _cells_at(events, law, mom, n):
+# x -> x * _WIDE + _OFFSET is increasing and puts every x drawn here past
+# int64, so it keeps every comparison while taking the sums to two limbs;
+# neighbours of x often share a hi limb, so the lo limbs must decide them
+_WIDE, _OFFSET = 2**29 + 3, 12345 - 2**80
+
+
+def _widened(values):
+    """The two-limb thresholds (``montecarlo._limbs``) of x * _WIDE + _OFFSET."""
+    return montecarlo._limbs([int(x) * _WIDE + _OFFSET for x in values], 2)
+
+
+def _uncarried(values):
+    """Two-limb sums of x * _WIDE + _OFFSET as a multiply-accumulate leaves
+    them: up to 3 * 2**31 of each moved from the hi limb into the lo limb."""
+    high, low = _widened(values)
+    moved = np.arange(len(values)) % 4
+    return np.array([high - moved, low + (moved << 31)])
+
+
+def _integer_cells(events, x_low, x_up, limbs=1):
+    """Cells of the statistics T = x / 4 of the integers x, by the integer
+    thresholds ``_least`` of each grid, as the estimator reads them: on one
+    limb or, widened past int64, on two."""
+    low, up = ([[_least(a, strict) for a in grid.tolist()] for strict in (False, True)]
+               for grid in (events.low, events.up))
+    if limbs == 1:
+        cells = events.cell_function(*([np.array(b, dtype=np.int64) for b in side]
+                                       for side in (low, up)))
+        return cells(x_low.copy(), x_up.copy())
+    cells = events.cell_function(*([_widened(b) for b in side] for side in (low, up)))
+    return cells(_uncarried(x_low), _uncarried(x_up))
+
+
+def _cells_at(events, law, n):
     """(sums law, cell function) of the estimator at (law, n)."""
-    return events.at(_Statistics.of(law, mom), n)[:2]
+    return events.at(law, n)[:2]
 
 
-def _closed_form(events, law, mom, n):
+def _closed_form(events, law, n):
     """The estimator's cell law of (law, n), summed in closed form over the
     last split of the tree."""
-    sums_law, cell_of, bounds = events.at(_Statistics.of(law, mom), n)
+    sums_law, cell_of, bounds = events.at(law, n)
     return _cell_law(sums_law, n, cell_of, bounds, events.size)
 
 
@@ -600,12 +635,13 @@ def _le_alpha(a, x, nv):
 def _exact_events(columns, law, n, alphas, pairs):
     """Whether each trial, given by its hull counts, is in each event, one
     row per event in plan order, decided in rationals: T = (S - n*mean) /
-    sqrt(n*var) from the exact sum S and the exact mean and variance, each
-    distinct sum once."""
+    sqrt(n*var) from the exact sum S, in Python integers, and the exact
+    mean and variance, each distinct sum once."""
     verdicts = []
     for ends, mean, var in _exact_sides(law):
         scale = math.lcm(*(e.denominator for e in ends))
-        sums = sum(np.asarray(c, dtype=np.int64) * int(e * scale) for c, e in zip(columns, ends))
+        sums = sum(np.asarray(c, dtype=np.int64).astype(object) * int(e * scale)
+                   for c, e in zip(columns, ends))
         values, inverse = np.unique(sums, return_inverse=True)
         x = [Fraction(v, scale) - n * mean for v in values.tolist()]
 
@@ -618,6 +654,12 @@ def _exact_events(columns, law, n, alphas, pairs):
     return np.array(rows, dtype=bool).reshape(len(rows), len(columns[0]))
 
 
+def _membership(events):
+    """Whether each cell is in each event: one row per event in plan order,
+    one column per cell."""
+    return np.array([events.counts(row) for row in np.eye(events.size, dtype=np.int64)]).T
+
+
 LATTICE = tuple(0.25 * i for i in range(-10, 11))
 _thresholds = st.one_of(
     st.sampled_from(LATTICE),
@@ -627,11 +669,12 @@ _thresholds = st.one_of(
 
 
 def _looped(events, low, up):
-    """The cell function of integer bounds by one comparison per bound,
-    never tabled: the bounds and the statistics as floats."""
-    cells = events.cell_function(*(tuple(np.asarray(b, dtype=float) for b in side)
-                                   for side in (low, up)))
-    return lambda x_low, x_up: cells(x_low.astype(float), x_up.astype(float))
+    """The cell function of integer bounds by one comparison per bound and
+    trial, as ``_EventCells.cell_function`` defines it."""
+    def rank(bounds, x):
+        return (np.asarray(bounds)[:, None] <= x).sum(axis=0)
+    return lambda x_low, x_up: (rank(low[0], x_low) * (2 * len(events.up) + 1)
+                                + rank(up[0], x_up) + rank(up[1], x_up))
 
 
 class TestEventCells:
@@ -640,33 +683,34 @@ class TestEventCells:
     def test_matches_brute_force(self, data):
         # unsorted, duplicated, inverted and infinite thresholds, signed
         # zeros, empty grids, and statistics drawn partly from the thresholds
-        # themselves (exact ties); the block is split in two to exercise the
-        # merge
+        # themselves (exact ties), on one limb and on two; the block is
+        # split in two to exercise the merge
         alphas = data.draw(st.lists(_thresholds, max_size=10))
         pairs = data.draw(st.lists(st.tuples(_thresholds, _thresholds), max_size=12))
-        ties = alphas + [x for p in pairs for x in p]
-        stat = st.floats(-5.0, 5.0)
+        ties = [round(4 * t) for t in alphas + [x for p in pairs for x in p] if math.isfinite(t)]
+        stat = st.integers(-24, 24)
         if ties:
             stat = stat | st.sampled_from(ties)
         size = data.draw(st.integers(0, 40))
-        t_low = np.array(data.draw(st.lists(stat, min_size=size, max_size=size)), dtype=float)
-        t_up = np.array(data.draw(st.lists(stat, min_size=size, max_size=size)), dtype=float)
+        x_low = np.array(data.draw(st.lists(stat, min_size=size, max_size=size)), dtype=np.int64)
+        x_up = np.array(data.draw(st.lists(stat, min_size=size, max_size=size)), dtype=np.int64)
         cut = data.draw(st.integers(0, size))
 
         events = _EventCells.build(alphas, pairs)
-        cells = _float_cells(events, t_low, t_up)
+        cells = _integer_cells(events, x_low, x_up, data.draw(st.sampled_from((1, 2))))
         assert cells.dtype == np.min_scalar_type(events.size - 1)
         assert np.all(cells < events.size)
         histogram = (np.bincount(cells[:cut], minlength=events.size)
                      + np.bincount(cells[cut:], minlength=events.size))
-        lower, upper, two = _brute_counts(t_low, t_up, alphas, pairs)
+        lower, upper, two = _brute_counts(x_low / 4, x_up / 4, alphas, pairs)
         assert events.counts(histogram).tolist() == lower + upper + two
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_rank_tables_are_the_comparison_loop(self, data):
         # integer bounds, duplicated or out of order, and integer sums on
-        # both sides of their span: the tables give the loop's cells
+        # both sides of their span: the tables give the loop's cells, and
+        # so do the same bounds and sums widened to two limbs
         bound = st.integers(-20, 20)
         events = _EventCells.build(data.draw(st.lists(st.floats(-3, 3), max_size=6)),
                                    data.draw(st.lists(st.tuples(st.floats(-3, 3),
@@ -680,7 +724,10 @@ class TestEventCells:
                 for _ in range(2)]
         loop = _looped(events, low, up)(*sums)
         tabled = events.cell_function(low, up)(*(s.copy() for s in sums))
-        assert tabled.dtype == loop.dtype and np.array_equal(tabled, loop)
+        assert tabled.dtype == np.min_scalar_type(events.size - 1)
+        assert np.array_equal(tabled, loop)
+        wide = events.cell_function(*([_widened(b) for b in side] for side in (low, up)))
+        assert np.array_equal(wide(*(_uncarried(s) for s in sums)), loop)
 
     def test_span_beyond_the_limit_is_not_tabled(self, monkeypatch):
         # a span of max - min + 2 = 6 entries: tabled at a limit of 6, and
@@ -699,9 +746,11 @@ class TestEventCells:
     def test_empty_grids(self):
         events = _EventCells.build((), ())
         assert events.size == 1
-        histogram = np.bincount(_float_cells(events, np.zeros(5), np.ones(5)))
-        assert histogram.tolist() == [5]
-        assert len(events.counts(histogram)) == 0
+        for limbs in (1, 2):
+            cells = _integer_cells(events, np.zeros(5, dtype=np.int64),
+                                   np.ones(5, dtype=np.int64), limbs)
+            assert np.bincount(cells).tolist() == [5]
+            assert len(events.counts(np.bincount(cells))) == 0
         none = np.array([], dtype=np.int64)
         lattice = events.cell_function((none, none), (none, none))
         assert lattice(np.arange(5), np.arange(5)).tolist() == [0] * 5
@@ -729,11 +778,11 @@ def test_lattice_bounds_are_the_least_sums(a, mean, var, step, n):
     want = ([least(lambda x: _alpha_le(a, x, n * var))],
             [least(lambda x: not _le_alpha(a, x, n * var))])
     got = _lattice_bounds(np.array([a]), mean, var, step, n, reach)
-    assert all(b.dtype == np.int64 for b in got)
-    assert tuple(b.tolist() for b in got) == want
+    assert all(type(b) is int for side in got for b in side)
+    assert got == want
 
 
-def _reference_estimate(plan, mom):
+def _reference_estimate(plan):
     """Replays the estimator's block draws, without its tally, and counts
     every event in exact rationals.
 
@@ -757,12 +806,12 @@ def _reference_estimate(plan, mom):
             continue
         vectors = _windowed(law, n)[0]
         in_event = exact(vectors, law, n)
-        sums_law, cell_of = _cells_at(events, law, mom, n)
+        sums_law, cell_of = _cells_at(events, law, n)
         cells = cell_of(*_hull_sums(vectors, sums_law))
         member = np.zeros((len(in_event), events.size), dtype=np.int64)
         member[:, cells] = in_event
         assert np.array_equal(member[:, cells], in_event)  # one cell, one set of events
-        p_cell = _closed_form(events, law, mom, n)
+        p_cell = _closed_form(events, law, n)
         histogram = sum(_block_stream(plan.seed, n, b).multinomial(size, p_cell)
                         for b, size in blocks)
         counts[n] = (member @ histogram).tolist()
@@ -794,7 +843,7 @@ def _check_against_reference(model_name, alphas, pairs, reps):
                        alpha_one_sided=alphas, alpha_two_sided=pairs)
     mom = moments_by_enumeration(model)
     sim = estimate_events(plan, mom, workers=1)
-    reference = _reference_estimate(plan, mom)
+    reference = _reference_estimate(plan)
     for n in n_values:
         assert [r.count for r in sim.rows_for(n)] == reference[n]
 
@@ -829,7 +878,7 @@ def test_runs_of_blocks_match_brute_force_reference():
     plan = SimPlan(model, n_values=(16, 2048), reps=8 * BLOCK_SIZE + 37, seed=23)
     assert is_tabled(MinMaxLaw.from_model(model), 16)
     assert not is_tabled(MinMaxLaw.from_model(model), 2048)
-    reference = _reference_estimate(plan, mom)
+    reference = _reference_estimate(plan)
     for workers in (1, 2):
         sim = estimate_events(plan, mom, workers=workers)
         for n in plan.n_values:
@@ -997,9 +1046,9 @@ _LAW_MODELS = {**MODEL_REGISTRY, "non_dyadic": _non_dyadic_model()}
 def _model_cell_law(model, n, alphas=DEFAULT_ALPHA_GRID):
     """(events, cell law) of ``model`` at n on the grid and its pairs, with
     the estimator's cell function."""
-    law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
+    law = MinMaxLaw.from_model(model)
     events = _EventCells.build(alphas, default_alpha_pairs(alphas))
-    return events, _closed_form(events, law, mom, n)
+    return events, _closed_form(events, law, n)
 
 
 def _check_block_histograms(name, n):
@@ -1008,13 +1057,13 @@ def _check_block_histograms(name, n):
     module's own ``_cell_law`` import; cells with fewer than 20 expected
     trials are pooled."""
     model = MODEL_REGISTRY[name]
-    law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
+    law = MinMaxLaw.from_model(model)
     events, p_cell = _model_cell_law(model, n, _DENSE_GRID)
     assert is_tabled(law, n)
     blocks = 8
     reps = blocks * BLOCK_SIZE
     sampler = Future()
-    sampler.set_result(montecarlo._sampler(_Statistics.of(law, mom), events, n, True))
+    sampler.set_result(montecarlo._sampler(law, events, n, True))
     _, histogram = montecarlo._tally_run(37, reps, events, {n: sampler}, (n, range(blocks)))
     assert histogram.sum() == reps and not histogram[p_cell == 0].any()
     _z_test(_pooled(p_cell, histogram, reps), reps, (name, n))
@@ -1044,11 +1093,11 @@ class TestCellLaw:
     @pytest.mark.parametrize("name", sorted(_LAW_MODELS))
     def test_cell_law_matches_exact_fractions(self, name):
         model = _LAW_MODELS[name]
-        law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
+        law = MinMaxLaw.from_model(model)
         for n in range(1, 9):
             events, p_cell = _model_cell_law(model, n)
             assert is_tabled(law, n) and len(p_cell) == events.size
-            sums_law, cell_of = _cells_at(events, law, mom, n)
+            sums_law, cell_of = _cells_at(events, law, n)
             exact = _exact_cell_law(sums_law, n, cell_of, events.size)
             for p, want in zip(p_cell.tolist(), exact):
                 assert abs(Fraction(p) - want) <= Fraction(1, 10**12) * want, (n, p, want)
@@ -1059,13 +1108,13 @@ class TestCellLaw:
         # gives the full windowed enumeration's cell law to 1e-15
         # absolute, on the same support
         model = _LAW_MODELS[name]
-        law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
+        law = MinMaxLaw.from_model(model)
         events = _EventCells.build(DEFAULT_ALPHA_GRID, default_alpha_pairs())
         for n in range(1, 91):
             assert is_tabled(law, n)
-            sums_law, cell_of = _cells_at(events, law, mom, n)
+            sums_law, cell_of = _cells_at(events, law, n)
             want = _reference_cell_law(sums_law, n, cell_of, events.size)
-            got = _closed_form(events, law, mom, n)
+            got = _closed_form(events, law, n)
             assert np.abs(got - want).max() <= 1e-15, n
             assert np.array_equal(got > 0, want > 0), n
 
@@ -1073,12 +1122,12 @@ class TestCellLaw:
         # 31476 prefixes against 2633569 windowed vectors, on the 21-point
         # grid and its pairs
         model = MODEL_REGISTRY["mixed"]
-        law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
+        law = MinMaxLaw.from_model(model)
         assert is_tabled(law, 256)
         events = _EventCells.build(_DENSE_GRID, default_alpha_pairs(_DENSE_GRID))
-        sums_law, cell_of = _cells_at(events, law, mom, 256)
+        sums_law, cell_of = _cells_at(events, law, 256)
         want = _reference_cell_law(sums_law, 256, cell_of, events.size)
-        got = _closed_form(events, law, mom, 256)
+        got = _closed_form(events, law, 256)
         assert np.abs(got - want).max() <= 1e-15
         assert np.array_equal(got > 0, want > 0)
 
@@ -1093,12 +1142,12 @@ class TestCellLaw:
         from scipy.stats import binom
 
         model = MODEL_REGISTRY[name]
-        law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
+        law = MinMaxLaw.from_model(model)
         columns, pmf = _windowed(law, n)
         p_cell = _vector_law(law, n)
         assert np.array_equal(p_cell, pmf / pmf.sum())
         events, closed = _model_cell_law(model, n)
-        sums_law, cell_of = _cells_at(events, law, mom, n)
+        sums_law, cell_of = _cells_at(events, law, n)
         cells = cell_of(*_hull_sums([c.copy() for c in columns], sums_law))
         assert np.abs(closed - np.bincount(cells, p_cell, minlength=events.size)).max() <= 1e-15
         assert abs(p_cell.sum() - 1.0) <= 1e-13
@@ -1227,7 +1276,7 @@ class TestCellLaw:
         # point of the step 1/10): the cells must hold the exact decisions
         model = _non_dyadic_model()
         law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
-        assert law.lattice()[0] == Fraction(1, 10)
+        assert law.lattice[0] == Fraction(1, 10)
         real_runs, runs = splittree._runs, []
 
         def recording_runs(x, steps, bounds, start, stop):
@@ -1247,11 +1296,10 @@ class TestCellLaw:
             alphas = t_low[::step].tolist() + t_up[::step].tolist() + [0.0]
             pairs = list(zip(alphas, alphas[::-1]))
             events = _EventCells.build(alphas, pairs)
-            sums_law, cell_of = _cells_at(events, law, mom, n)
+            sums_law, cell_of = _cells_at(events, law, n)
             assert sums_law.mins.dtype == np.int64
             cells = cell_of(*_hull_sums(columns, sums_law))
-            member = np.array([events.counts(np.eye(events.size, dtype=np.int64)[c])
-                               for c in range(events.size)]).T
+            member = _membership(events)
             assert np.array_equal(member[:, cells], _exact_events(columns, law, n, alphas, pairs))
             # the closed form reads the cell of each run of the last split's
             # count at its first count, so every count of a run must have
@@ -1260,7 +1308,7 @@ class TestCellLaw:
             sums = zip(*(s.tolist() for s in _hull_sums(columns, sums_law)))
             exact_cell = dict(zip(sums, cells.tolist()))
             runs.clear()
-            p_cell = _closed_form(events, law, mom, n)
+            p_cell = _closed_form(events, law, n)
             assert runs
             for (x_low, x_up), (step_low, step_up), start, stop, edges in runs:
                 for row, (low, up, first, last) in zip(edges, zip(x_low, x_up, start, stop)):
@@ -1284,48 +1332,44 @@ class TestCellLaw:
                 assert abs(Fraction(p) - e) <= Fraction(1, 10**12) * e, (n, p, e)
 
     def test_table_cells_match_multiply_accumulate_sums(self):
-        # off the lattice no n is tabled, since float sums do not move by
-        # a fixed step per count; the split tree's hull sums take the cells
-        # of the pure-Python multiply-accumulate sums, normalized out of
-        # place; thresholds taken from those normalized sums put many
-        # vectors on exact ties, where one ulp in a sum or in the
-        # normalization moves the cell
-        model = _non_dyadic_float_model()
-        law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
+        # past one limb no n is tabled; the split tree's hull sums, on two
+        # limbs, are the exact multiply-accumulate sums S/h, and their cells
+        # the exact decisions; thresholds taken from the float statistics
+        # put many vectors within an ulp of one, and alpha = 0 at n = 20
+        # puts some on one
+        model = _non_dyadic_wide_model()
+        law = MinMaxLaw.from_model(model)
+        step, mins, maxs = law.lattice
         assert len(law.masses) == 4
-        for n in (1, 3, 10, 37):
-            vectors = _compositions(n, 4)
-            sums = []
-            for ends in (law.mins.tolist(), law.maxs.tolist()):
-                expected = []
-                for vector in vectors:
-                    s = vector[0] * ends[0]
-                    for c, e in zip(vector[1:], ends[1:]):
-                        s += c * e
-                    expected.append(s)
-                sums.append(np.array(expected))
-            root = math.sqrt(n)
-            t_low = (sums[0] - n * mom.lower_mean) / (root * mom.lower_sd)
-            t_up = (sums[1] - n * mom.upper_mean) / (root * mom.upper_sd)
-            step = max(1, len(vectors) // 12)
-            alphas = t_low[::step].tolist() + t_up[::step].tolist()
-            events = _EventCells.build(alphas, list(zip(alphas, alphas[::-1])))
-            sums_law, cell_of = _cells_at(events, law, mom, n)
-            assert sums_law is law and not is_tabled(law, n)
-            sampler = montecarlo._sampler(_Statistics.of(law, mom), events, n, is_tabled(law, n))
+        for n in (1, 3, 10, 20, 37):
+            columns = np.array(_compositions(n, 4), dtype=np.int64).T
+            vectors = columns.T.tolist()
+            stats = []
+            for ends, (mean, var) in zip((mins, maxs), law.sides):
+                sums = [sum(c * v for c, v in zip(vector, ends)) for vector in vectors]
+                stats.append((sums, [float(s * step - n * mean) / math.sqrt(n * var)
+                                     for s in sums]))
+            (low_sums, t_low), (up_sums, t_up) = stats
+            every = max(1, len(vectors) // 12)
+            alphas = t_low[::every] + t_up[::every] + [0.0]
+            pairs = list(zip(alphas, alphas[::-1]))
+            events = _EventCells.build(alphas, pairs)
+            sums_law, cell_of = _cells_at(events, law, n)
+            assert sums_law.mins.shape == (4, 2, 1) and not is_tabled(law, n)
+            sampler = montecarlo._sampler(law, events, n, is_tabled(law, n))
             assert sampler[2] is None and sampler[3] is not None
-            expected = _float_cells(events, t_low, t_up)
-            # the split tree gets int64 counts; same bits, same cells
-            int_sums = _hull_sums(np.array(vectors, dtype=np.int64).T, law)
-            assert np.array_equal(cell_of(*(s.copy() for s in int_sums)), expected)
-            for got, want in zip(int_sums, sums):
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            x = _hull_sums(columns, sums_law)
+            for got, want in zip(x, (low_sums, up_sums)):
+                assert [hi * 2**31 + lo for hi, lo in zip(*got.tolist())] == want
+            member = _membership(events)
+            cells = cell_of(*x)
+            assert np.array_equal(member[:, cells], _exact_events(columns, law, n, alphas, pairs))
 
 
-def _non_dyadic_float_model():
+def _non_dyadic_wide_model():
     # ``_non_dyadic_model`` with the endpoint 0.1 of its first hull moved to
-    # 1e-20: the step 1e-20 makes 0.7 the integer 7e19, past int64 at every
-    # n, so the hull sums stay float and round
+    # 1e-20: the step 1e-20 makes 0.7 the integer 7e19, past one int64 limb
+    # at every n, so the hull sums take two
     return BeliefModel(
         [(FocalElement([(1e-20, 0.3)]), 0.25),
          (FocalElement([(0.2, 0.7)]), 0.35),
@@ -1335,33 +1379,199 @@ def _non_dyadic_float_model():
 
 def _overflow_model():
     # the step 1e-18 makes the endpoint 1 the integer 10**18, so n * 10**18
-    # fits in int64 up to n = 9 only
+    # fits in one int64 limb up to n = 9 only
     return BeliefModel(
         [(FocalElement([(0.0, 1.0)]), 0.5),
          (FocalElement([(1e-18, 1e-18)]), 0.2),
          (FocalElement([(0.0, 0.0)]), 0.3)], 1.0)
 
 
-def test_float_path_where_the_lattice_overflows_int64():
-    """Beyond int64 the sums stay float and are normalized by the float
-    moments, as the brute-force float comparisons read them."""
+def _check_vector_by_vector(plan, monkeypatch, fault):
+    """The estimate of a plan with no tabled n against its replayed count
+    vectors: the cell that the estimator's cell function gives each vector
+    holds exactly the events that ``_exact_events`` decides for it, and the
+    estimate's counts are their sums.  With ``fault``, the two-limb sums
+    lose the carry from their lo limb, and the check must fail."""
+    def dropped(x):
+        x[1] &= 2**31 - 1
+        return x
+
+    if fault:
+        monkeypatch.setattr(montecarlo, "_carry", dropped)
+    law = MinMaxLaw.from_model(plan.model)
+    events = _EventCells.build(plan.alpha_one_sided, plan.alpha_two_sided)
+    member = _membership(events)
+    with pytest.raises(AssertionError) if fault else contextlib.nullcontext():
+        sim = estimate_events(plan, moments_by_enumeration(plan.model), workers=1)
+        for n in plan.n_values:
+            assert not is_tabled(law, n)
+            blocks = [(b, min(BLOCK_SIZE, plan.reps - start))
+                      for b, start in enumerate(range(0, plan.reps, BLOCK_SIZE))]
+            drawn = [_draw_counts(plan.seed, n, b, size, law) for b, size in blocks]
+            columns = [np.concatenate(c) for c in zip(*drawn)]
+            exact = _exact_events(columns, law, n, plan.alpha_one_sided, plan.alpha_two_sided)
+            sums_law, cell_of = _cells_at(events, law, n)
+            assert np.array_equal(member[:, cell_of(*_hull_sums(columns, sums_law))], exact), n
+            assert [r.count for r in sim.rows_for(n)] == exact.sum(axis=1).tolist(), n
+
+
+@pytest.mark.parametrize("fault", [None, "carry"])
+def test_two_limbs_where_the_lattice_overflows_int64(monkeypatch, fault):
+    """Past one int64 limb the sums take two, and every drawn count vector
+    gets the exact decisions, atoms included: S_min/h is the count c1 of
+    the 1e-18 hull, on the thresholds 1600 * 0.2 + 16 * alpha, and at
+    alpha = 0 S_max/h = c0 * 10**18 + c1 meets 800 * 10**18 + 320.
+    Dropping the carry between the limbs fails it."""
     model = _overflow_model()
-    law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
-    alphas, pairs = (-1.0, 0.0, 0.5), ((-1.0, 1.0), (0.0, 0.5))
+    law = MinMaxLaw.from_model(model)
+    alphas, pairs = (-1.0, 0.0, 0.5), ((-1.0, 1.0), (0.0, 0.5), (0.0, 0.0))
     events = _EventCells.build(alphas, pairs)
-    assert _cells_at(events, law, mom, 9)[0].maxs.tolist() == [10**18, 1, 0]
-    assert _cells_at(events, law, mom, 10)[0] is law
-    plan = SimPlan(model, n_values=(1600,), reps=BLOCK_SIZE + 99, seed=2,
-                   alpha_one_sided=alphas, alpha_two_sided=pairs)
-    assert not is_tabled(law, 1600)
-    sim = estimate_events(plan, mom, workers=1)
-    sums = [_draw_sums(plan.seed, 1600, b, size, law)
-            for b, size in ((0, BLOCK_SIZE), (1, 99))]
-    s_min, s_max = (np.concatenate(s) for s in zip(*sums))
-    t_low = (s_min - 1600 * mom.lower_mean) / (40.0 * mom.lower_sd)
-    t_up = (s_max - 1600 * mom.upper_mean) / (40.0 * mom.upper_sd)
-    lower, upper, two = _brute_counts(t_low, t_up, alphas, pairs)
-    assert [r.count for r in sim.rows] == lower + upper + two
+    assert _cells_at(events, law, 9)[0].maxs.tolist() == [10**18, 1, 0]
+    assert _cells_at(events, law, 10)[0].maxs.shape == (3, 2, 1)
+    _check_vector_by_vector(SimPlan(model, n_values=(1600,), reps=BLOCK_SIZE + 99, seed=2,
+                                    alpha_one_sided=alphas, alpha_two_sided=pairs),
+                            monkeypatch, fault)
+
+
+@pytest.mark.parametrize("fault", [None, "carry"])
+def test_random_model_at_16384_replays_exactly(monkeypatch, fault):
+    """A law of the benchmark's random-model family (64 bits per endpoint
+    in steps, so 78 at n = 16384, on two limbs), replayed count vector by
+    count vector against the exact decisions.  The alphas are the float
+    statistics of six drawn trials, so each of those lies within an ulp or
+    so of a threshold; dropping the carry, which moves T by about 1e-8
+    here, fails."""
+    model = random_model(np.random.default_rng(0))
+    law = MinMaxLaw.from_model(model)
+    n, reps, seed = 16384, 3000, 21
+    assert max(map(abs, law.lattice[1] + law.lattice[2])).bit_length() == 64
+    assert not montecarlo.on_lattice(law.lattice, n)
+    vectors = list(zip(*(c.tolist() for c in _draw_counts(seed, n, 0, reps, law))))[:6]
+    t_low, t_up = ([float(sum(c * e for c, e in zip(vector, ends)) - n * mean)
+                    / math.sqrt(n * var) for vector in vectors]
+                   for ends, mean, var in _exact_sides(law))
+    _check_vector_by_vector(SimPlan(model, n_values=(n,), reps=reps, seed=seed,
+                                    alpha_one_sided=t_low + t_up,
+                                    alpha_two_sided=[tuple(sorted(p)) for p in zip(t_low, t_up)]),
+                            monkeypatch, fault)
+
+
+def test_two_limbs_hold_sums_up_to_the_limit():
+    # the step 1e-22 makes the endpoint 1 the integer 10**22, so
+    # n * 10**22 < 2**93 up to n = 990352 and not at 990353
+    model = BeliefModel([(FocalElement([(1e-22, 1e-22)]), 0.5),
+                         (FocalElement([(1.0, 1.0)]), 0.5)], 1.0)
+    lattice = MinMaxLaw.from_model(model).lattice
+    assert not montecarlo.on_lattice(lattice, 990352)
+    with pytest.raises(ValueError, match="past two int64 limbs"):
+        montecarlo.on_lattice(lattice, 990353)
+    _check_vector_by_vector(SimPlan(model, n_values=(990352,), reps=500, seed=4), None, None)
+
+
+def test_past_two_limbs_raises_naming_the_limit():
+    # the step 1e-150 makes the endpoint 1e150 the integer 10**300
+    model = BeliefModel([(FocalElement([(1e-150, 1e-150)]), 0.5),
+                         (FocalElement([(1e150, 1e150)]), 0.5)], 1e150)
+    plan = SimPlan(model, n_values=(1,), reps=10)
+    with pytest.raises(ValueError, match=r"past two int64 limbs.*2\*\*93"):
+        estimate_events(plan, moments_by_enumeration(model), workers=1)
+    with pytest.raises(ValueError, match="past two int64 limbs"):
+        is_tabled(MinMaxLaw.from_model(model), 1)
+
+
+@pytest.mark.parametrize("n", [1024, 4096, 16384])
+def test_shifted_coin_matches_binomial_tails(n):
+    """coin shifted by the 16-digit 0.1234567890123456 has endpoints of 54
+    bits in steps, so its sums take two limbs from n = 1024 on.  T_low =
+    (2K - n)/sqrt(n) exactly, K ~ Bin(n, 1/2) the count of the upper hull,
+    so T_low >= alpha is a binomial tail with an atom at its edge for every
+    alpha of the grid; a Bonferroni z-test per n over the grid."""
+    from scipy.stats import binom
+
+    model = MODEL_REGISTRY["coin"].shifted(0.1234567890123456)
+    assert not montecarlo.on_lattice(MinMaxLaw.from_model(model).lattice, n)
+    plan = SimPlan(model, n_values=(n,), reps=200_000, seed=11, alpha_two_sided=())
+    sim = estimate_events(plan, moments_by_enumeration(model))
+    root = math.isqrt(n)
+    cells = [(float(binom.sf(math.ceil((n + Fraction(repr(a)) * root) / 2) - 1, n, 0.5)),
+              row.count) for a, row in zip(DEFAULT_ALPHA_GRID, sim.rows_for(n, ONE_SIDED_LOWER))]
+    _z_test(cells, plan.reps, n)
+
+
+_INVARIANCE_N = (16, 64, 4096, 16384)
+
+
+def _moved_counts(model, moved, fault=False):
+    """{n: (counts of model, counts of moved)} at each n of
+    ``_INVARIANCE_N`` where both are tabled or both are not, one seed and
+    grid; with ``fault``, the thresholds of moved's T_low >= alpha at
+    n = 16384 are one step too high."""
+    sims = []
+    for m in (model, moved):
+        plan = SimPlan(m, n_values=_INVARIANCE_N, reps=2000, seed=9)
+        with pytest.MonkeyPatch.context() as patch:
+            if fault and m is moved:
+                real, calls = montecarlo._lattice_bounds, []
+
+                def off_by_one(alphas, mean, var, step, n, reach):
+                    ge, gt = real(alphas, mean, var, step, n, reach)
+                    calls.append(n)  # the low side first
+                    return (([b + 1 for b in ge], gt) if n == 16384 and calls.count(n) == 1
+                            else (ge, gt))
+                patch.setattr(montecarlo, "_lattice_bounds", off_by_one)
+            sims.append(estimate_events(plan, moments_by_enumeration(m), workers=1))
+    law, moved_law = (MinMaxLaw.from_model(m) for m in (model, moved))
+    return {n: tuple([r.count for r in sim.rows_for(n)] for sim in sims)
+            for n in _INVARIANCE_N if is_tabled(law, n) == is_tabled(moved_law, n)}
+
+
+def _moved(model, shift, scale, more):
+    """``model`` scaled, shifted and with a larger bound; None where a
+    moved endpoint is not exactly the moved decimal of the old one, a law
+    of its own."""
+    moved = model.scaled(scale).shifted(shift)
+    moved = dataclasses.replace(moved, bound=moved.bound + more)
+    old, new = (MinMaxLaw.from_model(m).exact() for m in (model, moved))
+    s, c = Fraction(repr(shift)), Fraction(repr(scale))
+    exact = all(b[i] == a[i] * c + s and b[2] == a[2] for a, b in zip(old, new) for i in (0, 1))
+    return moved if exact else None
+
+
+@given(name=st.sampled_from(sorted(MODEL_REGISTRY)),
+       shift=st.one_of(st.integers(-2**36, 2**36).map(lambda j: j / 16),
+                       st.sampled_from((-7.00000000000001, 5.000000000000001, 123456.7890123456,
+                                        0.1234567890123456, -0.3000000000000001))),
+       scale=st.builds(lambda odd, e: (2 * odd + 1) * 2.0**e, st.integers(0, 7),
+                       st.integers(-6, 6)),
+       more=st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_counts_are_invariant_under_exact_shift_scale_and_bound(name, shift, scale, more):
+    """The normalized statistics do not move under an exact shift, a
+    positive scale or a larger M, so neither may a count, at tabled n and
+    untabled, on one limb or two (the decimal shifts put mixed and
+    bernoulli on two at n = 16384), wherever both laws take the same path."""
+    model = MODEL_REGISTRY[name]
+    moved = _moved(model, shift, scale, more)
+    assume(moved is not None)
+    counts = _moved_counts(model, moved)
+    assert 16 in counts
+    for n, (before, after) in counts.items():
+        assert before == after, n
+
+
+def test_invariance_test_catches_thresholds_off_by_one(monkeypatch):
+    # coin shifted by a 16-digit decimal, its sums on two limbs at
+    # n = 16384, where T = alpha has an atom at every alpha of the grid;
+    # with no n tabled, every n is compared
+    monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", 0)
+    model = MODEL_REGISTRY["coin"]
+    moved = _moved(model, -7.00000000000001, 1.0, 2)
+    assert not montecarlo.on_lattice(MinMaxLaw.from_model(moved).lattice, 16384)
+    counts = _moved_counts(model, moved)
+    assert sorted(counts) == list(_INVARIANCE_N)
+    assert all(a == b for a, b in counts.values())
+    counts = _moved_counts(model, moved, fault=True)
+    assert [n for n, (a, b) in counts.items() if a != b] == [16384]
 
 
 # integer endpoints, so hull sums are exact; masses with no mirror
@@ -1430,8 +1640,7 @@ def test_table_sizes_are_the_sizes_built(data):
     n = data.draw(st.integers(1, {2: 5000, 3: 800, 4: 60, 5: 24}[k]))
     grid = data.draw(st.lists(st.sampled_from(LATTICE), max_size=8))
     events = _EventCells.build(grid, default_alpha_pairs(grid))
-    stats = _Statistics(law, law.lattice(), side_moments(law.exact()), None)
-    sums_law, cell_of, bounds = events.at(stats, n)
+    sums_law, cell_of, bounds = events.at(law, n)
     windows, prefixes, runs = [], [], []
 
     def window_pmfs(totals, p, q):
@@ -1498,15 +1707,14 @@ def test_tabled_n_leave_room_for_the_differences_of_sums():
     so only n <= 184 are tabled, each matching the full enumeration."""
     law = MinMaxLaw(np.array([-4.917253349036841, 3.1415926535897936]),
                     np.array([4.72109836542891, 4.982375112340981]), np.array([0.9, 0.1]))
-    lattice = law.lattice()
+    lattice = law.lattice
     assert (2**63 - 2) // max(map(abs, [*lattice[1], *lattice[2]])) == 370
     # T_low and T_up are one statistic of the left count here, so only
     # grids that differ on the two sides cross different thresholds
     events = _EventCells.build((), [(-1.0, 0.5)])
-    stats = _Statistics(law, lattice, side_moments(law.exact()), None)
     for n in (183, 184, 185, 370):
         assert montecarlo.on_lattice(lattice, n) and is_tabled(law, n) == (n <= 184)
-        sums_law, cell_of, bounds = events.at(stats, n)
+        sums_law, cell_of, bounds = events.at(law, n)
         if n <= 184:
             want = _reference_cell_law(sums_law, n, cell_of, events.size)
             got = _cell_law(sums_law, n, cell_of, bounds, events.size)
