@@ -304,11 +304,11 @@ def _lattice_bounds(alphas: np.ndarray, mean: Fraction, var: Fraction, step: Fra
     return ge, gt
 
 
-def _limbs(values: Sequence[int], limbs: int) -> np.ndarray:
-    """The integers ``values`` as int64: as they are on one limb, else each
-    as v = hi * 2**31 + lo with 0 <= lo < 2**31, in the rows hi and lo."""
+def _limbs(values: Sequence[int], count: int) -> np.ndarray:
+    """The integers ``values`` as int64: as they are on one limb, else, on
+    two, each as v = hi * 2**31 + lo with 0 <= lo < 2**31, in rows hi, lo."""
     values = np.array(values, dtype=object)
-    if limbs == 2:
+    if count == 2:
         values = np.array([values >> _LIMB_BITS, values & _LIMB_MASK])
     return values.astype(np.int64)
 
