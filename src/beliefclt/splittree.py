@@ -5,17 +5,18 @@ mid = (lo + hi) // 2, the left count binomial with the left share of the
 node's mass (Devroye 1986, ch. XI).  The tree draws the hull counts of a
 block's trials (``_split_counts``), and its windowed binomial pmfs
 (``_window``, ``_window_pmfs``) give the exact law of one trial's event
-cell (``_cell_law``): the count vectors of every split but the last, each
-a product of windowed pmfs, with the last split summed in closed form
-between the thresholds it crosses (``_runs``).  ``_table_sizes`` counts
-what that build walks from the window bounds alone, and ``_root_window``
-is the root's window, over which the tree draws its first split.
+cell (``_cell_law``): the count vectors of every split but the last
+(``_prefixes``), each a product of windowed pmfs, with the last split
+summed in closed form, telescoped out of its mode over the thresholds it
+crosses (``_crossings``).  ``_table_sizes`` counts what that build walks
+from the window bounds alone, and ``_root_window`` is the root's window,
+over which the tree draws its first split.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -148,8 +149,9 @@ def _table_sizes(law: MinMaxLaw, n: int, limit: int) -> tuple[int, int]:
     (``_cell_law``), counted from the window bounds alone, each
     ``limit + 1`` where it is larger: the vectors of every split but the
     last inside its window, a node counting those below its totals a
-    quarter block of window entries at a time, and the window entries of
-    the last split's totals (``_last_totals``)."""
+    quarter block of window entries at a time, each count capped at
+    ``limit + 1`` before it is summed, and the window entries of the last
+    split's totals (``_last_totals``)."""
     k, totals = len(law.masses), _last_totals(law, n, limit)
 
     def count(lo: int, hi: int, totals: np.ndarray) -> np.ndarray:
@@ -163,8 +165,9 @@ def _table_sizes(law: MinMaxLaw, n: int, limit: int) -> tuple[int, int]:
                 break
             part = slice(first, first + rows)
             row, left = _spread(start[part], vectors[part])
-            vectors[part] = np.bincount(row, count(lo, mid, left)
-                                        * count(mid, hi, totals[part][row] - left))
+            products = np.multiply(count(lo, mid, left), count(mid, hi, totals[part][row] - left),
+                                   dtype=float)
+            vectors[part] = np.bincount(row, np.minimum(products, limit + 1))
         return np.full(len(totals), limit + 1) if vectors.sum() > limit else vectors
 
     if totals is None:  # each total has a prefix
@@ -174,49 +177,75 @@ def _table_sizes(law: MinMaxLaw, n: int, limit: int) -> tuple[int, int]:
             min(int((stop - start + 1).sum()), limit + 1))
 
 
-def _prefixes(law: MinMaxLaw, n: int, span: np.ndarray):
-    """(counts, pmf) slices of the prefixes ``_table_sizes`` counts whose
-    last split's total is in [span[0], span[-1]]: ``counts`` maps each
-    leaf, and the last split's node [k - 2, k), to its counts, each
-    probability the product of its splits' windowed pmfs.  A node splits a
-    slice at once, after cutting it where it would pass a quarter block."""
+def _prefixes(law: MinMaxLaw, n: int, spans: Sequence[np.ndarray]) -> Iterator[Iterable[tuple]]:
+    """Per span of the last split's totals, the (counts, pmf) slices of the
+    prefixes ``_table_sizes`` counts whose last split's total is in
+    [span[0], span[-1]]: ``counts`` maps each leaf, and the last split's
+    node [k - 2, k), to its counts, each probability the product of its
+    splits' windowed pmfs.  The splits down to the last split's parent,
+    the node [lo, k) with (lo + k) // 2 = k - 2, are made once, and so are
+    that parent's window pmfs; only its split is cut to each span.  A node
+    splits a slice at once, after cutting it where it would pass a quarter
+    block of window entries."""
     k = len(law.masses)
 
+    def split(counts: dict, pmf: np.ndarray, node: tuple[int, int], start: np.ndarray,
+              stop: np.ndarray, pmfs: tuple[np.ndarray, np.ndarray], todo: list):
+        """``expand`` of the slice with ``node`` split, its left count in
+        [start, stop] and of the window pmfs (first, window)."""
+        (lo, hi), (first, window), totals = node, pmfs, counts[node]
+        mid = (lo + hi) // 2
+        row, left = _spread(start, np.maximum(stop - start + 1, 0))
+        counts = {c: v[row] for c, v in counts.items() if c != node}
+        counts[lo, mid], counts[mid, hi] = left, totals[row] - left
+        todo = todo + [(a, b) for a, b in ((lo, mid), (mid, hi)) if b - a > 1 and a < k - 2]
+        return expand(counts, pmf[row] * window[row, left - first[row]], todo)
+
     def expand(counts: dict, pmf: np.ndarray, todo: list):
+        """The (counts, pmf) slices with every node on ``todo`` split, last
+        first; a slice that reaches the last split's parent stops there, as
+        (counts, pmf, (parent, start, stop, its window pmfs), nodes left)."""
         if not todo:
             yield counts, pmf
             return
-        (lo, hi), rest = todo[-1], todo[:-1]
-        mid, totals, (p, q) = (lo + hi) // 2, counts[lo, hi], _shares(law.masses, lo, hi)
+        node, rest = todo[-1], todo[:-1]
+        totals, (p, q) = counts[node], _shares(law.masses, *node)
         start, _, stop = _window(totals, p, q)
-        if mid == k - 2:
-            start, stop = np.maximum(start, totals - span[-1]), np.minimum(stop, totals - span[0])
-        width = np.maximum(stop - start + 1, 0)
-        if len(totals) > 1 and width.sum() > BLOCK_SIZE // 4:
+        if len(totals) > 1 and (stop - start + 1).sum() > BLOCK_SIZE // 4:
             for part in (slice(0, len(totals) // 2), slice(len(totals) // 2, None)):
-                yield from expand({node: c[part] for node, c in counts.items()}, pmf[part], todo)
+                yield from expand({c: v[part] for c, v in counts.items()}, pmf[part], todo)
             return
-        row, left = _spread(start, width)
-        first, window = _window_pmfs(totals, p, q)
-        counts = {node: c[row] for node, c in counts.items() if node != (lo, hi)}
-        counts[lo, mid], counts[mid, hi] = left, totals[row] - left
-        rest += [(a, b) for a, b in ((lo, mid), (mid, hi)) if b - a > 1 and a < k - 2]
-        yield from expand(counts, pmf[row] * window[row, left - first[row]], rest)
+        pmfs = _window_pmfs(totals, p, q)
+        if sum(node) // 2 == k - 2:
+            yield counts, pmf, (node, start, stop, pmfs), rest
+        else:
+            yield from split(counts, pmf, node, start, stop, pmfs, rest)
 
-    return expand({(0, k): np.array([n])}, np.ones(1), [(0, k)] if k > 2 else [])
+    def cut(span: np.ndarray):
+        for counts, pmf, (node, start, stop, pmfs), rest in parents:
+            totals = counts[node]
+            yield from split(counts, pmf, node, np.maximum(start, totals - span[-1]),
+                             np.minimum(stop, totals - span[0]), pmfs, rest)
+
+    if k == 2:  # the root is the last split
+        return ([({(0, 2): np.array([n])}, np.ones(1))] for _ in spans)
+    parents = list(expand({(0, k): np.array([n])}, np.ones(1), [(0, k)]))
+    return map(cut, spans)
 
 
-def _runs(x: Sequence[np.ndarray], steps: Sequence[int], bounds: Sequence[np.ndarray],
-          start: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """Per row, the edges of the runs of b in [start, stop] on which the
-    sums x + b * step of both statistics cross none of their thresholds
-    ``bounds``: sorted, start first and stop + 1 last, with the b where
-    g <= x + b * step starts (step > 0) or stops (step < 0) to hold."""
-    edges = np.hstack([start, stop + 1] + [
-        (g - x0 + step - (step > 0)) // step for x0, step, g in zip(x, steps, bounds) if step])
-    np.clip(edges, start, stop + 1, out=edges)
-    edges.sort(axis=1)
-    return edges
+def _crossings(bounds: np.ndarray, step: int, weight: int) -> tuple[np.ndarray, np.ndarray]:
+    """(numerators, ranks) of one statistic x + b * step as b grows, step
+    != 0: where the weighted rank weight * #(g <= x + b * step, g in
+    ``bounds``) moves, and its value on each run of b in between, first to
+    last.  The rank moves at b = (numerator - x) // step: the least b with
+    g <= x + b * step (step > 0) or x + b * step < g (step < 0), for each
+    distinct g in the order x crosses them."""
+    bounds = np.sort(bounds)
+    distinct = np.array(sorted(set(bounds.tolist())), dtype=np.int64)
+    ranks = weight * np.concatenate([[0], np.searchsorted(bounds, distinct, side="right")])
+    if step < 0:
+        distinct, ranks = distinct[::-1], ranks[::-1]
+    return distinct + step - (step > 0), ranks
 
 
 def _cell_law(law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray],
@@ -225,53 +254,98 @@ def _cell_law(law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray],
     its lattice with twice its sums in int64 (``montecarlo.is_tabled``):
     ``cell_of`` maps the integer hull sums S/h to cells, of which there are
     ``length``, by the thresholds ``bounds`` of S_min/h and S_max/h
-    (``montecarlo._EventCells.at``).
+    (``montecarlo._EventCells.at``): cell = (len(bounds[1]) + 1) * (low
+    rank) + (up rank), each rank the thresholds at or below its sum.
 
     The last split of the tree gives b of its total t to hull k - 2 and
     t - b to hull k - 1, so on each prefix (``_prefixes``) S/h moves by
-    the fixed integer v_{k-2} - v_{k-1} per unit of b, and the cell changes
-    only where b crosses a threshold.  Each run of b between those adds the
-    prefix's pmf times the run's mass under the window pmf of t to the cell
-    of its first b.  That mass is a difference of two sums of the pmf, both
-    accumulated out of the tail nearer to the run, so no cancellation
-    loses it.  The totals go half a block of window entries at a time,
-    and a chunk of prefixes holds at most a block of runs.  The sum is
-    divided by its total.
+    the fixed integer v_{k-2} - v_{k-1} per unit of b, and a side's rank
+    moves only where b crosses one of its thresholds (``_crossings``).  The
+    sum over b of the window pmf of t times the cell of b telescopes out of
+    the mode: the prefix's pmf times the window's mass goes to the cell at
+    the mode, and each crossing at b moves the window's mass beyond it, the
+    mass at and above b (b above the mode) or minus the mass below b (at or
+    below it), from the cell at b - 1 to the cell at b.  Each of those sums
+    is accumulated out of its own tail, so none loses a tail mass to
+    cancellation, and the window's mass is the sum of its two tails at the
+    mode, so the run that holds the mode gets the same sums too.  Along
+    one side, the crossings that bound a run of b go to that run's cell as
+    one difference, so a run of no b adds exactly 0.  Where the other side
+    is fixed, that cell is the mode's with the side's rank changed, and
+    where both move, the cells at b - 1 and b are looked up; a crossing of
+    both sides at one b is moved once, with the low side's.  The totals go
+    half a block of window entries at a time, and no array of crossings
+    passes a quarter block.  The sum is divided by its total.
     """
     k = len(law.masses)
     p, q = _shares(law.masses, k - 2, k)
     totals = _last_totals(law, n, n + 1)
     lo, mode, hi = _window(totals, p, q)
     chunk = max(1, BLOCK_SIZE // 2 // int((mode - lo).max() + (hi - mode).max() + 3))
-    steps = law.mins[k - 2] - law.mins[k - 1], law.maxs[k - 2] - law.maxs[k - 1]
-    bounds = [np.array(sorted(set(b.tolist())), dtype=np.int64) for b in bounds]
-    rows = max(1, BLOCK_SIZE // (2 + len(bounds[0]) + len(bounds[1])))
+    spans = [totals[c:c + chunk] for c in range(0, len(totals), chunk)]
+    steps = int(law.mins[k - 2] - law.mins[k - 1]), int(law.maxs[k - 2] - law.maxs[k - 1])
+    scale = len(bounds[1]) + 1  # the low rank's weight in a cell
+    sides = [(side, step, *_crossings(b, step, weight))
+             for side, (b, step, weight) in enumerate(zip(bounds, steps, (scale, 1))) if step]
     p_cell = np.zeros(length)
-    for c in range(0, len(totals), chunk):
-        first, sums = _window_pmfs(totals[c:c + chunk], p, q)
-        m, zero = mode[c] - first[0], np.zeros((len(sums), 1))
-        for side in (sums[:, :m], sums[:, m:][:, ::-1]):
-            side.cumsum(1, out=side)
-        # row r: 0, then the pmf's mass below first_r + 1, ..., mode_r, then
-        # its mass at and above mode_r, ..., the window's last count, then 0
-        sums = np.hstack([zero, sums, zero])
-        width, sums = sums.shape[1], sums.ravel()
-        for counts, weight in _prefixes(law, n, totals[c:c + chunk]):
+    for span, prefixes in zip(spans, _prefixes(law, n, spans)):
+        first, table = _window_pmfs(span, p, q)
+        m, width = int(mode[span[0] - totals[0]] - first[0]), table.shape[1]
+        for tail in (table[:, :m], table[:, m:][:, ::-1]):
+            tail.cumsum(1, out=tail)
+        # each row's mass as the sum of its two tails at the mode, 1 up to
+        # rounding: what a prefix puts in its cell at the mode, so that each
+        # run gets a difference of the same sums
+        mode_mass = table[:, m] + (table[:, m - 1] if m else 0.0)
+        np.negative(table[:, :m], out=table[:, :m])
+        zero = np.zeros((len(table), 1))
+        # row r, column i, b = first_r + i: how much mass a crossing at b
+        # moves, minus the mass below b up to the mode, then the mass at and
+        # above b; 0 at both ends
+        table = np.hstack([zero, table[:, :m], table[:, m + 1:], zero]).ravel()
+        for counts, weight in prefixes:
             t = counts.pop((k - 2, k))
-            sides = _hull_sums([counts[h, h + 1] for h in range(k - 2)] + [0 * t, t], law)
-            for part in range(0, len(t), rows):
-                x = [side[part:part + rows, None] for side in sides]
-                total = t[part:part + rows, None]
-                start, _, stop = _window(total, p, q)
-                edges = _runs(x, steps, bounds, start, stop)
-                cells = cell_of(*(x0 + edges[:, :-1] * step for x0, step in zip(x, steps)))
-                r = total - totals[c]
-                edges -= first[r]
-                r *= width
-                mass = np.diff(sums.take(r + np.minimum(edges, m)))
-                np.maximum(edges, m, out=edges)
-                edges += r + 1
-                mass -= np.diff(sums.take(edges))
-                mass *= weight[part:part + rows, None]
-                p_cell += np.bincount(cells.ravel(), mass.ravel(), minlength=length)
+            x = _hull_sums([counts[h, h + 1] for h in range(k - 2)] + [0 * t, t], law)
+            low, peak, high = _window(t, p, q)
+            # the sums at the mode, the b - mode of the window's ends, and
+            # the column of the mode in the table
+            for x0, step in zip(x, steps):
+                x0 += peak * step
+            low -= peak
+            high -= peak - 1
+            row = (t - span[0]) * (width + 1) + m
+            cell = cell_of(*(x0.copy() for x0 in x))
+            p_cell += np.bincount(cell, weight * mode_mass[t - span[0]], minlength=length)
+            for side, step, numerators, ranks in sides:
+                rows = max(1, BLOCK_SIZE // 4 // (len(numerators) + 2))
+                for part in range(0, len(t), rows):
+                    at = slice(part, part + rows)
+                    # column i: the b - mode of the i-th crossing, cut to the
+                    # table, with the table's two ends around them
+                    b = np.empty((len(t[at]), len(numerators) + 2), dtype=np.int64)
+                    b[:, 0], b[:, -1] = -m, width - m
+                    crossed = b[:, 1:-1]
+                    np.subtract(numerators, x[side][at, None], out=crossed)
+                    crossed //= step
+                    np.clip(crossed, -m, width - m, out=crossed)
+                    b += row[at, None]
+                    mass = table.take(b)
+                    mass *= weight[at, None]
+                    if not steps[1 - side]:
+                        other = cell[at] % scale if side == 0 else cell[at] - cell[at] % scale
+                        p_cell += np.bincount((other[:, None] + ranks.astype(other.dtype)).ravel(),
+                                              (mass[:, :-1] - mass[:, 1:]).ravel(),
+                                              minlength=length)
+                        continue
+                    b -= row[at, None]
+                    np.clip(b, low[at, None], high[at, None], out=b)
+                    after, before = (cell_of(*(x0[at, None] + (b - d) * s
+                                               for x0, s in zip(x, steps))) for d in (0, 1))
+                    if side == 1:  # where the low rank moves too, the low side moved it
+                        mass *= after // scale == before // scale
+                    runs = b[:, :-1] < b[:, 1:]  # the runs of some b
+                    p_cell += np.bincount(after[:, :-1].ravel(), (mass[:, :-1] * runs).ravel(),
+                                          minlength=length)
+                    p_cell -= np.bincount(before[:, 1:].ravel(), (mass[:, 1:] * runs).ravel(),
+                                          minlength=length)
     return p_cell / p_cell.sum()

@@ -1,7 +1,9 @@
 import contextlib
 import dataclasses
+import inspect
 import math
 import sys
+import textwrap
 import threading
 import warnings
 from concurrent.futures import Future
@@ -478,6 +480,27 @@ def test_each_cell_law_is_built_once(monkeypatch):
     assert results[0] == results[1] == results[2]
 
 
+def test_untabled_runs_are_queued_first(monkeypatch):
+    """The runs of the untabled n go to the pool ahead of the tabled n's,
+    so that the threads draw through the split tree while the cell laws
+    are built; one worker takes them in queue order.  The counts do not
+    depend on the order."""
+    model = MODEL_REGISTRY["mixed"]
+    mom = moments_by_enumeration(model)
+    plan = SimPlan(model, n_values=(16, 64, 4096), reps=2 * BLOCK_SIZE, seed=5)
+    assert plan.tabled_n == (16, 64)
+    real, drawn = montecarlo._tally_run, []
+
+    def recording_tally_run(seed, reps, events, samplers, run):
+        drawn.append(run[0])
+        return real(seed, reps, events, samplers, run)
+
+    monkeypatch.setattr(montecarlo, "_tally_run", recording_tally_run)
+    serial = estimate_events(plan, mom, workers=1)
+    assert drawn == [4096, 16, 64]
+    assert estimate_events(plan, mom, workers=2) == serial
+
+
 def test_threads_share_no_state_under_stress():
     """Eight threads on fewer cores, switching every microsecond, give the
     one-thread result: eight runs per n, n = 16 tabled and n = 4096 not."""
@@ -597,7 +620,7 @@ def _closed_form(events, law, n):
     """The estimator's cell law of (law, n), summed in closed form over the
     last split of the tree."""
     sums_law, cell_of, bounds = events.at(law, n)
-    return _cell_law(sums_law, n, cell_of, bounds, events.size)
+    return splittree._cell_law(sums_law, n, cell_of, bounds, events.size)
 
 
 def _exact_sides(law):
@@ -1277,15 +1300,14 @@ class TestCellLaw:
         model = _non_dyadic_model()
         law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
         assert law.lattice[0] == Fraction(1, 10)
-        real_runs, runs = splittree._runs, []
+        real_crossings, crossings = splittree._crossings, []
 
-        def recording_runs(x, steps, bounds, start, stop):
-            edges = real_runs(x, steps, bounds, start, stop)
-            runs.append(([side[:, 0].tolist() for side in x], [int(v) for v in steps],
-                         start[:, 0].tolist(), stop[:, 0].tolist(), edges.tolist()))
-            return edges
+        def recording_crossings(bounds, step, weight):
+            numerators, ranks = real_crossings(bounds, step, weight)
+            crossings.append((step, weight, numerators.tolist(), ranks.tolist()))
+            return numerators, ranks
 
-        monkeypatch.setattr(splittree, "_runs", recording_runs)
+        monkeypatch.setattr(splittree, "_crossings", recording_crossings)
         for n in (1, 3, 10, 20, 37):
             columns = np.array(_compositions(n, 4), dtype=np.int64).T
             s_min, s_max = _hull_sums(columns, law)
@@ -1301,22 +1323,22 @@ class TestCellLaw:
             cells = cell_of(*_hull_sums(columns, sums_law))
             member = _membership(events)
             assert np.array_equal(member[:, cells], _exact_events(columns, law, n, alphas, pairs))
-            # the closed form reads the cell of each run of the last split's
-            # count at its first count, so every count of a run must have
-            # that one exact cell: integer comparisons, whatever order the
-            # masses are summed in
-            sums = zip(*(s.tolist() for s in _hull_sums(columns, sums_law)))
-            exact_cell = dict(zip(sums, cells.tolist()))
-            runs.clear()
+            # the closed form gives each run of the last split's count b
+            # between two crossings of a moving side one rank of that side,
+            # so every count vector must have that rank in its exact cell:
+            # integer comparisons, whatever order the masses are summed in
+            crossings.clear()
             p_cell = _closed_form(events, law, n)
-            assert runs
-            for (x_low, x_up), (step_low, step_up), start, stop, edges in runs:
-                for row, (low, up, first, last) in zip(edges, zip(x_low, x_up, start, stop)):
-                    assert row[0] == first and row[-1] == last + 1 and row == sorted(row)
-                    for a, b in zip(row, row[1:]):
-                        run = {exact_cell[low + c * step_low, up + c * step_up]
-                               for c in range(a, b)}
-                        assert len(run) <= 1, (n, low, up, a, b)
+            scale = 2 * len(events.up) + 1
+            steps = [int(ends[-2] - ends[-1]) for ends in (sums_law.mins, sums_law.maxs)]
+            moving = [side for side in (0, 1) if steps[side]]
+            assert [c[:2] for c in crossings] == [(steps[s], (scale, 1)[s]) for s in moving]
+            prefix = [*columns[:-2], 0 * columns[-1], columns[-2] + columns[-1]]
+            for side, (step, _, numerators, ranks) in zip(moving, crossings):
+                x = _hull_sums(prefix, sums_law)[side]
+                for x0, b, cell in zip(x.tolist(), columns[-2].tolist(), cells.tolist()):
+                    crossed = sum((numerator - x0) // step <= b for numerator in numerators)
+                    assert ranks[crossed] == (cell - cell % scale, cell % scale)[side], (n, b)
             # and the masses: the closed form matches the full windowed
             # enumeration over those cells to 1e-15, and the exact cell law
             # in fractions to 1e-12 relative, on the same support
@@ -1606,7 +1628,7 @@ def test_windowed_count_is_the_number_built(data):
     masses = data.draw(st.lists(st.floats(0.02, 1.0), min_size=k, max_size=k))
     n = data.draw(st.integers(1, {2: 5000, 3: 800, 4: 60, 5: 24}[k]))
     law = MinMaxLaw(np.zeros(k), np.zeros(k), np.array(masses))
-    slices = [len(pmf) for _, pmf in _prefixes(law, n, _last_totals(law, n, 2**40))]
+    slices = [len(pmf) for _, pmf in next(_prefixes(law, n, [_last_totals(law, n, 2**40)]))]
     built = sum(slices)
     assert max(slices) <= BLOCK_SIZE // 4 or len(slices) == 1
     for limit in (built - 1, built, built + 1):
@@ -1633,7 +1655,7 @@ def test_table_sizes_are_the_sizes_built(data):
     totals, each total's window pmf built once.  ``is_tabled`` holds at a
     limit of the larger size and one above, not one below, and no chunk of
     the build holds more than a block of elements: no window pmf, prefix
-    slice or array of runs.  On these laws, whose sums move on both sides,
+    slice or cell lookup.  On these laws, whose sums move on both sides,
     the cell law is the full windowed enumeration's to 1e-15."""
     k = data.draw(st.integers(2, 5))
     law = _side_law(data, k)
@@ -1649,9 +1671,11 @@ def test_table_sizes_are_the_sizes_built(data):
         return first, pmf
 
     def recording_prefixes(*args):
-        for counts, pmf in real_prefixes(*args):
-            prefixes.append(len(pmf))
-            yield counts, pmf
+        def recorded(span):
+            for counts, pmf in span:
+                prefixes.append(len(pmf))
+                yield counts, pmf
+        return map(recorded, real_prefixes(*args))
 
     def recording_cells(x_low, x_up):
         runs.append(x_low.size)
@@ -1690,7 +1714,7 @@ def test_largest_tabled_n(name, n):
     k = len(law.masses)
     for m in (n - 1, n, n + 1):
         totals = _last_totals(law, m, 2**40)
-        slices = [len(pmf) for _, pmf in _prefixes(law, m, totals)]
+        slices = [len(pmf) for _, pmf in next(_prefixes(law, m, [totals]))]
         start, _, stop = _window(totals, *_shares(law.masses, k - 2, k))
         sizes = (sum(slices), int((stop - start + 1).sum()))
         assert max(slices) <= BLOCK_SIZE // 4
@@ -1719,6 +1743,123 @@ def test_tabled_n_leave_room_for_the_differences_of_sums():
             want = _reference_cell_law(sums_law, n, cell_of, events.size)
             got = _cell_law(sums_law, n, cell_of, bounds, events.size)
             assert np.abs(got - want).max() <= 1e-15
+
+
+def _mutant(function, old, new):
+    """A copy of ``function`` with one fault injected: its source with the
+    one occurrence of ``old`` replaced by ``new``, compiled in its module."""
+    lines, first = inspect.getsourcelines(function)
+    source = "\n" * (first - 1) + textwrap.dedent("".join(lines))
+    assert source.count(old) == 1, old
+    namespace = {}
+    exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"),
+         function.__globals__, namespace)
+    return namespace[function.__name__]
+
+
+@pytest.mark.parametrize("name, function, old, new", [
+    # the prefix's pmf not put in the cell at the mode
+    ("mixed", "_cell_law", "weight * mode_mass[t - span[0]]", "0 * weight"),
+    # bernoulli's last split moves only S_max, by -1: its rank counted up
+    # as b grows instead of down, so each crossing moves the mass the
+    # wrong way
+    ("bernoulli", "_crossings", "distinct, ranks = distinct[::-1], ranks[::-1]",
+     "distinct = distinct[::-1]"),
+    # where both sides move, the cell before a crossing read at its b, not b - 1
+    ("coin", "_cell_law", "for d in (0, 1))", "for d in (0, 0))"),
+    ("non_dyadic", "_cell_law", "for d in (0, 1))", "for d in (0, 0))"),
+])
+def test_closed_form_test_catches_a_fault_in_the_telescoped_sum(monkeypatch, name, function,
+                                                                   old, new):
+    monkeypatch.setattr(splittree, function, _mutant(getattr(splittree, function), old, new))
+    with pytest.raises(AssertionError), np.errstate(divide="ignore", invalid="ignore"):
+        TestCellLaw().test_closed_form_matches_the_full_enumeration(name)
+
+
+def test_root_window_is_built_once_per_cell_law(monkeypatch):
+    # bernoulli's root is the parent of its last split: its window pmf is
+    # built once, not once per chunk of the last split's totals
+    law = MinMaxLaw.from_model(MODEL_REGISTRY["bernoulli"])
+    events = _EventCells.build(_DENSE_GRID, default_alpha_pairs(_DENSE_GRID))
+    sums_law, cell_of, bounds = events.at(law, 1024)
+    real, built = splittree._window_pmfs, []
+
+    def recording(totals, p, q):
+        built.append((totals.tolist(), p, q))
+        return real(totals, p, q)
+
+    monkeypatch.setattr(splittree, "_window_pmfs", recording)
+    _cell_law(sums_law, 1024, cell_of, bounds, events.size)
+    assert built.count(([1024], *_shares(law.masses, 0, 3))) == 1
+    chunks = [totals for totals, *shares in built if tuple(shares) == _shares(law.masses, 1, 3)]
+    assert len(chunks) > 1
+    assert np.concatenate(chunks).tolist() == _last_totals(law, 1024, 2**40).tolist()
+
+
+def test_table_sizes_cap_each_count_before_summing(monkeypatch):
+    """Eight hulls of steps 1/2 at n = 16384: a node's sum of the products
+    of its children's counts, each up to limit + 1, passes int64 at a limit
+    of 10**8 or 2**28.  Capped before the sum, the prefixes count limit + 1,
+    no cast warns, and the law is not tabled; nothing is built."""
+    law = MinMaxLaw(np.array([-5.0, -4.5, -3.0, -2.5, -1.0, 0.0, 1.0, 2.0]),
+                    np.array([-1.0, 0.5, 2.0, 4.0, 3.5, 4.5, 5.0, 4.0]), np.full(8, 0.125))
+    n = 16384
+    assert montecarlo.on_lattice(law.lattice, 2 * n + 2)
+
+    def built(*args):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(splittree, "_window_pmfs", built)
+    monkeypatch.setattr(montecarlo, "_cell_law", built)
+    start, _, stop = _window(_last_totals(law, n, 2**40), *_shares(law.masses, 6, 8))
+    entries = int((stop - start + 1).sum())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for limit in (10**8, 2**28):
+            assert _table_sizes(law, n, limit) == (limit + 1, entries)
+            monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", limit)
+            assert not is_tabled(law, n)
+
+
+def test_cell_law_does_not_depend_on_the_slicing(monkeypatch):
+    """mixed at n = 256, built with a block of 256 trials: the same law to
+    1e-15, and no window pmf, prefix slice, cell lookup or array of
+    crossings passes the smaller block."""
+    law = MinMaxLaw.from_model(MODEL_REGISTRY["mixed"])
+    events = _EventCells.build(DEFAULT_ALPHA_GRID, default_alpha_pairs())
+    sums_law, cell_of, bounds = events.at(law, 256)
+    want = _cell_law(sums_law, 256, cell_of, bounds, events.size)
+    real_pmfs, real_prefixes, real_bincount, sizes = (
+        splittree._window_pmfs, splittree._prefixes, np.bincount, [])
+
+    def window_pmfs(totals, p, q):
+        first, pmf = real_pmfs(totals, p, q)
+        sizes.append(pmf.size)
+        return first, pmf
+
+    def prefixes(*args):
+        def recorded(span):
+            for counts, pmf in span:
+                sizes.append(len(pmf))
+                yield counts, pmf
+        return map(recorded, real_prefixes(*args))
+
+    def cells(x_low, x_up):
+        sizes.append(x_low.size)
+        return cell_of(x_low, x_up)
+
+    def bincount(x, weights=None, minlength=0):
+        sizes.append(len(x))
+        return real_bincount(x, weights, minlength)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(splittree, "BLOCK_SIZE", 256)
+        patch.setattr(splittree, "_window_pmfs", window_pmfs)
+        patch.setattr(splittree, "_prefixes", prefixes)
+        patch.setattr(np, "bincount", bincount)
+        got = _cell_law(sums_law, 256, cells, bounds, events.size)
+    assert np.abs(got - want).max() <= 1e-15 and np.array_equal(got > 0, want > 0)
+    assert sizes and max(sizes) <= 256
 
 
 def test_plan_decides_its_tabled_n_once(monkeypatch):
