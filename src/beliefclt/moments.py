@@ -118,16 +118,23 @@ def side_moments(hulls: Sequence[tuple[Fraction, Fraction, Fraction]]
     return sides[0], sides[1]
 
 
+def _isqrt(num: int, den: int) -> tuple[int, bool]:
+    """(floor(sqrt(num / den)), whether that root is exact) for integers
+    num >= 0 and den > 0: the floor of the root is the integer root of
+    num // den, and it is exact where its square times den is num."""
+    r = math.isqrt(num // den)
+    return r, r * r * den == num
+
+
 def _sqrt(q: Fraction) -> float:
     """The float nearest sqrt(q), q >= 0 rational, rounded once: the integer
-    root r of q * 4**k, k chosen so that r has at least 55 bits, with its
-    last bit set where the root is inexact, so that it rounds as the exact
-    root does."""
+    root r of q * 4**k (``_isqrt``), k chosen so that r has at least 55
+    bits, with its last bit set where the root is inexact, so that it rounds
+    as the exact root does."""
     a, b = q.as_integer_ratio()
     k = (112 - a.bit_length() + b.bit_length()) // 2
-    root, rest = divmod(a << 2 * k, b) if k >= 0 else divmod(a, b << -2 * k)
-    r = math.isqrt(root)
-    return math.ldexp(r | (rest != 0 or r * r != root), -k)
+    r, exact = _isqrt(a << 2 * k, b) if k >= 0 else _isqrt(a, b << -2 * k)
+    return math.ldexp(r | (not exact), -k)
 
 
 def _finalize(lower_mean: Fraction, upper_mean: Fraction, var_low: Fraction, var_up: Fraction,

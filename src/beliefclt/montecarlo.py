@@ -54,7 +54,7 @@ import numpy as np
 
 from .belief import BeliefModel
 from .errors import DegenerateVariance, as_real, as_real_pair
-from .moments import ChoquetMoments, MinMaxLaw, _sqrt
+from .moments import ChoquetMoments, MinMaxLaw, _isqrt, _sqrt
 
 _KEY_DOMAIN = np.uint64(0x9E3779B97F4A7C15)
 _CTR_BLOCK = np.uint64(1)
@@ -262,48 +262,29 @@ def is_tabled(law: MinMaxLaw, n: int) -> bool:
             and max(_table_sizes(law, n, TABLE_MAX_VECTORS)) <= TABLE_MAX_VECTORS)
 
 
-def _exact_bounds(a: Fraction, center: Fraction, spread: Fraction) -> tuple[int, int]:
-    """(ceil(t), floor(t) + 1) for t = center + a*sqrt(spread), spread > 0,
-    in exact integer arithmetic."""
-    p, q = a.as_integer_ratio()
-    cn, cd = center.as_integer_ratio()
-    sn, sd = spread.as_integer_ratio()
-    s = (p > 0) - (p < 0)
-    # with d = m - center = dn/cd: d**2 - a**2*spread has the sign of
-    # dn**2*q**2*sd - p**2*sn*cd**2
-    scale, offset = q * q * sd, p * p * sn * cd * cd
-
-    def side(m: int) -> int:
-        """The sign of m - t."""
-        dn = m * cd - cn
-        if s * dn <= 0:
-            return -s if s else (dn > 0) - (dn < 0)
-        return s * ((dn * dn * scale > offset) - (dn * dn * scale < offset))
-
-    # integer roots put t in (m - 1, m + 2), so in (m' - 1, m' + 1) for
-    # m' = m if t < m + 1, else m + 1
-    m = cn // cd + s * math.isqrt(p * p * sn // (q * q * sd))
-    if side(m + 1) <= 0:
-        m += 1
-    c = side(m)
-    return m + (c < 0), m + (c <= 0)
-
-
 def _lattice_bounds(alphas: np.ndarray, mean: Fraction, var: Fraction, step: Fraction,
                     n: int, reach: tuple[int, int]) -> tuple[list[int], list[int]]:
     """(ge, gt) on the lattice of one statistic at n: per alpha, read as the
-    decimal it spells, the least integer L = S/h with a <= T and with a < T,
-    T = (L*h - n*mean)/sqrt(n*var), in exact integer arithmetic
-    (``_exact_bounds``), clipped to [lo, hi + 1] for the reachable L in
-    ``reach`` = [lo, hi]."""
-    center, spread = n * mean / step, n * var / step**2
+    decimal a = p/q it spells, the least integer L = S/h with a <= T and
+    with a < T, T = (L*h - n*mean)/sqrt(n*var), clipped to [lo, hi + 1] for
+    the reachable L in ``reach`` = [lo, hi].  They are ceil(t) and
+    floor(t) + 1 for t = (cn + u)/cd, cn/cd = n*mean/h, u = a*sqrt(n*var)*cd/h,
+    exactly: floor((cn + u)/cd) = (cn + floor(u)) // cd, and likewise the
+    ceiling.  |u| is the root of an integer ratio (``_isqrt``): its floor r,
+    its ceiling r + 1 unless exact; the sign of a says which is floor(u)."""
+    cn, cd = (n * mean / step).as_integer_ratio()
+    sn, sd = (n * var / step**2).as_integer_ratio()
     lo, hi = reach
     ge, gt = [], []
     for a in alphas.tolist():
         if math.isinf(a):
             bounds = (hi + 1, hi + 1) if a > 0 else (lo, lo)
         else:
-            bounds = _exact_bounds(Fraction(repr(a)), center, spread)
+            p, q = Fraction(repr(a)).as_integer_ratio()
+            r, exact = _isqrt(p * p * cd * cd * sn, q * q * sd)
+            ceil_r = r + (not exact)
+            floor_u, ceil_u = (r, ceil_r) if p >= 0 else (-ceil_r, -r)
+            bounds = (-((-cn - ceil_u) // cd), (cn + floor_u) // cd + 1)
         ge.append(min(max(bounds[0], lo), hi + 1))
         gt.append(min(max(bounds[1], lo), hi + 1))
     return ge, gt
@@ -498,6 +479,10 @@ def _tally_run(seed: int, reps: int, events: _EventCells, samplers: Mapping[int,
     if p_cell is not None:
         histograms = (rng.multinomial(size, p_cell) for rng, size in streams)
     else:
+        # generators, so that each block's hull sums stay alive until the
+        # next block's draw: freed before it (one closure per block), the
+        # 128 KB block arrays met glibc's mmap threshold, and mixed at
+        # n = 1024 drew 10% slower with the same draws
         sums = (_hull_sums(_split_counts(law, n, root, rng, size), law) for rng, size in streams)
         histograms = (np.bincount(cell_of(s_min, s_max), minlength=events.size)
                       for s_min, s_max in sums)

@@ -297,16 +297,17 @@ def _cell_law(law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray],
         # rounding: what a prefix puts in its cell at the mode, so that each
         # run gets a difference of the same sums
         mode_mass = table[:, m] + (table[:, m - 1] if m else 0.0)
-        np.negative(table[:, :m], out=table[:, :m])
         zero = np.zeros((len(table), 1))
         # row r, column i, b = first_r + i: how much mass a crossing at b
         # moves, minus the mass below b up to the mode, then the mass at and
-        # above b; 0 at both ends
-        table = np.hstack([zero, table[:, :m], table[:, m + 1:], zero]).ravel()
+        # above b; 0 at both ends.  Negated out of place: with numpy 2.4.6,
+        # np.negative(v, out=v) on a one-column view v of an 8-column array
+        # negates the array's first row instead
+        table = np.hstack([zero, -table[:, :m], table[:, m + 1:], zero]).ravel()
         for counts, weight in prefixes:
             t = counts.pop((k - 2, k))
             x = _hull_sums([counts[h, h + 1] for h in range(k - 2)] + [0 * t, t], law)
-            low, peak, high = _window(t, p, q)
+            low, peak, high = (ends[t - totals[0]] for ends in (lo, mode, hi))
             # the sums at the mode, the b - mode of the window's ends, and
             # the column of the mode in the table
             for x0, step in zip(x, steps):

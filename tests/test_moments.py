@@ -25,7 +25,7 @@ from beliefclt import (
 )
 import beliefclt.moments as moments_module
 from beliefclt.harness import m_invariance_suite
-from beliefclt.moments import MinMaxLaw, _rho_prime_piecewise, _sqrt, side_moments
+from beliefclt.moments import MinMaxLaw, _isqrt, _rho_prime_piecewise, _sqrt, side_moments
 
 from _helpers import random_model
 
@@ -407,6 +407,15 @@ def _decimal_root(q: Fraction) -> float:
 @settings(max_examples=300, deadline=None)
 def test_exact_root_is_the_rounded_decimal_root(q):
     assert _sqrt(q) == _decimal_root(q)
+
+
+@given(st.integers(0, 2**100), st.integers(1, 2**70), st.data())
+@settings(max_examples=300, deadline=None)
+def test_integer_root_is_the_floor_and_exact_only_on_squares(r, den, data):
+    # every num with floor(sqrt(num / den)) = r is r**2 * den + e,
+    # 0 <= e < (2r + 1) * den, and the root is exact only at e = 0
+    e = data.draw(st.integers(0, (2 * r + 1) * den - 1) | st.just(0))
+    assert _isqrt(r * r * den + e, den) == (r, e == 0)
 
 
 def test_exact_root_rounds_ties_to_even():

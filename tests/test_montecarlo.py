@@ -38,7 +38,6 @@ from beliefclt.montecarlo import (
     TWO_SIDED,
     _block_stream,
     _EventCells,
-    _lattice_bounds,
     default_alpha_pairs,
     is_tabled,
     resolve_workers,
@@ -121,13 +120,21 @@ def _vector_law(law, n):
 
 def _reference_cell_law(law, n, cell_of, length):
     """The cell law of (law, n) by the full windowed enumeration: every
-    vector's pmf in the cell of its hull sums, summed slice by slice and
-    divided by the total, as the estimator built it before the last split
-    was summed in closed form."""
-    p_cell = np.zeros(length)
+    vector's pmf in the cell of its hull sums, as the estimator built it
+    before the last split was summed in closed form, but each cell summed
+    with ``math.fsum``, per slice and then over the slices, and divided by
+    the total: a running sum of thousands of pmfs strays by several ulps
+    (1.05e-15 of an exact 0.739 on a 5-hull law at n = 14)."""
+    parts = [[] for _ in range(length)]
     for columns, pmf in _windowed_vectors(law, n):
-        p_cell += np.bincount(cell_of(*_hull_sums(columns, law)), weights=pmf, minlength=length)
-    return p_cell / p_cell.sum()
+        cells = cell_of(*_hull_sums(columns, law))
+        order = np.argsort(cells, kind="stable")
+        cells = cells[order]
+        starts = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
+        for cell, values in zip(cells[starts].tolist(), np.split(pmf[order], starts[1:])):
+            parts[cell].append(math.fsum(values.tolist()))
+    p_cell = np.array([math.fsum(p) for p in parts])
+    return p_cell / math.fsum(p_cell)
 
 
 def _tree_root(law, n):
@@ -783,13 +790,18 @@ class TestEventCells:
        mean=st.fractions(-3, 3, max_denominator=20),
        var=st.one_of(st.fractions(Fraction(1, 20), 4, max_denominator=20),
                      st.sampled_from((Fraction(1, 4), Fraction(1), Fraction(9, 4)))),
-       step=st.sampled_from((Fraction(1), Fraction(1, 2), Fraction(1, 10), Fraction(1, 10**6))),
-       n=st.one_of(st.integers(1, 100), st.sampled_from((16, 64, 10**6, 2**40))))
+       step=st.sampled_from((Fraction(1), Fraction(1, 2), Fraction(1, 10), Fraction(1, 10**6),
+                             Fraction(1, 10**20))),
+       n=st.one_of(st.integers(1, 100), st.integers(1, 2**31),
+                   st.sampled_from((16, 64, 10**6, 2**31, 2**40))),
+       reach=st.sampled_from((4 * 10**18, 2**93)))
 @settings(max_examples=300, deadline=None)
-def test_lattice_bounds_are_the_least_sums(a, mean, var, step, n):
+def test_lattice_bounds_are_the_least_sums(a, mean, var, step, n, reach):
     # many (n, var, a) put n * mean / h or a * sqrt(n * var) / h on an
-    # integer, and n = 2**40 at the step 1e-6 puts the bounds past 2**53
-    reach = (-4 * 10**18, 4 * 10**18)
+    # integer; n = 2**40 at the step 1e-6 puts the bounds past 2**53, and
+    # n up to 2**31 at the step 1e-20 past int64, to the 2**93 that two
+    # limbs hold
+    reach = (-reach, reach)
 
     def least(test):
         lo, hi = reach[0] - 1, reach[1] + 1  # test(hi) holds, test(lo) does not
@@ -800,9 +812,22 @@ def test_lattice_bounds_are_the_least_sums(a, mean, var, step, n):
 
     want = ([least(lambda x: _alpha_le(a, x, n * var))],
             [least(lambda x: not _le_alpha(a, x, n * var))])
-    got = _lattice_bounds(np.array([a]), mean, var, step, n, reach)
+    got = montecarlo._lattice_bounds(np.array([a]), mean, var, step, n, reach)
     assert all(type(b) is int for side in got for b in side)
     assert got == want
+
+
+@pytest.mark.parametrize("old, new", [
+    # the exactness test dropped: an exact root's ceiling reads r + 1
+    ("ceil_r = r + (not exact)", "ceil_r = r + 1"),
+    # the floor and ceiling of u swapped for a negative alpha
+    ("else (-ceil_r, -r)", "else (-r, -ceil_r)"),
+])
+def test_least_sums_test_catches_a_fault_in_the_floor_identity(monkeypatch, old, new):
+    monkeypatch.setattr(montecarlo, "_lattice_bounds",
+                        _mutant(montecarlo._lattice_bounds, old, new))
+    with pytest.raises(AssertionError):
+        test_lattice_bounds_are_the_least_sums()
 
 
 def _reference_estimate(plan):
@@ -1743,6 +1768,23 @@ def test_tabled_n_leave_room_for_the_differences_of_sums():
             want = _reference_cell_law(sums_law, n, cell_of, events.size)
             got = _cell_law(sums_law, n, cell_of, bounds, events.size)
             assert np.abs(got - want).max() <= 1e-15
+
+
+def test_cell_law_of_an_eight_column_window_table():
+    """At n = 7 the window table of this law's last split is eight columns
+    wide with the mode in column 1, the shape on which numpy 2.4.6's
+    in-place np.negative of one column negates the first row instead (the
+    cell law was 0.088 off); at every n the cell law is the full
+    enumeration's."""
+    law = MinMaxLaw(*(np.array(v, dtype=float)
+                      for v in ([-3, -2, 1], [-3, -2, 1], [0.3, 0.25, 1.0])))
+    events = _EventCells.build([0.0], default_alpha_pairs([0.0]))
+    for n in range(1, 17):
+        assert is_tabled(law, n)
+        sums_law, cell_of, bounds = events.at(law, n)
+        want = _reference_cell_law(sums_law, n, cell_of, events.size)
+        got = _cell_law(sums_law, n, cell_of, bounds, events.size)
+        assert np.abs(got - want).max() <= 1e-15, n
 
 
 def _mutant(function, old, new):
