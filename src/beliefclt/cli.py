@@ -2,9 +2,11 @@
 
 Subcommands: moments, bvn, simulate, verify-one-sided, verify-two-sided,
 special-cases, rate-fit.  Every run logs its fully resolved configuration
-(including defaulted fields and the seed) to stderr, so any output file can
-be reproduced from the log line alone.  Exit status is nonzero exactly when
-a declared-tolerance check fails.
+(including defaulted fields and the seed) to stderr on a ``config:`` line,
+so any output file can be reproduced from that line alone; simulate and
+verify runs add the estimator's ``estimate:`` line (workers, block size,
+tabled n, lattice).  Exit status is nonzero exactly when a declared-tolerance
+check fails.
 
 Worker count comes from the BELIEFCLT_WORKERS environment variable and
 defaults to the number of logical cores.
@@ -44,9 +46,8 @@ from .modelio import (
     report_rows,
     sim_rows,
 )
-from . import montecarlo
-from .moments import MinMaxLaw, moments_by_enumeration, moments_by_integration
-from .montecarlo import estimate_events, on_lattice, resolve_workers
+from .moments import moments_by_enumeration, moments_by_integration
+from .montecarlo import estimate_events
 
 log = logging.getLogger("beliefclt")
 
@@ -111,21 +112,14 @@ def _log_config(args: argparse.Namespace, **resolved) -> None:
 
 def _simulate(args: argparse.Namespace):
     """(plan, moments, simulation) of the plan file with --seed and --reps
-    applied; logs the resolved plan."""
+    applied; logs the resolved plan, and the estimate logs its own values."""
     overrides = {"seed": args.seed, "reps": args.reps}
     plan = dataclasses.replace(load_plan(args.plan),
                                **{k: v for k, v in overrides.items() if v is not None})
-    law = MinMaxLaw.from_model(plan.model)
-    lattice = law.lattice
     _log_config(args, n_values=list(plan.n_values), reps=plan.reps, seed=plan.seed,
                 alpha_one_sided=plan.alpha_one_sided,
                 alpha_two_sided_pairs=len(plan.alpha_two_sided), slack=plan.slack,
-                run_id=plan.digest(), workers=resolve_workers(),
-                block_size=montecarlo.BLOCK_SIZE,
-                table_max_vectors=montecarlo.TABLE_MAX_VECTORS,
-                tabled_n=list(plan.tabled_n),
-                lattice_h=lattice[0],
-                lattice_n=[n for n in plan.n_values if on_lattice(lattice, n)])
+                run_id=plan.digest())
     moments = moments_by_enumeration(plan.model)
     return plan, moments, estimate_events(plan, moments)
 

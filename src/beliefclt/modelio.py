@@ -38,6 +38,7 @@ import csv
 import dataclasses
 import io
 import math
+import os
 import re
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
@@ -207,14 +208,14 @@ def plan_text(plan: SimPlan, model_path: str) -> str:
 
 
 def save_plan(plan: SimPlan, path: str | Path, model_path: str | Path) -> None:
-    """Write the plan and its model side by side.
+    """Write the plan and its model.
 
     ``model_path`` is where the model file is written; the plan references
-    it by its name, so the pair stays relocatable as a unit.
+    it by its path relative to the plan's directory (its bare name when the
+    two sit side by side), so the pair stays relocatable as a unit.
     """
-    model_path = Path(model_path)
     save_model(plan.model, model_path)
-    Path(path).write_text(plan_text(plan, model_path.name))
+    Path(path).write_text(plan_text(plan, os.path.relpath(model_path, Path(path).parent)))
 
 
 SIM_SCHEMA = ("run_id", "n", "event_kind", "alpha1", "alpha2",

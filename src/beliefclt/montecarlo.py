@@ -40,6 +40,7 @@ from __future__ import annotations
 from .splittree import BLOCK_SIZE, _cell_law, _hull_sums, _root_window, _split_counts, _table_sizes
 
 import hashlib
+import logging
 import math
 import numbers
 import os
@@ -71,6 +72,8 @@ TWO_SIDED = "two_sided"
 DEFAULT_ALPHA_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 DEFAULT_N_VALUES = (16, 64, 256, 1024, 4096, 16384)
 DEFAULT_REPS = 1_000_000
+
+log = logging.getLogger("beliefclt")
 
 
 def default_alpha_pairs(grid: Sequence[float] = DEFAULT_ALPHA_GRID) -> tuple[tuple[float, float], ...]:
@@ -185,16 +188,6 @@ class SimPlan:
             h.update(repr((n, self.alphas_for(n), self.pairs_for(n))).encode())
         return h.hexdigest()[:12]
 
-    @cached_property
-    def _law(self) -> MinMaxLaw:
-        return MinMaxLaw.from_model(self.model)
-
-    @cached_property
-    def tabled_n(self) -> tuple[int, ...]:
-        """The n drawn from their cell laws (``is_tabled``), decided on the
-        first read under the ``TABLE_MAX_VECTORS`` then in force."""
-        return tuple(n for n in self.n_values if is_tabled(self._law, n))
-
 
 @dataclass(frozen=True)
 class EventResult:
@@ -255,10 +248,11 @@ def _block_stream(seed: int, n: int, block_index: int,
 def is_tabled(law: MinMaxLaw, n: int) -> bool:
     """Whether (law, n) draws each block from its cell law (``_cell_law``):
     at most ``TABLE_MAX_VECTORS`` prefixes and window entries
-    (``_table_sizes``), and its sums on one limb twice over (``on_lattice``
-    at n and 2n + 2), as the build subtracts a sum from a threshold and
-    adds a step of two endpoints."""
-    return (on_lattice(law.lattice, n) and on_lattice(law.lattice, 2 * n + 2)
+    (``_table_sizes``), and its sums on one limb twice over, (2n + 2) *
+    max|v/h| < 2**63 - 1, as the build subtracts a sum from a threshold and
+    adds a step of two endpoints; ``on_lattice`` at n raises past two limbs."""
+    _, mins, maxs = law.lattice
+    return (on_lattice(law.lattice, n) and (2 * n + 2) * max(map(abs, [*mins, *maxs])) < 2**63 - 1
             and max(_table_sizes(law, n, TABLE_MAX_VECTORS)) <= TABLE_MAX_VECTORS)
 
 
@@ -512,14 +506,15 @@ def estimate_events(
     Frequencies are counts over exactly ``plan.reps`` independent trials per
     n, bit-reproducible for a given (seed, plan) at any worker count.  The
     runs of blocks go to a pool of up to ``workers`` threads, the untabled
-    n's first.
+    n's first; before any starts, the values decided here go to one
+    ``estimate:`` line on the ``beliefclt`` logger, at INFO.
     """
     if moments.lower_sd == 0.0 or moments.upper_sd == 0.0:
         raise DegenerateVariance(
             f"sigma_low={moments.lower_sd!r}, sigma_up={moments.upper_sd!r}: "
             "cannot normalize sums"
         )
-    law = plan._law  # its lattice and sides cached here, then only read by the threads
+    law = MinMaxLaw.from_model(plan.model)  # lattice, sides cached here; threads only read
     exact = (*(float(mean) for mean, _ in law.sides), *(_sqrt(var) for _, var in law.sides))
     given = (moments.lower_mean, moments.upper_mean, moments.lower_sd, moments.upper_sd)
     if given != exact:
@@ -527,7 +522,12 @@ def estimate_events(
                          f"plan's model, {exact}")
     workers = resolve_workers(workers)
     events = _EventCells.build(plan.alpha_one_sided, plan.alpha_two_sided)
-    tabled = plan.tabled_n  # a ValueError past two limbs comes before any thread
+    # a ValueError past two limbs comes before any thread
+    lattice_n = [n for n in plan.n_values if on_lattice(law.lattice, n)]
+    tabled = [n for n in lattice_n if is_tabled(law, n)]
+    log.info("estimate: run_id=%s workers=%d block_size=%d table_max_vectors=%d tabled_n=%s "
+             "lattice_h=%s lattice_n=%s", plan.digest(), workers, BLOCK_SIZE,
+             TABLE_MAX_VECTORS, tabled, law.lattice[0], lattice_n)
     # each n's blocks cut into at most one run per worker; the untabled n's
     # runs go first, so that the cell laws are built while they draw
     n_blocks = -(-plan.reps // BLOCK_SIZE)

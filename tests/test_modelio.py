@@ -171,6 +171,15 @@ class TestRoundTrip:
         loaded = load_plan(tmp_path / "p.plan")
         assert loaded == plan
 
+    def test_plan_round_trip_with_its_model_elsewhere(self, tmp_path, bernoulli):
+        # the plan names the model relative to its own directory
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+        plan = SimPlan(bernoulli, n_values=(8,), reps=10)
+        save_plan(plan, tmp_path / "a" / "p.plan", tmp_path / "b" / "m.model")
+        assert "model = ../b/m.model\n" in (tmp_path / "a" / "p.plan").read_text()
+        assert load_plan(tmp_path / "a" / "p.plan") == plan
+
     @pytest.mark.parametrize("name", ["run#1.model", "'q.model", " it's #2.model"])
     def test_model_names_the_reader_would_misread_round_trip(self, tmp_path, bernoulli, name):
         plan = SimPlan(bernoulli, n_values=(8,), reps=10)

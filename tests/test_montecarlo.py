@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import inspect
 import math
+import re
 import sys
 import textwrap
 import threading
@@ -495,7 +496,8 @@ def test_untabled_runs_are_queued_first(monkeypatch):
     model = MODEL_REGISTRY["mixed"]
     mom = moments_by_enumeration(model)
     plan = SimPlan(model, n_values=(16, 64, 4096), reps=2 * BLOCK_SIZE, seed=5)
-    assert plan.tabled_n == (16, 64)
+    law = MinMaxLaw.from_model(model)
+    assert [n for n in plan.n_values if is_tabled(law, n)] == [16, 64]
     real, drawn = montecarlo._tally_run, []
 
     def recording_tally_run(seed, reps, events, samplers, run):
@@ -1311,8 +1313,7 @@ class TestCellLaw:
         for limit, tabled_root in ((100, True), (0, False)):
             monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", limit)
             assert not is_tabled(law, 64) and (_tree_root(law, 64) is not None) == tabled_root
-            # a plan decides its tabled n once, so each limit takes a new one
-            sims.append(estimate_events(dataclasses.replace(plan), mom, workers=1))
+            sims.append(estimate_events(plan, mom, workers=1))
         counts = [[r.count for r in sim.rows] for sim in sims]
         assert counts[0] != counts[1] != counts[2] != counts[0]
         _z_test([(p, c) for row in counts for p, c in zip(exact, row)], plan.reps, "mixed")
@@ -1904,13 +1905,61 @@ def test_cell_law_does_not_depend_on_the_slicing(monkeypatch):
     assert sizes and max(sizes) <= 256
 
 
-def test_plan_decides_its_tabled_n_once(monkeypatch):
+def test_each_estimate_decides_and_logs_its_tabled_n(monkeypatch, caplog):
+    """An estimate decides its tabled n under the ``TABLE_MAX_VECTORS`` in
+    force at its call, builds their cell laws and logs them on one
+    ``estimate:`` line before any thread starts; one plan estimated under
+    two limits takes each limit's."""
     model = MODEL_REGISTRY["mixed"]
-    plan, law = SimPlan(model), MinMaxLaw.from_model(model)
-    assert plan.tabled_n == (16, 64, 256, 1024)
-    assert plan.tabled_n == tuple(n for n in plan.n_values if is_tabled(law, n))
-    monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", 0)
-    assert plan.tabled_n == (16, 64, 256, 1024) and dataclasses.replace(plan).tabled_n == ()
+    mom = moments_by_enumeration(model)
+    plan = SimPlan(model, n_values=(16, 64, 4096), reps=100, seed=5)
+    real, built, logged_at_start = montecarlo._cell_law, [], []
+    start = threading.Thread.start
+
+    def recording_cell_law(law, n, *args):
+        built.append(n)
+        return real(law, n, *args)
+
+    def recording_start(thread):
+        logged_at_start.append(len(caplog.records))
+        start(thread)
+
+    monkeypatch.setattr(montecarlo, "_cell_law", recording_cell_law)
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    for limit, tabled in ((1 << 17, [16, 64]), (0, [])):
+        monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", limit)
+        caplog.clear()
+        built.clear()
+        logged_at_start.clear()
+        with caplog.at_level("INFO", logger="beliefclt"):
+            estimate_events(plan, mom, workers=1)
+        (line,) = [rec.message for rec in caplog.records]
+        assert line.startswith("estimate: ") and logged_at_start == [1]
+        assert re.findall(r"(\w+)=", line) == ["run_id", "workers", "block_size",
+                                              "table_max_vectors", "tabled_n",
+                                              "lattice_h", "lattice_n"]
+        assert (f"run_id={plan.digest()} workers=1 block_size={BLOCK_SIZE} "
+                f"table_max_vectors={limit} tabled_n={tabled} lattice_h=1/2 "
+                "lattice_n=[16, 64, 4096]") in line
+        assert sorted(built) == tabled
+
+
+def test_n_whose_doubled_sums_pass_two_limbs_is_untabled():
+    """{1} and {2**31} at n = 2**31: the sums fit one limb (n * 2**31 =
+    2**62), the build's (2n + 2) * 2**31 does not, and 2n + 2 is past the
+    n < 2**32 of two limbs.  That n is drawn through the split tree, with
+    no error for the n it never sums at."""
+    model = BeliefModel([(FocalElement([(1.0, 1.0)]), 0.5),
+                         (FocalElement([(2.0**31, 2.0**31)]), 0.5)], 2.0**31)
+    law, n = MinMaxLaw.from_model(model), 2**31
+    assert montecarlo.on_lattice(law.lattice, n) and not is_tabled(law, n)
+    plan = SimPlan(model, n_values=(n,), reps=1000, seed=3,
+                   alpha_one_sided=(-1.0, 0.0, 1.0), alpha_two_sided=())
+    sim = estimate_events(plan, moments_by_enumeration(model), workers=1)
+    # singletons: T_low = T_up, so {T_low >= a} and {T_up < a} split the trials
+    lower, upper = (sim.rows_for(n, kind) for kind in (ONE_SIDED_LOWER, ONE_SIDED_UPPER))
+    assert [a.count + b.count for a, b in zip(lower, upper)] == [1000] * 3
+    assert 0 < lower[1].count < 1000
 
 
 class TestSplitCounts:
