@@ -59,7 +59,7 @@ from .moments import ChoquetMoments, MinMaxLaw, _isqrt, _sqrt
 
 _KEY_DOMAIN = np.uint64(0x9E3779B97F4A7C15)
 _CTR_BLOCK = np.uint64(1)
-TABLE_MAX_VECTORS = 1 << 17
+TABLE_MAX_VECTORS = 1 << 20
 _LIMB_BITS = 31
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 

@@ -7,10 +7,13 @@ block's trials (``_split_counts``), and its windowed binomial pmfs
 (``_window``, ``_window_pmfs``) give the exact law of one trial's event
 cell (``_cell_law``): the count vectors of every split but the last
 (``_prefixes``), each a product of windowed pmfs, with the last split
-summed in closed form, telescoped out of its mode over the thresholds it
-crosses (``_crossings``).  ``_table_sizes`` counts what that build walks
-from the window bounds alone, and ``_root_window`` is the root's window,
-over which the tree draws its first split.
+summed in closed form over the runs between the thresholds it crosses
+(``_crossings``), each run's mass out of the nearer tail of its window
+(``_tails``), and where the last split moves one side of the sums, the
+split of the leaf pair beside it (``_sibling``) summed in closed form
+too.  ``_table_sizes`` counts what that build walks from the window
+bounds alone, and ``_root_window`` is the root's window, over which the
+tree draws its first split.
 """
 
 from __future__ import annotations
@@ -144,50 +147,94 @@ def _last_totals(law: MinMaxLaw, n: int, limit: int) -> np.ndarray | None:
     return np.arange(first, last + 1) if last - first < limit else None
 
 
+def _sibling(law: MinMaxLaw) -> tuple[int, int] | None:
+    """The node beside the last split's, [lo, k - 2) under the last split's
+    parent, where it is a pair of leaves whose split the cell law sums in
+    closed form (``_cell_law``): the last split moves one side of the sums
+    on the lattice, by s per unit of its left count c, and a unit of the
+    pair's left count moves that side by d, |d| < |s|, so each of that
+    side's crossings stays put over runs of the pair's counts.  Else None,
+    and the pair, if any, is enumerated with the other splits."""
+    k, lo = len(law.masses), 0
+    while k - lo > 2 and (lo + k) // 2 != k - 2:
+        lo = (lo + k) // 2
+    if k - lo != 4:
+        return None
+    _, mins, maxs = law.lattice
+    moves = [(ends[k - 2] - ends[k - 1], ends[lo] - ends[lo + 1]) for ends in (mins, maxs)]
+    moving = [(s, d) for s, d in moves if s]
+    return (lo, k - 2) if len(moving) == 1 and abs(moving[0][1]) < abs(moving[0][0]) else None
+
+
 def _table_sizes(law: MinMaxLaw, n: int, limit: int) -> tuple[int, int]:
     """(prefixes, entries) that the cell law of (law, n) walks
     (``_cell_law``), counted from the window bounds alone, each
-    ``limit + 1`` where it is larger: the vectors of every split but the
-    last inside its window, a node counting those below its totals a
-    quarter block of window entries at a time, each count capped at
-    ``limit + 1`` before it is summed, and the window entries of the last
-    split's totals (``_last_totals``)."""
-    k, totals = len(law.masses), _last_totals(law, n, limit)
+    ``limit + 1`` where it is larger.  The prefixes are the vectors of every
+    split but the last, and but the ``_sibling`` pair's where that is summed
+    in closed form, inside its window; a node counts those below its totals
+    a quarter block of window entries at a time, each count capped at
+    ``limit + 1`` before it is summed.  The entries are those of the windows
+    built: the sibling pair's, once per prefix, and those of the last
+    split's totals (``_last_totals``), once per total."""
+    k, totals, sibling = len(law.masses), _last_totals(law, n, limit), _sibling(law)
 
-    def count(lo: int, hi: int, totals: np.ndarray) -> np.ndarray:
+    def count(lo: int, hi: int, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(prefixes, sibling entries) below each of the totals of [lo, hi)."""
+        zero = np.zeros(len(totals))
         if hi - lo == 1 or lo == k - 2:
-            return np.ones(len(totals), dtype=np.int64)
+            return zero + 1, zero
         start, _, stop = _window(totals, *_shares(law.masses, lo, hi))
-        vectors, mid = stop - start + 1, (lo + hi) // 2
-        rows = max(1, len(totals) * (BLOCK_SIZE // 4) // int(vectors.sum()))
+        widths, mid = stop - start + 1, (lo + hi) // 2
+        if (lo, hi) == sibling:
+            return zero + 1, widths.astype(float)
+        vectors, entries = widths.astype(float), np.zeros(len(totals))
+        rows = max(1, len(totals) * (BLOCK_SIZE // 4) // int(widths.sum()))
         for first in range(0, len(totals) if hi - lo > 2 else 0, rows):
-            if vectors.sum() > limit:
+            if max(vectors.sum(), entries.sum()) > limit:
                 break
             part = slice(first, first + rows)
-            row, left = _spread(start[part], vectors[part])
-            products = np.multiply(count(lo, mid, left), count(mid, hi, totals[part][row] - left),
-                                   dtype=float)
-            vectors[part] = np.bincount(row, np.minimum(products, limit + 1))
-        return np.full(len(totals), limit + 1) if vectors.sum() > limit else vectors
+            row, left = _spread(start[part], widths[part])
+            (v1, e1), (v2, e2) = count(lo, mid, left), count(mid, hi, totals[part][row] - left)
+            vectors[part] = np.bincount(row, np.minimum(v1 * v2, limit + 1))
+            entries[part] = np.bincount(row, np.minimum(v1 * e2 + e1 * v2, limit + 1))
+        # past the limit, or cut short with a pair below, a count is limit + 1
+        over = vectors.sum() > limit
+        if over or entries.sum() > limit:
+            beneath = sibling is not None and lo <= sibling[0] < hi
+            return (zero + limit + 1 if over else vectors,
+                    zero + limit + 1 if beneath or not over else entries)
+        return vectors, entries
 
     if totals is None:  # each total has a prefix
         return limit + 1, limit + 1
     start, _, stop = _window(totals, *_shares(law.masses, k - 2, k))
-    return (min(int(count(0, k, np.array([n]))[0]), limit + 1),
-            min(int((stop - start + 1).sum()), limit + 1))
+    prefixes, entries = count(0, k, np.array([n]))
+    return (min(int(prefixes[0]), limit + 1),
+            min(int(entries[0]) + int((stop - start + 1).sum()), limit + 1))
 
 
 def _prefixes(law: MinMaxLaw, n: int, spans: Sequence[np.ndarray]) -> Iterator[Iterable[tuple]]:
     """Per span of the last split's totals, the (counts, pmf) slices of the
     prefixes ``_table_sizes`` counts whose last split's total is in
-    [span[0], span[-1]]: ``counts`` maps each leaf, and the last split's
-    node [k - 2, k), to its counts, each probability the product of its
-    splits' windowed pmfs.  The splits down to the last split's parent,
-    the node [lo, k) with (lo + k) // 2 = k - 2, are made once, and so are
-    that parent's window pmfs; only its split is cut to each span.  A node
-    splits a slice at once, after cutting it where it would pass a quarter
-    block of window entries."""
-    k = len(law.masses)
+    [span[0], span[-1]]: ``counts`` maps each leaf, the last split's node
+    [k - 2, k) and the ``_sibling`` pair, if any, to their counts, each
+    probability the product of its splits' windowed pmfs.  The splits down
+    to the last split's parent, the node [lo, k) with (lo + k) // 2 = k - 2,
+    are made once, and so are that parent's window pmfs; only its split is
+    cut to each span.  A node splits a slice at once, after cutting it where
+    it would pass a quarter block of window entries; a slice is cut last
+    where its sibling pair's windows would pass half a block."""
+    k, sibling = len(law.masses), _sibling(law)
+
+    def halves(counts: dict, pmf: np.ndarray, node: tuple[int, int], limit: int):
+        """The slice, cut in halves until the windows of ``node``'s totals
+        hold at most ``limit`` entries or it is one prefix."""
+        start, _, stop = _window(counts[node], *_shares(law.masses, *node))
+        if len(pmf) == 1 or (stop - start + 1).sum() <= limit:
+            yield counts, pmf
+            return
+        for part in (slice(0, len(pmf) // 2), slice(len(pmf) // 2, None)):
+            yield from halves({c: v[part] for c, v in counts.items()}, pmf[part], node, limit)
 
     def split(counts: dict, pmf: np.ndarray, node: tuple[int, int], start: np.ndarray,
               stop: np.ndarray, pmfs: tuple[np.ndarray, np.ndarray], todo: list):
@@ -196,9 +243,12 @@ def _prefixes(law: MinMaxLaw, n: int, spans: Sequence[np.ndarray]) -> Iterator[I
         (lo, hi), (first, window), totals = node, pmfs, counts[node]
         mid = (lo + hi) // 2
         row, left = _spread(start, np.maximum(stop - start + 1, 0))
+        if not len(row):  # no total of this slice reaches the span
+            return iter(())
         counts = {c: v[row] for c, v in counts.items() if c != node}
         counts[lo, mid], counts[mid, hi] = left, totals[row] - left
-        todo = todo + [(a, b) for a, b in ((lo, mid), (mid, hi)) if b - a > 1 and a < k - 2]
+        todo = todo + [(a, b) for a, b in ((lo, mid), (mid, hi))
+                       if b - a > 1 and a < k - 2 and (a, b) != sibling]
         return expand(counts, pmf[row] * window[row, left - first[row]], todo)
 
     def expand(counts: dict, pmf: np.ndarray, todo: list):
@@ -206,20 +256,27 @@ def _prefixes(law: MinMaxLaw, n: int, spans: Sequence[np.ndarray]) -> Iterator[I
         first; a slice that reaches the last split's parent stops there, as
         (counts, pmf, (parent, start, stop, its window pmfs), nodes left)."""
         if not todo:
-            yield counts, pmf
+            if sibling is None:
+                yield counts, pmf
+                return
+            # cut where the pair's windows would pass half a block
+            start, _, stop = _window(counts[sibling], *_shares(law.masses, *sibling))
+            before, cuts = np.concatenate([[0], np.cumsum(stop - start + 1)]), [0]
+            while cuts[-1] < len(pmf):
+                end = before.searchsorted(before[cuts[-1]] + BLOCK_SIZE // 2, side="right") - 1
+                cuts.append(max(cuts[-1] + 1, int(end)))
+            for part in map(slice, cuts, cuts[1:]):
+                yield {c: v[part] for c, v in counts.items()}, pmf[part]
             return
         node, rest = todo[-1], todo[:-1]
-        totals, (p, q) = counts[node], _shares(law.masses, *node)
-        start, _, stop = _window(totals, p, q)
-        if len(totals) > 1 and (stop - start + 1).sum() > BLOCK_SIZE // 4:
-            for part in (slice(0, len(totals) // 2), slice(len(totals) // 2, None)):
-                yield from expand({c: v[part] for c, v in counts.items()}, pmf[part], todo)
-            return
-        pmfs = _window_pmfs(totals, p, q)
-        if sum(node) // 2 == k - 2:
-            yield counts, pmf, (node, start, stop, pmfs), rest
-        else:
-            yield from split(counts, pmf, node, start, stop, pmfs, rest)
+        for counts, pmf in halves(counts, pmf, node, BLOCK_SIZE // 4):
+            totals, (p, q) = counts[node], _shares(law.masses, *node)
+            start, _, stop = _window(totals, p, q)
+            pmfs = _window_pmfs(totals, p, q)
+            if sum(node) // 2 == k - 2:
+                yield counts, pmf, (node, start, stop, pmfs), rest
+            else:
+                yield from split(counts, pmf, node, start, stop, pmfs, rest)
 
     def cut(span: np.ndarray):
         for counts, pmf, (node, start, stop, pmfs), rest in parents:
@@ -248,6 +305,25 @@ def _crossings(bounds: np.ndarray, step: int, weight: int) -> tuple[np.ndarray, 
     return distinct + step - (step > 0), ranks
 
 
+def _tails(pmf: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(table, mass) of rows of window pmfs whose mode is in column m, the
+    pmf accumulated in place from each end of the window.  ``mass`` is each
+    row's mass as the sum of its two tails at the mode, 1 up to rounding;
+    ``table`` has a column more than ``pmf``, 0 at both ends, and in column
+    i, 0 < i < width, minus the mass below column i up to the mode, then
+    the mass at and above it.  The mass of the columns [i, j), i <= j, is
+    table[i] - table[j], plus ``mass`` where i <= m < j: a difference of
+    two sums of one tail where the columns lie on one side of the mode, so
+    no tail mass is lost to cancellation."""
+    for tail in (pmf[:, :m], pmf[:, m:][:, ::-1]):
+        tail.cumsum(1, out=tail)
+    mass = pmf[:, m] + (pmf[:, m - 1] if m else 0.0)
+    zero = np.zeros((len(pmf), 1))
+    # negated out of place: with numpy 2.4.6, np.negative(v, out=v) on a
+    # one-column view v of an 8-column array negates the array's first row
+    return np.hstack([zero, -pmf[:, :m], pmf[:, m + 1:], zero]), mass
+
+
 def _cell_law(law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray],
               bounds: tuple[np.ndarray, np.ndarray], length: int) -> np.ndarray:
     """The law of one trial's event cell at a tabled (law, n), ``law`` on
@@ -259,23 +335,29 @@ def _cell_law(law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray],
 
     The last split of the tree gives b of its total t to hull k - 2 and
     t - b to hull k - 1, so on each prefix (``_prefixes``) S/h moves by
-    the fixed integer v_{k-2} - v_{k-1} per unit of b, and a side's rank
-    moves only where b crosses one of its thresholds (``_crossings``).  The
-    sum over b of the window pmf of t times the cell of b telescopes out of
-    the mode: the prefix's pmf times the window's mass goes to the cell at
-    the mode, and each crossing at b moves the window's mass beyond it, the
-    mass at and above b (b above the mode) or minus the mass below b (at or
-    below it), from the cell at b - 1 to the cell at b.  Each of those sums
-    is accumulated out of its own tail, so none loses a tail mass to
-    cancellation, and the window's mass is the sum of its two tails at the
-    mode, so the run that holds the mode gets the same sums too.  Along
-    one side, the crossings that bound a run of b go to that run's cell as
-    one difference, so a run of no b adds exactly 0.  Where the other side
-    is fixed, that cell is the mode's with the side's rank changed, and
-    where both move, the cells at b - 1 and b are looked up; a crossing of
-    both sides at one b is moved once, with the low side's.  The totals go
-    half a block of window entries at a time, and no array of crossings
-    passes a quarter block.  The sum is divided by its total.
+    the fixed integer s per unit of b, and a side's rank moves only where
+    b crosses one of its thresholds (``_crossings``): the runs of b between
+    two crossings, or a crossing and an end of t's window, each hold one
+    cell.  A run's mass is a difference of the window's tails out of the
+    nearer one (``_tails``), plus the window's mass where the run holds its
+    mode.  Where one side moves with b, the split of the ``_sibling`` pair,
+    c of its total to its first leaf, is summed in closed form too: a unit
+    of c moves the sums by a fixed d, so each crossing's b is floor-linear
+    in c and stays put over runs of about |s / d| counts, and the other
+    side's rank moves only where c crosses one of its thresholds, which cut
+    the pair's window into pieces.  Per piece and crossing, ``beyond`` sums
+    the table of t's window at the crossing's b, and ``below`` the pair's
+    mass whose b is at or below the mode, over the runs of c, each weighted
+    by the pair's mass on it, also a difference out of the nearer tail.
+    The run of b between two crossings then gets, per piece, the difference
+    of their ``beyond``, plus the window's mass times that of their
+    ``below``.  Where two crossings have the same b at every c of a piece,
+    their sums are equal bit for bit, so a cell no count reaches stays
+    exactly 0.  A prefix with no such pair has a pair window of one entry.
+    Where both sides move with b, the pair is enumerated, and the crossings
+    of both sides are merged into the runs, whose cells are looked up.
+    The totals go half a block of window entries at a time, and no array
+    of runs passes a quarter block.  The sum is divided by its total.
     """
     k = len(law.masses)
     p, q = _shares(law.masses, k - 2, k)
@@ -283,70 +365,141 @@ def _cell_law(law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray],
     lo, mode, hi = _window(totals, p, q)
     chunk = max(1, BLOCK_SIZE // 2 // int((mode - lo).max() + (hi - mode).max() + 3))
     spans = [totals[c:c + chunk] for c in range(0, len(totals), chunk)]
-    steps = int(law.mins[k - 2] - law.mins[k - 1]), int(law.maxs[k - 2] - law.maxs[k - 1])
+    sibling = _sibling(law)
+    steps = [int(ends[k - 2] - ends[k - 1]) for ends in (law.mins, law.maxs)]
+    slopes = [int(ends[sibling[0]] - ends[sibling[0] + 1]) if sibling else 0
+              for ends in (law.mins, law.maxs)]
     scale = len(bounds[1]) + 1  # the low rank's weight in a cell
-    sides = [(side, step, *_crossings(b, step, weight))
-             for side, (b, step, weight) in enumerate(zip(bounds, steps, (scale, 1))) if step]
+    moving = [side for side in (0, 1) if steps[side]]
+    crossings = [_crossings(bounds[side], steps[side], (scale, 1)[side]) for side in moving]
+    if len(moving) == 1:
+        (side,), ((numerators, ranks),) = moving, crossings
+        other = 1 - side
+        cuts = (_crossings(bounds[other], slopes[other], 1)[0] if slopes[other]
+                else np.zeros(0, dtype=np.int64))
+        ordered = np.sort(bounds[other])  # the other side's rank counts those at or below it
+        pieces, runs = len(cuts) + 1, len(numerators)
+        step, slope = steps[side], slopes[side]
+        rising, sign, reach = step * slope < 0, (1 if step > 0 else -1), abs(slope)
+    else:
+        pieces, runs = 1, sum(len(numerators) for numerators, _ in crossings)
     p_cell = np.zeros(length)
     for span, prefixes in zip(spans, _prefixes(law, n, spans)):
-        first, table = _window_pmfs(span, p, q)
-        m, width = int(mode[span[0] - totals[0]] - first[0]), table.shape[1]
-        for tail in (table[:, :m], table[:, m:][:, ::-1]):
-            tail.cumsum(1, out=tail)
-        # each row's mass as the sum of its two tails at the mode, 1 up to
-        # rounding: what a prefix puts in its cell at the mode, so that each
-        # run gets a difference of the same sums
-        mode_mass = table[:, m] + (table[:, m - 1] if m else 0.0)
-        zero = np.zeros((len(table), 1))
-        # row r, column i, b = first_r + i: how much mass a crossing at b
-        # moves, minus the mass below b up to the mode, then the mass at and
-        # above b; 0 at both ends.  Negated out of place: with numpy 2.4.6,
-        # np.negative(v, out=v) on a one-column view v of an 8-column array
-        # negates the array's first row instead
-        table = np.hstack([zero, -table[:, :m], table[:, m + 1:], zero]).ravel()
+        first, f_table = _window_pmfs(span, p, q)
+        m = int(mode[span[0] - totals[0]] - first[0])
+        f_table, f_mass = _tails(f_table, m)
+        f_width = f_table.shape[1]
+        f_table = f_table.ravel()
         for counts, weight in prefixes:
             t = counts.pop((k - 2, k))
-            x = _hull_sums([counts[h, h + 1] for h in range(k - 2)] + [0 * t, t], law)
-            low, peak, high = (ends[t - totals[0]] for ends in (lo, mode, hi))
-            # the sums at the mode, the b - mode of the window's ends, and
-            # the column of the mode in the table
-            for x0, step in zip(x, steps):
-                x0 += peak * step
-            low -= peak
-            high -= peak - 1
-            row = (t - span[0]) * (width + 1) + m
-            cell = cell_of(*(x0.copy() for x0 in x))
-            p_cell += np.bincount(cell, weight * mode_mass[t - span[0]], minlength=length)
-            for side, step, numerators, ranks in sides:
-                rows = max(1, BLOCK_SIZE // 4 // (len(numerators) + 2))
-                for part in range(0, len(t), rows):
-                    at = slice(part, part + rows)
-                    # column i: the b - mode of the i-th crossing, cut to the
-                    # table, with the table's two ends around them
-                    b = np.empty((len(t[at]), len(numerators) + 2), dtype=np.int64)
-                    b[:, 0], b[:, -1] = -m, width - m
-                    crossed = b[:, 1:-1]
-                    np.subtract(numerators, x[side][at, None], out=crossed)
-                    crossed //= step
-                    np.clip(crossed, -m, width - m, out=crossed)
-                    b += row[at, None]
-                    mass = table.take(b)
-                    mass *= weight[at, None]
-                    if not steps[1 - side]:
-                        other = cell[at] % scale if side == 0 else cell[at] - cell[at] % scale
-                        p_cell += np.bincount((other[:, None] + ranks.astype(other.dtype)).ravel(),
-                                              (mass[:, :-1] - mass[:, 1:]).ravel(),
-                                              minlength=length)
-                        continue
-                    b -= row[at, None]
-                    np.clip(b, low[at, None], high[at, None], out=b)
-                    after, before = (cell_of(*(x0[at, None] + (b - d) * s
-                                               for x0, s in zip(x, steps))) for d in (0, 1))
-                    if side == 1:  # where the low rank moves too, the low side moved it
-                        mass *= after // scale == before // scale
-                    runs = b[:, :-1] < b[:, 1:]  # the runs of some b
-                    p_cell += np.bincount(after[:, :-1].ravel(), (mass[:, :-1] * runs).ravel(),
-                                          minlength=length)
-                    p_cell -= np.bincount(before[:, 1:].ravel(), (mass[:, 1:] * runs).ravel(),
-                                          minlength=length)
+            row = t - span[0]
+            b_lo, b_hi = lo[t - totals[0]] - first[row], hi[t - totals[0]] - first[row] + 1
+            if sibling:
+                size = counts.pop(sibling)
+                shares = _shares(law.masses, *sibling)
+                c_first, g_table = _window_pmfs(size, *shares)
+                c_lo, c_mode, c_hi = _window(size, *shares)
+                m_c = int(c_mode[0] - c_first[0])
+                g_table, g_mass = _tails(g_table, m_c)
+                c_lo, c_hi, pair = c_lo - c_first, c_hi - c_first + 1, [c_mode, size - c_mode]
+            else:  # a pair window of one entry
+                m_c, c_lo, c_hi, pair = 0, 0 * t, 0 * t + 1, []
+                g_table, g_mass = np.zeros((len(t), 2)), np.ones(len(t))
+            g_width = g_table.shape[1]
+            # the sums at the modes of both windows, a count vector of the law
+            leaves = [counts[h, h + 1] for h in range(k - 2 - len(pair))]
+            x = _hull_sums(leaves + pair + [mode[t - totals[0]], t - mode[t - totals[0]]], law)
+            rows = max(1, BLOCK_SIZE // 4 // (pieces * (runs + 2)))
+            for part in range(0, len(t), rows):
+                at = slice(part, part + rows)
+                xm = [x0[at] for x0 in x]
+                count, low, high = len(xm[0]), b_lo[at, None], b_hi[at, None]
+                if len(moving) == 1:
+                    # the pieces of the pair window on which the other side's rank holds
+                    cut = m_c + ((cuts - xm[other][:, None]) // slopes[other] if slopes[other]
+                                 else np.zeros((count, 0), dtype=np.int64))
+                    a = np.concatenate([c_lo[at, None], np.minimum(np.maximum(cut, c_lo[at, None]),
+                                                                   c_hi[at, None])], axis=1)
+                    e = np.concatenate([a[:, 1:], c_hi[at, None]], axis=1)
+                    fixed = (scale, 1)[other] * ordered.searchsorted(
+                        xm[other][:, None] + slopes[other] * (a - m_c), side="right")
+                    cells = fixed[:, :, None] + ranks
+                    base = numerators - xm[side][:, None]
+                    crossed = np.minimum(np.maximum(m + base // step, low), high)
+                else:
+                    # one count: the runs between the merged crossings of both sides
+                    a, e = c_lo[at, None], c_hi[at, None]
+                    crossed = np.concatenate([np.zeros((count, 0), dtype=np.int64)] + [
+                        (numerators - xm[s][:, None]) // steps[s]
+                        for s, (numerators, _) in zip(moving, crossings)], axis=1)
+                    crossed.sort(axis=1)
+                    crossed = np.minimum(np.maximum(m + crossed, low), high)
+                    starts = np.concatenate([low, crossed], axis=1) - m
+                    cells = cell_of(*(x0[:, None] + s * starts for x0, s in zip(xm, steps)))[:, None]
+                # ``crossed``: each crossing's b column at the pair's mode;
+                # on a piece's first and last c it is m + (base - slope *
+                # (c - m_c)) // step, in t's window
+                live = (a < e).ravel().nonzero()[0]  # the pieces that hold a count
+                live_rows, a_live, e_live = live // pieces, a.ravel()[live], e.ravel()[live]
+                b_a, b_e = (np.minimum(np.maximum(
+                    m + (base[live_rows] - slope * (c[:, None] - m_c)) // step if len(moving) == 1
+                    else crossed[live_rows], low[live_rows]), high[live_rows])
+                    for c in (a_live, e_live - 1))
+                widths = (np.abs(b_e - b_a) + 1).ravel()
+                group = np.arange(len(widths))
+                piece, crossing = live[group // runs], group % runs
+                r, holds = piece // pieces, (a <= m_c) & (m_c < e)
+                slots = piece * (runs + 2) + crossing + 1
+                # per run of c: its first c and last c + 1 as columns of the
+                # pair table g_part, b - m, and b as a column of f_table
+                g_rows = r * g_width
+                g_first, g_end = g_rows + a.ravel()[piece], g_rows + e.ravel()[piece]
+                b_first = b_a.ravel() - m
+                f_rows = row[at][r] * f_width + m
+                b_pair = crossed.ravel()[r * runs + crossing] - m
+                pair_mass = g_mass[at][r] * holds.ravel()[piece]
+                if len(moving) == 1:  # a later run starts where its crossing reaches b
+                    y_first = sign * (base.ravel()[r * runs + crossing] - (not rising) * step)
+                    c_rows = g_rows + m_c + (not rising)
+                g_part = g_table[at].ravel()
+                sums = np.zeros((2, count, pieces, runs + 2))
+                flat = sums.reshape(2, -1)
+                ends = widths.cumsum()
+                parts = [0, *ends.searchsorted(np.arange(BLOCK_SIZE // 4, ends[-1] if len(ends) else 0,
+                                                         BLOCK_SIZE // 4), side="right"), len(widths)]
+                for g0, g1 in zip(parts, parts[1:]):
+                    width = widths[g0:g1]
+                    last = width.cumsum() - 1
+                    group = np.arange(g1 - g0).repeat(width)
+                    b = b_first[g0:g1][group]
+                    c = g_first[g0:g1]
+                    if len(group) > g1 - g0:  # some piece has runs of c at several b
+                        heads = last - width + 1
+                        offset = np.arange(len(group)) - heads[group]
+                        b += offset if rising else -offset
+                        y = y_first[g0:g1][group] - b * (sign * step)
+                        y //= reach
+                        starts = c_rows[g0:g1][group] + (-y if rising else y)
+                        starts[heads] = c
+                        c = starts
+                    stop = np.empty_like(c)
+                    stop[:-1] = c[1:]
+                    stop[last] = g_end[g0:g1]
+                    share = g_part[c] - g_part[stop]
+                    f_at, mode_mass = f_rows[g0:g1], pair_mass[g0:g1]
+                    flat[0, slots[g0:g1]] = (np.bincount(group, f_table[f_at[group] + b] * share,
+                                                         minlength=g1 - g0)
+                                             + mode_mass * f_table[f_at + b_pair[g0:g1]])
+                    flat[1, slots[g0:g1]] = (np.bincount(group, (b <= 0) * share, minlength=g1 - g0)
+                                             + mode_mass * (b_pair[g0:g1] <= 0))
+                beyond, below = sums
+                below[:, :, 0] = (g_part[np.arange(count)[:, None] * g_width + a]
+                                  - g_part[np.arange(count)[:, None] * g_width + e]
+                                  + g_mass[at, None] * holds)
+                # a run of b between two crossings, or a crossing and an end
+                # of t's window, and the window's mass where it holds its mode
+                mass = ((beyond[..., :-1] - beyond[..., 1:])
+                        + f_mass[row[at]][:, None, None] * (below[..., :-1] - below[..., 1:]))
+                mass *= weight[at, None, None]
+                p_cell += np.bincount(cells.ravel(), mass.ravel(), minlength=length)
     return p_cell / p_cell.sum()

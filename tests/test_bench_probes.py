@@ -12,10 +12,10 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_estimator_probes_run_with_a_tracer(monkeypatch):
-    # mixed at n = 16 (tabled) and 4096 (split tree)
+    # mixed at n = 16 (tabled) and 16384 (split tree)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     child, tracing = (importlib.import_module(name) for name in ("child", "tracing"))
-    plan = SimPlan(MODEL_REGISTRY["mixed"], n_values=(16, 4096), reps=2000, seed=3)
+    plan = SimPlan(MODEL_REGISTRY["mixed"], n_values=(16, 16384), reps=2000, seed=3)
     tracer = tracing.Tracer()
     probes = child._estimator_probes(tracer, plan)
     assert probes == {"route_gap_max": 0.0, "block_size": BLOCK_SIZE}

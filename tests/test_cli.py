@@ -145,7 +145,7 @@ class TestSimulate:
         assert "run_id=" in joined
         # three hulls: the windows hold every vector up to n = 32 and more,
         # comb(n + 2, 2), 153 at n = 16 and 2145 at n = 64
-        assert "block_size=16384 table_max_vectors=131072 tabled_n=[16, 64]" in joined
+        assert "block_size=16384 table_max_vectors=1048576 tabled_n=[16, 64]" in joined
         # the endpoints 0 and 1 put every hull sum on the integers
         assert "tabled_n=[16, 64] lattice_h=1 lattice_n=[16, 64]" in joined
 

@@ -6,15 +6,17 @@ prefixes and window entries), a block is one multinomial draw over the law
 of one trial's event cell: the windowed count vectors of every split of
 the binomial tree but the last, each a product of windowed binomial pmfs,
 with the last split summed in closed form between the thresholds it
-crosses.  Every n of this plan is tabled for every registry model.
-``MULTINOMIAL_SHA256`` pins four (model, n) past it: ``bernoulli`` at
-n = 1024 and ``mixed`` at n = 256, drawn from their tables, and two whose
-tables would be too large, which draw their hull counts by the binomial
-split tree, its root one multinomial over a window of its binomial pmf.
-``mixed`` at n = 256 was re-recorded and ``mixed`` at n = 4096 added when
-the last split was summed in closed form, after the closed form matched
-the full windowed enumeration, the fractions test and the binomial-tail
-tests; no other pin moved then.  The ``coin`` and ``two_interval`` pins
+crosses, and on ``mixed`` the split of the leaf pair beside it summed in
+closed form too.  Every n of this plan is tabled for every registry model.
+``MULTINOMIAL_SHA256`` pins four (model, n) past it, all drawn from their
+tables: ``bernoulli`` at n = 1024 and 4096 and ``mixed`` at n = 256 and
+4096.  The two at n = 4096 were drawn by the binomial split tree, its root
+one multinomial over a window of its binomial pmf, until
+``TABLE_MAX_VECTORS`` rose from 2**17 to 2**20 with the closed form over
+the leaf pair, and were re-recorded then, after the closed form matched
+the full windowed enumeration and the binomial-tail tests; no other pin
+moved then.  ``mixed`` at n = 256 was re-recorded when the last split was
+summed in closed form.  The ``coin`` and ``two_interval`` pins
 were last re-recorded when the tables kept to the windows (only n = 4
 moved, by one trial in some cells); the others when blocks and the tree's
 root became multinomial draws.  The tally and the ``>=`` / ``<`` / ``<=``
@@ -42,16 +44,15 @@ GOLDEN_SHA256 = {
     "mixed": "124af4270a3052b0d07fca98543ec5e328c8276ccdbb4c3e0846b6bf61013160",
 }
 
-# (model, n) past the plan's, as (prefixes, window entries): drawn from their
-# tables, bernoulli at 1024 (359, 118583) and mixed at 256 (31476, 22999);
-# by the split tree, bernoulli at 4096 (653, 388965) and mixed
-# at 4096 (389025, 325677)
-TABLED = {("bernoulli", 1024), ("mixed", 256)}
+# (model, n) past the plan's, as (prefixes, window entries), all drawn from
+# their tables: bernoulli at 1024 (359, 118583) and 4096 (653, 388965), mixed
+# at 256 (214, 54475) and 4096 (693, 714702)
+TABLED = {("bernoulli", 1024), ("bernoulli", 4096), ("mixed", 256), ("mixed", 4096)}
 MULTINOMIAL_SHA256 = {
     ("bernoulli", 1024): "58ee6e82461c8cc2f0c28d68c277dfdcc594aa96782606428529d80dad0ab2c5",
-    ("bernoulli", 4096): "9cc7981900b9d4a4ffc55220c8e8e678304a5e47ff0520ba262e145739bf58f1",
+    ("bernoulli", 4096): "aa98a9f888cf3bacd3154d5060e1a54cd93d5e0305f99214c91ae7c1f3a6ab26",
     ("mixed", 256): "1b40b0039a7167cbd1c833d31cc1c3ca0f5f3dcae8b63b63f7f3dea5d8b6c37e",
-    ("mixed", 4096): "1b1bb45be510e45b7bfff2b1d3c35dab5fe0c40bf73d9f83fa719a975a4226a9",
+    ("mixed", 4096): "741a5551a541cad77205afc3a152308b0aedbcc419cc60343e2b6b64316fd788",
 }
 
 # n = 16 one-sided counts along DENSE_GRID, spelled out for readable diffs

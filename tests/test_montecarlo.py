@@ -472,7 +472,7 @@ def test_each_cell_law_is_built_once(monkeypatch):
     share it, and the result does not depend on which thread built it."""
     model = MODEL_REGISTRY["bernoulli"]
     mom = moments_by_enumeration(model)
-    plan = SimPlan(model, n_values=(16, 64, 2048), reps=4 * BLOCK_SIZE + 3, seed=17)
+    plan = SimPlan(model, n_values=(16, 64, 16384), reps=4 * BLOCK_SIZE + 3, seed=17)
     real, built = montecarlo._cell_law, []
 
     def recording_cell_law(law, n, *args):
@@ -495,7 +495,7 @@ def test_untabled_runs_are_queued_first(monkeypatch):
     depend on the order."""
     model = MODEL_REGISTRY["mixed"]
     mom = moments_by_enumeration(model)
-    plan = SimPlan(model, n_values=(16, 64, 4096), reps=2 * BLOCK_SIZE, seed=5)
+    plan = SimPlan(model, n_values=(16, 64, 16384), reps=2 * BLOCK_SIZE, seed=5)
     law = MinMaxLaw.from_model(model)
     assert [n for n in plan.n_values if is_tabled(law, n)] == [16, 64]
     real, drawn = montecarlo._tally_run, []
@@ -506,18 +506,18 @@ def test_untabled_runs_are_queued_first(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_tally_run", recording_tally_run)
     serial = estimate_events(plan, mom, workers=1)
-    assert drawn == [4096, 16, 64]
+    assert drawn == [16384, 16, 64]
     assert estimate_events(plan, mom, workers=2) == serial
 
 
 def test_threads_share_no_state_under_stress():
     """Eight threads on fewer cores, switching every microsecond, give the
-    one-thread result: eight runs per n, n = 16 tabled and n = 4096 not."""
+    one-thread result: eight runs per n, n = 16 tabled and n = 16384 not."""
     model = MODEL_REGISTRY["mixed"]
     mom = moments_by_enumeration(model)
-    plan = SimPlan(model, n_values=(16, 4096), reps=8 * BLOCK_SIZE - 5, seed=71)
+    plan = SimPlan(model, n_values=(16, 16384), reps=8 * BLOCK_SIZE - 5, seed=71)
     law = MinMaxLaw.from_model(model)
-    assert is_tabled(law, 16) and not is_tabled(law, 4096)
+    assert is_tabled(law, 16) and not is_tabled(law, 16384)
     serial = estimate_events(plan, mom, workers=1)
     results = []
     interval = sys.getswitchinterval()
@@ -922,12 +922,12 @@ def test_brute_force_reference_catches_a_flipped_operator(monkeypatch, flipped):
 
 def test_runs_of_blocks_match_brute_force_reference():
     # nine blocks per n, the last one short: one run of nine at one worker,
-    # runs of four and five at two; n = 16 is tabled and n = 2048 is not
+    # runs of four and five at two; n = 16 is tabled and n = 16384 is not
     model = MODEL_REGISTRY["bernoulli"]
     mom = moments_by_enumeration(model)
-    plan = SimPlan(model, n_values=(16, 2048), reps=8 * BLOCK_SIZE + 37, seed=23)
+    plan = SimPlan(model, n_values=(16, 16384), reps=8 * BLOCK_SIZE + 37, seed=23)
     assert is_tabled(MinMaxLaw.from_model(model), 16)
-    assert not is_tabled(MinMaxLaw.from_model(model), 2048)
+    assert not is_tabled(MinMaxLaw.from_model(model), 16384)
     reference = _reference_estimate(plan)
     for workers in (1, 2):
         sim = estimate_events(plan, mom, workers=workers)
@@ -1036,6 +1036,32 @@ def _non_dyadic_model():
          (FocalElement([(0.1, 0.2), (0.3, 0.7)]), 0.3)], 1.0)
 
 
+def _five_hull_model():
+    # five hulls: the last split's sibling is one leaf, so each prefix has a
+    # pair window of one entry; the last split (hulls 3 and 4) moves S_min only
+    return BeliefModel(
+        [(FocalElement([(0.0, 1.0)]), 0.2),
+         (FocalElement([(0.5, 1.5)]), 0.15),
+         (FocalElement([(-1.0, 0.5)]), 0.25),
+         (FocalElement([(1.0, 2.0)]), 0.3),
+         (FocalElement([(-0.5, 2.0)]), 0.1)], 3.0)
+
+
+def _seven_hull_model():
+    # seven hulls: the last split (hulls 5 and 6) moves S_max only, by 1/2,
+    # and the leaf pair beside it (hulls 3 and 4) moves each side by 1/4, so
+    # its split is summed in closed form below prefixes of three other
+    # splits, its window cut where S_min crosses a threshold
+    return BeliefModel(
+        [(FocalElement([(0.0, 1.0)]), 0.1),
+         (FocalElement([(0.25, 0.5)]), 0.2),
+         (FocalElement([(-1.0, 0.75)]), 0.1),
+         (FocalElement([(0.75, 1.25)]), 0.15),
+         (FocalElement([(0.5, 1.0)]), 0.15),
+         (FocalElement([(-0.5, 1.5)]), 0.2),
+         (FocalElement([(-0.5, 1.0)]), 0.1)], 2.0)
+
+
 _MASSES = ((1.0,), (0.5, 0.5), (0.3, 0.3, 0.4), (0.1, 0.25, 0.3, 0.35))
 
 
@@ -1090,7 +1116,10 @@ def _true_run(inside, n):
 # the 21-point alpha grid of the dense_grid benchmark workload
 _DENSE_GRID = tuple(-2.5 + 0.25 * i for i in range(21))
 
-_LAW_MODELS = {**MODEL_REGISTRY, "non_dyadic": _non_dyadic_model()}
+_LAW_MODELS = {**MODEL_REGISTRY, "non_dyadic": _non_dyadic_model(),
+               "five_hulls": _five_hull_model(), "seven_hulls": _seven_hull_model()}
+# the largest n at which the full enumeration of each is checked
+_ENUMERATED_N = dict.fromkeys(_LAW_MODELS, 90) | {"five_hulls": 40, "seven_hulls": 14}
 
 
 def _model_cell_law(model, n, alphas=DEFAULT_ALPHA_GRID):
@@ -1154,19 +1183,35 @@ class TestCellLaw:
 
     @pytest.mark.parametrize("name", sorted(_LAW_MODELS))
     def test_closed_form_matches_the_full_enumeration(self, name):
-        # at every tabled n <= 90, summing the last split in closed form
-        # gives the full windowed enumeration's cell law to 1e-15
-        # absolute, on the same support
+        # at every tabled n <= 90 (40 on five hulls, 14 on seven), summing
+        # the last split, and the leaf pair beside it, in closed form gives
+        # the full windowed enumeration's cell law to 1e-15 absolute, on
+        # the same support: a cell the enumeration leaves at exactly 0 is
+        # exactly 0.  A cell below 1e-6 keeps its relative accuracy to 1e-9,
+        # as each run's mass is a difference out of its nearer tail
         model = _LAW_MODELS[name]
         law = MinMaxLaw.from_model(model)
         events = _EventCells.build(DEFAULT_ALPHA_GRID, default_alpha_pairs())
-        for n in range(1, 91):
+        for n in range(1, _ENUMERATED_N[name] + 1):
             assert is_tabled(law, n)
             sums_law, cell_of = _cells_at(events, law, n)
             want = _reference_cell_law(sums_law, n, cell_of, events.size)
             got = _closed_form(events, law, n)
             assert np.abs(got - want).max() <= 1e-15, n
             assert np.array_equal(got > 0, want > 0), n
+            assert not got[want == 0].any(), n
+            small = (want > 0) & (want < 1e-6)
+            assert np.all(np.abs(got[small] - want[small]) <= 1e-9 * want[small]), n
+
+    def test_pair_is_summed_in_closed_form_where_one_side_moves(self):
+        # mixed: the last split moves S_min by 8 steps, the pair S_min by
+        # -1; bernoulli and five hulls have no pair; coin's and the
+        # non-dyadic model's last splits move both sides; seven hulls: S_max
+        # by 2 and 1
+        assert {name: splittree._sibling(MinMaxLaw.from_model(model))
+                for name, model in _LAW_MODELS.items()} == {
+            "bernoulli": None, "coin": None, "two_interval": None, "union_parts": None,
+            "mixed": (0, 2), "non_dyadic": None, "five_hulls": None, "seven_hulls": (3, 5)}
 
     def test_closed_form_matches_the_full_enumeration_of_mixed_at_256(self):
         # 31476 prefixes against 2633569 windowed vectors, on the 21-point
@@ -1318,14 +1363,16 @@ class TestCellLaw:
         assert counts[0] != counts[1] != counts[2] != counts[0]
         _z_test([(p, c) for row in counts for p, c in zip(exact, row)], plan.reps, "mixed")
 
-    def test_cells_settle_near_ties_exactly(self, monkeypatch):
+    @pytest.mark.parametrize("name", ["non_dyadic", "mixed", "five_hulls"])
+    def test_cells_settle_near_ties_exactly(self, monkeypatch, name):
         # thresholds taken from the float statistics of the count vectors
         # put each of those vectors within an ulp or so of a threshold, and
-        # alpha = 0 at n = 20 exactly on one (20 * 0.155 = 3.1 is a lattice
-        # point of the step 1/10): the cells must hold the exact decisions
-        model = _non_dyadic_model()
+        # alpha = 0 on a lattice point at some n (on the non-dyadic model at
+        # n = 20, 20 * 0.155 = 3.1 is one of the step 1/10): the cells must
+        # hold the exact decisions
+        model = _LAW_MODELS[name]
         law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
-        assert law.lattice[0] == Fraction(1, 10)
+        k = len(law.masses)
         real_crossings, crossings = splittree._crossings, []
 
         def recording_crossings(bounds, step, weight):
@@ -1334,8 +1381,8 @@ class TestCellLaw:
             return numerators, ranks
 
         monkeypatch.setattr(splittree, "_crossings", recording_crossings)
-        for n in (1, 3, 10, 20, 37):
-            columns = np.array(_compositions(n, 4), dtype=np.int64).T
+        for n in (1, 3, 10, 20) if k > 4 else (1, 3, 10, 20, 37):
+            columns = np.array(_compositions(n, k), dtype=np.int64).T
             s_min, s_max = _hull_sums(columns, law)
             root = math.sqrt(n)
             t_low = (s_min - n * mom.lower_mean) / (root * mom.lower_sd)
@@ -1358,9 +1405,10 @@ class TestCellLaw:
             scale = 2 * len(events.up) + 1
             steps = [int(ends[-2] - ends[-1]) for ends in (sums_law.mins, sums_law.maxs)]
             moving = [side for side in (0, 1) if steps[side]]
-            assert [c[:2] for c in crossings] == [(steps[s], (scale, 1)[s]) for s in moving]
+            along_b = [c for c in crossings if c[:2] in [(steps[s], (scale, 1)[s]) for s in moving]]
+            assert [c[:2] for c in along_b] == [(steps[s], (scale, 1)[s]) for s in moving]
             prefix = [*columns[:-2], 0 * columns[-1], columns[-2] + columns[-1]]
-            for side, (step, _, numerators, ranks) in zip(moving, crossings):
+            for side, (step, _, numerators, ranks) in zip(moving, along_b):
                 x = _hull_sums(prefix, sums_law)[side]
                 for x0, b, cell in zip(x.tolist(), columns[-2].tolist(), cells.tolist()):
                     crossed = sum((numerator - x0) // step <= b for numerator in numerators)
@@ -1369,7 +1417,7 @@ class TestCellLaw:
             # enumeration over those cells to 1e-15, and the exact cell law
             # in fractions to 1e-12 relative, on the same support
             want = np.zeros(events.size)
-            position = {v: i for i, v in enumerate(_compositions(n, 4))}
+            position = {v: i for i, v in enumerate(_compositions(n, k))}
             for vectors, pmf in _windowed_vectors(law, n):
                 index = [position[v] for v in zip(*(c.tolist() for c in vectors))]
                 want += np.bincount(cells[index], weights=pmf, minlength=events.size)
@@ -1677,12 +1725,14 @@ def _side_law(data, k):
 @settings(max_examples=40, deadline=None)
 def test_table_sizes_are_the_sizes_built(data):
     """The two sizes ``is_tabled`` compares are what ``_cell_law`` walks:
-    the prefixes it enumerates, and the window entries of the last split's
-    totals, each total's window pmf built once.  ``is_tabled`` holds at a
-    limit of the larger size and one above, not one below, and no chunk of
-    the build holds more than a block of elements: no window pmf, prefix
-    slice or cell lookup.  On these laws, whose sums move on both sides,
-    the cell law is the full windowed enumeration's to 1e-15."""
+    the prefixes it enumerates, and the window entries it builds, those of
+    the last split's totals, each total's window pmf built once, and on
+    laws whose last split moves one side, those of the leaf pair beside
+    it, once per prefix.  ``is_tabled`` holds at a limit of the larger size
+    and one above, not one below, and no chunk of the build holds more than
+    a block of elements: no window pmf, prefix slice, cell lookup or
+    ``bincount`` input.  On these laws, whose sums move on one side or
+    both, the cell law is the full windowed enumeration's to 1e-15."""
     k = data.draw(st.integers(2, 5))
     law = _side_law(data, k)
     n = data.draw(st.integers(1, {2: 5000, 3: 800, 4: 60, 5: 24}[k]))
@@ -1690,11 +1740,20 @@ def test_table_sizes_are_the_sizes_built(data):
     events = _EventCells.build(grid, default_alpha_pairs(grid))
     sums_law, cell_of, bounds = events.at(law, n)
     windows, prefixes, runs = [], [], []
+    lines, first_line = inspect.getsourcelines(splittree._cell_law)
+    last_split = first_line + next(i for i, line in enumerate(lines)
+                                   if "_window_pmfs(span" in line)
 
     def window_pmfs(totals, p, q):
         first, pmf = real_pmfs(totals, p, q)
-        windows.append((sys._getframe(1).f_code.co_name, totals.copy(), p, q, pmf.size))
+        caller = sys._getframe(1)
+        windows.append((caller.f_code.co_name, caller.f_lineno == last_split, totals.copy(),
+                        p, q, pmf.size))
         return first, pmf
+
+    def bincount(x, weights=None, minlength=0):
+        runs.append(len(x))
+        return real_bincount(x, weights, minlength)
 
     def recording_prefixes(*args):
         def recorded(span):
@@ -1707,20 +1766,27 @@ def test_table_sizes_are_the_sizes_built(data):
         runs.append(x_low.size)
         return cell_of(x_low, x_up)
 
-    real_pmfs, real_prefixes = splittree._window_pmfs, splittree._prefixes
+    real_pmfs, real_prefixes, real_bincount = (splittree._window_pmfs, splittree._prefixes,
+                                               np.bincount)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(splittree, "_window_pmfs", window_pmfs)
         patch.setattr(splittree, "_prefixes", recording_prefixes)
+        patch.setattr(np, "bincount", bincount)
         p_cell = _cell_law(sums_law, n, recording_cells, bounds, events.size)
-    assert np.abs(p_cell - _reference_cell_law(sums_law, n, cell_of, events.size)).max() <= 1e-15
-    tables = [(totals, p, q) for caller, totals, p, q, _ in windows if caller == "_cell_law"]
-    totals = np.concatenate([t for t, _, _ in tables])
+    want = _reference_cell_law(sums_law, n, cell_of, events.size)
+    assert np.abs(p_cell - want).max() <= 1e-15 and not p_cell[want == 0].any()
+    tables = [(last, totals, p, q) for caller, last, totals, p, q, _ in windows
+              if caller == "_cell_law"]
+    totals = np.concatenate([t for last, t, _, _ in tables if last])
     assert totals.tolist() == _last_totals(law, n, 2**40).tolist()  # each total once
+    pairs = [t for last, t, _, _ in tables if not last]
+    assert bool(pairs) == (splittree._sibling(law) is not None)
+    assert sum(map(len, pairs)) in (0, sum(prefixes))  # each prefix's pair window once
     entries = sum(int((stop - start + 1).sum())
-                  for start, _, stop in (_window(t, p, q) for t, p, q in tables))
+                  for start, _, stop in (_window(t, p, q) for _, t, p, q in tables))
     built = (sum(prefixes), entries)
     assert max(size for *_, size in windows) <= BLOCK_SIZE
-    assert max(prefixes) <= BLOCK_SIZE and max(runs) <= BLOCK_SIZE
+    assert max(prefixes) <= BLOCK_SIZE and max(runs, default=0) <= BLOCK_SIZE
     size = max(built)
     for limit in (size - 1, size, size + 1):
         sizes = _table_sizes(law, n, limit)
@@ -1730,20 +1796,28 @@ def test_table_sizes_are_the_sizes_built(data):
             assert is_tabled(law, n) == (size <= limit)
 
 
-@pytest.mark.parametrize("name, n", [("bernoulli", 1158), ("mixed", 1155)])
+@pytest.mark.parametrize("name, n", [("bernoulli", 12096), ("mixed", 6272)])
 def test_largest_tabled_n(name, n):
     # the sizes compared with TABLE_MAX_VECTORS are the prefixes and the
-    # window entries of the last split's totals that the build walks, at
-    # the largest tabled n and on both sides of it; no slice holds more
-    # than a quarter block of prefixes
+    # window entries that the build walks: those of the last split's
+    # totals, and on mixed those of the leaf pair beside it, per prefix; at
+    # the largest tabled n and on both sides of it.  No slice holds more
+    # than a quarter block of prefixes, nor more than half a block of pair
+    # window entries, unless it is one prefix
     law = MinMaxLaw.from_model(MODEL_REGISTRY[name])
-    k = len(law.masses)
+    k, sibling = len(law.masses), splittree._sibling(law)
+    assert (sibling is None) == (name == "bernoulli")
     for m in (n - 1, n, n + 1):
         totals = _last_totals(law, m, 2**40)
-        slices = [len(pmf) for _, pmf in next(_prefixes(law, m, [totals]))]
+        slices = [(counts, len(pmf)) for counts, pmf in next(_prefixes(law, m, [totals]))]
+        pairs = [int((stop - start + 1).sum()) if sibling else 0
+                 for start, _, stop in (_window(counts[sibling], *_shares(law.masses, *sibling))
+                                        if sibling else (0, 0, 0) for counts, _ in slices)]
         start, _, stop = _window(totals, *_shares(law.masses, k - 2, k))
-        sizes = (sum(slices), int((stop - start + 1).sum()))
-        assert max(slices) <= BLOCK_SIZE // 4
+        sizes = (sum(size for _, size in slices), sum(pairs) + int((stop - start + 1).sum()))
+        assert max(size for _, size in slices) <= BLOCK_SIZE // 4
+        assert all(entries <= BLOCK_SIZE // 2 or size == 1
+                   for entries, (_, size) in zip(pairs, slices))
         assert _table_sizes(law, m, 2**40) == sizes
         assert is_tabled(law, m) == (m <= n) == (max(sizes) <= montecarlo.TABLE_MAX_VECTORS)
 
@@ -1801,21 +1875,38 @@ def _mutant(function, old, new):
 
 
 @pytest.mark.parametrize("name, function, old, new", [
-    # the prefix's pmf not put in the cell at the mode
-    ("mixed", "_cell_law", "weight * mode_mass[t - span[0]]", "0 * weight"),
+    # the window's mass not put in the run that holds its mode
+    ("mixed", "_cell_law", "+ f_mass[row[at]][:, None, None] *", "+ 0 * f_mass[row[at]][:, None, None] *"),
     # bernoulli's last split moves only S_max, by -1: its rank counted up
     # as b grows instead of down, so each crossing moves the mass the
     # wrong way
     ("bernoulli", "_crossings", "distinct, ranks = distinct[::-1], ranks[::-1]",
      "distinct = distinct[::-1]"),
-    # where both sides move, the cell before a crossing read at its b, not b - 1
-    ("coin", "_cell_law", "for d in (0, 1))", "for d in (0, 0))"),
-    ("non_dyadic", "_cell_law", "for d in (0, 1))", "for d in (0, 0))"),
+    # where both sides move, each merged run's cell read one count early
+    ("coin", "_cell_law", "axis=1) - m\n", "axis=1) - m - 1\n"),
+    ("non_dyadic", "_cell_law", "axis=1) - m\n", "axis=1) - m - 1\n"),
 ])
 def test_closed_form_test_catches_a_fault_in_the_telescoped_sum(monkeypatch, name, function,
                                                                    old, new):
     monkeypatch.setattr(splittree, function, _mutant(getattr(splittree, function), old, new))
     with pytest.raises(AssertionError), np.errstate(divide="ignore", invalid="ignore"):
+        TestCellLaw().test_closed_form_matches_the_full_enumeration(name)
+
+
+@pytest.mark.parametrize("name, old, new", [
+    # each run of the pair's counts after a piece's first starts one count
+    # early, so the last count of a run is weighed in the next run: where a
+    # crossing's b rises with the count (mixed) and where it falls (seven
+    # hulls)
+    ("mixed", "m_c + (not rising)", "m_c + (not rising) - 1"),
+    ("seven_hulls", "m_c + (not rising)", "m_c + (not rising) - 1"),
+    # a run's weight out of the far tail: a difference of two values near
+    # 1, which keeps no relative accuracy in the near tail
+    ("mixed", "share = g_part[c] - g_part[stop]", "share = (1.0 + g_part[c]) - (1.0 + g_part[stop])"),
+])
+def test_closed_form_test_catches_a_fault_in_the_pair_runs(monkeypatch, name, old, new):
+    monkeypatch.setattr(splittree, "_cell_law", _mutant(splittree._cell_law, old, new))
+    with pytest.raises(AssertionError):
         TestCellLaw().test_closed_form_matches_the_full_enumeration(name)
 
 
@@ -1903,6 +1994,21 @@ def test_cell_law_does_not_depend_on_the_slicing(monkeypatch):
         got = _cell_law(sums_law, 256, cells, bounds, events.size)
     assert np.abs(got - want).max() <= 1e-15 and np.array_equal(got > 0, want > 0)
     assert sizes and max(sizes) <= 256
+
+
+@pytest.mark.parametrize("name, n", [("five_hulls", 30), ("seven_hulls", 13)])
+def test_cell_law_where_a_span_misses_a_parent_slice(monkeypatch, name, n):
+    """With blocks of 64 trials, the last split's parent comes in several
+    slices, and some span of the last split's totals is reached by no total
+    of some slice: that slice adds nothing (the build raised ValueError on
+    the empty slice), and the law is the full enumeration's to 1e-15."""
+    law = MinMaxLaw.from_model(_LAW_MODELS[name])
+    events = _EventCells.build(DEFAULT_ALPHA_GRID, default_alpha_pairs())
+    sums_law, cell_of, bounds = events.at(law, n)
+    want = _reference_cell_law(sums_law, n, cell_of, events.size)
+    monkeypatch.setattr(splittree, "BLOCK_SIZE", 64)
+    got = _cell_law(sums_law, n, cell_of, bounds, events.size)
+    assert np.abs(got - want).max() <= 1e-15 and not got[want == 0].any()
 
 
 def test_each_estimate_decides_and_logs_its_tabled_n(monkeypatch, caplog):
@@ -2078,13 +2184,13 @@ def _bernoulli_exact_events(law, n, alphas, pairs):
 
 
 class TestBernoulliOracle:
-    """The sampler against the paper's base case: at n = 1024 it draws from
-    the tabled cell law, at 4096 and 16384 by the split tree, where numpy's
-    binomial takes its BTPE branch (n p > 30) at the second level, which no
-    exact-law test at small n reaches."""
+    """The sampler against the paper's base case: at n = 1024 and 4096 it
+    draws from the tabled cell law, at 65536 by the split tree, where
+    numpy's binomial takes its BTPE branch (n p > 30) at the second level,
+    which no exact-law test at small n reaches."""
 
     @staticmethod
-    def _check(p_low, p_high, n_values=(1024, 4096, 16384), workers=None):
+    def _check(p_low, p_high, n_values=(1024, 4096, 65536), workers=None):
         model = bernoulli_model(p_low, p_high)
         law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
         assert law.mins.tolist() == [1.0, 0.0, 0.0] and law.maxs.tolist() == [1.0, 0.0, 1.0]
@@ -2092,7 +2198,7 @@ class TestBernoulliOracle:
         sim = estimate_events(plan, mom, workers=workers)
         pairs = plan.alpha_two_sided
         for n in plan.n_values:
-            assert is_tabled(law, n) == (n == 1024)
+            assert is_tabled(law, n) == (n <= 4096)
             exact = _bernoulli_exact_events(law, n, plan.alpha_one_sided, pairs)
             counts = [r.count for r in sim.rows_for(n)]
             assert len(counts) == len(exact) == 2 * len(plan.alpha_one_sided) + len(pairs)
@@ -2102,13 +2208,13 @@ class TestBernoulliOracle:
     def test_default_grid_matches_the_exact_law(self, p_low, p_high):
         self._check(p_low, p_high)
 
-    @pytest.mark.parametrize("n", [90, 2000])
+    @pytest.mark.parametrize("n", [90, 20000])
     def test_lattice_ties_keep_their_operators(self, n):
         """belief 0.1 and plausibility 0.7 of {1}, spelled as a model file
         spells them: the masses 0.1, 0.3 and 0.6 sum to 1 exactly, so
         n * lower_mean = n/10 and n * upper_mean = 7n/10 are reachable sums,
-        atoms of about 0.13 and 0.09 at n = 90 (tabled) and of 0.03 and 0.02
-        at n = 2000 (untabled).  ``T_low >= 0`` holds them, ``T_up < 0`` does
+        atoms of about 0.13 and 0.09 at n = 90 (tabled) and of 0.009 and
+        0.007 at n = 20000 (untabled).  ``T_low >= 0`` holds them, ``T_up < 0`` does
         not and ``T_up <= 0`` does.  (``bernoulli_model(0.1, 0.7)`` builds
         the same masses, each the exact difference of the decimals given.)
         A float route that rounds 90 * 0.7 to 62.99999999999999
@@ -2128,10 +2234,10 @@ class TestBernoulliOracle:
                  binom.sf(3 * n // 10 - 1, n, 0.3)]
         _z_test(list(zip(exact, counts)), plan.reps, n)
 
-    @pytest.mark.parametrize("n", [1024, 4096])
+    @pytest.mark.parametrize("n", [1024, 65536])
     def test_catches_a_swapped_split_share(self, monkeypatch, n):
         # every split takes the right share: the tree's root window and
-        # its binomials at 4096, the table's windows at 1024
+        # its binomials at 65536, the table's windows at 1024
         real = splittree._shares
         monkeypatch.setattr(splittree, "_shares", lambda *args: real(*args)[::-1])
         with pytest.raises(AssertionError, match=rf"\(0\.3, 0\.7, {n}\)"):
@@ -2162,13 +2268,13 @@ class TestBlockKeys:
         # gives other counts of the same event (README, Reproducibility)
         model = MODEL_REGISTRY["mixed"]
         law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
-        assert is_tabled(law, 16) and not is_tabled(law, 4096)
-        counts = {16: [], 4096: []}
+        assert is_tabled(law, 16) and not is_tabled(law, 16384)
+        counts = {16: [], 16384: []}
         for grid in ((0.0,), (0.0, 1.0), (-2.0, -1.0, 0.0, 0.5, 2.0)):
-            plan = SimPlan(model, n_values=(16, 4096), reps=50_000, seed=5,
+            plan = SimPlan(model, n_values=(16, 16384), reps=50_000, seed=5,
                            alpha_one_sided=grid, alpha_two_sided=())
             sim = estimate_events(plan, mom)
             for n, seen in counts.items():
                 seen += [r.count for r in sim.rows_for(n)
                          if r.kind == ONE_SIDED_LOWER and r.alpha1 == 0.0]
-        assert counts == {16: [26023, 25972, 25755], 4096: [25255] * 3}
+        assert counts == {16: [26023, 25972, 25755], 16384: [24907] * 3}
