@@ -222,19 +222,23 @@ def _prefixes(law: MinMaxLaw, n: int, spans: Sequence[np.ndarray]) -> Iterator[I
     to the last split's parent, the node [lo, k) with (lo + k) // 2 = k - 2,
     are made once, and so are that parent's window pmfs; only its split is
     cut to each span.  A node splits a slice at once, after cutting it where
-    it would pass a quarter block of window entries; a slice is cut last
-    where its sibling pair's windows would pass half a block."""
+    it would pass a quarter block of window entries, and a slice is cut
+    last where its sibling pair's windows would pass half a block."""
     k, sibling = len(law.masses), _sibling(law)
 
-    def halves(counts: dict, pmf: np.ndarray, node: tuple[int, int], limit: int):
-        """The slice, cut in halves until the windows of ``node``'s totals
-        hold at most ``limit`` entries or it is one prefix."""
+    def cut(counts: dict, pmf: np.ndarray, node: tuple[int, int], limit: int):
+        """The slice, cut in order into the fewest parts whose windows of
+        ``node``'s totals hold at most ``limit`` entries, or one prefix."""
         start, _, stop = _window(counts[node], *_shares(law.masses, *node))
-        if len(pmf) == 1 or (stop - start + 1).sum() <= limit:
+        before, cuts = np.concatenate([[0], np.cumsum(stop - start + 1)]), [0]
+        while cuts[-1] < len(pmf):
+            end = before.searchsorted(before[cuts[-1]] + limit, side="right") - 1
+            cuts.append(max(cuts[-1] + 1, int(end)))
+        if len(cuts) == 2:
             yield counts, pmf
             return
-        for part in (slice(0, len(pmf) // 2), slice(len(pmf) // 2, None)):
-            yield from halves({c: v[part] for c, v in counts.items()}, pmf[part], node, limit)
+        for part in map(slice, cuts, cuts[1:]):
+            yield {c: v[part] for c, v in counts.items()}, pmf[part]
 
     def split(counts: dict, pmf: np.ndarray, node: tuple[int, int], start: np.ndarray,
               stop: np.ndarray, pmfs: tuple[np.ndarray, np.ndarray], todo: list):
@@ -256,20 +260,10 @@ def _prefixes(law: MinMaxLaw, n: int, spans: Sequence[np.ndarray]) -> Iterator[I
         first; a slice that reaches the last split's parent stops there, as
         (counts, pmf, (parent, start, stop, its window pmfs), nodes left)."""
         if not todo:
-            if sibling is None:
-                yield counts, pmf
-                return
-            # cut where the pair's windows would pass half a block
-            start, _, stop = _window(counts[sibling], *_shares(law.masses, *sibling))
-            before, cuts = np.concatenate([[0], np.cumsum(stop - start + 1)]), [0]
-            while cuts[-1] < len(pmf):
-                end = before.searchsorted(before[cuts[-1]] + BLOCK_SIZE // 2, side="right") - 1
-                cuts.append(max(cuts[-1] + 1, int(end)))
-            for part in map(slice, cuts, cuts[1:]):
-                yield {c: v[part] for c, v in counts.items()}, pmf[part]
+            yield from cut(counts, pmf, sibling, BLOCK_SIZE // 2) if sibling else [(counts, pmf)]
             return
         node, rest = todo[-1], todo[:-1]
-        for counts, pmf in halves(counts, pmf, node, BLOCK_SIZE // 4):
+        for counts, pmf in cut(counts, pmf, node, BLOCK_SIZE // 4):
             totals, (p, q) = counts[node], _shares(law.masses, *node)
             start, _, stop = _window(totals, p, q)
             pmfs = _window_pmfs(totals, p, q)
@@ -278,7 +272,7 @@ def _prefixes(law: MinMaxLaw, n: int, spans: Sequence[np.ndarray]) -> Iterator[I
             else:
                 yield from split(counts, pmf, node, start, stop, pmfs, rest)
 
-    def cut(span: np.ndarray):
+    def within(span: np.ndarray):
         for counts, pmf, (node, start, stop, pmfs), rest in parents:
             totals = counts[node]
             yield from split(counts, pmf, node, np.maximum(start, totals - span[-1]),
@@ -287,7 +281,7 @@ def _prefixes(law: MinMaxLaw, n: int, spans: Sequence[np.ndarray]) -> Iterator[I
     if k == 2:  # the root is the last split
         return ([({(0, 2): np.array([n])}, np.ones(1))] for _ in spans)
     parents = list(expand({(0, k): np.array([n])}, np.ones(1), [(0, k)]))
-    return map(cut, spans)
+    return map(within, spans)
 
 
 def _crossings(bounds: np.ndarray, step: int, weight: int) -> tuple[np.ndarray, np.ndarray]:
