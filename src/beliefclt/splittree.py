@@ -434,11 +434,12 @@ def _cell_law(law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray],
                 # on a piece's first and last c it is m + (base - slope *
                 # (c - m_c)) // step, in t's window
                 live = (a < e).ravel().nonzero()[0]  # the pieces that hold a count
-                live_rows, a_live, e_live = live // pieces, a.ravel()[live], e.ravel()[live]
-                b_a, b_e = (np.minimum(np.maximum(
-                    m + (base[live_rows] - slope * (c[:, None] - m_c)) // step if len(moving) == 1
-                    else crossed[live_rows], low[live_rows]), high[live_rows])
-                    for c in (a_live, e_live - 1))
+                live_rows = live // pieces
+                b_a = b_e = crossed[live_rows]
+                if len(moving) == 1 and slope:
+                    b_a, b_e = (np.minimum(np.maximum(
+                        m + (base[live_rows] - slope * (c[:, None] - m_c)) // step,
+                        low[live_rows]), high[live_rows]) for c in (a.ravel()[live], e.ravel()[live] - 1))
                 widths = (np.abs(b_e - b_a) + 1).ravel()
                 group = np.arange(len(widths))
                 piece, crossing = live[group // runs], group % runs
@@ -452,7 +453,7 @@ def _cell_law(law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray],
                 f_rows = row[at][r] * f_width + m
                 b_pair = crossed.ravel()[r * runs + crossing] - m
                 pair_mass = g_mass[at][r] * holds.ravel()[piece]
-                if len(moving) == 1:  # a later run starts where its crossing reaches b
+                if widths.sum() > len(widths):  # where a later run of c starts
                     y_first = sign * (base.ravel()[r * runs + crossing] - (not rising) * step)
                     c_rows = g_rows + m_c + (not rising)
                 g_part = g_table[at].ravel()
@@ -462,30 +463,32 @@ def _cell_law(law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray],
                 parts = [0, *ends.searchsorted(np.arange(BLOCK_SIZE // 4, ends[-1] if len(ends) else 0,
                                                          BLOCK_SIZE // 4), side="right"), len(widths)]
                 for g0, g1 in zip(parts, parts[1:]):
-                    width = widths[g0:g1]
-                    last = width.cumsum() - 1
-                    group = np.arange(g1 - g0).repeat(width)
-                    b = b_first[g0:g1][group]
-                    c = g_first[g0:g1]
-                    if len(group) > g1 - g0:  # some piece has runs of c at several b
+                    width, f_at, mode_mass = widths[g0:g1], f_rows[g0:g1], pair_mass[g0:g1]
+                    b, c, stop = b_first[g0:g1], g_first[g0:g1], g_end[g0:g1]
+                    beyond = mode_mass * f_table[f_at + b_pair[g0:g1]]
+                    below = mode_mass * (b_pair[g0:g1] <= 0)
+                    if width.sum() == len(width):  # each piece has one run of c
+                        share = g_part[c] - g_part[stop]
+                        beyond += f_table[f_at + b] * share
+                        below += (b <= 0) * share
+                    else:  # a later run starts where its crossing reaches b
+                        last = width.cumsum() - 1
                         heads = last - width + 1
+                        group = np.arange(g1 - g0).repeat(width)
                         offset = np.arange(len(group)) - heads[group]
-                        b += offset if rising else -offset
+                        b = b[group] + (offset if rising else -offset)
                         y = y_first[g0:g1][group] - b * (sign * step)
                         y //= reach
                         starts = c_rows[g0:g1][group] + (-y if rising else y)
                         starts[heads] = c
-                        c = starts
-                    stop = np.empty_like(c)
-                    stop[:-1] = c[1:]
-                    stop[last] = g_end[g0:g1]
-                    share = g_part[c] - g_part[stop]
-                    f_at, mode_mass = f_rows[g0:g1], pair_mass[g0:g1]
-                    flat[0, slots[g0:g1]] = (np.bincount(group, f_table[f_at[group] + b] * share,
-                                                         minlength=g1 - g0)
-                                             + mode_mass * f_table[f_at + b_pair[g0:g1]])
-                    flat[1, slots[g0:g1]] = (np.bincount(group, (b <= 0) * share, minlength=g1 - g0)
-                                             + mode_mass * (b_pair[g0:g1] <= 0))
+                        ends_at = np.empty_like(starts)
+                        ends_at[:-1] = starts[1:]
+                        ends_at[last] = stop
+                        share = g_part[starts] - g_part[ends_at]
+                        beyond += np.bincount(group, f_table[f_at[group] + b] * share,
+                                              minlength=g1 - g0)
+                        below += np.bincount(group, (b <= 0) * share, minlength=g1 - g0)
+                    flat[:, slots[g0:g1]] = beyond, below
                 beyond, below = sums
                 below[:, :, 0] = (g_part[np.arange(count)[:, None] * g_width + a]
                                   - g_part[np.arange(count)[:, None] * g_width + e]

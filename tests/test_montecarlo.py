@@ -1214,8 +1214,8 @@ class TestCellLaw:
             "mixed": (0, 2), "non_dyadic": None, "five_hulls": None, "seven_hulls": (3, 5)}
 
     def test_closed_form_matches_the_full_enumeration_of_mixed_at_256(self):
-        # 31476 prefixes against 2633569 windowed vectors, on the 21-point
-        # grid and its pairs
+        # 214 prefixes, each with its pair window, against 2633569 windowed
+        # vectors, on the 21-point grid and its pairs
         model = MODEL_REGISTRY["mixed"]
         law = MinMaxLaw.from_model(model)
         assert is_tabled(law, 256)
@@ -1901,8 +1901,11 @@ def test_closed_form_test_catches_a_fault_in_the_telescoped_sum(monkeypatch, nam
     ("mixed", "m_c + (not rising)", "m_c + (not rising) - 1"),
     ("seven_hulls", "m_c + (not rising)", "m_c + (not rising) - 1"),
     # a run's weight out of the far tail: a difference of two values near
-    # 1, which keeps no relative accuracy in the near tail
+    # 1, which keeps no relative accuracy in the near tail, on a piece of
+    # one run of c and on a piece of several
     ("mixed", "share = g_part[c] - g_part[stop]", "share = (1.0 + g_part[c]) - (1.0 + g_part[stop])"),
+    ("mixed", "share = g_part[starts] - g_part[ends_at]",
+     "share = (1.0 + g_part[starts]) - (1.0 + g_part[ends_at])"),
 ])
 def test_closed_form_test_catches_a_fault_in_the_pair_runs(monkeypatch, name, old, new):
     monkeypatch.setattr(splittree, "_cell_law", _mutant(splittree._cell_law, old, new))
