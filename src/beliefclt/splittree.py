@@ -151,8 +151,8 @@ def _sibling(law: MinMaxLaw) -> tuple[int, int] | None:
     """The node beside the last split's, [lo, k - 2) under the last split's
     parent, where it is a pair of leaves whose split the cell law sums in
     closed form (``_cell_law``): the last split moves one side of the sums
-    on the lattice, by s per unit of its left count c, and a unit of the
-    pair's left count moves that side by d, |d| < |s|, so each of that
+    on the lattice, by s per unit of its left count b, and a unit of the
+    pair's left count c moves that side by d, |d| < |s|, so each of that
     side's crossings stays put over runs of the pair's counts.  Else None,
     and the pair, if any, is enumerated with the other splits."""
     k, lo = len(law.masses), 0
@@ -199,11 +199,9 @@ def _table_sizes(law: MinMaxLaw, n: int, limit: int) -> tuple[int, int]:
             entries[part] = np.bincount(row, np.minimum(v1 * e2 + e1 * v2, limit + 1))
         # past the limit, or cut short with a pair below, a count is limit + 1
         over = vectors.sum() > limit
-        if over or entries.sum() > limit:
-            beneath = sibling is not None and lo <= sibling[0] < hi
-            return (zero + limit + 1 if over else vectors,
-                    zero + limit + 1 if beneath or not over else entries)
-        return vectors, entries
+        short = over and sibling is not None and lo <= sibling[0] < hi
+        return (zero + limit + 1 if over else vectors,
+                zero + limit + 1 if short or entries.sum() > limit else entries)
 
     if totals is None:  # each total has a prefix
         return limit + 1, limit + 1
