@@ -1,0 +1,57 @@
+"""The laws whose cell laws the tests check: the registry models and four
+more, each reaching a different branch of the build (``splittree._cell_law``)."""
+
+from beliefclt import MODEL_REGISTRY, BeliefModel, FocalElement
+
+
+def non_dyadic_model():
+    # endpoints 0.1, 0.3, 0.7 and 0.2 are not exact in binary, so hull sums
+    # round and their bits depend on the order of the additions
+    return BeliefModel(
+        [(FocalElement([(0.1, 0.3)]), 0.25),
+         (FocalElement([(0.2, 0.7)]), 0.35),
+         (FocalElement([(0.3, 0.3)]), 0.1),
+         (FocalElement([(0.1, 0.2), (0.3, 0.7)]), 0.3)], 1.0)
+
+
+def five_hull_model():
+    # five hulls: the last split's sibling is one leaf, so there is no
+    # closed pair; the last split (hulls 3 and 4) moves S_min only
+    return BeliefModel(
+        [(FocalElement([(0.0, 1.0)]), 0.2),
+         (FocalElement([(0.5, 1.5)]), 0.15),
+         (FocalElement([(-1.0, 0.5)]), 0.25),
+         (FocalElement([(1.0, 2.0)]), 0.3),
+         (FocalElement([(-0.5, 2.0)]), 0.1)], 3.0)
+
+
+def seven_hull_model():
+    # seven hulls: the last split (hulls 5 and 6) moves S_max only, by 1/2,
+    # and the leaf pair beside it (hulls 3 and 4) moves each side by 1/4, so
+    # its split is summed in closed form below prefixes of three other
+    # splits, its window cut where S_min crosses a threshold
+    return BeliefModel(
+        [(FocalElement([(0.0, 1.0)]), 0.1),
+         (FocalElement([(0.25, 0.5)]), 0.2),
+         (FocalElement([(-1.0, 0.75)]), 0.1),
+         (FocalElement([(0.75, 1.25)]), 0.15),
+         (FocalElement([(0.5, 1.0)]), 0.15),
+         (FocalElement([(-0.5, 1.5)]), 0.2),
+         (FocalElement([(-0.5, 1.0)]), 0.1)], 2.0)
+
+
+def falling_pair_model():
+    # four hulls: the last split (hulls 2 and 3) moves S_min by -2 as its
+    # left count grows, a falling step, and S_max not at all; the pair
+    # beside it (hulls 0 and 1) leaves S_min still (d = 0) and moves S_max
+    # by -1, so each crossing of S_min holds one b over the pair's window
+    return BeliefModel(
+        [(FocalElement([(0.0, 1.0)]), 0.3),
+         (FocalElement([(0.0, 2.0)]), 0.2),
+         (FocalElement([(-1.0, 1.5)]), 0.25),
+         (FocalElement([(1.0, 1.5)]), 0.25)], 2.0)
+
+
+LAW_MODELS = {**MODEL_REGISTRY, "non_dyadic": non_dyadic_model(),
+              "five_hulls": five_hull_model(), "seven_hulls": seven_hull_model(),
+              "falling_pair": falling_pair_model()}

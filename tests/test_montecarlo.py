@@ -60,6 +60,7 @@ from beliefclt.splittree import (
 )
 
 from _helpers import random_model
+from _laws import LAW_MODELS as _LAW_MODELS
 from _intervals import complement
 
 
@@ -1026,42 +1027,6 @@ def _exact_pmf(vector, masses):
     return p
 
 
-def _non_dyadic_model():
-    # endpoints 0.1, 0.3, 0.7 and 0.2 are not exact in binary, so hull sums
-    # round and their bits depend on the order of the additions
-    return BeliefModel(
-        [(FocalElement([(0.1, 0.3)]), 0.25),
-         (FocalElement([(0.2, 0.7)]), 0.35),
-         (FocalElement([(0.3, 0.3)]), 0.1),
-         (FocalElement([(0.1, 0.2), (0.3, 0.7)]), 0.3)], 1.0)
-
-
-def _five_hull_model():
-    # five hulls: the last split's sibling is one leaf, so each prefix has a
-    # pair window of one entry; the last split (hulls 3 and 4) moves S_min only
-    return BeliefModel(
-        [(FocalElement([(0.0, 1.0)]), 0.2),
-         (FocalElement([(0.5, 1.5)]), 0.15),
-         (FocalElement([(-1.0, 0.5)]), 0.25),
-         (FocalElement([(1.0, 2.0)]), 0.3),
-         (FocalElement([(-0.5, 2.0)]), 0.1)], 3.0)
-
-
-def _seven_hull_model():
-    # seven hulls: the last split (hulls 5 and 6) moves S_max only, by 1/2,
-    # and the leaf pair beside it (hulls 3 and 4) moves each side by 1/4, so
-    # its split is summed in closed form below prefixes of three other
-    # splits, its window cut where S_min crosses a threshold
-    return BeliefModel(
-        [(FocalElement([(0.0, 1.0)]), 0.1),
-         (FocalElement([(0.25, 0.5)]), 0.2),
-         (FocalElement([(-1.0, 0.75)]), 0.1),
-         (FocalElement([(0.75, 1.25)]), 0.15),
-         (FocalElement([(0.5, 1.0)]), 0.15),
-         (FocalElement([(-0.5, 1.5)]), 0.2),
-         (FocalElement([(-0.5, 1.0)]), 0.1)], 2.0)
-
-
 _MASSES = ((1.0,), (0.5, 0.5), (0.3, 0.3, 0.4), (0.1, 0.25, 0.3, 0.35))
 
 
@@ -1116,10 +1081,9 @@ def _true_run(inside, n):
 # the 21-point alpha grid of the dense_grid benchmark workload
 _DENSE_GRID = tuple(-2.5 + 0.25 * i for i in range(21))
 
-_LAW_MODELS = {**MODEL_REGISTRY, "non_dyadic": _non_dyadic_model(),
-               "five_hulls": _five_hull_model(), "seven_hulls": _seven_hull_model()}
 # the largest n at which the full enumeration of each is checked
-_ENUMERATED_N = dict.fromkeys(_LAW_MODELS, 90) | {"five_hulls": 40, "seven_hulls": 14}
+_ENUMERATED_N = dict.fromkeys(_LAW_MODELS, 90) | {"five_hulls": 40, "seven_hulls": 14,
+                                                  "falling_pair": 60}
 
 
 def _model_cell_law(model, n, alphas=DEFAULT_ALPHA_GRID):
@@ -1207,11 +1171,12 @@ class TestCellLaw:
         # mixed: the last split moves S_min by 8 steps, the pair S_min by
         # -1; bernoulli and five hulls have no pair; coin's and the
         # non-dyadic model's last splits move both sides; seven hulls: S_max
-        # by 2 and 1
+        # by 2 and 1; the falling pair: S_min by -4 and 0
         assert {name: splittree._sibling(MinMaxLaw.from_model(model))
                 for name, model in _LAW_MODELS.items()} == {
             "bernoulli": None, "coin": None, "two_interval": None, "union_parts": None,
-            "mixed": (0, 2), "non_dyadic": None, "five_hulls": None, "seven_hulls": (3, 5)}
+            "mixed": (0, 2), "non_dyadic": None, "five_hulls": None, "seven_hulls": (3, 5),
+            "falling_pair": (0, 2)}
 
     def test_closed_form_matches_the_full_enumeration_of_mixed_at_256(self):
         # 214 prefixes, each with its pair window, against 2633569 windowed
@@ -1463,7 +1428,7 @@ class TestCellLaw:
 
 
 def _non_dyadic_wide_model():
-    # ``_non_dyadic_model`` with the endpoint 0.1 of its first hull moved to
+    # ``_laws.non_dyadic_model`` with the endpoint 0.1 of its first hull moved to
     # 1e-20: the step 1e-20 makes 0.7 the integer 7e19, past one int64 limb
     # at every n, so the hull sums take two
     return BeliefModel(
