@@ -306,7 +306,8 @@ def _rank_function(bounds: np.ndarray, weight: int,
 
     One-limb bounds read it from a table of its values over
     [min(bounds) - 1, max(bounds)], to which x is clipped in place, wherever
-    that span has at most ``TABLE_MAX_VECTORS`` entries.  Two-limb bounds,
+    that span has at most ``TABLE_MAX_VECTORS`` entries: each rank repeated
+    over the gap up to the next sorted bound.  Two-limb bounds,
     the rows (hi, lo) of ``_limbs``, are compared lexicographically with
     the carried sums (``_carry``).
     """
@@ -329,7 +330,8 @@ def _rank_function(bounds: np.ndarray, weight: int,
     lo, hi = min(bounds.tolist(), default=1) - 1, max(bounds.tolist(), default=0)
     if hi - lo >= TABLE_MAX_VECTORS:
         return ranks
-    table = ranks(np.arange(lo, hi + 1, dtype=np.int64))
+    table = np.repeat((weight * np.arange(len(bounds) + 1)).astype(dtype),
+                      np.diff(np.sort(bounds), prepend=lo, append=hi + 1))
 
     def lookup(x: np.ndarray) -> np.ndarray:
         np.clip(x, lo, hi, out=x)
@@ -455,7 +457,7 @@ def _sampler(law: MinMaxLaw, events: _EventCells, n: int, tabled: bool) -> tuple
     n its split tree's root window and no cell law."""
     sums_law, cell_of, bounds = events.at(law, n)
     if tabled:
-        return sums_law, cell_of, _cell_law(sums_law, n, cell_of, bounds, events.size), None
+        return sums_law, cell_of, _cell_law(sums_law, n, bounds), None
     return sums_law, cell_of, None, _root_window(sums_law, n, TABLE_MAX_VECTORS)
 
 

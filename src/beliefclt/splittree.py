@@ -9,17 +9,18 @@ cell (``_cell_law``): the count vectors of every split but the last
 (``_prefixes``), each a product of windowed pmfs, with the last split
 summed in closed form over the runs between the thresholds it crosses
 (``_crossings``), each run's mass out of the nearer tail of its window
-(``_tails``), and where the last split moves one side of the sums, the
-split of the leaf pair beside it (``_sibling``) summed in closed form
-too.  ``_table_sizes`` counts what that build walks from the window
-bounds alone, and ``_root_window`` is the root's window, over which the
-tree draws its first split.
+(``_tails``).  Where the leaf pair beside the last split has a closed
+form too (``_sibling``), its split is summed the same way; any other
+law reads each run's cell from the thresholds.  ``_table_sizes`` counts
+what that build walks from the window bounds alone, and
+``_root_window`` is the root's window, over which the tree draws its
+first split.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -316,40 +317,36 @@ def _tails(pmf: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.hstack([zero, -pmf[:, :m], pmf[:, m + 1:], zero]), mass
 
 
-def _cell_law(law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray],
-              bounds: tuple[np.ndarray, np.ndarray], length: int) -> np.ndarray:
+def _cell_law(law: MinMaxLaw, n: int, bounds: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The law of one trial's event cell at a tabled (law, n), ``law`` on
-    its lattice with twice its sums in int64 (``montecarlo.is_tabled``):
-    ``cell_of`` maps the integer hull sums S/h to cells, of which there are
-    ``length``, by the thresholds ``bounds`` of S_min/h and S_max/h
+    its lattice with twice its sums in int64 (``montecarlo.is_tabled``),
+    by the thresholds ``bounds`` of S_min/h and S_max/h
     (``montecarlo._EventCells.at``): cell = (len(bounds[1]) + 1) * (low
     rank) + (up rank), each rank the thresholds at or below its sum.
 
     The last split of the tree gives b of its total t to hull k - 2 and
     t - b to hull k - 1, so on each prefix (``_prefixes``) S/h moves by
     the fixed integer s per unit of b, and a side's rank moves only where
-    b crosses one of its thresholds (``_crossings``): the runs of b between
-    two crossings, or a crossing and an end of t's window, each hold one
-    cell.  A run's mass is a difference of the window's tails out of the
-    nearer one (``_tails``), plus the window's mass where the run holds its
-    mode.  Where one side moves with b, the split of the ``_sibling`` pair,
-    c of its total to its first leaf, is summed in closed form too: a unit
-    of c moves the sums by a fixed d, so each crossing's b is floor-linear
-    in c and stays put over runs of about |s / d| counts, and the other
-    side's rank moves only where c crosses one of its thresholds, which cut
-    the pair's window into pieces.  Per piece and crossing, ``beyond`` sums
-    the table of t's window at the crossing's b, and ``below`` the pair's
-    mass whose b is at or below the mode, over the runs of c, each weighted
-    by the pair's mass on it, also a difference out of the nearer tail.
-    The run of b between two crossings then gets, per piece, the difference
-    of their ``beyond``, plus the window's mass times that of their
-    ``below``.  Where two crossings have the same b at every c of a piece,
-    their sums are equal bit for bit, so a cell no count reaches stays
-    exactly 0.  A prefix with no such pair has a pair window of one entry.
-    Where both sides move with b, the pair is enumerated, and the crossings
-    of both sides are merged into the runs, whose cells are looked up.
-    The totals go half a block of window entries at a time, and no array
-    of runs passes a quarter block.  The sum is divided by its total.
+    b crosses one of its thresholds (``_crossings``).  The mass of the b at
+    or past a column is a sum out of the nearer tail of t's window
+    (``_tails``), so each run of b gets the difference of that mass at its
+    two ends.  With no closed pair beside the last split (``_sibling``),
+    the runs lie between the merged crossings of every moving side and the
+    two ends of t's window, and each run's cell is read from ``bounds`` at
+    its first b.  With one, one side moves with b, and the pair's split, c
+    of its total to its first leaf, is summed in closed form too: a unit of
+    c moves the sums by a fixed d, so each crossing's b is floor-linear in
+    c and stays put over runs of about |s / d| counts, and the other side's
+    rank moves only where c crosses one of its thresholds, which cut the
+    pair's window into pieces.  Per piece and crossing, ``beyond`` sums the
+    table of t's window at the crossing's b, and ``below`` the pair's mass
+    whose b is at or below the mode, over the runs of c, each weighted by
+    the pair's mass on it, also a difference out of the nearer tail; the
+    run of b between two crossings gets the difference of their sums.
+    Where two crossings have the same b at every c of a piece, their sums
+    are equal bit for bit, so a cell no count reaches stays exactly 0.  The
+    totals go half a block of window entries at a time, and no array of
+    runs passes a quarter block.  The sum is divided by its total.
     """
     k = len(law.masses)
     p, q = _shares(law.masses, k - 2, k)
@@ -359,23 +356,25 @@ def _cell_law(law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray],
     spans = [totals[c:c + chunk] for c in range(0, len(totals), chunk)]
     sibling = _sibling(law)
     steps = [int(ends[k - 2] - ends[k - 1]) for ends in (law.mins, law.maxs)]
-    slopes = [int(ends[sibling[0]] - ends[sibling[0] + 1]) if sibling else 0
-              for ends in (law.mins, law.maxs)]
-    scale = len(bounds[1]) + 1  # the low rank's weight in a cell
+    weights = (len(bounds[1]) + 1, 1)  # of the low rank and the up rank in a cell
+    ordered = [np.sort(side) for side in bounds]
+
+    def rank(side: int, x: np.ndarray) -> np.ndarray:
+        return weights[side] * ordered[side].searchsorted(x, side="right")
+
     moving = [side for side in (0, 1) if steps[side]]
-    crossings = [_crossings(bounds[side], steps[side], (scale, 1)[side]) for side in moving]
-    if len(moving) == 1:
+    crossings = [_crossings(bounds[side], steps[side], weights[side]) for side in moving]
+    pieces, runs = 1, sum(len(numerators) for numerators, _ in crossings)
+    if sibling:
         (side,), ((numerators, ranks),) = moving, crossings
-        other = 1 - side
+        other, shares = 1 - side, _shares(law.masses, *sibling)
+        slopes = [int(ends[sibling[0]] - ends[sibling[0] + 1]) for ends in (law.mins, law.maxs)]
         cuts = (_crossings(bounds[other], slopes[other], 1)[0] if slopes[other]
                 else np.zeros(0, dtype=np.int64))
-        ordered = np.sort(bounds[other])  # the other side's rank counts those at or below it
-        pieces, runs = len(cuts) + 1, len(numerators)
-        step, slope = steps[side], slopes[side]
-        rising, sign, reach = step * slope < 0, (1 if step > 0 else -1), abs(slope)
-    else:
-        pieces, runs = 1, sum(len(numerators) for numerators, _ in crossings)
-    p_cell = np.zeros(length)
+        pieces, step, slope = len(cuts) + 1, steps[side], slopes[side]
+        # where d = 0 each run of c is its piece's first, whose start y is not read
+        rising, sign, reach = step * slope < 0, (1 if step > 0 else -1), abs(slope) or 1
+    p_cell = np.zeros((len(bounds[0]) + 1) * weights[0])
     for span, prefixes in zip(spans, _prefixes(law, n, spans)):
         first, f_table = _window_pmfs(span, p, q)
         m = int(mode[span[0] - totals[0]] - first[0])
@@ -386,19 +385,16 @@ def _cell_law(law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray],
             t = counts.pop((k - 2, k))
             row = t - span[0]
             b_lo, b_hi = lo[t - totals[0]] - first[row], hi[t - totals[0]] - first[row] + 1
+            pair = []
             if sibling:
                 size = counts.pop(sibling)
-                shares = _shares(law.masses, *sibling)
                 c_first, g_table = _window_pmfs(size, *shares)
                 c_lo, c_mode, c_hi = _window(size, *shares)
                 m_c = int(c_mode[0] - c_first[0])
                 g_table, g_mass = _tails(g_table, m_c)
                 c_lo, c_hi, pair = c_lo - c_first, c_hi - c_first + 1, [c_mode, size - c_mode]
-            else:  # a pair window of one entry
-                m_c, c_lo, c_hi, pair = 0, 0 * t, 0 * t + 1, []
-                g_table, g_mass = np.zeros((len(t), 2)), np.ones(len(t))
-            g_width = g_table.shape[1]
-            # the sums at the modes of both windows, a count vector of the law
+                g_width = g_table.shape[1]
+            # the sums at the modes of the windows, a count vector of the law
             leaves = [counts[h, h + 1] for h in range(k - 2 - len(pair))]
             x = _hull_sums(leaves + pair + [mode[t - totals[0]], t - mode[t - totals[0]]], law)
             rows = max(1, BLOCK_SIZE // 4 // (pieces * (runs + 2)))
@@ -406,95 +402,83 @@ def _cell_law(law: MinMaxLaw, n: int, cell_of: Callable[..., np.ndarray],
                 at = slice(part, part + rows)
                 xm = [x0[at] for x0 in x]
                 count, low, high = len(xm[0]), b_lo[at, None], b_hi[at, None]
-                if len(moving) == 1:
+                if not sibling:
+                    # the bounds of the runs of b, as columns of t's window
+                    bound = np.concatenate([low, high] + [
+                        m + (numerators - xm[s][:, None]) // steps[s]
+                        for s, (numerators, _) in zip(moving, crossings)], axis=1)
+                    bound = np.sort(np.minimum(np.maximum(bound, low), high), axis=1)[:, None]
+                    cells = sum(rank(s, xm[s][:, None, None] + steps[s] * (bound[..., :-1] - m))
+                                for s in (0, 1))
+                    beyond = f_table[(row[at] * f_width)[:, None, None] + bound]
+                    below = 1.0 * (bound <= m)
+                else:
                     # the pieces of the pair window on which the other side's rank holds
-                    cut = m_c + ((cuts - xm[other][:, None]) // slopes[other] if slopes[other]
-                                 else np.zeros((count, 0), dtype=np.int64))
+                    cut = m_c + (cuts - xm[other][:, None]) // slopes[other]
                     a = np.concatenate([c_lo[at, None], np.minimum(np.maximum(cut, c_lo[at, None]),
                                                                    c_hi[at, None])], axis=1)
                     e = np.concatenate([a[:, 1:], c_hi[at, None]], axis=1)
-                    fixed = (scale, 1)[other] * ordered.searchsorted(
-                        xm[other][:, None] + slopes[other] * (a - m_c), side="right")
-                    cells = fixed[:, :, None] + ranks
+                    cells = (rank(other, xm[other][:, None] + slopes[other] * (a - m_c))[:, :, None]
+                             + ranks)
                     base = numerators - xm[side][:, None]
-                    crossed = np.minimum(np.maximum(m + base // step, low), high)
-                else:
-                    # one count: the runs between the merged crossings of both sides
-                    a, e = c_lo[at, None], c_hi[at, None]
-                    crossed = np.concatenate([np.zeros((count, 0), dtype=np.int64)] + [
-                        (numerators - xm[s][:, None]) // steps[s]
-                        for s, (numerators, _) in zip(moving, crossings)], axis=1)
-                    crossed.sort(axis=1)
-                    crossed = np.minimum(np.maximum(m + crossed, low), high)
-                    starts = np.concatenate([low, crossed], axis=1) - m
-                    cells = cell_of(*(x0[:, None] + s * starts for x0, s in zip(xm, steps)))[:, None]
-                # ``crossed``: each crossing's b column at the pair's mode;
-                # on a piece's first and last c it is m + (base - slope *
-                # (c - m_c)) // step, in t's window
-                live = (a < e).ravel().nonzero()[0]  # the pieces that hold a count
-                live_rows = live // pieces
-                b_a = b_e = crossed[live_rows]
-                if len(moving) == 1 and slope:
-                    b_a, b_e = (np.minimum(np.maximum(
-                        m + (base[live_rows] - slope * (c[:, None] - m_c)) // step,
-                        low[live_rows]), high[live_rows]) for c in (a.ravel()[live], e.ravel()[live] - 1))
-                widths = (np.abs(b_e - b_a) + 1).ravel()
-                group = np.arange(len(widths))
-                piece, crossing = live[group // runs], group % runs
-                r, holds = piece // pieces, (a <= m_c) & (m_c < e)
-                slots = piece * (runs + 2) + crossing + 1
-                # per run of c: its first c and last c + 1 as columns of the
-                # pair table g_part, b - m, and b as a column of f_table
-                g_rows = r * g_width
-                g_first, g_end = g_rows + a.ravel()[piece], g_rows + e.ravel()[piece]
-                b_first = b_a.ravel() - m
-                f_rows = row[at][r] * f_width + m
-                b_pair = crossed.ravel()[r * runs + crossing] - m
-                pair_mass = g_mass[at][r] * holds.ravel()[piece]
-                if widths.sum() > len(widths):  # where a later run of c starts
+                    live = (a < e).ravel().nonzero()[0]  # the pieces that hold a count
+                    live_rows = live // pieces
+                    # each crossing's b column at the pair's mode, and at the
+                    # first and last c of each piece: m + (base - slope * (c -
+                    # m_c)) // step, in t's window
+                    b_mode, b_a, b_e = (np.minimum(np.maximum(
+                        m + (base[r] - slope * (c - m_c)) // step, low[r]), high[r])
+                        for r, c in ((slice(None), m_c), (live_rows, a.ravel()[live, None]),
+                                     (live_rows, e.ravel()[live, None] - 1)))
+                    widths = (np.abs(b_e - b_a) + 1).ravel()
+                    group = np.arange(len(widths))
+                    piece, crossing = live[group // runs], group % runs
+                    r, holds = piece // pieces, (a <= m_c) & (m_c < e)
+                    slots = piece * (runs + 2) + crossing + 1
+                    # per run of c: its first c and last c + 1 as columns of the
+                    # pair table g_part, b - m, and b as a column of f_table
+                    g_rows = r * g_width
+                    g_first, g_end = g_rows + a.ravel()[piece], g_rows + e.ravel()[piece]
+                    b_first = b_a.ravel() - m
+                    f_rows = row[at][r] * f_width + m
+                    b_pair = b_mode.ravel()[r * runs + crossing] - m
+                    pair_mass = g_mass[at][r] * holds.ravel()[piece]
                     y_first = sign * (base.ravel()[r * runs + crossing] - (not rising) * step)
                     c_rows = g_rows + m_c + (not rising)
-                g_part = g_table[at].ravel()
-                sums = np.zeros((2, count, pieces, runs + 2))
-                flat = sums.reshape(2, -1)
-                ends = widths.cumsum()
-                parts = [0, *ends.searchsorted(np.arange(BLOCK_SIZE // 4, ends[-1] if len(ends) else 0,
-                                                         BLOCK_SIZE // 4), side="right"), len(widths)]
-                for g0, g1 in zip(parts, parts[1:]):
-                    width, f_at, mode_mass = widths[g0:g1], f_rows[g0:g1], pair_mass[g0:g1]
-                    b, c, stop = b_first[g0:g1], g_first[g0:g1], g_end[g0:g1]
-                    beyond = mode_mass * f_table[f_at + b_pair[g0:g1]]
-                    below = mode_mass * (b_pair[g0:g1] <= 0)
-                    if width.sum() == len(width):  # each piece has one run of c
-                        share = g_part[c] - g_part[stop]
-                        beyond += f_table[f_at + b] * share
-                        below += (b <= 0) * share
-                    else:  # a later run starts where its crossing reaches b
+                    g_part = g_table[at].ravel()
+                    sums = np.zeros((2, count, pieces, runs + 2))
+                    flat = sums.reshape(2, -1)
+                    quarters = np.arange(BLOCK_SIZE // 4, widths.sum(), BLOCK_SIZE // 4)
+                    parts = [0, *widths.cumsum().searchsorted(quarters, side="right"), len(widths)]
+                    for g0, g1 in zip(parts, parts[1:]):
+                        width, f_at, mode_mass = widths[g0:g1], f_rows[g0:g1], pair_mass[g0:g1]
+                        # a run of c after a piece's first starts where its crossing reaches b
                         last = width.cumsum() - 1
                         heads = last - width + 1
                         group = np.arange(g1 - g0).repeat(width)
                         offset = np.arange(len(group)) - heads[group]
-                        b = b[group] + (offset if rising else -offset)
+                        b = b_first[g0:g1][group] + (offset if rising else -offset)
                         y = y_first[g0:g1][group] - b * (sign * step)
                         y //= reach
                         starts = c_rows[g0:g1][group] + (-y if rising else y)
-                        starts[heads] = c
+                        starts[heads] = g_first[g0:g1]
                         ends_at = np.empty_like(starts)
                         ends_at[:-1] = starts[1:]
-                        ends_at[last] = stop
+                        ends_at[last] = g_end[g0:g1]
                         share = g_part[starts] - g_part[ends_at]
-                        beyond += np.bincount(group, f_table[f_at[group] + b] * share,
-                                              minlength=g1 - g0)
-                        below += np.bincount(group, (b <= 0) * share, minlength=g1 - g0)
-                    flat[:, slots[g0:g1]] = beyond, below
-                beyond, below = sums
-                below[:, :, 0] = (g_part[np.arange(count)[:, None] * g_width + a]
-                                  - g_part[np.arange(count)[:, None] * g_width + e]
-                                  + g_mass[at, None] * holds)
-                # a run of b between two crossings, or a crossing and an end
-                # of t's window, and the window's mass where it holds its mode
+                        # each group holds a run, so its bincount has a sum per group
+                        flat[:, slots[g0:g1]] = (
+                            mode_mass * f_table[f_at + b_pair[g0:g1]]
+                            + np.bincount(group, f_table[f_at[group] + b] * share),
+                            mode_mass * (b_pair[g0:g1] <= 0) + np.bincount(group, (b <= 0) * share))
+                    beyond, below = sums
+                    below[:, :, 0] = (g_part[np.arange(count)[:, None] * g_width + a]
+                                      - g_part[np.arange(count)[:, None] * g_width + e]
+                                      + g_mass[at, None] * holds)
+                # a run of b between two bounds: the difference of the mass at
+                # or past them, the window's mass where the run holds its mode
                 mass = ((beyond[..., :-1] - beyond[..., 1:])
                         + f_mass[row[at]][:, None, None] * (below[..., :-1] - below[..., 1:]))
                 mass *= weight[at, None, None]
-                p_cell += np.bincount(cells.ravel(), mass.ravel(), minlength=length)
+                p_cell += np.bincount(cells.ravel(), mass.ravel(), minlength=len(p_cell))
     return p_cell / p_cell.sum()

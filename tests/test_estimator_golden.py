@@ -24,6 +24,8 @@ operators did not change.  The plan runs two blocks per n (the second one
 partial) on a dense 0.25 alpha grid; ``coin`` and ``two_interval`` put
 T_low and T_up on a 0.5 lattice at n = 4 and 16, so many trials land
 exactly on a grid threshold and the operators decide them.
+``CELL_LAW_SHA256`` pins the bytes of the cell laws themselves, on more
+laws and n than any count pin reaches.
 """
 
 import hashlib

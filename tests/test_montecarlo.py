@@ -630,7 +630,7 @@ def _closed_form(events, law, n):
     """The estimator's cell law of (law, n), summed in closed form over the
     last split of the tree."""
     sums_law, cell_of, bounds = events.at(law, n)
-    return splittree._cell_law(sums_law, n, cell_of, bounds, events.size)
+    return splittree._cell_law(sums_law, n, bounds)
 
 
 def _exact_sides(law):
@@ -761,6 +761,23 @@ class TestEventCells:
         assert np.array_equal(tabled, loop)
         wide = events.cell_function(*([_widened(b) for b in side] for side in (low, up)))
         assert np.array_equal(wide(*(_uncarried(s) for s in sums)), loop)
+
+    @pytest.mark.parametrize("bounds", [[3, 7, 3, -2, 7, 7, 0], [],
+                                        [5, 5 + montecarlo.TABLE_MAX_VECTORS - 2]])
+    def test_rank_table_is_the_comparison_ranks(self, bounds):
+        # duplicated bounds, none, and a span of TABLE_MAX_VECTORS - 1 sums,
+        # the widest that is tabled: the table over the span, read back, is
+        # the comparison loop's ranks in its dtype, and so is every sum past
+        # the span, which is clipped in place
+        bounds = np.array(bounds, dtype=np.int64)
+        weight, dtype = 5, np.dtype(np.uint16)
+        lo, hi = min(bounds.tolist(), default=1) - 1, max(bounds.tolist(), default=0)
+        assert hi - lo < montecarlo.TABLE_MAX_VECTORS
+        sums = np.arange(lo - 3, hi + 4)
+        want = weight * (bounds[:, None] <= sums).sum(axis=0)
+        got = montecarlo._rank_function(bounds, weight, dtype)(x := sums.copy())
+        assert got.dtype == dtype and np.array_equal(got, want)
+        assert np.array_equal(x, np.clip(sums, lo, hi) - lo)
 
     def test_span_beyond_the_limit_is_not_tabled(self, monkeypatch):
         # a span of max - min + 2 = 6 entries: tabled at a limit of 6, and
@@ -1080,6 +1097,8 @@ def _true_run(inside, n):
 
 # the 21-point alpha grid of the dense_grid benchmark workload
 _DENSE_GRID = tuple(-2.5 + 0.25 * i for i in range(21))
+# 49 points out to 6 sd, whose far cells hold down to 1e-14 at n = 20
+_FAR_GRID = tuple(-6.0 + 0.25 * i for i in range(49))
 
 # the largest n at which the full enumeration of each is checked
 _ENUMERATED_N = dict.fromkeys(_LAW_MODELS, 90) | {"five_hulls": 40, "seven_hulls": 14,
@@ -1092,6 +1111,27 @@ def _model_cell_law(model, n, alphas=DEFAULT_ALPHA_GRID):
     law = MinMaxLaw.from_model(model)
     events = _EventCells.build(alphas, default_alpha_pairs(alphas))
     return events, _closed_form(events, law, n)
+
+
+def _check_closed_form(name, n_values, alphas=DEFAULT_ALPHA_GRID):
+    """Summing the last split, and the closed pair beside it, in closed
+    form gives the full windowed enumeration's cell law of the law ``name``
+    at each n to 1e-15 absolute, on the same support: a cell the
+    enumeration leaves at exactly 0 is exactly 0.  A cell below 1e-6 keeps
+    its relative accuracy to 1e-9, as each run's mass is a difference out
+    of its nearer tail."""
+    law = MinMaxLaw.from_model(_LAW_MODELS[name])
+    events = _EventCells.build(alphas, default_alpha_pairs(alphas))
+    for n in n_values:
+        assert is_tabled(law, n)
+        sums_law, cell_of = _cells_at(events, law, n)
+        want = _reference_cell_law(sums_law, n, cell_of, events.size)
+        got = _closed_form(events, law, n)
+        assert np.abs(got - want).max() <= 1e-15, n
+        assert np.array_equal(got > 0, want > 0), n
+        assert not got[want == 0].any(), n
+        small = (want > 0) & (want < 1e-6)
+        assert np.all(np.abs(got[small] - want[small]) <= 1e-9 * want[small]), n
 
 
 def _check_block_histograms(name, n):
@@ -1147,25 +1187,16 @@ class TestCellLaw:
 
     @pytest.mark.parametrize("name", sorted(_LAW_MODELS))
     def test_closed_form_matches_the_full_enumeration(self, name):
-        # at every tabled n <= 90 (40 on five hulls, 14 on seven), summing
-        # the last split, and the leaf pair beside it, in closed form gives
-        # the full windowed enumeration's cell law to 1e-15 absolute, on
-        # the same support: a cell the enumeration leaves at exactly 0 is
-        # exactly 0.  A cell below 1e-6 keeps its relative accuracy to 1e-9,
-        # as each run's mass is a difference out of its nearer tail
-        model = _LAW_MODELS[name]
-        law = MinMaxLaw.from_model(model)
-        events = _EventCells.build(DEFAULT_ALPHA_GRID, default_alpha_pairs())
-        for n in range(1, _ENUMERATED_N[name] + 1):
-            assert is_tabled(law, n)
-            sums_law, cell_of = _cells_at(events, law, n)
-            want = _reference_cell_law(sums_law, n, cell_of, events.size)
-            got = _closed_form(events, law, n)
-            assert np.abs(got - want).max() <= 1e-15, n
-            assert np.array_equal(got > 0, want > 0), n
-            assert not got[want == 0].any(), n
-            small = (want > 0) & (want < 1e-6)
-            assert np.all(np.abs(got[small] - want[small]) <= 1e-9 * want[small]), n
+        # at every tabled n <= 90 (40 on five hulls, 14 on seven, 60 on the
+        # falling pair)
+        _check_closed_form(name, range(1, _ENUMERATED_N[name] + 1))
+
+    @pytest.mark.parametrize("name", ["mixed", "seven_hulls", "falling_pair"])
+    def test_closed_form_keeps_the_far_tails(self, name):
+        # the laws with a closed pair at n = 20 on a grid out to 6 sd, where
+        # hundreds of cells lie below 1e-6 (down to 1e-14 on seven hulls),
+        # many of them reached only through the far tail of the pair window
+        _check_closed_form(name, (20,), _FAR_GRID)
 
     def test_pair_is_summed_in_closed_form_where_one_side_moves(self):
         # mixed: the last split moves S_min by 8 steps, the pair S_min by
@@ -1244,7 +1275,8 @@ class TestCellLaw:
         real = montecarlo._cell_law
 
         def faulty(*args):
-            p_cell = real(*args) * np.where(np.arange(args[-1]) % 2, 0.9, 1.1)
+            p_cell = real(*args)
+            p_cell *= np.where(np.arange(len(p_cell)) % 2, 0.9, 1.1)
             return p_cell / p_cell.sum()
 
         monkeypatch.setattr(montecarlo, "_cell_law", faulty)
@@ -1676,12 +1708,21 @@ def test_windowed_count_is_the_number_built(data):
 
 
 def _side_law(data, k):
-    """A law of k hulls with integer endpoints, distinct minima and not
-    all maxima equal, so both sides vary."""
-    mins = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k, unique=True))
+    """A law of k hulls with integer endpoints, neither all minima nor all
+    maxima equal, so both sides vary; in about a third of the draws the
+    last split leaves one side still, as where 4 and 7 hulls have a closed
+    pair (``splittree._sibling``)."""
+    mins = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
     widths = data.draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
     maxs = [a + w for a, w in zip(mins, widths)]
-    assume(len(set(maxs)) > 1)
+    still = data.draw(st.sampled_from((None, 0, 1)))  # the side the last split leaves still
+    if still == 0:
+        mins[-1] = mins[-2]
+        maxs[-1] = max(maxs[-1], mins[-1])
+    elif still == 1:
+        maxs[-1] = maxs[-2]
+        mins[-1] = min(mins[-1], maxs[-1])
+    assume(len(set(mins)) > 1 and len(set(maxs)) > 1)
     masses = data.draw(st.lists(st.floats(0.02, 1.0), min_size=k, max_size=k))
     return MinMaxLaw(*(np.array(v, dtype=float) for v in (mins, maxs, masses)))
 
@@ -1692,15 +1733,14 @@ def test_table_sizes_are_the_sizes_built(data):
     """The two sizes ``is_tabled`` compares are what ``_cell_law`` walks:
     the prefixes it enumerates, and the window entries it builds, those of
     the last split's totals, each total's window pmf built once, and on
-    laws whose last split moves one side, those of the leaf pair beside
-    it, once per prefix.  ``is_tabled`` holds at a limit of the larger size
-    and one above, not one below, and no chunk of the build holds more than
-    a block of elements: no window pmf, prefix slice, cell lookup or
-    ``bincount`` input.  On these laws, whose sums move on one side or
+    laws with a closed pair beside the last split, those of the pair, once
+    per prefix.  ``is_tabled`` holds at a limit of the larger size and one
+    above, not one below, and no chunk of the build holds more than a block
+    of elements: no window pmf, prefix slice or ``bincount`` input.  On these laws, whose sums move on one side or
     both, the cell law is the full windowed enumeration's to 1e-15."""
-    k = data.draw(st.integers(2, 5))
+    k = data.draw(st.integers(2, 7))
     law = _side_law(data, k)
-    n = data.draw(st.integers(1, {2: 5000, 3: 800, 4: 60, 5: 24}[k]))
+    n = data.draw(st.integers(1, {2: 5000, 3: 800, 4: 60, 5: 24, 6: 16, 7: 12}[k]))
     grid = data.draw(st.lists(st.sampled_from(LATTICE), max_size=8))
     events = _EventCells.build(grid, default_alpha_pairs(grid))
     sums_law, cell_of, bounds = events.at(law, n)
@@ -1727,17 +1767,13 @@ def test_table_sizes_are_the_sizes_built(data):
                 yield counts, pmf
         return map(recorded, real_prefixes(*args))
 
-    def recording_cells(x_low, x_up):
-        runs.append(x_low.size)
-        return cell_of(x_low, x_up)
-
     real_pmfs, real_prefixes, real_bincount = (splittree._window_pmfs, splittree._prefixes,
                                                np.bincount)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(splittree, "_window_pmfs", window_pmfs)
         patch.setattr(splittree, "_prefixes", recording_prefixes)
         patch.setattr(np, "bincount", bincount)
-        p_cell = _cell_law(sums_law, n, recording_cells, bounds, events.size)
+        p_cell = _cell_law(sums_law, n, bounds)
     want = _reference_cell_law(sums_law, n, cell_of, events.size)
     assert np.abs(p_cell - want).max() <= 1e-15 and not p_cell[want == 0].any()
     tables = [(last, totals, p, q) for caller, last, totals, p, q, _ in windows
@@ -1806,7 +1842,7 @@ def test_tabled_n_leave_room_for_the_differences_of_sums():
         sums_law, cell_of, bounds = events.at(law, n)
         if n <= 184:
             want = _reference_cell_law(sums_law, n, cell_of, events.size)
-            got = _cell_law(sums_law, n, cell_of, bounds, events.size)
+            got = _cell_law(sums_law, n, bounds)
             assert np.abs(got - want).max() <= 1e-15
 
 
@@ -1823,7 +1859,7 @@ def test_cell_law_of_an_eight_column_window_table():
         assert is_tabled(law, n)
         sums_law, cell_of, bounds = events.at(law, n)
         want = _reference_cell_law(sums_law, n, cell_of, events.size)
-        got = _cell_law(sums_law, n, cell_of, bounds, events.size)
+        got = _cell_law(sums_law, n, bounds)
         assert np.abs(got - want).max() <= 1e-15, n
 
 
@@ -1842,14 +1878,18 @@ def _mutant(function, old, new):
 @pytest.mark.parametrize("name, function, old, new", [
     # the window's mass not put in the run that holds its mode
     ("mixed", "_cell_law", "+ f_mass[row[at]][:, None, None] *", "+ 0 * f_mass[row[at]][:, None, None] *"),
-    # bernoulli's last split moves only S_max, by -1: its rank counted up
-    # as b grows instead of down, so each crossing moves the mass the
-    # wrong way
-    ("bernoulli", "_crossings", "distinct, ranks = distinct[::-1], ranks[::-1]",
+    # the falling pair's last split moves only S_min, by -4: its rank
+    # counted up as b grows instead of down, so each crossing moves the
+    # mass the wrong way (only the closed pair reads the ranks of
+    # ``_crossings``; the other laws read their cells from the thresholds)
+    ("falling_pair", "_crossings", "distinct, ranks = distinct[::-1], ranks[::-1]",
      "distinct = distinct[::-1]"),
-    # where both sides move, each merged run's cell read one count early
-    ("coin", "_cell_law", "axis=1) - m\n", "axis=1) - m - 1\n"),
-    ("non_dyadic", "_cell_law", "axis=1) - m\n", "axis=1) - m - 1\n"),
+    # bernoulli: a rank that counts the thresholds below a sum, not those
+    # at or below it, so a sum on a threshold falls in the cell below
+    ("bernoulli", "_cell_law", '.searchsorted(x, side="right")', '.searchsorted(x, side="left")'),
+    # with no closed pair, each run's cell read one count early
+    ("coin", "_cell_law", "(bound[..., :-1] - m)", "(bound[..., :-1] - m - 1)"),
+    ("non_dyadic", "_cell_law", "(bound[..., :-1] - m)", "(bound[..., :-1] - m - 1)"),
 ])
 def test_closed_form_test_catches_a_fault_in_the_telescoped_sum(monkeypatch, name, function,
                                                                    old, new):
@@ -1858,24 +1898,28 @@ def test_closed_form_test_catches_a_fault_in_the_telescoped_sum(monkeypatch, nam
         TestCellLaw().test_closed_form_matches_the_full_enumeration(name)
 
 
-@pytest.mark.parametrize("name, old, new", [
+@pytest.mark.parametrize("name, check, old, new", [
     # each run of the pair's counts after a piece's first starts one count
     # early, so the last count of a run is weighed in the next run: where a
     # crossing's b rises with the count (mixed) and where it falls (seven
     # hulls)
-    ("mixed", "m_c + (not rising)", "m_c + (not rising) - 1"),
-    ("seven_hulls", "m_c + (not rising)", "m_c + (not rising) - 1"),
+    ("mixed", "full_enumeration", "m_c + (not rising)", "m_c + (not rising) - 1"),
+    ("seven_hulls", "full_enumeration", "m_c + (not rising)", "m_c + (not rising) - 1"),
     # a run's weight out of the far tail: a difference of two values near
-    # 1, which keeps no relative accuracy in the near tail, on a piece of
-    # one run of c and on a piece of several
-    ("mixed", "share = g_part[c] - g_part[stop]", "share = (1.0 + g_part[c]) - (1.0 + g_part[stop])"),
-    ("mixed", "share = g_part[starts] - g_part[ends_at]",
+    # 1, which keeps no relative accuracy in the near tail; seven hulls has
+    # no cell below 1e-6 on the default grid at n <= 14, so its case takes
+    # the grid out to 6 sd
+    ("mixed", "full_enumeration", "share = g_part[starts] - g_part[ends_at]",
+     "share = (1.0 + g_part[starts]) - (1.0 + g_part[ends_at])"),
+    ("seven_hulls", "far_tails", "share = g_part[starts] - g_part[ends_at]",
      "share = (1.0 + g_part[starts]) - (1.0 + g_part[ends_at])"),
 ])
-def test_closed_form_test_catches_a_fault_in_the_pair_runs(monkeypatch, name, old, new):
+def test_closed_form_test_catches_a_fault_in_the_pair_runs(monkeypatch, name, check, old, new):
     monkeypatch.setattr(splittree, "_cell_law", _mutant(splittree._cell_law, old, new))
+    test = {"full_enumeration": TestCellLaw().test_closed_form_matches_the_full_enumeration,
+            "far_tails": TestCellLaw().test_closed_form_keeps_the_far_tails}[check]
     with pytest.raises(AssertionError):
-        TestCellLaw().test_closed_form_matches_the_full_enumeration(name)
+        test(name)
 
 
 def test_root_window_is_built_once_per_cell_law(monkeypatch):
@@ -1883,7 +1927,7 @@ def test_root_window_is_built_once_per_cell_law(monkeypatch):
     # built once, not once per chunk of the last split's totals
     law = MinMaxLaw.from_model(MODEL_REGISTRY["bernoulli"])
     events = _EventCells.build(_DENSE_GRID, default_alpha_pairs(_DENSE_GRID))
-    sums_law, cell_of, bounds = events.at(law, 1024)
+    sums_law, _, bounds = events.at(law, 1024)
     real, built = splittree._window_pmfs, []
 
     def recording(totals, p, q):
@@ -1891,7 +1935,7 @@ def test_root_window_is_built_once_per_cell_law(monkeypatch):
         return real(totals, p, q)
 
     monkeypatch.setattr(splittree, "_window_pmfs", recording)
-    _cell_law(sums_law, 1024, cell_of, bounds, events.size)
+    _cell_law(sums_law, 1024, bounds)
     assert built.count(([1024], *_shares(law.masses, 0, 3))) == 1
     chunks = [totals for totals, *shares in built if tuple(shares) == _shares(law.masses, 1, 3)]
     assert len(chunks) > 1
@@ -1925,12 +1969,12 @@ def test_table_sizes_cap_each_count_before_summing(monkeypatch):
 
 def test_cell_law_does_not_depend_on_the_slicing(monkeypatch):
     """mixed at n = 256, built with a block of 256 trials: the same law to
-    1e-15, and no window pmf, prefix slice, cell lookup or array of
-    crossings passes the smaller block."""
+    1e-15, and no window pmf, prefix slice or array of crossings passes the
+    smaller block."""
     law = MinMaxLaw.from_model(MODEL_REGISTRY["mixed"])
     events = _EventCells.build(DEFAULT_ALPHA_GRID, default_alpha_pairs())
-    sums_law, cell_of, bounds = events.at(law, 256)
-    want = _cell_law(sums_law, 256, cell_of, bounds, events.size)
+    sums_law, _, bounds = events.at(law, 256)
+    want = _cell_law(sums_law, 256, bounds)
     real_pmfs, real_prefixes, real_bincount, sizes = (
         splittree._window_pmfs, splittree._prefixes, np.bincount, [])
 
@@ -1946,10 +1990,6 @@ def test_cell_law_does_not_depend_on_the_slicing(monkeypatch):
                 yield counts, pmf
         return map(recorded, real_prefixes(*args))
 
-    def cells(x_low, x_up):
-        sizes.append(x_low.size)
-        return cell_of(x_low, x_up)
-
     def bincount(x, weights=None, minlength=0):
         sizes.append(len(x))
         return real_bincount(x, weights, minlength)
@@ -1959,7 +1999,7 @@ def test_cell_law_does_not_depend_on_the_slicing(monkeypatch):
         patch.setattr(splittree, "_window_pmfs", window_pmfs)
         patch.setattr(splittree, "_prefixes", prefixes)
         patch.setattr(np, "bincount", bincount)
-        got = _cell_law(sums_law, 256, cells, bounds, events.size)
+        got = _cell_law(sums_law, 256, bounds)
     assert np.abs(got - want).max() <= 1e-15 and np.array_equal(got > 0, want > 0)
     assert sizes and max(sizes) <= 256
 
@@ -1975,7 +2015,7 @@ def test_cell_law_where_a_span_misses_a_parent_slice(monkeypatch, name, n):
     sums_law, cell_of, bounds = events.at(law, n)
     want = _reference_cell_law(sums_law, n, cell_of, events.size)
     monkeypatch.setattr(splittree, "BLOCK_SIZE", 64)
-    got = _cell_law(sums_law, n, cell_of, bounds, events.size)
+    got = _cell_law(sums_law, n, bounds)
     assert np.abs(got - want).max() <= 1e-15 and not got[want == 0].any()
 
 
