@@ -60,8 +60,8 @@ from beliefclt.splittree import (
 )
 
 from _helpers import random_model
-from _laws import LAW_MODELS as _LAW_MODELS
 from _intervals import complement
+from _laws import LAW_MODELS as _LAW_MODELS
 
 
 def _multinomial_pmf(columns, masses, n):
