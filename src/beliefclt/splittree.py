@@ -55,12 +55,16 @@ def _window(n, p: float, q: float):
     return np.maximum(0, mode - half), mode, np.minimum(n, mode + half)
 
 
-def _window_pmfs(n: np.ndarray, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
+def _window_pmfs(n: np.ndarray, p: float, q: float,
+                 columns: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(first, pmf): row r holds the Bin(n_r, p) pmf at first_r, first_r + 1,
     ..., zero off its window, by the ratio recurrence out of the mode,
-    pmf(k + 1) / pmf(k) = (n - k) / (k + 1) * p / q, and normalized."""
+    pmf(k + 1) / pmf(k) = (n - k) / (k + 1) * p / q, and normalized.  The
+    mode is in column ``columns[0]``, with ``columns[1]`` columns after it,
+    by default as many as the rows' windows reach; a row's bits depend on
+    these columns, not on the other rows."""
     lo, mode, hi, n = (column[:, None] for column in (*_window(n, p, q), n))
-    below, above = int((mode - lo).max()), int((hi - mode).max())
+    below, above = columns or (int((mode - lo).max()), int((hi - mode).max()))
     down, up = mode - np.arange(below, dtype=float), mode + np.arange(above, dtype=float)
     left, right = n + 1 - down, up + 1
     np.divide(down, left, out=left)
@@ -225,14 +229,21 @@ def _prefixes(law: MinMaxLaw, n: int, spans: Sequence[np.ndarray]) -> Iterator[I
     last where its sibling pair's windows would pass half a block."""
     k, sibling = len(law.masses), _sibling(law)
 
-    def cut(counts: dict, pmf: np.ndarray, node: tuple[int, int], limit: int):
+    def cut(counts: dict, pmf: np.ndarray, node: tuple[int, int], limit: int, built=True):
         """The slice, cut in order into the fewest parts whose windows of
-        ``node``'s totals hold at most ``limit`` entries, or one prefix."""
-        start, _, stop = _window(counts[node], *_shares(law.masses, *node))
+        ``node``'s totals hold at most ``limit`` entries, and where they are
+        ``built`` as one array, a row per prefix as wide as the part's
+        widest window about the mode, at most a block, or one prefix."""
+        start, mode, stop = _window(counts[node], *_shares(law.masses, *node))
         before, cuts = np.concatenate([[0], np.cumsum(stop - start + 1)]), [0]
         while cuts[-1] < len(pmf):
-            end = before.searchsorted(before[cuts[-1]] + limit, side="right") - 1
-            cuts.append(max(cuts[-1] + 1, int(end)))
+            first = cuts[-1]
+            end = int(before.searchsorted(before[first] + limit, side="right") - 1)
+            if built:
+                width = (np.maximum.accumulate(mode[first:end] - start[first:end])
+                         + np.maximum.accumulate(stop[first:end] - mode[first:end]) + 1)
+                end = first + int((np.arange(1, end - first + 1) * width <= BLOCK_SIZE).sum())
+            cuts.append(max(first + 1, end))
         if len(cuts) == 2:
             yield counts, pmf
             return
@@ -259,7 +270,8 @@ def _prefixes(law: MinMaxLaw, n: int, spans: Sequence[np.ndarray]) -> Iterator[I
         first; a slice that reaches the last split's parent stops there, as
         (counts, pmf, (parent, start, stop, its window pmfs), nodes left)."""
         if not todo:
-            yield from cut(counts, pmf, sibling, BLOCK_SIZE // 2) if sibling else [(counts, pmf)]
+            yield from (cut(counts, pmf, sibling, BLOCK_SIZE // 2, False) if sibling
+                        else [(counts, pmf)])
             return
         node, rest = todo[-1], todo[:-1]
         for counts, pmf in cut(counts, pmf, node, BLOCK_SIZE // 4):
@@ -385,19 +397,20 @@ def _cell_law(law: MinMaxLaw, n: int, bounds: tuple[np.ndarray, np.ndarray]) -> 
             t = counts.pop((k - 2, k))
             row = t - span[0]
             b_lo, b_hi = lo[t - totals[0]] - first[row], hi[t - totals[0]] - first[row] + 1
-            pair = []
+            pair, g_width = [], 1
             if sibling:
+                # the pair's window pmfs are built per part of rows, each at
+                # the slice's columns about the mode, so as if built at once
                 size = counts.pop(sibling)
-                c_first, g_table = _window_pmfs(size, *shares)
                 c_lo, c_mode, c_hi = _window(size, *shares)
-                m_c = int(c_mode[0] - c_first[0])
-                g_table, g_mass = _tails(g_table, m_c)
-                c_lo, c_hi, pair = c_lo - c_first, c_hi - c_first + 1, [c_mode, size - c_mode]
-                g_width = g_table.shape[1]
+                g_columns = int((c_mode - c_lo).max()), int((c_hi - c_mode).max())
+                m_c, g_width = g_columns[0], sum(g_columns) + 2
+                c_lo, c_hi = c_lo - c_mode + m_c, c_hi - c_mode + m_c + 1
+                pair = [c_mode, size - c_mode]
             # the sums at the modes of the windows, a count vector of the law
             leaves = [counts[h, h + 1] for h in range(k - 2 - len(pair))]
             x = _hull_sums(leaves + pair + [mode[t - totals[0]], t - mode[t - totals[0]]], law)
-            rows = max(1, BLOCK_SIZE // 4 // (pieces * (runs + 2)))
+            rows = max(1, min(BLOCK_SIZE // 4 // (pieces * (runs + 2)), BLOCK_SIZE // g_width))
             for part in range(0, len(t), rows):
                 at = slice(part, part + rows)
                 xm = [x0[at] for x0 in x]
@@ -413,6 +426,8 @@ def _cell_law(law: MinMaxLaw, n: int, bounds: tuple[np.ndarray, np.ndarray]) -> 
                     beyond = f_table[(row[at] * f_width)[:, None, None] + bound]
                     below = 1.0 * (bound <= m)
                 else:
+                    g_part, g_mass = _tails(_window_pmfs(size[at], *shares, g_columns)[1], m_c)
+                    g_part = g_part.ravel()
                     # the pieces of the pair window on which the other side's rank holds
                     cut = m_c + (cuts - xm[other][:, None]) // slopes[other]
                     a = np.concatenate([c_lo[at, None], np.minimum(np.maximum(cut, c_lo[at, None]),
@@ -442,10 +457,9 @@ def _cell_law(law: MinMaxLaw, n: int, bounds: tuple[np.ndarray, np.ndarray]) -> 
                     b_first = b_a.ravel() - m
                     f_rows = row[at][r] * f_width + m
                     b_pair = b_mode.ravel()[r * runs + crossing] - m
-                    pair_mass = g_mass[at][r] * holds.ravel()[piece]
+                    pair_mass = g_mass[r] * holds.ravel()[piece]
                     y_first = sign * (base.ravel()[r * runs + crossing] - (not rising) * step)
                     c_rows = g_rows + m_c + (not rising)
-                    g_part = g_table[at].ravel()
                     sums = np.zeros((2, count, pieces, runs + 2))
                     flat = sums.reshape(2, -1)
                     quarters = np.arange(BLOCK_SIZE // 4, widths.sum(), BLOCK_SIZE // 4)
@@ -474,7 +488,7 @@ def _cell_law(law: MinMaxLaw, n: int, bounds: tuple[np.ndarray, np.ndarray]) -> 
                     beyond, below = sums
                     below[:, :, 0] = (g_part[np.arange(count)[:, None] * g_width + a]
                                       - g_part[np.arange(count)[:, None] * g_width + e]
-                                      + g_mass[at, None] * holds)
+                                      + g_mass[:, None] * holds)
                 # a run of b between two bounds: the difference of the mass at
                 # or past them, the window's mass where the run holds its mode
                 mass = ((beyond[..., :-1] - beyond[..., 1:])

@@ -1749,8 +1749,8 @@ def test_table_sizes_are_the_sizes_built(data):
     last_split = first_line + next(i for i, line in enumerate(lines)
                                    if "_window_pmfs(span" in line)
 
-    def window_pmfs(totals, p, q):
-        first, pmf = real_pmfs(totals, p, q)
+    def window_pmfs(totals, p, q, *columns):
+        first, pmf = real_pmfs(totals, p, q, *columns)
         caller = sys._getframe(1)
         windows.append((caller.f_code.co_name, caller.f_lineno == last_split, totals.copy(),
                         p, q, pmf.size))
@@ -1978,8 +1978,8 @@ def test_cell_law_does_not_depend_on_the_slicing(monkeypatch):
     real_pmfs, real_prefixes, real_bincount, sizes = (
         splittree._window_pmfs, splittree._prefixes, np.bincount, [])
 
-    def window_pmfs(totals, p, q):
-        first, pmf = real_pmfs(totals, p, q)
+    def window_pmfs(totals, p, q, *columns):
+        first, pmf = real_pmfs(totals, p, q, *columns)
         sizes.append(pmf.size)
         return first, pmf
 
