@@ -113,9 +113,10 @@ def _log_config(args: argparse.Namespace, **resolved) -> None:
 def _simulate(args: argparse.Namespace):
     """(plan, moments, simulation) of the plan file with --seed and --reps
     applied; logs the resolved plan, and the estimate logs its own values."""
-    overrides = {"seed": args.seed, "reps": args.reps}
-    plan = dataclasses.replace(load_plan(args.plan),
-                               **{k: v for k, v in overrides.items() if v is not None})
+    plan = load_plan(args.plan)
+    overrides = {k: v for k, v in (("seed", args.seed), ("reps", args.reps)) if v is not None}
+    if overrides:  # a replaced plan is checked again
+        plan = dataclasses.replace(plan, **overrides)
     _log_config(args, n_values=list(plan.n_values), reps=plan.reps, seed=plan.seed,
                 alpha_one_sided=plan.alpha_one_sided,
                 alpha_two_sided_pairs=len(plan.alpha_two_sided), slack=plan.slack,

@@ -9,26 +9,25 @@ hulls i.i.d. from it and accumulates
 
     S_min = sum of hull minima,   S_max = sum of hull maxima.
 
-Randomness is counter-based (Philox).  The estimator batches the
-replications of each n into fixed-size blocks whose streams are a pure
-function of (seed, n, block), so any partition of blocks over any number
-of workers, and any plan that contains n, reproduces identical draws.
-Integer tallies merge associatively; results are bit-reproducible for a
-given (seed, plan) at any worker count.  The workers are threads of one
-process: numpy's binomial and multinomial draws release the GIL, so the
-draws of different runs overlap with no fork and nothing pickled.  A
-block draws the hull counts of its trials, which carry the same joint law
-of (S_min, S_max) as coordinate-by-coordinate sampling.  Each trial
-reduces to one event cell, and a block to one histogram of cells.  Every
+Randomness is counter-based (Philox), in streams that are a pure function
+of (seed, n, block), so any plan that contains n reproduces identical
+draws, at any worker count.  Each trial reduces to one event cell.  Every
 endpoint of the law is an integer multiple of its step h, so a cell is
 decided exactly on the integer hull sums S/h by integer thresholds, at
 every n: in one int64 limb or, past it, two (``on_lattice``).  Where the
 sums fit one limb twice over and the split tree's windows are small
 (``is_tabled``), the law of one trial's cell is built once per estimate
-(``splittree._cell_law``) and a block's histogram is one multinomial draw
-over it.  Else a binary tree of binomial splits over the hulls draws the
-counts (``splittree._split_counts``), its root split by one multinomial
-over a window of its binomial pmf.
+(``splittree._cell_law``), on the calling thread, and the histogram of
+all the n's trials is one multinomial draw over it, from the stream of
+block 0.  Else the replications are batched into fixed-size blocks, each
+drawing the hull counts of its trials, which carry the same joint law of
+(S_min, S_max) as coordinate-by-coordinate sampling, through a binary
+tree of binomial splits over the hulls (``splittree._split_counts``), its
+root split by one multinomial over a window of its binomial pmf.  Runs of
+blocks go to threads of one process: numpy's binomial draws release the
+GIL, so they overlap with no fork and nothing pickled, and integer
+histograms merge associatively, so any partition of blocks gives the same
+result.
 """
 
 from __future__ import annotations
@@ -46,7 +45,8 @@ import numbers
 import os
 import warnings
 from collections.abc import Callable, Mapping, Sequence
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
@@ -451,37 +451,21 @@ class _EventCells:
         return tail[self.rows, self.cols]
 
 
-def _sampler(law: MinMaxLaw, events: _EventCells, n: int, tabled: bool) -> tuple:
-    """(sums law, cell function, cell law, root window) of n, built once per
-    estimate: a ``tabled`` n has its cell law and no root window, any other
-    n its split tree's root window and no cell law."""
-    sums_law, cell_of, bounds = events.at(law, n)
-    if tabled:
-        return sums_law, cell_of, _cell_law(sums_law, n, bounds), None
-    return sums_law, cell_of, None, _root_window(sums_law, n, TABLE_MAX_VECTORS)
-
-
-def _tally_run(seed: int, reps: int, events: _EventCells, samplers: Mapping[int, Future],
-               run: tuple[int, range]) -> tuple[int, np.ndarray]:
-    """(n, cell histogram) of a run of consecutive blocks of one n, from one
-    generator set to each block's stream: a tabled n draws each block as
-    one multinomial over its cell law, any other n through the split tree.
-    """
-    n, blocks = run
-    law, cell_of, p_cell, root = samplers[n].result()
+def _tally_run(seed: int, reps: int, events: _EventCells, run: tuple) -> tuple[int, np.ndarray]:
+    """(n, cell histogram) of a run of consecutive blocks of an untabled n,
+    drawn through the split tree from one generator set to each block's
+    stream; ``run`` is (n, sums law, cell function, root window, blocks)."""
+    n, law, cell_of, root, blocks = run
     generator = np.random.Generator(np.random.Philox())
     streams = ((_block_stream(seed, n, b, generator), min(BLOCK_SIZE, reps - b * BLOCK_SIZE))
                for b in blocks)
-    if p_cell is not None:
-        histograms = (rng.multinomial(size, p_cell) for rng, size in streams)
-    else:
-        # generators, so that each block's hull sums stay alive until the
-        # next block's draw: freed before it (one closure per block), the
-        # 128 KB block arrays met glibc's mmap threshold, and mixed at
-        # n = 1024 drew 10% slower with the same draws
-        sums = (_hull_sums(_split_counts(law, n, root, rng, size), law) for rng, size in streams)
-        histograms = (np.bincount(cell_of(s_min, s_max), minlength=events.size)
-                      for s_min, s_max in sums)
+    # generators, so that each block's hull sums stay alive until the next
+    # block's draw: freed before it (one closure per block), the 128 KB
+    # block arrays met glibc's mmap threshold, and mixed at n = 1024 drew
+    # 10% slower with the same draws
+    sums = (_hull_sums(_split_counts(law, n, root, rng, size), law) for rng, size in streams)
+    histograms = (np.bincount(cell_of(s_min, s_max), minlength=events.size)
+                  for s_min, s_max in sums)
     return n, sum(histograms, np.zeros(events.size, dtype=np.intp))
 
 
@@ -507,9 +491,11 @@ def estimate_events(
 
     Frequencies are counts over exactly ``plan.reps`` independent trials per
     n, bit-reproducible for a given (seed, plan) at any worker count.  The
-    runs of blocks go to a pool of up to ``workers`` threads, the untabled
-    n's first; before any starts, the values decided here go to one
-    ``estimate:`` line on the ``beliefclt`` logger, at INFO.
+    untabled n's runs of blocks go to a pool of up to ``workers`` threads,
+    none at one worker; the tabled n are built and drawn on the calling
+    thread, in plan order, while the pool draws.  Before any of it, the
+    values decided here go to one ``estimate:`` line on the ``beliefclt``
+    logger, at INFO.
     """
     if moments.lower_sd == 0.0 or moments.upper_sd == 0.0:
         raise DegenerateVariance(
@@ -530,23 +516,36 @@ def estimate_events(
     log.info("estimate: run_id=%s workers=%d block_size=%d table_max_vectors=%d tabled_n=%s "
              "lattice_h=%s lattice_n=%s", plan.digest(), workers, BLOCK_SIZE,
              TABLE_MAX_VECTORS, tabled, law.lattice[0], lattice_n)
-    # each n's blocks cut into at most one run per worker; the untabled n's
-    # runs go first, so that the cell laws are built while they draw
+    # each untabled n's blocks cut into at most one run per worker
     n_blocks = -(-plan.reps // BLOCK_SIZE)
     parts = min(workers, n_blocks)
     cuts = [p * n_blocks // parts for p in range(parts + 1)]
-    runs = [(n, range(lo, hi)) for n in sorted(plan.n_values, key=tabled.__contains__)
-            for lo, hi in zip(cuts, cuts[1:])]
+    untabled = [n for n in plan.n_values if n not in tabled]
 
-    # no more threads than runs; each n's sampler is built once, queued
-    # before every run, which waits for its own; the draws release the GIL
-    with ThreadPoolExecutor(max_workers=min(workers, len(runs))) as pool:
-        samplers = {n: pool.submit(_sampler, law, events, n, n in tabled)
-                    for n in plan.n_values}
-        partials = list(pool.map(partial(_tally_run, plan.seed, plan.reps, events, samplers), runs))
-    histograms = dict.fromkeys(plan.n_values, 0)
-    for n, histogram in partials:
-        histograms[n] += histogram
+    def runs():
+        # each n's sums law and root window are built once, on this thread,
+        # as the pool takes the runs, so that one n's runs draw while the
+        # next n's are built
+        for n in untabled:
+            sums_law, cell_of, _ = events.at(law, n)
+            root = _root_window(sums_law, n, TABLE_MAX_VECTORS)
+            for lo, hi in zip(cuts, cuts[1:]):
+                yield n, sums_law, cell_of, root, range(lo, hi)
+
+    # no more threads than runs, and none at one worker or with no run
+    threads = min(workers, parts * len(untabled)) if workers > 1 else 0
+    with ThreadPoolExecutor(threads) if threads else nullcontext() as pool:
+        partials = (pool.map if pool else map)(partial(_tally_run, plan.seed, plan.reps, events),
+                                               runs())
+        # while the pool draws: a tabled n's reps are one multinomial over its
+        # cell law, from the stream of its block 0
+        histograms = {}
+        for n in tabled:
+            sums_law, _, bounds = events.at(law, n)
+            p_cell = _cell_law(sums_law, n, bounds)
+            histograms[n] = _block_stream(plan.seed, n, 0).multinomial(plan.reps, p_cell)
+        for n, histogram in partials:
+            histograms[n] = histograms.get(n, 0) + histogram
 
     # (kind, alpha1, alpha2) of each event, in the order of events.counts
     keys = ([(ONE_SIDED_LOWER, a, math.nan) for a in plan.alpha_one_sided]

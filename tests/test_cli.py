@@ -137,6 +137,28 @@ class TestSimulate:
         (f,) = out_dir.glob("*.csv")
         assert all(r["reps"] == "100" for r in read_csv(f))
 
+    def test_plan_is_checked_once_without_overrides(self, plan_file, tmp_path, monkeypatch):
+        # the loaded plan is estimated as it is; an override replaces it,
+        # which checks the replaced plan once more
+        real, checked, estimated = SimPlan.__post_init__, [], []
+
+        def counted(plan):
+            checked.append(plan)
+            real(plan)
+
+        def estimate(plan, moments):
+            estimated.append(plan)
+            return montecarlo.estimate_events(plan, moments)
+
+        monkeypatch.setattr(SimPlan, "__post_init__", counted)
+        monkeypatch.setattr(cli, "estimate_events", estimate)
+        main(["simulate", str(plan_file), "--out-dir", str(tmp_path / "a")])
+        assert len(checked) == 1 and estimated[0] is checked[0]
+        checked.clear()
+        estimated.clear()
+        main(["simulate", str(plan_file), "--out-dir", str(tmp_path / "b"), "--seed", "7"])
+        assert len(checked) == 2 and estimated[0] is checked[1] and estimated[0].seed == 7
+
     def test_config_logged(self, plan_file, tmp_path, caplog):
         with caplog.at_level("INFO", logger="beliefclt"):
             main(["simulate", str(plan_file), "--out-dir", str(tmp_path / "x")])

@@ -65,7 +65,7 @@ MULTINOMIAL_SHA256 = {
 }
 
 # sha256 of the bytes of the cell law that the estimator draws from
-# (``splittree._cell_law``, through ``montecarlo._sampler``) per (law, grid,
+# (``splittree._cell_law`` of ``_EventCells.at``'s sums law) per (law, grid,
 # n), every law of the cell-law tests at tabled n on the default grid and
 # DENSE_GRID.  Recorded before the build was split on whether the law has a
 # closed pair beside its last split; that change moved none of them.
@@ -191,5 +191,6 @@ def test_cell_law_bytes_match_golden(name):
         if model == name:
             events = montecarlo._EventCells.build(GRIDS[grid], default_alpha_pairs(GRIDS[grid]))
             assert montecarlo.is_tabled(law, n)
-            p_cell = montecarlo._sampler(law, events, n, True)[2]
+            sums_law, _, bounds = events.at(law, n)
+            p_cell = montecarlo._cell_law(sums_law, n, bounds)
             assert hashlib.sha256(p_cell.tobytes()).hexdigest() == want, (grid, n)

@@ -7,7 +7,6 @@ import sys
 import textwrap
 import threading
 import warnings
-from concurrent.futures import Future
 from fractions import Fraction
 from functools import partial
 
@@ -444,28 +443,41 @@ class TestEstimateEvents:
                        - plausibility(bernoulli, complement(event))) <= tol
 
 
-def test_pool_is_sized_by_its_runs(monkeypatch, bern_plan):
-    """A thread pool starts a thread for a task only while none is idle, so
-    an estimate starts no more threads than it has runs: at most two for two
-    n of one block each, and one for one."""
-    started = []
-    start = threading.Thread.start
+def _started_threads(monkeypatch):
+    """The list that every thread started from here on is appended to."""
+    started, start = [], threading.Thread.start
 
     def counted_start(thread):
         started.append(thread)
         start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", counted_start)
+    return started
+
+
+def test_pool_is_sized_by_its_runs(monkeypatch, bern_plan):
+    """Only the untabled n's runs of blocks go to a pool, which starts a
+    thread for a run only while none is idle: an all-tabled plan starts no
+    thread at any worker count, one worker starts none, and a plan with
+    untabled n at most min(workers, its runs)."""
+    started = _started_threads(monkeypatch)
     mom = moments_by_enumeration(bern_plan.model)
-    two_n = SimPlan(bern_plan.model, n_values=(16, 64), reps=BLOCK_SIZE, seed=5)
-    serial = estimate_events(two_n, mom, workers=1)
-    assert len(started) == 1
-    started.clear()
-    assert estimate_events(two_n, mom, workers=8) == serial
-    assert 1 <= len(started) <= 2
-    started.clear()
-    estimate_events(SimPlan(bern_plan.model, n_values=(16,), reps=BLOCK_SIZE), mom, workers=8)
-    assert len(started) == 1
+    tabled = SimPlan(bern_plan.model, n_values=(16, 64), reps=3 * BLOCK_SIZE, seed=5)
+    assert all(is_tabled(MinMaxLaw.from_model(tabled.model), n) for n in tabled.n_values)
+    serial = estimate_events(tabled, mom, workers=1)
+    for workers in (2, 8):
+        assert estimate_events(tabled, mom, workers=workers) == serial
+    assert started == []
+    model = MODEL_REGISTRY["mixed"]
+    mom = moments_by_enumeration(model)
+    plan = SimPlan(model, n_values=(16, 16384), reps=3 * BLOCK_SIZE, seed=5)
+    assert not is_tabled(MinMaxLaw.from_model(model), 16384)
+    serial = estimate_events(plan, mom, workers=1)
+    assert started == []
+    for workers, runs in ((2, 2), (8, 3)):
+        assert estimate_events(plan, mom, workers=workers) == serial
+        assert 1 <= len(started) <= min(workers, runs), workers
+        started.clear()
 
 
 def test_each_cell_law_is_built_once(monkeypatch):
@@ -489,26 +501,26 @@ def test_each_cell_law_is_built_once(monkeypatch):
     assert results[0] == results[1] == results[2]
 
 
-def test_untabled_runs_are_queued_first(monkeypatch):
-    """The runs of the untabled n go to the pool ahead of the tabled n's,
-    so that the threads draw through the split tree while the cell laws
-    are built; one worker takes them in queue order.  The counts do not
-    depend on the order."""
+def test_cell_laws_are_built_on_the_calling_thread(monkeypatch):
+    """Every cell law is built on the thread that calls the estimate, at
+    any worker count, while the pool draws the untabled n's runs; the
+    counts do not depend on the worker count."""
     model = MODEL_REGISTRY["mixed"]
     mom = moments_by_enumeration(model)
     plan = SimPlan(model, n_values=(16, 64, 16384), reps=2 * BLOCK_SIZE, seed=5)
     law = MinMaxLaw.from_model(model)
     assert [n for n in plan.n_values if is_tabled(law, n)] == [16, 64]
-    real, drawn = montecarlo._tally_run, []
+    real, threads = montecarlo._cell_law, []
 
-    def recording_tally_run(seed, reps, events, samplers, run):
-        drawn.append(run[0])
-        return real(seed, reps, events, samplers, run)
+    def recording_cell_law(law, n, *args):
+        threads.append(threading.current_thread())
+        return real(law, n, *args)
 
-    monkeypatch.setattr(montecarlo, "_tally_run", recording_tally_run)
+    monkeypatch.setattr(montecarlo, "_cell_law", recording_cell_law)
     serial = estimate_events(plan, mom, workers=1)
-    assert drawn == [16384, 16, 64]
-    assert estimate_events(plan, mom, workers=2) == serial
+    for workers in (2, 8):
+        assert estimate_events(plan, mom, workers=workers) == serial
+    assert threads == [threading.current_thread()] * 6
 
 
 def test_threads_share_no_state_under_stress():
@@ -854,8 +866,9 @@ def _reference_estimate(plan):
     """Replays the estimator's block draws, without its tally, and counts
     every event in exact rationals.
 
-    An untabled n replays its trials' hull counts.  A tabled n replays each
-    block as one multinomial over the cell law; every windowed count vector
+    An untabled n replays its trials' hull counts.  A tabled n replays all
+    its trials as one multinomial over the cell law, from the stream of
+    block 0; every windowed count vector
     (the full simplex at these n) is tested
     against every event, the vectors of one cell must agree, and each draw
     of a cell counts towards the events of its vectors.
@@ -865,9 +878,9 @@ def _reference_estimate(plan):
     exact = partial(_exact_events, alphas=plan.alpha_one_sided, pairs=plan.alpha_two_sided)
     counts = {}
     for n in plan.n_values:
-        blocks = [(b, min(BLOCK_SIZE, plan.reps - start))
-                  for b, start in enumerate(range(0, plan.reps, BLOCK_SIZE))]
         if not is_tabled(law, n):
+            blocks = [(b, min(BLOCK_SIZE, plan.reps - start))
+                      for b, start in enumerate(range(0, plan.reps, BLOCK_SIZE))]
             drawn = [_draw_counts(plan.seed, n, b, size, law) for b, size in blocks]
             columns = [np.concatenate(c) for c in zip(*drawn)]
             counts[n] = exact(columns, law, n).sum(axis=1).tolist()
@@ -879,9 +892,8 @@ def _reference_estimate(plan):
         member = np.zeros((len(in_event), events.size), dtype=np.int64)
         member[:, cells] = in_event
         assert np.array_equal(member[:, cells], in_event)  # one cell, one set of events
-        p_cell = _closed_form(events, law, n)
-        histogram = sum(_block_stream(plan.seed, n, b).multinomial(size, p_cell)
-                        for b, size in blocks)
+        histogram = _block_stream(plan.seed, n, 0).multinomial(plan.reps,
+                                                               _closed_form(events, law, n))
         counts[n] = (member @ histogram).tolist()
     return counts
 
@@ -939,8 +951,9 @@ def test_brute_force_reference_catches_a_flipped_operator(monkeypatch, flipped):
 
 
 def test_runs_of_blocks_match_brute_force_reference():
-    # nine blocks per n, the last one short: one run of nine at one worker,
-    # runs of four and five at two; n = 16 is tabled and n = 16384 is not
+    # nine blocks of n = 16384, the last one short: one run of nine at one
+    # worker, runs of four and five at two; n = 16 is tabled, one draw of
+    # all its reps
     model = MODEL_REGISTRY["bernoulli"]
     mom = moments_by_enumeration(model)
     plan = SimPlan(model, n_values=(16, 16384), reps=8 * BLOCK_SIZE + 37, seed=23)
@@ -951,6 +964,69 @@ def test_runs_of_blocks_match_brute_force_reference():
         sim = estimate_events(plan, mom, workers=workers)
         for n in plan.n_values:
             assert [r.count for r in sim.rows_for(n)] == reference[n], (workers, n)
+
+
+def _check_tabled_draws():
+    """A tabled n's counts are those of one multinomial of all its reps over
+    its cell law, from the stream of (seed, n, block 0), at 1, 2 and 8
+    workers, with the untabled n = 16384 drawn in runs of blocks beside
+    them."""
+    model = MODEL_REGISTRY["mixed"]
+    law, mom = MinMaxLaw.from_model(model), moments_by_enumeration(model)
+    plan = SimPlan(model, n_values=(16, 64, 16384), reps=3 * BLOCK_SIZE + 5, seed=29)
+    events = _EventCells.build(plan.alpha_one_sided, plan.alpha_two_sided)
+    assert [n for n in plan.n_values if is_tabled(law, n)] == [16, 64]
+    want = {n: events.counts(_block_stream(plan.seed, n, 0).multinomial(
+                plan.reps, _closed_form(events, law, n))).tolist() for n in (16, 64)}
+    for workers in (1, 2, 8):
+        sim = estimate_events(plan, mom, workers=workers)
+        for n, counts in want.items():
+            assert [r.count for r in sim.rows_for(n)] == counts, (workers, n)
+
+
+def test_tabled_n_is_one_multinomial_of_all_its_reps():
+    _check_tabled_draws()
+
+
+def _block_zero(stream, seed, n, reps, p_cell):
+    return stream(seed, n, 0).multinomial(reps, p_cell)
+
+
+def _block_one(stream, seed, n, reps, p_cell):
+    return stream(seed, n, 1).multinomial(reps, p_cell)
+
+
+def _one_trial_short(stream, seed, n, reps, p_cell):
+    return stream(seed, n, 0).multinomial(reps - 1, p_cell)
+
+
+def _sum_of_blocks(stream, seed, n, reps, p_cell):
+    return sum(stream(seed, n, b).multinomial(min(BLOCK_SIZE, reps - start), p_cell)
+               for b, start in enumerate(range(0, reps, BLOCK_SIZE)))
+
+
+@pytest.mark.parametrize("draw", [_block_zero, _block_one, _one_trial_short, _sum_of_blocks])
+def test_tabled_draw_test_catches_a_fault_in_the_draw(monkeypatch, draw):
+    """``_check_tabled_draws`` fails when the estimator's tabled draw takes
+    block 1's stream, one trial less, or the sum of per-block draws; the
+    untabled runs, which pass their own generator, keep their streams.  The
+    same injection of the estimator's own draw (``_block_zero``) passes."""
+    real = montecarlo._block_stream
+
+    class Stream:
+        def __init__(self, seed, n):
+            self.seed, self.n = seed, n
+
+        def multinomial(self, reps, p_cell):
+            return draw(real, self.seed, self.n, reps, p_cell)
+
+    monkeypatch.setattr(montecarlo, "_block_stream", lambda seed, n, block, rng=None: (
+        real(seed, n, block, rng) if rng is not None else Stream(seed, n)))
+    if draw is _block_zero:
+        _check_tabled_draws()
+    else:
+        with pytest.raises(AssertionError):
+            _check_tabled_draws()
 
 
 def _repeated_hull_model():
@@ -1135,19 +1211,29 @@ def _check_closed_form(name, n_values, alphas=DEFAULT_ALPHA_GRID):
 
 
 def _check_block_histograms(name, n):
-    """Bonferroni z-test of the histogram of eight blocks, as the estimator
-    tallies them on the 21-point grid, against the cell law of this
-    module's own ``_cell_law`` import; cells with fewer than 20 expected
-    trials are pooled."""
+    """Bonferroni z-test of the histogram of 64 blocks' trials (2**20), as
+    the estimator draws it on the 21-point grid, against the cell law of
+    this module's own ``_cell_law`` import; cells with fewer than 20
+    expected trials are pooled.  At eight blocks the largest cell's z under
+    the fault test's +-10% fault was about the bound (5.9), so the test
+    caught the fault by chance; at 64 blocks it reads 13-18."""
     model = MODEL_REGISTRY[name]
     law = MinMaxLaw.from_model(model)
     events, p_cell = _model_cell_law(model, n, _DENSE_GRID)
     assert is_tabled(law, n)
-    blocks = 8
-    reps = blocks * BLOCK_SIZE
-    sampler = Future()
-    sampler.set_result(montecarlo._sampler(law, events, n, True))
-    _, histogram = montecarlo._tally_run(37, reps, events, {n: sampler}, (n, range(blocks)))
+    reps = 64 * BLOCK_SIZE
+    plan = SimPlan(model, n_values=(n,), reps=reps, seed=37, alpha_one_sided=_DENSE_GRID,
+                   alpha_two_sided=default_alpha_pairs(_DENSE_GRID))
+    real, drawn = _EventCells.counts, []
+
+    def counts(self, histogram):
+        drawn.append(histogram)
+        return real(self, histogram)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_EventCells, "counts", counts)
+        estimate_events(plan, moments_by_enumeration(model), workers=1)
+    (histogram,) = drawn
     assert histogram.sum() == reps and not histogram[p_cell == 0].any()
     _z_test(_pooled(p_cell, histogram, reps), reps, (name, n))
 
@@ -1424,12 +1510,13 @@ class TestCellLaw:
             for p, e in zip(p_cell.tolist(), exact):
                 assert abs(Fraction(p) - e) <= Fraction(1, 10**12) * e, (n, p, e)
 
-    def test_table_cells_match_multiply_accumulate_sums(self):
-        # past one limb no n is tabled; the split tree's hull sums, on two
-        # limbs, are the exact multiply-accumulate sums S/h, and their cells
-        # the exact decisions; thresholds taken from the float statistics
-        # put many vectors within an ulp of one, and alpha = 0 at n = 20
-        # puts some on one
+    def test_table_cells_match_multiply_accumulate_sums(self, monkeypatch):
+        # past one limb no n is tabled, and the estimator draws every n
+        # through the split tree and builds no cell law; the tree's hull
+        # sums, on two limbs, are the exact multiply-accumulate sums S/h,
+        # and their cells the exact decisions; thresholds taken from the
+        # float statistics put many vectors within an ulp of one, and
+        # alpha = 0 at n = 20 puts some on one
         model = _non_dyadic_wide_model()
         law = MinMaxLaw.from_model(model)
         step, mins, maxs = law.lattice
@@ -1449,14 +1536,23 @@ class TestCellLaw:
             events = _EventCells.build(alphas, pairs)
             sums_law, cell_of = _cells_at(events, law, n)
             assert sums_law.mins.shape == (4, 2, 1) and not is_tabled(law, n)
-            sampler = montecarlo._sampler(law, events, n, is_tabled(law, n))
-            assert sampler[2] is None and sampler[3] is not None
             x = _hull_sums(columns, sums_law)
             for got, want in zip(x, (low_sums, up_sums)):
                 assert [hi * 2**31 + lo for hi, lo in zip(*got.tolist())] == want
             member = _membership(events)
             cells = cell_of(*x)
             assert np.array_equal(member[:, cells], _exact_events(columns, law, n, alphas, pairs))
+        real, drawn = montecarlo._tally_run, []
+
+        def recording_tally_run(seed, reps, events, run):
+            drawn.append(run[0])
+            return real(seed, reps, events, run)
+
+        monkeypatch.setattr(montecarlo, "_cell_law", None)
+        monkeypatch.setattr(montecarlo, "_tally_run", recording_tally_run)
+        plan = SimPlan(model, n_values=(1, 3, 10, 20, 37), reps=5, seed=1)
+        estimate_events(plan, moments_by_enumeration(model), workers=1)
+        assert drawn == [1, 3, 10, 20, 37]
 
 
 def _non_dyadic_wide_model():
@@ -1745,14 +1841,11 @@ def test_table_sizes_are_the_sizes_built(data):
     events = _EventCells.build(grid, default_alpha_pairs(grid))
     sums_law, cell_of, bounds = events.at(law, n)
     windows, prefixes, runs = [], [], []
-    lines, first_line = inspect.getsourcelines(splittree._cell_law)
-    last_split = first_line + next(i for i, line in enumerate(lines)
-                                   if "_window_pmfs(span" in line)
 
     def window_pmfs(totals, p, q, *columns):
+        # the last split's call passes no columns; the pair's passes them
         first, pmf = real_pmfs(totals, p, q, *columns)
-        caller = sys._getframe(1)
-        windows.append((caller.f_code.co_name, caller.f_lineno == last_split, totals.copy(),
+        windows.append((sys._getframe(1).f_code.co_name, not columns, totals.copy(),
                         p, q, pmf.size))
         return first, pmf
 
@@ -2022,8 +2115,8 @@ def test_cell_law_where_a_span_misses_a_parent_slice(monkeypatch, name, n):
 def test_each_estimate_decides_and_logs_its_tabled_n(monkeypatch, caplog):
     """An estimate decides its tabled n under the ``TABLE_MAX_VECTORS`` in
     force at its call, builds their cell laws and logs them on one
-    ``estimate:`` line before any thread starts; one plan estimated under
-    two limits takes each limit's."""
+    ``estimate:`` line before any thread starts (at two workers, as one
+    starts none); one plan estimated under two limits takes each limit's."""
     model = MODEL_REGISTRY["mixed"]
     mom = moments_by_enumeration(model)
     plan = SimPlan(model, n_values=(16, 64, 4096), reps=100, seed=5)
@@ -2046,13 +2139,13 @@ def test_each_estimate_decides_and_logs_its_tabled_n(monkeypatch, caplog):
         built.clear()
         logged_at_start.clear()
         with caplog.at_level("INFO", logger="beliefclt"):
-            estimate_events(plan, mom, workers=1)
+            estimate_events(plan, mom, workers=2)
         (line,) = [rec.message for rec in caplog.records]
-        assert line.startswith("estimate: ") and logged_at_start == [1]
+        assert line.startswith("estimate: ") and logged_at_start and set(logged_at_start) == {1}
         assert re.findall(r"(\w+)=", line) == ["run_id", "workers", "block_size",
                                               "table_max_vectors", "tabled_n",
                                               "lattice_h", "lattice_n"]
-        assert (f"run_id={plan.digest()} workers=1 block_size={BLOCK_SIZE} "
+        assert (f"run_id={plan.digest()} workers=2 block_size={BLOCK_SIZE} "
                 f"table_max_vectors={limit} tabled_n={tabled} lattice_h=1/2 "
                 "lattice_n=[16, 64, 4096]") in line
         assert sorted(built) == tabled
