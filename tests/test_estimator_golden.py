@@ -46,11 +46,11 @@ from _laws import LAW_MODELS
 DENSE_GRID = tuple(-2.5 + 0.25 * i for i in range(21))
 
 GOLDEN_SHA256 = {
-    "bernoulli": "d17450dec57be068ee0295f12e6e02120d5a4f8cff630a08e29d01902880ff5d",
-    "coin": "26e28ea14c66cf8a74707fb408c9cd9d06218190ccd63e35de123397cbd626df",
-    "two_interval": "26e28ea14c66cf8a74707fb408c9cd9d06218190ccd63e35de123397cbd626df",
-    "union_parts": "f8ce50f5d791b5524531f0754a2af142c86fd0785ffb45a4b4f9e73f0ae18d2a",
-    "mixed": "124af4270a3052b0d07fca98543ec5e328c8276ccdbb4c3e0846b6bf61013160",
+    "bernoulli": "89d427c5155e23006fde56245fd0e712320f8a7687654c1251212f70e4441d2f",
+    "coin": "14b640c4e66fedfd590add43ba9dab5f87bd2976d9004c3aec530a7054b34590",
+    "two_interval": "14b640c4e66fedfd590add43ba9dab5f87bd2976d9004c3aec530a7054b34590",
+    "union_parts": "f9a2d7dc2280cbb0cbd0c3ba4c7032371fe176fd1450a4410318bb16bf399d96",
+    "mixed": "8929b330f64d5dfef2d15a26151eab2da9be1dce368a744688ab30421542d1fd",
 }
 
 # (model, n) past the plan's, as (prefixes, window entries), all drawn from
@@ -58,10 +58,10 @@ GOLDEN_SHA256 = {
 # at 256 (214, 54475) and 4096 (693, 714702)
 TABLED = {("bernoulli", 1024), ("bernoulli", 4096), ("mixed", 256), ("mixed", 4096)}
 MULTINOMIAL_SHA256 = {
-    ("bernoulli", 1024): "58ee6e82461c8cc2f0c28d68c277dfdcc594aa96782606428529d80dad0ab2c5",
-    ("bernoulli", 4096): "aa98a9f888cf3bacd3154d5060e1a54cd93d5e0305f99214c91ae7c1f3a6ab26",
-    ("mixed", 256): "1b40b0039a7167cbd1c833d31cc1c3ca0f5f3dcae8b63b63f7f3dea5d8b6c37e",
-    ("mixed", 4096): "741a5551a541cad77205afc3a152308b0aedbcc419cc60343e2b6b64316fd788",
+    ("bernoulli", 1024): "056ebc5e93f3dc9104c07465abe73d4e2de132b92fca8426189167556b5a2c75",
+    ("bernoulli", 4096): "28c1be6b34320496d636e461f7e43256ecf1afbf7e181666fcda10810d49f781",
+    ("mixed", 256): "8178950100dbbe7787a79a04da9aa52c711a0b62ff999b10d2bf2336276d6366",
+    ("mixed", 4096): "e82dd08ffe131b22f3ae91174fc702e1da84acc86e55f23d733543f1b549aa68",
 }
 
 # sha256 of the bytes of the cell law that the estimator draws from
@@ -132,17 +132,17 @@ CELL_LAW_SHA256 = {
 # n = 16 one-sided counts along DENSE_GRID, spelled out for readable diffs
 GOLDEN_N16 = {
     ("bernoulli", ONE_SIDED_LOWER): [
-        19930, 19930, 19466, 19466, 17981, 17981, 17981, 15007, 15007, 11018, 11018,
-        6832, 6832, 3518, 3518, 1478, 1478, 513, 513, 513, 157],
+        19937, 19937, 19494, 19494, 18043, 18043, 18043, 15055, 15055, 11048, 11048,
+        6892, 6892, 3547, 3547, 1485, 1485, 522, 522, 522, 152],
     ("bernoulli", ONE_SIDED_UPPER): [
-        145, 543, 543, 543, 1519, 1519, 3537, 3537, 6872, 6872, 11071, 11071,
-        15121, 15121, 18017, 18017, 18017, 19499, 19499, 19946, 19946],
+        146, 526, 526, 526, 1521, 1521, 3504, 3504, 6841, 6841, 11069, 11069,
+        15069, 15069, 17968, 17968, 17968, 19492, 19492, 19950, 19950],
     ("coin", ONE_SIDED_LOWER): [
-        19963, 19776, 19776, 19235, 19235, 17901, 17901, 15470, 15470, 11971, 11971,
-        8121, 8121, 4582, 4582, 2090, 2090, 748, 748, 212, 212],
+        19966, 19777, 19777, 19226, 19226, 17885, 17885, 15443, 15443, 11948, 11948,
+        8090, 8090, 4558, 4558, 2084, 2084, 747, 747, 207, 207],
     ("coin", ONE_SIDED_UPPER): [
-        37, 224, 224, 765, 765, 2099, 2099, 4530, 4530, 8029, 8029, 11879, 11879,
-        15418, 15418, 17910, 17910, 19252, 19252, 19788, 19788],
+        34, 223, 223, 774, 774, 2115, 2115, 4557, 4557, 8052, 8052, 11910, 11910,
+        15442, 15442, 17916, 17916, 19253, 19253, 19793, 19793],
 }
 
 
