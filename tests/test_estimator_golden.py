@@ -2,30 +2,28 @@
 
 Streams are keyed by (seed, n, block).  Where a (law, n) is tabled
 (``is_tabled``: on the law's lattice, with at most ``TABLE_MAX_VECTORS``
-prefixes and window entries), a block is one multinomial draw over the law
-of one trial's event cell: the windowed count vectors of every split of
-the binomial tree but the last, each a product of windowed binomial pmfs,
-with the last split summed in closed form between the thresholds it
-crosses, and on ``mixed`` the split of the leaf pair beside it summed in
-closed form too.  Every n of this plan is tabled for every registry model.
-``MULTINOMIAL_SHA256`` pins four (model, n) past it, all drawn from their
-tables: ``bernoulli`` at n = 1024 and 4096 and ``mixed`` at n = 256 and
-4096.  The two at n = 4096 were drawn by the binomial split tree, its root
-one multinomial over a window of its binomial pmf, until
-``TABLE_MAX_VECTORS`` rose from 2**17 to 2**20 with the closed form over
-the leaf pair, and were re-recorded then, after the closed form matched
-the full windowed enumeration and the binomial-tail tests; no other pin
-moved then.  ``mixed`` at n = 256 was re-recorded when the last split was
-summed in closed form.  The ``coin`` and ``two_interval`` pins
-were last re-recorded when the tables kept to the windows (only n = 4
-moved, by one trial in some cells); the others when blocks and the tree's
-root became multinomial draws.  The tally and the ``>=`` / ``<`` / ``<=``
-operators did not change.  The plan runs two blocks per n (the second one
-partial) on a dense 0.25 alpha grid; ``coin`` and ``two_interval`` put
-T_low and T_up on a 0.5 lattice at n = 4 and 16, so many trials land
-exactly on a grid threshold and the operators decide them.
-``CELL_LAW_SHA256`` pins the bytes of the cell laws themselves, on more
-laws and n than any count pin reaches.
+prefixes and window entries), all the n's trials are one multinomial draw,
+from the stream of block 0, over the law of one trial's event cell: the
+windowed count vectors of every split of the binomial tree but the last,
+each a product of windowed binomial pmfs, with the last split summed in
+closed form between the thresholds it crosses, and on ``mixed`` the split
+of the leaf pair beside it summed in closed form too.  Every n of this
+plan is tabled for every registry model.  ``MULTINOMIAL_SHA256`` pins
+four (model, n) past it, all drawn from their tables: ``bernoulli`` at
+n = 1024 and 4096 and ``mixed`` at n = 256 and 4096.  Every count pin
+was last re-recorded when a tabled n became one draw of all its trials,
+where it had been one draw per block of 16384 trials, summed; the cell
+laws (``CELL_LAW_SHA256``), the tally and the ``>=`` / ``<`` / ``<=``
+operators did not change then.  Before that, the two pins at n = 4096
+moved when ``TABLE_MAX_VECTORS`` rose from 2**17 to 2**20 with the closed
+form over the leaf pair (they had been drawn by the binomial split tree),
+``mixed`` at n = 256 when the last split was summed in closed form, and
+``coin`` and ``two_interval`` when the tables kept to the windows.  The
+plan runs 20000 trials per n, more than one block, on a dense 0.25 alpha
+grid; ``coin`` and ``two_interval`` put T_low and T_up on a 0.5 lattice
+at n = 4 and 16, so many trials land exactly on a grid threshold and the
+operators decide them.  ``CELL_LAW_SHA256`` pins the bytes of the cell
+laws themselves, on more laws and n than any count pin reaches.
 """
 
 import hashlib
