@@ -443,8 +443,11 @@ class TestEstimateEvents:
                        - plausibility(bernoulli, complement(event))) <= tol
 
 
-def _started_threads(monkeypatch):
-    """The list that every thread started from here on is appended to."""
+def test_pool_is_sized_by_its_runs(monkeypatch, bern_plan):
+    """Only the untabled n's runs of blocks go to a pool, which starts a
+    thread for a run only while none is idle: an all-tabled plan starts no
+    thread at any worker count, one worker starts none, and a plan with
+    untabled n at most min(workers, its runs)."""
     started, start = [], threading.Thread.start
 
     def counted_start(thread):
@@ -452,15 +455,6 @@ def _started_threads(monkeypatch):
         start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", counted_start)
-    return started
-
-
-def test_pool_is_sized_by_its_runs(monkeypatch, bern_plan):
-    """Only the untabled n's runs of blocks go to a pool, which starts a
-    thread for a run only while none is idle: an all-tabled plan starts no
-    thread at any worker count, one worker starts none, and a plan with
-    untabled n at most min(workers, its runs)."""
-    started = _started_threads(monkeypatch)
     mom = moments_by_enumeration(bern_plan.model)
     tabled = SimPlan(bern_plan.model, n_values=(16, 64), reps=3 * BLOCK_SIZE, seed=5)
     assert all(is_tabled(MinMaxLaw.from_model(tabled.model), n) for n in tabled.n_values)
@@ -868,10 +862,9 @@ def _reference_estimate(plan):
 
     An untabled n replays its trials' hull counts.  A tabled n replays all
     its trials as one multinomial over the cell law, from the stream of
-    block 0; every windowed count vector
-    (the full simplex at these n) is tested
-    against every event, the vectors of one cell must agree, and each draw
-    of a cell counts towards the events of its vectors.
+    block 0; every windowed count vector (the full simplex at these n) is
+    tested against every event, the vectors of one cell must agree, and
+    each draw of a cell counts towards the events of its vectors.
     """
     law = MinMaxLaw.from_model(plan.model)
     events = _EventCells.build(plan.alpha_one_sided, plan.alpha_two_sided)
@@ -2141,7 +2134,7 @@ def test_each_estimate_decides_and_logs_its_tabled_n(monkeypatch, caplog):
         with caplog.at_level("INFO", logger="beliefclt"):
             estimate_events(plan, mom, workers=2)
         (line,) = [rec.message for rec in caplog.records]
-        assert line.startswith("estimate: ") and logged_at_start and set(logged_at_start) == {1}
+        assert line.startswith("estimate: ") and set(logged_at_start) == {1}
         assert re.findall(r"(\w+)=", line) == ["run_id", "workers", "block_size",
                                               "table_max_vectors", "tabled_n",
                                               "lattice_h", "lattice_n"]
