@@ -3,18 +3,20 @@
 A node splits its count of hulls [lo, hi) into [lo, mid) and [mid, hi),
 mid = (lo + hi) // 2, the left count binomial with the left share of the
 node's mass (Devroye 1986, ch. XI).  The tree draws the hull counts of a
-block's trials (``_split_counts``), and its windowed binomial pmfs
-(``_window``, ``_window_pmfs``) give the exact law of one trial's event
-cell (``_cell_law``): the count vectors of every split but the last
-(``_prefixes``), each a product of windowed pmfs, with the last split
-summed in closed form over the runs between the thresholds it crosses
-(``_crossings``), each run's mass out of the nearer tail of its window
-(``_tails``).  Where the leaf pair beside the last split has a closed
-form too (``_sibling``), its split is summed the same way; any other
-law reads each run's cell from the thresholds.  ``_table_sizes`` counts
-what that build walks from the window bounds alone, and
-``_root_window`` is the root's window, over which the tree draws its
-first split.
+block's trials (``_split_counts``), and on a law of at most four hulls
+its windowed binomial pmfs (``_window``, ``_window_pmfs``) give the exact
+law of one trial's event cell (``_cell_law``): the count vectors of the
+splits above the last (``_prefixes``: the root's left counts, and on four
+hulls the pair's below each), each a product of windowed pmfs, with the
+last split summed in closed form over the runs between the thresholds it
+crosses (``_crossings``), each run's mass out of the nearer tail of its
+window (``_tails``).  Where the leaf pair beside the last split has a
+closed form too (``_sibling``), its split is summed the same way; any
+other law reads each run's cell from the thresholds.  ``_table_sizes``
+counts what that build walks in closed form from the window bounds, and
+past four hulls counts more than any limit, so such a law is never
+tabled.  ``_root_window`` is the root's window, over which the tree
+draws its first split.
 """
 
 from __future__ import annotations
@@ -142,101 +144,74 @@ def _root_window(law: MinMaxLaw, n: int, limit: int) -> tuple[int, np.ndarray] |
 
 def _last_totals(law: MinMaxLaw, n: int, limit: int) -> np.ndarray | None:
     """The totals that the tree's last split, of hulls k - 2 and k - 1, can
-    get: the right-most nodes [lo, k) pass a range of totals down to it,
-    each node's the windows of its parent's; None past ``limit`` totals."""
-    k, lo, first, last = len(law.masses), 0, n, n
-    while k - lo > 2 and last - first < limit:
-        totals = np.arange(first, last + 1)
-        start, _, stop = _window(totals, *_shares(law.masses, lo, k))
-        first, last, lo = (totals - stop).min(), (totals - start).max(), (lo + k) // 2
-    return np.arange(first, last + 1) if last - first < limit else None
+    get on a law of at most four hulls: n where it is the root, else n less
+    each left count of the root's window; None past ``limit`` totals."""
+    k = len(law.masses)
+    lo, _, hi = _window(n, *_shares(law.masses, 0, k)) if k > 2 else (0, 0, 0)
+    return np.arange(n - hi, n - lo + 1) if hi - lo < limit else None
 
 
 def _sibling(law: MinMaxLaw) -> tuple[int, int] | None:
-    """The node beside the last split's, [lo, k - 2) under the last split's
-    parent, where it is a pair of leaves whose split the cell law sums in
-    closed form (``_cell_law``): the last split moves one side of the sums
-    on the lattice, by s per unit of its left count b, and a unit of the
-    pair's left count c moves that side by d, |d| < |s|, so each of that
-    side's crossings stays put over runs of the pair's counts.  Else None,
-    and the pair, if any, is enumerated with the other splits."""
-    k, lo = len(law.masses), 0
-    while k - lo > 2 and (lo + k) // 2 != k - 2:
-        lo = (lo + k) // 2
-    if k - lo != 4:
+    """The leaf pair [0, 2) beside the last split [2, 4) of a four-hull law,
+    where the cell law sums its split in closed form (``_cell_law``): the
+    last split moves one side of the sums on the lattice, by s per unit of
+    its left count b, and a unit of the pair's left count c moves that side
+    by d, |d| < |s|, so each of that side's crossings stays put over runs of
+    the pair's counts.  Else None, and a four-hull law's pair is enumerated
+    with the root's split (``_prefixes``)."""
+    if len(law.masses) != 4:
         return None
     _, mins, maxs = law.lattice
-    moves = [(ends[k - 2] - ends[k - 1], ends[lo] - ends[lo + 1]) for ends in (mins, maxs)]
-    moving = [(s, d) for s, d in moves if s]
-    return (lo, k - 2) if len(moving) == 1 and abs(moving[0][1]) < abs(moving[0][0]) else None
+    moving = [(ends[2] - ends[3], ends[0] - ends[1])
+              for ends in (mins, maxs) if ends[2] != ends[3]]
+    return (0, 2) if len(moving) == 1 and abs(moving[0][1]) < abs(moving[0][0]) else None
 
 
 def _table_sizes(law: MinMaxLaw, n: int, limit: int) -> tuple[int, int]:
     """(prefixes, entries) that the cell law of (law, n) walks
-    (``_cell_law``), counted from the window bounds alone, each
-    ``limit + 1`` where it is larger.  The prefixes are the vectors of every
-    split but the last, and but the ``_sibling`` pair's where that is summed
-    in closed form, inside its window; a node counts those below its totals
-    a quarter block of window entries at a time, each count capped at
-    ``limit + 1`` before it is summed.  The entries are those of the windows
-    built: the sibling pair's, once per prefix, and those of the last
-    split's totals (``_last_totals``), once per total."""
-    k, totals, sibling = len(law.masses), _last_totals(law, n, limit), _sibling(law)
-
-    def count(lo: int, hi: int, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(prefixes, sibling entries) below each of the totals of [lo, hi)."""
-        zero = np.zeros(len(totals))
-        if hi - lo == 1 or lo == k - 2:
-            return zero + 1, zero
-        start, _, stop = _window(totals, *_shares(law.masses, lo, hi))
-        widths, mid = stop - start + 1, (lo + hi) // 2
-        if (lo, hi) == sibling:
-            return zero + 1, widths.astype(float)
-        vectors, entries = widths.astype(float), np.zeros(len(totals))
-        rows = max(1, len(totals) * (BLOCK_SIZE // 4) // int(widths.sum()))
-        for first in range(0, len(totals) if hi - lo > 2 else 0, rows):
-            if max(vectors.sum(), entries.sum()) > limit:
-                break
-            part = slice(first, first + rows)
-            row, left = _spread(start[part], widths[part])
-            (v1, e1), (v2, e2) = count(lo, mid, left), count(mid, hi, totals[part][row] - left)
-            vectors[part] = np.bincount(row, np.minimum(v1 * v2, limit + 1))
-            entries[part] = np.bincount(row, np.minimum(v1 * e2 + e1 * v2, limit + 1))
-        # past the limit, or cut short with a pair below, a count is limit + 1
-        over = vectors.sum() > limit
-        short = over and sibling is not None and lo <= sibling[0] < hi
-        return (zero + limit + 1 if over else vectors,
-                zero + limit + 1 if short or entries.sum() > limit else entries)
-
-    if totals is None:  # each total has a prefix
+    (``_cell_law``), each ``limit + 1`` where it is larger, and both past
+    four hulls, whose laws are never tabled.  The prefixes are the root's
+    left counts in its window, and on four hulls with no closed pair
+    (``_sibling``) the pair's left counts in their windows below each.  The
+    entries are those of the windows built: the last split's, once per
+    total (``_last_totals``), and the closed pair's, once per prefix."""
+    k = len(law.masses)
+    totals = _last_totals(law, n, limit) if k <= 4 else None
+    if totals is None:
         return limit + 1, limit + 1
     start, _, stop = _window(totals, *_shares(law.masses, k - 2, k))
-    prefixes, entries = count(0, k, np.array([n]))
-    return (min(int(prefixes[0]), limit + 1),
-            min(int(entries[0]) + int((stop - start + 1).sum()), limit + 1))
+    prefixes, entries = len(totals) if k > 2 else 1, int((stop - start + 1).sum())
+    if k == 4:
+        start, _, stop = _window(n - totals, *_shares(law.masses, 0, 2))
+        pair = int((stop - start + 1).sum())
+        prefixes, entries = (prefixes, entries + pair) if _sibling(law) else (pair, entries)
+    return min(prefixes, limit + 1), min(entries, limit + 1)
 
 
 def _prefixes(law: MinMaxLaw, n: int, spans: Sequence[np.ndarray]) -> Iterator[Iterable[tuple]]:
     """Per span of the last split's totals, the (counts, pmf) slices of the
     prefixes ``_table_sizes`` counts whose last split's total is in
-    [span[0], span[-1]]: ``counts`` maps each leaf, the last split's node
-    [k - 2, k) and the ``_sibling`` pair, if any, to their counts, each
-    probability the product of its splits' windowed pmfs.  The splits down
-    to the last split's parent, the node [lo, k) with (lo + k) // 2 = k - 2,
-    are made once, and so are that parent's window pmfs; only its split is
-    cut to each span.  A node splits a slice at once, after cutting it where
-    it would pass a quarter block of window entries, and a slice is cut
-    last where its sibling pair's windows would pass half a block."""
+    [span[0], span[-1]]: ``counts`` maps the last split's node [k - 2, k),
+    the other leaves and the closed pair [0, 2), if any, to their counts,
+    each probability the product of the root's windowed pmf and, on four
+    hulls with no closed pair, the pair's.  The root's window pmf is built
+    once.  On four hulls a span is cut where the pair's windows would pass
+    a quarter block of entries, or a block as one array, a row per prefix
+    as wide as the part's widest window about the mode; where the pair is
+    closed, where they would pass half a block of entries."""
     k, sibling = len(law.masses), _sibling(law)
+    if k == 2:  # the root is the last split
+        return ([({(0, 2): np.array([n])}, np.ones(1))] for _ in spans)
+    r_first, root = _window_pmfs(np.array([n]), *_shares(law.masses, 0, k))
+    shares = _shares(law.masses, 0, 2)
 
-    def cut(counts: dict, pmf: np.ndarray, node: tuple[int, int], limit: int, built=True):
-        """The slice, cut in order into the fewest parts whose windows of
-        ``node``'s totals hold at most ``limit`` entries, and where they are
-        ``built`` as one array, a row per prefix as wide as the part's
-        widest window about the mode, at most a block, or one prefix."""
-        start, mode, stop = _window(counts[node], *_shares(law.masses, *node))
+    def cut(totals: np.ndarray, limit: int, built: bool) -> Iterator[slice]:
+        """The pair's ``totals``, cut in order into the fewest parts whose
+        windows hold at most ``limit`` entries, and where they are ``built``
+        at most a block, or one prefix."""
+        start, mode, stop = _window(totals, *shares)
         before, cuts = np.concatenate([[0], np.cumsum(stop - start + 1)]), [0]
-        while cuts[-1] < len(pmf):
+        while cuts[-1] < len(totals):
             first = cuts[-1]
             end = int(before.searchsorted(before[first] + limit, side="right") - 1)
             if built:
@@ -244,55 +219,25 @@ def _prefixes(law: MinMaxLaw, n: int, spans: Sequence[np.ndarray]) -> Iterator[I
                          + np.maximum.accumulate(stop[first:end] - mode[first:end]) + 1)
                 end = first + int((np.arange(1, end - first + 1) * width <= BLOCK_SIZE).sum())
             cuts.append(max(first + 1, end))
-        if len(cuts) == 2:
+        return map(slice, cuts, cuts[1:])
+
+    def slices(span: np.ndarray):
+        r = np.arange(n - span[-1], n - span[0] + 1)
+        counts, pmf = {(0, k - 2): r, (k - 2, k): n - r}, root[0, r - r_first[0]]
+        if k == 3:
             yield counts, pmf
-            return
-        for part in map(slice, cuts, cuts[1:]):
-            yield {c: v[part] for c, v in counts.items()}, pmf[part]
+        elif sibling:
+            for part in cut(r, BLOCK_SIZE // 2, False):
+                yield {node: v[part] for node, v in counts.items()}, pmf[part]
+        else:
+            for part in cut(r, BLOCK_SIZE // 4, True):
+                start, _, stop = _window(r[part], *shares)
+                c_first, window = _window_pmfs(r[part], *shares)
+                row, c = _spread(start, stop - start + 1)
+                yield ({(2, 4): n - r[part][row], (0, 1): c, (1, 2): r[part][row] - c},
+                       pmf[part][row] * window[row, c - c_first[row]])
 
-    def split(counts: dict, pmf: np.ndarray, node: tuple[int, int], start: np.ndarray,
-              stop: np.ndarray, pmfs: tuple[np.ndarray, np.ndarray], todo: list):
-        """``expand`` of the slice with ``node`` split, its left count in
-        [start, stop] and of the window pmfs (first, window)."""
-        (lo, hi), (first, window), totals = node, pmfs, counts[node]
-        mid = (lo + hi) // 2
-        row, left = _spread(start, np.maximum(stop - start + 1, 0))
-        if not len(row):  # no total of this slice reaches the span
-            return iter(())
-        counts = {c: v[row] for c, v in counts.items() if c != node}
-        counts[lo, mid], counts[mid, hi] = left, totals[row] - left
-        todo = todo + [(a, b) for a, b in ((lo, mid), (mid, hi))
-                       if b - a > 1 and a < k - 2 and (a, b) != sibling]
-        return expand(counts, pmf[row] * window[row, left - first[row]], todo)
-
-    def expand(counts: dict, pmf: np.ndarray, todo: list):
-        """The (counts, pmf) slices with every node on ``todo`` split, last
-        first; a slice that reaches the last split's parent stops there, as
-        (counts, pmf, (parent, start, stop, its window pmfs), nodes left)."""
-        if not todo:
-            yield from (cut(counts, pmf, sibling, BLOCK_SIZE // 2, False) if sibling
-                        else [(counts, pmf)])
-            return
-        node, rest = todo[-1], todo[:-1]
-        for counts, pmf in cut(counts, pmf, node, BLOCK_SIZE // 4):
-            totals, (p, q) = counts[node], _shares(law.masses, *node)
-            start, _, stop = _window(totals, p, q)
-            pmfs = _window_pmfs(totals, p, q)
-            if sum(node) // 2 == k - 2:
-                yield counts, pmf, (node, start, stop, pmfs), rest
-            else:
-                yield from split(counts, pmf, node, start, stop, pmfs, rest)
-
-    def within(span: np.ndarray):
-        for counts, pmf, (node, start, stop, pmfs), rest in parents:
-            totals = counts[node]
-            yield from split(counts, pmf, node, np.maximum(start, totals - span[-1]),
-                             np.minimum(stop, totals - span[0]), pmfs, rest)
-
-    if k == 2:  # the root is the last split
-        return ([({(0, 2): np.array([n])}, np.ones(1))] for _ in spans)
-    parents = list(expand({(0, k): np.array([n])}, np.ones(1), [(0, k)]))
-    return map(within, spans)
+    return map(slices, spans)
 
 
 def _crossings(bounds: np.ndarray, step: int, weight: int) -> tuple[np.ndarray, np.ndarray]:
@@ -330,11 +275,12 @@ def _tails(pmf: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cell_law(law: MinMaxLaw, n: int, bounds: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The law of one trial's event cell at a tabled (law, n), ``law`` on
-    its lattice with twice its sums in int64 (``montecarlo.is_tabled``),
-    by the thresholds ``bounds`` of S_min/h and S_max/h
-    (``montecarlo._EventCells.at``): cell = (len(bounds[1]) + 1) * (low
-    rank) + (up rank), each rank the thresholds at or below its sum.
+    """The law of one trial's event cell at a tabled (law, n), ``law`` of
+    at most four hulls, on its lattice with twice its sums in int64
+    (``montecarlo.is_tabled``), by the thresholds ``bounds`` of S_min/h
+    and S_max/h (``montecarlo._EventCells.at``): cell = (len(bounds[1]) +
+    1) * (low rank) + (up rank), each rank the thresholds at or below its
+    sum.
 
     The last split of the tree gives b of its total t to hull k - 2 and
     t - b to hull k - 1, so on each prefix (``_prefixes``) S/h moves by

@@ -1,5 +1,7 @@
-"""The laws whose cell laws the tests check: the registry models and four
-more, each reaching a different branch of the build (``splittree._cell_law``)."""
+"""The laws whose cell laws the tests check: the registry models and three
+more of at most four hulls, each reaching a different branch of the build
+(``splittree._cell_law``); and two laws of five and seven hulls, which are
+never tabled and draw through the split tree at every n."""
 
 from beliefclt import MODEL_REGISTRY, BeliefModel, FocalElement
 
@@ -15,8 +17,7 @@ def non_dyadic_model():
 
 
 def five_hull_model():
-    # five hulls: the last split's sibling is one leaf, so there is no
-    # closed pair; the last split (hulls 3 and 4) moves S_min only
+    # five hulls, so never tabled
     return BeliefModel(
         [(FocalElement([(0.0, 1.0)]), 0.2),
          (FocalElement([(0.5, 1.5)]), 0.15),
@@ -26,10 +27,7 @@ def five_hull_model():
 
 
 def seven_hull_model():
-    # seven hulls: the last split (hulls 5 and 6) moves S_max only, by 1/2,
-    # and the leaf pair beside it (hulls 3 and 4) moves each side by 1/4, so
-    # its split is summed in closed form below prefixes of three other
-    # splits, its window cut where S_min crosses a threshold
+    # seven hulls, so never tabled
     return BeliefModel(
         [(FocalElement([(0.0, 1.0)]), 0.1),
          (FocalElement([(0.25, 0.5)]), 0.2),
@@ -52,6 +50,19 @@ def falling_pair_model():
          (FocalElement([(1.0, 1.5)]), 0.25)], 2.0)
 
 
+def falling_runs_model():
+    # four hulls: the last split (hulls 2 and 3) moves S_min by -4 steps of
+    # 1/2 as its left count grows, and S_max not at all; the pair beside it
+    # (hulls 0 and 1) moves S_min by -1 and S_max by -2, so each crossing's
+    # b falls as the pair's left count grows, over runs of about four
+    # counts, and the pair's window is cut where S_max crosses a threshold
+    return BeliefModel(
+        [(FocalElement([(0.0, 1.0)]), 0.3),
+         (FocalElement([(0.5, 2.0)]), 0.2),
+         (FocalElement([(-1.0, 1.5)]), 0.25),
+         (FocalElement([(1.0, 1.5)]), 0.25)], 2.0)
+
+
 LAW_MODELS = {**MODEL_REGISTRY, "non_dyadic": non_dyadic_model(),
-              "five_hulls": five_hull_model(), "seven_hulls": seven_hull_model(),
-              "falling_pair": falling_pair_model()}
+              "falling_pair": falling_pair_model(), "falling_runs": falling_runs_model()}
+UNTABLED_MODELS = {"five_hulls": five_hull_model(), "seven_hulls": seven_hull_model()}

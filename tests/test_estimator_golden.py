@@ -39,7 +39,7 @@ from beliefclt.montecarlo import (
     default_alpha_pairs,
 )
 
-from _laws import LAW_MODELS
+from _laws import LAW_MODELS, UNTABLED_MODELS
 
 DENSE_GRID = tuple(-2.5 + 0.25 * i for i in range(21))
 
@@ -66,7 +66,9 @@ MULTINOMIAL_SHA256 = {
 # (``splittree._cell_law`` of ``_EventCells.at``'s sums law) per (law, grid,
 # n), every law of the cell-law tests at tabled n on the default grid and
 # DENSE_GRID.  Recorded before the build was split on whether the law has a
-# closed pair beside its last split; that change moved none of them.
+# closed pair beside its last split; that change moved none of them, nor did
+# tabling only laws of at most four hulls, before which ``falling_runs``' pins
+# were recorded.
 GRIDS = {"default": DEFAULT_ALPHA_GRID, "dense": DENSE_GRID}
 CELL_LAW_SHA256 = {
     ("bernoulli", "default", 16): "9bb0b383bc9ba77a013a2671357eba75a7f1a61d493a7b41c2624c135ed29fd8",
@@ -87,12 +89,12 @@ CELL_LAW_SHA256 = {
     ("falling_pair", "dense", 16): "c16a0c63ebb0085aafa6050e94fa075bb9dbe0b44042bae974bd9b5400419832",
     ("falling_pair", "dense", 256): "3c66588afed44dbdd148c2e24fcf13dfc086da3454205ac5da704de676a7c12b",
     ("falling_pair", "dense", 1024): "b83634022ab74fce6a31dcc1575880dc2127660b91dfaa25094abedf123914f0",
-    ("five_hulls", "default", 16): "161ac1024867e418a0f362a9b5d08a61d2e83fcfbe4fe5e418e71785c0f3e655",
-    ("five_hulls", "default", 40): "f728aa0a0b8db11a6e01c3eeb9c511b71c8e7ab323cb9585bca5703a5c005eb1",
-    ("five_hulls", "default", 64): "49f046260e7f83bab6c28c10d2fe77e35ac0f8cac59cb7ef34bd0a4e6d1610c4",
-    ("five_hulls", "dense", 16): "b18315fd17702a7476af085a1dd3af898997aacfe096ae2c5124c84e623419ee",
-    ("five_hulls", "dense", 40): "a9e156862376e87d14d9461190a5354b22e2378b9eed994c225b3229f8c4cc09",
-    ("five_hulls", "dense", 64): "501bb70027ba3703605bb54b550b5d9251f78717b885005700b023aadc68c860",
+    ("falling_runs", "default", 16): "f979fd4131f27cd4f8216ad0032fc44417b387c27c6704623e92a6847dc81b0a",
+    ("falling_runs", "default", 256): "736fe52235583f0d63878bdd85edaefbc894494aff35473b2871caec894e6703",
+    ("falling_runs", "default", 1024): "c7b7305ecf4273cdbdd256d266dc5313670037686910aa55054f556775e401e2",
+    ("falling_runs", "dense", 16): "8b7c12c8c4052eee2ce3530617047cd888215298e34bcc99cada5b12c7669f9e",
+    ("falling_runs", "dense", 256): "17df3ecfcaed9323532a2aa365f1b7980aec0a149cad9b65062f290ea0ecc6d9",
+    ("falling_runs", "dense", 1024): "48c6d54e97a9a6081bdcf24043233df5b9d866161455804b34cd2b23f254779f",
     ("mixed", "default", 16): "7ed2b612d9ff0e80b5b441bf9dd38adaa92a77d131d651fd2711959f8c40768e",
     ("mixed", "default", 256): "80faf74a299f973e4e78d0f3313a2c02b3a8d1ad259ebf16383056bfcc2dee58",
     ("mixed", "default", 1024): "7d2039584546774a1fd8ea3870aff8fddc6171216e069775a3b3b486a48f4b73",
@@ -107,12 +109,6 @@ CELL_LAW_SHA256 = {
     ("non_dyadic", "dense", 16): "fbae23f6445b4198ca916ba78177956dca8f02e30a0d0ff962a738adab0727e2",
     ("non_dyadic", "dense", 64): "568a4ec9d97ca4264c8f67daed71a734176ceaa730c6b73d986e3ee85415981b",
     ("non_dyadic", "dense", 256): "717627d3b8fc9d6180c62c9a4ae65c798c7f3e1250e58bd08d253d0e97713689",
-    ("seven_hulls", "default", 8): "0b8632d8338c22f5c377b201df97094c776ab3d4ff2de243a153d1eb3ddefcf3",
-    ("seven_hulls", "default", 14): "cfdfc80c9f171d35f17121afbd0ff123a9d35cb34826a4c9431dc61db81f3b41",
-    ("seven_hulls", "default", 20): "1b7c19c7a940a2af50287b2ab1c6967f2b41d283ebaec65d96fd4b8de685e69d",
-    ("seven_hulls", "dense", 8): "4847623930906d55ebc2ed326b122e5419da2fd69a6d9226f4c5e43c05852511",
-    ("seven_hulls", "dense", 14): "eebdc485419d9ef39a227433b3951dc3f2a9394ac892039f92626bb32932a492",
-    ("seven_hulls", "dense", 20): "b9ebe7d88517ff7fb31c4bd77a5be4391fa4be2ceb354e29382544699fb52a41",
     ("two_interval", "default", 16): "abf969c32301ddfcb72578c0e4a334cf3d180deb99ecf8c3cdfac86fc07830ba",
     ("two_interval", "default", 256): "4ff1c152f39a78be724d4736e5f50e500001c2ad2daac8bba01f5c3446d677ca",
     ("two_interval", "default", 1024): "15df59042cb113e15022f0a9a2bc07fc46286dbf3e4f31ca744da93a6becd50b",
@@ -180,6 +176,31 @@ def test_multinomial_path_counts_match_golden(name, n):
 
 def test_cell_law_table_covers_every_law():
     assert {name for name, _, _ in CELL_LAW_SHA256} == set(LAW_MODELS)
+
+
+# the n at which the laws of five and seven hulls had pinned cell laws; no
+# law of more than four hulls is tabled, so none is built
+UNTABLED_N = {"five_hulls": (16, 40, 64), "seven_hulls": (8, 14, 20)}
+
+
+@pytest.mark.parametrize("name", sorted(UNTABLED_MODELS))
+def test_laws_of_five_or_more_hulls_are_untabled(name, monkeypatch, caplog):
+    # and their estimate logs no tabled n and builds no cell law
+    model = UNTABLED_MODELS[name]
+    law = montecarlo.MinMaxLaw.from_model(model)
+    assert len(law.masses) > 4
+    for n in UNTABLED_N[name]:
+        assert montecarlo.on_lattice(law.lattice, n) and not montecarlo.is_tabled(law, n)
+
+    def built(*args):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(montecarlo, "_cell_law", built)
+    plan = SimPlan(model, n_values=UNTABLED_N[name], reps=100, seed=5)
+    with caplog.at_level("INFO", logger="beliefclt"):
+        estimate_events(plan, moments_by_enumeration(model), workers=1)
+    (line,) = [rec.message for rec in caplog.records if rec.message.startswith("estimate: ")]
+    assert " tabled_n=[] " in line
 
 
 @pytest.mark.parametrize("name", sorted(LAW_MODELS))

@@ -1170,8 +1170,7 @@ _DENSE_GRID = tuple(-2.5 + 0.25 * i for i in range(21))
 _FAR_GRID = tuple(-6.0 + 0.25 * i for i in range(49))
 
 # the largest n at which the full enumeration of each is checked
-_ENUMERATED_N = dict.fromkeys(_LAW_MODELS, 90) | {"five_hulls": 40, "seven_hulls": 14,
-                                                  "falling_pair": 60}
+_ENUMERATED_N = dict.fromkeys(_LAW_MODELS, 90) | {"falling_pair": 60}
 
 
 def _model_cell_law(model, n, alphas=DEFAULT_ALPHA_GRID):
@@ -1266,27 +1265,26 @@ class TestCellLaw:
 
     @pytest.mark.parametrize("name", sorted(_LAW_MODELS))
     def test_closed_form_matches_the_full_enumeration(self, name):
-        # at every tabled n <= 90 (40 on five hulls, 14 on seven, 60 on the
-        # falling pair)
+        # at every tabled n <= 90 (60 on the falling pair)
         _check_closed_form(name, range(1, _ENUMERATED_N[name] + 1))
 
-    @pytest.mark.parametrize("name", ["mixed", "seven_hulls", "falling_pair"])
+    @pytest.mark.parametrize("name", ["mixed", "falling_pair", "falling_runs"])
     def test_closed_form_keeps_the_far_tails(self, name):
         # the laws with a closed pair at n = 20 on a grid out to 6 sd, where
-        # hundreds of cells lie below 1e-6 (down to 1e-14 on seven hulls),
-        # many of them reached only through the far tail of the pair window
+        # hundreds of cells lie below 1e-6, many of them reached only
+        # through the far tail of the pair window
         _check_closed_form(name, (20,), _FAR_GRID)
 
     def test_pair_is_summed_in_closed_form_where_one_side_moves(self):
         # mixed: the last split moves S_min by 8 steps, the pair S_min by
-        # -1; bernoulli and five hulls have no pair; coin's and the
-        # non-dyadic model's last splits move both sides; seven hulls: S_max
-        # by 2 and 1; the falling pair: S_min by -4 and 0
+        # -1; bernoulli has no pair; coin's and the non-dyadic model's last
+        # splits move both sides; the falling pair: S_min by -4 and 0; the
+        # falling runs: S_min by -4 and -1
         assert {name: splittree._sibling(MinMaxLaw.from_model(model))
                 for name, model in _LAW_MODELS.items()} == {
             "bernoulli": None, "coin": None, "two_interval": None, "union_parts": None,
-            "mixed": (0, 2), "non_dyadic": None, "five_hulls": None, "seven_hulls": (3, 5),
-            "falling_pair": (0, 2)}
+            "mixed": (0, 2), "non_dyadic": None, "falling_pair": (0, 2),
+            "falling_runs": (0, 2)}
 
     def test_closed_form_matches_the_full_enumeration_of_mixed_at_256(self):
         # 214 prefixes, each with its pair window, against 2633569 windowed
@@ -1439,7 +1437,7 @@ class TestCellLaw:
         assert counts[0] != counts[1] != counts[2] != counts[0]
         _z_test([(p, c) for row in counts for p, c in zip(exact, row)], plan.reps, "mixed")
 
-    @pytest.mark.parametrize("name", ["non_dyadic", "mixed", "five_hulls"])
+    @pytest.mark.parametrize("name", ["non_dyadic", "mixed"])
     def test_cells_settle_near_ties_exactly(self, monkeypatch, name):
         # thresholds taken from the float statistics of the count vectors
         # put each of those vectors within an ulp or so of a threshold, and
@@ -1457,7 +1455,7 @@ class TestCellLaw:
             return numerators, ranks
 
         monkeypatch.setattr(splittree, "_crossings", recording_crossings)
-        for n in (1, 3, 10, 20) if k > 4 else (1, 3, 10, 20, 37):
+        for n in (1, 3, 10, 20, 37):
             columns = np.array(_compositions(n, k), dtype=np.int64).T
             s_min, s_max = _hull_sums(columns, law)
             root = math.sqrt(n)
@@ -1778,15 +1776,44 @@ def _exact_sum_law(law, n):
     return probs
 
 
+def _check_untabled(data):
+    """A law of 5-8 distinct hulls of integer endpoints is tabled at no n,
+    under the limit in force or one of 2**40, and its estimate draws every
+    n through the split tree: ``_cell_law`` is never called."""
+    k = data.draw(st.integers(5, 8))
+    # at most four distinct hulls share a minimum or a maximum, so both vary
+    hulls = data.draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 3)),
+                               min_size=k, max_size=k, unique=True))
+    masses = data.draw(st.lists(st.floats(0.02, 1.0), min_size=k, max_size=k))
+    n = data.draw(st.integers(1, 64))
+    model = BeliefModel([(FocalElement([(a, a + w)]), m / math.fsum(masses))
+                         for (a, w), m in zip(hulls, masses)], 6.0)
+    law = MinMaxLaw.from_model(model)
+    assert len(law.masses) == k and montecarlo.on_lattice(law.lattice, n)
+
+    def built(*args):
+        raise AssertionError("built")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_cell_law", built)
+        for limit in (montecarlo.TABLE_MAX_VECTORS, 2**40):
+            patch.setattr(montecarlo, "TABLE_MAX_VECTORS", limit)
+            assert _table_sizes(law, n, limit) == (limit + 1, limit + 1)
+            assert not is_tabled(law, n)
+            plan = SimPlan(model, n_values=(n,), reps=64, seed=1)
+            estimate_events(plan, moments_by_enumeration(model), workers=1)
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_windowed_count_is_the_number_built(data):
-    # k = 2..5 hulls, n where the windows cut the simplex for k = 2 and 3,
+    # k = 2..4 hulls, n where the windows cut the simplex for k = 2 and 3,
     # and the limit one below, at and one above the number of prefixes
-    # built: the count vectors of every split but the last, in its windows
-    k = data.draw(st.integers(2, 5))
+    # built: the count vectors of every split but the last, in its windows;
+    # and a law of 5-8 hulls, which is never tabled
+    k = data.draw(st.integers(2, 4))
     masses = data.draw(st.lists(st.floats(0.02, 1.0), min_size=k, max_size=k))
-    n = data.draw(st.integers(1, {2: 5000, 3: 800, 4: 60, 5: 24}[k]))
+    n = data.draw(st.integers(1, {2: 5000, 3: 800, 4: 60}[k]))
     law = MinMaxLaw(np.zeros(k), np.zeros(k), np.array(masses))
     slices = [len(pmf) for _, pmf in next(_prefixes(law, n, [_last_totals(law, n, 2**40)]))]
     built = sum(slices)
@@ -1794,12 +1821,13 @@ def test_windowed_count_is_the_number_built(data):
     for limit in (built - 1, built, built + 1):
         count = _table_sizes(law, n, limit)[0]
         assert count == built if built <= limit else count > limit
+    _check_untabled(data)
 
 
 def _side_law(data, k):
     """A law of k hulls with integer endpoints, neither all minima nor all
     maxima equal, so both sides vary; in about a third of the draws the
-    last split leaves one side still, as where 4 and 7 hulls have a closed
+    last split leaves one side still, as where four hulls have a closed
     pair (``splittree._sibling``)."""
     mins = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
     widths = data.draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
@@ -1826,10 +1854,11 @@ def test_table_sizes_are_the_sizes_built(data):
     per prefix.  ``is_tabled`` holds at a limit of the larger size and one
     above, not one below, and no chunk of the build holds more than a block
     of elements: no window pmf, prefix slice or ``bincount`` input.  On these laws, whose sums move on one side or
-    both, the cell law is the full windowed enumeration's to 1e-15."""
-    k = data.draw(st.integers(2, 7))
+    both, the cell law is the full windowed enumeration's to 1e-15.  A law
+    of 5-8 hulls is never tabled (``_check_untabled``)."""
+    k = data.draw(st.integers(2, 4))
     law = _side_law(data, k)
-    n = data.draw(st.integers(1, {2: 5000, 3: 800, 4: 60, 5: 24, 6: 16, 7: 12}[k]))
+    n = data.draw(st.integers(1, {2: 5000, 3: 800, 4: 60}[k]))
     grid = data.draw(st.lists(st.sampled_from(LATTICE), max_size=8))
     events = _EventCells.build(grid, default_alpha_pairs(grid))
     sums_law, cell_of, bounds = events.at(law, n)
@@ -1881,6 +1910,7 @@ def test_table_sizes_are_the_sizes_built(data):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(montecarlo, "TABLE_MAX_VECTORS", limit)
             assert is_tabled(law, n) == (size <= limit)
+    _check_untabled(data)
 
 
 @pytest.mark.parametrize("name, n", [("bernoulli", 12096), ("mixed", 6272)])
@@ -1987,17 +2017,16 @@ def test_closed_form_test_catches_a_fault_in_the_telescoped_sum(monkeypatch, nam
 @pytest.mark.parametrize("name, check, old, new", [
     # each run of the pair's counts after a piece's first starts one count
     # early, so the last count of a run is weighed in the next run: where a
-    # crossing's b rises with the count (mixed) and where it falls (seven
-    # hulls)
+    # crossing's b rises with the count (mixed) and where it falls (the
+    # falling runs)
     ("mixed", "full_enumeration", "m_c + (not rising)", "m_c + (not rising) - 1"),
-    ("seven_hulls", "full_enumeration", "m_c + (not rising)", "m_c + (not rising) - 1"),
+    ("falling_runs", "full_enumeration", "m_c + (not rising)", "m_c + (not rising) - 1"),
     # a run's weight out of the far tail: a difference of two values near
-    # 1, which keeps no relative accuracy in the near tail; seven hulls has
-    # no cell below 1e-6 on the default grid at n <= 14, so its case takes
-    # the grid out to 6 sd
+    # 1, which keeps no relative accuracy in the near tail; on the default
+    # grid and on the grid out to 6 sd
     ("mixed", "full_enumeration", "share = g_part[starts] - g_part[ends_at]",
      "share = (1.0 + g_part[starts]) - (1.0 + g_part[ends_at])"),
-    ("seven_hulls", "far_tails", "share = g_part[starts] - g_part[ends_at]",
+    ("falling_runs", "far_tails", "share = g_part[starts] - g_part[ends_at]",
      "share = (1.0 + g_part[starts]) - (1.0 + g_part[ends_at])"),
 ])
 def test_closed_form_test_catches_a_fault_in_the_pair_runs(monkeypatch, name, check, old, new):
@@ -2029,10 +2058,11 @@ def test_root_window_is_built_once_per_cell_law(monkeypatch):
 
 
 def test_table_sizes_cap_each_count_before_summing(monkeypatch):
-    """Eight hulls of steps 1/2 at n = 16384: a node's sum of the products
-    of its children's counts, each up to limit + 1, passes int64 at a limit
-    of 10**8 or 2**28.  Capped before the sum, the prefixes count limit + 1,
-    no cast warns, and the law is not tabled; nothing is built."""
+    """Eight hulls of steps 1/2 at n = 16384, where a count of the prefixes
+    through every level of the tree, a node's sum of the products of its
+    children's counts, passed int64 at a limit of 10**8 or 2**28.  Past four
+    hulls both sizes count limit + 1, no cast warns, and the law is not
+    tabled; nothing is built."""
     law = MinMaxLaw(np.array([-5.0, -4.5, -3.0, -2.5, -1.0, 0.0, 1.0, 2.0]),
                     np.array([-1.0, 0.5, 2.0, 4.0, 3.5, 4.5, 5.0, 4.0]), np.full(8, 0.125))
     n = 16384
@@ -2043,12 +2073,10 @@ def test_table_sizes_cap_each_count_before_summing(monkeypatch):
 
     monkeypatch.setattr(splittree, "_window_pmfs", built)
     monkeypatch.setattr(montecarlo, "_cell_law", built)
-    start, _, stop = _window(_last_totals(law, n, 2**40), *_shares(law.masses, 6, 8))
-    entries = int((stop - start + 1).sum())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for limit in (10**8, 2**28):
-            assert _table_sizes(law, n, limit) == (limit + 1, entries)
+            assert _table_sizes(law, n, limit) == (limit + 1, limit + 1)
             monkeypatch.setattr(montecarlo, "TABLE_MAX_VECTORS", limit)
             assert not is_tabled(law, n)
 
@@ -2088,21 +2116,6 @@ def test_cell_law_does_not_depend_on_the_slicing(monkeypatch):
         got = _cell_law(sums_law, 256, bounds)
     assert np.abs(got - want).max() <= 1e-15 and np.array_equal(got > 0, want > 0)
     assert sizes and max(sizes) <= 256
-
-
-@pytest.mark.parametrize("name, n", [("five_hulls", 30), ("seven_hulls", 13)])
-def test_cell_law_where_a_span_misses_a_parent_slice(monkeypatch, name, n):
-    """With blocks of 64 trials, the last split's parent comes in several
-    slices, and some span of the last split's totals is reached by no total
-    of some slice: that slice adds nothing (the build raised ValueError on
-    the empty slice), and the law is the full enumeration's to 1e-15."""
-    law = MinMaxLaw.from_model(_LAW_MODELS[name])
-    events = _EventCells.build(DEFAULT_ALPHA_GRID, default_alpha_pairs())
-    sums_law, cell_of, bounds = events.at(law, n)
-    want = _reference_cell_law(sums_law, n, cell_of, events.size)
-    monkeypatch.setattr(splittree, "BLOCK_SIZE", 64)
-    got = _cell_law(sums_law, n, bounds)
-    assert np.abs(got - want).max() <= 1e-15 and not got[want == 0].any()
 
 
 def test_each_estimate_decides_and_logs_its_tabled_n(monkeypatch, caplog):
