@@ -3,6 +3,7 @@ import csv
 import functools
 import hashlib
 import math
+import re
 import subprocess
 import sys
 
@@ -249,6 +250,22 @@ class TestSimulate:
 
 
 class TestVerify:
+    def test_two_sided_prints_its_rate_fit(self, tmp_path, capsys):
+        # at n = 1, 4, 16 and 64 each n's largest deviation is far above its
+        # noise floor, so the fit takes all four points; the word follows
+        # the printed slope against the window
+        plan = SimPlan(BERN, n_values=(1, 4, 16, 64), reps=20000, seed=11,
+                       alpha_one_sided=(), alpha_two_sided=((-1.0, 1.0), (0.0, 2.0)))
+        save_plan(plan, tmp_path / "r.plan", tmp_path / "r.model")
+        assert main(["verify-two-sided", str(tmp_path / "r.plan"),
+                     "--out-dir", str(tmp_path / "v")]) == 0
+        (line,) = [s for s in capsys.readouterr().out.splitlines() if "rate fit:" in s]
+        match = re.fullmatch(r"  rate fit: slope=(-?\d+\.\d{4}) K_hat=(\d+\.\d{4}) "
+                             r"points=\[1, 4, 16, 64\] (within|OUTSIDE) \[-0\.75, -0\.25\]", line)
+        assert match, line
+        slope = float(match[1])
+        assert match[3] == ("within" if -0.75 <= slope <= -0.25 else "OUTSIDE") == "within"
+
     def test_one_sided_passes(self, plan_file, tmp_path, capsys):
         code = main(["verify-one-sided", str(plan_file),
                      "--out-dir", str(tmp_path / "v")])

@@ -69,12 +69,19 @@ class TestBvnClosedForms:
         assert bvn_cdf(math.inf, math.inf, 0.3) == 1.0
         assert bvn_cdf(-math.inf, 1.0, 0.3) == 0.0
         assert bvn_cdf(math.inf, 1.0, 0.3) == pytest.approx(std_normal_cdf(1.0), abs=1e-15)
+        # the path of every two-sided row with alpha2 = +inf
+        assert bvn_cdf(1.0, math.inf, 0.3) == pytest.approx(std_normal_cdf(1.0), abs=1e-15)
+        assert bvn_cdf(-2.0, math.inf, -0.7) == pytest.approx(std_normal_cdf(-2.0), abs=1e-15)
 
     def test_rejects_bad_rho(self):
         with pytest.raises(ValueError):
             bvn_cdf(0, 0, 1.5)
         with pytest.raises(ValueError):
             bvn_cdf(0, 0, math.nan)
+        # and NaN limits, which would otherwise read as a probability of 0
+        for a, b in ((math.nan, 0.0), (0.0, math.nan), (math.nan, math.inf)):
+            with pytest.raises(ValueError, match="NaN"):
+                bvn_cdf(a, b, 0.3)
 
 
 @functools.cache
