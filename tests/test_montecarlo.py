@@ -61,6 +61,7 @@ from beliefclt.splittree import (
 from _helpers import random_model
 from _intervals import complement
 from _laws import LAW_MODELS as _LAW_MODELS
+from _laws import UNTABLED_MODELS as _UNTABLED_MODELS
 
 
 def _multinomial_pmf(columns, masses, n):
@@ -1230,6 +1231,33 @@ def _check_block_histograms(name, n):
     _z_test(_pooled(p_cell, histogram, reps), reps, (name, n))
 
 
+def _check_untabled_histogram(name, n):
+    """Bonferroni z-test of the histogram of 16 blocks' trials (2**18) of
+    an untabled law, as the estimator draws them through the split tree on
+    the default grid, against its cell law by the full enumeration in
+    fractions; cells with fewer than 20 expected trials are pooled."""
+    model = _UNTABLED_MODELS[name]
+    law = MinMaxLaw.from_model(model)
+    assert not is_tabled(law, n)
+    events = _EventCells.build(DEFAULT_ALPHA_GRID, default_alpha_pairs(DEFAULT_ALPHA_GRID))
+    sums_law, cell_of = _cells_at(events, law, n)
+    p_cell = np.array([float(p) for p in _exact_cell_law(sums_law, n, cell_of, events.size)])
+    reps = 16 * BLOCK_SIZE
+    plan = SimPlan(model, n_values=(n,), reps=reps, seed=41)
+    real, drawn = _EventCells.counts, []
+
+    def counts(self, histogram):
+        drawn.append(histogram)
+        return real(self, histogram)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_EventCells, "counts", counts)
+        estimate_events(plan, moments_by_enumeration(model), workers=1)
+    (histogram,) = drawn
+    assert histogram.sum() == reps and not histogram[p_cell == 0].any()
+    _z_test(_pooled(p_cell, histogram, reps), reps, (name, n))
+
+
 class TestCellLaw:
     @pytest.mark.parametrize("masses", _MASSES)
     def test_vectors_are_every_composition_once(self, masses):
@@ -1360,6 +1388,21 @@ class TestCellLaw:
         for name, n in (("mixed", 16), ("bernoulli", 64)):
             with pytest.raises(AssertionError):
                 _check_block_histograms(name, n)
+
+    @pytest.mark.parametrize("name, n", [("five_hulls", 6), ("five_hulls", 16),
+                                         ("seven_hulls", 5), ("seven_hulls", 8)])
+    def test_untabled_histograms_follow_the_exact_cell_law(self, name, n):
+        # the laws of five and seven hulls, whose cell laws are no longer
+        # tabled, drawn through the split tree at small n
+        _check_untabled_histogram(name, n)
+
+    def test_untabled_histogram_test_catches_a_swapped_split_share(self, monkeypatch):
+        # every split of the tree takes the other side's share
+        real = splittree._shares
+        monkeypatch.setattr(splittree, "_shares", lambda *args: real(*args)[::-1])
+        for name, n in (("five_hulls", 16), ("seven_hulls", 8)):
+            with pytest.raises(AssertionError, match=name):
+                _check_untabled_histogram(name, n)
 
     @pytest.mark.parametrize("name, n", [("coin", 20000), ("union_parts", 65535)])
     def test_two_hull_events_are_binomial_tails(self, name, n):
