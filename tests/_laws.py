@@ -1,4 +1,4 @@
-"""The laws whose cell laws the tests check: the registry models and three
+"""The laws whose cell laws the tests check: the registry models and four
 more of at most four hulls, each reaching a different branch of the build
 (``splittree._cell_law``); and two laws of five and seven hulls, which are
 never tabled and draw through the split tree at every n."""
@@ -63,6 +63,19 @@ def falling_runs_model():
          (FocalElement([(1.0, 1.5)]), 0.25)], 2.0)
 
 
+def still_pair_model():
+    # four hulls: the last split (hulls 2 and 3) moves S_min by 3 as its left
+    # count grows, and S_max not at all; the pair beside it (hulls 0 and 1)
+    # moves S_min by -1 and leaves S_max still, so the closed pair's window
+    # is one piece, cut by no threshold of S_max
+    return BeliefModel(
+        [(FocalElement([(0.0, 2.0)]), 0.3),
+         (FocalElement([(1.0, 2.0)]), 0.2),
+         (FocalElement([(2.0, 3.0)]), 0.25),
+         (FocalElement([(-1.0, 3.0)]), 0.25)], 3.0)
+
+
 LAW_MODELS = {**MODEL_REGISTRY, "non_dyadic": non_dyadic_model(),
-              "falling_pair": falling_pair_model(), "falling_runs": falling_runs_model()}
+              "falling_pair": falling_pair_model(), "falling_runs": falling_runs_model(),
+              "still_pair": still_pair_model()}
 UNTABLED_MODELS = {"five_hulls": five_hull_model(), "seven_hulls": seven_hull_model()}

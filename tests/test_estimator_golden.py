@@ -68,7 +68,8 @@ MULTINOMIAL_SHA256 = {
 # DENSE_GRID.  Recorded before the build was split on whether the law has a
 # closed pair beside its last split; that change moved none of them, nor did
 # tabling only laws of at most four hulls, before which ``falling_runs``' pins
-# were recorded.
+# were recorded.  ``still_pair``'s pins were recorded with the build of
+# half-block steps.
 GRIDS = {"default": DEFAULT_ALPHA_GRID, "dense": DENSE_GRID}
 CELL_LAW_SHA256 = {
     ("bernoulli", "default", 16): "9bb0b383bc9ba77a013a2671357eba75a7f1a61d493a7b41c2624c135ed29fd8",
@@ -109,6 +110,12 @@ CELL_LAW_SHA256 = {
     ("non_dyadic", "dense", 16): "fbae23f6445b4198ca916ba78177956dca8f02e30a0d0ff962a738adab0727e2",
     ("non_dyadic", "dense", 64): "568a4ec9d97ca4264c8f67daed71a734176ceaa730c6b73d986e3ee85415981b",
     ("non_dyadic", "dense", 256): "717627d3b8fc9d6180c62c9a4ae65c798c7f3e1250e58bd08d253d0e97713689",
+    ("still_pair", "default", 16): "09f9abdd23f48126f7355efdd25182771e7b31579124d3195f9e90169a8cdb56",
+    ("still_pair", "default", 256): "57f9c151b2b1d64dcb9cc3cd60a8cc54ffffe2466ea1089663a329eef9242089",
+    ("still_pair", "default", 1024): "e486f1a70dc92403c6702f467222954c8fc153cc191449f5548bbf0dd664c122",
+    ("still_pair", "dense", 16): "777ac161dd59c6b393a7bc298f34a058c3fc88d9737d055d1f0d677a9ff047b7",
+    ("still_pair", "dense", 256): "e8ab4695435d6db4d34ace9ed73d85333505dd3326bffd17593a6f2b02c938b0",
+    ("still_pair", "dense", 1024): "30b692a3ac7f6dc6f2e95fbdfa5637bceb65fec6bff30602d7b5a6b5ea474fba",
     ("two_interval", "default", 16): "abf969c32301ddfcb72578c0e4a334cf3d180deb99ecf8c3cdfac86fc07830ba",
     ("two_interval", "default", 256): "4ff1c152f39a78be724d4736e5f50e500001c2ad2daac8bba01f5c3446d677ca",
     ("two_interval", "default", 1024): "15df59042cb113e15022f0a9a2bc07fc46286dbf3e4f31ca744da93a6becd50b",

@@ -4,8 +4,8 @@ import inspect
 import math
 import re
 import sys
-import textwrap
 import threading
+import types
 import warnings
 from fractions import Fraction
 from functools import partial
@@ -1307,12 +1307,13 @@ class TestCellLaw:
         # mixed: the last split moves S_min by 8 steps, the pair S_min by
         # -1; bernoulli has no pair; coin's and the non-dyadic model's last
         # splits move both sides; the falling pair: S_min by -4 and 0; the
-        # falling runs: S_min by -4 and -1
+        # falling runs: S_min by -4 and -1; the still pair: S_min by 3 and
+        # -1, and the pair leaves S_max still
         assert {name: splittree._sibling(MinMaxLaw.from_model(model))
                 for name, model in _LAW_MODELS.items()} == {
             "bernoulli": None, "coin": None, "two_interval": None, "union_parts": None,
             "mixed": (0, 2), "non_dyadic": None, "falling_pair": (0, 2),
-            "falling_runs": (0, 2)}
+            "falling_runs": (0, 2), "still_pair": (0, 2)}
 
     def test_closed_form_matches_the_full_enumeration_of_mixed_at_256(self):
         # 214 prefixes, each with its pair window, against 2633569 windowed
@@ -2022,11 +2023,37 @@ def test_cell_law_of_an_eight_column_window_table():
         assert np.abs(got - want).max() <= 1e-15, n
 
 
+def _sources(module, *functions):
+    """The source of each of ``functions`` of ``module``, as its file reads
+    now, after its ``def``'s line count of blank lines.  The file must
+    compile to the imported functions' bytecode, so that a file edited
+    since the import fails here and not as a fault test that looks caught
+    or escaped."""
+    with open(module.__file__) as file:
+        text = file.read()
+    code = compile(text, module.__file__, "exec", dont_inherit=True).co_consts
+    lines, sources = text.splitlines(keepends=True), {}
+    for function in functions:
+        first = function.__code__.co_firstlineno
+        compiled = [(c.co_firstlineno, c.co_code) for c in code
+                    if isinstance(c, types.CodeType) and c.co_name == function.__name__]
+        assert compiled == [(first, function.__code__.co_code)], (
+            f"{module.__file__} edited since import: {function.__name__}")
+        block = inspect.getblock(lines[first - 1:])
+        sources[function] = "\n" * (first - 1) + "".join(block)
+    return sources
+
+
+# the sources the fault tests inject faults into, each read once, here
+_SOURCES = {**_sources(montecarlo, montecarlo._lattice_bounds),
+            **_sources(splittree, splittree._cell_law, splittree._crossings)}
+
+
 def _mutant(function, old, new):
-    """A copy of ``function`` with one fault injected: its source with the
-    one occurrence of ``old`` replaced by ``new``, compiled in its module."""
-    lines, first = inspect.getsourcelines(function)
-    source = "\n" * (first - 1) + textwrap.dedent("".join(lines))
+    """A copy of ``function`` with one fault injected: its source as
+    imported (``_SOURCES``) with the one occurrence of ``old`` replaced by
+    ``new``, compiled in its module."""
+    source = _SOURCES[function]
     assert source.count(old) == 1, old
     namespace = {}
     exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"),
@@ -2078,6 +2105,19 @@ def test_closed_form_test_catches_a_fault_in_the_pair_runs(monkeypatch, name, ch
             "far_tails": TestCellLaw().test_closed_form_keeps_the_far_tails}[check]
     with pytest.raises(AssertionError):
         test(name)
+
+
+def test_closed_form_test_catches_a_cut_where_the_pair_leaves_a_side_still(monkeypatch):
+    """The still pair's pair leaves S_max still, so its window is one piece
+    with no cut.  A cut there divides by the zero slope: the enumeration
+    check fails on a floor-divide-by-zero RuntimeWarning made an error.
+    Where numpy returns 0 for it, the cut falls at the pair's mode, between
+    two pieces of the same cell, and moves no value past rounding."""
+    monkeypatch.setattr(splittree, "_cell_law", _mutant(
+        splittree._cell_law, "np.zeros(0, dtype=np.int64)", "np.zeros(1, dtype=np.int64)"))
+    with warnings.catch_warnings(), pytest.raises(RuntimeWarning, match="divide by zero"):
+        warnings.simplefilter("error", RuntimeWarning)
+        TestCellLaw().test_closed_form_matches_the_full_enumeration("still_pair")
 
 
 def test_root_window_is_built_once_per_cell_law(monkeypatch):
