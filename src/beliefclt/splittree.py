@@ -67,19 +67,24 @@ def _window_pmfs(n: np.ndarray, p: float, q: float,
     these columns, not on the other rows."""
     lo, mode, hi, n = (column[:, None] for column in (*_window(n, p, q), n))
     below, above = columns or (int((mode - lo).max()), int((hi - mode).max()))
+    first = (mode - below)[:, 0]
+    lo, mode, hi, n = (v.astype(float) for v in (lo, mode, hi, n))
     down, up = mode - np.arange(below, dtype=float), mode + np.arange(above, dtype=float)
     left, right = n + 1 - down, up + 1
     np.divide(down, left, out=left)
     left *= q / p
     np.divide(n - up, right, out=right)
     right *= p / q
+    # past a window's end the products stay finite, and are set to 0
     for ratio, outside in ((left, down <= lo), (right, up >= hi)):
-        ratio[outside] = 1.0
         ratio.cumprod(axis=1, out=ratio)
         ratio[outside] = 0.0
-    pmf = np.hstack([left[:, ::-1], np.ones((len(n), 1)), right])
+    pmf = np.empty((len(n), below + 1 + above))
+    pmf[:, :below] = left[:, ::-1]
+    pmf[:, below] = 1.0
+    pmf[:, below + 1:] = right
     pmf /= pmf.sum(axis=1, keepdims=True)
-    return (mode - below)[:, 0], pmf
+    return first, pmf
 
 
 def _spread(start: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,29 +201,25 @@ def _prefixes(law: MinMaxLaw, n: int, spans: Sequence[np.ndarray]) -> Iterator[I
     each probability the product of the root's windowed pmf and, on four
     hulls with no closed pair, the pair's.  The root's window pmf is built
     once.  On four hulls a span is cut where the pair's windows would pass
-    a quarter block of entries, or a block as one array, a row per prefix
-    as wide as the part's widest window about the mode; where the pair is
-    closed, where they would pass half a block of entries."""
+    a quarter block of entries, or half a block where the pair is closed.
+    A part's windows are built as one array, a row per prefix as wide as
+    its widest reach below and above the mode; each reach grows by at most
+    one per unit of the count, so the array holds less than twice the
+    part's entries."""
     k, sibling = len(law.masses), _sibling(law)
     if k == 2:  # the root is the last split
         return ([({(0, 2): np.array([n])}, np.ones(1))] for _ in spans)
     r_first, root = _window_pmfs(np.array([n]), *_shares(law.masses, 0, k))
     shares = _shares(law.masses, 0, 2)
 
-    def cut(totals: np.ndarray, limit: int, built: bool) -> Iterator[slice]:
+    def cut(totals: np.ndarray, limit: int) -> Iterator[slice]:
         """The pair's ``totals``, cut in order into the fewest parts whose
-        windows hold at most ``limit`` entries, and where they are ``built``
-        at most a block, or one prefix."""
-        start, mode, stop = _window(totals, *shares)
+        windows hold at most ``limit`` entries, or one prefix."""
+        start, _, stop = _window(totals, *shares)
         before, cuts = np.concatenate([[0], np.cumsum(stop - start + 1)]), [0]
         while cuts[-1] < len(totals):
-            first = cuts[-1]
-            end = int(before.searchsorted(before[first] + limit, side="right") - 1)
-            if built:
-                width = (np.maximum.accumulate(mode[first:end] - start[first:end])
-                         + np.maximum.accumulate(stop[first:end] - mode[first:end]) + 1)
-                end = first + int((np.arange(1, end - first + 1) * width <= BLOCK_SIZE).sum())
-            cuts.append(max(first + 1, end))
+            end = int(before.searchsorted(before[cuts[-1]] + limit, side="right") - 1)
+            cuts.append(max(cuts[-1] + 1, end))
         return map(slice, cuts, cuts[1:])
 
     def slices(span: np.ndarray):
@@ -227,10 +228,10 @@ def _prefixes(law: MinMaxLaw, n: int, spans: Sequence[np.ndarray]) -> Iterator[I
         if k == 3:
             yield counts, pmf
         elif sibling:
-            for part in cut(r, BLOCK_SIZE // 2, False):
+            for part in cut(r, BLOCK_SIZE // 2):
                 yield {node: v[part] for node, v in counts.items()}, pmf[part]
         else:
-            for part in cut(r, BLOCK_SIZE // 4, True):
+            for part in cut(r, BLOCK_SIZE // 4):
                 start, _, stop = _window(r[part], *shares)
                 c_first, window = _window_pmfs(r[part], *shares)
                 row, c = _spread(start, stop - start + 1)
@@ -265,13 +266,18 @@ def _tails(pmf: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     table[i] - table[j], plus ``mass`` where i <= m < j: a difference of
     two sums of one tail where the columns lie on one side of the mode, so
     no tail mass is lost to cancellation."""
-    for tail in (pmf[:, :m], pmf[:, m:][:, ::-1]):
-        tail.cumsum(1, out=tail)
-    mass = pmf[:, m] + (pmf[:, m - 1] if m else 0.0)
-    zero = np.zeros((len(pmf), 1))
-    # negated out of place: with numpy 2.4.6, np.negative(v, out=v) on a
-    # one-column view v of an 8-column array negates the array's first row
-    return np.hstack([zero, -pmf[:, :m], pmf[:, m + 1:], zero]), mass
+    rows, width = pmf.shape
+    table = np.empty((rows, width + 1))
+    table[:, 0] = table[:, width] = 0.0
+    pmf[:, :m].cumsum(1, out=pmf[:, :m])
+    # negated by a product: with numpy 2.4.6, np.negative of a one-column
+    # view of an 8-column array negates the wrong entries
+    np.multiply(pmf[:, :m], -1.0, out=table[:, 1:m + 1])
+    np.cumsum(pmf[:, :m:-1], axis=1, out=table[:, width - 1:m:-1])
+    mass = pmf[:, m] + table[:, m + 1] if m + 1 < width else pmf[:, m].copy()
+    if m:
+        mass += pmf[:, m - 1]
+    return table, mass
 
 
 def _cell_law(law: MinMaxLaw, n: int, bounds: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -303,15 +309,19 @@ def _cell_law(law: MinMaxLaw, n: int, bounds: tuple[np.ndarray, np.ndarray]) -> 
     run of b between two crossings gets the difference of their sums.
     Where two crossings have the same b at every c of a piece, their sums
     are equal bit for bit, so a cell no count reaches stays exactly 0.  The
-    totals go half a block of window entries at a time, and no array of
-    runs passes a quarter block.  The sum is divided by its total.
+    runs of c at or below the mode are a first or last stretch of a
+    piece's runs, and ``below`` takes their mass as one difference.  The
+    totals go a block of window entries at a time; with a closed pair, at
+    most a block of the pair's window entries too, and each span's
+    prefixes are summed at once, half a block of runs at a time.  The sum
+    is divided by its total.
     """
     k = len(law.masses)
     p, q = _shares(law.masses, k - 2, k)
     totals = _last_totals(law, n, n + 1)
     lo, mode, hi = _window(totals, p, q)
-    chunk = max(1, BLOCK_SIZE // 2 // int((mode - lo).max() + (hi - mode).max() + 3))
-    spans = [totals[c:c + chunk] for c in range(0, len(totals), chunk)]
+    width = int((mode - lo).max() + (hi - mode).max())
+    chunk = max(1, BLOCK_SIZE // (width + 3))
     sibling = _sibling(law)
     steps = [int(ends[k - 2] - ends[k - 1]) for ends in (law.mins, law.maxs)]
     weights = (len(bounds[1]) + 1, 1)  # of the low rank and the up rank in a cell
@@ -332,6 +342,95 @@ def _cell_law(law: MinMaxLaw, n: int, bounds: tuple[np.ndarray, np.ndarray]) -> 
         pieces, step, slope = len(cuts) + 1, steps[side], slopes[side]
         # where d = 0 each run of c is its piece's first, whose start y is not read
         rising, sign, reach = step * slope < 0, (1 if step > 0 else -1), abs(slope) or 1
+        # the move of b, and of the start's numerator y, from one run to the next
+        turn = 1 if rising else -1
+        advance, retreat = (np.add, np.subtract) if rising else (np.subtract, np.add)
+        index = np.arange(max(BLOCK_SIZE // 2, width + 3))
+        # a span's prefixes are summed at once (``pair_sums``), with at most
+        # a block of the pair's table entries and of sums per piece and
+        # crossing
+        c_lo, c_mode, c_hi = _window(n - totals, *shares)
+        g_width = int((c_mode - c_lo).max() + (c_hi - c_mode).max()) + 2
+        chunk = max(1, min(chunk, BLOCK_SIZE // g_width, BLOCK_SIZE // (pieces * (runs + 2))))
+    spans = [totals[c:c + chunk] for c in range(0, len(totals), chunk)]
+
+    def pair_sums(xm, low, high, rows, g_table, g_mass, c_lo, c_hi):
+        """(cells, beyond, below, r) of the closed pair at a part of the
+        prefixes: per live piece of a pair window, its row r in the part,
+        its cells and the sums at its bounds of runs of b."""
+        g_table = g_table.ravel()
+        # the pieces of the pair window on which the other side's rank holds
+        cut = m_c + (cuts - xm[other][:, None]) // slopes[other]
+        a = np.concatenate([c_lo, np.minimum(np.maximum(cut, c_lo), c_hi)], axis=1)
+        e = np.concatenate([a[:, 1:], c_hi], axis=1)
+        live = (a < e).ravel().nonzero()[0]  # the pieces that hold a count
+        r, a, e = live // pieces, a.ravel()[live], e.ravel()[live]
+        holds, g_rows = (a <= m_c) & (m_c < e), r * g_width
+        cells = rank(other, xm[other][r] + slopes[other] * (a - m_c))[:, None] + ranks
+        base = numerators - xm[side][r, None]
+        # each crossing's b column at the pair's mode, per prefix, and at the
+        # first and last c of each piece: m + (base - slope * (c - m_c)) //
+        # step, in t's window
+        b_mode = np.minimum(np.maximum(m + (numerators - xm[side][:, None]) // step, low), high)
+        b_a, b_e = (np.minimum(np.maximum(m + (base - slope * c) // step, low[r]), high[r])
+                    for c in ((a - m_c)[:, None], (e - 1 - m_c)[:, None]))
+        # per group, a piece and a crossing: its runs of c, one per b; the
+        # pair table's columns of its piece's ends and of the pair's mode (+ 1
+        # where b falls), b - m at its first run and at the mode, and t's
+        # table row at the mode
+        widths = (np.abs(b_e - b_a) + 1).ravel()
+        ends = widths.cumsum()
+        g_first, g_end, c_rows, f_rows, pair_mass = (np.repeat(v, runs) for v in (
+            g_rows + a, g_rows + e, g_rows + m_c + (not rising), rows[r] * f_width + m,
+            g_mass[r] * holds))
+        b_first, b_pair = b_a.ravel() - m, (b_mode[r] - m).ravel()
+        y_first = sign * (base.ravel() - (not rising) * step)
+        beyond, below = pair_mass * f_table[f_rows + b_pair], pair_mass * (b_pair <= 0)
+        # the groups a part at a time, no part past half a block of runs;
+        # each array of runs is dropped once read, so that at most three are
+        # held
+        cap = max(1, BLOCK_SIZE // 2 + 1 - int(widths.max(initial=0)))
+        parts = np.unique([0, *ends.searchsorted(np.arange(cap, widths.sum(), cap), side="right"),
+                           len(widths)])
+        for at in map(slice, parts[:-1], parts[1:]):
+            width, heads = widths[at], ends[at] - widths[at] - (ends[at][0] - widths[at][0])
+            size = int(heads[-1] + width[-1])
+            # entry i of group g is its run of b - m = b0[g] + turn * i; a run
+            # of c after a piece's first starts where its crossing reaches b
+            b0 = b_first[at] - turn * heads
+            y = np.repeat(y_first[at] - b0 * (sign * step), width)
+            y -= index[:size] * (turn * sign * step)
+            if reach > 1:
+                y //= reach
+            starts = np.repeat(c_rows[at], width)
+            retreat(starts, y, out=starts)
+            del y
+            starts[heads] = g_first[at]
+            # each run's pair mass: its start's table value less the next's
+            at_start = np.zeros(size + 1)
+            g_table.take(starts, out=at_start[:size])
+            del starts
+            share = at_start[:-1] - at_start[1:]
+            last, tail = heads + width - 1, g_table[g_end[at]]
+            share[last] = at_start[last] - tail
+            # the runs whose b is at or below the mode, a first (rising) or
+            # last (falling) stretch of each group, summed as one difference
+            edge = np.minimum(np.maximum(b_first[at] * -turn + rising, 0), width)
+            inner = np.where(edge < width, at_start[heads + edge], tail)
+            below[at] += g_table[g_first[at]] - inner if rising else inner - tail
+            del at_start
+            f_at = np.repeat(f_rows[at] + b0, width)
+            advance(f_at, index[:size], out=f_at)
+            share *= f_table[f_at]
+            del f_at
+            beyond[at] += np.add.reduceat(share, heads)
+            del share
+        sums = [np.zeros((len(r), runs + 2)) for _ in (0, 1)]
+        for side_sums, values in zip(sums, (beyond, below)):
+            side_sums[:, 1:-1] = values.reshape(len(r), runs)
+        sums[1][:, 0] = g_table[g_rows + a] - g_table[g_rows + e] + g_mass[r] * holds
+        return cells, *sums, r
+
     p_cell = np.zeros((len(bounds[0]) + 1) * weights[0])
     for span, prefixes in zip(spans, _prefixes(law, n, spans)):
         first, f_table = _window_pmfs(span, p, q)
@@ -339,6 +438,10 @@ def _cell_law(law: MinMaxLaw, n: int, bounds: tuple[np.ndarray, np.ndarray]) -> 
         f_table, f_mass = _tails(f_table, m)
         f_width = f_table.shape[1]
         f_table = f_table.ravel()
+        if sibling:  # the span's slices as one
+            slices = list(prefixes)
+            prefixes = [({node: np.concatenate([counts[node] for counts, _ in slices])
+                          for node in slices[0][0]}, np.concatenate([pmf for _, pmf in slices]))]
         for counts, weight in prefixes:
             t = counts.pop((k - 2, k))
             row = t - span[0]
@@ -356,89 +459,30 @@ def _cell_law(law: MinMaxLaw, n: int, bounds: tuple[np.ndarray, np.ndarray]) -> 
             # the sums at the modes of the windows, a count vector of the law
             leaves = [counts[h, h + 1] for h in range(k - 2 - len(pair))]
             x = _hull_sums(leaves + pair + [mode[t - totals[0]], t - mode[t - totals[0]]], law)
-            rows = max(1, min(BLOCK_SIZE // 4 // (pieces * (runs + 2)), BLOCK_SIZE // g_width))
+            rows = max(1, min(BLOCK_SIZE // (pieces * (runs + 2)), BLOCK_SIZE // g_width))
             for part in range(0, len(t), rows):
                 at = slice(part, part + rows)
                 xm = [x0[at] for x0 in x]
-                count, low, high = len(xm[0]), b_lo[at, None], b_hi[at, None]
+                low, high = b_lo[at, None], b_hi[at, None]
                 if not sibling:
                     # the bounds of the runs of b, as columns of t's window
                     bound = np.concatenate([low, high] + [
                         m + (numerators - xm[s][:, None]) // steps[s]
                         for s, (numerators, _) in zip(moving, crossings)], axis=1)
-                    bound = np.sort(np.minimum(np.maximum(bound, low), high), axis=1)[:, None]
-                    cells = sum(rank(s, xm[s][:, None, None] + steps[s] * (bound[..., :-1] - m))
+                    bound = np.sort(np.minimum(np.maximum(bound, low), high), axis=1)
+                    cells = sum(rank(s, xm[s][:, None] + steps[s] * (bound[:, :-1] - m))
                                 for s in (0, 1))
-                    beyond = f_table[(row[at] * f_width)[:, None, None] + bound]
+                    beyond = f_table[(row[at] * f_width)[:, None] + bound]
                     below = 1.0 * (bound <= m)
+                    r = np.arange(len(bound))
                 else:
-                    g_part, g_mass = _tails(_window_pmfs(size[at], *shares, g_columns)[1], m_c)
-                    g_part = g_part.ravel()
-                    # the pieces of the pair window on which the other side's rank holds
-                    cut = m_c + (cuts - xm[other][:, None]) // slopes[other]
-                    a = np.concatenate([c_lo[at, None], np.minimum(np.maximum(cut, c_lo[at, None]),
-                                                                   c_hi[at, None])], axis=1)
-                    e = np.concatenate([a[:, 1:], c_hi[at, None]], axis=1)
-                    cells = (rank(other, xm[other][:, None] + slopes[other] * (a - m_c))[:, :, None]
-                             + ranks)
-                    base = numerators - xm[side][:, None]
-                    live = (a < e).ravel().nonzero()[0]  # the pieces that hold a count
-                    live_rows = live // pieces
-                    # each crossing's b column at the pair's mode, and at the
-                    # first and last c of each piece: m + (base - slope * (c -
-                    # m_c)) // step, in t's window
-                    b_mode, b_a, b_e = (np.minimum(np.maximum(
-                        m + (base[r] - slope * (c - m_c)) // step, low[r]), high[r])
-                        for r, c in ((slice(None), m_c), (live_rows, a.ravel()[live, None]),
-                                     (live_rows, e.ravel()[live, None] - 1)))
-                    widths = (np.abs(b_e - b_a) + 1).ravel()
-                    group = np.arange(len(widths))
-                    piece, crossing = live[group // runs], group % runs
-                    r, holds = piece // pieces, (a <= m_c) & (m_c < e)
-                    slots = piece * (runs + 2) + crossing + 1
-                    # per run of c: its first c and last c + 1 as columns of the
-                    # pair table g_part, b - m, and b as a column of f_table
-                    g_rows = r * g_width
-                    g_first, g_end = g_rows + a.ravel()[piece], g_rows + e.ravel()[piece]
-                    b_first = b_a.ravel() - m
-                    f_rows = row[at][r] * f_width + m
-                    b_pair = b_mode.ravel()[r * runs + crossing] - m
-                    pair_mass = g_mass[r] * holds.ravel()[piece]
-                    y_first = sign * (base.ravel()[r * runs + crossing] - (not rising) * step)
-                    c_rows = g_rows + m_c + (not rising)
-                    sums = np.zeros((2, count, pieces, runs + 2))
-                    flat = sums.reshape(2, -1)
-                    quarters = np.arange(BLOCK_SIZE // 4, widths.sum(), BLOCK_SIZE // 4)
-                    parts = [0, *widths.cumsum().searchsorted(quarters, side="right"), len(widths)]
-                    for g0, g1 in zip(parts, parts[1:]):
-                        width, f_at, mode_mass = widths[g0:g1], f_rows[g0:g1], pair_mass[g0:g1]
-                        # a run of c after a piece's first starts where its crossing reaches b
-                        last = width.cumsum() - 1
-                        heads = last - width + 1
-                        group = np.arange(g1 - g0).repeat(width)
-                        offset = np.arange(len(group)) - heads[group]
-                        b = b_first[g0:g1][group] + (offset if rising else -offset)
-                        y = y_first[g0:g1][group] - b * (sign * step)
-                        y //= reach
-                        starts = c_rows[g0:g1][group] + (-y if rising else y)
-                        starts[heads] = g_first[g0:g1]
-                        ends_at = np.empty_like(starts)
-                        ends_at[:-1] = starts[1:]
-                        ends_at[last] = g_end[g0:g1]
-                        share = g_part[starts] - g_part[ends_at]
-                        # each group holds a run, so its bincount has a sum per group
-                        flat[:, slots[g0:g1]] = (
-                            mode_mass * f_table[f_at + b_pair[g0:g1]]
-                            + np.bincount(group, f_table[f_at[group] + b] * share),
-                            mode_mass * (b_pair[g0:g1] <= 0) + np.bincount(group, (b <= 0) * share))
-                    beyond, below = sums
-                    below[:, :, 0] = (g_part[np.arange(count)[:, None] * g_width + a]
-                                      - g_part[np.arange(count)[:, None] * g_width + e]
-                                      + g_mass[:, None] * holds)
+                    g_table = _tails(_window_pmfs(size[at], *shares, g_columns)[1], m_c)
+                    cells, beyond, below, r = pair_sums(xm, low, high, row[at], *g_table,
+                                                        c_lo[at, None], c_hi[at, None])
                 # a run of b between two bounds: the difference of the mass at
                 # or past them, the window's mass where the run holds its mode
-                mass = ((beyond[..., :-1] - beyond[..., 1:])
-                        + f_mass[row[at]][:, None, None] * (below[..., :-1] - below[..., 1:]))
-                mass *= weight[at, None, None]
+                mass = ((beyond[:, :-1] - beyond[:, 1:])
+                        + f_mass[row[at][r], None] * (below[:, :-1] - below[:, 1:]))
+                mass *= weight[at][r, None]
                 p_cell += np.bincount(cells.ravel(), mass.ravel(), minlength=len(p_cell))
     return p_cell / p_cell.sum()

@@ -1481,7 +1481,7 @@ class TestCellLaw:
         assert counts[0] != counts[1] != counts[2] != counts[0]
         _z_test([(p, c) for row in counts for p, c in zip(exact, row)], plan.reps, "mixed")
 
-    @pytest.mark.parametrize("name", ["non_dyadic", "mixed"])
+    @pytest.mark.parametrize("name", ["non_dyadic", "mixed", "falling_runs", "still_pair"])
     def test_cells_settle_near_ties_exactly(self, monkeypatch, name):
         # thresholds taken from the float statistics of the count vectors
         # put each of those vectors within an ulp or so of a threshold, and
@@ -2063,7 +2063,7 @@ def _mutant(function, old, new):
 
 @pytest.mark.parametrize("name, function, old, new", [
     # the window's mass not put in the run that holds its mode
-    ("mixed", "_cell_law", "+ f_mass[row[at]][:, None, None] *", "+ 0 * f_mass[row[at]][:, None, None] *"),
+    ("mixed", "_cell_law", "+ f_mass[row[at][r], None] *", "+ 0 * f_mass[row[at][r], None] *"),
     # the falling pair's last split moves only S_min, by -4: its rank
     # counted up as b grows instead of down, so each crossing moves the
     # mass the wrong way (only the closed pair reads the ranks of
@@ -2074,8 +2074,8 @@ def _mutant(function, old, new):
     # at or below it, so a sum on a threshold falls in the cell below
     ("bernoulli", "_cell_law", '.searchsorted(x, side="right")', '.searchsorted(x, side="left")'),
     # with no closed pair, each run's cell read one count early
-    ("coin", "_cell_law", "(bound[..., :-1] - m)", "(bound[..., :-1] - m - 1)"),
-    ("non_dyadic", "_cell_law", "(bound[..., :-1] - m)", "(bound[..., :-1] - m - 1)"),
+    ("coin", "_cell_law", "(bound[:, :-1] - m)", "(bound[:, :-1] - m - 1)"),
+    ("non_dyadic", "_cell_law", "(bound[:, :-1] - m)", "(bound[:, :-1] - m - 1)"),
 ])
 def test_closed_form_test_catches_a_fault_in_the_telescoped_sum(monkeypatch, name, function,
                                                                    old, new):
@@ -2091,13 +2091,17 @@ def test_closed_form_test_catches_a_fault_in_the_telescoped_sum(monkeypatch, nam
     # falling runs)
     ("mixed", "full_enumeration", "m_c + (not rising)", "m_c + (not rising) - 1"),
     ("falling_runs", "full_enumeration", "m_c + (not rising)", "m_c + (not rising) - 1"),
-    # a run's weight out of the far tail: a difference of two values near
-    # 1, which keeps no relative accuracy in the near tail; on the default
-    # grid and on the grid out to 6 sd
-    ("mixed", "full_enumeration", "share = g_part[starts] - g_part[ends_at]",
-     "share = (1.0 + g_part[starts]) - (1.0 + g_part[ends_at])"),
-    ("falling_runs", "far_tails", "share = g_part[starts] - g_part[ends_at]",
-     "share = (1.0 + g_part[starts]) - (1.0 + g_part[ends_at])"),
+    # the weight of the runs at or below the mode out of the far tail: a
+    # difference of two values near 1, which keeps no relative accuracy in
+    # the near tail; on the default grid and on the grid out to 6 sd
+    ("mixed", "full_enumeration", "g_table[g_first[at]] - inner if rising else inner - tail",
+     "(1.0 + g_table[g_first[at]]) - (1.0 + inner) if rising else (1.0 + inner) - (1.0 + tail)"),
+    ("falling_runs", "far_tails", "g_table[g_first[at]] - inner if rising else inner - tail",
+     "(1.0 + g_table[g_first[at]]) - (1.0 + inner) if rising else (1.0 + inner) - (1.0 + tail)"),
+    # the stretch of each group's runs at or below the mode, summed as one
+    # difference, ending a run late: where b rises (mixed) and falls
+    ("mixed", "full_enumeration", "* -turn + rising, 0)", "* -turn + rising + 1, 0)"),
+    ("falling_runs", "full_enumeration", "* -turn + rising, 0)", "* -turn + rising + 1, 0)"),
 ])
 def test_closed_form_test_catches_a_fault_in_the_pair_runs(monkeypatch, name, check, old, new):
     monkeypatch.setattr(splittree, "_cell_law", _mutant(splittree._cell_law, old, new))
