@@ -274,10 +274,7 @@ def _tails(pmf: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     # view of an 8-column array negates the wrong entries
     np.multiply(pmf[:, :m], -1.0, out=table[:, 1:m + 1])
     np.cumsum(pmf[:, :m:-1], axis=1, out=table[:, width - 1:m:-1])
-    mass = pmf[:, m] + table[:, m + 1] if m + 1 < width else pmf[:, m].copy()
-    if m:
-        mass += pmf[:, m - 1]
-    return table, mass
+    return table, pmf[:, m] + table[:, m + 1] - table[:, m]
 
 
 def _cell_law(law: MinMaxLaw, n: int, bounds: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -349,8 +346,8 @@ def _cell_law(law: MinMaxLaw, n: int, bounds: tuple[np.ndarray, np.ndarray]) -> 
         # a span's prefixes are summed at once (``pair_sums``), with at most
         # a block of the pair's table entries and of sums per piece and
         # crossing
-        c_lo, c_mode, c_hi = _window(n - totals, *shares)
-        g_width = int((c_mode - c_lo).max() + (c_hi - c_mode).max()) + 2
+        start, middle, stop = _window(n - totals, *shares)
+        g_width = int((middle - start).max() + (stop - middle).max()) + 2
         chunk = max(1, min(chunk, BLOCK_SIZE // g_width, BLOCK_SIZE // (pieces * (runs + 2))))
     spans = [totals[c:c + chunk] for c in range(0, len(totals), chunk)]
 
