@@ -2023,6 +2023,26 @@ def test_cell_law_of_an_eight_column_window_table():
         assert np.abs(got - want).max() <= 1e-15, n
 
 
+def test_closed_pair_keeps_the_sign_of_a_far_cell():
+    """A four-hull law with a closed pair, found by a random sweep, whose
+    smallest cell holds 7.0e-23 at n = 60.  Summing the weights of the
+    pair's runs at or below the mode one by one left that cell at -3.6e-19;
+    as one difference out of the pair's tail table, every cell is the full
+    enumeration's to 1e-15, on the same support, and below 1e-6 to 1e-9
+    relative."""
+    law = MinMaxLaw(np.array([-1.0, 2.0, -3.0, -3.0]), np.array([2.0, 4.0, -2.0, 1.0]),
+                    np.array([0.52, 0.16, 0.27, 0.05]))
+    events = _EventCells.build([-2.0, -1.0, 2.0], default_alpha_pairs([-2.0, -1.0, 2.0]))
+    sums_law, cell_of, bounds = events.at(law, 60)
+    assert splittree._sibling(sums_law) == (0, 2) and is_tabled(sums_law, 60)
+    want = _reference_cell_law(sums_law, 60, cell_of, events.size)
+    got = _cell_law(sums_law, 60, bounds)
+    assert np.abs(got - want).max() <= 1e-15
+    assert np.array_equal(got > 0, want > 0) and not (got < 0).any()
+    small = (want > 0) & (want < 1e-6)
+    assert np.all(np.abs(got[small] - want[small]) <= 1e-9 * want[small])
+
+
 def _sources(module, *functions):
     """The source of each of ``functions`` of ``module``, as its file reads
     now, after its ``def``'s line count of blank lines.  The file must
