@@ -123,9 +123,10 @@ class SimPlan:
 
     The one checker of plan values, from a plan file, a CLI override or a
     library caller; nothing is truncated or parsed from a string.
-    ``n_values`` are strictly increasing positive ints, ``reps`` >= 1,
-    ``seed`` in [0, 2**64), ``slack`` a finite float >= 0, and the alphas
-    floats, not NaN.  One flat grid and one list of pairs hold for every n.
+    ``n_values`` are strictly increasing positive ints, ``reps`` in [1,
+    2**63) (numpy's draws take an int64 count), ``seed`` in [0, 2**64),
+    ``slack`` a finite float >= 0, and the alphas floats, not NaN.  One
+    flat grid and one list of pairs hold for every n.
     A bad value raises ValueError, a mapping grid TypeError; the message
     starts with the field's name.
     """
@@ -144,8 +145,8 @@ class SimPlan:
             raise ValueError("n_values must be a non-empty, strictly increasing list of "
                              f"positive integers, got {list(n_values)}")
         reps, seed = _integer("reps", self.reps), _integer("seed", self.seed)
-        if reps < 1:
-            raise ValueError("reps must be >= 1")
+        if not 1 <= reps < 2**63:
+            raise ValueError("reps must be >= 1 and below 2**63")
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         slack = as_real("slack", self.slack)

@@ -6,17 +6,18 @@ node's mass (Devroye 1986, ch. XI).  The tree draws the hull counts of a
 block's trials (``_split_counts``), and on a law of at most four hulls
 its windowed binomial pmfs (``_window``, ``_window_pmfs``) give the exact
 law of one trial's event cell (``_cell_law``): the count vectors of the
-splits above the last (``_prefixes``: the root's left counts, and on four
-hulls the pair's below each), each a product of windowed pmfs, with the
-last split summed in closed form over the runs between the thresholds it
-crosses (``_crossings``), each run's mass out of the nearer tail of its
-window (``_tails``).  Where the leaf pair beside the last split has a
-closed form too (``_sibling``), its split is summed the same way; any
-other law reads each run's cell from the thresholds.  ``_table_sizes``
-counts what that build walks in closed form from the window bounds, and
-past four hulls counts more than any limit, so such a law is never
-tabled.  ``_root_window`` is the root's window, over which the tree
-draws its first split.
+splits above the last (``_prefixes``: the counts of the hulls below the
+last split with its total, on four hulls each root count with the pair's
+counts below it, or the pair's total where the pair is closed), each a
+product of windowed pmfs, with the last split summed in closed form over
+the runs between the thresholds it crosses (``_crossings``), each run's
+mass out of the nearer tail of its window (``_tails``).  Where the leaf
+pair beside the last split has a closed form too (``_sibling``), its
+split is summed the same way; any other law reads each run's cell from
+the thresholds.  ``_table_sizes`` counts what that build walks in
+closed form from the window bounds, and past four hulls counts more than
+any limit, so such a law is never tabled.  ``_root_window`` is the
+root's window, over which the tree draws its first split.
 """
 
 from __future__ import annotations
@@ -57,16 +58,15 @@ def _window(n, p: float, q: float):
     return np.maximum(0, mode - half), mode, np.minimum(n, mode + half)
 
 
-def _window_pmfs(n: np.ndarray, p: float, q: float,
-                 columns: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _window_pmfs(n: np.ndarray, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
     """(first, pmf): row r holds the Bin(n_r, p) pmf at first_r, first_r + 1,
     ..., zero off its window, by the ratio recurrence out of the mode,
     pmf(k + 1) / pmf(k) = (n - k) / (k + 1) * p / q, and normalized.  The
-    mode is in column ``columns[0]``, with ``columns[1]`` columns after it,
-    by default as many as the rows' windows reach; a row's bits depend on
-    these columns, not on the other rows."""
+    modes share one column, with as many columns before and after it as
+    the rows' windows reach; a row's bits depend on the other rows only
+    through those two reaches."""
     lo, mode, hi, n = (column[:, None] for column in (*_window(n, p, q), n))
-    below, above = columns or (int((mode - lo).max()), int((hi - mode).max()))
+    below, above = int((mode - lo).max()), int((hi - mode).max())
     first = (mode - below)[:, 0]
     lo, mode, hi, n = (v.astype(float) for v in (lo, mode, hi, n))
     down, up = mode - np.arange(below, dtype=float), mode + np.arange(above, dtype=float)
@@ -156,20 +156,20 @@ def _last_totals(law: MinMaxLaw, n: int, limit: int) -> np.ndarray | None:
     return np.arange(n - hi, n - lo + 1) if hi - lo < limit else None
 
 
-def _sibling(law: MinMaxLaw) -> tuple[int, int] | None:
-    """The leaf pair [0, 2) beside the last split [2, 4) of a four-hull law,
-    where the cell law sums its split in closed form (``_cell_law``): the
-    last split moves one side of the sums on the lattice, by s per unit of
-    its left count b, and a unit of the pair's left count c moves that side
-    by d, |d| < |s|, so each of that side's crossings stays put over runs of
-    the pair's counts.  Else None, and a four-hull law's pair is enumerated
-    with the root's split (``_prefixes``)."""
+def _sibling(law: MinMaxLaw) -> bool:
+    """Whether the cell law sums the split of the leaf pair [0, 2) beside
+    the last split [2, 4) of a four-hull law in closed form (``_cell_law``):
+    where the last split moves one side of the sums on the lattice, by s
+    per unit of its left count b, and a unit of the pair's left count c
+    moves that side by d, |d| < |s|, so each of that side's crossings stays
+    put over runs of the pair's counts.  Else a four-hull law's pair is
+    enumerated with the root's split (``_prefixes``)."""
     if len(law.masses) != 4:
-        return None
+        return False
     _, mins, maxs = law.lattice
     moving = [(ends[2] - ends[3], ends[0] - ends[1])
               for ends in (mins, maxs) if ends[2] != ends[3]]
-    return (0, 2) if len(moving) == 1 and abs(moving[0][1]) < abs(moving[0][0]) else None
+    return len(moving) == 1 and abs(moving[0][1]) < abs(moving[0][0])
 
 
 def _table_sizes(law: MinMaxLaw, n: int, limit: int) -> tuple[int, int]:
@@ -194,51 +194,48 @@ def _table_sizes(law: MinMaxLaw, n: int, limit: int) -> tuple[int, int]:
 
 
 def _prefixes(law: MinMaxLaw, n: int, spans: Sequence[np.ndarray]) -> Iterator[Iterable[tuple]]:
-    """Per span of the last split's totals, the (counts, pmf) slices of the
-    prefixes ``_table_sizes`` counts whose last split's total is in
-    [span[0], span[-1]]: ``counts`` maps the last split's node [k - 2, k),
-    the other leaves and the closed pair [0, 2), if any, to their counts,
-    each probability the product of the root's windowed pmf and, on four
-    hulls with no closed pair, the pair's.  The root's window pmf is built
-    once.  On four hulls a span is cut where the pair's windows would pass
-    a quarter block of entries, or half a block where the pair is closed.
-    A part's windows are built as one array, a row per prefix as wide as
-    its widest reach below and above the mode; each reach grows by at most
-    one per unit of the count, so the array holds less than twice the
-    part's entries."""
-    k, sibling = len(law.masses), _sibling(law)
+    """Per span of the last split's totals, the (leaves, t, pmf) slices of
+    the prefixes ``_table_sizes`` counts whose last split's total t is in
+    [span[0], span[-1]], ``leaves`` the counts of the hulls below the last
+    split (the pair's total where the pair is closed, ``_sibling``), each
+    probability the product of the root's windowed pmf and, on four hulls
+    with no closed pair, the pair's.  The root's window pmf is built once.
+    A span is one slice, but on four hulls with no closed pair it is cut,
+    one part at a time, where the pair's windows would pass a quarter block
+    of entries; a part's windows are built as one array, a row per prefix
+    as wide as its widest reach below and above the mode; each reach grows
+    by at most one per unit of the count, so the array holds less than
+    twice the part's entries."""
+    k = len(law.masses)
     if k == 2:  # the root is the last split
-        return ([({(0, 2): np.array([n])}, np.ones(1))] for _ in spans)
+        return ([([], np.array([n]), np.ones(1))] for _ in spans)
     r_first, root = _window_pmfs(np.array([n]), *_shares(law.masses, 0, k))
-    shares = _shares(law.masses, 0, 2)
+    shares, whole = _shares(law.masses, 0, 2), k == 3 or _sibling(law)
 
-    def cut(totals: np.ndarray, limit: int) -> Iterator[slice]:
+    def cut(totals: np.ndarray) -> Iterator[slice]:
         """The pair's ``totals``, cut in order into the fewest parts whose
-        windows hold at most ``limit`` entries, or one prefix."""
+        windows hold at most a quarter block of entries, or one prefix."""
         start, _, stop = _window(totals, *shares)
         before, cuts = np.concatenate([[0], np.cumsum(stop - start + 1)]), [0]
         while cuts[-1] < len(totals):
-            end = int(before.searchsorted(before[cuts[-1]] + limit, side="right") - 1)
+            end = int(before.searchsorted(before[cuts[-1]] + BLOCK_SIZE // 4, side="right") - 1)
             cuts.append(max(cuts[-1] + 1, end))
         return map(slice, cuts, cuts[1:])
 
-    def slices(span: np.ndarray):
-        r = np.arange(n - span[-1], n - span[0] + 1)
-        counts, pmf = {(0, k - 2): r, (k - 2, k): n - r}, root[0, r - r_first[0]]
-        if k == 3:
-            yield counts, pmf
-        elif sibling:
-            for part in cut(r, BLOCK_SIZE // 2):
-                yield {node: v[part] for node, v in counts.items()}, pmf[part]
-        else:
-            for part in cut(r, BLOCK_SIZE // 4):
-                start, _, stop = _window(r[part], *shares)
-                c_first, window = _window_pmfs(r[part], *shares)
-                row, c = _spread(start, stop - start + 1)
-                yield ({(2, 4): n - r[part][row], (0, 1): c, (1, 2): r[part][row] - c},
-                       pmf[part][row] * window[row, c - c_first[row]])
+    def enumerated(r: np.ndarray, pmf: np.ndarray) -> tuple:
+        """The prefixes of the pair's totals r: each with each count c of
+        the pair's first leaf in its window."""
+        start, _, stop = _window(r, *shares)
+        c_first, window = _window_pmfs(r, *shares)
+        row, c = _spread(start, stop - start + 1)
+        return [c, r[row] - c], n - r[row], pmf[row] * window[row, c - c_first[row]]
 
-    return map(slices, spans)
+    def prefixes(span: np.ndarray) -> Iterable[tuple]:
+        r = np.arange(n - span[-1], n - span[0] + 1)
+        pmf = root[0, r - r_first[0]]
+        return [([r], n - r, pmf)] if whole else (enumerated(r[p], pmf[p]) for p in cut(r))
+
+    return map(prefixes, spans)
 
 
 def _crossings(bounds: np.ndarray, step: int, weight: int) -> tuple[np.ndarray, np.ndarray]:
@@ -308,10 +305,11 @@ def _cell_law(law: MinMaxLaw, n: int, bounds: tuple[np.ndarray, np.ndarray]) -> 
     are equal bit for bit, so a cell no count reaches stays exactly 0.  The
     runs of c at or below the mode are a first or last stretch of a
     piece's runs, and ``below`` takes their mass as one difference.  The
-    totals go a block of window entries at a time; with a closed pair, at
-    most a block of the pair's window entries too, and each span's
-    prefixes are summed at once, half a block of runs at a time.  The sum
-    is divided by its total.
+    totals go a block of window entries at a time; with a closed pair, a
+    span also holds at most a block of the pair's window entries, whose
+    prefixes are one part: their pair windows are built as one array and
+    summed at once, half a block of runs at a time.  The sum is divided by
+    its total.
     """
     k = len(law.masses)
     p, q = _shares(law.masses, k - 2, k)
@@ -332,8 +330,8 @@ def _cell_law(law: MinMaxLaw, n: int, bounds: tuple[np.ndarray, np.ndarray]) -> 
     pieces, runs = 1, sum(len(numerators) for numerators, _ in crossings)
     if sibling:
         (side,), ((numerators, ranks),) = moving, crossings
-        other, shares = 1 - side, _shares(law.masses, *sibling)
-        slopes = [int(ends[sibling[0]] - ends[sibling[0] + 1]) for ends in (law.mins, law.maxs)]
+        other, shares = 1 - side, _shares(law.masses, 0, 2)
+        slopes = [int(ends[0] - ends[1]) for ends in (law.mins, law.maxs)]
         cuts = (_crossings(bounds[other], slopes[other], 1)[0] if slopes[other]
                 else np.zeros(0, dtype=np.int64))
         pieces, step, slope = len(cuts) + 1, steps[side], slopes[side]
@@ -345,7 +343,8 @@ def _cell_law(law: MinMaxLaw, n: int, bounds: tuple[np.ndarray, np.ndarray]) -> 
         index = np.arange(max(BLOCK_SIZE // 2, width + 3))
         # a span's prefixes are summed at once (``pair_sums``), with at most
         # a block of the pair's table entries and of sums per piece and
-        # crossing
+        # crossing; ``chunk`` holds each term of ``rows``, so a span is one
+        # part and its pair windows are built as one array
         start, middle, stop = _window(n - totals, *shares)
         g_width = int((middle - start).max() + (stop - middle).max()) + 2
         chunk = max(1, min(chunk, BLOCK_SIZE // g_width, BLOCK_SIZE // (pieces * (runs + 2))))
@@ -355,7 +354,7 @@ def _cell_law(law: MinMaxLaw, n: int, bounds: tuple[np.ndarray, np.ndarray]) -> 
         """(cells, beyond, below, r) of the closed pair at a part of the
         prefixes: per live piece of a pair window, its row r in the part,
         its cells and the sums at its bounds of runs of b."""
-        g_table = g_table.ravel()
+        g_width, g_table = g_table.shape[1], g_table.ravel()
         # the pieces of the pair window on which the other side's rank holds
         cut = m_c + (cuts - xm[other][:, None]) // slopes[other]
         a = np.concatenate([c_lo, np.minimum(np.maximum(cut, c_lo), c_hi)], axis=1)
@@ -407,8 +406,8 @@ def _cell_law(law: MinMaxLaw, n: int, bounds: tuple[np.ndarray, np.ndarray]) -> 
             at_start = np.zeros(size + 1)
             g_table.take(starts, out=at_start[:size])
             del starts
-            share = at_start[:-1] - at_start[1:]
             last, tail = heads + width - 1, g_table[g_end[at]]
+            share = at_start[:-1] - at_start[1:]
             share[last] = at_start[last] - tail
             # the runs whose b is at or below the mode, a first (rising) or
             # last (falling) stretch of each group, summed as one difference
@@ -428,6 +427,7 @@ def _cell_law(law: MinMaxLaw, n: int, bounds: tuple[np.ndarray, np.ndarray]) -> 
         sums[1][:, 0] = g_table[g_rows + a] - g_table[g_rows + e] + g_mass[r] * holds
         return cells, *sums, r
 
+    rows = max(1, BLOCK_SIZE // (pieces * (runs + 2)))  # the prefixes of a part
     p_cell = np.zeros((len(bounds[0]) + 1) * weights[0])
     for span, prefixes in zip(spans, _prefixes(law, n, spans)):
         first, f_table = _window_pmfs(span, p, q)
@@ -435,28 +435,17 @@ def _cell_law(law: MinMaxLaw, n: int, bounds: tuple[np.ndarray, np.ndarray]) -> 
         f_table, f_mass = _tails(f_table, m)
         f_width = f_table.shape[1]
         f_table = f_table.ravel()
-        if sibling:  # the span's slices as one
-            slices = list(prefixes)
-            prefixes = [({node: np.concatenate([counts[node] for counts, _ in slices])
-                          for node in slices[0][0]}, np.concatenate([pmf for _, pmf in slices]))]
-        for counts, weight in prefixes:
-            t = counts.pop((k - 2, k))
+        for leaves, t, weight in prefixes:
             row = t - span[0]
             b_lo, b_hi = lo[t - totals[0]] - first[row], hi[t - totals[0]] - first[row] + 1
-            pair, g_width = [], 1
-            if sibling:
-                # the pair's window pmfs are built per part of rows, each at
-                # the slice's columns about the mode, so as if built at once
-                size = counts.pop(sibling)
+            if sibling:  # the pair's total, split at the modes of its windows
+                (size,) = leaves
                 c_lo, c_mode, c_hi = _window(size, *shares)
-                g_columns = int((c_mode - c_lo).max()), int((c_hi - c_mode).max())
-                m_c, g_width = g_columns[0], sum(g_columns) + 2
+                m_c = int((c_mode - c_lo).max())
                 c_lo, c_hi = c_lo - c_mode + m_c, c_hi - c_mode + m_c + 1
-                pair = [c_mode, size - c_mode]
+                leaves = [c_mode, size - c_mode]
             # the sums at the modes of the windows, a count vector of the law
-            leaves = [counts[h, h + 1] for h in range(k - 2 - len(pair))]
-            x = _hull_sums(leaves + pair + [mode[t - totals[0]], t - mode[t - totals[0]]], law)
-            rows = max(1, min(BLOCK_SIZE // (pieces * (runs + 2)), BLOCK_SIZE // g_width))
+            x = _hull_sums(leaves + [mode[t - totals[0]], t - mode[t - totals[0]]], law)
             for part in range(0, len(t), rows):
                 at = slice(part, part + rows)
                 xm = [x0[at] for x0 in x]
@@ -473,7 +462,7 @@ def _cell_law(law: MinMaxLaw, n: int, bounds: tuple[np.ndarray, np.ndarray]) -> 
                     below = 1.0 * (bound <= m)
                     r = np.arange(len(bound))
                 else:
-                    g_table = _tails(_window_pmfs(size[at], *shares, g_columns)[1], m_c)
+                    g_table = _tails(_window_pmfs(size[at], *shares)[1], m_c)
                     cells, beyond, below, r = pair_sums(xm, low, high, row[at], *g_table,
                                                         c_lo[at, None], c_hi[at, None])
                 # a run of b between two bounds: the difference of the mass at

@@ -138,6 +138,16 @@ class TestSimulate:
         (f,) = out_dir.glob("*.csv")
         assert all(r["reps"] == "100" for r in read_csv(f))
 
+    def test_reps_past_int64_exit_code(self, plan_file, tmp_path, capsys):
+        # 2**63 reps would overflow numpy's multinomial: a bad plan value,
+        # one error line and exit 2, not a failed tolerance check's exit 1
+        assert main(["simulate", str(plan_file), "--out-dir", str(tmp_path),
+                     "--reps", str(2**63)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        err = err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: reps")
+
     def test_plan_is_checked_once_without_overrides(self, plan_file, tmp_path, monkeypatch):
         # the loaded plan is estimated as it is; an override replaces it,
         # which checks the replaced plan once more
@@ -302,7 +312,7 @@ class TestVerify:
 
     def test_empty_n_values_exit_code(self, model_file, tmp_path, capsys):
         # a bad plan value is one error line naming the key, not a traceback
-        for line in ("n_values = []", "reps = [1]"):
+        for line in ("n_values = []", "reps = [1]", f"reps = {2**63}"):
             plan = tmp_path / "bad.plan"
             plan.write_text(f"model = {model_file.name}\n{line}\n")
             assert main(["verify-two-sided", str(plan), "--out-dir", str(tmp_path)]) == 2

@@ -1,6 +1,7 @@
 """Every module-level import in the package's modules, the tests and the
 demos is used there, every function, class and method of the package is
-named outside the tests, and importing the CLI starts no process machinery."""
+named outside the tests and reads its parameters, and importing the CLI
+starts no process machinery."""
 
 import ast
 import subprocess
@@ -86,6 +87,44 @@ def test_detects_an_unnamed_definition():
               "    def __init__(self): pass\n    def m(self): pass\n    def k(self): pass\n")
     users = "from a import f\nC().m()\n"
     assert _unnamed_definitions(source, _names(users)) == ["line 2: g", "line 6: k"]
+
+
+# the parameters a package function may leave unread: both methods ignore
+# their n, as one grid holds for every n, and perfbench's tests call them
+UNREAD = {"montecarlo.py": ["SimPlan.alphas_for(n)", "SimPlan.pairs_for(n)"]}
+
+
+def _unread_parameters(source: str) -> list[str]:
+    """The parameters of a source's functions, names starting with ``_``
+    aside, that no name in their function's body reads, each as
+    ``qualified.name(parameter)``."""
+    unread = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                read = {n.id for line in child.body for n in ast.walk(line)
+                        if isinstance(n, ast.Name)}
+                unread.extend(f"{prefix}{child.name}({arg.arg})" for arg in (
+                    *args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+                    if arg and not arg.arg.startswith("_") and arg.arg not in read)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{prefix}{child.name}." if named else prefix)
+
+    visit(ast.parse(source), "")
+    return unread
+
+
+@pytest.mark.parametrize("module", MODULES, ids=_module_id)
+def test_every_parameter_is_read(module):
+    assert _unread_parameters(module.read_text()) == UNREAD.get(module.name, [])
+
+
+def test_detects_an_unread_parameter():
+    source = ("def f(a, b, _c, *d, e, **g):\n    def h(x):\n        return a + e\n    return h\n"
+              "class C:\n    def m(self, y):\n        return self\n")
+    assert _unread_parameters(source) == ["f(b)", "f(d)", "f(g)", "f.h(x)", "C.m(y)"]
 
 
 def test_cli_import_leaves_multiprocessing_out():

@@ -237,7 +237,7 @@ class TestParsePlan:
         assert plan.reps == 1_000_000
         assert plan.seed == 0
         assert plan.n_values == (16, 64, 256, 1024, 4096, 16384)
-        assert len(plan.pairs_for(16)) == 28
+        assert len(plan.alpha_two_sided) == 28
         assert plan.slack == 1.0
         assert plan.digest() == SimPlan(plan.model).digest()
 

@@ -291,6 +291,9 @@ class TestPlanValidation:
     def test_rejects_bad_reps_and_seed(self, bernoulli):
         with pytest.raises(ValueError):
             SimPlan(bernoulli, reps=0)
+        with pytest.raises(ValueError, match="^reps"):
+            SimPlan(bernoulli, reps=2**63)
+        assert SimPlan(bernoulli, reps=2**63 - 1).reps == 2**63 - 1
         with pytest.raises(ValueError):
             SimPlan(bernoulli, seed=2**64)
 
@@ -1311,9 +1314,9 @@ class TestCellLaw:
         # -1, and the pair leaves S_max still
         assert {name: splittree._sibling(MinMaxLaw.from_model(model))
                 for name, model in _LAW_MODELS.items()} == {
-            "bernoulli": None, "coin": None, "two_interval": None, "union_parts": None,
-            "mixed": (0, 2), "non_dyadic": None, "falling_pair": (0, 2),
-            "falling_runs": (0, 2), "still_pair": (0, 2)}
+            "bernoulli": False, "coin": False, "two_interval": False, "union_parts": False,
+            "mixed": True, "non_dyadic": False, "falling_pair": True,
+            "falling_runs": True, "still_pair": True}
 
     def test_closed_form_matches_the_full_enumeration_of_mixed_at_256(self):
         # 214 prefixes, each with its pair window, against 2633569 windowed
@@ -1859,7 +1862,7 @@ def test_windowed_count_is_the_number_built(data):
     masses = data.draw(st.lists(st.floats(0.02, 1.0), min_size=k, max_size=k))
     n = data.draw(st.integers(1, {2: 5000, 3: 800, 4: 60}[k]))
     law = MinMaxLaw(np.zeros(k), np.zeros(k), np.array(masses))
-    slices = [len(pmf) for _, pmf in next(_prefixes(law, n, [_last_totals(law, n, 2**40)]))]
+    slices = [len(pmf) for *_, pmf in next(_prefixes(law, n, [_last_totals(law, n, 2**40)]))]
     built = sum(slices)
     assert max(slices) <= BLOCK_SIZE // 4 or len(slices) == 1
     for limit in (built - 1, built, built + 1):
@@ -1888,43 +1891,31 @@ def _side_law(data, k):
     return MinMaxLaw(*(np.array(v, dtype=float) for v in (mins, maxs, masses)))
 
 
-@given(st.data())
-@settings(max_examples=40, deadline=None)
-def test_table_sizes_are_the_sizes_built(data):
-    """The two sizes ``is_tabled`` compares are what ``_cell_law`` walks:
-    the prefixes it enumerates, and the window entries it builds, those of
-    the last split's totals, each total's window pmf built once, and on
-    laws with a closed pair beside the last split, those of the pair, once
-    per prefix.  ``is_tabled`` holds at a limit of the larger size and one
-    above, not one below, and no chunk of the build holds more than a block
-    of elements: no window pmf, prefix slice or ``bincount`` input.  On these laws, whose sums move on one side or
-    both, the cell law is the full windowed enumeration's to 1e-15.  A law
-    of 5-8 hulls is never tabled (``_check_untabled``)."""
-    k = data.draw(st.integers(2, 4))
-    law = _side_law(data, k)
-    n = data.draw(st.integers(1, {2: 5000, 3: 800, 4: 60}[k]))
-    grid = data.draw(st.lists(st.sampled_from(LATTICE), max_size=8))
-    events = _EventCells.build(grid, default_alpha_pairs(grid))
-    sums_law, cell_of, bounds = events.at(law, n)
-    windows, prefixes, runs = [], [], []
+def _recorded_build(sums_law, n, bounds):
+    """(cell law, windows, prefixes, runs) of ``_cell_law`` at (sums_law, n,
+    bounds), with what it built: per ``_window_pmfs`` call, (caller, last,
+    totals, p, q, entries), ``last`` where the last split's window is built
+    on a span of its totals itself; the length of each prefix slice of
+    ``_prefixes``; and the length of each ``np.bincount`` input."""
+    windows, prefixes, runs, spans = [], [], [], []
 
-    def window_pmfs(totals, p, q, *columns):
-        # the last split's call passes no columns; the pair's passes them
-        first, pmf = real_pmfs(totals, p, q, *columns)
-        windows.append((sys._getframe(1).f_code.co_name, not columns, totals.copy(),
-                        p, q, pmf.size))
+    def window_pmfs(totals, p, q):
+        first, pmf = real_pmfs(totals, p, q)
+        windows.append((sys._getframe(1).f_code.co_name, any(totals is s for s in spans),
+                        totals.copy(), p, q, pmf.size))
         return first, pmf
+
+    def recording_prefixes(law, n, built):
+        def recorded(span):
+            for leaves, t, pmf in span:
+                prefixes.append(len(pmf))
+                yield leaves, t, pmf
+        spans.extend(built)
+        return map(recorded, real_prefixes(law, n, built))
 
     def bincount(x, weights=None, minlength=0):
         runs.append(len(x))
         return real_bincount(x, weights, minlength)
-
-    def recording_prefixes(*args):
-        def recorded(span):
-            for counts, pmf in span:
-                prefixes.append(len(pmf))
-                yield counts, pmf
-        return map(recorded, real_prefixes(*args))
 
     real_pmfs, real_prefixes, real_bincount = (splittree._window_pmfs, splittree._prefixes,
                                                np.bincount)
@@ -1932,16 +1923,42 @@ def test_table_sizes_are_the_sizes_built(data):
         patch.setattr(splittree, "_window_pmfs", window_pmfs)
         patch.setattr(splittree, "_prefixes", recording_prefixes)
         patch.setattr(np, "bincount", bincount)
-        p_cell = _cell_law(sums_law, n, bounds)
+        return _cell_law(sums_law, n, bounds), windows, prefixes, runs
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_table_sizes_are_the_sizes_built(data):
+    """The two sizes ``is_tabled`` compares are what ``_cell_law`` walks:
+    the prefixes it enumerates, and the window entries it builds, those of
+    the last split's totals, each total's window pmf built once, and on
+    laws with a closed pair beside the last split, those of the pair, once
+    per prefix, in one ``_window_pmfs`` call per span of the last split's
+    totals.  ``is_tabled`` holds at a limit of the larger size and one
+    above, not one below, and no chunk of the build holds more than a block
+    of elements: no window pmf, prefix slice or ``bincount`` input.  On
+    these laws, whose sums move on one side or both, the cell law is the
+    full windowed enumeration's to 1e-15.  A law of 5-8 hulls is never
+    tabled (``_check_untabled``)."""
+    k = data.draw(st.integers(2, 4))
+    law = _side_law(data, k)
+    n = data.draw(st.integers(1, {2: 5000, 3: 800, 4: 60}[k]))
+    grid = data.draw(st.lists(st.sampled_from(LATTICE), max_size=8))
+    events = _EventCells.build(grid, default_alpha_pairs(grid))
+    sums_law, cell_of, bounds = events.at(law, n)
+    p_cell, windows, prefixes, runs = _recorded_build(sums_law, n, bounds)
     want = _reference_cell_law(sums_law, n, cell_of, events.size)
     assert np.abs(p_cell - want).max() <= 1e-15 and not p_cell[want == 0].any()
     tables = [(last, totals, p, q) for caller, last, totals, p, q, _ in windows
               if caller == "_cell_law"]
-    totals = np.concatenate([t for last, t, _, _ in tables if last])
-    assert totals.tolist() == _last_totals(law, n, 2**40).tolist()  # each total once
+    spans = [t for last, t, _, _ in tables if last]
+    assert np.concatenate(spans).tolist() == _last_totals(law, n, 2**40).tolist()  # each once
     pairs = [t for last, t, _, _ in tables if not last]
-    assert bool(pairs) == (splittree._sibling(law) is not None)
+    assert bool(pairs) == splittree._sibling(law)
     assert sum(map(len, pairs)) in (0, sum(prefixes))  # each prefix's pair window once
+    # a closed pair's windows are built whole: one call per span, on the
+    # pair's totals below it
+    assert not pairs or [t.tolist() for t in pairs] == [(n - s[::-1]).tolist() for s in spans]
     entries = sum(int((stop - start + 1).sum())
                   for start, _, stop in (_window(t, p, q) for _, t, p, q in tables))
     built = (sum(prefixes), entries)
@@ -1963,25 +1980,28 @@ def test_largest_tabled_n(name, n):
     # window entries that the build walks: those of the last split's
     # totals, and on mixed those of the leaf pair beside it, per prefix; at
     # the largest tabled n and on both sides of it.  No slice holds more
-    # than a quarter block of prefixes, nor more than half a block of pair
-    # window entries, unless it is one prefix
+    # than a quarter block of prefixes, and no pair window the build makes
+    # holds more than a block of entries
     law = MinMaxLaw.from_model(MODEL_REGISTRY[name])
     k, sibling = len(law.masses), splittree._sibling(law)
-    assert (sibling is None) == (name == "bernoulli")
+    assert sibling == (name == "mixed")
+    events = _EventCells.build(DEFAULT_ALPHA_GRID, default_alpha_pairs())
     for m in (n - 1, n, n + 1):
         totals = _last_totals(law, m, 2**40)
-        slices = [(counts, len(pmf)) for counts, pmf in next(_prefixes(law, m, [totals]))]
+        slices = [(leaves, len(pmf)) for leaves, _, pmf in next(_prefixes(law, m, [totals]))]
         pairs = [int((stop - start + 1).sum()) if sibling else 0
-                 for start, _, stop in (_window(counts[sibling], *_shares(law.masses, *sibling))
-                                        if sibling else (0, 0, 0) for counts, _ in slices)]
+                 for start, _, stop in (_window(leaves[0], *_shares(law.masses, 0, 2))
+                                        if sibling else (0, 0, 0) for leaves, _ in slices)]
         start, _, stop = _window(totals, *_shares(law.masses, k - 2, k))
         sizes = (sum(size for _, size in slices), sum(pairs) + int((stop - start + 1).sum()))
         assert max(size for _, size in slices) <= BLOCK_SIZE // 4
-        assert all(entries <= BLOCK_SIZE // 2 or size == 1
-                   for entries, (_, size) in zip(pairs, slices))
         assert _table_sizes(law, m, 2**40) == sizes
         assert is_tabled(law, m) == (m <= n) == (max(sizes) <= montecarlo.TABLE_MAX_VECTORS)
-
+        sums_law, _, bounds = events.at(law, m)
+        windows = _recorded_build(sums_law, m, bounds)[1]
+        pair_windows = [size for caller, last, *_, size in windows
+                        if caller == "_cell_law" and not last]
+        assert bool(pair_windows) == sibling and max(pair_windows, default=0) <= BLOCK_SIZE
 
 
 def test_tabled_n_leave_room_for_the_differences_of_sums():
@@ -2034,7 +2054,7 @@ def test_closed_pair_keeps_the_sign_of_a_far_cell():
                     np.array([0.52, 0.16, 0.27, 0.05]))
     events = _EventCells.build([-2.0, -1.0, 2.0], default_alpha_pairs([-2.0, -1.0, 2.0]))
     sums_law, cell_of, bounds = events.at(law, 60)
-    assert splittree._sibling(sums_law) == (0, 2) and is_tabled(sums_law, 60)
+    assert splittree._sibling(sums_law) and is_tabled(sums_law, 60)
     want = _reference_cell_law(sums_law, 60, cell_of, events.size)
     got = _cell_law(sums_law, 60, bounds)
     assert np.abs(got - want).max() <= 1e-15
@@ -2122,11 +2142,20 @@ def test_closed_form_test_catches_a_fault_in_the_telescoped_sum(monkeypatch, nam
     # difference, ending a run late: where b rises (mixed) and falls
     ("mixed", "full_enumeration", "* -turn + rising, 0)", "* -turn + rising + 1, 0)"),
     ("falling_runs", "full_enumeration", "* -turn + rising, 0)", "* -turn + rising + 1, 0)"),
+    # each run's share in the beyond sums, weighted by t's table, as a
+    # difference of two values near 1: the full enumeration and the far
+    # tails miss it, the cells at near ties do not
+    ("falling_runs", "near_ties",
+     "share = at_start[:-1] - at_start[1:]\n            share[last] = at_start[last] - tail",
+     "share = (1.0 + at_start[:-1]) - (1.0 + at_start[1:])\n"
+     "            share[last] = (1.0 + at_start[last]) - (1.0 + tail)"),
 ])
 def test_closed_form_test_catches_a_fault_in_the_pair_runs(monkeypatch, name, check, old, new):
     monkeypatch.setattr(splittree, "_cell_law", _mutant(splittree._cell_law, old, new))
     test = {"full_enumeration": TestCellLaw().test_closed_form_matches_the_full_enumeration,
-            "far_tails": TestCellLaw().test_closed_form_keeps_the_far_tails}[check]
+            "far_tails": TestCellLaw().test_closed_form_keeps_the_far_tails,
+            "near_ties": partial(TestCellLaw().test_cells_settle_near_ties_exactly, monkeypatch),
+            }[check]
     with pytest.raises(AssertionError):
         test(name)
 
@@ -2196,32 +2225,10 @@ def test_cell_law_does_not_depend_on_the_slicing(monkeypatch):
     events = _EventCells.build(DEFAULT_ALPHA_GRID, default_alpha_pairs())
     sums_law, _, bounds = events.at(law, 256)
     want = _cell_law(sums_law, 256, bounds)
-    real_pmfs, real_prefixes, real_bincount, sizes = (
-        splittree._window_pmfs, splittree._prefixes, np.bincount, [])
-
-    def window_pmfs(totals, p, q, *columns):
-        first, pmf = real_pmfs(totals, p, q, *columns)
-        sizes.append(pmf.size)
-        return first, pmf
-
-    def prefixes(*args):
-        def recorded(span):
-            for counts, pmf in span:
-                sizes.append(len(pmf))
-                yield counts, pmf
-        return map(recorded, real_prefixes(*args))
-
-    def bincount(x, weights=None, minlength=0):
-        sizes.append(len(x))
-        return real_bincount(x, weights, minlength)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(splittree, "BLOCK_SIZE", 256)
-        patch.setattr(splittree, "_window_pmfs", window_pmfs)
-        patch.setattr(splittree, "_prefixes", prefixes)
-        patch.setattr(np, "bincount", bincount)
-        got = _cell_law(sums_law, 256, bounds)
+    monkeypatch.setattr(splittree, "BLOCK_SIZE", 256)
+    got, windows, prefixes, runs = _recorded_build(sums_law, 256, bounds)
     assert np.abs(got - want).max() <= 1e-15 and np.array_equal(got > 0, want > 0)
+    sizes = [size for *_, size in windows] + prefixes + runs
     assert sizes and max(sizes) <= 256
 
 
